@@ -21,7 +21,7 @@ import numpy as np
 
 from .params import ParamSet
 from .rescaling import FluidState, VACUUM_FLOOR_REL
-from .spectral import Grid, ScalarField, grad_arrays, lap_arrays
+from .spectral import Grid, ScalarField
 
 __all__ = [
     "DiagnosticsRecord",
@@ -70,6 +70,7 @@ class StateOps:
     def __init__(self, state: FluidState, r_floor: float | None = None):
         self.state = state
         self.grid = state.grid
+        self.sp = state.grid.spectral
         self.s = state.sqrtR.values
         self.R = self.s**2
         self.lam = [c.values for c in state.Lambda.components]
@@ -95,8 +96,16 @@ class StateOps:
         return self._get("U", build)
 
     @property
+    def R_hat(self):
+        return self._get("Rh", lambda: self.sp.fwd(self.R))
+
+    @property
+    def U_hat(self):
+        return self._get("Uh", lambda: [self.sp.fwd(u) for u in self.U])
+
+    @property
     def grad_sqrtR(self):
-        return self._get("gs", lambda: grad_arrays(self.grid, self.s))
+        return self._get("gs", lambda: self.sp.grad(self.s))
 
     @property
     def grad_sqrtR2(self):
@@ -104,7 +113,7 @@ class StateOps:
 
     @property
     def grad_R(self):
-        return self._get("gR", lambda: grad_arrays(self.grid, self.R))
+        return self._get("gR", lambda: self.sp.grad(self.R, self.R_hat))
 
     @property
     def grad_U(self):
@@ -112,10 +121,14 @@ class StateOps:
 
         def build():
             d = self.grid.d
-            cols = [grad_arrays(self.grid, self.U[j]) for j in range(d)]
+            cols = [self.sp.grad(u, uh) for u, uh in zip(self.U, self.U_hat)]
             return [[cols[j][i] for j in range(d)] for i in range(d)]
 
         return self._get("gU", build)
+
+    @property
+    def lap_U(self):
+        return self._get("lU", lambda: [self.sp.lap(u, 1, uh) for u, uh in zip(self.U, self.U_hat)])
 
     @property
     def div_U(self):
@@ -127,7 +140,27 @@ class StateOps:
 
     @property
     def hess_R(self):
-        return self._get("hR", lambda: _hessian(self.grid, self.R))
+        return self._get("hR", lambda: self.sp.hessian(self.R, self.R_hat))
+
+    def lap_R(self, p: int):
+        """lap^p R."""
+        return self._get(("lR", p), lambda: self.sp.lap(self.R, p, self.R_hat))
+
+    def grad_lap_R2(self, p: int):
+        """|grad lap^p R|^2."""
+
+        def build():
+            sp = self.sp
+            return sum(sp.inv(sym * self.R_hat) ** 2 for sym in sp.grad_lap_symbol(p))
+
+        return self._get(("glR2", p), build)
+
+    def grad_rho_neg2(self, alpha: float):
+        """|grad rho_tilde^(-alpha/2)|^2."""
+        return self._get(
+            ("gneg2", alpha),
+            lambda: sum(a**2 for a in self.sp.grad(_rho_tilde(self) ** (-alpha / 2.0))),
+        )
 
     @property
     def lam2(self):
@@ -171,16 +204,6 @@ class StateOps:
             for j in range(d):
                 out += 0.25 * (g[i][j] - g[j][i]) ** 2
         return out
-
-
-def _hessian(grid: Grid, values: np.ndarray):
-    """Upper-triangular Hessian entries {(i, j): d_i d_j values}, i <= j."""
-    hat = np.fft.fftn(values)
-    out = {}
-    for i in range(grid.d):
-        for j in range(i, grid.d):
-            out[(i, j)] = np.fft.ifftn(-(grid.k[i] * grid.k[j]) * hat).real
-    return out
 
 
 def _tensor2(d: int, hess: dict):
@@ -289,8 +312,7 @@ def _energy_reg(ops: StateOps, p: ParamSet, tau) -> float:
     if p.eta1 > 0:
         out += p.eta1 / (p.alpha + 1.0) * _quad(g, _rho_tilde(ops) ** (-p.alpha))
     if p.eta2 > 0:
-        gls = grad_arrays(g, lap_arrays(g, ops.R, p.s))
-        out += p.eta2 / (2 * tau_v**2) * _quad(g, sum(a**2 for a in gls))
+        out += p.eta2 / (2 * tau_v**2) * _quad(g, ops.grad_lap_R2(p.s))
     return out
 
 
@@ -304,24 +326,20 @@ def _dissipation_reg(ops: StateOps, p: ParamSet, tau) -> float:
     g = ops.grid
     kin = ops.lam2 + p.eps**2 * ops.grad_sqrtR2
     if p.eta2 > 0:
-        gls = grad_arrays(g, lap_arrays(g, ops.R, p.s))
-        kin = kin + p.eta2 * sum(a**2 for a in gls)
+        kin = kin + p.eta2 * ops.grad_lap_R2(p.s)
     out = taudot_v / tau_v**3 * _quad(g, kin)
     if p.nu > 0:
         out += p.nu / tau_v**4 * _quad(g, ops.R * ops.DU2())
     if p.delta2 > 0:
-        lapU = [lap_arrays(g, Ui) for Ui in ops.U]
-        out += p.delta2 / tau_v**4 * _quad(g, sum(a**2 for a in lapU))
+        out += p.delta2 / tau_v**4 * _quad(g, sum(a**2 for a in ops.lap_U))
     if p.delta1 > 0:
         out += 4.0 * p.delta1 / tau_v**2 * _quad(g, ops.grad_sqrtR2)
         if p.eta2 > 0:
-            ls1 = lap_arrays(g, ops.R, p.s + 1)
-            out += p.delta1 * p.eta2 / tau_v**4 * _quad(g, ls1**2)
+            out += p.delta1 * p.eta2 / tau_v**4 * _quad(g, ops.lap_R(p.s + 1) ** 2)
         if p.eta1 > 0:
-            gneg = grad_arrays(g, _rho_tilde(ops) ** (-p.alpha / 2.0))
             out += (
                 4.0 * p.delta1 * p.eta1 / (p.alpha * tau_v**2)
-                * _quad(g, sum(a**2 for a in gneg))
+                * _quad(g, ops.grad_rho_neg2(p.alpha))
             )
         if p.eps > 0:
             out += p.delta1 * p.eps**2 / (2 * tau_v**4) * _quad(g, ops.R_hess_logR2())
@@ -347,8 +365,7 @@ def _bd_entropy_reg(ops: StateOps, p: ParamSet, tau) -> float:
     if p.eta1 > 0:
         out += p.eta1 / (p.alpha + 1.0) * _quad(g, _rho_tilde(ops) ** (-p.alpha))
     if p.eta2 > 0:
-        gls = grad_arrays(g, lap_arrays(g, ops.R, p.s))
-        out += p.eta2 / (2 * tau_v**2) * _quad(g, sum(a**2 for a in gls))
+        out += p.eta2 / (2 * tau_v**2) * _quad(g, ops.grad_lap_R2(p.s))
     return out
 
 
@@ -364,8 +381,7 @@ def _bd_dissipation_reg(ops: StateOps, p: ParamSet, tau) -> float:
     g = ops.grid
     kin = ops.lam2 + p.eps**2 * ops.grad_sqrtR2
     if p.eta2 > 0:
-        gls = grad_arrays(g, lap_arrays(g, ops.R, p.s))
-        kin = kin + p.eta2 * sum(a**2 for a in gls)
+        kin = kin + p.eta2 * ops.grad_lap_R2(p.s)
     out = taudot_v / tau_v**3 * _quad(g, kin)
     if p.r0 > 0 and p.nu > 0:
         out += (
@@ -377,19 +393,16 @@ def _bd_dissipation_reg(ops: StateOps, p: ParamSet, tau) -> float:
         out += chess / tau_v**4 * _quad(g, ops.R_hess_logR2())
     out += 4.0 * (p.nu + p.delta1) / tau_v**2 * _quad(g, ops.grad_sqrtR2)
     if p.eta1 > 0 and (p.nu + p.delta1) > 0:
-        gneg = grad_arrays(g, _rho_tilde(ops) ** (-p.alpha / 2.0))
         out += (
             4.0 * p.eta1 * (p.nu + p.delta1) / (p.alpha * tau_v**2)
-            * _quad(g, sum(a**2 for a in gneg))
+            * _quad(g, ops.grad_rho_neg2(p.alpha))
         )
     if p.nu > 0:
         out += p.nu / tau_v**4 * _quad(g, ops.R * ops.AU2())
     if p.eta2 > 0 and (p.nu + p.delta1) > 0:
-        ls1 = lap_arrays(g, ops.R, p.s + 1)
-        out += p.eta2 * (p.nu + p.delta1) / tau_v**4 * _quad(g, ls1**2)
+        out += p.eta2 * (p.nu + p.delta1) / tau_v**4 * _quad(g, ops.lap_R(p.s + 1) ** 2)
     if p.delta2 > 0:
-        lapU = [lap_arrays(g, Ui) for Ui in ops.U]
-        out += p.delta2 / tau_v**4 * _quad(g, sum(a**2 for a in lapU))
+        out += p.delta2 / tau_v**4 * _quad(g, sum(a**2 for a in ops.lap_U))
     if p.r0 > 0:
         out += p.r0 / tau_v**4 * _quad(g, sum(u**2 for u in ops.U))
     if p.r1 > 0:
@@ -471,11 +484,9 @@ def _bd_identity_terms(ops: StateOps, p: ParamSet, tau) -> tuple[float, float, f
         * _quad(g, ops.R_hess_logR2())
     )
     if p.eta1 > 0:
-        gneg = grad_arrays(g, _rho_tilde(ops) ** (-p.alpha / 2.0))
-        diss += 4.0 * p.eta1 * nu / (p.alpha * tau_v**2) * _quad(g, sum(a**2 for a in gneg))
+        diss += 4.0 * p.eta1 * nu / (p.alpha * tau_v**2) * _quad(g, ops.grad_rho_neg2(p.alpha))
     if p.eta2 > 0:
-        ls1 = lap_arrays(g, ops.R, p.s + 1)
-        diss += p.eta2 * nu / tau_v**4 * _quad(g, ls1**2)
+        diss += p.eta2 * nu / tau_v**4 * _quad(g, ops.lap_R(p.s + 1) ** 2)
 
     rhs = 2.0 * g.d * nu / tau_v**2 * _quad(g, ops.R)
     gU = ops.grad_U
@@ -492,29 +503,23 @@ def _bd_identity_terms(ops: StateOps, p: ParamSet, tau) -> tuple[float, float, f
     if p.delta1 > 0 or p.delta2 > 0:
         rho = _rho_tilde(ops)
         if p.delta1 > 0:
-            lapR = lap_arrays(g, ops.R)
+            lapR = ops.lap_R(1)
             if p.r0 > 0:
                 rhs -= p.r0 * nu * p.delta1 / tau_v**4 * _quad(g, lapR / rho)
-            glog = grad_arrays(g, ops.logR)
+            glog = ops.sp.grad(ops.logR)
             mix = np.zeros(g.shape)
             for i in range(d):
                 for j in range(d):
                     mix += gU[i][j] * ops.grad_R[i] * glog[j]
             rhs -= p.delta1 * nu / tau_v**4 * _quad(g, mix)
-            mom = [ops.s * l for l in ops.lam]
-            div_mom = np.zeros(g.shape, dtype=complex)
-            for i in range(d):
-                div_mom += (1j * g.k[i]) * np.fft.fftn(mom[i])
-            div_mom = np.fft.ifftn(div_mom).real
+            div_mom = ops.sp.div([ops.s * l for l in ops.lam])
             rhs -= p.delta1 * nu / tau_v**4 * _quad(g, (lapR / rho) * div_mom)
         if p.delta2 > 0:
-            lapU = [lap_arrays(g, Ui) for Ui in ops.U]
             hlog = ops.hess_logR()
-            lap_log = sum(hlog[(i, i)] for i in range(d))
-            glaplog = grad_arrays(g, lap_log)
+            glaplog = ops.sp.grad(sum(hlog[(i, i)] for i in range(d)))
             rhs -= (
                 p.delta2 * nu / tau_v**4
-                * _quad(g, sum(a * b for a, b in zip(lapU, glaplog)))
+                * _quad(g, sum(a * b for a, b in zip(ops.lap_U, glaplog)))
             )
     return f, diss, rhs
 
@@ -577,21 +582,15 @@ def korteweg_identity_residual(sqrtR: ScalarField) -> float:
     if s.min() <= 0:
         raise ValueError("sqrtR must be strictly positive for the identity check")
     R = s**2
-    lap_s = lap_arrays(g, s)
-    lhs_pot = grad_arrays(g, lap_s / s)
-    lhs = [R * a for a in lhs_pot]
-    gs = grad_arrays(g, s)
-    hess = _hessian(g, s)
-    rhs = []
-    for j in range(g.d):
-        comps = []
-        for i in range(g.d):
-            hij = hess[(min(i, j), max(i, j))]
-            comps.append(s * hij - gs[i] * gs[j])
-        div_j = np.zeros(g.shape, dtype=complex)
-        for i in range(g.d):
-            div_j += (1j * g.k[i]) * np.fft.fftn(comps[i])
-        rhs.append(np.fft.ifftn(div_j).real)
+    sp = g.spectral
+    sh = sp.fwd(s)
+    lhs = [R * a for a in sp.grad(sp.lap(s, 1, sh) / s)]
+    gs = sp.grad(s, sh)
+    hess = sp.hessian(s, sh)
+    rhs = [
+        sp.div([s * hess[(min(i, j), max(i, j))] - gs[i] * gs[j] for i in range(g.d)])
+        for j in range(g.d)
+    ]
     num = math.sqrt(_quad(g, sum((a - b) ** 2 for a, b in zip(lhs, rhs))))
     den = math.sqrt(_quad(g, sum(b**2 for b in rhs)))
     return num / max(den, 1e-300)
@@ -604,8 +603,9 @@ def loghess_identity_residual(R: ScalarField) -> float:
     if r.min() <= 0:
         raise ValueError("R must be strictly positive for the identity check")
     s = np.sqrt(r)
-    left = 0.5 * _quad(g, r * _tensor2(g.d, _hessian(g, np.log(r))))
-    right = _quad(g, (lap_arrays(g, s) / s) * lap_arrays(g, r))
+    sp = g.spectral
+    left = 0.5 * _quad(g, r * _tensor2(g.d, sp.hessian(np.log(r))))
+    right = _quad(g, (sp.lap(s) / s) * sp.lap(r))
     return abs(left - right) / max(abs(left), 1e-300)
 
 
@@ -615,11 +615,11 @@ def jungel_quantities(R: ScalarField) -> tuple[float, float]:
     g = R.grid
     r = np.maximum(R.values, 0.0)
     s = np.sqrt(r)
-    left = _quad(g, _tensor2(g.d, _hessian(g, s)))
-    g4 = grad_arrays(g, np.sqrt(s))
-    left += _quad(g, sum(a**2 for a in g4) ** 2)
+    sp = g.spectral
+    left = _quad(g, _tensor2(g.d, sp.hessian(s)))
+    left += _quad(g, sum(a**2 for a in sp.grad(np.sqrt(s))) ** 2)
     logr = np.log(np.maximum(r, LOG_FLOOR))
-    right = _quad(g, r * _tensor2(g.d, _hessian(g, logr)))
+    right = _quad(g, r * _tensor2(g.d, sp.hessian(logr)))
     return float(left), float(right)
 
 
@@ -640,12 +640,13 @@ def compatibility_residuals(state: FluidState) -> tuple[float, float]:
     mask = ops.R > ops.r_floor
     gs = ops.grad_sqrtR
     gU = ops.grad_U
+    gj = [ops.sp.grad(ops.s * l) for l in ops.lam]  # gj[j][i] = d_i (sqrtR Lambda_j)
     num = 0.0
     den = 0.0
     for i in range(d):
         for j in range(d):
             lhs = ops.R * gU[i][j]
-            grad_piece = grad_arrays(g, ops.s * ops.lam[j])[i]
+            grad_piece = gj[j][i]
             cross_piece = 2.0 * ops.lam[j] * gs[i]
             rhs = grad_piece - cross_piece
             num += float(np.sum(((lhs - rhs) ** 2)[mask]))
@@ -653,8 +654,8 @@ def compatibility_residuals(state: FluidState) -> tuple[float, float]:
             den += float(np.sum((grad_piece**2 + cross_piece**2)[mask]))
     tn_res = math.sqrt(num) / max(math.sqrt(den), 1e-300)
 
-    hs = _hessian(g, ops.s)
-    hR = _hessian(g, ops.R)
+    hs = ops.sp.hessian(ops.s)
+    hR = ops.hess_R
     num = den = 0.0
     for (i, j), hij in hs.items():
         a = ops.s * hij - gs[i] * gs[j]
@@ -675,7 +676,7 @@ def irrotationality_residual(state: FluidState) -> float:
     ops = StateOps(state)
     j = [ops.s * l for l in ops.lam]
     gs = ops.grad_sqrtR
-    gj = [grad_arrays(g, jc) for jc in j]  # gj[c][i] = d_i j_c
+    gj = [ops.sp.grad(jc) for jc in j]  # gj[c][i] = d_i j_c
     pairs = [(0, 1)] if g.d == 2 else [(1, 2), (2, 0), (0, 1)]
     num = den = 0.0
     for a, b in pairs:
@@ -753,7 +754,7 @@ def llogl_bound(f: ScalarField, beta: float) -> tuple[float, float]:
         ) * w_kappa ** (beta / 2.0)
         small_best = min(small_best, b_small)
 
-    gradf = grad_arrays(g, f.values)
+    gradf = g.spectral.grad(f.values)
     h1 = _quad(g, v2) + _quad(g, sum(a**2 for a in gradf))
     s_grid = float(np.sum(1.0 / (1.0 + g.k2)))
     f_inf_bound = math.sqrt(s_grid / g.volume * h1)

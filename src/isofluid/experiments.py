@@ -105,10 +105,16 @@ class ExperimentConfig:
 
     def make_grid(self) -> Grid:
         g = self.grid
-        return Grid(int(g.get("d", 1)), float(g.get("ell", 8.0)), int(g.get("n", 256)))
+        try:
+            return Grid(int(g.get("d", 1)), float(g.get("ell", 8.0)), int(g.get("n", 256)))
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise BadConfig(f"grid: {exc}") from exc
 
-    def make_params(self) -> ParamSet:
-        return ParamSet(**self.params)
+    def make_params(self, **overrides) -> ParamSet:
+        try:
+            return ParamSet(**{**self.params, **overrides})
+        except (TypeError, ValueError) as exc:
+            raise BadConfig(f"params: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +187,8 @@ def make_initial(grid: Grid, spec: dict, seed: int = 0) -> FluidState:
 def random_positive_field(grid: Grid, rng, roughness: float = 4.0) -> np.ndarray:
     """Strictly positive random field: exp of low-pass-filtered white noise,
     shaped by a Gaussian envelope so moments stay finite."""
-    noise = rng.standard_normal(grid.shape)
-    nh = np.fft.fftn(noise)
-    filt = np.exp(-grid.k2 / roughness**2)
-    smooth = np.fft.ifftn(nh * filt).real
+    sp = grid.spectral
+    smooth = sp.inv(sp.fwd(rng.standard_normal(grid.shape)) * np.exp(-sp.k2 / roughness**2))
     smooth *= 1.0 / max(smooth.std(), 1e-300)
     return np.exp(0.5 * smooth) * np.exp(-grid.r2 / 2.0)
 
@@ -286,7 +290,6 @@ def _ladder_values(config: ExperimentConfig, default: list) -> list:
 def _run_sweep(config: ExperimentConfig, out: Path, meta: dict) -> int:
     kind = config.kind
     grid = config.make_grid()
-    base = dict(config.params)
     rows = []
     finals = []
 
@@ -306,15 +309,15 @@ def _run_sweep(config: ExperimentConfig, out: Path, meta: dict) -> int:
                  "theta": 1.0 / v**3, "iota": 1.0 / v},
                 config.seed,
             )
-            r0, r1, eps_l = solver.drag_schedule(v, init.R, base.get("eps", 0.0))
-            p = ParamSet(**{**base, "r0": r0, "r1": r1, "eps": eps_l})
+            r0, r1, eps_l = solver.drag_schedule(v, init.R, config.params.get("eps", 0.0))
+            p = config.make_params(r0=r0, r1=r1, eps=eps_l)
         else:
             g = grid
             init = make_initial(g, config.initial, config.seed)
             if kind == "sweep_delta":
-                p = ParamSet(**{**base, "delta1": v, "delta2": v})
+                p = config.make_params(delta1=v, delta2=v)
             else:
-                p = ParamSet(**{**base, "eta2": v, "eta1": base.get("eta1", 0.0)})
+                p = config.make_params(eta2=v)
         traj = solver.run(init, p, config.t_end, diag_every=max(config.diag_every, 1))
         return v, traj
 
@@ -510,7 +513,7 @@ def _check_spectral() -> list[str]:
     rng = np.random.default_rng(7)
     for d, n in ((1, 64), (2, 32)):
         g = Grid(d, 5.0, n)
-        f = ScalarField(g, sp.dealias_arrays(g, rng.standard_normal(g.shape)))
+        f = ScalarField(g, g.spectral.dealias(rng.standard_normal(g.shape)))
         back = sp.transform_inverse(g, sp.transform_forward(f))
         err = np.abs(back.values - f.values).max() / max(np.abs(f.values).max(), 1e-300)
         if err > 1e-13:
@@ -567,10 +570,8 @@ def _check_korteweg() -> list[str]:
         s = np.exp(-g.r2) + 0.2
         if sign != 1.0:
             # evaluate the residual with the injected defect on one side
-            from .spectral import grad_arrays, lap_arrays
-
             R = s**2
-            lhs = [R * a for a in grad_arrays(g, lap_arrays(g, s) / s)]
+            lhs = [R * a for a in g.spectral.grad(g.spectral.lap(s) / s)]
             st = solver._Stepper(g, ParamSet(eps=1.0), float(np.mean(R)))
             rhs_v = [sign * v for v in st.korteweg_divform(R)]
             num = math.sqrt(float(g.weight * sum(((a - b) ** 2).sum() for a, b in zip(lhs, rhs_v))))
@@ -633,7 +634,7 @@ def _check_compat() -> list[str]:
     )
     _, sk0 = diag.compatibility_residuals(const)
     ops = diag.StateOps(const)
-    hs = diag._hessian(g, ops.s)
+    hs = g.spectral.hessian(ops.s)
     if max(np.abs(h).max() for h in hs.values()) > 1e-12:
         errs.append("S_K of constant density not zero")
     g2 = Grid(2, 6.0, 64)

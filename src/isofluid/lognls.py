@@ -25,7 +25,7 @@ import numpy as np
 from . import diagnostics as diag
 from .params import ParamSet
 from .rescaling import WaveFunction, madelung
-from .spectral import Grid, grad_arrays
+from .spectral import Grid
 from .solver import run as hydro_run
 from .tauode import TauSolution, tau_solve
 
@@ -80,13 +80,14 @@ def nls_step(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), mu: float | N
     tau_v = float(tau[0]) if params.variant == "rescaled" else 1.0
     z = psi.re.values + 1j * psi.im.values
 
+    sp = g.spectral
     kin = np.exp(-1j * eps * g.k2 * h / (4.0 * tau_v**2))
-    z = np.fft.ifftn(kin * np.fft.fftn(z))
+    z = sp.cinv(kin * sp.cfwd(z))
     pot = np.log(np.abs(z) ** 2 + mu)
     if params.variant == "rescaled":
         pot = pot + g.r2
     z = z * np.exp(-1j * h * pot / eps)
-    z = np.fft.ifftn(kin * np.fft.fftn(z))
+    z = sp.cinv(kin * sp.cfwd(z))
     return WaveFunction.from_complex(psi.t + h, g, z, eps)
 
 
@@ -96,8 +97,8 @@ def nls_energy(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0)) -> float:
     g = psi.grid
     eps = params.eps
     tau_v = float(tau[0]) if params.variant == "rescaled" else 1.0
-    ga = grad_arrays(g, psi.re.values)
-    gb = grad_arrays(g, psi.im.values)
+    ga = g.spectral.grad(psi.re.values)
+    gb = g.spectral.grad(psi.im.values)
     grad2 = sum(a**2 + b**2 for a, b in zip(ga, gb))
     rho = psi.re.values**2 + psi.im.values**2
     ent = np.where(rho > 0, rho * np.log(np.maximum(rho, diag.LOG_FLOOR)), 0.0)

@@ -18,8 +18,9 @@ class ParamSet:
     alpha, s       exponents of the eta-terms (alpha > 4, s > d when active);
     dt, dt_policy  fixed step, or CFL-adaptive with dt as the upper cap;
     cfl            Courant factor for the adaptive policy;
-    r_min          density floor used to recover U = M / max(R, r_min); when None
-                   the solver uses 1e-10 * mean(R0) (inert if eta1 > 0).
+    r_min          density floor of the velocity recovery U = M / sqrt(R^2 + r_min^2)
+                   (solver.smooth_density); when None the solver uses
+                   1e-10 * mean(R0) (inert if eta1 > 0).
     """
 
     nu: float = 0.0

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    ScalarField,
-    VectorField,
-    grad_arrays,
-    integrate,
-)
+from .spectral import Grid, ScalarField, VectorField, integrate
 
 __all__ = [
     "FluidState",
@@ -215,8 +209,8 @@ def madelung(psi: WaveFunction, t: float | None = None) -> FluidState:
     floor = VACUUM_FLOOR_REL * max(mod.max(), 1e-300)
     live = mod > floor
     safe = np.maximum(mod, floor)
-    ga = grad_arrays(grid, a)
-    gb = grad_arrays(grid, b)
+    ga = grid.spectral.grad(a)
+    gb = grid.spectral.grad(b)
     lam = [
         np.where(live, psi.epsilon * (a * gb[i] - b * ga[i]) / safe, 0.0)
         for i in range(grid.d)
@@ -236,7 +230,7 @@ def original_energy(rho: ScalarField, u: VectorField, eps: float) -> float:
     grid = rho.grid
     r = rho.values
     sq = np.sqrt(np.maximum(r, 0.0))
-    gs = grad_arrays(grid, sq)
+    gs = grid.spectral.grad(sq)
     kin = r * sum(c.values**2 for c in u.components)
     quant = eps**2 * sum(g**2 for g in gs)
     logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), 0.0)

@@ -1,6 +1,7 @@
 """Time stepper for the regularized self-similar system on the torus.
 
-Prognostic variables are (R, M = R U); U is recovered as M / max(R, r_min).
+Prognostic variables are (R, M = R U); U is recovered as M / rho_sm with the
+smooth floor rho_sm = sqrt(R^2 + r_min^2) (see smooth_density).
 One step of size h is the symmetric composition
 
     Drag(h/2)  L(h/2)  N(h)  L(h/2)  Drag(h/2)
@@ -154,40 +155,11 @@ class _Stepper:
         else:
             self.viscous_form = self.p.viscous_form
         g = grid
+        self.sp = g.spectral
         self.kmx = math.pi * (g.n / 2) / g.ell * math.sqrt(g.d)
-        self.k2 = g.k2
-        self.kmag = np.sqrt(g.k2)
-        self.khat = [
-            np.where(
-                g.k2 > 0,
-                np.broadcast_to(ki, g.shape) / np.maximum(self.kmag, 1e-300),
-                0.0,
-            )
-            for ki in g.k
-        ]
         self.y = [np.broadcast_to(yi, g.shape) for yi in g.y]
-        self.dealias = g.dealias_mask
 
     # -- helpers -----------------------------------------------------------
-
-    def fft(self, a):
-        return np.fft.fftn(a)
-
-    def ifft(self, a):
-        return np.fft.ifftn(a).real
-
-    def dealias_phys(self, a):
-        return self.ifft(self.fft(a) * self.dealias)
-
-    def grad(self, a):
-        ah = self.fft(a)
-        return [self.ifft(1j * self.grid.k[i] * ah) for i in range(self.grid.d)]
-
-    def div_of(self, comps):
-        out = np.zeros(self.grid.shape, dtype=complex)
-        for i, c in enumerate(comps):
-            out += 1j * self.grid.k[i] * self.fft(c)
-        return self.ifft(out)
 
     def rho_tilde(self, R):
         return np.maximum(R, self.r_min)
@@ -244,15 +216,15 @@ class _Stepper:
         cells, turning neutral dispersion into growth."""
         p = self.p
         t2 = tau_v**2
-        a = -(p.delta1 / t2) * self.k2
-        e = -(p.delta2 * c_u / t2) * self.k2**2
+        a = -(p.delta1 / t2) * self.sp.k2
+        e = -(p.delta2 * c_u / t2) * self.sp.k2**2
         Ea = np.exp(a * h)
         Ee = np.exp(e * h)
         diff = a - e
         small = np.abs(diff) * h < 1e-8
         S = np.where(small, h * Ea, (Ea - Ee) / np.where(small, 1.0, diff))
-        kM = sum(np.broadcast_to(ki, self.grid.shape) * m for ki, m in zip(self.grid.k, Mh))
-        Rh_new = Ea * Rh + (-1j / t2) * S * kM
+        ikM = sum(ik * m for ik, m in zip(self.sp.ik, Mh))
+        Rh_new = Ea * Rh - (S / t2) * ikM
         Mh_new = [Ee * m for m in Mh]
         return Rh_new, Mh_new
 
@@ -261,93 +233,92 @@ class _Stepper:
     def density_forces(self, R, tau_v, taudot_v):
         """Forces on M that depend on R only (constant during the N substep):
         confinement + pressure (+ nu taudot/tau grad R), the divergence-form
-        Korteweg stress, cold pressure, and the eta2 term."""
-        p = self.p
-        g = self.grid
+        Korteweg stress, cold pressure, and the eta2 term.  The spectral
+        parts of each component are summed before one inverse transform."""
+        p, sp = self.p, self.sp
         t2 = tau_v**2
-        Rh = self.fft(R)
-        grad_R = [self.ifft(1j * g.k[i] * Rh) for i in range(g.d)]
+        Rh = sp.fwd(R)
+        grad_R = sp.grad(R, Rh)
         pgrad = p.nu * taudot_v / tau_v - 1.0
-        F = [pgrad * gr - 2.0 * yi * R for gr, yi in zip(grad_R, self.y)]
+        Fh = [pgrad * ik * Rh for ik in sp.ik]
         if p.eps > 0:
-            kort = self.korteweg_divform(R)
-            for j in range(g.d):
-                F[j] += (p.eps**2 / (2.0 * t2)) * kort[j]
+            c = p.eps**2 / (2.0 * t2)
+            for j, row in enumerate(self.korteweg_stress(R)):
+                Fh[j] += c * sp.div_dealiased_hat(row)
         if p.eta1 > 0:
-            coldh = self.fft(self.rho_tilde(R) ** (-p.alpha))
-            for j in range(g.d):
-                F[j] += p.eta1 * self.ifft(1j * g.k[j] * coldh)
+            coldh = sp.fwd(self.rho_tilde(R) ** (-p.alpha))
+            for j, ik in enumerate(sp.ik):
+                Fh[j] += p.eta1 * ik * coldh
         if p.eta2 > 0:
-            for j in range(g.d):
-                gl_j = self.ifft(1j * g.k[j] * (-self.k2) ** (2 * p.s + 1) * Rh)
-                F[j] += (p.eta2 / t2) * self.dealias_phys(R * gl_j)
+            for j, sym in enumerate(sp.grad_lap_symbol(2 * p.s + 1)):
+                Fh[j] += (p.eta2 / t2) * sp.mask * sp.fwd(R * sp.inv(sym * Rh))
+        F = [sp.inv(fh) - 2.0 * yi * R for fh, yi in zip(Fh, self.y)]
         return F, grad_R
 
-    def korteweg_divform(self, R):
-        """div(sqrt R hess sqrt R - grad sqrt R x grad sqrt R), dealiased;
-        the root is the smooth vacuum-regularized one (see sqrt_reg)."""
-        g = self.grid
+    def korteweg_stress(self, R):
+        """Rows of sqrt R hess sqrt R - grad sqrt R x grad sqrt R, whose
+        dealiased divergence is the Korteweg force; the root is the smooth
+        vacuum-regularized one (see sqrt_reg)."""
+        sp, d = self.sp, self.grid.d
         s = self.sqrt_reg(R)
-        sh = self.fft(s)
-        gs = [self.ifft(1j * g.k[i] * sh) for i in range(g.d)]
-        hess = {}
-        for i in range(g.d):
-            for j in range(i, g.d):
-                hess[(i, j)] = self.ifft(-(g.k[i] * g.k[j]) * sh)
-        out = []
-        for j in range(g.d):
-            comps = [
-                self.dealias_phys(s * hess[(min(i, j), max(i, j))] - gs[i] * gs[j])
-                for i in range(g.d)
-            ]
-            out.append(self.div_of(comps))
-        return out
+        sh = sp.fwd(s)
+        gs = sp.grad(s, sh)
+        hess = sp.hessian(s, sh)
+        return [
+            [s * hess[(min(i, j), max(i, j))] - gs[i] * gs[j] for i in range(d)]
+            for j in range(d)
+        ]
 
-    def n_rhs(self, R, M, tau_v, F_R, grad_R, c_u):
-        """M-dependent part of the explicit remainder, plus the frozen F_R.
+    def korteweg_divform(self, R):
+        """div(sqrt R hess sqrt R - grad sqrt R x grad sqrt R), dealiased."""
+        return [self.sp.div_dealiased(row) for row in self.korteweg_stress(R)]
 
-        Two exact assemblies of the viscous stress R D(U): the bounded form
-        R * D(M/rho) pairs cleanly with the energy functionals; the vacuum
-        form (d_i M_j + d_j M_i)/2 - (M_j d_i R + M_i d_j R)/(2 rho) never
+    def stress_row(self, j, R, M, U, grad_R, gradU, gradM):
+        """Row j of the momentum flux -M U_j plus the viscous stress nu R D(U)
+        (gradU[j][i] = d_i U_j, gradM likewise; each is needed only by its
+        viscous form).
+
+        Two exact assemblies of R D(U): the bounded form R * D(M/rho) pairs
+        cleanly with the energy functionals; the vacuum form
+        (d_i M_j + d_j M_i)/2 - (M_j d_i R + M_i d_j R)/(2 rho) never
         differentiates the near-floor quotient, whose spatial ringing seeds a
         momentum amplifier on long vacuum runs."""
-        p = self.p
-        g = self.grid
+        nu, d = self.p.nu, self.grid.d
+        row = [-M[i] * U[j] for i in range(d)]
+        if nu > 0 and self.viscous_form == "bounded":
+            row = [row[i] + nu * (R * 0.5 * (gradU[j][i] + gradU[i][j])) for i in range(d)]
+        elif nu > 0:
+            row = [
+                row[i] + nu * (
+                    0.5 * (gradM[j][i] + gradM[i][j])
+                    - 0.5 * (U[j] * grad_R[i] + U[i] * grad_R[j])
+                )
+                for i in range(d)
+            ]
+        return row
+
+    def n_rhs(self, R, M, tau_v, F_R, grad_R, c_u):
+        """M-dependent part of the explicit remainder, plus the frozen F_R:
+        per component one dealiased divergence of the stress row plus the
+        delta1 and delta2 terms, summed in spectral space."""
+        p, sp = self.p, self.sp
         t2 = tau_v**2
         rho = self.rho_smooth(R)
         U = [m / rho for m in M]
+        gradU = gradM = None
         if p.nu > 0 and self.viscous_form == "vacuum":
-            gradM = [self.grad(m) for m in M]  # gradM[j][i] = d_i M_j
+            gradM = [sp.grad(m) for m in M]  # gradM[j][i] = d_i M_j
         if (p.nu > 0 and self.viscous_form == "bounded") or p.delta1 > 0:
-            gradU = [self.grad(u) for u in U]  # gradU[j][i] = d_i U_j
+            gradU = [sp.grad(u) for u in U]  # gradU[j][i] = d_i U_j
         out = []
-        for j in range(g.d):
-            flux = [self.dealias_phys(M[i] * U[j]) for i in range(g.d)]
-            f = -self.div_of(flux) / t2
-            if p.nu > 0:
-                if self.viscous_form == "bounded":
-                    visc = [
-                        self.dealias_phys(R * 0.5 * (gradU[j][i] + gradU[i][j]))
-                        for i in range(g.d)
-                    ]
-                else:
-                    visc = [
-                        self.dealias_phys(
-                            0.5 * (gradM[j][i] + gradM[i][j])
-                            - 0.5 * (U[j] * grad_R[i] + U[i] * grad_R[j])
-                        )
-                        for i in range(g.d)
-                    ]
-                f += (p.nu / t2) * self.div_of(visc)
+        for j in range(self.grid.d):
+            fh = sp.div_dealiased_hat(self.stress_row(j, R, M, U, grad_R, gradU, gradM))
             if p.delta1 > 0:
-                f -= (p.delta1 / t2) * self.dealias_phys(
-                    sum(grad_R[i] * gradU[j][i] for i in range(g.d))
-                )
+                cross = sum(grad_R[i] * gradU[j][i] for i in range(self.grid.d))
+                fh -= p.delta1 * sp.mask * sp.fwd(cross)
             if p.delta2 > 0:
-                f -= (p.delta2 / t2) * self.ifft(
-                    self.k2**2 * self.fft(U[j] - c_u * M[j])
-                )
-            out.append(f + F_R[j])
+                fh -= p.delta2 * sp.lap_symbol(2) * sp.fwd(U[j] - c_u * M[j])
+            out.append(sp.inv(fh) / t2 + F_R[j])
         return out
 
     # -- CFL -------------------------------------------------------------------
@@ -416,12 +387,10 @@ class _Stepper:
         # budget (delta-regularized runs assume data bounded below)
         c_u = 2.0 / max(float(np.min(self.rho_smooth(R))), 1e-300)
 
+        sp = self.sp
         M = self.drag_flow(R, M, 0.5 * h, tau_v)
-        Rh = self.fft(R)
-        Mh = [self.fft(m) for m in M]
-        Rh, Mh = self.linear_flow(Rh, Mh, 0.5 * h, tau_v, c_u)
-        R = self.ifft(Rh)
-        M = [self.ifft(m) for m in Mh]
+        Rh, Mh = self.linear_flow(sp.fwd(R), [sp.fwd(m) for m in M], 0.5 * h, tau_v, c_u)
+        R, M = sp.inv(Rh), [sp.inv(m) for m in Mh]
 
         F_R, grad_R = self.density_forces(R, tau_v, taudot_v)
         k1 = self.n_rhs(R, M, tau_v, F_R, grad_R, c_u)
@@ -434,11 +403,8 @@ class _Stepper:
             for m, m2, k in zip(M, M2, k3)
         ]
 
-        Rh = self.fft(R)
-        Mh = [self.fft(m) for m in M]
-        Rh, Mh = self.linear_flow(Rh, Mh, 0.5 * h, tau_v, c_u)
-        R = self.ifft(Rh)
-        M = [self.ifft(m) for m in Mh]
+        Rh, Mh = self.linear_flow(sp.fwd(R), [sp.fwd(m) for m in M], 0.5 * h, tau_v, c_u)
+        R, M = sp.inv(Rh), [sp.inv(m) for m in Mh]
         M = self.drag_flow(R, M, 0.5 * h, tau_v)
         M = self.vacuum_sponge(R, M, h, tau_v, taudot_v)
         return R, M
@@ -460,60 +426,44 @@ def rhs(state: FluidState, params: ParamSet, tau) -> tuple[ScalarField, VectorFi
     st = _Stepper(grid, p, float(np.mean(R)), _contrast(R))
     if p.eta1 == 0.0 and float(np.min(R)) < -1e-5 * max(float(np.max(R)), 1e-300):
         raise SolverError("density below floor (blow-up) with eta1 = 0")
+    sp = st.sp
     rho = st.rho_smooth(R)
     U = [m / rho for m in M]
 
-    dR = -st.div_of(M) / t2
+    dR = -sp.div(M) / t2
     if p.delta1 > 0:
-        dR += (p.delta1 / t2) * st.ifft(-st.k2 * st.fft(R))
+        dR += (p.delta1 / t2) * sp.lap(R)
 
-    Rh = st.fft(R)
-    grad_R = [st.ifft(1j * grid.k[i] * Rh) for i in range(grid.d)]
+    Rh = sp.fwd(R)
+    grad_R = sp.grad(R, Rh)
     pgrad = p.nu * taudot_v / tau_v - 1.0
     dM = [pgrad * gr - 2.0 * yi * R for gr, yi in zip(grad_R, st.y)]
-    gradU = [st.grad(u) for u in U]
-    gradM = [st.grad(m) for m in M]
+    gradU = [sp.grad(u) for u in U]
+    gradM = [sp.grad(m) for m in M]
     if p.eps > 0:
         kort = st.korteweg_divform(R)
         for j in range(grid.d):
             dM[j] += (p.eps**2 / (2.0 * t2)) * kort[j]
     for j in range(grid.d):
-        flux = [st.dealias_phys(M[i] * U[j]) for i in range(grid.d)]
-        dM[j] -= st.div_of(flux) / t2
-        if p.nu > 0:
-            if st.viscous_form == "bounded":
-                visc = [
-                    st.dealias_phys(R * 0.5 * (gradU[j][i] + gradU[i][j]))
-                    for i in range(grid.d)
-                ]
-            else:
-                visc = [
-                    st.dealias_phys(
-                        0.5 * (gradM[j][i] + gradM[i][j])
-                        - 0.5 * (U[j] * grad_R[i] + U[i] * grad_R[j])
-                    )
-                    for i in range(grid.d)
-                ]
-            dM[j] += (p.nu / t2) * st.div_of(visc)
+        dM[j] += sp.div_dealiased(st.stress_row(j, R, M, U, grad_R, gradU, gradM)) / t2
         if p.delta1 > 0:
-            dM[j] -= (p.delta1 / t2) * st.dealias_phys(
+            dM[j] -= (p.delta1 / t2) * sp.dealias(
                 sum(grad_R[i] * gradU[j][i] for i in range(grid.d))
             )
         if p.delta2 > 0:
-            dM[j] -= (p.delta2 / t2) * st.ifft(st.k2**2 * st.fft(U[j]))
+            dM[j] -= (p.delta2 / t2) * sp.lap(U[j], 2)
         if p.r0 > 0:
             dM[j] -= (p.r0 / t2) * U[j]
         if p.r1 > 0:
             u2 = sum(u * u for u in U)
-            dM[j] -= (p.r1 / t2) * st.dealias_phys(R * u2 * U[j])
+            dM[j] -= (p.r1 / t2) * sp.dealias(R * u2 * U[j])
     if p.eta1 > 0:
-        coldh = st.fft(rho ** (-p.alpha))
+        cold = sp.grad(rho ** (-p.alpha))
         for j in range(grid.d):
-            dM[j] += p.eta1 * st.ifft(1j * grid.k[j] * coldh)
+            dM[j] += p.eta1 * cold[j]
     if p.eta2 > 0:
-        for j in range(grid.d):
-            gl_j = st.ifft(1j * grid.k[j] * (-st.k2) ** (2 * p.s + 1) * Rh)
-            dM[j] += (p.eta2 / t2) * st.dealias_phys(R * gl_j)
+        for j, sym in enumerate(sp.grad_lap_symbol(2 * p.s + 1)):
+            dM[j] += (p.eta2 / t2) * sp.dealias(R * sp.inv(sym * Rh))
     return ScalarField(grid, dR), VectorField.from_arrays(grid, dM)
 
 
@@ -636,9 +586,7 @@ def mollifier_kernel(grid: Grid, iota: float) -> np.ndarray:
     if iota <= 0:
         raise ValueError("iota must be positive")
     offs = [
-        (grid.dy * np.fft.fftfreq(grid.n, d=1.0 / grid.n)).reshape(
-            (1,) * i + (grid.n,) + (1,) * (grid.d - 1 - i)
-        )
+        (grid.dy * grid.modes).reshape((1,) * i + (grid.n,) + (1,) * (grid.d - 1 - i))
         for i in range(grid.d)
     ]
     r2 = sum(o**2 for o in offs) / iota**2
@@ -673,7 +621,8 @@ def prepare_initial_data(
         raise ValueError("sqrtR0 sampler must be nonnegative")
     a = s0 * plateau(grid) + theta
     z = mollifier_kernel(grid, iota)
-    s = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(z)).real * grid.weight
+    sp = grid.spectral
+    s = sp.inv(sp.fwd(a) * sp.fwd(z)) * grid.weight
     lam = Lambda0_sampler(*grid.y)
     if not isinstance(lam, (tuple, list)):
         lam = (lam,)

@@ -8,15 +8,33 @@ Conventions
 * wavenumbers are k_j = pi * m_j / ell for integer modes m_j in [-n/2, n/2);
 * spectral coefficients are those of the trigonometric interpolant,
   c_k = fftn(values) / n^d, so that  quad(f^2) = (2 ell)^d * sum |c_k|^2
-  (Parseval with the uniform quadrature weight (2 ell / n)^d).
+  (Parseval with the uniform quadrature weight (2 ell / n)^d);
+* every transform goes through one backend per grid, `Grid.spectral`: real
+  fields use real-to-complex transforms (scipy.fft rfft/irfft in 1D,
+  rfftn/irfftn otherwise) and live on the half spectrum, whose last axis
+  keeps the modes 0..n/2; its tables (wavenumbers, |k|^2, the 2/3 mask and
+  the derived symbols) are built once.  Complex fields use the
+  complex-to-complex transforms on the full spectrum;
+* Nyquist rule: a symbol s acts as the real part of its complex-transform
+  evaluation does, i.e. as (s(m) + conj(s(-m)))/2 with modes taken mod n.
+  So an odd symbol (a single factor i k_j) uses k_j = 0 at the Nyquist index
+  of axis j, where i k_j only feeds the imaginary part the real part drops;
+  a mixed product k_i k_j (i != j) vanishes where exactly one of the two
+  axes is at its Nyquist index; even symbols (|k|^2, k_j^2) keep the
+  Nyquist value.
 """
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
+
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "Grid",
+    "Spectral",
     "ScalarField",
     "VectorField",
     "transform_forward",
@@ -31,6 +49,11 @@ __all__ = [
     "integrate",
     "moment",
 ]
+
+
+def _along(d: int, i: int, v: np.ndarray) -> np.ndarray:
+    """A 1-D per-axis table shaped to broadcast along axis i of d."""
+    return v.reshape((1,) * i + (v.size,) + (1,) * (d - 1 - i))
 
 
 class Grid:
@@ -53,30 +76,20 @@ class Grid:
 
         axis_y = -self.ell + self.dy * np.arange(self.n)
         axis_k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dy)  # = pi*m/ell
+        self.modes = np.fft.fftfreq(self.n, d=1.0 / self.n)  # integer modes m
         # broadcastable per-axis coordinate / wavenumber arrays
-        self.y = tuple(
-            axis_y.reshape((1,) * i + (self.n,) + (1,) * (self.d - 1 - i))
-            for i in range(self.d)
-        )
-        self.k = tuple(
-            axis_k.reshape((1,) * i + (self.n,) + (1,) * (self.d - 1 - i))
-            for i in range(self.d)
-        )
+        self.y = tuple(_along(self.d, i, axis_y) for i in range(self.d))
+        self.k = tuple(_along(self.d, i, axis_k) for i in range(self.d))
         self.k2 = sum(ki**2 for ki in self.k)  # |k|^2, broadcast to full shape
         self.k2 = np.broadcast_to(self.k2, self.shape).copy()
         self.r2 = np.broadcast_to(
             sum(yi**2 for yi in self.y), self.shape
         ).copy()  # |y|^2 samples
 
-        # 2/3-rule mask: keep modes with |m_j| <= n/3 on every axis
-        m = np.fft.fftfreq(self.n, d=1.0 / self.n)  # integer modes
-        keep1d = np.abs(m) <= self.n / 3.0
-        mask = np.ones(self.shape, dtype=bool)
-        for i in range(self.d):
-            mask &= keep1d.reshape(
-                (1,) * i + (self.n,) + (1,) * (self.d - 1 - i)
-            )
-        self.dealias_mask = mask
+    @cached_property
+    def spectral(self) -> "Spectral":
+        """The transform backend of this grid, built on first use."""
+        return Spectral(self)
 
     def __eq__(self, other) -> bool:
         return (
@@ -175,50 +188,108 @@ class VectorField:
 # transforms
 
 
+class Spectral:
+    """Transform backend of one Grid: real-to-complex transforms on the half
+    spectrum, complex-to-complex transforms for complex fields, and the
+    symbol tables, each built once (see the module notes for the Nyquist
+    rule).  Transforms are unnormalized: inv(fwd(a)) == a."""
+
+    def __init__(self, grid: Grid):
+        self.d, self.shape = grid.d, grid.shape
+        k = grid.k
+        self.k2 = self._half(grid.k2)
+        self.ik = [self._half(1j * ki) for ki in k]
+        self.hess = {  # -k_i k_j, i <= j
+            (i, j): self._half(-(k[i] * k[j])) for i in range(self.d) for j in range(i, self.d)
+        }
+        keep = (np.abs(grid.modes) <= grid.n / 3.0).astype(float)  # 2/3 rule
+        self.mask = self._half(math.prod(_along(grid.d, i, keep) for i in range(grid.d)))
+        self.mask_ik = [self.mask * ik for ik in self.ik]
+        self._symbols: dict = {}
+
+    def _half(self, sym) -> np.ndarray:
+        """Half-spectrum table of a full-spectrum symbol as the real part of
+        a complex-transform evaluation sees it: (sym(m) + conj(sym(-m)))/2,
+        modes taken mod n.  This is the Nyquist rule of the module notes."""
+        full = np.broadcast_to(sym, self.shape)
+        neg = np.roll(np.flip(full), 1, axis=tuple(range(self.d)))
+        return (0.5 * (full + np.conj(neg)))[..., : self.shape[-1] // 2 + 1].copy()
+
+    # -- transforms: scipy.fft names are looked up at every call, so tools
+    #    that rebind them (profilers, call counters) see each transform
+
+    def fwd(self, a: np.ndarray) -> np.ndarray:
+        """Half-spectrum coefficients of a real array."""
+        return scipy.fft.rfft(a) if self.d == 1 else scipy.fft.rfftn(a)
+
+    def inv(self, ah: np.ndarray) -> np.ndarray:
+        """Real array of half-spectrum coefficients."""
+        return scipy.fft.irfft(ah) if self.d == 1 else scipy.fft.irfftn(ah, s=self.shape)
+
+    def cfwd(self, z: np.ndarray) -> np.ndarray:
+        """Full-spectrum coefficients of a complex array."""
+        return scipy.fft.fft(z) if self.d == 1 else scipy.fft.fftn(z)
+
+    def cinv(self, zh: np.ndarray) -> np.ndarray:
+        return scipy.fft.ifft(zh) if self.d == 1 else scipy.fft.ifftn(zh)
+
+    # -- cached symbols --------------------------------------------------------
+
+    def _cached(self, key, build):
+        out = self._symbols.get(key)
+        if out is None:
+            out = self._symbols[key] = build()
+        return out
+
+    def lap_symbol(self, p: int) -> np.ndarray:
+        """(-|k|^2)^p."""
+        return self._cached(("lap", p), lambda: (-self.k2) ** p)
+
+    def grad_lap_symbol(self, p: int) -> list:
+        """i k_j (-|k|^2)^p, one per axis."""
+        return self._cached(
+            ("grad_lap", p), lambda: [ik * self.lap_symbol(p) for ik in self.ik]
+        )
+
+    # -- operations on real arrays; `ah` passes a precomputed fwd(a) --------
+
+    def grad(self, a, ah=None) -> list:
+        ah = self.fwd(a) if ah is None else ah
+        return [self.inv(ik * ah) for ik in self.ik]
+
+    def div(self, comps) -> np.ndarray:
+        return self.inv(sum(ik * self.fwd(c) for ik, c in zip(self.ik, comps)))
+
+    def lap(self, a, p: int = 1, ah=None) -> np.ndarray:
+        ah = self.fwd(a) if ah is None else ah
+        return self.inv(self.lap_symbol(p) * ah)
+
+    def hessian(self, a, ah=None) -> dict:
+        """Upper-triangular Hessian entries {(i, j): d_i d_j a}, i <= j."""
+        ah = self.fwd(a) if ah is None else ah
+        return {key: self.inv(sym * ah) for key, sym in self.hess.items()}
+
+    def dealias(self, a) -> np.ndarray:
+        """Zero every coefficient with an axis mode |m_j| > n/3 (2/3 rule)."""
+        return self.inv(self.mask * self.fwd(a))
+
+    def div_dealiased_hat(self, comps) -> np.ndarray:
+        """Coefficients of sum_i d_i dealias(comps[i]): one forward transform
+        per product, the mask and i k applied together, no round trip."""
+        return sum(mik * self.fwd(c) for mik, c in zip(self.mask_ik, comps))
+
+    def div_dealiased(self, comps) -> np.ndarray:
+        return self.inv(self.div_dealiased_hat(comps))
+
+
 def transform_forward(f: ScalarField) -> np.ndarray:
     """Coefficients of the trigonometric interpolant (complex array)."""
-    return np.fft.fftn(f.values) / f.grid.n**f.grid.d
+    return f.grid.spectral.cfwd(f.values) / f.grid.n**f.grid.d
 
 
 def transform_inverse(grid: Grid, coeffs: np.ndarray) -> ScalarField:
-    vals = np.fft.ifftn(coeffs * grid.n**grid.d)
+    vals = grid.spectral.cinv(coeffs * grid.n**grid.d)
     return ScalarField(grid, vals.real)
-
-
-# array-level helpers used by the solvers (no wrapper overhead)
-
-
-def fwd(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(values)
-
-
-def inv(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(hat).real
-
-
-def deriv_hat(grid: Grid, hat: np.ndarray, axis: int) -> np.ndarray:
-    return (1j * grid.k[axis]) * hat
-
-
-def grad_arrays(grid: Grid, values: np.ndarray):
-    hat = np.fft.fftn(values)
-    return tuple(np.fft.ifftn((1j * grid.k[i]) * hat).real for i in range(grid.d))
-
-
-def div_arrays(grid: Grid, arrays) -> np.ndarray:
-    out = np.zeros(grid.shape, dtype=complex)
-    for i, a in enumerate(arrays):
-        out += (1j * grid.k[i]) * np.fft.fftn(a)
-    return np.fft.ifftn(out).real
-
-
-def lap_arrays(grid: Grid, values: np.ndarray, power: int = 1) -> np.ndarray:
-    hat = np.fft.fftn(values)
-    return np.fft.ifftn((-grid.k2) ** power * hat).real
-
-
-def dealias_arrays(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(np.fft.fftn(values) * grid.dealias_mask).real
 
 
 # ---------------------------------------------------------------------------
@@ -228,35 +299,35 @@ def dealias_arrays(grid: Grid, values: np.ndarray) -> np.ndarray:
 def derivative(f: ScalarField, axis: int) -> ScalarField:
     if not 0 <= axis < f.grid.d:
         raise ValueError(f"axis {axis} out of range for d={f.grid.d}")
-    hat = np.fft.fftn(f.values)
-    return ScalarField(f.grid, np.fft.ifftn((1j * f.grid.k[axis]) * hat).real)
+    sp = f.grid.spectral
+    return ScalarField(f.grid, sp.inv(sp.ik[axis] * sp.fwd(f.values)))
 
 
 def gradient(f: ScalarField) -> VectorField:
-    return VectorField.from_arrays(f.grid, grad_arrays(f.grid, f.values))
+    return VectorField.from_arrays(f.grid, f.grid.spectral.grad(f.values))
 
 
 def divergence(v: VectorField) -> ScalarField:
-    return ScalarField(v.grid, div_arrays(v.grid, v.arrays()))
+    return ScalarField(v.grid, v.grid.spectral.div(v.arrays()))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, lap_arrays(f.grid, f.values, 1))
+    return ScalarField(f.grid, f.grid.spectral.lap(f.values, 1))
 
 
 def bilaplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, lap_arrays(f.grid, f.values, 2))
+    return ScalarField(f.grid, f.grid.spectral.lap(f.values, 2))
 
 
 def laplacian_power(f: ScalarField, p: int) -> ScalarField:
     if p < 1:
         raise ValueError(f"power must be >= 1, got {p}")
-    return ScalarField(f.grid, lap_arrays(f.grid, f.values, p))
+    return ScalarField(f.grid, f.grid.spectral.lap(f.values, p))
 
 
 def dealias(f: ScalarField) -> ScalarField:
     """Zero every coefficient with an axis mode |m_j| > n/3 (2/3 rule)."""
-    return ScalarField(f.grid, dealias_arrays(f.grid, f.values))
+    return ScalarField(f.grid, f.grid.spectral.dealias(f.values))
 
 
 def integrate(f: ScalarField) -> float:

@@ -7,6 +7,7 @@ tau ~ 2 t sqrt(log t).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,22 @@ def _rhs(t, y):
     return (y[1], 2.0 / y[0])
 
 
+def _hermite(tq, t0, t1, p0, p1, d0, d1):
+    """Cubic Hermite interpolation of tau (node values p, slopes d) on the
+    interval [t0, t1] at tq, and its derivative; floats and arrays alike."""
+    h = t1 - t0
+    s = (tq - t0) / h
+    u = 1 - s
+    m0, m1 = d0 * h, d1 * h
+    h00, h10 = (1 + 2 * s) * (u * u), s * (u * u)
+    h01, h11 = (s * s) * (3 - 2 * s), (s * s) * (s - 1)
+    val = h00 * p0 + h10 * m0 + h01 * p1 + h11 * m1
+    # slope basis applied to the unscaled derivatives so that node hits
+    # return the stored taudot exactly (no h-roundtrip)
+    der = 6 * s * (s - 1) * (p0 - p1) / h + u * (1 - 3 * s) * d0 + s * (3 * s - 2) * d1
+    return val, der
+
+
 @dataclass(frozen=True)
 class TauSolution:
     """Dense-output solution of the scaling ODE.
@@ -39,35 +56,38 @@ class TauSolution:
     taudot: np.ndarray
     interpolation_order: int = 3
 
+    def __post_init__(self):
+        # plain-float node lists for the scalar path of eval
+        object.__setattr__(
+            self, "_nodes", (self.t.tolist(), self.tau.tolist(), self.taudot.tolist())
+        )
+
     def __call__(self, t):
         return self.eval(t)
 
     def eval(self, t):
-        """Return (tau, taudot) at time(s) t in [0, t_max]."""
+        """Return (tau, taudot) at time(s) t in [0, t_max].  A float t takes
+        a scalar path (bisect on plain floats) with bitwise the same result."""
+        if isinstance(t, (float, int)):
+            return self._eval_scalar(float(t))
         tq = np.asarray(t, dtype=float)
         if np.any(tq < 0.0) or np.any(tq > self.t_max * (1 + 1e-12)):
             raise ValueError(f"t out of stored range [0, {self.t_max}]")
         tq = np.clip(tq, 0.0, self.t_max)
-        idx = np.clip(np.searchsorted(self.t, tq, side="right") - 1, 0, len(self.t) - 2)
-        t0 = self.t[idx]
-        h = self.t[idx + 1] - t0
-        s = (tq - t0) / h
-        p0, p1 = self.tau[idx], self.tau[idx + 1]
-        m0, m1 = self.taudot[idx] * h, self.taudot[idx + 1] * h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s**2 * (3 - 2 * s)
-        h11 = s**2 * (s - 1)
-        val = h00 * p0 + h10 * m0 + h01 * p1 + h11 * m1
-        d00 = 6 * s * (s - 1)
-        d10 = (1 - s) * (1 - 3 * s)
-        d11 = s * (3 * s - 2)
-        # slope basis applied to the unscaled derivatives so that node hits
-        # return the stored taudot exactly (no h-roundtrip)
-        der = d00 * (p0 - p1) / h + d10 * self.taudot[idx] + d11 * self.taudot[idx + 1]
-        if np.isscalar(t) or np.ndim(t) == 0:
+        i = np.clip(np.searchsorted(self.t, tq, side="right") - 1, 0, len(self.t) - 2)
+        val, der = _hermite(tq, self.t[i], self.t[i + 1], self.tau[i], self.tau[i + 1],
+                            self.taudot[i], self.taudot[i + 1])
+        if np.ndim(t) == 0:
             return float(val), float(der)
         return val, der
+
+    def _eval_scalar(self, tq: float):
+        if tq < 0.0 or tq > self.t_max * (1 + 1e-12):
+            raise ValueError(f"t out of stored range [0, {self.t_max}]")
+        t, tau, taudot = self._nodes
+        tq = min(max(tq, 0.0), self.t_max)
+        i = min(max(bisect.bisect_right(t, tq) - 1, 0), len(t) - 2)
+        return _hermite(tq, t[i], t[i + 1], tau[i], tau[i + 1], taudot[i], taudot[i + 1])
 
     def tauddot(self, t):
         """tau'' recomputed from the ODE as 2/tau."""

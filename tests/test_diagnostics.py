@@ -14,7 +14,7 @@ import pytest
 from isofluid import diagnostics as diag
 from isofluid.params import ParamSet
 from isofluid.rescaling import FluidState
-from isofluid.spectral import Grid, ScalarField, VectorField, grad_arrays
+from isofluid.spectral import Grid, ScalarField, VectorField
 
 
 def state_from_R(g, R, lam=None):
@@ -74,7 +74,7 @@ def test_bd_kinetic_vanishes_at_effective_velocity():
     nu = 0.37
     R = np.exp(-g.r2) + 0.05
     s = np.sqrt(R)
-    gs = grad_arrays(g, s)
+    gs = g.spectral.grad(s)
     st = state_from_R(g, R, [-2.0 * nu * gs[0]])
     bd = diag.bd_entropy(st, (1.0, 0.0), eps=0.0, nu=nu)
     plain = diag.bd_entropy(state_from_R(g, R), (1.0, 0.0), eps=0.0, nu=0.0)
@@ -169,7 +169,7 @@ def test_sk_of_constant_density_vanishes():
     g = Grid(2, 4.0, 32)
     st = state_from_R(g, np.full(g.shape, 0.64))
     ops = diag.StateOps(st)
-    hs = diag._hessian(g, ops.s)
+    hs = g.spectral.hessian(ops.s)
     assert max(np.abs(h).max() for h in hs.values()) < 1e-12
 
 

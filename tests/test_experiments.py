@@ -110,6 +110,22 @@ def test_cli_bad_config(tmp_path):
     assert cli_main(["simulate", "--config", str(worse), "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        (["simulate"], {"params": {"bogus": 1}}),
+        (["simulate"], {"params": {"nu": -1}}),
+        (["simulate"], {"grid": {"n": "x"}}),
+        (["sweep", "--axis", "delta"], {"params": {"bogus": 1}}),
+    ],
+    ids=["unknown_param", "negative_nu", "non_integer_n", "sweep_unknown_param"],
+)
+def test_cli_bad_construction_exits_3(tmp_path, command, config):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert cli_main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+
+
 def test_cli_sweep_delta(tmp_path):
     cfg = {
         "grid": {"d": 1, "ell": 6.0, "n": 64},

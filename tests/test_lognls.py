@@ -8,7 +8,7 @@ import pytest
 from isofluid import lognls
 from isofluid.experiments import make_wavefunction
 from isofluid.rescaling import WaveFunction, madelung
-from isofluid.spectral import Grid, ScalarField, grad_arrays, integrate
+from isofluid.spectral import Grid, ScalarField, integrate
 from isofluid.tauode import tau_solve
 
 
@@ -73,10 +73,10 @@ def test_madelung_kinetic_split():
         eps=0.9,
     )
     st = madelung(psi)
-    ga = grad_arrays(g, psi.re.values)
-    gb = grad_arrays(g, psi.im.values)
+    ga = g.spectral.grad(psi.re.values)
+    gb = g.spectral.grad(psi.im.values)
     lhs = 0.9**2 * integrate(ScalarField(g, sum(a**2 + b**2 for a, b in zip(ga, gb))))
-    gs = grad_arrays(g, st.sqrtR.values)
+    gs = g.spectral.grad(st.sqrtR.values)
     rhs = integrate(
         ScalarField(
             g,

@@ -15,7 +15,7 @@ from isofluid.solver import (
     run,
     step,
 )
-from isofluid.spectral import Grid, ScalarField, VectorField, grad_arrays, lap_arrays
+from isofluid.spectral import Grid, ScalarField, VectorField
 
 
 def gaussian_state(g):
@@ -58,7 +58,7 @@ def test_korteweg_divergence_form_matches_potential_form():
     g = Grid(1, 6.0, 128)
     s = np.exp(-g.r2) + 0.2
     R = s**2
-    lhs = grad_arrays(g, lap_arrays(g, s) / s)
+    lhs = g.spectral.grad(g.spectral.lap(s) / s)
     lhs = [R * a for a in lhs]
     st = FluidState(t=0.0, grid=g, sqrtR=ScalarField(g, s), Lambda=VectorField.zero(g))
     dR, dM = rhs(st, ParamSet(nu=0.0, eps=2.0), (1.0, 0.0))

@@ -144,3 +144,20 @@ def test_validation_catches_corruption():
     )
     with pytest.raises(ValueError):
         bad.validate(1e-9)
+
+
+def test_scalar_eval_bitwise_equals_array_path():
+    sol = tau_solve(2.0, 1e-10, 1e-12)
+    mids = 0.5 * (sol.t[1:] + sol.t[:-1])
+    thirds = sol.t[:-1] + (sol.t[1:] - sol.t[:-1]) / 3.0
+    queries = np.concatenate([sol.t, mids, thirds, [0.0, sol.t_max]])
+    arr_tau, arr_dot = sol.eval(queries)
+    for x, a_tau, a_dot in zip(queries, arr_tau, arr_dot):
+        s_tau, s_dot = sol.eval(float(x))
+        assert isinstance(s_tau, float) and isinstance(s_dot, float)
+        assert s_tau.hex() == float(a_tau).hex()
+        assert s_dot.hex() == float(a_dot).hex()
+    with pytest.raises(ValueError):
+        sol.eval(-1e-3)
+    with pytest.raises(ValueError):
+        sol.eval(2.5)
