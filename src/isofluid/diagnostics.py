@@ -7,20 +7,25 @@ on the torus.  Conventions used throughout:
   so floored cells contribute <= 1e-28 per cell to R log R;
 * R |grad log R|^2 is evaluated as 4 |grad sqrt(R)|^2 (exact for R > 0 and
   the correct extension by 0 on vacuum);
-* R |hess log R|^2 is evaluated from log(max(R, floor)) directly;
+* in the balance functionals R |hess log R|^2 is evaluated on R > r_floor
+  through the split hess R / R - grad R x grad R / R^2 (StateOps.hess_logR);
 * kinetic quantities use Lambda = sqrt(R) U, so R|U|^2 = |Lambda|^2 needs no
-  division; U itself is recovered as Lambda / max(sqrt(R), floor).
+  division; U itself is recovered as Lambda / sqrt(smooth_density(R, r_floor)),
+  the solver's recovery (r_floor: see StateOps).
+
+Every functional accepts a FluidState or the StateOps of one, so `record`
+evaluates the whole family on one set of cached derived arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .params import ParamSet
-from .rescaling import FluidState, VACUUM_FLOOR_REL
+from .rescaling import FluidState, VACUUM_FLOOR_REL, smooth_density
 from .spectral import Grid, ScalarField
 
 __all__ = [
@@ -40,6 +45,7 @@ __all__ = [
     "bd_identity_residual",
     "relative_entropy",
     "csiszar_kullback_gap",
+    "korteweg_stress",
     "korteweg_identity_residual",
     "loghess_identity_residual",
     "compatibility_residuals",
@@ -65,7 +71,12 @@ def matched_gaussian(grid: Grid, mass: float) -> np.ndarray:
 
 class StateOps:
     """Derived arrays of one state, computed lazily and shared between
-    functionals (density, velocity, spectral derivatives)."""
+    functionals (density, velocity, spectral derivatives).
+
+    r_floor is the density floor of the velocity recovery, of the eta1 clamp
+    rho_tilde = max(R, r_floor) and of the live set of R |hess log R|^2;
+    record passes the solver's r_min, and it defaults to
+    VACUUM_FLOOR_REL * max R."""
 
     def __init__(self, state: FluidState, r_floor: float | None = None):
         self.state = state
@@ -79,6 +90,11 @@ class StateOps:
         self.r_floor = r_floor
         self._cache: dict = {}
 
+    @classmethod
+    def of(cls, x, r_floor: float | None = None) -> "StateOps":
+        """x itself when it is already a StateOps, else the ops of state x."""
+        return x if isinstance(x, StateOps) else cls(x, r_floor)
+
     def _get(self, key, builder):
         if key not in self._cache:
             self._cache[key] = builder()
@@ -86,14 +102,18 @@ class StateOps:
 
     @property
     def U(self):
-        def build():
-            # same smooth recovery as the solver: U = Lambda / sqrt(rho_sm),
-            # rho_sm = sqrt(R^2 + r_floor^2) (kink-free, quadratic bulk bias)
-            r = max(self.r_floor, 1e-300)
-            rho_sm = np.sqrt(self.R**2 + r * r)
-            return [l / np.sqrt(rho_sm) for l in self.lam]
+        # the solver's recovery U = Lambda / sqrt(rho_sm)
+        return self._get(
+            "U", lambda: [l / np.sqrt(smooth_density(self.R, self.r_floor)) for l in self.lam]
+        )
 
-        return self._get("U", build)
+    @property
+    def U2(self):
+        return self._get("U2", lambda: sum(u**2 for u in self.U))
+
+    @property
+    def rho_tilde(self):
+        return self._get("rt", lambda: np.maximum(self.R, self.r_floor))
 
     @property
     def R_hat(self):
@@ -110,6 +130,21 @@ class StateOps:
     @property
     def grad_sqrtR2(self):
         return self._get("gs2", lambda: sum(g**2 for g in self.grad_sqrtR))
+
+    @property
+    def lam_grad_sqrtR(self):
+        """Lambda . grad sqrt R = (1/2) U . grad R."""
+        return self._get("lgs", lambda: sum(l * gs for l, gs in zip(self.lam, self.grad_sqrtR)))
+
+    @property
+    def momentum(self):
+        """sqrt R Lambda = R U."""
+        return self._get("mom", lambda: [self.s * l for l in self.lam])
+
+    @property
+    def grad_momentum(self):
+        """grad_momentum[j][i] = d_i (sqrt R Lambda_j)."""
+        return self._get("gmom", lambda: [self.sp.grad(m) for m in self.momentum])
 
     @property
     def grad_R(self):
@@ -159,7 +194,7 @@ class StateOps:
         """|grad rho_tilde^(-alpha/2)|^2."""
         return self._get(
             ("gneg2", alpha),
-            lambda: sum(a**2 for a in self.sp.grad(_rho_tilde(self) ** (-alpha / 2.0))),
+            lambda: sum(a**2 for a in self.sp.grad(self.rho_tilde ** (-alpha / 2.0))),
         )
 
     @property
@@ -174,7 +209,7 @@ class StateOps:
         the floor, and the resulting log jumps pollute the global transform."""
 
         def build():
-            rho = np.maximum(self.R, self.r_floor)
+            rho = self.rho_tilde
             return {
                 key: (h - self.grad_R[key[0]] * self.grad_R[key[1]] / rho) / rho
                 for key, h in self.hess_R.items()
@@ -188,21 +223,19 @@ class StateOps:
 
     def DU2(self):
         """R-weighted integrand |D U|^2 with D the symmetric gradient part."""
-        g = self.grad_U
-        d = self.grid.d
-        out = np.zeros(self.grid.shape)
-        for i in range(d):
-            for j in range(d):
-                out += 0.25 * (g[i][j] + g[j][i]) ** 2
-        return out
+        return self._part2(1.0)
 
     def AU2(self):
+        """|A U|^2 with A the antisymmetric gradient part."""
+        return self._part2(-1.0)
+
+    def _part2(self, sign: float):
         g = self.grad_U
         d = self.grid.d
         out = np.zeros(self.grid.shape)
         for i in range(d):
             for j in range(d):
-                out += 0.25 * (g[i][j] - g[j][i]) ** 2
+                out += 0.25 * (g[i][j] + sign * g[j][i]) ** 2
         return out
 
 
@@ -218,33 +251,36 @@ def _tensor2(d: int, hess: dict):
 # energy / dissipation of the plain system
 
 
-def energy(state: FluidState, tau, eps: float) -> float:
+def _potential(ops: StateOps) -> float:
+    """quad(R |y|^2 + R log R)."""
+    g = ops.grid
+    return _quad(g, ops.R * g.r2 + ops.R * np.where(ops.R > 0, ops.logR, 0.0))
+
+
+def _kinetic_rate(ops: StateOps, tau, eps: float, eta2: float = 0.0, s: int | None = None) -> float:
+    """(taudot/tau^3) quad(R|U|^2 + eps^2 |grad sqrt R|^2 + eta2 |grad lap^s R|^2)."""
+    tau_v, taudot_v = tau
+    kin = ops.lam2 + eps**2 * ops.grad_sqrtR2
+    if eta2 > 0:
+        kin = kin + eta2 * ops.grad_lap_R2(s)
+    return taudot_v / tau_v**3 * _quad(ops.grid, kin)
+
+
+def energy(state: FluidState | StateOps, tau, eps: float) -> float:
     """Self-similar pseudo-energy
     (1/2 tau^2) quad(R|U|^2 + eps^2 |grad sqrt R|^2) + quad(R|y|^2 + R log R)."""
-    ops = StateOps(state)
-    return _energy(ops, tau, eps)
-
-
-def _energy(ops: StateOps, tau, eps: float) -> float:
+    ops = StateOps.of(state)
     tau_v, _ = tau
-    g = ops.grid
     kin = ops.lam2 + eps**2 * ops.grad_sqrtR2
-    pot = ops.R * g.r2 + ops.R * np.where(ops.R > 0, ops.logR, 0.0)
-    return _quad(g, kin) / (2 * tau_v**2) + _quad(g, pot)
+    return _quad(ops.grid, kin) / (2 * tau_v**2) + _potential(ops)
 
 
-def dissipation(state: FluidState, tau, eps: float, nu: float) -> float:
+def dissipation(state: FluidState | StateOps, tau, eps: float, nu: float) -> float:
     """(taudot/tau^3) quad(R|U|^2 + eps^2|grad sqrt R|^2) + (nu/tau^4) quad(R |DU|^2)."""
-    ops = StateOps(state)
-    return _dissipation(ops, tau, eps, nu)
-
-
-def _dissipation(ops: StateOps, tau, eps: float, nu: float) -> float:
-    tau_v, taudot_v = tau
-    g = ops.grid
-    out = taudot_v / tau_v**3 * _quad(g, ops.lam2 + eps**2 * ops.grad_sqrtR2)
+    ops = StateOps.of(state)
+    out = _kinetic_rate(ops, tau, eps)
     if nu > 0:
-        out += nu / tau_v**4 * _quad(g, ops.R * ops.DU2())
+        out += nu / tau[0] ** 4 * _quad(ops.grid, ops.R * ops.DU2())
     return out
 
 
@@ -252,38 +288,28 @@ def _dissipation(ops: StateOps, tau, eps: float, nu: float) -> float:
 # BD entropy family
 
 
-def _bd_kinetic(ops: StateOps, nu: float):
-    """R |U + nu grad log R|^2 expanded without division:
+def bd_entropy(
+    state: FluidState | StateOps, tau, eps: float, nu: float, r0: float = 0.0
+) -> float:
+    """BD entropy; with r0 > 0 includes the drag term -2 r0 (log R) 1_{R<=1}.
+    R |U + nu grad log R|^2 is expanded without division:
     |Lambda|^2 + 4 nu Lambda . grad sqrt R + 4 nu^2 |grad sqrt R|^2."""
-    cross = sum(l * gs for l, gs in zip(ops.lam, ops.grad_sqrtR))
-    return ops.lam2 + 4.0 * nu * cross + 4.0 * nu**2 * ops.grad_sqrtR2
-
-
-def bd_entropy(state: FluidState, tau, eps: float, nu: float, r0: float = 0.0) -> float:
-    """BD entropy; with r0 > 0 includes the drag term -2 r0 (log R) 1_{R<=1}."""
-    ops = StateOps(state)
-    return _bd_entropy(ops, tau, eps, nu, r0)
-
-
-def _bd_entropy(ops: StateOps, tau, eps: float, nu: float, r0: float) -> float:
+    ops = StateOps.of(state)
     tau_v, _ = tau
-    g = ops.grid
-    kin = _bd_kinetic(ops, nu) + eps**2 * ops.grad_sqrtR2
+    kin = (
+        ops.lam2 + 4.0 * nu * ops.lam_grad_sqrtR + 4.0 * nu**2 * ops.grad_sqrtR2
+        + eps**2 * ops.grad_sqrtR2
+    )
     if r0 > 0:
         kin = kin - 2.0 * r0 * np.where(ops.R <= 1.0, ops.logR, 0.0)
-    pot = ops.R * g.r2 + ops.R * np.where(ops.R > 0, ops.logR, 0.0)
-    return _quad(g, kin) / (2 * tau_v**2) + _quad(g, pot)
+    return _quad(ops.grid, kin) / (2 * tau_v**2) + _potential(ops)
 
 
-def bd_dissipation(state: FluidState, tau, eps: float, nu: float) -> float:
-    ops = StateOps(state)
-    return _bd_dissipation(ops, tau, eps, nu)
-
-
-def _bd_dissipation(ops: StateOps, tau, eps: float, nu: float) -> float:
-    tau_v, taudot_v = tau
+def bd_dissipation(state: FluidState | StateOps, tau, eps: float, nu: float) -> float:
+    ops = StateOps.of(state)
+    tau_v, _ = tau
     g = ops.grid
-    out = taudot_v / tau_v**3 * _quad(g, ops.lam2 + eps**2 * ops.grad_sqrtR2)
+    out = _kinetic_rate(ops, tau, eps)
     out += 4.0 * nu / tau_v**2 * _quad(g, ops.grad_sqrtR2)
     if nu > 0:
         out += nu / tau_v**4 * _quad(g, ops.R * ops.AU2())
@@ -296,93 +322,86 @@ def _bd_dissipation(ops: StateOps, tau, eps: float, nu: float) -> float:
 # regularized energy / dissipation (the discrete balance checked by the solver)
 
 
-def _rho_tilde(ops: StateOps):
-    return np.maximum(ops.R, ops.r_floor)
-
-
-def energy_reg(state: FluidState, params: ParamSet, tau) -> float:
-    ops = StateOps(state)
-    return _energy_reg(ops, params, tau)
-
-
-def _energy_reg(ops: StateOps, p: ParamSet, tau) -> float:
+def _eta_potential(ops: StateOps, p: ParamSet, tau) -> float:
+    """eta1/(alpha+1) quad(rho_tilde^(-alpha)) + eta2/(2 tau^2) quad(|grad lap^s R|^2),
+    the regularization potential shared by energy_reg and bd_entropy_reg."""
     tau_v, _ = tau
-    g = ops.grid
-    out = _energy(ops, tau, p.eps)
+    out = 0.0
     if p.eta1 > 0:
-        out += p.eta1 / (p.alpha + 1.0) * _quad(g, _rho_tilde(ops) ** (-p.alpha))
+        out += p.eta1 / (p.alpha + 1.0) * _quad(ops.grid, ops.rho_tilde ** (-p.alpha))
     if p.eta2 > 0:
-        out += p.eta2 / (2 * tau_v**2) * _quad(g, ops.grad_lap_R2(p.s))
+        out += p.eta2 / (2 * tau_v**2) * _quad(ops.grid, ops.grad_lap_R2(p.s))
     return out
 
 
-def dissipation_reg(state: FluidState, params: ParamSet, tau) -> float:
-    ops = StateOps(state)
-    return _dissipation_reg(ops, params, tau)
-
-
-def _dissipation_reg(ops: StateOps, p: ParamSet, tau) -> float:
-    tau_v, taudot_v = tau
+def _diffusion_dissipation(ops: StateOps, p: ParamSet, tau, c: float) -> float:
+    """Dissipation of the entropy and eta potentials by a density diffusion
+    c lap R / tau^2: (c/tau^2) quad(4 |grad sqrt R|^2
+    + (4 eta1/alpha) |grad rho_tilde^(-alpha/2)|^2) + (c eta2/tau^4) quad((lap^(s+1) R)^2).
+    c is delta1 in the energy balance, nu in the BD identity, and nu + delta1
+    in the regularized BD dissipation."""
+    if c == 0.0:
+        return 0.0
+    tau_v, _ = tau
     g = ops.grid
-    kin = ops.lam2 + p.eps**2 * ops.grad_sqrtR2
+    out = 4.0 * c / tau_v**2 * _quad(g, ops.grad_sqrtR2)
+    if p.eta1 > 0:
+        out += 4.0 * p.eta1 * c / (p.alpha * tau_v**2) * _quad(g, ops.grad_rho_neg2(p.alpha))
     if p.eta2 > 0:
-        kin = kin + p.eta2 * ops.grad_lap_R2(p.s)
-    out = taudot_v / tau_v**3 * _quad(g, kin)
+        out += p.eta2 * c / tau_v**4 * _quad(g, ops.lap_R(p.s + 1) ** 2)
+    return out
+
+
+def _velocity_damping(ops: StateOps, p: ParamSet, tau) -> float:
+    """(1/tau^4) quad(delta2 |lap U|^2 + r0 |U|^2 + r1 R |U|^4), the delta2 and
+    drag dissipation shared by dissipation_reg and bd_dissipation_reg."""
+    tau4 = tau[0] ** 4
+    g = ops.grid
+    out = 0.0
+    if p.delta2 > 0:
+        out += p.delta2 / tau4 * _quad(g, sum(a**2 for a in ops.lap_U))
+    if p.r0 > 0:
+        out += p.r0 / tau4 * _quad(g, ops.U2)
+    if p.r1 > 0:
+        out += p.r1 / tau4 * _quad(g, ops.lam2 * ops.U2)
+    return out
+
+
+def energy_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
+    ops = StateOps.of(state)
+    return energy(ops, tau, params.eps) + _eta_potential(ops, params, tau)
+
+
+def dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
+    ops = StateOps.of(state)
+    p = params
+    tau_v, _ = tau
+    g = ops.grid
+    out = _kinetic_rate(ops, tau, p.eps, p.eta2, p.s)
     if p.nu > 0:
         out += p.nu / tau_v**4 * _quad(g, ops.R * ops.DU2())
-    if p.delta2 > 0:
-        out += p.delta2 / tau_v**4 * _quad(g, sum(a**2 for a in ops.lap_U))
-    if p.delta1 > 0:
-        out += 4.0 * p.delta1 / tau_v**2 * _quad(g, ops.grad_sqrtR2)
-        if p.eta2 > 0:
-            out += p.delta1 * p.eta2 / tau_v**4 * _quad(g, ops.lap_R(p.s + 1) ** 2)
-        if p.eta1 > 0:
-            out += (
-                4.0 * p.delta1 * p.eta1 / (p.alpha * tau_v**2)
-                * _quad(g, ops.grad_rho_neg2(p.alpha))
-            )
-        if p.eps > 0:
-            out += p.delta1 * p.eps**2 / (2 * tau_v**4) * _quad(g, ops.R_hess_logR2())
-    if p.r0 > 0:
-        out += p.r0 / tau_v**4 * _quad(g, sum(u**2 for u in ops.U))
-    if p.r1 > 0:
-        u2 = sum(u**2 for u in ops.U)
-        out += p.r1 / tau_v**4 * _quad(g, ops.lam2 * u2)
-    return out
+    out += _diffusion_dissipation(ops, p, tau, p.delta1)
+    if p.delta1 > 0 and p.eps > 0:
+        out += p.delta1 * p.eps**2 / (2 * tau_v**4) * _quad(g, ops.R_hess_logR2())
+    return out + _velocity_damping(ops, p, tau)
 
 
-def bd_entropy_reg(state: FluidState, params: ParamSet, tau) -> float:
+def bd_entropy_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
     """Positive part of the regularized BD entropy (drag log-term truncated
     to {R <= 1}, plus the eta contributions)."""
-    ops = StateOps(state)
-    return _bd_entropy_reg(ops, params, tau)
+    ops = StateOps.of(state)
+    p = params
+    return bd_entropy(ops, tau, p.eps, p.nu, p.r0) + _eta_potential(ops, p, tau)
 
 
-def _bd_entropy_reg(ops: StateOps, p: ParamSet, tau) -> float:
-    tau_v, _ = tau
-    g = ops.grid
-    out = _bd_entropy(ops, tau, p.eps, p.nu, p.r0)
-    if p.eta1 > 0:
-        out += p.eta1 / (p.alpha + 1.0) * _quad(g, _rho_tilde(ops) ** (-p.alpha))
-    if p.eta2 > 0:
-        out += p.eta2 / (2 * tau_v**2) * _quad(g, ops.grad_lap_R2(p.s))
-    return out
-
-
-def bd_dissipation_reg(state: FluidState, params: ParamSet, tau) -> float:
-    ops = StateOps(state)
-    return _bd_dissipation_reg(ops, params, tau)
-
-
-def _bd_dissipation_reg(ops: StateOps, p: ParamSet, tau) -> float:
+def bd_dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
     # sum of the energy-identity and BD-identity dissipations; adding the
-    # two derivations gives the eta1 coefficient 4 eta1 (nu + delta1)/alpha.
+    # two derivations gives the density-diffusion coefficient nu + delta1.
+    ops = StateOps.of(state)
+    p = params
     tau_v, taudot_v = tau
     g = ops.grid
-    kin = ops.lam2 + p.eps**2 * ops.grad_sqrtR2
-    if p.eta2 > 0:
-        kin = kin + p.eta2 * ops.grad_lap_R2(p.s)
-    out = taudot_v / tau_v**3 * _quad(g, kin)
+    out = _kinetic_rate(ops, tau, p.eps, p.eta2, p.s)
     if p.r0 > 0 and p.nu > 0:
         out += (
             2.0 * p.r0 * p.nu * taudot_v / tau_v**3
@@ -391,34 +410,17 @@ def _bd_dissipation_reg(ops: StateOps, p: ParamSet, tau) -> float:
     chess = p.delta1 * p.nu**2 + p.nu * p.eps**2 + p.delta1 * p.eps**2 / 2.0
     if chess > 0:
         out += chess / tau_v**4 * _quad(g, ops.R_hess_logR2())
-    out += 4.0 * (p.nu + p.delta1) / tau_v**2 * _quad(g, ops.grad_sqrtR2)
-    if p.eta1 > 0 and (p.nu + p.delta1) > 0:
-        out += (
-            4.0 * p.eta1 * (p.nu + p.delta1) / (p.alpha * tau_v**2)
-            * _quad(g, ops.grad_rho_neg2(p.alpha))
-        )
+    out += _diffusion_dissipation(ops, p, tau, p.nu + p.delta1)
     if p.nu > 0:
         out += p.nu / tau_v**4 * _quad(g, ops.R * ops.AU2())
-    if p.eta2 > 0 and (p.nu + p.delta1) > 0:
-        out += p.eta2 * (p.nu + p.delta1) / tau_v**4 * _quad(g, ops.lap_R(p.s + 1) ** 2)
-    if p.delta2 > 0:
-        out += p.delta2 / tau_v**4 * _quad(g, sum(a**2 for a in ops.lap_U))
-    if p.r0 > 0:
-        out += p.r0 / tau_v**4 * _quad(g, sum(u**2 for u in ops.U))
-    if p.r1 > 0:
-        u2 = sum(u**2 for u in ops.U)
-        out += p.r1 / tau_v**4 * _quad(g, ops.lam2 * u2)
-    return out
+    return out + _velocity_damping(ops, p, tau)
 
 
-def balance_rhs(state: FluidState, params: ParamSet, tau) -> float:
+def balance_rhs(state: FluidState | StateOps, params: ParamSet, tau) -> float:
     """Right side of the regularized energy balance:
     2 d delta1 / tau^2 quad(R) - nu taudot / tau^3 quad(R div U)."""
-    ops = StateOps(state)
-    return _balance_rhs(ops, params, tau)
-
-
-def _balance_rhs(ops: StateOps, p: ParamSet, tau) -> float:
+    ops = StateOps.of(state)
+    p = params
     tau_v, taudot_v = tau
     g = ops.grid
     out = 0.0
@@ -444,25 +446,24 @@ def energy_balance_residual(times, e_reg, d_reg, rhs, normalize: bool = True) ->
 # BD identity (time-integrated, all terms carry a factor nu)
 
 
-def bd_identity_terms(state: FluidState, params: ParamSet, tau) -> tuple[float, float, float]:
+def bd_identity_terms(
+    state: FluidState | StateOps, params: ParamSet, tau
+) -> tuple[float, float, float]:
     """(F, DISS, RHS) of the BD identity at one instant, where the identity is
 
         dF/dt + DISS = RHS,
         F = (1/tau^2) quad(nu R U . grad log R + nu^2/2 R |grad log R|^2
                            - 2 r0 nu log R).
     """
-    ops = StateOps(state)
-    return _bd_identity_terms(ops, params, tau)
-
-
-def _bd_identity_terms(ops: StateOps, p: ParamSet, tau) -> tuple[float, float, float]:
+    p = params
     if p.nu == 0.0:
         return 0.0, 0.0, 0.0
+    ops = StateOps.of(state)
     tau_v, taudot_v = tau
     g = ops.grid
     nu = p.nu
     # R U . grad log R = U . grad R = 2 Lambda . grad sqrt R (no division)
-    ru_glog = 2.0 * sum(l * gs for l, gs in zip(ops.lam, ops.grad_sqrtR))
+    ru_glog = 2.0 * ops.lam_grad_sqrtR
     # The transported functional carries -r0 nu log R and the dissipation
     # carries (delta1 nu^2 + eps^2 nu / 4) R |hess log R|^2: both follow from
     # re-deriving the drag-term rewrite and the Korteweg pairing
@@ -477,16 +478,12 @@ def _bd_identity_terms(ops: StateOps, p: ParamSet, tau) -> tuple[float, float, f
         / tau_v**2
     )
     diss = 2.0 * nu * taudot_v / tau_v**3 * _quad(g, ru_glog - p.r0 * ops.logR)
-    diss += 4.0 * nu / tau_v**2 * _quad(g, ops.grad_sqrtR2)
+    diss += _diffusion_dissipation(ops, p, tau, nu)
     diss += (
         (p.delta1 * nu**2 + p.eps**2 * nu / 4.0)
         / tau_v**4
         * _quad(g, ops.R_hess_logR2())
     )
-    if p.eta1 > 0:
-        diss += 4.0 * p.eta1 * nu / (p.alpha * tau_v**2) * _quad(g, ops.grad_rho_neg2(p.alpha))
-    if p.eta2 > 0:
-        diss += p.eta2 * nu / tau_v**4 * _quad(g, ops.lap_R(p.s + 1) ** 2)
 
     rhs = 2.0 * g.d * nu / tau_v**2 * _quad(g, ops.R)
     gU = ops.grad_U
@@ -497,11 +494,10 @@ def _bd_identity_terms(ops: StateOps, p: ParamSet, tau) -> tuple[float, float, f
             gradUT += gU[i][j] * gU[j][i]
     rhs += nu / tau_v**4 * _quad(g, ops.R * gradUT)
     if p.r1 > 0:
-        u2 = sum(u**2 for u in ops.U)
         u_gR = sum(u * gr for u, gr in zip(ops.U, ops.grad_R))
-        rhs -= p.r1 * nu / tau_v**4 * _quad(g, u2 * u_gR)
+        rhs -= p.r1 * nu / tau_v**4 * _quad(g, ops.U2 * u_gR)
     if p.delta1 > 0 or p.delta2 > 0:
-        rho = _rho_tilde(ops)
+        rho = ops.rho_tilde
         if p.delta1 > 0:
             lapR = ops.lap_R(1)
             if p.r0 > 0:
@@ -512,7 +508,7 @@ def _bd_identity_terms(ops: StateOps, p: ParamSet, tau) -> tuple[float, float, f
                 for j in range(d):
                     mix += gU[i][j] * ops.grad_R[i] * glog[j]
             rhs -= p.delta1 * nu / tau_v**4 * _quad(g, mix)
-            div_mom = ops.sp.div([ops.s * l for l in ops.lam])
+            div_mom = ops.sp.div(ops.momentum)
             rhs -= p.delta1 * nu / tau_v**4 * _quad(g, (lapR / rho) * div_mom)
         if p.delta2 > 0:
             hlog = ops.hess_logR()
@@ -562,16 +558,27 @@ def csiszar_kullback_gap(R: ScalarField) -> float:
     Nonnegative (up to roundoff) by the Csiszar-Kullback/Pinsker inequality,
     which holds exactly for the discrete lattice measure."""
     g = R.grid
-    r = R.values
-    m = _quad(g, r)
-    gam = matched_gaussian(g, m)
-    rel = np.where(r > 0, r * (np.log(np.maximum(r, LOG_FLOOR)) - np.log(gam)), 0.0)
-    l1 = _quad(g, np.abs(r - gam))
-    return _quad(g, rel) - l1**2 / (2.0 * m)
+    m = _quad(g, R.values)
+    l1 = _quad(g, np.abs(R.values - matched_gaussian(g, m)))
+    return relative_entropy(R) - l1**2 / (2.0 * m)
 
 
 # ---------------------------------------------------------------------------
 # algebraic identities (Korteweg, log-Hessian, Jungel)
+
+
+def korteweg_stress(sp, s) -> list:
+    """Rows of the Korteweg stress s hess s - grad s x grad s (row j holds the
+    entries i = 0..d-1), whose divergence is R grad(lap s / s) for s = sqrt R.
+    The solver's force takes the dealiased divergence of these rows."""
+    sh = sp.fwd(s)
+    gs = sp.grad(s, sh)
+    hess = sp.hessian(s, sh)
+    d = len(gs)
+    return [
+        [s * hess[(min(i, j), max(i, j))] - gs[i] * gs[j] for i in range(d)]
+        for j in range(d)
+    ]
 
 
 def korteweg_identity_residual(sqrtR: ScalarField) -> float:
@@ -583,14 +590,8 @@ def korteweg_identity_residual(sqrtR: ScalarField) -> float:
         raise ValueError("sqrtR must be strictly positive for the identity check")
     R = s**2
     sp = g.spectral
-    sh = sp.fwd(s)
-    lhs = [R * a for a in sp.grad(sp.lap(s, 1, sh) / s)]
-    gs = sp.grad(s, sh)
-    hess = sp.hessian(s, sh)
-    rhs = [
-        sp.div([s * hess[(min(i, j), max(i, j))] - gs[i] * gs[j] for i in range(g.d)])
-        for j in range(g.d)
-    ]
+    lhs = [R * a for a in sp.grad(sp.lap(s) / s)]
+    rhs = [sp.div(row) for row in korteweg_stress(sp, s)]
     num = math.sqrt(_quad(g, sum((a - b) ** 2 for a, b in zip(lhs, rhs))))
     den = math.sqrt(_quad(g, sum(b**2 for b in rhs)))
     return num / max(den, 1e-300)
@@ -627,20 +628,19 @@ def jungel_quantities(R: ScalarField) -> tuple[float, float]:
 # weak-solution compatibility tensors and irrotationality
 
 
-def compatibility_residuals(state: FluidState) -> tuple[float, float]:
+def compatibility_residuals(state: FluidState | StateOps) -> tuple[float, float]:
     """Residuals of the compatibility relations on positive-density cells:
 
     sqrtR T_N = grad(sqrtR Lambda) - 2 Lambda x grad sqrtR, with T_N = sqrtR grad U;
     S_K two-way evaluation: sqrtR hess sqrtR - grad sqrtR x grad sqrtR
                             = hess(R)/2 - 2 grad sqrtR x grad sqrtR.
     """
-    ops = StateOps(state)
-    g = ops.grid
-    d = g.d
+    ops = StateOps.of(state)
+    d = ops.grid.d
     mask = ops.R > ops.r_floor
     gs = ops.grad_sqrtR
     gU = ops.grad_U
-    gj = [ops.sp.grad(ops.s * l) for l in ops.lam]  # gj[j][i] = d_i (sqrtR Lambda_j)
+    gj = ops.grad_momentum
     num = 0.0
     den = 0.0
     for i in range(d):
@@ -654,29 +654,28 @@ def compatibility_residuals(state: FluidState) -> tuple[float, float]:
             den += float(np.sum((grad_piece**2 + cross_piece**2)[mask]))
     tn_res = math.sqrt(num) / max(math.sqrt(den), 1e-300)
 
-    hs = ops.sp.hessian(ops.s)
-    hR = ops.hess_R
+    stress = korteweg_stress(ops.sp, ops.s)
     num = den = 0.0
-    for (i, j), hij in hs.items():
-        a = ops.s * hij - gs[i] * gs[j]
-        b = 0.5 * hR[(i, j)] - 2.0 * gs[i] * gs[j]
+    for (i, j), hR in ops.hess_R.items():
+        a = stress[j][i]
+        b = 0.5 * hR - 2.0 * gs[i] * gs[j]
         w = 1.0 if i == j else 2.0
         num += w * float(np.sum((a - b) ** 2))
-        den += w * float(np.sum((ops.s * hij) ** 2 + 0.25 * hR[(i, j)] ** 2))
+        # a + grad_i sqrtR grad_j sqrtR = sqrtR d_i d_j sqrtR
+        den += w * float(np.sum((a + gs[i] * gs[j]) ** 2 + 0.25 * hR**2))
     sk_res = math.sqrt(num) / max(math.sqrt(den), 1e-300)
     return tn_res, sk_res
 
 
-def irrotationality_residual(state: FluidState) -> float:
+def irrotationality_residual(state: FluidState | StateOps) -> float:
     """Normalized residual of  curl j = 2 grad sqrtR wedge Lambda  (j = sqrtR Lambda);
     identically zero in one dimension."""
-    g = state.grid
+    ops = StateOps.of(state)
+    g = ops.grid
     if g.d == 1:
         return 0.0
-    ops = StateOps(state)
-    j = [ops.s * l for l in ops.lam]
     gs = ops.grad_sqrtR
-    gj = [ops.sp.grad(jc) for jc in j]  # gj[c][i] = d_i j_c
+    gj = ops.grad_momentum  # gj[c][i] = d_i j_c
     pairs = [(0, 1)] if g.d == 2 else [(1, 2), (2, 0), (0, 1)]
     num = den = 0.0
     for a, b in pairs:
@@ -768,88 +767,66 @@ def llogl_bound(f: ScalarField, beta: float) -> tuple[float, float]:
 # per-state record
 
 
-_RECORD_FIELDS = [
-    ("t", "time"),
-    ("mass", "quad(R)"),
-    ("momentum", "quad(R U_i), one column per component"),
-    ("second_moment", "quad(R |y|^2)"),
-    ("energy", "pseudo-energy of the plain system"),
-    ("dissipation", "pseudo-dissipation of the plain system"),
-    ("energy_reg", "regularized energy"),
-    ("dissipation_reg", "regularized dissipation"),
-    ("balance_rhs", "right side of the regularized energy balance"),
-    ("bd_entropy", "BD entropy (with drag log-term when r0 > 0)"),
-    ("bd_dissipation", "BD dissipation"),
-    ("bd_entropy_reg", "positive part of regularized BD entropy"),
-    ("bd_dissipation_reg", "regularized BD dissipation"),
-    ("bdid_f", "BD identity transported functional F"),
-    ("bdid_diss", "BD identity dissipation"),
-    ("bdid_rhs", "BD identity right side"),
-    ("relative_entropy", "quad(R log(R/Gamma_m))"),
-    ("ck_gap", "Csiszar-Kullback slack"),
-    ("min_density", "min R"),
-    ("korteweg_residual", "divergence-form Korteweg identity residual"),
-    ("loghess_residual", "log-Hessian exact-formula residual"),
-    ("tn_residual", "T_N compatibility residual"),
-    ("sk_residual", "S_K compatibility residual"),
-    ("irrot_residual", "generalized irrotationality residual"),
-    ("llogl_value", "L log L norm of R"),
-    ("llogl_bound", "constructive L log L bound"),
-    ("jungel_left", "quad|hess sqrt R|^2 + quad|grad R^1/4|^4"),
-    ("jungel_right", "quad R |hess log R|^2"),
-]
+def _col(doc: str, **kw):
+    """A record field with its column semantics."""
+    return field(metadata={"doc": doc}, **kw)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DiagnosticsRecord:
-    t: float
-    mass: float
-    momentum: tuple
-    second_moment: float
-    energy: float
-    dissipation: float
-    energy_reg: float
-    dissipation_reg: float
-    balance_rhs: float
-    bd_entropy: float
-    bd_dissipation: float
-    bdid_f: float
-    bdid_diss: float
-    bdid_rhs: float
-    min_density: float
-    bd_entropy_reg: float | None = None
-    bd_dissipation_reg: float | None = None
-    relative_entropy: float | None = None
-    ck_gap: float | None = None
-    korteweg_residual: float | None = None
-    loghess_residual: float | None = None
-    tn_residual: float | None = None
-    sk_residual: float | None = None
-    irrot_residual: float | None = None
-    llogl_value: float | None = None
-    llogl_bound: float | None = None
-    jungel_left: float | None = None
-    jungel_right: float | None = None
+    """One diagnostics sample; the fields are the CSV columns, in order.  The
+    core tier fills the fields without a default, the full tier the rest."""
 
-    @staticmethod
-    def csv_columns(d: int) -> list[str]:
+    t: float = _col("time")
+    mass: float = _col("quad(R)")
+    momentum: tuple = _col("quad(R U_i), one column per component")
+    second_moment: float = _col("quad(R |y|^2)")
+    energy: float = _col("pseudo-energy of the plain system")
+    dissipation: float = _col("pseudo-dissipation of the plain system")
+    energy_reg: float = _col("regularized energy")
+    dissipation_reg: float = _col("regularized dissipation")
+    balance_rhs: float = _col("right side of the regularized energy balance")
+    bd_entropy: float = _col("BD entropy (with drag log-term when r0 > 0)")
+    bd_dissipation: float = _col("BD dissipation")
+    bd_entropy_reg: float | None = _col("positive part of regularized BD entropy", default=None)
+    bd_dissipation_reg: float | None = _col("regularized BD dissipation", default=None)
+    bdid_f: float = _col("BD identity transported functional F")
+    bdid_diss: float = _col("BD identity dissipation")
+    bdid_rhs: float = _col("BD identity right side")
+    relative_entropy: float | None = _col("quad(R log(R/Gamma_m))", default=None)
+    ck_gap: float | None = _col("Csiszar-Kullback slack", default=None)
+    min_density: float = _col("min R")
+    korteweg_residual: float | None = _col(
+        "divergence-form Korteweg identity residual", default=None
+    )
+    loghess_residual: float | None = _col("log-Hessian exact-formula residual", default=None)
+    tn_residual: float | None = _col("T_N compatibility residual", default=None)
+    sk_residual: float | None = _col("S_K compatibility residual", default=None)
+    irrot_residual: float | None = _col("generalized irrotationality residual", default=None)
+    llogl_value: float | None = _col("L log L norm of R", default=None)
+    llogl_bound: float | None = _col("constructive L log L bound", default=None)
+    jungel_left: float | None = _col("quad|hess sqrt R|^2 + quad|grad R^1/4|^4", default=None)
+    jungel_right: float | None = _col("quad R |hess log R|^2", default=None)
+
+    @classmethod
+    def csv_columns(cls, d: int) -> list[str]:
         cols = []
-        for name, _ in _RECORD_FIELDS:
-            if name == "momentum":
+        for f in fields(cls):
+            if f.name == "momentum":
                 cols.extend(f"momentum_{i}" for i in range(d))
             else:
-                cols.append(name)
+                cols.append(f.name)
         return cols
 
-    @staticmethod
-    def column_semantics() -> dict:
-        return {name: desc for name, desc in _RECORD_FIELDS}
+    @classmethod
+    def column_semantics(cls) -> dict:
+        return {f.name: f.metadata["doc"] for f in fields(cls)}
 
     def csv_row(self) -> list[float]:
         out = []
-        for name, _ in _RECORD_FIELDS:
-            val = getattr(self, name)
-            if name == "momentum":
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.name == "momentum":
                 out.extend(val)
             else:
                 out.append(math.nan if val is None else val)
@@ -871,33 +848,32 @@ def record(
     """
     ops = StateOps(state, r_floor=r_floor)
     g = ops.grid
-    mom = tuple(_quad(g, ops.s * l) for l in ops.lam)
-    f_id, diss_id, rhs_id = _bd_identity_terms(ops, params, tau)
+    f_id, diss_id, rhs_id = bd_identity_terms(ops, params, tau)
     rec = DiagnosticsRecord(
         t=state.t,
         mass=_quad(g, ops.R),
-        momentum=mom,
+        momentum=tuple(_quad(g, m) for m in ops.momentum),
         second_moment=_quad(g, ops.R * g.r2),
-        energy=_energy(ops, tau, params.eps),
-        dissipation=_dissipation(ops, tau, params.eps, params.nu),
-        energy_reg=_energy_reg(ops, params, tau),
-        dissipation_reg=_dissipation_reg(ops, params, tau),
-        balance_rhs=_balance_rhs(ops, params, tau),
-        bd_entropy=_bd_entropy(ops, tau, params.eps, params.nu, params.r0),
-        bd_dissipation=_bd_dissipation(ops, tau, params.eps, params.nu),
+        energy=energy(ops, tau, params.eps),
+        dissipation=dissipation(ops, tau, params.eps, params.nu),
+        energy_reg=energy_reg(ops, params, tau),
+        dissipation_reg=dissipation_reg(ops, params, tau),
+        balance_rhs=balance_rhs(ops, params, tau),
+        bd_entropy=bd_entropy(ops, tau, params.eps, params.nu, params.r0),
+        bd_dissipation=bd_dissipation(ops, tau, params.eps, params.nu),
         bdid_f=f_id,
         bdid_diss=diss_id,
         bdid_rhs=rhs_id,
         min_density=float(ops.R.min()),
     )
     if full:
-        rec.bd_entropy_reg = _bd_entropy_reg(ops, params, tau)
-        rec.bd_dissipation_reg = _bd_dissipation_reg(ops, params, tau)
+        rec.bd_entropy_reg = bd_entropy_reg(ops, params, tau)
+        rec.bd_dissipation_reg = bd_dissipation_reg(ops, params, tau)
         R_field = ScalarField(g, ops.R)
         rec.relative_entropy = relative_entropy(R_field)
         rec.ck_gap = csiszar_kullback_gap(R_field)
-        rec.tn_residual, rec.sk_residual = compatibility_residuals(state)
-        rec.irrot_residual = irrotationality_residual(state)
+        rec.tn_residual, rec.sk_residual = compatibility_residuals(ops)
+        rec.irrot_residual = irrotationality_residual(ops)
         beta = 2.0 / (g.d + 2)
         rec.llogl_value, rec.llogl_bound = llogl_bound(state.sqrtR, beta)
         if ops.R.min() > 0:

@@ -19,7 +19,7 @@ class ParamSet:
     dt, dt_policy  fixed step, or CFL-adaptive with dt as the upper cap;
     cfl            Courant factor for the adaptive policy;
     r_min          density floor of the velocity recovery U = M / sqrt(R^2 + r_min^2)
-                   (solver.smooth_density); when None the solver uses
+                   (rescaling.smooth_density); when None the solver uses
                    1e-10 * mean(R0) (inert if eta1 > 0).
     """
 

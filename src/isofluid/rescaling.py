@@ -23,6 +23,7 @@ __all__ = [
     "FluidState",
     "WaveFunction",
     "VACUUM_FLOOR_REL",
+    "smooth_density",
     "to_self_similar",
     "from_self_similar",
     "madelung",
@@ -33,6 +34,17 @@ __all__ = [
 # non-vacuum set; below it the velocity part is set to zero, matching the
 # compatibility condition sqrt(R) U = 0 on {sqrt(R) = 0}.
 VACUUM_FLOOR_REL = 1e-12
+
+
+def smooth_density(R, r_floor: float):
+    """Kink-free positive surrogate sqrt(R^2 + r_floor^2): equals R up to a
+    quadratically small bias (r_floor/R)^2 in the bulk and never drops below
+    r_floor.  Used for every velocity recovery: a max(R, r_floor) clamp leaves
+    a kink at the clamp boundary whose spectral tail pollutes paired
+    functionals, and an additive floor R + r_floor biases bulk velocities at
+    first order in the floor."""
+    r = max(r_floor, 1e-300)
+    return np.sqrt(R * R + r * r)
 
 
 @dataclass

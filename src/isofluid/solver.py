@@ -9,11 +9,11 @@ One step of size h is the symmetric composition
 evaluated with (tau, taudot) frozen at the step midpoint:
 
 * Drag: the pointwise relaxation dM/dt = -(r0/tau^2) U - (r1/tau^2) R |U|^2 U,
-  integrated exactly (Bernoulli ODE) with R frozen;
+  integrated exactly (Bernoulli ODE) with R frozen, not dealiased;
 * L: the constant-coefficient linear block, advanced exactly per Fourier mode.
   It contains the full (linear) continuity equation d_t R = (-div M
   + delta1 lap R)/tau^2, the bilaplacian damping -delta2 c_u lap^2 M / tau^2
-  with c_u = 1/min(max(R, r_min)) (which dominates the variable-coefficient
+  with c_u = 2/min(rho_sm) (which dominates the variable-coefficient
   remainder, so that pair is unconditionally stable), and the mean-density
   linearizations of the dispersive terms, (eps^2/4) grad lap R and
   eta2 Rbar grad lap^(2s+1) R.  The longitudinal (Rhat, k.Mhat/|k|) pair is
@@ -28,7 +28,17 @@ evaluated with (tau, taudot) frozen at the step midpoint:
   conserved to round-off.
 
 The symmetric composition of second-order (or exact) flows with
-midpoint-frozen coefficients is globally second-order accurate.
+midpoint-frozen coefficients is globally second-order accurate.  `rhs` is its
+generator, summed from the same substep methods, so (step(h) x - x)/h
+tends to rhs(x) term by term.
+
+Floors.  The solver's one density floor is r_min (ParamSet.r_min, default
+1e-10 mean(R0)).  rho_sm = smooth_density(R, r_min) = sqrt(R^2 + r_min^2)
+recovers U = M / rho_sm and sets the drag coefficients, the advective CFL
+rate and c_u; rho_tilde = max(R, r_min) clamps the cold pressure and its
+sound speed; sqrt_reg(R) = sqrt((R + rho_sm)/2) is the Korteweg root; the
+vacuum sponge acts below about 10 r_min.  diagnostics.record evaluates on the
+same r_min; standalone diagnostics default to VACUUM_FLOOR_REL max R.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .params import ParamSet
-from .rescaling import FluidState
+from .rescaling import FluidState, smooth_density
 from .spectral import Grid, ScalarField, VectorField
 from .tauode import TauSolution, tau_solve
 
@@ -110,20 +120,8 @@ def _contrast(R) -> float:
 
 
 def arrays_from_state(state: FluidState):
-    R = state.sqrtR.values**2
-    M = [state.sqrtR.values * c.values for c in state.Lambda.components]
-    return R.copy(), [m.copy() for m in M]
-
-
-def smooth_density(R, r_floor: float):
-    """Kink-free positive surrogate sqrt(R^2 + r_floor^2): equals R up to a
-    quadratically small bias (r_floor/R)^2 in the bulk and never drops below
-    r_floor.  Used for every velocity recovery: a max(R, r_floor) clamp leaves
-    a kink at the clamp boundary whose spectral tail pollutes paired
-    functionals, and an additive floor R + r_floor biases bulk velocities at
-    first order in the floor."""
-    r = max(r_floor, 1e-300)
-    return np.sqrt(R * R + r * r)
+    s = state.sqrtR.values
+    return s**2, [s * c.values for c in state.Lambda.components]
 
 
 def state_from_arrays(
@@ -165,39 +163,63 @@ class _Stepper:
         return np.maximum(R, self.r_min)
 
     def rho_smooth(self, R):
-        """Smooth positive surrogate for R near vacuum: equals R + O(r_min) in
-        the bulk and stays >= r_min/2 without the kink of max(R, r_min), so
-        velocity recoveries and exponentiated drag factors stay spectrally
-        clean through the vacuum transition."""
+        """smooth_density(R, r_min): equals R up to a relative bias
+        (r_min/R)^2 in the bulk and stays >= r_min without the kink of
+        max(R, r_min), so velocity recoveries and exponentiated drag factors
+        stay spectrally clean through the vacuum transition."""
         return smooth_density(R, self.r_min)
 
     def sqrt_reg(self, R):
         """Smooth regularized root: sqrt(R) + O(r_min/sqrt(R)) in the bulk,
         C-infinity through ring-induced zero crossings (plain sqrt(max(R, 0))
         has square-root kinks there whose Korteweg stress pollutes the tails)."""
-        return np.sqrt(0.5 * (R + np.sqrt(R * R + self.r_min**2)))
+        return np.sqrt(0.5 * (R + self.rho_smooth(R)))
+
+    def bilaplacian_coefficient(self, R):
+        """c_u of the implicit damping -delta2 c_u lap^2 M: twice the largest
+        1/rho_sm, so the explicit counter-term stays strictly inside the decay
+        budget (delta-regularized runs assume data bounded below)."""
+        return 2.0 / max(float(np.min(self.rho_smooth(R))), 1e-300)
 
     # -- drag substep (exact pointwise Bernoulli flow, R frozen) -----------
+
+    def drag_coefficients(self, R, M, tau_v):
+        """(a, b, |M|^2) of the drag ODE dM/dt = -(a + b |M|^2) M, with
+        a = r0 / (tau^2 rho_sm) and b = r1 R^+ / (tau^2 rho_sm^3); b and |M|^2
+        are None when r1 = 0."""
+        p = self.p
+        rho = self.rho_smooth(R)
+        a = p.r0 / (tau_v**2 * rho)
+        if p.r1 == 0.0:
+            return a, None, None
+        return a, p.r1 * np.maximum(R, 0.0) / (tau_v**2 * rho**3), sum(m * m for m in M)
 
     def drag_flow(self, R, M, h, tau_v):
         p = self.p
         if p.r0 == 0.0 and p.r1 == 0.0:
             return M
-        rho = self.rho_smooth(R)
-        a = p.r0 / (tau_v**2 * rho)
-        if p.r1 > 0.0:
-            m2 = sum(m * m for m in M)
-            b = p.r1 * np.maximum(R, 0.0) / (tau_v**2 * rho**3)
-            if p.r0 > 0.0:
-                fac2 = a * np.exp(-2.0 * a * h) / (a - b * m2 * np.expm1(-2.0 * a * h))
-            else:
-                fac2 = 1.0 / (1.0 + 2.0 * b * m2 * h)
-            fac = np.sqrt(fac2)
-        else:
+        a, b, m2 = self.drag_coefficients(R, M, tau_v)
+        if b is None:
             fac = np.exp(-a * h)
+        elif p.r0 > 0.0:
+            fac = np.sqrt(a * np.exp(-2.0 * a * h) / (a - b * m2 * np.expm1(-2.0 * a * h)))
+        else:
+            fac = np.sqrt(1.0 / (1.0 + 2.0 * b * m2 * h))
         return [m * fac for m in M]
 
+    def drag_rate(self, R, M, tau_v):
+        """Generator of drag_flow: -(a + b |M|^2) M."""
+        a, b, m2 = self.drag_coefficients(R, M, tau_v)
+        rate = a if b is None else a + b * m2
+        return [-rate * m for m in M]
+
     # -- exact linear substep ------------------------------------------------
+
+    def linear_symbols(self, tau_v, c_u):
+        """Rates a = -delta1 |k|^2/tau^2 (on Rhat) and e = -delta2 c_u |k|^4/tau^2
+        (on each Mhat_j) of the linear block."""
+        p, t2 = self.p, tau_v**2
+        return -(p.delta1 / t2) * self.sp.k2, -(p.delta2 * c_u / t2) * self.sp.k2**2
 
     def linear_flow(self, Rh, Mh, h, tau_v, c_u):
         """Exact flow of the triangular constant-coefficient block
@@ -205,7 +227,7 @@ class _Stepper:
             d/dt Rhat   = a Rhat - (i/tau^2) k . Mhat
             d/dt Mhat_j = e Mhat_j
 
-        with a = -delta1 |k|^2/tau^2 and e = -delta2 c_u |k|^4/tau^2:
+        with the rates a, e of linear_symbols:
 
             Mhat(h) = e^(e h) Mhat,
             Rhat(h) = e^(a h) Rhat - (i/tau^2) k.Mhat * (e^(a h)-e^(e h))/(a-e).
@@ -214,10 +236,8 @@ class _Stepper:
         implicit mean-density linearization was tried and rejected because its
         explicit counter-term interacts with the exact drag crush in vacuum
         cells, turning neutral dispersion into growth."""
-        p = self.p
         t2 = tau_v**2
-        a = -(p.delta1 / t2) * self.sp.k2
-        e = -(p.delta2 * c_u / t2) * self.sp.k2**2
+        a, e = self.linear_symbols(tau_v, c_u)
         Ea = np.exp(a * h)
         Ee = np.exp(e * h)
         diff = a - e
@@ -233,8 +253,9 @@ class _Stepper:
     def density_forces(self, R, tau_v, taudot_v):
         """Forces on M that depend on R only (constant during the N substep):
         confinement + pressure (+ nu taudot/tau grad R), the divergence-form
-        Korteweg stress, cold pressure, and the eta2 term.  The spectral
-        parts of each component are summed before one inverse transform."""
+        Korteweg stress of the root sqrt_reg(R), cold pressure, and the eta2
+        term.  The spectral parts of each component are summed before one
+        inverse transform."""
         p, sp = self.p, self.sp
         t2 = tau_v**2
         Rh = sp.fwd(R)
@@ -243,7 +264,7 @@ class _Stepper:
         Fh = [pgrad * ik * Rh for ik in sp.ik]
         if p.eps > 0:
             c = p.eps**2 / (2.0 * t2)
-            for j, row in enumerate(self.korteweg_stress(R)):
+            for j, row in enumerate(diag.korteweg_stress(sp, self.sqrt_reg(R))):
                 Fh[j] += c * sp.div_dealiased_hat(row)
         if p.eta1 > 0:
             coldh = sp.fwd(self.rho_tilde(R) ** (-p.alpha))
@@ -254,24 +275,6 @@ class _Stepper:
                 Fh[j] += (p.eta2 / t2) * sp.mask * sp.fwd(R * sp.inv(sym * Rh))
         F = [sp.inv(fh) - 2.0 * yi * R for fh, yi in zip(Fh, self.y)]
         return F, grad_R
-
-    def korteweg_stress(self, R):
-        """Rows of sqrt R hess sqrt R - grad sqrt R x grad sqrt R, whose
-        dealiased divergence is the Korteweg force; the root is the smooth
-        vacuum-regularized one (see sqrt_reg)."""
-        sp, d = self.sp, self.grid.d
-        s = self.sqrt_reg(R)
-        sh = sp.fwd(s)
-        gs = sp.grad(s, sh)
-        hess = sp.hessian(s, sh)
-        return [
-            [s * hess[(min(i, j), max(i, j))] - gs[i] * gs[j] for i in range(d)]
-            for j in range(d)
-        ]
-
-    def korteweg_divform(self, R):
-        """div(sqrt R hess sqrt R - grad sqrt R x grad sqrt R), dealiased."""
-        return [self.sp.div_dealiased(row) for row in self.korteweg_stress(R)]
 
     def stress_row(self, j, R, M, U, grad_R, gradU, gradM):
         """Row j of the momentum flux -M U_j plus the viscous stress nu R D(U)
@@ -382,10 +385,7 @@ class _Stepper:
 
     def advance(self, R, M, h, tau_pair):
         tau_v, taudot_v = tau_pair
-        # delta2 acts on U = M/R; the implicit damping uses twice the largest
-        # 1/R so the explicit counter-term stays strictly inside the decay
-        # budget (delta-regularized runs assume data bounded below)
-        c_u = 2.0 / max(float(np.min(self.rho_smooth(R))), 1e-300)
+        c_u = self.bilaplacian_coefficient(R)
 
         sp = self.sp
         M = self.drag_flow(R, M, 0.5 * h, tau_v)
@@ -415,55 +415,26 @@ class _Stepper:
 
 
 def rhs(state: FluidState, params: ParamSet, tau) -> tuple[ScalarField, VectorField]:
-    """Full semi-discrete right-hand side (dR/dt, dM/dt) of the regularized
-    system: every product dealiased, the Korteweg term in divergence form.
-    Reference operator; the stepper applies the same terms via split flows."""
+    """Semi-discrete right-hand side (dR/dt, dM/dt): the generator of `step`
+    with (tau, taudot) frozen, summed from the stepper's own pieces (the
+    linear-block rates, density_forces, n_rhs and drag_rate), so the
+    -delta2 c_u lap^2 M split cancels as it does inside a step.  The vacuum
+    sponge is a numerical device and is not part of it."""
     grid = state.grid
-    p = params.bind(grid.d)
     tau_v, taudot_v = float(tau[0]), float(tau[1])
-    t2 = tau_v**2
     R, M = arrays_from_state(state)
-    st = _Stepper(grid, p, float(np.mean(R)), _contrast(R))
-    if p.eta1 == 0.0 and float(np.min(R)) < -1e-5 * max(float(np.max(R)), 1e-300):
+    st = _Stepper(grid, params, float(np.mean(R)), _contrast(R))
+    if st.p.eta1 == 0.0 and float(np.min(R)) < -1e-5 * max(float(np.max(R)), 1e-300):
         raise SolverError("density below floor (blow-up) with eta1 = 0")
     sp = st.sp
-    rho = st.rho_smooth(R)
-    U = [m / rho for m in M]
-
-    dR = -sp.div(M) / t2
-    if p.delta1 > 0:
-        dR += (p.delta1 / t2) * sp.lap(R)
-
-    Rh = sp.fwd(R)
-    grad_R = sp.grad(R, Rh)
-    pgrad = p.nu * taudot_v / tau_v - 1.0
-    dM = [pgrad * gr - 2.0 * yi * R for gr, yi in zip(grad_R, st.y)]
-    gradU = [sp.grad(u) for u in U]
-    gradM = [sp.grad(m) for m in M]
-    if p.eps > 0:
-        kort = st.korteweg_divform(R)
-        for j in range(grid.d):
-            dM[j] += (p.eps**2 / (2.0 * t2)) * kort[j]
-    for j in range(grid.d):
-        dM[j] += sp.div_dealiased(st.stress_row(j, R, M, U, grad_R, gradU, gradM)) / t2
-        if p.delta1 > 0:
-            dM[j] -= (p.delta1 / t2) * sp.dealias(
-                sum(grad_R[i] * gradU[j][i] for i in range(grid.d))
-            )
-        if p.delta2 > 0:
-            dM[j] -= (p.delta2 / t2) * sp.lap(U[j], 2)
-        if p.r0 > 0:
-            dM[j] -= (p.r0 / t2) * U[j]
-        if p.r1 > 0:
-            u2 = sum(u * u for u in U)
-            dM[j] -= (p.r1 / t2) * sp.dealias(R * u2 * U[j])
-    if p.eta1 > 0:
-        cold = sp.grad(rho ** (-p.alpha))
-        for j in range(grid.d):
-            dM[j] += p.eta1 * cold[j]
-    if p.eta2 > 0:
-        for j, sym in enumerate(sp.grad_lap_symbol(2 * p.s + 1)):
-            dM[j] += (p.eta2 / t2) * sp.dealias(R * sp.inv(sym * Rh))
+    c_u = st.bilaplacian_coefficient(R)
+    a, e = st.linear_symbols(tau_v, c_u)
+    Mh = [sp.fwd(m) for m in M]
+    dR = sp.inv(a * sp.fwd(R) - sum(ik * mh for ik, mh in zip(sp.ik, Mh)) / tau_v**2)
+    F_R, grad_R = st.density_forces(R, tau_v, taudot_v)
+    N = st.n_rhs(R, M, tau_v, F_R, grad_R, c_u)
+    drag = st.drag_rate(R, M, tau_v)
+    dM = [sp.inv(e * mh) + n + f for mh, n, f in zip(Mh, N, drag)]
     return ScalarField(grid, dR), VectorField.from_arrays(grid, dM)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import isofluid.experiments as E
+from isofluid import diagnostics as diag
 from isofluid import io as io_
 from isofluid.cli import main as cli_main
 from isofluid.spectral import Grid, ScalarField
@@ -117,8 +118,15 @@ def test_cli_bad_config(tmp_path):
         (["simulate"], {"params": {"nu": -1}}),
         (["simulate"], {"grid": {"n": "x"}}),
         (["sweep", "--axis", "delta"], {"params": {"bogus": 1}}),
+        (["simulate"], {"params": {"nu": 0.1},
+                        "initial": {"generator": "prepared_gaussian", "theta": -1}}),
+        (["simulate"], {"params": {"nu": 0.1},
+                        "initial": {"generator": "perturbed_gaussian", "amplitude": "x"}}),
+        (["simulate"], {"params": {"nu": 0.1}, "initial": "gaussian"}),
+        (["simulate"], {"params": {"nu": 0.1}, "t_end": "x"}),
     ],
-    ids=["unknown_param", "negative_nu", "non_integer_n", "sweep_unknown_param"],
+    ids=["unknown_param", "negative_nu", "non_integer_n", "sweep_unknown_param",
+         "negative_theta", "non_numeric_amplitude", "initial_not_a_dict", "non_numeric_t_end"],
 )
 def test_cli_bad_construction_exits_3(tmp_path, command, config):
     cfg = tmp_path / "bad.json"
@@ -153,12 +161,12 @@ def test_cli_check_filter(tmp_path):
     assert rc == 0
 
 
-def test_check_catches_injected_sign_error():
-    E.FAULTS["korteweg_sign"] = -1.0
-    try:
-        ok, failures = E.check(filter="korteweg", verbose=False)
-    finally:
-        E.FAULTS.clear()
+def test_check_catches_injected_sign_error(monkeypatch):
+    stress = diag.korteweg_stress
+    monkeypatch.setattr(
+        diag, "korteweg_stress", lambda sp, s: [[-a for a in row] for row in stress(sp, s)]
+    )
+    ok, failures = E.check(filter="korteweg", verbose=False)
     assert not ok
     assert any("korteweg_residual" in f for f in failures)
 

@@ -8,6 +8,8 @@ import pytest
 from isofluid.params import ParamSet
 from isofluid.rescaling import FluidState
 from isofluid.solver import (
+    _Stepper,
+    arrays_from_state,
     drag_schedule,
     mollifier_kernel,
     prepare_initial_data,
@@ -67,6 +69,47 @@ def test_korteweg_divergence_form_matches_potential_form():
     kort = dM[0].values - dM0[0].values  # = (eps^2/2) Div(S_K)
     rel = np.abs(kort - 2.0 * lhs[0]).max() / np.abs(kort).max()
     assert rel < 1e-8
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {},
+        {"nu": 0.1},
+        {"eps": 0.5},
+        {"delta1": 1e-2},
+        {"delta2": 1e-4},
+        {"eta1": 1e-3},
+        {"eta2": 1e-8, "s": 2},
+        {"r0": 0.1},
+        {"r1": 1.0},
+    ],
+    ids=["base", "nu", "eps", "delta1", "delta2", "eta1", "eta2", "r0", "r1"],
+)
+def test_rhs_is_the_generator_of_step(term):
+    # D(h) = (advance(h) x - x)/h - rhs(x) is O(h); its Richardson limit
+    # 2 D(h/2) - D(h) is O(h^2) when rhs is the step's generator, term by term
+    g = Grid(1, 8.0, 128)
+    y = np.broadcast_to(g.y[0], g.shape)
+    s = np.exp(-(y**2) / 2.0) * np.sqrt(1.0 + 0.4 * np.cos(math.pi * y / g.ell)) + 0.5
+    lam = 0.6 * np.exp(-(y**2) / 2.0) * np.sin(2 * math.pi * y / g.ell)
+    st = FluidState(
+        t=0.0, grid=g, sqrtR=ScalarField(g, s), Lambda=VectorField.from_arrays(g, [lam])
+    )
+    p = ParamSet(**{"eps": 1e-3, "viscous_form": "bounded", **term})
+    tau, h = (1.3, 0.4), 2e-5
+    dR, dM = rhs(st, p, tau)
+    R, M = arrays_from_state(st)
+    stepper = _Stepper(g, p, float(np.mean(R)), float(R.min() / R.max()))
+
+    def defect(hh):
+        R1, M1 = stepper.advance(R, M, hh, tau)
+        return (R1 - R) / hh - dR.values, (M1[0] - M[0]) / hh - dM[0].values
+
+    (r_h, m_h), (r_h2, m_h2) = defect(h), defect(h / 2)
+    scale = np.abs(dM[0].values).max()
+    assert np.abs(2.0 * r_h2 - r_h).max() <= 1e-7 * scale
+    assert np.abs(2.0 * m_h2 - m_h).max() <= 1e-7 * scale
 
 
 def test_step_frozen_tau_preserves_equilibrium():
