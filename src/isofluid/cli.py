@@ -55,50 +55,34 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_KIND_BY_COMMAND = {
-    "simulate": "simulate",
-    "longtime": "longtime",
-    "korteweg": "korteweg_crosscheck",
-    "tau": "tau",
-    "check": "check",
-}
+_KIND_BY_COMMAND = {"korteweg": "korteweg_crosscheck"}  # other commands name their kind
 
 
 def config_from_args(args) -> ExperimentConfig:
     raw: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise BadConfig(f"cannot read {args.config}: {exc}") from exc
+    kind = (f"sweep_{args.axis}" if args.command == "sweep"
+            else _KIND_BY_COMMAND.get(args.command, args.command))
+    flags = {"out_dir": args.out, "seed": args.seed, "threads": args.threads,
+             "t_end": args.t_end, "filter": getattr(args, "filter", None)}
     if args.command == "sweep":
-        raw["kind"] = f"sweep_{args.axis}"
-    else:
-        raw.setdefault("kind", _KIND_BY_COMMAND[args.command])
-        if raw["kind"] != _KIND_BY_COMMAND[args.command]:
-            raise BadConfig(
-                f"config kind {raw['kind']!r} does not match command {args.command!r}"
-            )
-    if args.out is not None:
-        raw["out_dir"] = args.out
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.threads is not None:
-        raw["threads"] = args.threads
-    if args.t_end is not None:
-        raw["t_end"] = args.t_end
-    if getattr(args, "filter", None):
-        raw["filter"] = args.filter
-    return ExperimentConfig.from_dict(raw)
+        flags["kind"] = kind
+    overrides = {key: val for key, val in flags.items() if val is not None}
+    config = ExperimentConfig.from_dict(raw, kind, **overrides)
+    if config.kind != kind:
+        raise BadConfig(f"config kind {config.kind!r} does not match command {args.command!r}")
+    return config
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except (BadConfig, OSError, json.JSONDecodeError) as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
-        return 3
-    try:
-        return run_experiment(config)
+        return run_experiment(config_from_args(args))
     except BadConfig as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 3

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .params import ParamSet
-from .rescaling import FluidState, VACUUM_FLOOR_REL, smooth_density
+from .rescaling import FluidState, smooth_density, vacuum_floor
 from .spectral import Grid, ScalarField
 
 __all__ = [
@@ -76,7 +76,7 @@ class StateOps:
     r_floor is the density floor of the velocity recovery, of the eta1 clamp
     rho_tilde = max(R, r_floor) and of the live set of R |hess log R|^2;
     record passes the solver's r_min, and it defaults to
-    VACUUM_FLOOR_REL * max R."""
+    rescaling.vacuum_floor(R)."""
 
     def __init__(self, state: FluidState, r_floor: float | None = None):
         self.state = state
@@ -86,7 +86,7 @@ class StateOps:
         self.R = self.s**2
         self.lam = [c.values for c in state.Lambda.components]
         if r_floor is None:
-            r_floor = VACUUM_FLOOR_REL * max(self.R.max(), 1e-300)
+            r_floor = vacuum_floor(self.R)
         self.r_floor = r_floor
         self._cache: dict = {}
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,62 +68,103 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
+    def from_dict(cls, raw, default_kind: str | None = None, **overrides) -> "ExperimentConfig":
+        """Check raw JSON: a mapping of known keys, each value of its field's
+        type, with a finite t_end; overrides replace keys of raw."""
+        if not isinstance(raw, dict):
+            raise BadConfig(f"config must be a JSON object, got {type(raw).__name__}")
+        raw = {"kind": default_kind, **raw, **overrides}
         version = raw.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise BadConfig(f"unsupported schema_version {version}")
-        kind = raw.pop("kind", None)
-        if kind not in EXPERIMENT_KINDS:
-            raise BadConfig(f"kind must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-        cfg = cls(kind=kind)
+        cfg = cls(kind=raw.pop("kind"))
+        if cfg.kind not in EXPERIMENT_KINDS:
+            raise BadConfig(f"kind must be one of {EXPERIMENT_KINDS}, got {cfg.kind!r}")
         for key, val in raw.items():
-            if not hasattr(cfg, key):
+            if key not in _KEY_TYPES:
                 raise BadConfig(f"unknown config key {key!r}")
+            name, types = _KEY_TYPES[key]
+            if isinstance(val, bool) or not isinstance(val, types):
+                raise BadConfig(f"{key} must be {name}, got {val!r}")
             setattr(cfg, key, val)
-        if isinstance(cfg.t_end, bool) or not isinstance(cfg.t_end, (int, float)):
-            raise BadConfig(f"t_end must be a number, got {cfg.t_end!r}")
-        if cfg.ladder and any(
-            not (a < b) for a, b in zip(cfg.ladder, cfg.ladder[1:])
-        ) and any(not (a > b) for a, b in zip(cfg.ladder, cfg.ladder[1:])):
-            raise BadConfig("ladder axis must be strictly monotone")
+        if not abs(cfg.t_end) <= sys.float_info.max:
+            raise BadConfig(f"t_end must be a finite float, got {cfg.t_end!r}")
         return cfg
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "threads": self.threads,
-            "grid": self.grid,
-            "params": self.params,
-            "initial": self.initial,
-            "t_end": self.t_end,
-            "snapshot_every": self.snapshot_every,
-            "diag_every": self.diag_every,
-            "ladder": self.ladder,
-            "filter": self.filter,
-            "schema_version": self.schema_version,
-        }
+    def build(self) -> "RunInputs":
+        """Construct everything this kind runs on, then create out_dir; any
+        failure raises BadConfig before an output exists."""
+        kind = self.kind
 
-    def make_grid(self) -> Grid:
-        g = self.grid
-        try:
-            return Grid(int(g.get("d", 1)), float(g.get("ell", 8.0)), int(g.get("n", 256)))
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise BadConfig(f"grid: {exc}") from exc
+        def params(d: int, **overrides) -> ParamSet:
+            return ParamSet(**{**self.params, **overrides}).bind(d)
 
-    def make_params(self, **overrides) -> ParamSet:
         try:
-            return ParamSet(**{**self.params, **overrides})
-        except (TypeError, ValueError) as exc:
-            raise BadConfig(f"params: {exc}") from exc
+            inputs = RunInputs(out=Path(self.out_dir))
+            ladder = list(self.ladder) or DEFAULT_LADDER.get(kind, [])
+            steps = list(zip(ladder, ladder[1:]))
+            if any(not a < b for a, b in steps) and any(not a > b for a, b in steps):
+                raise BadConfig("ladder axis must be strictly monotone")
+            if kind == "tau" and not self.t_end > 0:
+                raise BadConfig(f"tau needs t_end > 0, got {self.t_end!r}")
+            if kind not in ("tau", "check"):
+                g = self.grid
+                grid = Grid(int(g.get("d", 1)), float(g.get("ell", 8.0)), int(g.get("n", 256)))
+            if kind == "korteweg_crosscheck":
+                eps = float(self.params.get("eps", 1.0))
+                spec = self.initial
+                if spec.get("generator") in (None, "gaussian"):
+                    spec = {"generator": "offset_gaussian", "offset": 0.35, "offset_width": 3.0}
+                inputs.psi0 = make_wavefunction(grid, spec, eps)
+                inputs.pairs = [(float(ds), float(dt)) for ds, dt in ladder]
+                for ds, dt in inputs.pairs:  # the hydro parameters of the cross-check
+                    ParamSet(nu=0.0, eps=eps, delta1=ds, dt=dt)
+            elif kind == "sweep_drag_ell":
+                for v in ladder:
+                    g = Grid(grid.d, float(v), grid.n)
+                    init = make_initial(
+                        g, {"generator": "prepared_gaussian", "theta": 1.0 / v**3, "iota": 1.0 / v},
+                        self.seed,
+                    )
+                    r0, r1, eps_l = solver.drag_schedule(v, init.R, self.params.get("eps", 0.0))
+                    inputs.points.append((v, init, params(g.d, r0=r0, r1=r1, eps=eps_l)))
+            elif kind not in ("tau", "check"):
+                keys = SWEEP_KEYS.get(kind, ())
+                for v in ladder if keys else [None]:
+                    init = make_initial(grid, self.initial, self.seed)
+                    inputs.points.append((v, init, params(grid.d, **dict.fromkeys(keys, v))))
+            inputs.out.mkdir(parents=True, exist_ok=True)
+        except (TypeError, ValueError, AttributeError, ArithmeticError, OSError) as exc:
+            raise BadConfig(str(exc)) from exc
+        return inputs
 
-    def make_initial(self, grid: Grid) -> FluidState:
-        try:
-            return make_initial(grid, self.initial, self.seed)
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise BadConfig(f"initial: {exc}") from exc
+
+# (name, JSON types) of each config key, from the field annotations
+_KEY_TYPES = {
+    f.name: (f.type, {"str": str, "int": int, "float": (int, float), "dict": dict,
+                      "list": list, "str | None": (str, type(None))}[f.type])
+    for f in fields(ExperimentConfig)
+}
+
+# the ladder of each kind whose config gives none
+DEFAULT_LADDER = {
+    "sweep_delta": [1e-2, 1e-3, 1e-4],
+    "sweep_eta": [1e-10, 1e-11, 1e-12],
+    "sweep_drag_ell": [4.0, 8.0, 16.0],
+    "korteweg_crosscheck": [[1e-3, 2e-3], [1e-4, 1e-3]],
+}
+# the ParamSet fields a sweep_delta / sweep_eta ladder value sets
+SWEEP_KEYS = {"sweep_delta": ("delta1", "delta2"), "sweep_eta": ("eta2",)}
+
+
+@dataclass
+class RunInputs:
+    """What one experiment runs on, as ExperimentConfig.build constructed it."""
+
+    out: Path
+    points: list = field(default_factory=list)  # (axis value, initial state, bound ParamSet)
+    psi0: WaveFunction | None = None  # the cross-check's initial wavefunction
+    pairs: list = field(default_factory=list)  # the cross-check's (delta_stab, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -224,51 +266,46 @@ def make_wavefunction(grid: Grid, spec: dict, eps: float) -> WaveFunction:
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit status
-    (0 ok, 1 invariant violation, 2 run failure, 3 bad config)."""
+    """Execute one experiment; returns the process exit status (0 ok,
+    1 invariant violation, 2 run failure).  A bad config raises BadConfig
+    from config.build(), before any output is written."""
+    inputs = config.build()
+    kind = config.kind
+    meta = {
+        "config": asdict(config),
+        "config_hash": io_.config_hash(asdict(config)),
+        "version": _pkg_version,
+    }
     try:
-        kind = config.kind
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        meta = {
-            "config": config.as_dict(),
-            "config_hash": io_.config_hash(config.as_dict()),
-            "version": _pkg_version,
-        }
         if kind == "simulate":
-            status = _run_single(config, out, meta)
-            return 0 if status == "ok" else 2
+            return _run_single(config, inputs, meta)
         if kind in ("sweep_delta", "sweep_eta", "sweep_drag_ell"):
-            return _run_sweep(config, out, meta)
+            return _run_sweep(config, inputs, meta)
         if kind == "longtime":
-            return _run_longtime(config, out, meta)
+            return _run_longtime(config, inputs, meta)
         if kind == "korteweg_crosscheck":
-            return _run_crosscheck(config, out, meta)
+            return _run_crosscheck(config, inputs, meta)
         if kind == "tau":
-            return _run_tau(config, out, meta)
-        if kind == "check":
-            ok, failures = check(config.filter)
-            io_.write_metadata(out, {**meta, "failures": failures})
-            return 0 if ok else 1
-        raise BadConfig(f"unhandled kind {kind!r}")
-    except BadConfig:
-        raise
+            return _run_tau(config, inputs, meta)
+        ok, failures = check(config.filter)
+        io_.write_metadata(inputs.out, {**meta, "failures": failures})
+        return 0 if ok else 1
     except solver.SolverError:
         return 2
 
 
-def _simulate(config: ExperimentConfig, out: Path, **run_kw):
-    """Run the config's initial state to t_end and write diagnostics.csv."""
-    grid = config.make_grid()
-    params = config.make_params()
-    traj = solver.run(config.make_initial(grid), params, config.t_end, **run_kw)
-    io_.write_diagnostics_csv(out, traj.records, grid.d)
-    return grid, params, traj
+def _simulate(config: ExperimentConfig, inputs: RunInputs, **run_kw):
+    """Run the built initial state to t_end and write diagnostics.csv."""
+    [(_, initial, params)] = inputs.points
+    traj = solver.run(initial, params, config.t_end, **run_kw)
+    io_.write_diagnostics_csv(inputs.out, traj.records, initial.grid.d)
+    return initial.grid, params, traj
 
 
-def _run_single(config: ExperimentConfig, out: Path, meta: dict) -> str:
-    grid, params, traj = _simulate(
-        config, out, snapshot_every=config.snapshot_every, diag_every=config.diag_every
+def _run_single(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
+    out = inputs.out
+    _, params, traj = _simulate(
+        config, inputs, snapshot_every=config.snapshot_every, diag_every=config.diag_every
     )
     for snap in traj.snapshots:
         io_.write_snapshot(io_.snapshot_path(out, "R", snap.t), snap.R, snap.t)
@@ -276,56 +313,24 @@ def _run_single(config: ExperimentConfig, out: Path, meta: dict) -> str:
             io_.write_snapshot(io_.snapshot_path(out, f"Lambda{i}", snap.t), lam, snap.t)
     io_.write_metadata(
         out,
-        {**meta, "status": traj.status, "n_steps": traj.n_steps,
-         "params": params.bind(grid.d).as_dict()},
+        {**meta, "status": traj.status, "n_steps": traj.n_steps, "params": asdict(params)},
     )
-    return traj.status
+    return 0 if traj.status == "ok" else 2
 
 
-def _ladder_values(config: ExperimentConfig, default: list) -> list:
-    return list(config.ladder) if config.ladder else default
-
-
-def _run_sweep(config: ExperimentConfig, out: Path, meta: dict) -> int:
-    kind = config.kind
-    grid = config.make_grid()
+def _run_sweep(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
     rows = []
-    finals = []
 
-    if kind == "sweep_drag_ell":
-        values = _ladder_values(config, [4.0, 8.0, 16.0])
-    elif kind == "sweep_delta":
-        values = _ladder_values(config, [1e-2, 1e-3, 1e-4])
-    else:
-        values = _ladder_values(config, [1e-10, 1e-11, 1e-12])
+    def one_point(point):
+        v, init, p = point
+        return v, solver.run(init, p, config.t_end, diag_every=max(config.diag_every, 1))
 
-    def one_point(v):
-        if kind == "sweep_drag_ell":
-            g = Grid(grid.d, float(v), grid.n)
-            init = make_initial(
-                g,
-                {"generator": "prepared_gaussian",
-                 "theta": 1.0 / v**3, "iota": 1.0 / v},
-                config.seed,
-            )
-            r0, r1, eps_l = solver.drag_schedule(v, init.R, config.params.get("eps", 0.0))
-            p = config.make_params(r0=r0, r1=r1, eps=eps_l)
-        else:
-            g = grid
-            init = config.make_initial(g)
-            if kind == "sweep_delta":
-                p = config.make_params(delta1=v, delta2=v)
-            else:
-                p = config.make_params(eta2=v)
-        traj = solver.run(init, p, config.t_end, diag_every=max(config.diag_every, 1))
-        return v, traj
-
-    workers = max(1, int(config.threads))
+    workers = max(1, config.threads)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_point, values))
+            results = list(pool.map(one_point, inputs.points))
     else:
-        results = [one_point(v) for v in values]
+        results = [one_point(point) for point in inputs.points]
 
     any_fail = False
     for v, traj in results:
@@ -342,7 +347,6 @@ def _run_sweep(config: ExperimentConfig, out: Path, meta: dict) -> int:
                 "n_steps": traj.n_steps,
             }
         )
-        finals.append(traj.state_final)
         any_fail |= traj.status != "ok"
 
     # trailing pairwise-difference block (terminal density L2, same grid only)
@@ -361,27 +365,26 @@ def _run_sweep(config: ExperimentConfig, out: Path, meta: dict) -> int:
                  "l2_density_diff": float("nan"),
                  "mass_diff": abs(ta.records[-1].mass - tb.records[-1].mass)}
             )
-    _write_sweep_csv(out / "sweep.csv", rows, diffs)
-    io_.write_metadata(out, {**meta, "rows": rows, "pairwise": diffs})
+    _write_sweep_csv(inputs.out / "sweep.csv", rows, diffs)
+    io_.write_metadata(inputs.out, {**meta, "rows": rows, "pairwise": diffs})
     return 2 if any_fail else 0
 
 
 def _write_sweep_csv(path: Path, rows, diffs):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if rows:
-            cols = list(rows[0].keys())
-            w.writerow(cols)
-            for r in rows:
-                w.writerow([r[c] for c in cols])
+        cols = list(rows[0].keys())  # a sweep ladder is never empty
+        w.writerow(cols)
+        for r in rows:
+            w.writerow([r[c] for c in cols])
         w.writerow([])
         w.writerow(["pair", "l2_density_diff"])
         for d in diffs:
             w.writerow([d["pair"], d.get("l2_density_diff")])
 
 
-def _run_longtime(config: ExperimentConfig, out: Path, meta: dict) -> int:
-    grid, _, traj = _simulate(config, out, diag_every=max(config.diag_every, 1))
+def _run_longtime(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
+    grid, _, traj = _simulate(config, inputs, diag_every=max(config.diag_every, 1))
     mass = traj.records[-1].mass
     gam = diag.matched_gaussian(grid, mass)
     targets = {
@@ -389,33 +392,26 @@ def _run_longtime(config: ExperimentConfig, out: Path, meta: dict) -> int:
         "second_moment_target": float(grid.weight * (gam * grid.r2).sum()),
         "second_moment_final": traj.records[-1].second_moment,
     }
-    io_.write_metadata(out, {**meta, "status": traj.status, "targets": targets})
+    io_.write_metadata(inputs.out, {**meta, "status": traj.status, "targets": targets})
     return 0 if traj.status == "ok" else 2
 
 
-def _run_crosscheck(config: ExperimentConfig, out: Path, meta: dict) -> int:
-    grid = config.make_grid()
-    eps = float(config.params.get("eps", 1.0))
-    spec = dict(config.initial)
-    if spec.get("generator") in (None, "gaussian"):
-        spec = {"generator": "offset_gaussian", "offset": 0.35, "offset_width": 3.0}
-    psi0 = make_wavefunction(grid, spec, eps)
-    ladder = config.ladder or [[1e-3, 2e-3], [1e-4, 1e-3]]
+def _run_crosscheck(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
     rows = []
     ok = True
-    for delta_stab, dt in ladder:
+    for delta_stab, dt in inputs.pairs:
         rep = lognls.nls_to_hydro_crosscheck(
-            psi0, config.t_end, delta_stab=float(delta_stab), dt=float(dt)
+            inputs.psi0, config.t_end, delta_stab=delta_stab, dt=dt
         )
         rows.append(rep.__dict__)
         ok &= rep.status == "ok"
-    io_.write_metadata(out, {**meta, "rows": rows})
+    io_.write_metadata(inputs.out, {**meta, "rows": rows})
     return 0 if ok else 2
 
 
-def _run_tau(config: ExperimentConfig, out: Path, meta: dict) -> int:
+def _run_tau(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
     sol = tau_solve(config.t_end, 1e-10, 1e-12)
-    with open(out / "tau.csv", "w", newline="") as fh:
+    with open(inputs.out / "tau.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "tau", "taudot", "first_integral_residual"])
         res = sol.first_integral_residual()
@@ -424,7 +420,7 @@ def _run_tau(config: ExperimentConfig, out: Path, meta: dict) -> int:
                 ["%.17g" % sol.t[i], "%.17g" % sol.tau[i],
                  "%.17g" % sol.taudot[i], "%.17g" % res[i]]
             )
-    io_.write_metadata(out, {**meta, "nodes": len(sol.t)})
+    io_.write_metadata(inputs.out, {**meta, "nodes": len(sol.t)})
     return 0
 
 

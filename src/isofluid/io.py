@@ -51,15 +51,18 @@ def write_snapshot(path, field: ScalarField, t: float) -> Path:
 
 
 def read_snapshot(path) -> tuple[ScalarField, float]:
-    with open(path, "rb") as fh:
-        magic, version, d, n, ell, t = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"{path}: not a snapshot file (magic {magic!r})")
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"{path}: unsupported snapshot version {version}")
-        count = n**d
-        raw = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+    data = Path(path).read_bytes()
+    if len(data) < _HEADER.size:
+        raise ValueError(f"{path}: truncated snapshot header ({len(data)} bytes)")
+    magic, version, d, n, ell, t = _HEADER.unpack_from(data)
+    if magic != SNAPSHOT_MAGIC:
+        raise ValueError(f"{path}: not a snapshot file (magic {magic!r})")
+    if version != SNAPSHOT_VERSION:
+        raise ValueError(f"{path}: unsupported snapshot version {version}")
+    if d not in (1, 2, 3) or len(data) != _HEADER.size + 8 * n**d:
+        raise ValueError(f"{path}: {len(data) - _HEADER.size} data bytes, not a d={d} n={n} grid")
     grid = Grid(d, ell, n)
+    raw = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
     return ScalarField(grid, raw.reshape(grid.shape).copy()), t
 
 

@@ -161,8 +161,9 @@ def run_nls(
         tp = tau_at(t)
         traj.times.append(t)
         traj.mass.append(psi.mass())
-        traj.energy.append(pseudo_energy(psi, tp))
-        traj.dissipation.append(pseudo_dissipation(psi, tp))
+        ops = diag.StateOps(madelung(psi))  # one Madelung image for both functionals
+        traj.energy.append(diag.energy(ops, tp, psi.epsilon))
+        traj.dissipation.append(diag.dissipation(ops, tp, psi.epsilon, nu=0.0))
         traj.e_variant.append(nls_energy(psi, params, tp))
 
     emit()

@@ -74,6 +74,3 @@ class ParamSet:
         if self.eta2 > 0 and s <= d:
             raise ValueError("eta2 > 0 requires s > d")
         return ParamSet(**{**asdict(self), "s": int(s)})
-
-    def as_dict(self) -> dict:
-        return asdict(self)

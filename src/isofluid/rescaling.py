@@ -23,6 +23,7 @@ __all__ = [
     "FluidState",
     "WaveFunction",
     "VACUUM_FLOOR_REL",
+    "vacuum_floor",
     "smooth_density",
     "to_self_similar",
     "from_self_similar",
@@ -34,6 +35,11 @@ __all__ = [
 # non-vacuum set; below it the velocity part is set to zero, matching the
 # compatibility condition sqrt(R) U = 0 on {sqrt(R) = 0}.
 VACUUM_FLOOR_REL = 1e-12
+
+
+def vacuum_floor(a: np.ndarray) -> float:
+    """The vacuum floor of a nonnegative field a: VACUUM_FLOOR_REL * max a."""
+    return VACUUM_FLOOR_REL * max(a.max(), 1e-300)
 
 
 def smooth_density(R, r_floor: float):
@@ -72,7 +78,7 @@ class FluidState:
         """U = Lambda / sqrt(R), zero where sqrt(R) is below the vacuum floor."""
         s = self.sqrtR.values
         if floor is None:
-            floor = VACUUM_FLOOR_REL * max(s.max(), 1e-300)
+            floor = vacuum_floor(s)
         safe = np.maximum(s, floor)
         live = s > floor
         return VectorField.from_arrays(
@@ -89,7 +95,7 @@ class FluidState:
         if not np.isfinite(m) or m <= 0:
             raise ValueError(f"mass must be finite and positive, got {m}")
         s = self.sqrtR.values
-        floor = VACUUM_FLOOR_REL * max(s.max(), 1e-300)
+        floor = vacuum_floor(s)
         for c in self.Lambda.components:
             bad = np.abs(c.values)[s <= floor]
             if bad.size and bad.max() > 1e-6 * (np.abs(c.values).max() + 1e-300):
@@ -98,7 +104,7 @@ class FluidState:
     def enforce_vacuum(self) -> "FluidState":
         """Zero Lambda wherever sqrtR is at or below the vacuum floor."""
         s = self.sqrtR.values
-        floor = VACUUM_FLOOR_REL * max(s.max(), 1e-300)
+        floor = vacuum_floor(s)
         live = s > floor
         lam = VectorField.from_arrays(
             self.grid, [np.where(live, c.values, 0.0) for c in self.Lambda.components]
@@ -218,7 +224,7 @@ def madelung(psi: WaveFunction, t: float | None = None) -> FluidState:
     a = psi.re.values
     b = psi.im.values
     mod = np.sqrt(a * a + b * b)
-    floor = VACUUM_FLOOR_REL * max(mod.max(), 1e-300)
+    floor = vacuum_floor(mod)
     live = mod > floor
     safe = np.maximum(mod, floor)
     ga = grid.spectral.grad(a)

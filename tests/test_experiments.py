@@ -1,11 +1,16 @@
 """Experiment configs, CLI, artifacts, reproducibility and the check gate."""
 
+import dataclasses
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import isofluid.experiments as E
 from isofluid import diagnostics as diag
@@ -58,6 +63,13 @@ def test_snapshot_roundtrip_bitwise(tmp_path):
         bad = tmp_path / "bad.isof"
         bad.write_bytes(b"NOPE" + bytes(32))
         io_.read_snapshot(bad)
+    good = path.read_bytes()
+    for name, data in (("short_header", good[:31]), ("short_body", good[:-8]),
+                       ("trailing_bytes", good + bytes(8))):
+        bad = tmp_path / f"{name}.isof"
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=name):
+            io_.read_snapshot(bad)
 
 
 def test_cli_tau(tmp_path):
@@ -111,6 +123,9 @@ def test_cli_bad_config(tmp_path):
     assert cli_main(["simulate", "--config", str(worse), "--out", str(tmp_path)]) == 3
 
 
+NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests its own key
+
+
 @pytest.mark.parametrize(
     "command,config",
     [
@@ -124,14 +139,108 @@ def test_cli_bad_config(tmp_path):
                         "initial": {"generator": "perturbed_gaussian", "amplitude": "x"}}),
         (["simulate"], {"params": {"nu": 0.1}, "initial": "gaussian"}),
         (["simulate"], {"params": {"nu": 0.1}, "t_end": "x"}),
+        (["korteweg"], {"initial": "x"}),
+        (["korteweg"], {"initial": {"generator": "offset_gaussian", "offset": "x"}}),
+        (["korteweg"], {"ladder": [[1e-3]]}),
+        (["korteweg"], {"ladder": [1, 2]}),
+        (["korteweg"], {"params": {"eps": "x"}}),
+        (["korteweg"], {"params": {"eps": -1}}),
+        (["sweep", "--axis", "drag_ell"], {"ladder": [0, 1], **NU}),
+        (["sweep", "--axis", "drag_ell"], {"ladder": ["a"], **NU}),
+        (["simulate"], {"diag_every": "x", **NU}),
+        (["simulate"], {"snapshot_every": "x", **NU}),
+        (["simulate"], [1, 2]),
+        (["simulate"], {"ladder": [1, "a"], **NU}),
+        (["simulate"], {"grid": {"n": math.inf}, **NU}),
+        (["simulate"], {"initial": {"generator": "perturbed_gaussian", "mode": math.inf}, **NU}),
+        (["simulate"], {"out_under_file": True, **NU}),
+        (["tau"], {"t_end": -1}),
+        (["tau"], {"t_end": 0}),
+        (["check"], {"filter": 3}),
+        (["sweep", "--axis", "delta"], {"threads": "x", **NU}),
+        (["simulate"], {"t_end": math.nan, **NU}),
+        (["longtime"], {"t_end": math.nan, **NU}),
+        (["korteweg"], {"t_end": math.nan}),
+        (["tau"], {"t_end": math.nan}),
+        (["simulate"], {"t_end": math.inf, **NU}),
+        (["tau"], {"t_end": math.inf}),
+        (["simulate"], {"grid": {"ell": 1e-120}, "initial": {"generator": "prepared_gaussian"},
+                        **NU}),
     ],
     ids=["unknown_param", "negative_nu", "non_integer_n", "sweep_unknown_param",
-         "negative_theta", "non_numeric_amplitude", "initial_not_a_dict", "non_numeric_t_end"],
+         "negative_theta", "non_numeric_amplitude", "initial_not_a_dict", "non_numeric_t_end",
+         "korteweg_initial_not_a_dict", "korteweg_non_numeric_offset", "korteweg_short_pair",
+         "korteweg_scalar_pairs", "korteweg_non_numeric_eps", "korteweg_negative_eps",
+         "drag_ell_zero_ell", "drag_ell_non_numeric_ell", "non_integer_diag_every",
+         "non_integer_snapshot_every", "config_not_an_object", "non_numeric_ladder",
+         "infinite_n", "infinite_mode", "out_under_a_file", "tau_negative_t_end",
+         "tau_zero_t_end", "non_string_filter", "non_integer_threads", "nan_t_end",
+         "longtime_nan_t_end", "korteweg_nan_t_end", "tau_nan_t_end", "infinite_t_end",
+         "tau_infinite_t_end", "vanishing_ell"],
 )
-def test_cli_bad_construction_exits_3(tmp_path, command, config):
+def test_cli_bad_construction_exits_3(tmp_path, capsys, command, config):
+    out = tmp_path / "out"
+    if isinstance(config, dict) and config.pop("out_under_file", False):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
-    assert cli_main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert cli_main([*command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("bad config: ")
+    assert not out.exists()
+
+
+# a valid config of each kind on grids of n <= 32; build() runs none of them
+BUILD_BASES = {
+    "simulate": {"params": {"nu": 0.1, "eps": 0.1},
+                 "initial": {"generator": "perturbed_gaussian", "amplitude": 0.2, "mode": 1}},
+    "longtime": {"params": {"nu": 0.1, "eta1": 1e-14, "eta2": 1e-13},
+                 "initial": {"generator": "prepared_gaussian", "theta": 0.2, "iota": 0.4}},
+    "sweep_delta": {"params": {"nu": 0.1}, "ladder": [1e-3, 1e-4],
+                    "initial": {"generator": "random_positive", "roughness": 4.0}},
+    "sweep_eta": {"params": {"nu": 0.1}, "ladder": [1e-10, 1e-11],
+                  "initial": {"generator": "two_bump", "separation": 2.0, "width": 1.0}},
+    "sweep_drag_ell": {"params": {"nu": 0.1, "eps": 0.1}, "ladder": [4.0, 8.0]},
+    "korteweg_crosscheck": {"params": {"eps": 1.0}, "ladder": [[1e-3, 5e-4], [1e-4, 2.5e-4]],
+                            "initial": {"generator": "plane_wave_phase", "offset": 0.3}},
+    "tau": {},
+    "check": {"filter": "spectral"},
+}
+BUILD_KEYS = [
+    *[(f.name,) for f in dataclasses.fields(E.ExperimentConfig) if f.name != "out_dir"],
+    *[("grid", k) for k in ("d", "ell", "n")],
+    *[("params", f.name) for f in dataclasses.fields(E.ParamSet)],
+    *[("initial", k) for k in ("generator", "amplitude", "mode", "separation", "width",
+                               "theta", "iota", "roughness", "velocity_amplitude", "seed",
+                               "offset", "offset_width", "mass_match")],
+    ("ladder", 0), ("ladder", 1),
+]
+BAD_VALUES = ["x", "", None, True, [], [1.0], {}, {"a": 1}, math.nan, math.inf, -math.inf,
+              0, 0.0, -1, -2.5, 1e-300, 1e300, 2**40, 10**400]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(kind=st.sampled_from(sorted(BUILD_BASES)), key=st.sampled_from(BUILD_KEYS),
+       value=st.sampled_from(BAD_VALUES))
+def test_build_returns_or_raises_bad_config(kind, key, value):
+    raw = {"kind": kind, "grid": {"d": 1, "ell": 6.0, "n": 16}, "t_end": 0.1,
+           **json.loads(json.dumps(BUILD_BASES[kind]))}
+    if key == ("grid", "n") and isinstance(value, (int, float)) and value > 32:
+        value = 32  # a huge power of two would be allocated, not rejected
+    if len(key) == 1:
+        raw[key[0]] = value
+    elif key[0] == "ladder":
+        raw.setdefault("ladder", [1e-3, 1e-4])[key[1]] = value
+    else:
+        raw.setdefault(key[0], {})[key[1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        raw["out_dir"] = out = os.path.join(tmp, "out")
+        try:
+            inputs = E.ExperimentConfig.from_dict(raw).build()
+        except E.BadConfig:
+            assert not os.path.exists(out)
+        else:
+            assert inputs.out.is_dir()
 
 
 def test_cli_sweep_delta(tmp_path):
