@@ -567,18 +567,17 @@ def csiszar_kullback_gap(R: ScalarField) -> float:
 # algebraic identities (Korteweg, log-Hessian, Jungel)
 
 
-def korteweg_stress(sp, s) -> list:
-    """Rows of the Korteweg stress s hess s - grad s x grad s (row j holds the
-    entries i = 0..d-1), whose divergence is R grad(lap s / s) for s = sqrt R.
-    The solver's force takes the dealiased divergence of these rows."""
-    sh = sp.fwd(s)
-    gs = sp.grad(s, sh)
-    hess = sp.hessian(s, sh)
-    d = len(gs)
-    return [
-        [s * hess[(min(i, j), max(i, j))] - gs[i] * gs[j] for i in range(d)]
-        for j in range(d)
-    ]
+def korteweg_stress(sp, s, derivs=None) -> np.ndarray:
+    """The Korteweg stress s hess s - grad s x grad s as a (d, d) stack (row
+    j holds the entries i = 0..d-1), whose row divergence is
+    R grad(lap s / s) for s = sqrt R.  The solver's force takes the dealiased
+    divergence of the rows and passes `derivs`, the stack
+    sp.inv(sp.deriv_sym * sp.fwd(s)) (grad s, then the Hessian entries in
+    sp.hess_keys order), from a transform batch of its own."""
+    if derivs is None:
+        derivs = sp.inv(sp.deriv_sym * sp.fwd(s))
+    gs, hess = derivs[: sp.d], derivs[sp.d :][sp.hess_full]
+    return s * hess - gs[None, :] * gs[:, None]
 
 
 def korteweg_identity_residual(sqrtR: ScalarField) -> float:

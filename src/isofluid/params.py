@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import asdict, dataclass, fields
 
 __all__ = ["ParamSet"]
 
@@ -45,6 +46,11 @@ class ParamSet:
     viscous_form: str = "auto"
 
     def __post_init__(self):
+        # a NaN passes every comparison below, so non-finite values go first
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.nu < 0 or self.eps < 0:
             raise ValueError("nu and eps must be nonnegative")
         if self.nu == 0.0 and self.eps == 0.0:

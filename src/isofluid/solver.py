@@ -32,6 +32,17 @@ midpoint-frozen coefficients is globally second-order accurate.  `rhs` is its
 generator, summed from the same substep methods, so (step(h) x - x)/h
 tends to rhs(x) term by term.
 
+Stacked components.  M = (d,) + grid.shape, and U and every stress and
+gradient are stacked the same way ((d, d) + grid.shape for tensors), so each
+substep hands its independent transforms to the backend as one stack: the
+linear block [R, M] forward and back; in density_forces [R, sqrt_reg(R)]
+forward, their derivatives back and the force products forward; in each N
+stage [U, U - c_u M] forward, grad U back and the stress products forward;
+then one inverse per force.  The quantities that depend on R alone
+(rho_sm, the density forces, grad R) are built once per N substep.  In 1D a
+stack is one transform call, 20 per advance; for d > 1 the backend
+transforms one component per call (see the spectral module notes).
+
 Floors.  The solver's one density floor is r_min (ParamSet.r_min, default
 1e-10 mean(R0)).  rho_sm = smooth_density(R, r_min) = sqrt(R^2 + r_min^2)
 recovers U = M / rho_sm and sets the drag coefficients, the advective CFL
@@ -45,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,15 +132,16 @@ def _contrast(R) -> float:
 
 
 def arrays_from_state(state: FluidState):
+    """(R, M) with M stacked, shape (d,) + grid.shape."""
     s = state.sqrtR.values
-    return s**2, [s * c.values for c in state.Lambda.components]
+    return s**2, s * np.stack(state.Lambda.arrays())
 
 
 def state_from_arrays(
     grid: Grid, t: float, R, M, r_floor: float, mass_ratio: float = 1.0
 ) -> FluidState:
     s = np.sqrt(np.maximum(R, 0.0))
-    lam = [m / np.sqrt(smooth_density(R, r_floor)) for m in M]
+    lam = M / np.sqrt(smooth_density(R, r_floor))
     return FluidState(
         t=t,
         grid=grid,
@@ -139,8 +152,21 @@ def state_from_arrays(
     )
 
 
+class _Frozen(NamedTuple):
+    """What the N substep reads of R, which it never changes: R, rho_sm(R),
+    the density forces F on M and grad R (each stacked (d,) + grid.shape)."""
+
+    R: np.ndarray
+    rho: np.ndarray
+    F: np.ndarray
+    grad_R: np.ndarray
+
+
 class _Stepper:
-    """Work tables bound to one (grid, params) pair."""
+    """Work tables bound to one (grid, params) pair.  M, U and every stress
+    and gradient are stacked component arrays, (d,) + grid.shape or
+    (d, d) + grid.shape, so that each substep hands its independent
+    transforms to the backend as one stack."""
 
     def __init__(self, grid: Grid, params: ParamSet, r0_mean: float, r0_contrast: float = 1.0):
         self.grid = grid
@@ -155,7 +181,14 @@ class _Stepper:
         g = grid
         self.sp = g.spectral
         self.kmx = math.pi * (g.n / 2) / g.ell * math.sqrt(g.d)
-        self.y = [np.broadcast_to(yi, g.shape) for yi in g.y]
+        # 2 y of the confinement force, and the constant symbol products of
+        # the density and N forces
+        self.y2 = 2.0 * np.stack([np.broadcast_to(yi, g.shape) for yi in g.y])
+        p, sp = self.p, self.sp
+        self.eta1_ik = p.eta1 * sp.ik
+        self.delta1_mask = p.delta1 * sp.mask
+        self.delta2_lap2 = p.delta2 * sp.lap_symbol(2)
+        self._propagator = (None, None)
 
     # -- helpers -----------------------------------------------------------
 
@@ -169,11 +202,12 @@ class _Stepper:
         stay spectrally clean through the vacuum transition."""
         return smooth_density(R, self.r_min)
 
-    def sqrt_reg(self, R):
-        """Smooth regularized root: sqrt(R) + O(r_min/sqrt(R)) in the bulk,
-        C-infinity through ring-induced zero crossings (plain sqrt(max(R, 0))
-        has square-root kinks there whose Korteweg stress pollutes the tails)."""
-        return np.sqrt(0.5 * (R + self.rho_smooth(R)))
+    def sqrt_reg(self, R, rho):
+        """Smooth regularized root from rho = rho_sm(R): sqrt(R) + O(r_min/sqrt(R))
+        in the bulk, C-infinity through ring-induced zero crossings (plain
+        sqrt(max(R, 0)) has square-root kinks there whose Korteweg stress
+        pollutes the tails)."""
+        return np.sqrt(0.5 * (R + rho))
 
     def bilaplacian_coefficient(self, R):
         """c_u of the implicit damping -delta2 c_u lap^2 M: twice the largest
@@ -192,7 +226,7 @@ class _Stepper:
         a = p.r0 / (tau_v**2 * rho)
         if p.r1 == 0.0:
             return a, None, None
-        return a, p.r1 * np.maximum(R, 0.0) / (tau_v**2 * rho**3), sum(m * m for m in M)
+        return a, p.r1 * np.maximum(R, 0.0) / (tau_v**2 * rho**3), self.sp.sum_axes(M * M)
 
     def drag_flow(self, R, M, h, tau_v):
         p = self.p
@@ -205,13 +239,13 @@ class _Stepper:
             fac = np.sqrt(a * np.exp(-2.0 * a * h) / (a - b * m2 * np.expm1(-2.0 * a * h)))
         else:
             fac = np.sqrt(1.0 / (1.0 + 2.0 * b * m2 * h))
-        return [m * fac for m in M]
+        return M * fac
 
     def drag_rate(self, R, M, tau_v):
         """Generator of drag_flow: -(a + b |M|^2) M."""
         a, b, m2 = self.drag_coefficients(R, M, tau_v)
         rate = a if b is None else a + b * m2
-        return [-rate * m for m in M]
+        return -rate * M
 
     # -- exact linear substep ------------------------------------------------
 
@@ -221,7 +255,7 @@ class _Stepper:
         p, t2 = self.p, tau_v**2
         return -(p.delta1 / t2) * self.sp.k2, -(p.delta2 * c_u / t2) * self.sp.k2**2
 
-    def linear_flow(self, Rh, Mh, h, tau_v, c_u):
+    def linear_flow(self, R, M, h, tau_v, c_u):
         """Exact flow of the triangular constant-coefficient block
 
             d/dt Rhat   = a Rhat - (i/tau^2) k . Mhat
@@ -232,97 +266,151 @@ class _Stepper:
             Mhat(h) = e^(e h) Mhat,
             Rhat(h) = e^(a h) Rhat - (i/tau^2) k.Mhat * (e^(a h)-e^(e h))/(a-e).
 
-        The dispersive terms are handled explicitly in N under their CFL; an
-        implicit mean-density linearization was tried and rejected because its
+        [R, M] go forward as one stack and come back as one.  The dispersive
+        terms are handled explicitly in N under their CFL; an implicit
+        mean-density linearization was tried and rejected because its
         explicit counter-term interacts with the exact drag crush in vacuum
         cells, turning neutral dispersion into growth."""
-        t2 = tau_v**2
-        a, e = self.linear_symbols(tau_v, c_u)
-        Ea = np.exp(a * h)
-        Ee = np.exp(e * h)
-        diff = a - e
-        small = np.abs(diff) * h < 1e-8
-        S = np.where(small, h * Ea, (Ea - Ee) / np.where(small, 1.0, diff))
-        ikM = sum(ik * m for ik, m in zip(self.sp.ik, Mh))
-        Rh_new = Ea * Rh - (S / t2) * ikM
-        Mh_new = [Ee * m for m in Mh]
-        return Rh_new, Mh_new
+        sp = self.sp
+        Ea, S_t2, Ee = self.propagator(h, tau_v, c_u)
+        Xh = sp.fwd(np.concatenate((R[None], M)))
+        Xh[0] = Ea * Xh[0] - S_t2 * sp.sum_axes(sp.ik * Xh[1:])
+        Xh[1:] *= Ee
+        X = sp.inv(Xh)
+        return X[0], X[1:]
+
+    def propagator(self, h, tau_v, c_u):
+        """(e^(a h), (e^(a h) - e^(e h)) / ((a - e) tau^2), e^(e h)) of
+        linear_flow, kept for the next call with the same (h, tau, c_u): the
+        two half steps of one advance share it."""
+        key, prop = self._propagator
+        if key != (h, tau_v, c_u):
+            a, e = self.linear_symbols(tau_v, c_u)
+            Ea = np.exp(a * h)
+            Ee = np.exp(e * h)
+            diff = a - e
+            small = np.abs(diff) * h < 1e-8
+            S = np.where(small, h * Ea, (Ea - Ee) / np.where(small, 1.0, diff))
+            prop = (Ea, S / tau_v**2, Ee)
+            self._propagator = ((h, tau_v, c_u), prop)
+        return prop
 
     # -- explicit remainder ---------------------------------------------------
 
-    def density_forces(self, R, tau_v, taudot_v):
+    def _batch(self, transform, parts: dict) -> dict:
+        """`transform` (the backend's fwd or inv) of the named parts, each
+        stacked along one leading component axis.  In 1D the parts go as one
+        concatenated stack, so one call; for d > 1 the backend makes one call
+        per component anyway, so each part goes alone, uncopied."""
+        if len(parts) == 1 or self.grid.d > 1:
+            return {name: transform(v) for name, v in parts.items()}
+        out = transform(np.concatenate(list(parts.values())))
+        pieces, lo = {}, 0
+        for name, v in parts.items():
+            pieces[name] = out[lo : lo + len(v)]
+            lo += len(v)
+        return pieces
+
+    def density_forces(self, R, tau_v, taudot_v) -> _Frozen:
         """Forces on M that depend on R only (constant during the N substep):
         confinement + pressure (+ nu taudot/tau grad R), the divergence-form
-        Korteweg stress of the root sqrt_reg(R), cold pressure, and the eta2
-        term.  The spectral parts of each component are summed before one
-        inverse transform."""
-        p, sp = self.p, self.sp
+        Korteweg stress of the root s = sqrt_reg(R), cold pressure, and the
+        eta2 term; returned with the other R-only inputs of n_rhs.  Three
+        transform batches: [R, s] forward; grad R, the eta2 grad lap^(2s+1) R,
+        grad s and hess s back; the stress entries, the cold pressure and the
+        eta2 products forward.  The spectral parts of each component are then
+        summed before one inverse transform."""
+        p, sp, d = self.p, self.sp, self.grid.d
         t2 = tau_v**2
-        Rh = sp.fwd(R)
-        grad_R = sp.grad(R, Rh)
-        pgrad = p.nu * taudot_v / tau_v - 1.0
-        Fh = [pgrad * ik * Rh for ik in sp.ik]
+        rho = self.rho_smooth(R)
+        roots = {"R": R[None]}
         if p.eps > 0:
-            c = p.eps**2 / (2.0 * t2)
-            for j, row in enumerate(diag.korteweg_stress(sp, self.sqrt_reg(R))):
-                Fh[j] += c * sp.div_dealiased_hat(row)
-        if p.eta1 > 0:
-            coldh = sp.fwd(self.rho_tilde(R) ** (-p.alpha))
-            for j, ik in enumerate(sp.ik):
-                Fh[j] += p.eta1 * ik * coldh
+            roots["s"] = self.sqrt_reg(R, rho)[None]
+        hat = self._batch(sp.fwd, roots)
+        Rh = hat["R"][0]
+        derivs = {"grad_R": sp.ik * Rh}
         if p.eta2 > 0:
-            for j, sym in enumerate(sp.grad_lap_symbol(2 * p.s + 1)):
-                Fh[j] += (p.eta2 / t2) * sp.mask * sp.fwd(R * sp.inv(sym * Rh))
-        F = [sp.inv(fh) - 2.0 * yi * R for fh, yi in zip(Fh, self.y)]
-        return F, grad_R
+            derivs["eta2"] = sp.grad_lap_symbol(2 * p.s + 1) * Rh
+        if p.eps > 0:
+            derivs["s"] = sp.deriv_sym * hat["s"][0]
+        back = self._batch(sp.inv, derivs)
+        prods = {}
+        if p.eps > 0:
+            stress = diag.korteweg_stress(sp, roots["s"][0], back["s"])
+            prods["stress"] = stress.reshape((d * d,) + sp.shape)
+        if p.eta1 > 0:
+            prods["cold"] = self.rho_tilde(R)[None] ** (-p.alpha)
+        if p.eta2 > 0:
+            prods["eta2"] = R * back["eta2"]
+        ph = self._batch(sp.fwd, prods) if prods else {}
+        Fh = (p.nu * taudot_v / tau_v - 1.0) * sp.ik * Rh
+        if p.eps > 0:
+            stress_h = ph["stress"].reshape((d, d) + sp.half_shape)
+            Fh += (p.eps**2 / (2.0 * t2)) * sp.div_dealiased_hat(stress_h)
+        if p.eta1 > 0:
+            Fh += self.eta1_ik * ph["cold"]
+        if p.eta2 > 0:
+            Fh += (p.eta2 / t2) * sp.mask * ph["eta2"]
+        F = sp.inv(Fh) - self.y2 * R
+        return _Frozen(R, rho, F, back["grad_R"])
 
-    def stress_row(self, j, R, M, U, grad_R, gradU, gradM):
-        """Row j of the momentum flux -M U_j plus the viscous stress nu R D(U)
-        (gradU[j][i] = d_i U_j, gradM likewise; each is needed only by its
-        viscous form).
+    def stress(self, fz: _Frozen, M, U, gradU, gradM):
+        """The momentum flux -M x U plus the viscous stress nu R D(U) as a
+        (d, d) stack, row j holding the entries i (gradU[j, i] = d_i U_j,
+        gradM likewise; each is needed only by its viscous form).
 
         Two exact assemblies of R D(U): the bounded form R * D(M/rho) pairs
         cleanly with the energy functionals; the vacuum form
         (d_i M_j + d_j M_i)/2 - (M_j d_i R + M_i d_j R)/(2 rho) never
         differentiates the near-floor quotient, whose spatial ringing seeds a
         momentum amplifier on long vacuum runs."""
-        nu, d = self.p.nu, self.grid.d
-        row = [-M[i] * U[j] for i in range(d)]
+        nu, gR = self.p.nu, fz.grad_R
+        out = -M[None, :] * U[:, None]
         if nu > 0 and self.viscous_form == "bounded":
-            row = [row[i] + nu * (R * 0.5 * (gradU[j][i] + gradU[i][j])) for i in range(d)]
+            out += nu * (fz.R * 0.5 * (gradU + gradU.swapaxes(0, 1)))
         elif nu > 0:
-            row = [
-                row[i] + nu * (
-                    0.5 * (gradM[j][i] + gradM[i][j])
-                    - 0.5 * (U[j] * grad_R[i] + U[i] * grad_R[j])
-                )
-                for i in range(d)
-            ]
-        return row
-
-    def n_rhs(self, R, M, tau_v, F_R, grad_R, c_u):
-        """M-dependent part of the explicit remainder, plus the frozen F_R:
-        per component one dealiased divergence of the stress row plus the
-        delta1 and delta2 terms, summed in spectral space."""
-        p, sp = self.p, self.sp
-        t2 = tau_v**2
-        rho = self.rho_smooth(R)
-        U = [m / rho for m in M]
-        gradU = gradM = None
-        if p.nu > 0 and self.viscous_form == "vacuum":
-            gradM = [sp.grad(m) for m in M]  # gradM[j][i] = d_i M_j
-        if (p.nu > 0 and self.viscous_form == "bounded") or p.delta1 > 0:
-            gradU = [sp.grad(u) for u in U]  # gradU[j][i] = d_i U_j
-        out = []
-        for j in range(self.grid.d):
-            fh = sp.div_dealiased_hat(self.stress_row(j, R, M, U, grad_R, gradU, gradM))
-            if p.delta1 > 0:
-                cross = sum(grad_R[i] * gradU[j][i] for i in range(self.grid.d))
-                fh -= p.delta1 * sp.mask * sp.fwd(cross)
-            if p.delta2 > 0:
-                fh -= p.delta2 * sp.lap_symbol(2) * sp.fwd(U[j] - c_u * M[j])
-            out.append(sp.inv(fh) / t2 + F_R[j])
+            out += nu * (
+                0.5 * (gradM + gradM.swapaxes(0, 1))
+                - 0.5 * (U[:, None] * gR[None, :] + U[None, :] * gR[:, None])
+            )
         return out
+
+    def n_rhs(self, M, fz: _Frozen, tau_v, c_u):
+        """M-dependent part of the explicit remainder, plus the frozen F: per
+        component one dealiased divergence of the stress row plus the delta1
+        and delta2 terms, summed in spectral space.  Three transform batches:
+        [U, U - c_u M] forward (M in place of U in the vacuum viscous form,
+        both with delta1); grad U (grad M) back; the stress entries and the
+        delta1 cross products forward."""
+        p, sp, d = self.p, self.sp, self.grid.d
+        U = M / fz.rho
+        vacuum = p.nu > 0 and self.viscous_form == "vacuum"
+        fields = {}
+        if p.delta1 > 0 or (p.nu > 0 and not vacuum):
+            fields["U"] = U
+        if vacuum:
+            fields["M"] = M
+        if p.delta2 > 0:
+            fields["delta2"] = U - c_u * M
+        hat = self._batch(sp.fwd, fields) if fields else {}
+        flat = (d * d,) + sp.half_shape
+        to_grad = {f: sp.apply(sp.ik, hat[f]).reshape(flat) for f in ("U", "M") if f in hat}
+        grads = self._batch(sp.inv, to_grad) if to_grad else {}
+        # gradU[j, i] = d_i U_j, likewise gradM
+        gradU, gradM = (
+            grads[f].reshape((d, d) + sp.shape) if f in grads else None for f in ("U", "M")
+        )
+        stress = self.stress(fz, M, U, gradU, gradM)
+        prods = {"stress": stress.reshape((d * d,) + sp.shape)}
+        if p.delta1 > 0:
+            prods["cross"] = sp.sum_axes(fz.grad_R * gradU)
+        ph = self._batch(sp.fwd, prods)
+        fh = sp.div_dealiased_hat(ph["stress"].reshape((d, d) + sp.half_shape))
+        if p.delta1 > 0:
+            fh -= self.delta1_mask * ph["cross"]
+        if p.delta2 > 0:
+            fh -= self.delta2_lap2 * hat["delta2"]
+        return sp.inv(fh) / tau_v**2 + fz.F
 
     # -- CFL -------------------------------------------------------------------
 
@@ -357,7 +445,7 @@ class _Stepper:
         w = 1.0 / (1.0 + (np.maximum(R, 0.0) / (10.0 * self.r_min)) ** 4)
         sigma = 3.0 * self._max_rate(R, M, tau_v, taudot_v)
         fac = np.exp(-np.minimum(h * sigma * w, 50.0))
-        return [m * fac for m in M]
+        return M * fac
 
     def _max_rate(self, R, M, tau_v, taudot_v):
         p = self.p
@@ -365,7 +453,7 @@ class _Stepper:
         kmx = self.kmx
         rho = self.rho_smooth(R)
         live = R > 1e-6 * max(float(np.max(R)), 1e-300)
-        u2 = sum((m / rho) ** 2 for m in M)
+        u2 = self.sp.sum_axes((M / rho) ** 2)
         u2max = max(float(np.max(np.where(live, u2, 0.0))), 1e-300)
         rates = [math.sqrt(u2max) * kmx / t2]
         cs2 = 1.0 + p.nu * abs(taudot_v) / tau_v
@@ -387,24 +475,15 @@ class _Stepper:
         tau_v, taudot_v = tau_pair
         c_u = self.bilaplacian_coefficient(R)
 
-        sp = self.sp
         M = self.drag_flow(R, M, 0.5 * h, tau_v)
-        Rh, Mh = self.linear_flow(sp.fwd(R), [sp.fwd(m) for m in M], 0.5 * h, tau_v, c_u)
-        R, M = sp.inv(Rh), [sp.inv(m) for m in Mh]
+        R, M = self.linear_flow(R, M, 0.5 * h, tau_v, c_u)
 
-        F_R, grad_R = self.density_forces(R, tau_v, taudot_v)
-        k1 = self.n_rhs(R, M, tau_v, F_R, grad_R, c_u)
-        M1 = [m + h * k for m, k in zip(M, k1)]
-        k2 = self.n_rhs(R, M1, tau_v, F_R, grad_R, c_u)
-        M2 = [0.75 * m + 0.25 * (m1 + h * k) for m, m1, k in zip(M, M1, k2)]
-        k3 = self.n_rhs(R, M2, tau_v, F_R, grad_R, c_u)
-        M = [
-            (1.0 / 3.0) * m + (2.0 / 3.0) * (m2 + h * k)
-            for m, m2, k in zip(M, M2, k3)
-        ]
+        fz = self.density_forces(R, tau_v, taudot_v)
+        M1 = M + h * self.n_rhs(M, fz, tau_v, c_u)
+        M2 = 0.75 * M + 0.25 * (M1 + h * self.n_rhs(M1, fz, tau_v, c_u))
+        M = (1.0 / 3.0) * M + (2.0 / 3.0) * (M2 + h * self.n_rhs(M2, fz, tau_v, c_u))
 
-        Rh, Mh = self.linear_flow(sp.fwd(R), [sp.fwd(m) for m in M], 0.5 * h, tau_v, c_u)
-        R, M = sp.inv(Rh), [sp.inv(m) for m in Mh]
+        R, M = self.linear_flow(R, M, 0.5 * h, tau_v, c_u)
         M = self.drag_flow(R, M, 0.5 * h, tau_v)
         M = self.vacuum_sponge(R, M, h, tau_v, taudot_v)
         return R, M
@@ -429,12 +508,10 @@ def rhs(state: FluidState, params: ParamSet, tau) -> tuple[ScalarField, VectorFi
     sp = st.sp
     c_u = st.bilaplacian_coefficient(R)
     a, e = st.linear_symbols(tau_v, c_u)
-    Mh = [sp.fwd(m) for m in M]
-    dR = sp.inv(a * sp.fwd(R) - sum(ik * mh for ik, mh in zip(sp.ik, Mh)) / tau_v**2)
-    F_R, grad_R = st.density_forces(R, tau_v, taudot_v)
-    N = st.n_rhs(R, M, tau_v, F_R, grad_R, c_u)
-    drag = st.drag_rate(R, M, tau_v)
-    dM = [sp.inv(e * mh) + n + f for mh, n, f in zip(Mh, N, drag)]
+    Mh = sp.fwd(M)
+    dR = sp.inv(a * sp.fwd(R) - sp.sum_axes(sp.ik * Mh) / tau_v**2)
+    fz = st.density_forces(R, tau_v, taudot_v)
+    dM = sp.inv(e * Mh) + st.n_rhs(M, fz, tau_v, c_u) + st.drag_rate(R, M, tau_v)
     return ScalarField(grid, dR), VectorField.from_arrays(grid, dM)
 
 
@@ -446,7 +523,7 @@ def step(state: FluidState, params: ParamSet, dt: float, tau) -> FluidState:
     R, M = arrays_from_state(state)
     st = _Stepper(grid, params, float(np.mean(R)), _contrast(R))
     R, M = st.advance(R, M, float(dt), (float(tau[0]), float(tau[1])))
-    if not (np.all(np.isfinite(R)) and all(np.all(np.isfinite(m)) for m in M)):
+    if not (np.all(np.isfinite(R)) and np.all(np.isfinite(M))):
         raise SolverError("non-finite state after step")
     return state_from_arrays(
         grid, state.t + dt, R, M, st.r_min, mass_ratio=state.mass_ratio
@@ -510,9 +587,7 @@ def run(
             traj.status = "underflow"
             break
         R_new, M_new = st.advance(R, M, dt, tau_sol.eval(t + 0.5 * dt))
-        if not (
-            np.all(np.isfinite(R_new)) and all(np.all(np.isfinite(m)) for m in M_new)
-        ):
+        if not (np.all(np.isfinite(R_new)) and np.all(np.isfinite(M_new))):
             traj.status = "nan"
             break
         if float(np.min(R_new)) < -neg_tol:

@@ -166,6 +166,9 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
         (["tau"], {"t_end": math.inf}),
         (["simulate"], {"grid": {"ell": 1e-120}, "initial": {"generator": "prepared_gaussian"},
                         **NU}),
+        (["simulate"], {"params": {"nu": math.nan}}),
+        (["simulate"], {"params": {"nu": 0.1, "dt_policy": "fixed", "dt": math.nan}}),
+        (["simulate"], {"params": {"nu": 0.1, "r0": math.inf}}),
     ],
     ids=["unknown_param", "negative_nu", "non_integer_n", "sweep_unknown_param",
          "negative_theta", "non_numeric_amplitude", "initial_not_a_dict", "non_numeric_t_end",
@@ -176,7 +179,7 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
          "infinite_n", "infinite_mode", "out_under_a_file", "tau_negative_t_end",
          "tau_zero_t_end", "non_string_filter", "non_integer_threads", "nan_t_end",
          "longtime_nan_t_end", "korteweg_nan_t_end", "tau_nan_t_end", "infinite_t_end",
-         "tau_infinite_t_end", "vanishing_ell"],
+         "tau_infinite_t_end", "vanishing_ell", "nan_nu", "nan_dt", "inf_r0"],
 )
 def test_cli_bad_construction_exits_3(tmp_path, capsys, command, config):
     out = tmp_path / "out"

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from isofluid import experiments
 from isofluid.params import ParamSet
 from isofluid.rescaling import FluidState
 from isofluid.solver import (
@@ -110,6 +112,47 @@ def test_rhs_is_the_generator_of_step(term):
     scale = np.abs(dM[0].values).max()
     assert np.abs(2.0 * r_h2 - r_h).max() <= 1e-7 * scale
     assert np.abs(2.0 * m_h2 - m_h).max() <= 1e-7 * scale
+
+
+def _baseline_setup(d):
+    """The baseline grids of the FFT counts: 1D n=256 with every term of the
+    mass-conservation run; 2D n=128 and 3D n=32 prepared Gaussians with every
+    regularization on."""
+    if d == 1:
+        return experiments.full_reg_setup(n=256)
+    g = Grid(d, 8.0, {2: 128, 3: 32}[d])
+    state = experiments.make_initial(
+        g, {"generator": "prepared_gaussian", "theta": 0.2, "iota": 0.4}
+    )
+    params = ParamSet(
+        nu=0.1, eps=0.1, r0=0.02, r1=0.02, delta1=1e-4, delta2=1e-7,
+        eta1=1e-14, eta2=1e-22, alpha=8.0, s=d + 1, dt_policy="fixed", dt=1e-3,
+    )
+    return state, params
+
+
+@pytest.mark.parametrize("d,expected", [(1, 20), (2, 80), (3, 139)])
+def test_transform_calls_per_advance(monkeypatch, d, expected):
+    # 1D transforms each substep batch as one stack (2 per linear half step,
+    # 4 for the density forces, 4 per RK stage); d > 1 transforms one
+    # component per call
+    state, params = _baseline_setup(d)
+    R, M = arrays_from_state(state)
+    stepper = _Stepper(state.grid, params, float(R.mean()), float(R.min() / R.max()))
+    calls = []
+    for mod in (np.fft, scipy.fft):
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+            orig = getattr(mod, name)
+
+            def counted(*args, _orig=orig, _name=f"{mod.__name__}.{name}", **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    R1, M1 = stepper.advance(R, M, 1e-4, (1.0, 0.0))
+    assert len(calls) == expected
+    assert all(c.startswith("scipy.fft.") for c in calls)
+    assert np.all(np.isfinite(R1)) and np.all(np.isfinite(M1))
 
 
 def test_step_frozen_tau_preserves_equilibrium():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isofluid.spectral import (
     Grid,
@@ -217,3 +218,46 @@ def test_backend_matches_complex_reference(d, n):
     for got, ref in pairs:
         assert got.shape == g.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@st.composite
+def band_limited_stacks(draw):
+    """(grid, stack): real fields without Nyquist content on a grid of
+    d = 1..3 and n = 8..32, stacked as lead + (d,) + grid.shape with one or
+    two leading axes of 1..3 entries."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([8, 16, 32]))
+    lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = Grid(d, draw(st.sampled_from([1.0, 3.0, 8.0])), n)
+    shape = lead + (d,) + g.shape[:-1] + (n // 2 + 1,)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for axis in range(-d, 0):  # no Nyquist mode on any axis
+        nyquist = [slice(None)] * coeffs.ndim
+        nyquist[axis] = n // 2
+        coeffs[tuple(nyquist)] = 0.0
+    return g, np.fft.irfftn(coeffs, s=g.shape, axes=tuple(range(-d, 0))) * n**d
+
+
+@settings(max_examples=60)
+@given(band_limited_stacks())
+def test_stacked_backend_matches_per_component(case):
+    g, a = case
+    sp, d = g.spectral, g.d
+    ah, grads, divs = sp.fwd(a), sp.grad(a), sp.div_dealiased(a)
+    back = sp.inv(ah)
+    assert grads.shape == a.shape[:-d] + (d,) + g.shape
+    assert divs.shape == a.shape[: -d - 1] + g.shape
+    for idx in np.ndindex(a.shape[:-d]):
+        assert np.array_equal(ah[idx], sp.fwd(a[idx]))
+        assert np.array_equal(back[idx], sp.inv(ah[idx]))
+        assert np.array_equal(grads[idx], sp.grad(a[idx]))
+    for idx in np.ndindex(a.shape[: -d - 1]):
+        assert np.array_equal(divs[idx], sp.div_dealiased(a[idx]))
+    assert np.abs(back - a).max() <= 1e-13 * np.abs(a).max()
+    # identities of band-limited fields: div grad = lap = trace of the Hessian
+    f = a[(0,) * (a.ndim - d)]
+    lap = sp.lap(f)
+    tol = 1e-12 * np.abs(lap).max()
+    assert np.abs(sp.div(sp.grad(f)) - lap).max() <= tol
+    assert np.abs(sum(sp.hessian(f)[(i, i)] for i in range(d)) - lap).max() <= tol
