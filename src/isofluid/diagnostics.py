@@ -46,6 +46,7 @@ __all__ = [
     "relative_entropy",
     "csiszar_kullback_gap",
     "korteweg_stress",
+    "korteweg_stress_entries",
     "korteweg_identity_residual",
     "loghess_identity_residual",
     "compatibility_residuals",
@@ -567,17 +568,24 @@ def csiszar_kullback_gap(R: ScalarField) -> float:
 # algebraic identities (Korteweg, log-Hessian, Jungel)
 
 
-def korteweg_stress(sp, s, derivs=None) -> np.ndarray:
+def korteweg_stress(sp, s) -> np.ndarray:
     """The Korteweg stress s hess s - grad s x grad s as a (d, d) stack (row
     j holds the entries i = 0..d-1), whose row divergence is
-    R grad(lap s / s) for s = sqrt R.  The solver's force takes the dealiased
-    divergence of the rows and passes `derivs`, the stack
+    R grad(lap s / s) for s = sqrt R: its upper entries mirrored through
+    sp.hess_full (see korteweg_stress_entries)."""
+    return korteweg_stress_entries(sp, s)[sp.hess_full]
+
+
+def korteweg_stress_entries(sp, s, derivs=None) -> np.ndarray:
+    """The upper entries (i <= j, in sp.hess_keys order) of the symmetric
+    Korteweg stress s d_i d_j s - d_i s d_j s.  The solver's force takes the
+    dealiased divergence of the mirrored rows and passes `derivs`, the stack
     sp.inv(sp.deriv_sym * sp.fwd(s)) (grad s, then the Hessian entries in
     sp.hess_keys order), from a transform batch of its own."""
     if derivs is None:
         derivs = sp.inv(sp.deriv_sym * sp.fwd(s))
-    gs, hess = derivs[: sp.d], derivs[sp.d :][sp.hess_full]
-    return s * hess - gs[None, :] * gs[:, None]
+    gs, (i, j) = derivs[: sp.d], sp.hess_upper
+    return s * derivs[sp.d :] - gs[i] * gs[j]
 
 
 def korteweg_identity_residual(sqrtR: ScalarField) -> float:

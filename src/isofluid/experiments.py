@@ -313,7 +313,8 @@ def _run_single(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
             io_.write_snapshot(io_.snapshot_path(out, f"Lambda{i}", snap.t), lam, snap.t)
     io_.write_metadata(
         out,
-        {**meta, "status": traj.status, "n_steps": traj.n_steps, "params": asdict(params)},
+        {**meta, "status": traj.status, "n_steps": traj.n_steps,
+         "cfl_binding": traj.cfl_binding, "params": asdict(params)},
     )
     return 0 if traj.status == "ok" else 2
 
@@ -392,7 +393,10 @@ def _run_longtime(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> in
         "second_moment_target": float(grid.weight * (gam * grid.r2).sum()),
         "second_moment_final": traj.records[-1].second_moment,
     }
-    io_.write_metadata(inputs.out, {**meta, "status": traj.status, "targets": targets})
+    io_.write_metadata(
+        inputs.out,
+        {**meta, "status": traj.status, "cfl_binding": traj.cfl_binding, "targets": targets},
+    )
     return 0 if traj.status == "ok" else 2
 
 

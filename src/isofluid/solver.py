@@ -11,19 +11,18 @@ evaluated with (tau, taudot) frozen at the step midpoint:
 * Drag: the pointwise relaxation dM/dt = -(r0/tau^2) U - (r1/tau^2) R |U|^2 U,
   integrated exactly (Bernoulli ODE) with R frozen, not dealiased;
 * L: the constant-coefficient linear block, advanced exactly per Fourier mode.
-  It contains the full (linear) continuity equation d_t R = (-div M
-  + delta1 lap R)/tau^2, the bilaplacian damping -delta2 c_u lap^2 M / tau^2
+  It is triangular: the full (linear) continuity equation d_t R = (-div M
+  + delta1 lap R)/tau^2 and the bilaplacian damping -delta2 c_u lap^2 M / tau^2
   with c_u = 2/min(rho_sm) (which dominates the variable-coefficient
-  remainder, so that pair is unconditionally stable), and the mean-density
-  linearizations of the dispersive terms, (eps^2/4) grad lap R and
-  eta2 Rbar grad lap^(2s+1) R.  The longitudinal (Rhat, k.Mhat/|k|) pair is
-  exponentiated in closed form through the eigenvalues mu +/- zeta;
+  remainder, so that pair is unconditionally stable).  M does not feel R
+  inside L, so its exponential is closed form (see linear_flow);
 * N: every remaining term (advection, confinement plus pressure evaluated
   together so they cancel pointwise on the Gaussian equilibrium, cold
-  pressure, viscosity, the delta1 cross term, and the variable-coefficient
-  remainders of the Korteweg / delta2 / eta2 terms), advanced with
+  pressure, viscosity, the delta1 cross term, the Korteweg and eta2 terms,
+  and the variable-coefficient remainder of the delta2 term), advanced with
   three-stage SSP Runge-Kutta, whose stability region covers the imaginary
-  axis up to sqrt(3) (dispersive remainders) and the real axis to -2.51.
+  axis up to sqrt(3) (dispersive terms) and the real axis to -2.51, under
+  the CFL bound of cfl_dt.
   N never touches R, so the zero mode of R is exactly constant and mass is
   conserved to round-off.
 
@@ -82,6 +81,7 @@ __all__ = [
 
 _RK3_IMAG = math.sqrt(3.0)  # imaginary-axis stability reach of SSP-RK3
 _RK3_REAL = 2.51  # real-axis stability reach of SSP-RK3
+_DEALIASED = 2.0 / 3.0  # band of a force that enters M through the 2/3 mask
 
 
 class SolverError(RuntimeError):
@@ -99,6 +99,9 @@ class Trajectory:
     status: str = "ok"
     n_steps: int = 0
     state_final: FluidState | None = None
+    # steps per binding CFL family (cfl_dt), or "dt_cap" where params.dt
+    # bound; empty under the fixed policy
+    cfl_binding: dict = field(default_factory=dict)
 
     def series(self, name: str) -> np.ndarray:
         return np.asarray([getattr(r, name) for r in self.records], dtype=float)
@@ -189,6 +192,7 @@ class _Stepper:
         self.delta1_mask = p.delta1 * sp.mask
         self.delta2_lap2 = p.delta2 * sp.lap_symbol(2)
         self._propagator = (None, None)
+        self._rho = (None, None)
 
     # -- helpers -----------------------------------------------------------
 
@@ -199,8 +203,18 @@ class _Stepper:
         """smooth_density(R, r_min): equals R up to a relative bias
         (r_min/R)^2 in the bulk and stays >= r_min without the kink of
         max(R, r_min), so velocity recoveries and exponentiated drag factors
-        stay spectrally clean through the vacuum transition."""
-        return smooth_density(R, self.r_min)
+        stay spectrally clean through the vacuum transition.
+
+        Kept, read-only, for the last R array it was asked for: the CFL, c_u
+        and the first drag of a step read one R, the last drag, the sponge
+        and the next step's CFL another, so a step builds it once per
+        distinct R.  Neither the stepper nor run writes into an R array."""
+        key, rho = self._rho
+        if key is not R:
+            rho = smooth_density(R, self.r_min)
+            rho.flags.writeable = False
+            self._rho = (R, rho)
+        return rho
 
     def sqrt_reg(self, R, rho):
         """Smooth regularized root from rho = rho_sm(R): sqrt(R) + O(r_min/sqrt(R))
@@ -311,16 +325,23 @@ class _Stepper:
             lo += len(v)
         return pieces
 
+    # CFL bands, the largest |k| / kmx each force reaches: the pressure
+    # i k Rh and the cold pressure are not masked, so the acoustic wave sees
+    # the whole grid; the Korteweg stress and the eta2 product enter M
+    # through div_dealiased_hat and sp.mask
+    ACOUSTIC_BAND = 1.0
+    KORTEWEG_BAND = ETA2_BAND = _DEALIASED
+
     def density_forces(self, R, tau_v, taudot_v) -> _Frozen:
         """Forces on M that depend on R only (constant during the N substep):
         confinement + pressure (+ nu taudot/tau grad R), the divergence-form
         Korteweg stress of the root s = sqrt_reg(R), cold pressure, and the
         eta2 term; returned with the other R-only inputs of n_rhs.  Three
         transform batches: [R, s] forward; grad R, the eta2 grad lap^(2s+1) R,
-        grad s and hess s back; the stress entries, the cold pressure and the
-        eta2 products forward.  The spectral parts of each component are then
-        summed before one inverse transform."""
-        p, sp, d = self.p, self.sp, self.grid.d
+        grad s and hess s back; the upper stress entries, the cold pressure
+        and the eta2 products forward.  The spectral parts of each component
+        are then summed before one inverse transform."""
+        p, sp = self.p, self.sp
         t2 = tau_v**2
         rho = self.rho_smooth(R)
         roots = {"R": R[None]}
@@ -336,8 +357,9 @@ class _Stepper:
         back = self._batch(sp.inv, derivs)
         prods = {}
         if p.eps > 0:
-            stress = diag.korteweg_stress(sp, roots["s"][0], back["s"])
-            prods["stress"] = stress.reshape((d * d,) + sp.shape)
+            # the stress is symmetric: transform its upper entries and
+            # mirror them through sp.hess_full
+            prods["stress"] = diag.korteweg_stress_entries(sp, roots["s"][0], back["s"])
         if p.eta1 > 0:
             prods["cold"] = self.rho_tilde(R)[None] ** (-p.alpha)
         if p.eta2 > 0:
@@ -345,7 +367,7 @@ class _Stepper:
         ph = self._batch(sp.fwd, prods) if prods else {}
         Fh = (p.nu * taudot_v / tau_v - 1.0) * sp.ik * Rh
         if p.eps > 0:
-            stress_h = ph["stress"].reshape((d, d) + sp.half_shape)
+            stress_h = ph["stress"][sp.hess_full]
             Fh += (p.eps**2 / (2.0 * t2)) * sp.div_dealiased_hat(stress_h)
         if p.eta1 > 0:
             Fh += self.eta1_ik * ph["cold"]
@@ -353,6 +375,13 @@ class _Stepper:
             Fh += (p.eta2 / t2) * sp.mask * ph["eta2"]
         F = sp.inv(Fh) - self.y2 * R
         return _Frozen(R, rho, F, back["grad_R"])
+
+    # the flux and the viscous stress enter M through div_dealiased_hat, but
+    # the flux's waves run at U +- c, not at the advective rate's U, so that
+    # family keeps the full band as a margin: at 2/3 kmx its dt came out
+    # above envelope/1.5 in test_cfl_dt_within_stability_envelope
+    ADVECTIVE_BAND = 1.0
+    VISCOUS_BAND = _DEALIASED
 
     def stress(self, fz: _Frozen, M, U, gradU, gradM):
         """The momentum flux -M x U plus the viscous stress nu R D(U) as a
@@ -415,12 +444,20 @@ class _Stepper:
     # -- CFL -------------------------------------------------------------------
 
     def cfl_dt(self, R, M, tau_v, taudot_v):
-        """dt = cfl * sqrt(3) / max(rates): advective, acoustic (with the cold
-        pressure's sound-speed boost), viscous (rescaled by sqrt(3)/2.51 so
-        its effective reach is the real axis), Korteweg dispersive, and the
-        eta2 wave.  The advective scale counts live cells only: deep-vacuum
+        """(dt, family): dt = cfl * sqrt(3) / the largest rate of the explicit
+        families in _rates, and the family that sets it.  Each family's rate
+        is taken at its band, rate(kmx) * band**power, the band being the
+        largest |k| its force reaches: acoustic (with the cold pressure's
+        sound-speed boost) at the grid's kmx, because the pressure is not
+        masked; viscous (rescaled by sqrt(3)/2.51 so its effective reach is
+        the real axis), Korteweg dispersive and the eta2 wave at (2/3) kmx,
+        because their forces pass the 2/3 mask; advective at kmx, although
+        the flux passes the mask, because its waves also carry the sound
+        speed.  The advective scale counts live cells only: deep-vacuum
         U = M/rho is noise over the floor."""
-        return self.p.cfl * _RK3_IMAG / self._max_rate(R, M, tau_v, taudot_v)
+        rows = self._rates(R, M, tau_v, taudot_v)
+        rate, family = max((rate * band**power, name) for name, rate, power, band in rows)
+        return self.p.cfl * _RK3_IMAG / rate, family
 
     # -- vacuum momentum sponge ----------------------------------------------
 
@@ -432,9 +469,10 @@ class _Stepper:
         and viscous couplings (rate ~ coefficient * M_vac / r_min * k^2).
         Physically the region below the floor carries no resolvable momentum;
         the sponge pins it at the forcing floor.  The rate outruns every
-        explicit family by 3x and the profile is smooth in R, so no Gibbs
-        cliff is imprinted.  The threshold sits just above r_min: higher up
-        the flow is physical and must not be touched.
+        explicit family, each taken at the full-grid kmx, by 3x and the
+        profile is smooth in R, so no Gibbs cliff is imprinted.  The
+        threshold sits just above r_min: higher up the flow is physical and
+        must not be touched.
 
         Active only together with the vacuum viscous form (long vacuum
         horizons): the momentum it removes is not accounted for by the energy
@@ -443,31 +481,36 @@ class _Stepper:
         if self.viscous_form != "vacuum":
             return M
         w = 1.0 / (1.0 + (np.maximum(R, 0.0) / (10.0 * self.r_min)) ** 4)
-        sigma = 3.0 * self._max_rate(R, M, tau_v, taudot_v)
+        sigma = 3.0 * max(rate for _, rate, _, _ in self._rates(R, M, tau_v, taudot_v))
         fac = np.exp(-np.minimum(h * sigma * w, 50.0))
         return M * fac
 
-    def _max_rate(self, R, M, tau_v, taudot_v):
-        p = self.p
+    def _rates(self, R, M, tau_v, taudot_v):
+        """(family, rate at kmx, power of |k|, band) of each active explicit
+        family: its rate grows as |k|^power, and band is the largest |k| / kmx
+        its force reaches (the *_BAND constants beside the forces)."""
+        p, kmx = self.p, self.kmx
         t2 = tau_v**2
-        kmx = self.kmx
-        rho = self.rho_smooth(R)
-        live = R > 1e-6 * max(float(np.max(R)), 1e-300)
-        u2 = self.sp.sum_axes((M / rho) ** 2)
+        rmax = max(float(np.max(R)), 1e-300)
+        live = R > 1e-6 * rmax
+        u2 = self.sp.sum_axes((M / self.rho_smooth(R)) ** 2)
         u2max = max(float(np.max(np.where(live, u2, 0.0))), 1e-300)
-        rates = [math.sqrt(u2max) * kmx / t2]
         cs2 = 1.0 + p.nu * abs(taudot_v) / tau_v
         if p.eta1 > 0:
             cs2 += p.eta1 * p.alpha * float(np.max(self.rho_tilde(R) ** (-p.alpha - 1.0)))
-        rates.append(math.sqrt(cs2) * kmx / tau_v)
+        rows = [
+            ("advective", math.sqrt(u2max) * kmx / t2, 1, self.ADVECTIVE_BAND),
+            ("acoustic", math.sqrt(cs2) * kmx / tau_v, 1, self.ACOUSTIC_BAND),
+        ]
         if p.nu > 0:
-            rates.append(p.nu * kmx**2 / t2 * (_RK3_IMAG / _RK3_REAL))
+            rate = p.nu * kmx**2 / t2 * (_RK3_IMAG / _RK3_REAL)
+            rows.append(("viscous", rate, 2, self.VISCOUS_BAND))
         if p.eps > 0:
-            rates.append(0.5 * p.eps * kmx**2 / t2)
+            rows.append(("korteweg", 0.5 * p.eps * kmx**2 / t2, 2, self.KORTEWEG_BAND))
         if p.eta2 > 0:
-            rmax = max(float(np.max(R)), 1e-300)
-            rates.append(math.sqrt(p.eta2 * rmax) * kmx ** (2 * p.s + 2) / t2)
-        return max(rates)
+            q = 2 * p.s + 2
+            rows.append(("eta2", math.sqrt(p.eta2 * rmax) * kmx**q / t2, q, self.ETA2_BAND))
+        return rows
 
     # -- one composed step -------------------------------------------------------
 
@@ -581,7 +624,12 @@ def run(
     k = 0
     while t < t_end * (1.0 - 1e-12):
         tau_now = tau_sol.eval(t)
-        dt = p.dt if p.dt_policy == "fixed" else min(st.cfl_dt(R, M, *tau_now), p.dt)
+        if p.dt_policy == "fixed":
+            dt, family = p.dt, None
+        else:
+            dt, family = st.cfl_dt(R, M, *tau_now)
+            if dt > p.dt:
+                dt, family = p.dt, "dt_cap"
         dt = min(dt, t_end - t)
         if dt < dt_min:
             traj.status = "underflow"
@@ -597,6 +645,8 @@ def run(
         t += dt
         k += 1
         traj.n_steps = k
+        if family is not None:
+            traj.cfl_binding[family] = traj.cfl_binding.get(family, 0) + 1
         at_end = t >= t_end * (1.0 - 1e-12)
         if diag_every and (k % diag_every == 0 or at_end):
             emit(full=at_end or bool(full_diag_every and k % full_diag_every == 0))

@@ -217,7 +217,9 @@ class Spectral:
         # upper-triangular Hessian entries -k_i k_j, i <= j, stacked in key order
         self.hess_keys = [(i, j) for i in range(self.d) for j in range(i, self.d)]
         self.hess_sym = np.stack([self._half(-(k[i] * k[j])) for i, j in self.hess_keys])
-        # row j, column i of the full Hessian is the stacked entry hess_full[j, i]
+        # hess_upper: the (rows, columns) of the stacked entries;
+        # hess_full[j, i]: the stacked entry at row j, column i
+        self.hess_upper = tuple(np.array(self.hess_keys).T)
         self.hess_full = np.array(
             [[self.hess_keys.index((min(i, j), max(i, j))) for i in range(self.d)]
              for j in range(self.d)]

@@ -106,12 +106,34 @@ def test_cli_simulate_and_reproducibility(tmp_path):
     assert csv1 == csv2  # identical config + seed -> bitwise identical CSV
     meta = json.loads((out1 / "metadata.json").read_text())
     assert meta["status"] == "ok"
+    assert meta["cfl_binding"] == {}  # fixed step: no CFL family binds
     assert meta["config_hash"] == io_.config_hash(meta["config"])
     assert (out1 / "diagnostics.columns.json").exists()
     snaps = sorted(out1.glob("snap_*_R.isof"))
     assert snaps, "snapshots were requested"
     field, t = io_.read_snapshot(snaps[0])
     assert field.grid.n == 64
+
+
+@pytest.mark.parametrize("command", ["simulate", "longtime"])
+def test_cli_metadata_counts_cfl_binding(tmp_path, command):
+    cfg = {
+        "grid": {"d": 1, "ell": 8.0, "n": 64},
+        "params": {"nu": 0.1, "eps": 0.1, "eta1": 1e-14, "eta2": 1e-13, "s": 2,
+                   "dt_policy": "cfl", "dt": 5e-3},
+        "initial": {"generator": "prepared_gaussian", "theta": 0.2, "iota": 0.4},
+        "t_end": 0.02,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    binding = meta["cfl_binding"]
+    assert binding
+    assert set(binding) <= {"advective", "acoustic", "viscous", "korteweg", "eta2", "dt_cap"}
+    if command == "simulate":
+        assert sum(binding.values()) == meta["n_steps"]
 
 
 def test_cli_bad_config(tmp_path):

@@ -20,11 +20,24 @@ from isofluid.solver import (
     step,
 )
 from isofluid.spectral import Grid, ScalarField, VectorField
+from isofluid.tauode import tau_solve
 
 
 def gaussian_state(g):
     s = np.exp(-g.r2 / 2.0)
     return FluidState(t=0.0, grid=g, sqrtR=ScalarField(g, s), Lambda=VectorField.zero(g))
+
+
+def term_state(g):
+    """Floored, modulated Gaussian root with a sine momentum along each axis:
+    the data of the per-term tests."""
+    gauss = np.exp(-g.r2 / 2.0)
+    y = [np.broadcast_to(yi, g.shape) for yi in g.y]
+    s = gauss * np.sqrt(1.0 + 0.4 * np.cos(math.pi * y[0] / g.ell)) + 0.5
+    lam = [0.6 * gauss * np.sin(2 * math.pi * yi / g.ell) for yi in y]
+    return FluidState(
+        t=0.0, grid=g, sqrtR=ScalarField(g, s), Lambda=VectorField.from_arrays(g, lam)
+    )
 
 
 def drag_state(g, pert=0.4, vel=0.6):
@@ -92,12 +105,7 @@ def test_rhs_is_the_generator_of_step(term):
     # D(h) = (advance(h) x - x)/h - rhs(x) is O(h); its Richardson limit
     # 2 D(h/2) - D(h) is O(h^2) when rhs is the step's generator, term by term
     g = Grid(1, 8.0, 128)
-    y = np.broadcast_to(g.y[0], g.shape)
-    s = np.exp(-(y**2) / 2.0) * np.sqrt(1.0 + 0.4 * np.cos(math.pi * y / g.ell)) + 0.5
-    lam = 0.6 * np.exp(-(y**2) / 2.0) * np.sin(2 * math.pi * y / g.ell)
-    st = FluidState(
-        t=0.0, grid=g, sqrtR=ScalarField(g, s), Lambda=VectorField.from_arrays(g, [lam])
-    )
+    st = term_state(g)
     p = ParamSet(**{"eps": 1e-3, "viscous_form": "bounded", **term})
     tau, h = (1.3, 0.4), 2e-5
     dR, dM = rhs(st, p, tau)
@@ -131,11 +139,12 @@ def _baseline_setup(d):
     return state, params
 
 
-@pytest.mark.parametrize("d,expected", [(1, 20), (2, 80), (3, 139)])
+@pytest.mark.parametrize("d,expected", [(1, 20), (2, 79), (3, 136)])
 def test_transform_calls_per_advance(monkeypatch, d, expected):
     # 1D transforms each substep batch as one stack (2 per linear half step,
     # 4 for the density forces, 4 per RK stage); d > 1 transforms one
-    # component per call
+    # component per call, and the symmetric Korteweg stress only its upper
+    # triangle
     state, params = _baseline_setup(d)
     R, M = arrays_from_state(state)
     stepper = _Stepper(state.grid, params, float(R.mean()), float(R.min() / R.max()))
@@ -193,6 +202,143 @@ def test_state_convergence_second_order():
     e3 = np.abs(finals[2e-3] - finals[5e-4]).max()
     assert 2.5 < e1 / e2 < 6.5
     assert 2.5 < e2 / e3 < 8.0
+
+
+@pytest.mark.parametrize(
+    "d,term",
+    [
+        (1, {}),
+        (1, {"nu": 0.1}),
+        (1, {"eps": 0.5}),
+        (1, {"delta1": 1e-2}),
+        (1, {"delta2": 5e-5}),
+        (1, {"eta1": 2e-7}),
+        (1, {"eta2": 5e-13, "s": 2}),
+        (1, {"r0": 0.1}),
+        (1, {"r1": 1.0}),
+        (2, {"nu": 0.1, "eps": 0.1, "r0": 0.02, "r1": 0.02, "delta1": 1e-4,
+             "delta2": 1e-7, "eta1": 1e-14, "eta2": 1e-22, "s": 3}),
+    ],
+    ids=["base", "nu", "eps", "delta1", "delta2", "eta1", "eta2", "r0", "r1", "2d_all"],
+)
+def test_state_convergence_per_term(d, term):
+    # the terms of test_rhs_is_the_generator_of_step, each alone on the base
+    # eps = 1e-3 (delta2, eta1 and eta2 milder, so that the coarsest step
+    # resolves them), plus every term at once in 2D: the fixed-dt errors of
+    # the final R and M against a dt = 5e-4 reference fall about 4x per
+    # halving
+    g = Grid(1, 8.0, 128) if d == 1 else Grid(2, 4.0, 32)
+    st0 = term_state(g)
+    finals = {}
+    for dt in (8e-3, 4e-3, 2e-3, 5e-4):
+        p = ParamSet(**{"eps": 1e-3, "viscous_form": "bounded", **term,
+                        "dt_policy": "fixed", "dt": dt})
+        traj = run(st0, p, 0.1, diag_every=10**9)
+        assert traj.status == "ok"
+        finals[dt] = arrays_from_state(traj.state_final)
+    for i in (0, 1):
+        e1, e2, e3 = (np.abs(finals[dt][i] - finals[5e-4][i]).max() for dt in (8e-3, 4e-3, 2e-3))
+        assert 2.5 < e1 / e2 < 6.5
+        assert 2.5 < e2 / e3 < 8.0
+
+
+# one explicit family binds each case: (params, U on the data, tau)
+ENVELOPE_CASES = {
+    "advective": ({"nu": 1e-12}, 1.0, 0.5),
+    "acoustic": ({"nu": 1e-12}, 0.0, 1.0),
+    "viscous": ({"nu": 0.1}, 0.0, 1.0),
+    "korteweg": ({"eps": 0.1}, 0.0, 1.0),
+    "eta2": ({"nu": 1e-12, "eta2": 1e-16, "s": 2}, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("family", list(ENVELOPE_CASES))
+def test_cfl_dt_within_stability_envelope(family):
+    # The stability envelope of one family is the largest fixed dt at which
+    # 60 steps of the step's linearization about smooth periodic data grow a
+    # random perturbation less than 100x, bisected.  A run of the
+    # linearization, not of the state: the state's own evolution (thin
+    # tails losing positivity, the confinement's jump at the box face) would
+    # end a run before the step did.  The box is small (ell = 1, so |y| <= 1
+    # keeps the confinement's own amplification small per step).  The
+    # formula's dt must lie in [envelope/8 (not wasteful), envelope/1.5
+    # (safe)].
+    kw, u0, tau_v = ENVELOPE_CASES[family]
+    g = Grid(1, 1.0, 64)
+    y = g.y[0]
+    R = 1.0 + 0.3 * np.cos(math.pi * y / g.ell)
+    M = (R * u0 * (1.0 + 0.2 * np.sin(math.pi * y / g.ell)))[None]
+    v0 = np.random.default_rng(0).standard_normal((2, g.n))
+    tau = (tau_v, 0.0)
+    p = ParamSet(**kw, viscous_form="bounded", dt_policy="fixed")
+    st = _Stepper(g, p, float(R.mean()), float(R.min() / R.max()))
+    dt, bound_by = st.cfl_dt(R, M, *tau)
+    assert bound_by == family
+
+    def bounded(h, eps=1e-7):
+        R1, M1 = st.advance(R, M, h, tau)
+        v, growth = v0 / np.abs(v0).max(), 1.0
+        with np.errstate(all="ignore"):
+            for _ in range(60):
+                Rp, Mp = st.advance(R + eps * v[0], M + eps * v[1:], h, tau)
+                v = np.concatenate(((Rp - R1)[None], Mp - M1)) / eps
+                a = float(np.abs(v).max())
+                growth *= a
+                if not growth < 100.0:
+                    return False
+                v /= a
+        return True
+
+    lo, hi = dt / 16, dt * 64
+    assert bounded(lo) and not bounded(hi)
+    for _ in range(8):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if bounded(mid) else (lo, mid)
+    assert lo / 8 <= dt <= lo / 1.5
+
+
+def test_smooth_density_once_per_distinct_density(monkeypatch):
+    # a bounded-form CFL step reads three densities: the step's R (CFL, c_u,
+    # first drag), R after the first linear half step (density forces) and
+    # the final R (last drag, and the next step's CFL); rho_sm is built at
+    # most once for each
+    from isofluid import solver
+
+    state, params = experiments.full_reg_setup(n=64)
+    R, M = arrays_from_state(state)
+    st = _Stepper(state.grid, params.bind(1), float(R.mean()), float(R.min() / R.max()))
+    assert st.viscous_form == "bounded"
+    calls = []
+
+    def counted(*args, _orig=solver.smooth_density):
+        calls.append(1)
+        return _orig(*args)
+
+    monkeypatch.setattr(solver, "smooth_density", counted)
+    for _ in range(4):
+        before = len(calls)
+        dt, _ = st.cfl_dt(R, M, 1.0, 0.1)
+        R, M = st.advance(R, M, dt, (1.0, 0.1))
+        assert len(calls) - before <= 3
+    assert len(calls) <= 3 + 2 * 3
+
+
+def test_cfl_binding_of_the_mass_conservation_run():
+    # the eta2 wave binds the first steps of the criterion-3 run (t = 1), and
+    # the acoustic wave (with the cold pressure's sound speed) binds from
+    # about t = 0.05 to the end
+    state, params = experiments.full_reg_setup(n=256)
+    R, M = arrays_from_state(state)
+    st = _Stepper(state.grid, params.bind(1), float(R.mean()), float(R.min() / R.max()))
+    assert st.cfl_dt(R, M, 1.0, 0.0)[1] == "eta2"
+    traj = run(state, params, 1.0, diag_every=10**9)
+    assert traj.status == "ok"
+    assert set(traj.cfl_binding) == {"eta2", "acoustic"}
+    assert sum(traj.cfl_binding.values()) == traj.n_steps
+    assert traj.cfl_binding["acoustic"] > 0.9 * traj.n_steps
+    R1, M1 = arrays_from_state(traj.state_final)
+    tau = tau_solve(1.001, 1e-12, 1e-14).eval(1.0)
+    assert st.cfl_dt(R1, M1, *tau)[1] == "acoustic"
 
 
 def test_run_zero_horizon_returns_initial():
