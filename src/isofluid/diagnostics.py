@@ -731,7 +731,6 @@ def llogl_bound(f: ScalarField, beta: float) -> tuple[float, float]:
     cpt = 2.0 / (math.e * beta)  # max of t^(beta/2) |log t| on (0,1] and [1,inf)
     l2 = math.sqrt(_quad(g, v2))
     yf = math.sqrt(_quad(g, g.r2 * v2))
-    rad = np.sqrt(g.r2)
     a_exp = g.d * beta / 2.0
     b_exp = (2.0 - beta) - a_exp  # positive iff beta < 4/(d+2)
     p_neg = 2.0 * (2.0 - beta) / beta
@@ -748,17 +747,19 @@ def llogl_bound(f: ScalarField, beta: float) -> tuple[float, float]:
         if P > 0 and Q > 0:
             cand.add((b_exp * Q / (a_exp * P)) ** (1.0 / (a_exp + b_exp)))
     cand.update(np.geomspace(g.dy, g.ell * math.sqrt(g.d), 24))
-    small_best = math.inf
-    safe_rad = np.maximum(rad, g.dy * 1e-6)
-    for kappa in cand:
-        near = rad <= kappa
-        v_kappa = float(g.weight * near.sum())
-        far_w = np.where(~near, safe_rad ** (-p_neg), 0.0)
-        w_kappa = _quad(g, far_w)
-        b_small = l2 ** (2.0 - beta) * v_kappa ** (beta / 2.0) + yf ** (
-            2.0 - beta
-        ) * w_kappa ** (beta / 2.0)
-        small_best = min(small_best, b_small)
+    # every candidate in one pass over the sorted radii: the count of radii
+    # <= kappa gives V_kappa, and the sum of |y|^(-p) over the rest (from
+    # the smallest term up) gives W_kappa
+    rad = np.sort(np.sqrt(g.r2), axis=None)
+    far = np.maximum(rad, g.dy * 1e-6) ** (-p_neg)
+    tail = np.append(np.cumsum(far[::-1])[::-1], 0.0)
+    n_near = np.searchsorted(rad, np.fromiter(cand, float), side="right")
+    v_kappa = g.weight * n_near
+    w_kappa = g.weight * tail[n_near]
+    b_small = l2 ** (2.0 - beta) * v_kappa ** (beta / 2.0) + yf ** (
+        2.0 - beta
+    ) * w_kappa ** (beta / 2.0)
+    small_best = float(b_small.min())
 
     gradf = g.spectral.grad(f.values)
     h1 = _quad(g, v2) + _quad(g, sum(a**2 for a in gradf))

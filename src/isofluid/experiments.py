@@ -10,6 +10,7 @@ reduction order, single-threaded numerics per run).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import sys
 import time
@@ -31,7 +32,9 @@ from .spectral import (
 )
 from .tauode import tau_solve, tau_asymptotic_ratio
 
-__all__ = ["ExperimentConfig", "BadConfig", "run_experiment", "check", "make_initial"]
+__all__ = [
+    "ExperimentConfig", "BadConfig", "run_experiment", "check", "check_families", "make_initial",
+]
 
 EXPERIMENT_KINDS = (
     "simulate",
@@ -287,9 +290,11 @@ def run_experiment(config: ExperimentConfig) -> int:
             return _run_crosscheck(config, inputs, meta)
         if kind == "tau":
             return _run_tau(config, inputs, meta)
-        ok, failures = check(config.filter)
-        io_.write_metadata(inputs.out, {**meta, "failures": failures})
-        return 0 if ok else 1
+        ran = check_families(config.filter)
+        failures = _failures(ran)
+        families = {name: {"ok": not errs, "seconds": took} for name, (errs, took) in ran.items()}
+        io_.write_metadata(inputs.out, {**meta, "failures": failures, "families": families})
+        return 1 if failures else 0
     except solver.SolverError:
         return 2
 
@@ -314,9 +319,14 @@ def _run_single(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
     io_.write_metadata(
         out,
         {**meta, "status": traj.status, "n_steps": traj.n_steps,
-         "cfl_binding": traj.cfl_binding, "params": asdict(params)},
+         "cfl_binding": traj.cfl_binding, "params": asdict(params), **_stop(traj)},
     )
     return 0 if traj.status == "ok" else 2
+
+
+def _stop(traj: solver.Trajectory) -> dict:
+    """The metadata key of where a non-ok run stopped; none for an ok run."""
+    return {} if traj.stop is None else {"stop": traj.stop}
 
 
 def _run_sweep(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
@@ -395,7 +405,8 @@ def _run_longtime(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> in
     }
     io_.write_metadata(
         inputs.out,
-        {**meta, "status": traj.status, "cfl_binding": traj.cfl_binding, "targets": targets},
+        {**meta, "status": traj.status, "cfl_binding": traj.cfl_binding, "targets": targets,
+         **_stop(traj)},
     )
     return 0 if traj.status == "ok" else 2
 
@@ -403,9 +414,11 @@ def _run_longtime(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> in
 def _run_crosscheck(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
     rows = []
     ok = True
+    # the tau nls_to_hydro_crosscheck would solve for each row
+    tau_sol = tau_solve(max(config.t_end, 1e-3) * 1.001, 1e-12, 1e-14)
     for delta_stab, dt in inputs.pairs:
         rep = lognls.nls_to_hydro_crosscheck(
-            inputs.psi0, config.t_end, delta_stab=delta_stab, dt=dt
+            inputs.psi0, config.t_end, delta_stab=delta_stab, dt=dt, tau_sol=tau_sol
         )
         rows.append(rep.__dict__)
         ok &= rep.status == "ok"
@@ -438,7 +451,17 @@ def check(filter: str | None = None, verbose: bool = True) -> tuple[bool, list[s
     Returns (ok, failures).  Families: tau, spectral, rescaling, korteweg,
     csiszar, llogl, compat, mass, energy, bd, nls, prepare, snapshots.
     """
-    failures: list[str] = []
+    failures = _failures(check_families(filter, verbose))
+    return (not failures), failures
+
+
+def check_families(filter: str | None = None, verbose: bool = True) -> dict:
+    """Run the families of `check` whose name contains filter (all without
+    one): {family: (errors, perf_counter seconds)}, in suite order.
+
+    The energy and bd families read the same three drag runs; the first of
+    them to run makes the runs, and they last as long as this call."""
+    ladder = functools.cache(_drag_ladder)
     families = {
         "tau": _check_tau,
         "spectral": _check_spectral,
@@ -448,25 +471,29 @@ def check(filter: str | None = None, verbose: bool = True) -> tuple[bool, list[s
         "llogl": _check_llogl,
         "compat": _check_compat,
         "mass": _check_mass,
-        "energy": _check_energy_balance,
-        "bd": _check_bd_identity,
+        "energy": lambda: _check_energy_balance(ladder),
+        "bd": lambda: _check_bd_identity(ladder),
         "nls": _check_nls,
         "prepare": _check_prepare,
         "snapshots": _check_snapshots,
     }
+    ran = {}
     for name, fn in families.items():
         if filter and filter not in name:
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         errs = fn()
-        took = time.time() - t0
-        if errs:
-            failures.extend(f"{name}: {e}" for e in errs)
-            if verbose:
-                print(f"[FAIL] {name} ({took:.1f}s): " + "; ".join(errs))
+        took = time.perf_counter() - t0
+        ran[name] = (errs, took)
+        if verbose and errs:
+            print(f"[FAIL] {name} ({took:.1f}s): " + "; ".join(errs))
         elif verbose:
             print(f"[ok]   {name} ({took:.1f}s)")
-    return (not failures), failures
+    return ran
+
+
+def _failures(ran: dict) -> list[str]:
+    return [f"{name}: {e}" for name, (errs, _) in ran.items() for e in errs]
 
 
 def _check_tau() -> list[str]:
@@ -557,9 +584,9 @@ def _check_csiszar() -> list[str]:
     errs = []
     rng = np.random.default_rng(11)
     worst = math.inf
+    grids = (Grid(1, 6.0, 64), Grid(2, 6.0, 32))
     for i in range(100):
-        d = 1 if i % 2 == 0 else 2
-        g = Grid(d, 6.0, 64 if d == 1 else 32)
+        g = grids[i % 2]
         R = ScalarField(g, random_positive_field(g, rng))
         gap = diag.csiszar_kullback_gap(R)
         worst = min(worst, gap)
@@ -571,10 +598,10 @@ def _check_csiszar() -> list[str]:
 def _check_llogl() -> list[str]:
     errs = []
     rng = np.random.default_rng(13)
+    grids = (Grid(1, 6.0, 64), Grid(2, 6.0, 32))
     for i in range(100):
-        d = 1 if i % 2 == 0 else 2
-        g = Grid(d, 6.0, 64 if d == 1 else 32)
-        beta = 2.0 / (d + 2)
+        g = grids[i % 2]
+        beta = 2.0 / (g.d + 2)
         f = ScalarField(g, np.sqrt(random_positive_field(g, rng)))
         value, bound = diag.llogl_bound(f, beta)
         if not value <= bound:
@@ -645,8 +672,14 @@ def full_reg_setup(n=256, ell=8.0):
 
 def identity_ladder(kind: str, dts=(2e-2, 1e-2, 5e-3), t_end=0.4, r0=0.0):
     """Balance/BD residuals on the drag run across a fixed-dt ladder."""
+    return _ladder_residuals(kind, _drag_ladder(dts, t_end, r0))
+
+
+def _drag_ladder(dts=(2e-2, 1e-2, 5e-3), t_end=0.4, r0=0.0):
+    """(trajectories, None) of the drag run at each fixed dt of the ladder, or
+    (None, error) at the first run that aborts."""
     state = drag_run_state()
-    out = []
+    trajs = []
     for dt in dts:
         p = ParamSet(
             nu=0.1, eps=0.2, r0=r0, r1=0.05,
@@ -655,12 +688,18 @@ def identity_ladder(kind: str, dts=(2e-2, 1e-2, 5e-3), t_end=0.4, r0=0.0):
         traj = solver.run(state, p, t_end, diag_every=1)
         if traj.status != "ok":
             return None, f"run aborted: {traj.status} at dt={dt}"
-        out.append(
-            traj.energy_balance_residual()
-            if kind == "energy"
-            else traj.bd_identity_residual()
-        )
-    return out, None
+        trajs.append(traj)
+    return trajs, None
+
+
+def _ladder_residuals(kind: str, ladder):
+    """(residuals, error) of kind "energy" or "bd" from a _drag_ladder result."""
+    trajs, err = ladder
+    if err:
+        return None, err
+    if kind == "energy":
+        return [traj.energy_balance_residual() for traj in trajs], None
+    return [traj.bd_identity_residual() for traj in trajs], None
 
 
 def _check_mass() -> list[str]:
@@ -679,9 +718,9 @@ def _check_mass() -> list[str]:
     return errs
 
 
-def _ladder_errors(kind: str, label: str) -> list[str]:
+def _ladder_errors(kind: str, label: str, ladder) -> list[str]:
     """The identity ladder's residuals must halve twice per halved dt."""
-    res, err = identity_ladder(kind)
+    res, err = _ladder_residuals(kind, ladder())
     if err:
         return [err]
     ratios = [a / b for a, b in zip(res, res[1:])]
@@ -690,12 +729,12 @@ def _ladder_errors(kind: str, label: str) -> list[str]:
     return []
 
 
-def _check_energy_balance() -> list[str]:
-    return _ladder_errors("energy", "balance")
+def _check_energy_balance(ladder) -> list[str]:
+    return _ladder_errors("energy", "balance", ladder)
 
 
-def _check_bd_identity() -> list[str]:
-    errs = _ladder_errors("bd", "bd")
+def _check_bd_identity(ladder) -> list[str]:
+    errs = _ladder_errors("bd", "bd", ladder)
     state = drag_run_state()
     p = ParamSet(nu=0.0, eps=0.2, r1=0.05, dt_policy="fixed", dt=1e-2)
     traj = solver.run(state, p, 0.05, diag_every=1)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .params import ParamSet
-from .rescaling import WaveFunction, madelung
+from .rescaling import WaveFunction, madelung, wave_gradients
 from .spectral import Grid
 from .solver import run as hydro_run
 from .tauode import TauSolution, tau_solve
@@ -91,14 +91,14 @@ def nls_step(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), mu: float | N
     return WaveFunction.from_complex(psi.t + h, g, z, eps)
 
 
-def nls_energy(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0)) -> float:
+def nls_energy(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), grads=None) -> float:
     """Energy of the chosen variant: (eps^2/2 tau^2) quad|grad psi|^2
-    + quad(|psi|^2 log|psi|^2) [+ quad(|y|^2 |psi|^2) if rescaled]."""
+    + quad(|psi|^2 log|psi|^2) [+ quad(|y|^2 |psi|^2) if rescaled].  grads
+    passes a precomputed wave_gradients(psi)."""
     g = psi.grid
     eps = params.eps
     tau_v = float(tau[0]) if params.variant == "rescaled" else 1.0
-    ga = g.spectral.grad(psi.re.values)
-    gb = g.spectral.grad(psi.im.values)
+    ga, gb = wave_gradients(psi) if grads is None else grads
     grad2 = sum(a**2 + b**2 for a, b in zip(ga, gb))
     rho = psi.re.values**2 + psi.im.values**2
     ent = np.where(rho > 0, rho * np.log(np.maximum(rho, diag.LOG_FLOOR)), 0.0)
@@ -157,20 +157,23 @@ def run_nls(
     psi = psi0
     t = psi0.t
 
-    def emit():
+    def emit(mass):
         tp = tau_at(t)
         traj.times.append(t)
-        traj.mass.append(psi.mass())
-        ops = diag.StateOps(madelung(psi))  # one Madelung image for both functionals
+        traj.mass.append(mass)
+        # one gradient pair and one Madelung image for the three functionals
+        grads = wave_gradients(psi)
+        ops = diag.StateOps(madelung(psi, grads=grads))
         traj.energy.append(diag.energy(ops, tp, psi.epsilon))
         traj.dissipation.append(diag.dissipation(ops, tp, psi.epsilon, nu=0.0))
-        traj.e_variant.append(nls_energy(psi, params, tp))
+        traj.e_variant.append(nls_energy(psi, params, tp, grads=grads))
 
-    emit()
+    m_after = psi.mass()
+    emit(m_after)
     n = max(1, round((t_end - psi0.t) / params.dt))
     k = 0
     while k < n:
-        m_before = traj.mass[-1] if (k % sample_every == 0) else psi.mass()
+        m_before = m_after
         psi = nls_step(psi, params, tau_at(t + 0.5 * params.dt), mu=mu)
         t = psi.t
         k += 1
@@ -178,7 +181,7 @@ def run_nls(
         drift = abs(m_after - m_before) / max(abs(m_before), 1e-300)
         traj.max_step_mass_drift = max(traj.max_step_mass_drift, drift)
         if k % sample_every == 0 or k == n:
-            emit()
+            emit(m_after)
     traj.psi_final = psi
     return traj
 

@@ -28,6 +28,7 @@ __all__ = [
     "to_self_similar",
     "from_self_similar",
     "madelung",
+    "wave_gradients",
     "original_energy",
 ]
 
@@ -213,12 +214,13 @@ def from_self_similar(state: FluidState, tau) -> tuple[ScalarField, VectorField]
     return ScalarField(grid, rho), VectorField.from_arrays(grid, u)
 
 
-def madelung(psi: WaveFunction, t: float | None = None) -> FluidState:
+def madelung(psi: WaveFunction, t: float | None = None, grads=None) -> FluidState:
     """Polar decomposition: sqrtR = |psi|, Lambda_i = eps Im(conj(phi) d_i psi)
     with phi = psi/|psi| on the support and 0 on the vacuum set.
 
     The momentum j = sqrtR * Lambda equals eps Im(conj(psi) grad psi) wherever
-    |psi| exceeds the vacuum floor.
+    |psi| exceeds the vacuum floor.  grads passes a precomputed
+    (grad Re psi, grad Im psi).
     """
     grid = psi.grid
     a = psi.re.values
@@ -227,8 +229,7 @@ def madelung(psi: WaveFunction, t: float | None = None) -> FluidState:
     floor = vacuum_floor(mod)
     live = mod > floor
     safe = np.maximum(mod, floor)
-    ga = grid.spectral.grad(a)
-    gb = grid.spectral.grad(b)
+    ga, gb = wave_gradients(psi) if grads is None else grads
     lam = [
         np.where(live, psi.epsilon * (a * gb[i] - b * ga[i]) / safe, 0.0)
         for i in range(grid.d)
@@ -240,6 +241,12 @@ def madelung(psi: WaveFunction, t: float | None = None) -> FluidState:
         Lambda=VectorField.from_arrays(grid, lam),
         formulation="self_similar",
     )
+
+
+def wave_gradients(psi: WaveFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(grad Re psi, grad Im psi), each stacked (d,) + grid.shape."""
+    sp = psi.grid.spectral
+    return sp.grad(psi.re.values), sp.grad(psi.im.values)
 
 
 def original_energy(rho: ScalarField, u: VectorField, eps: float) -> float:

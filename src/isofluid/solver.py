@@ -39,8 +39,9 @@ forward, their derivatives back and the force products forward; in each N
 stage [U, U - c_u M] forward, grad U back and the stress products forward;
 then one inverse per force.  The quantities that depend on R alone
 (rho_sm, the density forces, grad R) are built once per N substep.  In 1D a
-stack is one transform call, 20 per advance; for d > 1 the backend
-transforms one component per call (see the spectral module notes).
+stack is one transform call, 20 per advance; for d > 1 a forward stack is
+one call and an inverse one call per component, 54 per 2D and 81 per 3D
+advance (see the spectral module notes).
 
 Floors.  The solver's one density floor is r_min (ParamSet.r_min, default
 1e-10 mean(R0)).  rho_sm = smooth_density(R, r_min) = sqrt(R^2 + r_min^2)
@@ -102,6 +103,10 @@ class Trajectory:
     # steps per binding CFL family (cfl_dt), or "dt_cap" where params.dt
     # bound; empty under the fixed policy
     cfl_binding: dict = field(default_factory=dict)
+    # on a non-ok status, where the run stopped: {"reason": status, "step":
+    # the step that failed (n_steps + 1), "t": its start time, "cell": the
+    # grid index of the first non-finite value ("nan") or of min R}
+    stop: dict | None = None
 
     def series(self, name: str) -> np.ndarray:
         return np.asarray([getattr(r, name) for r in self.records], dtype=float)
@@ -314,8 +319,9 @@ class _Stepper:
     def _batch(self, transform, parts: dict) -> dict:
         """`transform` (the backend's fwd or inv) of the named parts, each
         stacked along one leading component axis.  In 1D the parts go as one
-        concatenated stack, so one call; for d > 1 the backend makes one call
-        per component anyway, so each part goes alone, uncopied."""
+        concatenated stack, so one call; for d > 1 each part goes alone,
+        uncopied: a forward takes each part's stack in one call, and an
+        inverse makes one call per component anyway."""
         if len(parts) == 1 or self.grid.d > 1:
             return {name: transform(v) for name, v in parts.items()}
         out = transform(np.concatenate(list(parts.values())))
@@ -621,26 +627,33 @@ def run(
         traj.state_final = current_state()
         return traj
 
+    def stop(reason, cell):
+        traj.status = reason
+        traj.stop = {"reason": reason, "step": k + 1, "t": t, "cell": [int(i) for i in cell]}
+
     k = 0
     while t < t_end * (1.0 - 1e-12):
-        tau_now = tau_sol.eval(t)
         if p.dt_policy == "fixed":
             dt, family = p.dt, None
         else:
-            dt, family = st.cfl_dt(R, M, *tau_now)
+            dt, family = st.cfl_dt(R, M, *tau_sol.eval(t))
             if dt > p.dt:
                 dt, family = p.dt, "dt_cap"
         dt = min(dt, t_end - t)
         if dt < dt_min:
-            traj.status = "underflow"
+            stop("underflow", np.unravel_index(np.argmin(R), R.shape))
             break
-        R_new, M_new = st.advance(R, M, dt, tau_sol.eval(t + 0.5 * dt))
-        if not (np.all(np.isfinite(R_new)) and np.all(np.isfinite(M_new))):
-            traj.status = "nan"
-            break
-        if float(np.min(R_new)) < -neg_tol:
-            traj.status = "floor"
-            break
+        # a diverging step overflows on its way to inf or nan; the checks
+        # below name it in the status, so numpy's warnings are not raised
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            R_new, M_new = st.advance(R, M, dt, tau_sol.eval(t + 0.5 * dt))
+            if not (np.all(np.isfinite(R_new)) and np.all(np.isfinite(M_new))):
+                finite = np.isfinite(R_new) & np.all(np.isfinite(M_new), axis=0)
+                stop("nan", np.unravel_index(np.argmin(finite), R.shape))
+                break
+            if float(np.min(R_new)) < -neg_tol:
+                stop("floor", np.unravel_index(np.argmin(R_new), R.shape))
+                break
         R, M = R_new, M_new
         t += dt
         k += 1

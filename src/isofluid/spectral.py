@@ -19,15 +19,16 @@ Conventions
   are components, so an array of shape lead + grid.shape is a stack of
   fields.  fwd/inv transform every component; grad adds a d-long component
   axis just in front of the grid axes (grad(a)[..., i, :] = d_i a), and
-  div/div_dealiased sum over that axis.  How a stack is transformed depends
-  on d only: in 1D one scipy.fft rfft/irfft call takes the whole stack,
-  because a 256-point transform costs its call's dispatch more than its
-  arithmetic (on a 2-core x86 host, scipy 1.17, one rfft call took about
-  9 us on one 256-point row and about 14 us on six); for d > 1 each
-  component gets its own rfftn/irfftn call, because one multi-axis call on
-  a stack measured slower (irfftn on 4 x 128^2: 0.99 ms, against 0.73 ms
-  for four calls).  A component's coefficients are bitwise the same either
-  way;
+  div/div_dealiased sum over that axis.  A forward transform takes the
+  whole stack in one call: rfft in 1D, rfftn over the grid axes otherwise
+  (on a 2-core x86 host, scipy 1.17, one rfft call took about 9 us on one
+  256-point row and about 14 us on six, and one rfftn on 4 x 128^2 about
+  260 us against 321 us for four calls).  An inverse takes the whole stack
+  in one irfft call in 1D, but for d > 1 each component gets its own
+  irfftn call, because one multi-axis inverse on a stack measured slower
+  (4 x 128^2: 0.99 ms, against 0.73 ms for four calls; 0.8-0.9x as fast
+  with 4 or more components in 2D).  A component's coefficients and
+  samples are bitwise the same either way;
 * Nyquist rule: a symbol s acts as the real part of its complex-transform
   evaluation does, i.e. as (s(m) + conj(s(-m)))/2 with modes taken mod n.
   So an odd symbol (a single factor i k_j) uses k_j = 0 at the Nyquist index
@@ -233,6 +234,7 @@ class Spectral:
         # index of a new component axis, and of each entry of the existing
         # one, just in front of the grid axes
         grid_axes = (slice(None),) * self.d
+        self._grid_axes = tuple(range(-self.d, 0))
         self._new_axis = (Ellipsis, None) + grid_axes
         self._entries = [(Ellipsis, i) + grid_axes for i in range(self.d)]
 
@@ -249,26 +251,22 @@ class Spectral:
     #    Leading axes are stack components (see the module notes).
 
     def fwd(self, a: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients of a real array or stack."""
+        """Half-spectrum coefficients of a real array or stack, one call."""
         if self.d == 1:
             return scipy.fft.rfft(a)
-        return self._each(scipy.fft.rfftn, a, self.half_shape, complex)
+        return scipy.fft.rfftn(a, axes=self._grid_axes)
 
     def inv(self, ah: np.ndarray) -> np.ndarray:
-        """Real array or stack of half-spectrum coefficients."""
+        """Real array or stack of half-spectrum coefficients: one call in
+        1D, one irfftn call per component for d > 1."""
         if self.d == 1:
             return scipy.fft.irfft(ah)
-        return self._each(scipy.fft.irfftn, ah, self.shape, float, s=self.shape)
-
-    def _each(self, transform, a, shape, dtype, **kw) -> np.ndarray:
-        """One `transform` call per component of the stack a, gathered into
-        one array of a's component axes + `shape`."""
-        lead = a.shape[: a.ndim - self.d]
+        lead = ah.shape[: ah.ndim - self.d]
         if not lead:
-            return transform(a, **kw)
-        out = np.empty(lead + shape, dtype=dtype)
+            return scipy.fft.irfftn(ah, s=self.shape)
+        out = np.empty(lead + self.shape)
         for idx in np.ndindex(lead):
-            out[idx] = transform(a[idx], **kw)
+            out[idx] = scipy.fft.irfftn(ah[idx], s=self.shape)
         return out
 
     def cfwd(self, z: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isofluid import diagnostics as diag
 from isofluid.params import ParamSet
@@ -254,3 +255,58 @@ def test_record_and_csv_layout():
     assert "energy_reg" in sem
     assert rec.mass > 0 and math.isfinite(rec.energy)
     assert rec.ck_gap is not None and rec.ck_gap >= -1e-10
+
+
+def _llogl_small_reference(g, l2, yf, beta):
+    """The small-field term of llogl_bound as one lattice sum per kappa
+    candidate: the minimum over the candidates of
+    |f|_2^(2-beta) V_kappa^(beta/2) + ||y| f|_2^(2-beta) W_kappa^(beta/2)."""
+    a_exp = g.d * beta / 2.0
+    b_exp = (2.0 - beta) - a_exp
+    p_neg = 2.0 * (2.0 - beta) / beta
+    c_d = {1: 2.0, 2: math.pi}[g.d]
+    s_d = {1: 2.0, 2: 2.0 * math.pi}[g.d]
+    P = l2 ** (2.0 - beta) * c_d ** (beta / 2.0)
+    Q = yf ** (2.0 - beta) * (s_d * beta / (2.0 * (2.0 - beta) - g.d * beta)) ** (beta / 2.0)
+    cand = [(b_exp * Q / (a_exp * P)) ** (1.0 / (a_exp + b_exp))]
+    cand += list(np.geomspace(g.dy, g.ell * math.sqrt(g.d), 24))
+    rad = np.sqrt(g.r2)
+    safe_rad = np.maximum(rad, g.dy * 1e-6)
+    best = math.inf
+    for kappa in cand:
+        near = rad <= kappa
+        v_kappa = g.weight * near.sum()
+        w_kappa = g.weight * np.where(~near, safe_rad ** (-p_neg), 0.0).sum()
+        best = min(best, l2 ** (2 - beta) * v_kappa ** (beta / 2) + yf ** (2 - beta) * w_kappa ** (beta / 2))
+    return best
+
+
+@st.composite
+def positive_fields(draw):
+    """A strictly positive field on a 1D or 2D grid, peak from 0.1 to 30 (so
+    either branch of the bound can dominate)."""
+    from isofluid.experiments import random_positive_field
+
+    d = draw(st.sampled_from([1, 2]))
+    g = Grid(d, draw(st.sampled_from([3.0, 6.0, 10.0])), draw(st.sampled_from([8, 16, 32, 64])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R = random_positive_field(g, rng, draw(st.sampled_from([1.0, 4.0, 8.0])))
+    return ScalarField(g, draw(st.sampled_from([0.1, 1.0, 30.0])) * np.sqrt(R / R.max()))
+
+
+@settings(max_examples=60)
+@given(positive_fields())
+def test_llogl_bound_matches_reference_kappa_loop(f):
+    g = f.grid
+    beta = 2.0 / (g.d + 2)
+    value, bound = diag.llogl_bound(f, beta)
+    assert value <= bound
+    v2 = f.values**2
+    l2 = math.sqrt(g.weight * v2.sum())
+    yf = math.sqrt(g.weight * (g.r2 * v2).sum())
+    small = _llogl_small_reference(g, l2, yf, beta)
+    # the large-field term, unchanged: the lattice Sobolev bound of max |f|
+    h1 = g.weight * (v2.sum() + sum(a**2 for a in g.spectral.grad(f.values)).sum())
+    f_inf = math.sqrt(float(np.sum(1.0 / (1.0 + g.k2))) / g.volume * h1)
+    ref = 2.0 / (math.e * beta) * (small + f_inf**beta * l2**2)
+    assert abs(bound - ref) <= 1e-14 * ref

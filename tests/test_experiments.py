@@ -312,3 +312,91 @@ def test_console_entrypoint():
     )
     assert out.returncode == 0
     assert "simulate" in out.stdout
+
+
+def _count_runs(monkeypatch):
+    from isofluid import solver
+
+    calls = []
+
+    def counted(*args, _orig=solver.run, **kwargs):
+        calls.append(1)
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "run", counted)
+    return calls
+
+
+@pytest.mark.parametrize("filter,runs", [("energy", 3), ("bd", 4), (None, 5)])
+def test_check_runs_the_identity_ladder_once(monkeypatch, filter, runs):
+    # the energy and bd families share the three drag runs of one check()
+    # call; bd adds its nu = 0 run and a full check the mass run
+    calls = _count_runs(monkeypatch)
+    ok, failures = E.check(filter, verbose=False)
+    assert ok, failures
+    assert len(calls) == runs
+
+
+def test_check_ladder_does_not_outlive_its_call(monkeypatch):
+    calls = _count_runs(monkeypatch)
+    for expected in (3, 6):
+        assert E.check("energy", verbose=False)[0]
+        assert len(calls) == expected
+
+
+def test_sampled_families_build_one_backend_per_grid_shape(monkeypatch):
+    from isofluid import spectral
+
+    built = []
+
+    class Counted(spectral.Spectral):
+        def __init__(self, grid):
+            built.append(grid)
+            super().__init__(grid)
+
+    monkeypatch.setattr(spectral, "Spectral", Counted)
+    for family in (E._check_csiszar, E._check_llogl):
+        built.clear()
+        assert family() == []
+        assert len(built) <= 2
+
+
+def test_cli_check_metadata_records_each_family(tmp_path, capsys):
+    out = tmp_path / "check"
+    assert cli_main(["check", "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["failures"] == []
+    suite = [
+        "tau", "spectral", "rescaling", "korteweg", "csiszar", "llogl", "compat",
+        "mass", "energy", "bd", "nls", "prepare", "snapshots",
+    ]
+    families = meta["families"]
+    assert sorted(families) == sorted(suite)
+    assert all(f["ok"] is True and f["seconds"] >= 0.0 for f in families.values())
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[1] for ln in lines if ln.startswith("[ok]")] == suite
+
+
+def test_simulate_metadata_records_where_a_run_stopped(tmp_path):
+    # a grossly unstable fixed step (dt = 0.3) stops early; a stable one does not
+    cfg = {
+        "grid": {"d": 1, "ell": 6.0, "n": 64},
+        "params": {"nu": 0.5, "eps": 1.0, "dt_policy": "fixed", "dt": 0.3,
+                   "viscous_form": "bounded"},
+        "initial": {"generator": "perturbed_gaussian", "amplitude": 0.4},
+        "t_end": 3.0,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    meta = json.loads((out / "metadata.json").read_text())
+    stop = meta["stop"]
+    assert stop["reason"] == meta["status"] != "ok"
+    assert stop["step"] == meta["n_steps"] + 1
+    assert len(stop["cell"]) == 1 and 0 <= stop["cell"][0] < 64
+    cfg["params"].update(dt=1e-3, r_min=1e-6)
+    cfg["t_end"] = 3e-3
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert "stop" not in json.loads((out / "metadata.json").read_text())
