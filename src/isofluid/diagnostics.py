@@ -8,19 +8,38 @@ on the torus.  Conventions used throughout:
 * R |grad log R|^2 is evaluated as 4 |grad sqrt(R)|^2 (exact for R > 0 and
   the correct extension by 0 on vacuum);
 * in the balance functionals R |hess log R|^2 is evaluated on R > r_floor
-  through the split hess R / R - grad R x grad R / R^2 (StateOps.hess_logR);
+  through the split hess R / R - grad R x grad R / R^2
+  (StateOps.hess_logR_split);
 * kinetic quantities use Lambda = sqrt(R) U, so R|U|^2 = |Lambda|^2 needs no
-  division; U itself is recovered as Lambda / sqrt(smooth_density(R, r_floor)),
-  the solver's recovery (r_floor: see StateOps).
+  division; U itself is M / smooth_density(R, r_floor), the solver's
+  recovery (r_floor: see StateOps).
 
-Every functional accepts a FluidState or the StateOps of one, so `record`
-evaluates the whole family on one set of cached derived arrays.
+Stacks.  A StateOps is the table of one state's derived arrays, built from
+the stepper's (R, M, r_min) or from a FluidState.  A vector (Lambda, U, the
+momentum sqrt R Lambda, a gradient) is a (d,) + grid.shape stack, grad U a
+(d, d) one with grad_U[j, i] = d_i U_j, and a Hessian the stack of its upper
+entries in sp.hess_keys order.
+
+Terms.  Each functional is a sum of named term integrals (_TERMS) with
+coefficients from the parameters and tau; StateOps.q computes each term once
+per state, and a term whose coefficient vanishes is not evaluated.  `record`
+first notes what its columns transform, then makes those transforms in one
+StateOps.fetch: each group as one Spectral.batch, the fields built from
+derivatives (lap log R, lap sqrt R / sqrt R, the Korteweg stress) in a
+second stage.
+
+Parseval.  Quadratures of products of linear derivatives of one field
+(|grad lap^s R|^2, (lap^(s+1) R)^2, |grad rho_tilde^(-alpha/2)|^2, |lap U|^2,
+lap U . grad lap log R) are taken on the half spectrum by Spectral.inner,
+with no inverse transform; under the Nyquist rule of the spectral module
+they equal the grid sums of the inverses up to rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -61,148 +80,303 @@ LOG_FLOOR = 1e-30
 
 
 def _quad(grid: Grid, arr) -> float:
-    return float(grid.weight * np.sum(arr))
+    return float(grid.weight * arr.sum())
+
+
+def _dot(grid: Grid, a, b) -> float:
+    """quad(a b), summed over the stack components as well."""
+    return float(grid.weight * np.vdot(a, b))
+
+
+def _gaussian(grid: Grid):
+    """(exp(-|y|^2), its quadrature), built once per grid."""
+
+    def build():
+        g = np.exp(-grid.r2)
+        return g, _quad(grid, g)
+
+    return grid.spectral.cached("gaussian", build)
 
 
 def matched_gaussian(grid: Grid, mass: float) -> np.ndarray:
     """Discrete periodized Gaussian exp(-|y|^2) rescaled to the given mass."""
-    g = np.exp(-grid.r2)
-    return g * (mass / _quad(grid, g))
+    g, z = _gaussian(grid)
+    return g * (mass / z)
+
+
+def korteweg_stress(sp, s) -> np.ndarray:
+    """The Korteweg stress s hess s - grad s x grad s as a (d, d) stack (row
+    j holds the entries i = 0..d-1), whose row divergence is
+    R grad(lap s / s) for s = sqrt R: its upper entries mirrored through
+    sp.hess_full (see korteweg_stress_entries).  s is the root, or the
+    StateOps of a state, whose root and derivatives it then takes."""
+    if isinstance(s, StateOps):
+        return korteweg_stress_entries(sp, s.s, s["grad_s"], s["hess_s"])[sp.hess_full]
+    derivs = sp.inv(sp.deriv_sym * sp.fwd(s))
+    return korteweg_stress_entries(sp, s, derivs[: sp.d], derivs[sp.d :])[sp.hess_full]
+
+
+def korteweg_stress_entries(sp, s, gs, hs) -> np.ndarray:
+    """The upper entries (i <= j, in sp.hess_keys order) of the symmetric
+    Korteweg stress s d_i d_j s - d_i s d_j s, from grad s and the upper
+    Hessian entries of s.  The solver's force takes the dealiased
+    divergence of the mirrored rows."""
+    i, j = sp.hess_upper
+    return s * hs - gs[i] * gs[j]
+
+
+# ---------------------------------------------------------------------------
+# the derived-array table of one state
+
+
+# fields that go forward, each as a stack along one leading axis ("neg" takes
+# alpha); the late ones are built from the derivatives _LATE lists, so a fetch
+# transforms them in a second stage
+_FIELDS = {
+    "R": lambda o: o.R[None],
+    "s": lambda o: o.s[None],
+    "U": lambda o: o.U,
+    "mom": lambda o: o.mom,
+    "logR": lambda o: o.logR[None],
+    "root_s": lambda o: np.sqrt(o.s)[None],
+    "neg": lambda o, alpha: o.neg(alpha)[None],
+    "laplog": lambda o: o.sp.trace(o.hess_logR_split)[None],
+    "ks": lambda o: o.ks[None],
+    "stress": lambda o: o.stress,
+}
+_LATE = {"laplog": ("grad_R", "hess_R"), "ks": ("hess_s",), "stress": ("grad_s", "hess_s")}
+
+# derivatives that come back from the coefficients of one field
+_DERIVS = {
+    "grad_s": ("s", lambda sp, h: sp.ik * h),
+    "hess_s": ("s", lambda sp, h: sp.hess_sym * h),
+    "grad_R": ("R", lambda sp, h: sp.ik * h),
+    "hess_R": ("R", lambda sp, h: sp.hess_sym * h),
+    "grad_U": ("U", lambda sp, h: sp.apply(sp.ik, h)),  # [j, i] = d_i U_j
+    "grad_mom": ("mom", lambda sp, h: sp.apply(sp.ik, h)),
+    "div_mom": ("mom", lambda sp, h: sp.sum_axes(sp.ik * h)),
+    "grad_logR": ("logR", lambda sp, h: sp.ik * h),
+    # the spectral Hessian of log R, for the identity checks on R > 0
+    "hess_logR": ("logR", lambda sp, h: sp.hess_sym * h),
+    "grad_root_s": ("root_s", lambda sp, h: sp.ik * h),
+    "grad_ks": ("ks", lambda sp, h: sp.ik * h),
+    # row divergences of the Korteweg stress
+    "div_stress": ("stress", lambda sp, h: sp.sum_axes(sp.ik * h[sp.hess_full])),
+}
+
+
+def _key(key) -> tuple:
+    return key if isinstance(key, tuple) else (key,)
 
 
 class StateOps:
-    """Derived arrays of one state, computed lazily and shared between
-    functionals (density, velocity, spectral derivatives).
+    """Derived arrays of one state, each computed once and shared between
+    functionals: the density and its root, Lambda, U, the coefficients of
+    the fields (hat), their derivatives (ops[name], see _DERIVS) and the
+    term integrals (q, see _TERMS).
 
-    r_floor is the density floor of the velocity recovery, of the eta1 clamp
-    rho_tilde = max(R, r_floor) and of the live set of R |hess log R|^2;
-    record passes the solver's r_min, and it defaults to
-    rescaling.vacuum_floor(R)."""
+    Built from the stepper's stacks: R (raw, so min_density is the raw
+    minimum; StateOps.R is max(R, 0)) and M = R U, with Lambda =
+    M / sqrt(rho_sm) as in solver.state_from_arrays.  r_floor is the
+    density floor of rho_sm = smooth_density(R, r_floor), of the eta1
+    clamp rho_tilde = max(R, r_floor) and of the live set of
+    R |hess log R|^2; record passes the solver's r_min, and it defaults to
+    rescaling.vacuum_floor(R).  Without M the momentum is zero."""
 
-    def __init__(self, state: FluidState, r_floor: float | None = None):
-        self.state = state
-        self.grid = state.grid
-        self.sp = state.grid.spectral
-        self.s = state.sqrtR.values
-        self.R = self.s**2
-        self.lam = [c.values for c in state.Lambda.components]
-        if r_floor is None:
-            r_floor = vacuum_floor(self.R)
-        self.r_floor = r_floor
-        self._cache: dict = {}
+    def __init__(self, grid: Grid, R, M=None, r_floor: float | None = None, t: float = 0.0):
+        R = np.asarray(R, dtype=float)
+        pos = np.maximum(R, 0.0)
+        self._bind(grid, t, R, pos, np.sqrt(pos), None, r_floor)
+        if M is not None:
+            # rho_sm of the raw R, as the solver recovers U
+            root = self._cache["root"] = np.sqrt(smooth_density(R, self.r_floor))
+            self.lam = M / root
 
     @classmethod
     def of(cls, x, r_floor: float | None = None) -> "StateOps":
-        """x itself when it is already a StateOps, else the ops of state x."""
-        return x if isinstance(x, StateOps) else cls(x, r_floor)
+        """x itself when it is already a StateOps, the ops of a density when
+        it is a ScalarField, else those of the FluidState x, whose root and
+        Lambda are taken as they are."""
+        if isinstance(x, StateOps):
+            return x
+        if isinstance(x, ScalarField):
+            return cls(x.grid, x.values, r_floor=r_floor)
+        return cls._of_root(x.sqrtR, np.array(x.Lambda.arrays()), r_floor, x.t)
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+    @classmethod
+    def _of_root(cls, f: ScalarField, lam=None, r_floor=None, t=0.0) -> "StateOps":
+        """The ops of R = f^2 whose root is f itself."""
+        ops, R = cls.__new__(cls), f.values**2
+        ops._bind(f.grid, t, R, R, f.values, lam, r_floor)
+        return ops
+
+    def _bind(self, grid, t, R_raw, R, s, lam, r_floor):
+        self.grid, self.sp, self.t = grid, grid.spectral, t
+        self.R, self.s, self._R_raw = R, s, R_raw
+        self.lam = np.zeros((grid.d,) + grid.shape) if lam is None else lam
+        self._cache, self._hat, self._arr, self._terms, self._plan = {}, {}, {}, {}, None
+        if r_floor is not None:
+            self._cache["r_floor"] = r_floor
+
+    # -- transforms and term integrals --------------------------------------
+
+    def fetch(self, *names) -> None:
+        """Transform what the named fields (_FIELDS keys, forward only) and
+        derivatives (_DERIVS) need and the table does not hold yet: the
+        fields forward as one Spectral.batch and the derivatives back as one
+        more; the late fields, and what they are built from, in two such
+        stages.  Only the named fields keep their coefficients."""
+        todo = {}  # name: the key of the field it needs
+        for n in names:
+            key = todo[n] = (_DERIVS[n][0],) if n in _DERIVS else _key(n)
+            if key[0] in _LATE:
+                todo.update({dep: (_DERIVS[dep][0],) for dep in _LATE[key[0]]})
+        named = {todo[n] for n in names if n not in _DERIVS}
+        early = {n: key for n, key in todo.items() if key[0] not in _LATE}
+        self._transform(early, named)
+        if len(early) < len(todo):
+            self._transform({n: key for n, key in todo.items() if n not in early}, named)
+
+    def _transform(self, todo: dict, named: set) -> None:
+        """One stage of fetch: the fields forward in one batch, the
+        derivatives back in one more."""
+        sp, lead = self.sp, {}
+        todo = {n: key for n, key in todo.items() if n not in self._arr}
+        fields = dict.fromkeys(key for key in todo.values() if key not in self._hat)
+        if fields:
+            stacks = {key: _FIELDS[key[0]](self, *key[1:]) for key in fields}
+            self._hat.update(sp.batch(sp.fwd, stacks))
+
+        def coefficients(n, key):
+            c = _DERIVS[n][1](sp, self._hat[key])
+            lead[n] = c.shape[: c.ndim - sp.d]
+            return c.reshape((-1,) + sp.half_shape)
+
+        parts = {n: partial(coefficients, n, key) for n, key in todo.items() if n in _DERIVS}
+        if parts:
+            for n, x in sp.batch(sp.inv, parts).items():
+                self._arr[n] = x.reshape(lead[n] + sp.shape)
+        for key in fields.keys() - named:
+            del self._hat[key]
+
+    def hat(self, key) -> np.ndarray:
+        """The coefficients of a field (a _FIELDS key), with its stack axis."""
+        if _key(key) not in self._hat:
+            self.fetch(key)
+        return self._hat[_key(key)]
+
+    def keep(self, *names) -> None:
+        """Drop the coefficients and every derivative but the named ones,
+        once the terms that read them are integrated."""
+        self._hat.clear()
+        self._arr = {n: self._arr[n] for n in names if n in self._arr}
+
+    def __getitem__(self, name) -> np.ndarray:
+        """The derivative `name` of _DERIVS."""
+        if name not in self._arr:
+            self.fetch(name)
+        return self._arr[name]
+
+    def q(self, key) -> float:
+        """The term integral `key` of _TERMS (a name, or a tuple of a name
+        and its arguments), computed once."""
+        out = self._terms.get(key)
+        if out is None:
+            name, args = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
+            out = self._terms[key] = float(_TERMS[name][1](self, *args))
+        return out
+
+    def total(self, *terms) -> float:
+        """The sum of c * q(key) over the (c, key) pairs whose c != 0; while
+        `planned` runs, it notes what they transform instead and returns 0."""
+        if self._plan is not None:
+            for c, key in terms:
+                if c != 0.0:
+                    self._plan.update(dict.fromkeys(_needs(_key(key))))
+            return 0.0
+        out = 0.0
+        for c, key in terms:
+            if c != 0.0:
+                out += c * self.q(key)
+        return out
+
+    def planned(self, evaluate) -> list:
+        """What the totals of evaluate() transform, noted without
+        transforming or integrating anything."""
+        self._plan = {}
+        try:
+            evaluate()
+            return list(self._plan)
+        finally:
+            self._plan = None
+
+    # -- pointwise arrays, each built on first use ----------------------------
+
+    def _get(self, key, build):
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = build()
+        return out
+
+    @property
+    def r_floor(self) -> float:
+        return self._get("r_floor", lambda: vacuum_floor(self.R))
+
+    @property
+    def min_density(self) -> float:
+        """The raw minimum of R."""
+        return self._get("min", lambda: float(self._R_raw.min()))
 
     @property
     def U(self):
-        # the solver's recovery U = Lambda / sqrt(rho_sm)
-        return self._get(
-            "U", lambda: [l / np.sqrt(smooth_density(self.R, self.r_floor)) for l in self.lam]
-        )
+        """The solver's recovery U = M / rho_sm = Lambda / sqrt(rho_sm)."""
+        root = self._get("root", lambda: np.sqrt(smooth_density(self.R, self.r_floor)))
+        return self._get("U", lambda: self.lam / root)
+
+    @property
+    def mom(self):
+        """sqrt R Lambda = R U."""
+        return self._get("mom", lambda: self.s * self.lam)
+
+    @property
+    def lam2(self):
+        return self._get("lam2", lambda: (self.lam * self.lam).sum(axis=0))
 
     @property
     def U2(self):
-        return self._get("U2", lambda: sum(u**2 for u in self.U))
+        return self._get("U2", lambda: (self.U * self.U).sum(axis=0))
 
     @property
     def rho_tilde(self):
         return self._get("rt", lambda: np.maximum(self.R, self.r_floor))
 
     @property
-    def R_hat(self):
-        return self._get("Rh", lambda: self.sp.fwd(self.R))
-
-    @property
-    def U_hat(self):
-        return self._get("Uh", lambda: [self.sp.fwd(u) for u in self.U])
-
-    @property
-    def grad_sqrtR(self):
-        return self._get("gs", lambda: self.sp.grad(self.s))
-
-    @property
-    def grad_sqrtR2(self):
-        return self._get("gs2", lambda: sum(g**2 for g in self.grad_sqrtR))
-
-    @property
-    def lam_grad_sqrtR(self):
-        """Lambda . grad sqrt R = (1/2) U . grad R."""
-        return self._get("lgs", lambda: sum(l * gs for l, gs in zip(self.lam, self.grad_sqrtR)))
-
-    @property
-    def momentum(self):
-        """sqrt R Lambda = R U."""
-        return self._get("mom", lambda: [self.s * l for l in self.lam])
-
-    @property
-    def grad_momentum(self):
-        """grad_momentum[j][i] = d_i (sqrt R Lambda_j)."""
-        return self._get("gmom", lambda: [self.sp.grad(m) for m in self.momentum])
-
-    @property
-    def grad_R(self):
-        return self._get("gR", lambda: self.sp.grad(self.R, self.R_hat))
-
-    @property
-    def grad_U(self):
-        """grad_U[i][j] = d_i U_j."""
-
-        def build():
-            d = self.grid.d
-            cols = [self.sp.grad(u, uh) for u, uh in zip(self.U, self.U_hat)]
-            return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-        return self._get("gU", build)
-
-    @property
-    def lap_U(self):
-        return self._get("lU", lambda: [self.sp.lap(u, 1, uh) for u, uh in zip(self.U, self.U_hat)])
-
-    @property
-    def div_U(self):
-        return self._get("divU", lambda: sum(self.grad_U[i][i] for i in range(self.grid.d)))
-
-    @property
     def logR(self):
         return self._get("logR", lambda: np.log(np.maximum(self.R, LOG_FLOOR)))
 
+    def neg(self, alpha):
+        """rho_tilde^(-alpha/2)."""
+        return self._get(("neg", alpha), lambda: self.rho_tilde ** (-alpha / 2.0))
+
     @property
-    def hess_R(self):
-        return self._get("hR", lambda: self.sp.hessian(self.R, self.R_hat))
+    def lapR_rt(self):
+        """lap R / rho_tilde, lap R the trace of hess R."""
+        return self._get("lapR_rt", lambda: self.sp.trace(self["hess_R"]) / self.rho_tilde)
 
-    def lap_R(self, p: int):
-        """lap^p R."""
-        return self._get(("lR", p), lambda: self.sp.lap(self.R, p, self.R_hat))
+    @property
+    def ks(self):
+        """lap sqrt R / sqrt R, lap sqrt R the trace of hess sqrt R."""
+        return self._get("ks", lambda: self.sp.trace(self["hess_s"]) / self.s)
 
-    def grad_lap_R2(self, p: int):
-        """|grad lap^p R|^2."""
-
-        def build():
-            sp = self.sp
-            return sum(sp.inv(sym * self.R_hat) ** 2 for sym in sp.grad_lap_symbol(p))
-
-        return self._get(("glR2", p), build)
-
-    def grad_rho_neg2(self, alpha: float):
-        """|grad rho_tilde^(-alpha/2)|^2."""
+    @property
+    def stress(self):
+        """The upper entries of korteweg_stress (sp.hess_keys order)."""
         return self._get(
-            ("gneg2", alpha),
-            lambda: sum(a**2 for a in self.sp.grad(self.rho_tilde ** (-alpha / 2.0))),
+            "stress", lambda: np.asarray(korteweg_stress(self.sp, self))[self.sp.hess_upper]
         )
 
     @property
-    def lam2(self):
-        return self._get("lam2", lambda: sum(l**2 for l in self.lam))
-
-    def hess_logR(self):
+    def hess_logR_split(self):
         """Hessian of log R through the algebraic split
         d_i d_j log R = (d_i d_j R)/R - (d_i R)(d_j R)/R^2 with floored
         divisions.  Differentiating log(max(R, floor)) spectrally is unusable
@@ -210,79 +384,104 @@ class StateOps:
         the floor, and the resulting log jumps pollute the global transform."""
 
         def build():
-            rho = self.rho_tilde
-            return {
-                key: (h - self.grad_R[key[0]] * self.grad_R[key[1]] / rho) / rho
-                for key, h in self.hess_R.items()
-            }
+            rho, gR, (i, j) = self.rho_tilde, self["grad_R"], self.sp.hess_upper
+            return (self["hess_R"] - gR[i] * gR[j] / rho) / rho
 
-        return self._get("hlog_alg", build)
-
-    def R_hess_logR2(self):
-        live = (self.R > self.r_floor).astype(float)
-        return self.R * live * _tensor2(self.grid.d, self.hess_logR())
-
-    def DU2(self):
-        """R-weighted integrand |D U|^2 with D the symmetric gradient part."""
-        return self._part2(1.0)
-
-    def AU2(self):
-        """|A U|^2 with A the antisymmetric gradient part."""
-        return self._part2(-1.0)
-
-    def _part2(self, sign: float):
-        g = self.grad_U
-        d = self.grid.d
-        out = np.zeros(self.grid.shape)
-        for i in range(d):
-            for j in range(d):
-                out += 0.25 * (g[i][j] + sign * g[j][i]) ** 2
-        return out
+        return self._get("hlog", build)
 
 
-def _tensor2(d: int, hess: dict):
-    """Frobenius norm squared of a symmetric tensor given upper entries."""
-    out = np.zeros_like(hess[(0, 0)])
-    for (i, j), h in hess.items():
-        out += (1.0 if i == j else 2.0) * h**2
-    return out
+def _inner(o: StateOps, a, b) -> float:
+    """quad of the product of two fields from their coefficients (Parseval)."""
+    return o.grid.weight * o.sp.inner(a, b)
+
+
+# The term integrals, by name: (what they transform, (ops, *args) -> value);
+# the transforms are _FIELDS or _DERIVS keys, or a function of the term's
+# arguments that returns them.
+_TERMS = {
+    "R": ((), lambda o: _quad(o.grid, o.R)),
+    "Rr2": ((), lambda o: _dot(o.grid, o.R, o.grid.r2)),
+    "RlogR": ((), lambda o: _dot(o.grid, o.R, o.logR)),
+    "logR": ((), lambda o: _quad(o.grid, o.logR)),
+    "logR_le1": ((), lambda o: _quad(o.grid, np.where(o.R <= 1.0, o.logR, 0.0))),
+    "lam2": ((), lambda o: _quad(o.grid, o.lam2)),
+    "U2": ((), lambda o: _quad(o.grid, o.U2)),
+    "lam2U2": ((), lambda o: _dot(o.grid, o.lam2, o.U2)),
+    # quad(rho_tilde^(-alpha)), as the square of the transformed field
+    "rtneg": ((), lambda o, alpha: _dot(o.grid, o.neg(alpha), o.neg(alpha))),
+    "gs2": (("grad_s",), lambda o: _dot(o.grid, o["grad_s"], o["grad_s"])),
+    "lgs": (("grad_s",), lambda o: _dot(o.grid, o.lam, o["grad_s"])),
+    # R |grad U|^2 and R grad U : grad U^T; R |DU|^2 and R |AU|^2 are their
+    # half sum and half difference
+    "RgU2": (("grad_U",), lambda o: _dot(o.grid, o["grad_U"], o.R * o["grad_U"])),
+    "RgUgUT": (("grad_U",), lambda o: _dot(o.grid, o["grad_U"].swapaxes(0, 1), o.R * o["grad_U"])),
+    "RDU2": (("grad_U",), lambda o: 0.5 * (o.q("RgU2") + o.q("RgUgUT"))),
+    "RAU2": (("grad_U",), lambda o: 0.5 * (o.q("RgU2") - o.q("RgUgUT"))),
+    "RdivU": (("grad_U",), lambda o: _dot(o.grid, o.R, np.trace(o["grad_U"]))),
+    "RhlogR2": (
+        ("grad_R", "hess_R"),
+        lambda o: _dot(o.grid, np.where(o.R > o.r_floor, o.R, 0.0), o.sp.frob2(o.hess_logR_split)),
+    ),
+    "U2UgR": (("grad_R",), lambda o: _dot(o.grid, o.U2 * o.U, o["grad_R"])),
+    "lapR_rt": (("hess_R",), lambda o: _quad(o.grid, o.lapR_rt)),
+    "lapR_divmom": (("hess_R", "div_mom"), lambda o: _dot(o.grid, o.lapR_rt, o["div_mom"])),
+    # sum_ij d_i U_j d_i R d_j log R
+    "mix": (
+        ("grad_U", "grad_R", "grad_logR"),
+        lambda o: _dot(o.grid, o["grad_logR"], o.sp.sum_axes(o["grad_U"] * o["grad_R"])),
+    ),
+    # Parseval: |grad lap^p R|^2, (lap^p R)^2, |grad rho_tilde^(-alpha/2)|^2,
+    # |lap U|^2 and lap U . grad lap log R (lap log R the trace of
+    # hess_logR_split)
+    "glR2": (("R",), lambda o, p: _inner(o, o.hat("R"), o.sp.grad_lap_norm(p) * o.hat("R"))),
+    "lapR2": (("R",), lambda o, p: _inner(o, o.hat("R"), o.sp.lap_symbol(2 * p) * o.hat("R"))),
+    "gneg2": (
+        lambda alpha: (("neg", alpha),),
+        lambda o, a: _inner(o, o.hat(("neg", a)), o.sp.grad_lap_norm(0) * o.hat(("neg", a))),
+    ),
+    "lapU2": (("U",), lambda o: _inner(o, o.hat("U"), o.sp.lap_symbol(2) * o.hat("U"))),
+    "lapU_glaplog": (
+        ("U", "laplog"),
+        lambda o: _inner(o, o.hat("U"), o.sp.grad_lap_symbol(1) * o.hat("laplog")),
+    ),
+    # R |hess log R|^2 with the spectral Hessian of log R (identity checks)
+    "RhlogR2_sp": (("hess_logR",), lambda o: _dot(o.grid, o.R, o.sp.frob2(o["hess_logR"]))),
+}
+
+
+def _needs(key: tuple) -> tuple:
+    needs = _TERMS[key[0]][0]
+    return needs(*key[1:]) if callable(needs) else needs
+
+
+def _times(c: float, terms) -> list:
+    return [(c * a, key) for a, key in terms]
 
 
 # ---------------------------------------------------------------------------
 # energy / dissipation of the plain system
 
 
-def _potential(ops: StateOps) -> float:
-    """quad(R |y|^2 + R log R)."""
-    g = ops.grid
-    return _quad(g, ops.R * g.r2 + ops.R * np.where(ops.R > 0, ops.logR, 0.0))
+_POTENTIAL = [(1.0, "Rr2"), (1.0, "RlogR")]  # quad(R |y|^2 + R log R)
 
 
-def _kinetic_rate(ops: StateOps, tau, eps: float, eta2: float = 0.0, s: int | None = None) -> float:
-    """(taudot/tau^3) quad(R|U|^2 + eps^2 |grad sqrt R|^2 + eta2 |grad lap^s R|^2)."""
-    tau_v, taudot_v = tau
-    kin = ops.lam2 + eps**2 * ops.grad_sqrtR2
-    if eta2 > 0:
-        kin = kin + eta2 * ops.grad_lap_R2(s)
-    return taudot_v / tau_v**3 * _quad(ops.grid, kin)
+def _kinetic(eps: float, eta2: float = 0.0, s: int | None = None) -> list:
+    """The terms of quad(R|U|^2 + eps^2 |grad sqrt R|^2 + eta2 |grad lap^s R|^2)."""
+    return [(1.0, "lam2"), (eps**2, "gs2"), (eta2, ("glR2", s))]
 
 
 def energy(state: FluidState | StateOps, tau, eps: float) -> float:
     """Self-similar pseudo-energy
     (1/2 tau^2) quad(R|U|^2 + eps^2 |grad sqrt R|^2) + quad(R|y|^2 + R log R)."""
-    ops = StateOps.of(state)
-    tau_v, _ = tau
-    kin = ops.lam2 + eps**2 * ops.grad_sqrtR2
-    return _quad(ops.grid, kin) / (2 * tau_v**2) + _potential(ops)
+    kin = _times(1.0 / (2 * tau[0] ** 2), _kinetic(eps))
+    return StateOps.of(state).total(*kin, *_POTENTIAL)
 
 
 def dissipation(state: FluidState | StateOps, tau, eps: float, nu: float) -> float:
     """(taudot/tau^3) quad(R|U|^2 + eps^2|grad sqrt R|^2) + (nu/tau^4) quad(R |DU|^2)."""
-    ops = StateOps.of(state)
-    out = _kinetic_rate(ops, tau, eps)
-    if nu > 0:
-        out += nu / tau[0] ** 4 * _quad(ops.grid, ops.R * ops.DU2())
-    return out
+    tau_v, taudot_v = tau
+    rate = _times(taudot_v / tau_v**3, _kinetic(eps))
+    return StateOps.of(state).total(*rate, (nu / tau_v**4, "RDU2"))
 
 
 # ---------------------------------------------------------------------------
@@ -295,141 +494,103 @@ def bd_entropy(
     """BD entropy; with r0 > 0 includes the drag term -2 r0 (log R) 1_{R<=1}.
     R |U + nu grad log R|^2 is expanded without division:
     |Lambda|^2 + 4 nu Lambda . grad sqrt R + 4 nu^2 |grad sqrt R|^2."""
-    ops = StateOps.of(state)
-    tau_v, _ = tau
-    kin = (
-        ops.lam2 + 4.0 * nu * ops.lam_grad_sqrtR + 4.0 * nu**2 * ops.grad_sqrtR2
-        + eps**2 * ops.grad_sqrtR2
-    )
-    if r0 > 0:
-        kin = kin - 2.0 * r0 * np.where(ops.R <= 1.0, ops.logR, 0.0)
-    return _quad(ops.grid, kin) / (2 * tau_v**2) + _potential(ops)
+    kin = [(1.0, "lam2"), (4.0 * nu, "lgs"), (4.0 * nu**2 + eps**2, "gs2"),
+           (-2.0 * r0, "logR_le1")]
+    return StateOps.of(state).total(*_times(1.0 / (2 * tau[0] ** 2), kin), *_POTENTIAL)
 
 
 def bd_dissipation(state: FluidState | StateOps, tau, eps: float, nu: float) -> float:
-    ops = StateOps.of(state)
-    tau_v, _ = tau
-    g = ops.grid
-    out = _kinetic_rate(ops, tau, eps)
-    out += 4.0 * nu / tau_v**2 * _quad(g, ops.grad_sqrtR2)
-    if nu > 0:
-        out += nu / tau_v**4 * _quad(g, ops.R * ops.AU2())
-        if eps > 0:
-            out += nu * eps**2 / tau_v**4 * _quad(g, ops.R_hess_logR2())
-    return out
+    tau_v, taudot_v = tau
+    t4 = tau_v**4
+    return StateOps.of(state).total(
+        *_times(taudot_v / tau_v**3, _kinetic(eps)),
+        (4.0 * nu / tau_v**2, "gs2"), (nu / t4, "RAU2"), (nu * eps**2 / t4, "RhlogR2"),
+    )
 
 
 # ---------------------------------------------------------------------------
 # regularized energy / dissipation (the discrete balance checked by the solver)
 
 
-def _eta_potential(ops: StateOps, p: ParamSet, tau) -> float:
-    """eta1/(alpha+1) quad(rho_tilde^(-alpha)) + eta2/(2 tau^2) quad(|grad lap^s R|^2),
-    the regularization potential shared by energy_reg and bd_entropy_reg."""
-    tau_v, _ = tau
-    out = 0.0
-    if p.eta1 > 0:
-        out += p.eta1 / (p.alpha + 1.0) * _quad(ops.grid, ops.rho_tilde ** (-p.alpha))
-    if p.eta2 > 0:
-        out += p.eta2 / (2 * tau_v**2) * _quad(ops.grid, ops.grad_lap_R2(p.s))
-    return out
+def _eta_potential(p: ParamSet, tau) -> list:
+    """The terms of eta1/(alpha+1) quad(rho_tilde^(-alpha))
+    + eta2/(2 tau^2) quad(|grad lap^s R|^2), the regularization potential
+    shared by energy_reg and bd_entropy_reg."""
+    c1 = p.eta1 / (p.alpha + 1.0) if p.eta1 > 0 else 0.0
+    return [(c1, ("rtneg", p.alpha)), (p.eta2 / (2 * tau[0] ** 2), ("glR2", p.s))]
 
 
-def _diffusion_dissipation(ops: StateOps, p: ParamSet, tau, c: float) -> float:
-    """Dissipation of the entropy and eta potentials by a density diffusion
-    c lap R / tau^2: (c/tau^2) quad(4 |grad sqrt R|^2
+def _diffusion_dissipation(p: ParamSet, tau, c: float) -> list:
+    """The terms of the dissipation of the entropy and eta potentials by a
+    density diffusion c lap R / tau^2: (c/tau^2) quad(4 |grad sqrt R|^2
     + (4 eta1/alpha) |grad rho_tilde^(-alpha/2)|^2) + (c eta2/tau^4) quad((lap^(s+1) R)^2).
     c is delta1 in the energy balance, nu in the BD identity, and nu + delta1
-    in the regularized BD dissipation."""
-    if c == 0.0:
-        return 0.0
-    tau_v, _ = tau
-    g = ops.grid
-    out = 4.0 * c / tau_v**2 * _quad(g, ops.grad_sqrtR2)
-    if p.eta1 > 0:
-        out += 4.0 * p.eta1 * c / (p.alpha * tau_v**2) * _quad(g, ops.grad_rho_neg2(p.alpha))
-    if p.eta2 > 0:
-        out += p.eta2 * c / tau_v**4 * _quad(g, ops.lap_R(p.s + 1) ** 2)
-    return out
+    in the regularized BD dissipation: the term integrals are shared."""
+    t2 = tau[0] ** 2
+    c1 = 4.0 * p.eta1 / (p.alpha * t2) if p.eta1 > 0 else 0.0
+    return _times(c, [(4.0 / t2, "gs2"), (c1, ("gneg2", p.alpha)),
+                      (p.eta2 / t2**2, ("lapR2", p.s + 1))])
 
 
-def _velocity_damping(ops: StateOps, p: ParamSet, tau) -> float:
-    """(1/tau^4) quad(delta2 |lap U|^2 + r0 |U|^2 + r1 R |U|^4), the delta2 and
-    drag dissipation shared by dissipation_reg and bd_dissipation_reg."""
-    tau4 = tau[0] ** 4
-    g = ops.grid
-    out = 0.0
-    if p.delta2 > 0:
-        out += p.delta2 / tau4 * _quad(g, sum(a**2 for a in ops.lap_U))
-    if p.r0 > 0:
-        out += p.r0 / tau4 * _quad(g, ops.U2)
-    if p.r1 > 0:
-        out += p.r1 / tau4 * _quad(g, ops.lam2 * ops.U2)
-    return out
+def _velocity_damping(p: ParamSet, tau) -> list:
+    """The terms of (1/tau^4) quad(delta2 |lap U|^2 + r0 |U|^2 + r1 R |U|^4),
+    the delta2 and drag dissipation of dissipation_reg and bd_dissipation_reg."""
+    t4 = tau[0] ** 4
+    return [(p.delta2 / t4, "lapU2"), (p.r0 / t4, "U2"), (p.r1 / t4, "lam2U2")]
 
 
 def energy_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
     ops = StateOps.of(state)
-    return energy(ops, tau, params.eps) + _eta_potential(ops, params, tau)
+    return energy(ops, tau, params.eps) + ops.total(*_eta_potential(params, tau))
 
 
 def dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
-    ops = StateOps.of(state)
     p = params
-    tau_v, _ = tau
-    g = ops.grid
-    out = _kinetic_rate(ops, tau, p.eps, p.eta2, p.s)
-    if p.nu > 0:
-        out += p.nu / tau_v**4 * _quad(g, ops.R * ops.DU2())
-    out += _diffusion_dissipation(ops, p, tau, p.delta1)
-    if p.delta1 > 0 and p.eps > 0:
-        out += p.delta1 * p.eps**2 / (2 * tau_v**4) * _quad(g, ops.R_hess_logR2())
-    return out + _velocity_damping(ops, p, tau)
+    tau_v, taudot_v = tau
+    t4 = tau_v**4
+    return StateOps.of(state).total(
+        *_times(taudot_v / tau_v**3, _kinetic(p.eps, p.eta2, p.s)),
+        (p.nu / t4, "RDU2"),
+        *_diffusion_dissipation(p, tau, p.delta1),
+        (p.delta1 * p.eps**2 / (2 * t4), "RhlogR2"),
+        *_velocity_damping(p, tau),
+    )
 
 
 def bd_entropy_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
     """Positive part of the regularized BD entropy (drag log-term truncated
     to {R <= 1}, plus the eta contributions)."""
-    ops = StateOps.of(state)
-    p = params
-    return bd_entropy(ops, tau, p.eps, p.nu, p.r0) + _eta_potential(ops, p, tau)
+    p, ops = params, StateOps.of(state)
+    return bd_entropy(ops, tau, p.eps, p.nu, p.r0) + ops.total(*_eta_potential(p, tau))
 
 
 def bd_dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
     # sum of the energy-identity and BD-identity dissipations; adding the
     # two derivations gives the density-diffusion coefficient nu + delta1.
-    ops = StateOps.of(state)
+    # The drag term 2 r0 nu (taudot/tau^3) quad(|log R| 1_{R<1}) is read off
+    # quad(log R 1_{R<=1}) <= 0.
     p = params
     tau_v, taudot_v = tau
-    g = ops.grid
-    out = _kinetic_rate(ops, tau, p.eps, p.eta2, p.s)
-    if p.r0 > 0 and p.nu > 0:
-        out += (
-            2.0 * p.r0 * p.nu * taudot_v / tau_v**3
-            * _quad(g, np.where(ops.R < 1.0, np.abs(ops.logR), 0.0))
-        )
+    t4 = tau_v**4
     chess = p.delta1 * p.nu**2 + p.nu * p.eps**2 + p.delta1 * p.eps**2 / 2.0
-    if chess > 0:
-        out += chess / tau_v**4 * _quad(g, ops.R_hess_logR2())
-    out += _diffusion_dissipation(ops, p, tau, p.nu + p.delta1)
-    if p.nu > 0:
-        out += p.nu / tau_v**4 * _quad(g, ops.R * ops.AU2())
-    return out + _velocity_damping(ops, p, tau)
+    return StateOps.of(state).total(
+        *_times(taudot_v / tau_v**3, _kinetic(p.eps, p.eta2, p.s)),
+        (-2.0 * p.r0 * p.nu * taudot_v / tau_v**3, "logR_le1"),
+        (chess / t4, "RhlogR2"),
+        *_diffusion_dissipation(p, tau, p.nu + p.delta1),
+        (p.nu / t4, "RAU2"),
+        *_velocity_damping(p, tau),
+    )
 
 
 def balance_rhs(state: FluidState | StateOps, params: ParamSet, tau) -> float:
     """Right side of the regularized energy balance:
     2 d delta1 / tau^2 quad(R) - nu taudot / tau^3 quad(R div U)."""
-    ops = StateOps.of(state)
-    p = params
+    ops, p = StateOps.of(state), params
     tau_v, taudot_v = tau
-    g = ops.grid
-    out = 0.0
-    if p.delta1 > 0:
-        out += 2.0 * g.d * p.delta1 / tau_v**2 * _quad(g, ops.R)
-    if p.nu > 0:
-        out -= p.nu * taudot_v / tau_v**3 * _quad(g, ops.R * ops.div_U)
-    return out
+    return ops.total(
+        (2.0 * ops.grid.d * p.delta1 / tau_v**2, "R"), (-p.nu * taudot_v / tau_v**3, "RdivU")
+    )
 
 
 def energy_balance_residual(times, e_reg, d_reg, rhs, normalize: bool = True) -> float:
@@ -461,63 +622,30 @@ def bd_identity_terms(
         return 0.0, 0.0, 0.0
     ops = StateOps.of(state)
     tau_v, taudot_v = tau
-    g = ops.grid
-    nu = p.nu
-    # R U . grad log R = U . grad R = 2 Lambda . grad sqrt R (no division)
-    ru_glog = 2.0 * ops.lam_grad_sqrtR
+    nu, t4 = p.nu, tau_v**4
+    # R U . grad log R = U . grad R = 2 Lambda . grad sqrt R (no division).
     # The transported functional carries -r0 nu log R and the dissipation
     # carries (delta1 nu^2 + eps^2 nu / 4) R |hess log R|^2: both follow from
     # re-deriving the drag-term rewrite and the Korteweg pairing
     # (int R grad(lap sqrt R / sqrt R) . grad log R = -1/2 int R |hess log R|^2,
     # so the eps^2/2-weighted force contributes eps^2/4), and both are
     # confirmed by the residual vanishing at the scheme's order.
-    f = (
-        _quad(
-            g,
-            nu * ru_glog + 2.0 * nu**2 * ops.grad_sqrtR2 - p.r0 * nu * ops.logR,
-        )
-        / tau_v**2
+    f = ops.total(*_times(1.0 / tau_v**2, [(2.0 * nu, "lgs"), (2.0 * nu**2, "gs2"),
+                                           (-p.r0 * nu, "logR")]))
+    diss = ops.total(
+        *_times(2.0 * nu * taudot_v / tau_v**3, [(2.0, "lgs"), (-p.r0, "logR")]),
+        *_diffusion_dissipation(p, tau, nu),
+        ((p.delta1 * nu**2 + p.eps**2 * nu / 4.0) / t4, "RhlogR2"),
     )
-    diss = 2.0 * nu * taudot_v / tau_v**3 * _quad(g, ru_glog - p.r0 * ops.logR)
-    diss += _diffusion_dissipation(ops, p, tau, nu)
-    diss += (
-        (p.delta1 * nu**2 + p.eps**2 * nu / 4.0)
-        / tau_v**4
-        * _quad(g, ops.R_hess_logR2())
+    rhs = ops.total(
+        (2.0 * ops.grid.d * nu / tau_v**2, "R"),
+        (nu / t4, "RgUgUT"),
+        (-p.r1 * nu / t4, "U2UgR"),
+        (-p.r0 * nu * p.delta1 / t4, "lapR_rt"),
+        (-p.delta1 * nu / t4, "mix"),
+        (-p.delta1 * nu / t4, "lapR_divmom"),
+        (-p.delta2 * nu / t4, "lapU_glaplog"),
     )
-
-    rhs = 2.0 * g.d * nu / tau_v**2 * _quad(g, ops.R)
-    gU = ops.grad_U
-    d = g.d
-    gradUT = np.zeros(g.shape)
-    for i in range(d):
-        for j in range(d):
-            gradUT += gU[i][j] * gU[j][i]
-    rhs += nu / tau_v**4 * _quad(g, ops.R * gradUT)
-    if p.r1 > 0:
-        u_gR = sum(u * gr for u, gr in zip(ops.U, ops.grad_R))
-        rhs -= p.r1 * nu / tau_v**4 * _quad(g, ops.U2 * u_gR)
-    if p.delta1 > 0 or p.delta2 > 0:
-        rho = ops.rho_tilde
-        if p.delta1 > 0:
-            lapR = ops.lap_R(1)
-            if p.r0 > 0:
-                rhs -= p.r0 * nu * p.delta1 / tau_v**4 * _quad(g, lapR / rho)
-            glog = ops.sp.grad(ops.logR)
-            mix = np.zeros(g.shape)
-            for i in range(d):
-                for j in range(d):
-                    mix += gU[i][j] * ops.grad_R[i] * glog[j]
-            rhs -= p.delta1 * nu / tau_v**4 * _quad(g, mix)
-            div_mom = ops.sp.div(ops.momentum)
-            rhs -= p.delta1 * nu / tau_v**4 * _quad(g, (lapR / rho) * div_mom)
-        if p.delta2 > 0:
-            hlog = ops.hess_logR()
-            glaplog = ops.sp.grad(sum(hlog[(i, i)] for i in range(d)))
-            rhs -= (
-                p.delta2 * nu / tau_v**4
-                * _quad(g, sum(a * b for a, b in zip(ops.lap_U, glaplog)))
-            )
     return f, diss, rhs
 
 
@@ -541,94 +669,65 @@ def bd_identity_residual(times, f_series, diss_series, rhs_series) -> float:
 # entropy comparisons with the Gaussian attractor
 
 
-def relative_entropy(R: ScalarField) -> float:
-    """quad(R log(R / Gamma_m)) with Gamma_m the mass-matched periodized Gaussian."""
-    g = R.grid
-    r = R.values
-    m = _quad(g, r)
-    gam = matched_gaussian(g, m)
-    integrand = np.where(
-        r > 0, r * (np.log(np.maximum(r, LOG_FLOOR)) - np.log(gam)), 0.0
-    )
-    return _quad(g, integrand)
+def relative_entropy(R: ScalarField | StateOps) -> float:
+    """quad(R log(R / Gamma_m)) with Gamma_m the mass-matched periodized
+    Gaussian: log Gamma_m = -|y|^2 + log(m / quad(exp(-|y|^2))), so this is
+    quad(R log R) + quad(R |y|^2) - m log(m / quad(exp(-|y|^2)))."""
+    ops = StateOps.of(R)
+    m = ops.q("R")
+    shift = m * math.log(m / _gaussian(ops.grid)[1]) if m > 0 else 0.0
+    return ops.q("RlogR") + ops.q("Rr2") - shift
 
 
-def csiszar_kullback_gap(R: ScalarField) -> float:
+def csiszar_kullback_gap(R: ScalarField | StateOps) -> float:
     """quad(R log(R/Gamma_m)) - |R - Gamma_m|_L1^2 / (2 m), m = quad(R).
 
     Nonnegative (up to roundoff) by the Csiszar-Kullback/Pinsker inequality,
     which holds exactly for the discrete lattice measure."""
-    g = R.grid
-    m = _quad(g, R.values)
-    l1 = _quad(g, np.abs(R.values - matched_gaussian(g, m)))
-    return relative_entropy(R) - l1**2 / (2.0 * m)
+    ops = StateOps.of(R)
+    m = ops.q("R")
+    l1 = _quad(ops.grid, np.abs(ops.R - matched_gaussian(ops.grid, m)))
+    return relative_entropy(ops) - l1**2 / (2.0 * m)
 
 
 # ---------------------------------------------------------------------------
 # algebraic identities (Korteweg, log-Hessian, Jungel)
 
 
-def korteweg_stress(sp, s) -> np.ndarray:
-    """The Korteweg stress s hess s - grad s x grad s as a (d, d) stack (row
-    j holds the entries i = 0..d-1), whose row divergence is
-    R grad(lap s / s) for s = sqrt R: its upper entries mirrored through
-    sp.hess_full (see korteweg_stress_entries)."""
-    return korteweg_stress_entries(sp, s)[sp.hess_full]
-
-
-def korteweg_stress_entries(sp, s, derivs=None) -> np.ndarray:
-    """The upper entries (i <= j, in sp.hess_keys order) of the symmetric
-    Korteweg stress s d_i d_j s - d_i s d_j s.  The solver's force takes the
-    dealiased divergence of the mirrored rows and passes `derivs`, the stack
-    sp.inv(sp.deriv_sym * sp.fwd(s)) (grad s, then the Hessian entries in
-    sp.hess_keys order), from a transform batch of its own."""
-    if derivs is None:
-        derivs = sp.inv(sp.deriv_sym * sp.fwd(s))
-    gs, (i, j) = derivs[: sp.d], sp.hess_upper
-    return s * derivs[sp.d :] - gs[i] * gs[j]
-
-
-def korteweg_identity_residual(sqrtR: ScalarField) -> float:
+def korteweg_identity_residual(sqrtR: ScalarField | StateOps) -> float:
     """Normalized L2 mismatch of
     R grad(lap sqrt R / sqrt R) = div(sqrt R hess sqrt R - grad sqrt R x grad sqrt R)."""
-    g = sqrtR.grid
-    s = sqrtR.values
-    if s.min() <= 0:
+    ops = sqrtR if isinstance(sqrtR, StateOps) else StateOps._of_root(sqrtR)
+    if ops.s.min() <= 0:
         raise ValueError("sqrtR must be strictly positive for the identity check")
-    R = s**2
-    sp = g.spectral
-    lhs = [R * a for a in sp.grad(sp.lap(s) / s)]
-    rhs = [sp.div(row) for row in korteweg_stress(sp, s)]
-    num = math.sqrt(_quad(g, sum((a - b) ** 2 for a, b in zip(lhs, rhs))))
-    den = math.sqrt(_quad(g, sum(b**2 for b in rhs)))
+    ops.fetch("grad_ks", "div_stress")
+    diff = ops.R * ops["grad_ks"] - ops["div_stress"]
+    num = math.sqrt(_dot(ops.grid, diff, diff))
+    den = math.sqrt(_dot(ops.grid, ops["div_stress"], ops["div_stress"]))
     return num / max(den, 1e-300)
 
 
-def loghess_identity_residual(R: ScalarField) -> float:
+def loghess_identity_residual(R: ScalarField | StateOps) -> float:
     """Normalized mismatch of  1/2 quad(R |hess log R|^2) = quad((lap sqrt R / sqrt R) lap R)."""
-    g = R.grid
-    r = R.values
-    if r.min() <= 0:
+    ops = StateOps.of(R)
+    if ops.min_density <= 0:
         raise ValueError("R must be strictly positive for the identity check")
-    s = np.sqrt(r)
-    sp = g.spectral
-    left = 0.5 * _quad(g, r * _tensor2(g.d, sp.hessian(np.log(r))))
-    right = _quad(g, (sp.lap(s) / s) * sp.lap(r))
+    ops.fetch("hess_logR", "hess_R", "hess_s")
+    left = 0.5 * ops.q("RhlogR2_sp")
+    right = _dot(ops.grid, ops.ks, ops.sp.trace(ops["hess_R"]))
     return abs(left - right) / max(abs(left), 1e-300)
 
 
-def jungel_quantities(R: ScalarField) -> tuple[float, float]:
+def jungel_quantities(R: ScalarField | StateOps) -> tuple[float, float]:
     """(quad|hess sqrt R|^2 + quad|grad R^(1/4)|^4,  quad R |hess log R|^2);
     equivalent up to implicit constants, reported without assertion."""
-    g = R.grid
-    r = np.maximum(R.values, 0.0)
-    s = np.sqrt(r)
-    sp = g.spectral
-    left = _quad(g, _tensor2(g.d, sp.hessian(s)))
-    left += _quad(g, sum(a**2 for a in sp.grad(np.sqrt(s))) ** 2)
-    logr = np.log(np.maximum(r, LOG_FLOOR))
-    right = _quad(g, r * _tensor2(g.d, sp.hessian(logr)))
-    return float(left), float(right)
+    ops = StateOps.of(R)
+    ops.fetch("hess_s", "grad_root_s", "hess_logR")
+    g = ops.grid
+    left = _quad(g, ops.sp.frob2(ops["hess_s"]))
+    g4 = np.sum(ops["grad_root_s"] ** 2, axis=0)
+    left += _dot(g, g4, g4)
+    return float(left), ops.q("RhlogR2_sp")
 
 
 # ---------------------------------------------------------------------------
@@ -643,33 +742,31 @@ def compatibility_residuals(state: FluidState | StateOps) -> tuple[float, float]
                             = hess(R)/2 - 2 grad sqrtR x grad sqrtR.
     """
     ops = StateOps.of(state)
-    d = ops.grid.d
-    mask = ops.R > ops.r_floor
-    gs = ops.grad_sqrtR
-    gU = ops.grad_U
-    gj = ops.grad_momentum
-    num = 0.0
-    den = 0.0
-    for i in range(d):
-        for j in range(d):
-            lhs = ops.R * gU[i][j]
-            grad_piece = gj[j][i]
-            cross_piece = 2.0 * ops.lam[j] * gs[i]
-            rhs = grad_piece - cross_piece
-            num += float(np.sum(((lhs - rhs) ** 2)[mask]))
-            # scale by the ingredients so exact cancellations score zero
-            den += float(np.sum((grad_piece**2 + cross_piece**2)[mask]))
+    ops.fetch("grad_s", "hess_s", "hess_R", "grad_U", "grad_mom")
+    sp = ops.sp
+    live = (ops.R > ops.r_floor).astype(float)
+    gs = ops["grad_s"]
+    # entries [j, i]: d_i of the component j, of R grad U and of its two
+    # pieces grad(sqrtR Lambda) and 2 Lambda x grad sqrtR
+    grad_piece = ops["grad_mom"]
+    cross_piece = ops.lam[:, None] * gs[None, :]
+    cross_piece *= 2.0
+    diff = ops.R * ops["grad_U"]
+    diff -= grad_piece
+    diff += cross_piece
+    num = _dot(ops.grid, live, np.square(diff, out=diff).sum(axis=(0, 1)))
+    # scale by the ingredients so exact cancellations score zero
+    cross_piece *= cross_piece
+    cross_piece += np.square(grad_piece, out=diff)
+    den = _dot(ops.grid, live, cross_piece.sum(axis=(0, 1)))
     tn_res = math.sqrt(num) / max(math.sqrt(den), 1e-300)
 
-    stress = korteweg_stress(ops.sp, ops.s)
-    num = den = 0.0
-    for (i, j), hR in ops.hess_R.items():
-        a = stress[j][i]
-        b = 0.5 * hR - 2.0 * gs[i] * gs[j]
-        w = 1.0 if i == j else 2.0
-        num += w * float(np.sum((a - b) ** 2))
-        # a + grad_i sqrtR grad_j sqrtR = sqrtR d_i d_j sqrtR
-        den += w * float(np.sum((a + gs[i] * gs[j]) ** 2 + 0.25 * hR**2))
+    i, j = sp.hess_upper
+    gg = gs[i] * gs[j]
+    hR, a = ops["hess_R"], ops.stress
+    num = sp.frob2(a - 0.5 * hR + 2.0 * gg).sum()
+    # a + grad_i sqrtR grad_j sqrtR = sqrtR d_i d_j sqrtR
+    den = sp.frob2(a + gg).sum() + 0.25 * sp.frob2(hR).sum()
     sk_res = math.sqrt(num) / max(math.sqrt(den), 1e-300)
     return tn_res, sk_res
 
@@ -681,15 +778,14 @@ def irrotationality_residual(state: FluidState | StateOps) -> float:
     g = ops.grid
     if g.d == 1:
         return 0.0
-    gs = ops.grad_sqrtR
-    gj = ops.grad_momentum  # gj[c][i] = d_i j_c
-    pairs = [(0, 1)] if g.d == 2 else [(1, 2), (2, 0), (0, 1)]
-    num = den = 0.0
-    for a, b in pairs:
-        curl = gj[b][a] - gj[a][b]
-        target = 2.0 * (gs[a] * ops.lam[b] - gs[b] * ops.lam[a])
-        num += _quad(g, (curl - target) ** 2)
-        den += _quad(g, curl**2 + target**2)
+    ops.fetch("grad_s", "grad_mom")
+    gs, lam = ops["grad_s"], ops.lam
+    gj = ops["grad_mom"]  # gj[c, i] = d_i j_c
+    a, b = ([0], [1]) if g.d == 2 else ([1, 2, 0], [2, 0, 1])
+    curl = gj[b, a] - gj[a, b]
+    target = 2.0 * (gs[a] * lam[b] - gs[b] * lam[a])
+    num = _dot(g, curl - target, curl - target)
+    den = _dot(g, curl, curl) + _dot(g, target, target)
     return math.sqrt(num) / max(math.sqrt(den), 1e-300)
 
 
@@ -697,9 +793,23 @@ def irrotationality_residual(state: FluidState | StateOps) -> float:
 # L log L constructive bound
 
 
-def llogl_bound(f: ScalarField, beta: float) -> tuple[float, float]:
+def _llogl_tables(grid: Grid, p_neg: float):
+    """The grid's sorted radii |y| and the reversed cumulative sums of
+    max(|y|, dy 1e-6)^(-p_neg) over them (a trailing 0 past the largest),
+    built once per grid and p_neg."""
+
+    def build():
+        rad = np.sort(np.sqrt(grid.r2), axis=None)
+        far = np.maximum(rad, grid.dy * 1e-6) ** (-p_neg)
+        return rad, np.append(np.cumsum(far[::-1])[::-1], 0.0)
+
+    return grid.spectral.cached(("llogl", p_neg), build)
+
+
+def llogl_bound(f: ScalarField | StateOps, beta: float) -> tuple[float, float]:
     """(value, bound) for the L log L control of |f|^2 in terms of the L2 norm,
-    the momentum |y| f and the discrete H1 norm.
+    the momentum |y| f and the discrete H1 norm; f is a field, or the
+    StateOps of a state, whose root it then takes.
 
     value = quad(|f|^2 |log |f|^2|).  The bound reproduces the proof's split at
     |f| = 1 with t |log t| <= (2/(e beta)) t^(1 -/+ beta/2) on each branch:
@@ -721,16 +831,16 @@ def llogl_bound(f: ScalarField, beta: float) -> tuple[float, float]:
     All steps are exact finite-sum inequalities, so value <= bound holds for
     every grid function with the stated finiteness.
     """
-    g = f.grid
+    ops = f if isinstance(f, StateOps) else StateOps._of_root(f)
+    g = ops.grid
     if not 0.0 < beta < 4.0 / (g.d + 2):
         raise ValueError(f"beta must lie in (0, 4/(d+2)) = (0, {4.0/(g.d+2):.4f})")
-    v = np.abs(f.values)
-    v2 = v**2
-    value = _quad(g, np.where(v2 > 0, v2 * np.abs(np.log(np.maximum(v2, LOG_FLOOR))), 0.0))
+    # |f|^2 = R, and log(max(R, LOG_FLOOR)) vanishes with R on {R = 0}
+    value = _dot(g, ops.R, np.abs(ops.logR))
 
     cpt = 2.0 / (math.e * beta)  # max of t^(beta/2) |log t| on (0,1] and [1,inf)
-    l2 = math.sqrt(_quad(g, v2))
-    yf = math.sqrt(_quad(g, g.r2 * v2))
+    l2 = math.sqrt(ops.q("R"))
+    yf = math.sqrt(ops.q("Rr2"))
     a_exp = g.d * beta / 2.0
     b_exp = (2.0 - beta) - a_exp  # positive iff beta < 4/(d+2)
     p_neg = 2.0 * (2.0 - beta) / beta
@@ -750,9 +860,7 @@ def llogl_bound(f: ScalarField, beta: float) -> tuple[float, float]:
     # every candidate in one pass over the sorted radii: the count of radii
     # <= kappa gives V_kappa, and the sum of |y|^(-p) over the rest (from
     # the smallest term up) gives W_kappa
-    rad = np.sort(np.sqrt(g.r2), axis=None)
-    far = np.maximum(rad, g.dy * 1e-6) ** (-p_neg)
-    tail = np.append(np.cumsum(far[::-1])[::-1], 0.0)
+    rad, tail = _llogl_tables(g, p_neg)
     n_near = np.searchsorted(rad, np.fromiter(cand, float), side="right")
     v_kappa = g.weight * n_near
     w_kappa = g.weight * tail[n_near]
@@ -761,9 +869,8 @@ def llogl_bound(f: ScalarField, beta: float) -> tuple[float, float]:
     ) * w_kappa ** (beta / 2.0)
     small_best = float(b_small.min())
 
-    gradf = g.spectral.grad(f.values)
-    h1 = _quad(g, v2) + _quad(g, sum(a**2 for a in gradf))
-    s_grid = float(np.sum(1.0 / (1.0 + g.k2)))
+    h1 = ops.q("R") + ops.q("gs2")
+    s_grid = g.spectral.cached("sobolev", lambda: float(np.sum(1.0 / (1.0 + g.k2))))
     f_inf_bound = math.sqrt(s_grid / g.volume * h1)
     b_large = f_inf_bound**beta * l2**2
 
@@ -841,51 +948,71 @@ class DiagnosticsRecord:
         return out
 
 
+# what the full tier transforms besides its columns' terms: for the
+# compatibility, irrotationality and L log L functions, then for the
+# identities on R > 0
+_FULL_NEEDS = ("grad_s", "hess_s", "hess_R", "grad_U", "grad_mom")
+_IDENTITY_NEEDS = ("hess_logR", "grad_root_s", "grad_ks", "div_stress")
+
+
+def _columns(ops: StateOps, p: ParamSet, tau, full: bool) -> dict:
+    """The value columns of a record but its moments."""
+    cols = {
+        "energy": energy(ops, tau, p.eps),
+        "dissipation": dissipation(ops, tau, p.eps, p.nu),
+        "energy_reg": energy_reg(ops, p, tau),
+        "dissipation_reg": dissipation_reg(ops, p, tau),
+        "balance_rhs": balance_rhs(ops, p, tau),
+        "bd_entropy": bd_entropy(ops, tau, p.eps, p.nu, p.r0),
+        "bd_dissipation": bd_dissipation(ops, tau, p.eps, p.nu),
+    }
+    cols["bdid_f"], cols["bdid_diss"], cols["bdid_rhs"] = bd_identity_terms(ops, p, tau)
+    if full:
+        cols["bd_entropy_reg"] = bd_entropy_reg(ops, p, tau)
+        cols["bd_dissipation_reg"] = bd_dissipation_reg(ops, p, tau)
+    return cols
+
+
 def record(
-    state: FluidState,
+    state: FluidState | StateOps,
     params: ParamSet,
     tau,
     full: bool = False,
     r_floor: float | None = None,
 ) -> DiagnosticsRecord:
-    """Evaluate the diagnostics family on one state.
+    """Evaluate the diagnostics family on one state (a StateOps, such as the
+    one run builds from the stepper's (R, M, r_min), or a FluidState).
 
     The core tier (always computed) carries everything needed for the
     time-integrated balance residuals; full=True adds the identity residuals
-    and entropy comparisons (meaningful on smooth positive states).
+    and entropy comparisons (meaningful on smooth positive states).  Every
+    transform that the columns and the identity functions need is made up
+    front, in one fetch.
     """
-    ops = StateOps(state, r_floor=r_floor)
-    g = ops.grid
-    f_id, diss_id, rhs_id = bd_identity_terms(ops, params, tau)
+    ops, p, g = StateOps.of(state, r_floor), params, state.grid
+    positive = ops.min_density > 0
+    ops.fetch(
+        *ops.planned(lambda: _columns(ops, p, tau, full)),
+        *(_FULL_NEEDS if full else ()),
+        *(_IDENTITY_NEEDS if full and positive else ()),
+    )
     rec = DiagnosticsRecord(
-        t=state.t,
-        mass=_quad(g, ops.R),
-        momentum=tuple(_quad(g, m) for m in ops.momentum),
-        second_moment=_quad(g, ops.R * g.r2),
-        energy=energy(ops, tau, params.eps),
-        dissipation=dissipation(ops, tau, params.eps, params.nu),
-        energy_reg=energy_reg(ops, params, tau),
-        dissipation_reg=dissipation_reg(ops, params, tau),
-        balance_rhs=balance_rhs(ops, params, tau),
-        bd_entropy=bd_entropy(ops, tau, params.eps, params.nu, params.r0),
-        bd_dissipation=bd_dissipation(ops, tau, params.eps, params.nu),
-        bdid_f=f_id,
-        bdid_diss=diss_id,
-        bdid_rhs=rhs_id,
-        min_density=float(ops.R.min()),
+        t=ops.t,
+        mass=ops.q("R"),
+        momentum=tuple(_quad(g, m) for m in ops.mom),
+        second_moment=ops.q("Rr2"),
+        min_density=ops.min_density,
+        **_columns(ops, p, tau, full),
     )
     if full:
-        rec.bd_entropy_reg = bd_entropy_reg(ops, params, tau)
-        rec.bd_dissipation_reg = bd_dissipation_reg(ops, params, tau)
-        R_field = ScalarField(g, ops.R)
-        rec.relative_entropy = relative_entropy(R_field)
-        rec.ck_gap = csiszar_kullback_gap(R_field)
+        ops.keep(*_FULL_NEEDS, *_IDENTITY_NEEDS)
+        rec.relative_entropy = relative_entropy(ops)
+        rec.ck_gap = csiszar_kullback_gap(ops)
         rec.tn_residual, rec.sk_residual = compatibility_residuals(ops)
         rec.irrot_residual = irrotationality_residual(ops)
-        beta = 2.0 / (g.d + 2)
-        rec.llogl_value, rec.llogl_bound = llogl_bound(state.sqrtR, beta)
-        if ops.R.min() > 0:
-            rec.korteweg_residual = korteweg_identity_residual(state.sqrtR)
-            rec.loghess_residual = loghess_identity_residual(R_field)
-            rec.jungel_left, rec.jungel_right = jungel_quantities(R_field)
+        rec.llogl_value, rec.llogl_bound = llogl_bound(ops, 2.0 / (g.d + 2))
+        if positive:
+            rec.korteweg_residual = korteweg_identity_residual(ops)
+            rec.loghess_residual = loghess_identity_residual(ops)
+            rec.jungel_left, rec.jungel_right = jungel_quantities(ops)
     return rec

@@ -270,8 +270,9 @@ def make_wavefunction(grid: Grid, spec: dict, eps: float) -> WaveFunction:
 
 def run_experiment(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit status (0 ok,
-    1 invariant violation, 2 run failure).  A bad config raises BadConfig
-    from config.build(), before any output is written."""
+    1 invariant violation, 2 run failure, arithmetic errors included).  A
+    bad config raises BadConfig from config.build(), before any output is
+    written."""
     inputs = config.build()
     kind = config.kind
     meta = {
@@ -295,7 +296,10 @@ def run_experiment(config: ExperimentConfig) -> int:
         families = {name: {"ok": not errs, "seconds": took} for name, (errs, took) in ran.items()}
         io_.write_metadata(inputs.out, {**meta, "failures": failures, "families": families})
         return 1 if failures else 0
-    except solver.SolverError:
+    except (solver.SolverError, ArithmeticError) as exc:
+        # a run whose arithmetic overflows (a Python float power of an
+        # extreme parameter, say) has failed, like one that stops on its own
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 
@@ -319,7 +323,8 @@ def _run_single(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
     io_.write_metadata(
         out,
         {**meta, "status": traj.status, "n_steps": traj.n_steps,
-         "cfl_binding": traj.cfl_binding, "params": asdict(params), **_stop(traj)},
+         "cfl_binding": traj.cfl_binding, "params": asdict(params), "timing": traj.timing,
+         **_stop(traj)},
     )
     return 0 if traj.status == "ok" else 2
 
@@ -406,7 +411,7 @@ def _run_longtime(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> in
     io_.write_metadata(
         inputs.out,
         {**meta, "status": traj.status, "cfl_binding": traj.cfl_binding, "targets": targets,
-         **_stop(traj)},
+         "timing": traj.timing, **_stop(traj)},
     )
     return 0 if traj.status == "ok" else 2
 

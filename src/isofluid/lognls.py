@@ -163,7 +163,7 @@ def run_nls(
         traj.mass.append(mass)
         # one gradient pair and one Madelung image for the three functionals
         grads = wave_gradients(psi)
-        ops = diag.StateOps(madelung(psi, grads=grads))
+        ops = diag.StateOps.of(madelung(psi, grads=grads))
         traj.energy.append(diag.energy(ops, tp, psi.epsilon))
         traj.dissipation.append(diag.dissipation(ops, tp, psi.epsilon, nu=0.0))
         traj.e_variant.append(nls_energy(psi, params, tp, grads=grads))

@@ -55,6 +55,7 @@ same r_min; standalone diagnostics default to VACUUM_FLOOR_REL max R.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -107,6 +108,10 @@ class Trajectory:
     # the step that failed (n_steps + 1), "t": its start time, "cell": the
     # grid index of the first non-finite value ("nan") or of min R}
     stop: dict | None = None
+    # perf_counter seconds of the run: "advance_s", "diagnostics_s" and
+    # "snapshots_s" (the state copies kept in snapshots) are parts of
+    # "wall_s", the whole of solver.run; "steps_per_s" is n_steps / wall_s
+    timing: dict = field(default_factory=dict)
 
     def series(self, name: str) -> np.ndarray:
         return np.asarray([getattr(r, name) for r in self.records], dtype=float)
@@ -316,21 +321,6 @@ class _Stepper:
 
     # -- explicit remainder ---------------------------------------------------
 
-    def _batch(self, transform, parts: dict) -> dict:
-        """`transform` (the backend's fwd or inv) of the named parts, each
-        stacked along one leading component axis.  In 1D the parts go as one
-        concatenated stack, so one call; for d > 1 each part goes alone,
-        uncopied: a forward takes each part's stack in one call, and an
-        inverse makes one call per component anyway."""
-        if len(parts) == 1 or self.grid.d > 1:
-            return {name: transform(v) for name, v in parts.items()}
-        out = transform(np.concatenate(list(parts.values())))
-        pieces, lo = {}, 0
-        for name, v in parts.items():
-            pieces[name] = out[lo : lo + len(v)]
-            lo += len(v)
-        return pieces
-
     # CFL bands, the largest |k| / kmx each force reaches: the pressure
     # i k Rh and the cold pressure are not masked, so the acoustic wave sees
     # the whole grid; the Korteweg stress and the eta2 product enter M
@@ -353,24 +343,25 @@ class _Stepper:
         roots = {"R": R[None]}
         if p.eps > 0:
             roots["s"] = self.sqrt_reg(R, rho)[None]
-        hat = self._batch(sp.fwd, roots)
+        hat = sp.batch(sp.fwd, roots)
         Rh = hat["R"][0]
         derivs = {"grad_R": sp.ik * Rh}
         if p.eta2 > 0:
             derivs["eta2"] = sp.grad_lap_symbol(2 * p.s + 1) * Rh
         if p.eps > 0:
             derivs["s"] = sp.deriv_sym * hat["s"][0]
-        back = self._batch(sp.inv, derivs)
+        back = sp.batch(sp.inv, derivs)
         prods = {}
         if p.eps > 0:
             # the stress is symmetric: transform its upper entries and
             # mirror them through sp.hess_full
-            prods["stress"] = diag.korteweg_stress_entries(sp, roots["s"][0], back["s"])
+            gs, hs = back["s"][: sp.d], back["s"][sp.d :]
+            prods["stress"] = diag.korteweg_stress_entries(sp, roots["s"][0], gs, hs)
         if p.eta1 > 0:
             prods["cold"] = self.rho_tilde(R)[None] ** (-p.alpha)
         if p.eta2 > 0:
             prods["eta2"] = R * back["eta2"]
-        ph = self._batch(sp.fwd, prods) if prods else {}
+        ph = sp.batch(sp.fwd, prods) if prods else {}
         Fh = (p.nu * taudot_v / tau_v - 1.0) * sp.ik * Rh
         if p.eps > 0:
             stress_h = ph["stress"][sp.hess_full]
@@ -427,10 +418,10 @@ class _Stepper:
             fields["M"] = M
         if p.delta2 > 0:
             fields["delta2"] = U - c_u * M
-        hat = self._batch(sp.fwd, fields) if fields else {}
+        hat = sp.batch(sp.fwd, fields) if fields else {}
         flat = (d * d,) + sp.half_shape
         to_grad = {f: sp.apply(sp.ik, hat[f]).reshape(flat) for f in ("U", "M") if f in hat}
-        grads = self._batch(sp.inv, to_grad) if to_grad else {}
+        grads = sp.batch(sp.inv, to_grad) if to_grad else {}
         # gradU[j, i] = d_i U_j, likewise gradM
         gradU, gradM = (
             grads[f].reshape((d, d) + sp.shape) if f in grads else None for f in ("U", "M")
@@ -439,7 +430,7 @@ class _Stepper:
         prods = {"stress": stress.reshape((d * d,) + sp.shape)}
         if p.delta1 > 0:
             prods["cross"] = sp.sum_axes(fz.grad_R * gradU)
-        ph = self._batch(sp.fwd, prods)
+        ph = sp.batch(sp.fwd, prods)
         fh = sp.div_dealiased_hat(ph["stress"].reshape((d, d) + sp.half_shape))
         if p.delta1 > 0:
             fh -= self.delta1_mask * ph["cross"]
@@ -594,6 +585,7 @@ def run(
     the last valid state) with status "floor" when the density loses
     positivity (min R < -neg_tol_rel * max R0), "nan" on blow-up, or
     "underflow" when the CFL step collapses."""
+    start = time.perf_counter()
     grid = initial.grid
     p = params.bind(grid.d)
     R, M = arrays_from_state(initial)
@@ -603,6 +595,7 @@ def run(
         tau_sol = tau_solve(horizon, 1e-12, 1e-14)
 
     traj = Trajectory(params=p)
+    timing = traj.timing = {"advance_s": 0.0, "diagnostics_s": 0.0, "snapshots_s": 0.0}
     t = initial.t
     # blow-up detector: spectral ringing in vacuum tails undershoots zero by
     # tiny transients, which is harmless; only a sizeable negative excursion
@@ -613,19 +606,28 @@ def run(
         return state_from_arrays(grid, t, R, M, st.r_min, initial.mass_ratio)
 
     def emit(full: bool):
+        t0 = time.perf_counter()
         traj.times.append(t)
-        rec = diag.record(
-            current_state(), p, tau_sol.eval(t), full=full, r_floor=st.r_min
-        )
-        rec.min_density = float(np.min(R))  # raw, pre-clip
-        traj.records.append(rec)
+        ops = diag.StateOps(grid, R, M, st.r_min, t)
+        traj.records.append(diag.record(ops, p, tau_sol.eval(t), full=full))
+        timing["diagnostics_s"] += time.perf_counter() - t0
+
+    def snapshot():
+        t0 = time.perf_counter()
+        traj.snapshots.append(current_state())
+        timing["snapshots_s"] += time.perf_counter() - t0
+
+    def finish():
+        traj.state_final = current_state()
+        wall = timing["wall_s"] = time.perf_counter() - start
+        timing["steps_per_s"] = traj.n_steps / wall if wall > 0 else 0.0
+        return traj
 
     emit(full=True)
     if snapshot_every:
-        traj.snapshots.append(current_state())
+        snapshot()
     if t_end <= initial.t:
-        traj.state_final = current_state()
-        return traj
+        return finish()
 
     def stop(reason, cell):
         traj.status = reason
@@ -646,7 +648,9 @@ def run(
         # a diverging step overflows on its way to inf or nan; the checks
         # below name it in the status, so numpy's warnings are not raised
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            t0 = time.perf_counter()
             R_new, M_new = st.advance(R, M, dt, tau_sol.eval(t + 0.5 * dt))
+            timing["advance_s"] += time.perf_counter() - t0
             if not (np.all(np.isfinite(R_new)) and np.all(np.isfinite(M_new))):
                 finite = np.isfinite(R_new) & np.all(np.isfinite(M_new), axis=0)
                 stop("nan", np.unravel_index(np.argmin(finite), R.shape))
@@ -664,10 +668,9 @@ def run(
         if diag_every and (k % diag_every == 0 or at_end):
             emit(full=at_end or bool(full_diag_every and k % full_diag_every == 0))
         if snapshot_every and (k % snapshot_every == 0 or at_end):
-            traj.snapshots.append(current_state())
-    traj.state_final = current_state()
+            snapshot()
     traj.validate()
-    return traj
+    return finish()
 
 
 # ---------------------------------------------------------------------------

@@ -225,11 +225,15 @@ class Spectral:
             [[self.hess_keys.index((min(i, j), max(i, j))) for i in range(self.d)]
              for j in range(self.d)]
         )
+        # the diagonal entries, and the weight of each entry in a Frobenius norm
+        self.hess_diag = [self.hess_keys.index((i, i)) for i in range(self.d)]
+        self.hess_w = np.array([1.0 if i == j else 2.0 for i, j in self.hess_keys])
         # first and second derivatives of a scalar: grad, then the Hessian entries
         self.deriv_sym = np.concatenate((self.ik, self.hess_sym))
         keep = (np.abs(grid.modes) <= grid.n / 3.0).astype(float)  # 2/3 rule
         self.mask = self._half(math.prod(_along(grid.d, i, keep) for i in range(grid.d)))
         self.mask_ik = self.mask * self.ik
+        self.size = math.prod(self.shape)
         self._symbols: dict = {}
         # index of a new component axis, and of each entry of the existing
         # one, just in front of the grid axes
@@ -278,7 +282,9 @@ class Spectral:
 
     # -- cached symbols --------------------------------------------------------
 
-    def _cached(self, key, build):
+    def cached(self, key, build):
+        """build(), built once per key: the symbols, and tables that depend
+        on the grid alone."""
         out = self._symbols.get(key)
         if out is None:
             out = self._symbols[key] = build()
@@ -286,11 +292,49 @@ class Spectral:
 
     def lap_symbol(self, p: int) -> np.ndarray:
         """(-|k|^2)^p."""
-        return self._cached(("lap", p), lambda: (-self.k2) ** p)
+        return self.cached(("lap", p), lambda: (-self.k2) ** p)
 
     def grad_lap_symbol(self, p: int) -> np.ndarray:
         """i k_j (-|k|^2)^p, stacked over the axes j."""
-        return self._cached(("grad_lap", p), lambda: self.ik * self.lap_symbol(p))
+        return self.cached(("grad_lap", p), lambda: self.ik * self.lap_symbol(p))
+
+    def grad_lap_norm(self, p: int) -> np.ndarray:
+        """sum_j |i k_j (-|k|^2)^p|^2, the symbol of |grad lap^p a|^2 in inner."""
+        return self.cached(
+            ("grad_lap_norm", p), lambda: self.sum_axes(np.abs(self.grad_lap_symbol(p)) ** 2)
+        )
+
+    def batch(self, transform, parts: dict) -> dict:
+        """`transform` (fwd or inv) of the named parts, each a stack along one
+        leading axis or a function that builds it.  In 1D the parts go as one
+        concatenated stack, one call; for d > 1 each part goes alone (a
+        forward stack is one call, an inverse one call per component anyway),
+        a function's part built just before its transform."""
+        if len(parts) == 1 or self.d > 1:
+            return {name: transform(v() if callable(v) else v) for name, v in parts.items()}
+        stacks = [v() if callable(v) else v for v in parts.values()]
+        out = transform(np.concatenate(stacks))
+        pieces, lo = {}, 0
+        for name, v in zip(parts, stacks):
+            pieces[name] = out[lo : lo + len(v)]
+            lo += len(v)
+        return pieces
+
+    def inner(self, ah, bh) -> float:
+        """Grid sum of a * b (and over the stack) from ah = fwd(a), bh = fwd(b)
+        by Parseval: a coefficient off the last axis's 0 and Nyquist columns
+        also stands for its conjugate mirror."""
+        both = 2.0 * np.vdot(ah, bh) - np.vdot(ah[..., 0], bh[..., 0])
+        return float((both - np.vdot(ah[..., -1], bh[..., -1])).real) / self.size
+
+    def trace(self, h) -> np.ndarray:
+        """sum_i h_ii of a stack of upper Hessian entries (hess_keys order)."""
+        return h[self.hess_diag].sum(axis=0)
+
+    def frob2(self, h) -> np.ndarray:
+        """|h|^2, the squared Frobenius norm of the symmetric tensor whose
+        upper entries (hess_keys order) the stack h holds."""
+        return np.tensordot(self.hess_w, h * h, axes=1)
 
     # -- operations on real arrays or stacks; `ah` passes a precomputed fwd(a)
 
@@ -319,12 +363,6 @@ class Spectral:
     def lap(self, a, p: int = 1, ah=None) -> np.ndarray:
         ah = self.fwd(a) if ah is None else ah
         return self.inv(self.lap_symbol(p) * ah)
-
-    def hessian(self, a, ah=None) -> dict:
-        """Upper-triangular Hessian entries {(i, j): d_i d_j a}, i <= j, of an
-        array a."""
-        ah = self.fwd(a) if ah is None else ah
-        return dict(zip(self.hess_keys, self.inv(self.hess_sym * ah)))
 
     def dealias(self, a) -> np.ndarray:
         """Zero every coefficient with an axis mode |m_j| > n/3 (2/3 rule)."""

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from isofluid import diagnostics as diag
 from isofluid.params import ParamSet
-from isofluid.rescaling import FluidState
+from isofluid.rescaling import FluidState, smooth_density
 from isofluid.spectral import Grid, ScalarField, VectorField
 
 
@@ -169,9 +169,9 @@ def test_compatibility_constant_velocity():
 def test_sk_of_constant_density_vanishes():
     g = Grid(2, 4.0, 32)
     st = state_from_R(g, np.full(g.shape, 0.64))
-    ops = diag.StateOps(st)
-    hs = g.spectral.hessian(ops.s)
-    assert max(np.abs(h).max() for h in hs.values()) < 1e-12
+    ops = diag.StateOps.of(st)
+    hs = g.spectral.inv(g.spectral.hess_sym * g.spectral.fwd(ops.s))
+    assert max(np.abs(h).max() for h in hs) < 1e-12
 
 
 def test_irrotationality_trivial_1d():
@@ -310,3 +310,216 @@ def test_llogl_bound_matches_reference_kappa_loop(f):
     f_inf = math.sqrt(float(np.sum(1.0 / (1.0 + g.k2))) / g.volume * h1)
     ref = 2.0 / (math.e * beta) * (small + f_inf**beta * l2**2)
     assert abs(bound - ref) <= 1e-14 * ref
+
+
+# ---------------------------------------------------------------------------
+# the record before its term-integral form, kept as a reference: every column
+# evaluated in physical space, one inverse transform per derivative, as a
+# list of its terms (each a quadrature times its coefficient)
+
+
+def _reference_record(state, p, tau, r_floor):
+    """(terms, residuals): the terms of each value column and each
+    identity-residual column of diag.record(state, p, tau, full=True)."""
+    g, sp, d = state.grid, state.grid.spectral, state.grid.d
+    tau_v, taudot_v = tau
+    t2, t3, t4 = tau_v**2, tau_v**3, tau_v**4
+
+    def quad(a):
+        return float(g.weight * np.sum(a))
+
+    def hess(a):
+        return dict(zip(sp.hess_keys, sp.inv(sp.hess_sym * sp.fwd(a))))
+
+    def tensor2(h):
+        return sum((1.0 if i == j else 2.0) * v**2 for (i, j), v in h.items())
+
+    s = state.sqrtR.values
+    R = s**2
+    lam = [c.values for c in state.Lambda.components]
+    U = [a / np.sqrt(smooth_density(R, r_floor)) for a in lam]
+    rt = np.maximum(R, r_floor)
+    logR = np.log(np.maximum(R, diag.LOG_FLOOR))
+    gs, gR = sp.grad(s), sp.grad(R)
+    gs2 = sum(a**2 for a in gs)
+    lam2, U2 = sum(a**2 for a in lam), sum(u**2 for u in U)
+    lgs = sum(a * b for a, b in zip(lam, gs))
+    cols = [sp.grad(u) for u in U]
+    gU = [[cols[j][i] for j in range(d)] for i in range(d)]  # gU[i][j] = d_i U_j
+    DU2 = sum(0.25 * (gU[i][j] + gU[j][i]) ** 2 for i in range(d) for j in range(d))
+    AU2 = sum(0.25 * (gU[i][j] - gU[j][i]) ** 2 for i in range(d) for j in range(d))
+    hR = hess(R)
+    hlog = {k: (h - gR[k[0]] * gR[k[1]] / rt) / rt for k, h in hR.items()}
+    RH = quad(R * (R > r_floor) * tensor2(hlog))
+
+    def glR2(q):
+        return quad(sum(sp.inv(sym * sp.fwd(R)) ** 2 for sym in sp.grad_lap_symbol(q)))
+
+    kin = [quad(lam2), p.eps**2 * quad(gs2)]
+    kin_eta = kin + ([p.eta2 * glR2(p.s)] if p.eta2 > 0 else [])
+    pot = [quad(R * g.r2), quad(R * np.where(R > 0, logR, 0.0))]
+    eta_pot = []
+    if p.eta1 > 0:
+        eta_pot.append(p.eta1 / (p.alpha + 1.0) * quad(rt ** (-p.alpha)))
+    if p.eta2 > 0:
+        eta_pot.append(p.eta2 / (2 * t2) * glR2(p.s))
+
+    def diffusion(c):
+        out = [4.0 * c / t2 * quad(gs2)]
+        if p.eta1 > 0:
+            neg = sum(a**2 for a in sp.grad(rt ** (-p.alpha / 2.0)))
+            out.append(4.0 * p.eta1 * c / (p.alpha * t2) * quad(neg))
+        if p.eta2 > 0:
+            out.append(p.eta2 * c / t4 * quad(sp.lap(R, p.s + 1) ** 2))
+        return out if c > 0 else []
+
+    lapU = [sp.lap(u) for u in U]
+    damping = [p.delta2 / t4 * quad(sum(a**2 for a in lapU)), p.r0 / t4 * quad(U2),
+               p.r1 / t4 * quad(lam2 * U2)]
+    rate = [taudot_v / t3 * a for a in kin]
+    rate_eta = [taudot_v / t3 * a for a in kin_eta]
+    bd_kin = [quad(lam2), 4.0 * p.nu * quad(lgs), 4.0 * p.nu**2 * quad(gs2),
+              p.eps**2 * quad(gs2), -2.0 * p.r0 * quad(np.where(R <= 1.0, logR, 0.0))]
+    bd = [a / (2 * t2) for a in bd_kin] + pot
+    chess = p.delta1 * p.nu**2 + p.nu * p.eps**2 + p.delta1 * p.eps**2 / 2.0
+    terms = {
+        "mass": [quad(R)],
+        "second_moment": [quad(R * g.r2)],
+        "energy": [a / (2 * t2) for a in kin] + pot,
+        "dissipation": rate + [p.nu / t4 * quad(R * DU2)],
+        "bd_entropy": bd,
+        "bd_dissipation": rate + [4.0 * p.nu / t2 * quad(gs2), p.nu / t4 * quad(R * AU2),
+                                  p.nu * p.eps**2 / t4 * RH],
+        "balance_rhs": [2.0 * d * p.delta1 / t2 * quad(R),
+                        -p.nu * taudot_v / t3 * quad(R * sum(gU[i][i] for i in range(d)))],
+        "energy_reg": [a / (2 * t2) for a in kin] + pot + eta_pot,
+        "dissipation_reg": rate_eta + [p.nu / t4 * quad(R * DU2)] + diffusion(p.delta1)
+        + [p.delta1 * p.eps**2 / (2 * t4) * RH] + damping,
+        "bd_entropy_reg": bd + eta_pot,
+        "bd_dissipation_reg": rate_eta
+        + [2.0 * p.r0 * p.nu * taudot_v / t3 * quad(np.where(R < 1.0, np.abs(logR), 0.0)),
+           chess / t4 * RH, p.nu / t4 * quad(R * AU2)]
+        + diffusion(p.nu + p.delta1) + damping,
+    }
+    terms.update({f"momentum_{i}": [quad(s * a)] for i, a in enumerate(lam)})
+    nu = p.nu
+    if nu > 0:
+        gradUT = sum(gU[i][j] * gU[j][i] for i in range(d) for j in range(d))
+        lapR = sp.lap(R)
+        glog = sp.grad(logR)
+        mix = sum(gU[i][j] * gR[i] * glog[j] for i in range(d) for j in range(d))
+        div_mom = sp.div([s * a for a in lam])
+        glaplog = sp.grad(sum(hlog[(i, i)] for i in range(d)))
+        terms["bdid_f"] = [nu * 2.0 * quad(lgs) / t2, 2.0 * nu**2 * quad(gs2) / t2,
+                           -p.r0 * nu * quad(logR) / t2]
+        terms["bdid_diss"] = [
+            2.0 * nu * taudot_v / t3 * 2.0 * quad(lgs),
+            -2.0 * nu * taudot_v / t3 * p.r0 * quad(logR),
+            (p.delta1 * nu**2 + p.eps**2 * nu / 4.0) / t4 * RH,
+        ] + diffusion(nu)
+        terms["bdid_rhs"] = [
+            2.0 * d * nu / t2 * quad(R),
+            nu / t4 * quad(R * gradUT),
+            -p.r1 * nu / t4 * quad(U2 * sum(u * a for u, a in zip(U, gR))),
+            -p.r0 * nu * p.delta1 / t4 * quad(lapR / rt),
+            -p.delta1 * nu / t4 * quad(mix),
+            -p.delta1 * nu / t4 * quad((lapR / rt) * div_mom),
+            -p.delta2 * nu / t4 * quad(sum(a * b for a, b in zip(lapU, glaplog))),
+        ]
+    gam = np.exp(-g.r2)
+    gam *= quad(R) / quad(gam)
+    rel = [quad(np.where(R > 0, R * logR, 0.0)), -quad(np.where(R > 0, R * np.log(gam), 0.0))]
+    terms["relative_entropy"] = rel
+    terms["ck_gap"] = rel + [-quad(np.abs(R - gam)) ** 2 / (2.0 * quad(R))]
+    terms["llogl_value"] = [quad(R * np.abs(logR))]
+    hs = hess(s)
+    terms["jungel_left"] = [quad(tensor2(hs)), quad(sum(a**2 for a in sp.grad(np.sqrt(s))) ** 2)]
+    terms["jungel_right"] = [quad(R * tensor2(hess(logR)))]
+
+    # identity residuals
+    stress = {k: s * h - gs[k[0]] * gs[k[1]] for k, h in hs.items()}
+    rows = [[stress[(min(i, j), max(i, j))] for i in range(d)] for j in range(d)]
+    lhs = [R * a for a in sp.grad(sp.lap(s) / s)]
+    rhs = [sp.div(row) for row in rows]
+    kort = math.sqrt(quad(sum((a - b) ** 2 for a, b in zip(lhs, rhs))))
+    kort /= math.sqrt(quad(sum(b**2 for b in rhs)))
+    left = 0.5 * quad(R * tensor2(hess(logR)))
+    loghess = abs(left - quad((sp.lap(s) / s) * sp.lap(R))) / abs(left)
+    mask = R > r_floor
+    gj = [sp.grad(s * a) for a in lam]
+    num = den = 0.0
+    for i in range(d):
+        for j in range(d):
+            diff = R * gU[i][j] - (gj[j][i] - 2.0 * lam[j] * gs[i])
+            num += float(np.sum((diff**2)[mask]))
+            den += float(np.sum((gj[j][i] ** 2 + (2.0 * lam[j] * gs[i]) ** 2)[mask]))
+    tn = math.sqrt(num) / max(math.sqrt(den), 1e-300)
+    num = den = 0.0
+    for (i, j), h in hR.items():
+        w = 1.0 if i == j else 2.0
+        num += w * float(np.sum((stress[(i, j)] - (0.5 * h - 2.0 * gs[i] * gs[j])) ** 2))
+        den += w * float(np.sum((stress[(i, j)] + gs[i] * gs[j]) ** 2 + 0.25 * h**2))
+    sk = math.sqrt(num) / max(math.sqrt(den), 1e-300)
+    irrot = 0.0
+    if d == 2:
+        curl = gj[1][0] - gj[0][1]
+        target = 2.0 * (gs[0] * lam[1] - gs[1] * lam[0])
+        irrot = math.sqrt(quad((curl - target) ** 2) / quad(curl**2 + target**2))
+    residuals = {"korteweg_residual": kort, "loghess_residual": loghess, "tn_residual": tn,
+                 "sk_residual": sk, "irrot_residual": irrot}
+    return terms, residuals
+
+
+# the thresholds the identity checks apply to each residual, here applied to
+# the residual's move from the reference
+RESIDUAL_TOL = {"korteweg_residual": 1e-8, "loghess_residual": 1e-8, "tn_residual": 1e-10,
+                "sk_residual": 1e-10, "irrot_residual": 1e-8}
+
+
+@st.composite
+def record_cases(draw):
+    """(state, params, tau, r_floor): a random positive 1D or 2D state with a
+    random momentum, and a parameter set in which each term may vanish."""
+    from isofluid.experiments import random_positive_field
+
+    d = draw(st.sampled_from([1, 2]))
+    g = Grid(d, draw(st.sampled_from([4.0, 6.0])), draw(st.sampled_from([16, 32])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R = random_positive_field(g, rng, draw(st.sampled_from([2.0, 4.0]))) + 0.05
+    lam = [0.4 * np.sqrt(R) * (random_positive_field(g, rng) - 0.5) for _ in range(d)]
+    state = state_from_R(g, R, lam)
+
+    def maybe(value):
+        return draw(st.sampled_from([0.0, value]))
+
+    nu, eps = maybe(0.1), maybe(0.2)
+    params = ParamSet(
+        nu=nu if nu or eps else 0.1, eps=eps, r0=maybe(0.03), r1=maybe(0.05),
+        delta1=maybe(1e-3), delta2=maybe(1e-4), eta1=maybe(1e-6), eta2=maybe(1e-9),
+        alpha=draw(st.sampled_from([5.0, 8.0])), s=d + draw(st.sampled_from([1, 2])),
+    ).bind(d)
+    tau = (draw(st.sampled_from([1.0, 1.7])), draw(st.sampled_from([0.0, 0.4])))
+    return state, params, tau, 1e-10 * float(R.mean())
+
+
+@settings(max_examples=40)
+@given(record_cases())
+def test_record_matches_physical_space_reference(case):
+    state, p, tau, r_floor = case
+    g = state.grid
+    terms, residuals = _reference_record(state, p, tau, r_floor)
+    R = state.sqrtR.values ** 2
+    M = state.sqrtR.values * np.stack(state.Lambda.arrays())
+    for ops in (diag.StateOps.of(state, r_floor), diag.StateOps(g, R, M, r_floor)):
+        rec = diag.record(ops, p, tau, full=True)
+        row = dict(zip(diag.DiagnosticsRecord.csv_columns(g.d), rec.csv_row()))
+        for name, parts in terms.items():
+            assert abs(row[name] - sum(parts)) <= 1e-12 * sum(abs(a) for a in parts), name
+        for name in ("bdid_f", "bdid_diss", "bdid_rhs"):
+            if name not in terms:
+                assert row[name] == 0.0
+        for name, ref in residuals.items():
+            assert abs(row[name] - ref) <= RESIDUAL_TOL[name], name
+        value, bound = diag.llogl_bound(state.sqrtR, 2.0 / (g.d + 2))
+        assert abs(row["llogl_bound"] - bound) <= 1e-12 * bound
+        assert row["min_density"] == ops.min_density == float(R.min())

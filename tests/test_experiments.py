@@ -1,6 +1,8 @@
 """Experiment configs, CLI, artifacts, reproducibility and the check gate."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -10,7 +12,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import isofluid.experiments as E
 from isofluid import diagnostics as diag
@@ -400,3 +402,91 @@ def test_simulate_metadata_records_where_a_run_stopped(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert "stop" not in json.loads((out / "metadata.json").read_text())
+
+
+# parameter values from zero to the extremes; a delta or eta of 1, an eta1
+# with alpha <= 4 or an eta2 with s <= d is a bad config
+FUZZ_VALUES = [0.0, 0.0, 1e-300, 1e-12, 1e-3, 0.1, 10.0, 1e3, 1e300]
+FUZZ_SMALL = [0.0, 0.0, 0.0, 1e-300, 1e-12, 1e-3, 0.5, 0.999, 1.0]
+FUZZ_INITIAL = [
+    {"generator": "gaussian"},
+    {"generator": "prepared_gaussian", "theta": 0.2, "iota": 0.4},
+    {"generator": "perturbed_gaussian", "amplitude": 0.9, "mode": 3},
+    {"generator": "two_bump", "separation": 2.0},
+    {"generator": "random_positive", "roughness": 8.0},
+]
+
+
+@st.composite
+def tiny_simulate_configs(draw):
+    """A whole `simulate` run on a grid of n = 8..16 to t_end <= 0.01 with
+    fixed steps of at least 1e-3, so that no run takes more than 10 steps."""
+    params = {name: draw(st.sampled_from(FUZZ_VALUES)) for name in ("nu", "eps", "r0", "r1")}
+    for name in ("delta1", "delta2", "eta1", "eta2"):
+        params[name] = draw(st.sampled_from(FUZZ_SMALL))
+    params.update(
+        alpha=draw(st.sampled_from([4.0, 5.0, 8.0, 8.0, 1e3])),
+        s=draw(st.sampled_from([1, 3, 3, 5])),
+        dt_policy="fixed",
+        dt=draw(st.sampled_from([1e-3, 5e-3, 1e-2])),
+        viscous_form=draw(st.sampled_from(["auto", "bounded", "vacuum"])),
+    )
+    return {
+        "kind": "simulate",
+        "grid": {"d": draw(st.sampled_from([1, 2])), "ell": draw(st.sampled_from([1.0, 6.0])),
+                 "n": draw(st.sampled_from([8, 16]))},
+        "params": params,
+        "initial": draw(st.sampled_from(FUZZ_INITIAL)),
+        "t_end": draw(st.sampled_from([0.0, 1e-3, 0.01])),
+        "diag_every": draw(st.sampled_from([0, 1, 3])),
+        "snapshot_every": draw(st.sampled_from([0, 2])),
+    }
+
+
+@settings(max_examples=120)
+@given(tiny_simulate_configs())
+def test_cli_fuzz_tiny_runs_exit_cleanly(config):
+    # a whole run ends in 0 (ok), 2 (run failure) or 3 (bad config, and then
+    # no output directory), never in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        out = os.path.join(tmp, "out")
+        with open(cfg, "w") as fh:
+            json.dump(config, fh)
+        with contextlib.redirect_stderr(io.StringIO()):
+            rc = cli_main(["simulate", "--config", cfg, "--out", out])
+        assert rc in (0, 2, 3)
+        if rc == 3:
+            assert not os.path.exists(out)
+        if rc == 0:
+            assert os.path.isfile(os.path.join(out, "metadata.json"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "longtime"])
+def test_metadata_splits_the_run_time(tmp_path, command):
+    cfg = {
+        "grid": {"d": 2, "ell": 6.0, "n": 16},
+        "params": {"nu": 0.1, "eps": 0.1, "dt_policy": "fixed", "dt": 5e-3},
+        "initial": {"generator": "prepared_gaussian", "theta": 0.2, "iota": 0.4},
+        "t_end": 0.02,
+        "snapshot_every": 2,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    timing = json.loads((out / "metadata.json").read_text())["timing"]
+    parts = ("advance_s", "diagnostics_s", "snapshots_s")
+    assert set(timing) == {*parts, "wall_s", "steps_per_s"}
+    assert all(timing[k] > 0 for k in parts[:2]) and timing["snapshots_s"] >= 0
+    assert sum(timing[k] for k in parts) <= timing["wall_s"]
+    assert timing["steps_per_s"] == pytest.approx(4 / timing["wall_s"])
+
+
+def test_llogl_family_sorts_the_radii_once_per_grid(monkeypatch):
+    # the sorted radii and their tail sums are tables of the grid's backend
+    sorts = []
+    original = np.sort
+    monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(1) or original(*a, **k))
+    assert E._check_llogl() == []
+    assert len(sorts) == 2  # one 1D and one 2D grid

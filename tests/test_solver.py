@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from isofluid import diagnostics as diag
 from isofluid import experiments
 from isofluid.params import ParamSet
 from isofluid.rescaling import FluidState
@@ -140,15 +141,9 @@ def _baseline_setup(d):
     return state, params
 
 
-@pytest.mark.parametrize("d,expected", [(1, 20), (2, 54), (3, 81)])
-def test_transform_calls_per_advance(monkeypatch, d, expected):
-    # 1D transforms each substep batch as one stack (2 per linear half step,
-    # 4 for the density forces, 4 per RK stage); d > 1 transforms each
-    # forward stack in one call and each inverse one component per call, and
-    # the symmetric Korteweg stress only its upper triangle
-    state, params = _baseline_setup(d)
-    R, M = arrays_from_state(state)
-    stepper = _Stepper(state.grid, params, float(R.mean()), float(R.min() / R.max()))
+def _count_transforms(monkeypatch) -> list:
+    """The names of the numpy.fft and scipy.fft transforms called from now
+    on, in call order."""
     calls = []
     for mod in (np.fft, scipy.fft):
         for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
@@ -159,10 +154,46 @@ def test_transform_calls_per_advance(monkeypatch, d, expected):
                 return _orig(*args, **kwargs)
 
             monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d,expected", [(1, 20), (2, 54), (3, 81)])
+def test_transform_calls_per_advance(monkeypatch, d, expected):
+    # 1D transforms each substep batch as one stack (2 per linear half step,
+    # 4 for the density forces, 4 per RK stage); d > 1 transforms each
+    # forward stack in one call and each inverse one component per call, and
+    # the symmetric Korteweg stress only its upper triangle
+    state, params = _baseline_setup(d)
+    R, M = arrays_from_state(state)
+    stepper = _Stepper(state.grid, params, float(R.mean()), float(R.min() / R.max()))
+    calls = _count_transforms(monkeypatch)
     R1, M1 = stepper.advance(R, M, 1e-4, (1.0, 0.0))
     assert len(calls) == expected
     assert all(c.startswith("scipy.fft.") for c in calls)
     assert np.all(np.isfinite(R1)) and np.all(np.isfinite(M1))
+
+
+@pytest.mark.parametrize(
+    "d,full,expected",
+    [(1, False, 3), (1, True, 4), (2, False, 21), (2, True, 40), (3, False, 32), (3, True, 65)],
+)
+def test_transform_calls_per_record(monkeypatch, d, full, expected):
+    # every derivative once per record: in 1D the state's fields go forward
+    # in one call and their derivatives back in one, then lap log R (and, in
+    # the full tier, lap sqrt R / sqrt R and the Korteweg stress) forward and
+    # their derivatives back; for d > 1 each field's forward is one call and
+    # each inverse component one call.  The Parseval terms make no inverse.
+    state, params = _baseline_setup(d)
+    p = params.bind(d)
+    R, M = arrays_from_state(state)
+    stepper = _Stepper(state.grid, p, float(R.mean()), float(R.min() / R.max()))
+    ops = diag.StateOps(state.grid, R, M, stepper.r_min, 0.0)
+    calls = _count_transforms(monkeypatch)
+    rec = diag.record(ops, p, (1.1, 0.3), full=full)
+    assert len(calls) == expected
+    assert all(c.startswith("scipy.fft.") for c in calls)
+    filled = [f.name for f in dataclasses.fields(rec) if full or f.default is dataclasses.MISSING]
+    assert np.all(np.isfinite(np.hstack([getattr(rec, name) for name in filled])))
 
 
 def test_step_frozen_tau_preserves_equilibrium():
