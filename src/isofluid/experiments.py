@@ -304,10 +304,13 @@ def run_experiment(config: ExperimentConfig) -> int:
 
 
 def _simulate(config: ExperimentConfig, inputs: RunInputs, **run_kw):
-    """Run the built initial state to t_end and write diagnostics.csv."""
+    """Run the built initial state to t_end and write diagnostics.csv; the
+    write's seconds go to the run's timing as io_s."""
     [(_, initial, params)] = inputs.points
     traj = solver.run(initial, params, config.t_end, **run_kw)
+    t0 = time.perf_counter()
     io_.write_diagnostics_csv(inputs.out, traj.records, initial.grid.d)
+    traj.timing["io_s"] = time.perf_counter() - t0
     return initial.grid, params, traj
 
 
@@ -316,10 +319,12 @@ def _run_single(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
     _, params, traj = _simulate(
         config, inputs, snapshot_every=config.snapshot_every, diag_every=config.diag_every
     )
+    t0 = time.perf_counter()
     for snap in traj.snapshots:
         io_.write_snapshot(io_.snapshot_path(out, "R", snap.t), snap.R, snap.t)
         for i, lam in enumerate(snap.Lambda.components):
             io_.write_snapshot(io_.snapshot_path(out, f"Lambda{i}", snap.t), lam, snap.t)
+    traj.timing["io_s"] += time.perf_counter() - t0
     io_.write_metadata(
         out,
         {**meta, "status": traj.status, "n_steps": traj.n_steps,

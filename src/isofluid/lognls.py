@@ -13,6 +13,14 @@ discrete mass quad(|psi|^2) is conserved to round-off at every step.
 The vacuum is regularized by the log floor mu: the potential uses
 log(|psi|^2 + mu).  For the rescaled variant tau is frozen at the step
 midpoint, keeping the composition second order.
+
+run_nls marches on the coefficients psihat = cfwd(psi): each step is
+kin . cfwd(P(cinv(kin . psihat))), so consecutive kinetic half steps
+multiply in Fourier space and a step makes two complex transforms.  The
+per-step mass is Parseval's on psihat.  Samples are the only other inverses:
+psi and grad psi come back in one stacked inverse of [psihat, i k psihat]
+(i k zero at each axis's Nyquist index, the real-field rule).  nls_step is
+the same kernel between one forward and one inverse.
 """
 
 from __future__ import annotations
@@ -70,25 +78,31 @@ def _resolve_mu(params: NlsParams, psi: WaveFunction) -> float:
     return 1e-12 * max(peak, 1e-300)
 
 
+def _strang_hat(g: Grid, zh, h, eps, tau_v, mu, rescaled: bool):
+    """One Strang step of size h on the full-spectrum coefficients
+    zh = cfwd(psi), returned as coefficients: kin . cfwd(P(cinv(kin . zh)))
+    with the kinetic half-step symbol kin and the potential flow P, two
+    complex transforms."""
+    sp = g.spectral
+    kin = np.exp(-1j * eps * g.k2 * h / (4.0 * tau_v**2))
+    z = sp.cinv(kin * zh)
+    pot = np.log(np.abs(z) ** 2 + mu)
+    if rescaled:
+        pot = pot + g.r2
+    z = z * np.exp(-1j * h * pot / eps)
+    return kin * sp.cfwd(z)
+
+
 def nls_step(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), mu: float | None = None) -> WaveFunction:
     """One Strang step of size params.dt with tau frozen at the given pair."""
     g = psi.grid
-    h = params.dt
-    eps = params.eps
     if mu is None:
         mu = _resolve_mu(params, psi)
-    tau_v = float(tau[0]) if params.variant == "rescaled" else 1.0
-    z = psi.re.values + 1j * psi.im.values
-
-    sp = g.spectral
-    kin = np.exp(-1j * eps * g.k2 * h / (4.0 * tau_v**2))
-    z = sp.cinv(kin * sp.cfwd(z))
-    pot = np.log(np.abs(z) ** 2 + mu)
-    if params.variant == "rescaled":
-        pot = pot + g.r2
-    z = z * np.exp(-1j * h * pot / eps)
-    z = sp.cinv(kin * sp.cfwd(z))
-    return WaveFunction.from_complex(psi.t + h, g, z, eps)
+    rescaled = params.variant == "rescaled"
+    tau_v = float(tau[0]) if rescaled else 1.0
+    zh = g.spectral.cfwd(psi.re.values + 1j * psi.im.values)
+    zh = _strang_hat(g, zh, params.dt, params.eps, tau_v, mu, rescaled)
+    return WaveFunction.from_complex(psi.t + params.dt, g, g.spectral.cinv(zh), params.eps)
 
 
 def nls_energy(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), grads=None) -> float:
@@ -144,45 +158,56 @@ def run_nls(
     tau_sol: TauSolution | None = None,
     sample_every: int = 1,
 ) -> NlsTrajectory:
-    """March psi to t_end with fixed step params.dt, recording the mass, the
-    Madelung pseudo-energy/dissipation and the variant energy at step ends."""
+    """March psi to t_end with steps of params.dt, the last one cut to land
+    on t_end as solver.run does (no step when t_end <= psi0.t), recording
+    the mass, the Madelung pseudo-energy/dissipation and the variant energy
+    at the start, at every sample_every-th step and at the end.  The march
+    carries the coefficients of psi: the per-step mass is Parseval's, and
+    psi and its gradient come back only at a sample."""
     if tau_sol is None and params.variant == "rescaled":
         tau_sol = tau_solve(max(t_end, 1e-3) * 1.001, 1e-12, 1e-14)
 
     def tau_at(t):
         return tau_sol.eval(t) if tau_sol is not None else (1.0, 0.0)
 
+    g, eps = psi0.grid, params.eps
+    sp = g.spectral
+    rescaled = params.variant == "rescaled"
     mu = _resolve_mu(params, psi0)
     traj = NlsTrajectory(params=params)
-    psi = psi0
     t = psi0.t
 
-    def emit(mass):
+    def mass(zh) -> float:
+        return g.weight * float(np.vdot(zh, zh).real) / sp.size
+
+    def emit(zh, m):
+        # psi and grad psi = grad Re psi + i grad Im psi in one inverse
+        X = sp.cinv(np.concatenate((zh[None], sp.cik * zh)))
+        psi = traj.psi_final = WaveFunction.from_complex(t, g, X[0], eps)
+        grads = (X[1:].real, X[1:].imag)
         tp = tau_at(t)
         traj.times.append(t)
-        traj.mass.append(mass)
-        # one gradient pair and one Madelung image for the three functionals
-        grads = wave_gradients(psi)
+        traj.mass.append(m)
         ops = diag.StateOps.of(madelung(psi, grads=grads))
-        traj.energy.append(diag.energy(ops, tp, psi.epsilon))
-        traj.dissipation.append(diag.dissipation(ops, tp, psi.epsilon, nu=0.0))
+        traj.energy.append(diag.energy(ops, tp, eps))
+        traj.dissipation.append(diag.dissipation(ops, tp, eps, nu=0.0))
         traj.e_variant.append(nls_energy(psi, params, tp, grads=grads))
 
-    m_after = psi.mass()
-    emit(m_after)
-    n = max(1, round((t_end - psi0.t) / params.dt))
+    zh = sp.cfwd(psi0.re.values + 1j * psi0.im.values)
+    m_after = mass(zh)
+    emit(zh, m_after)
     k = 0
-    while k < n:
-        m_before = m_after
-        psi = nls_step(psi, params, tau_at(t + 0.5 * params.dt), mu=mu)
-        t = psi.t
+    while t < t_end * (1.0 - 1e-12):
+        h = min(params.dt, t_end - t)
+        tau_v = float(tau_at(t + 0.5 * h)[0]) if rescaled else 1.0
+        zh = _strang_hat(g, zh, h, eps, tau_v, mu, rescaled)
+        t += h
         k += 1
-        m_after = psi.mass()
+        m_before, m_after = m_after, mass(zh)
         drift = abs(m_after - m_before) / max(abs(m_before), 1e-300)
         traj.max_step_mass_drift = max(traj.max_step_mass_drift, drift)
-        if k % sample_every == 0 or k == n:
-            emit(m_after)
-    traj.psi_final = psi
+        if k % sample_every == 0 or t >= t_end * (1.0 - 1e-12):
+            emit(zh, m_after)
     return traj
 
 

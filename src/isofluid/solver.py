@@ -33,15 +33,26 @@ tends to rhs(x) term by term.
 
 Stacked components.  M = (d,) + grid.shape, and U and every stress and
 gradient are stacked the same way ((d, d) + grid.shape for tensors), so each
-substep hands its independent transforms to the backend as one stack: the
-linear block [R, M] forward and back; in density_forces [R, sqrt_reg(R)]
-forward, their derivatives back and the force products forward; in each N
-stage [U, U - c_u M] forward, grad U back and the stress products forward;
-then one inverse per force.  The quantities that depend on R alone
-(rho_sm, the density forces, grad R) are built once per N substep.  In 1D a
-stack is one transform call, 20 per advance; for d > 1 a forward stack is
-one call and an inverse one call per component, 54 per 2D and 81 per 3D
-advance (see the spectral module notes).
+substep hands its independent transforms to the backend as one stack.
+
+Spectral carry.  A state goes back to physical space only where a pointwise
+product, a drag or a check reads it.  advance transforms [R, M] forward once;
+the linear half steps act on those coefficients, and each is followed by the
+step's only inverses of [R, M] (N and the drag read R and M pointwise).
+density_forces takes Rhat from the first half step, transforms only
+sqrt_reg(R) forward, their derivatives back and the force products (the
+confinement 2 y R among them) forward, and keeps the forces as coefficients.
+n_rhs takes Mhat and returns its rate as coefficients: U forward, grad U
+back, the upper triangle of the symmetric stress (flux plus viscous) and the
+delta1 cross product forward; the delta2 field is Uhat - c_u Mhat.  RK stages
+1 and 2 invert their rate once each (the next stage's U = M / rho_sm reads
+M) and keep Mhat alongside; stage 3 stays in Fourier space and feeds the
+second half step.  The quantities that depend on R alone (rho_sm, the
+density forces, grad R) are built once per N substep.  In 1D a stack is one
+transform call, 17 per advance; for d > 1 a forward stack is one call and an
+inverse one call per component, 46 per 2D and 71 per 3D advance (see the
+spectral module notes).  The carry moves results only at round-off, and R's
+zero mode is carried exactly.
 
 Floors.  The solver's one density floor is r_min (ParamSet.r_min, default
 1e-10 mean(R0)).  rho_sm = smooth_density(R, r_min) = sqrt(R^2 + r_min^2)
@@ -55,6 +66,7 @@ same r_min; standalone diagnostics default to VACUUM_FLOOR_REL max R.
 from __future__ import annotations
 
 import math
+import resource
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -110,7 +122,10 @@ class Trajectory:
     stop: dict | None = None
     # perf_counter seconds of the run: "advance_s", "diagnostics_s" and
     # "snapshots_s" (the state copies kept in snapshots) are parts of
-    # "wall_s", the whole of solver.run; "steps_per_s" is n_steps / wall_s
+    # "wall_s", the whole of solver.run; "steps_per_s" is n_steps / wall_s;
+    # "transforms" the scipy.fft calls of the grid's backend during the run
+    # (runs sharing a grid at the same time count each other's) and
+    # "peak_rss_mb" the process's peak resident set (ru_maxrss) at its end
     timing: dict = field(default_factory=dict)
 
     def series(self, name: str) -> np.ndarray:
@@ -167,11 +182,12 @@ def state_from_arrays(
 
 class _Frozen(NamedTuple):
     """What the N substep reads of R, which it never changes: R, rho_sm(R),
-    the density forces F on M and grad R (each stacked (d,) + grid.shape)."""
+    the coefficients Fh of the density forces on M ((d,) + half spectrum)
+    and grad R ((d,) + grid.shape)."""
 
     R: np.ndarray
     rho: np.ndarray
-    F: np.ndarray
+    Fh: np.ndarray
     grad_R: np.ndarray
 
 
@@ -279,7 +295,7 @@ class _Stepper:
         p, t2 = self.p, tau_v**2
         return -(p.delta1 / t2) * self.sp.k2, -(p.delta2 * c_u / t2) * self.sp.k2**2
 
-    def linear_flow(self, R, M, h, tau_v, c_u):
+    def linear_flow(self, Xh, h, tau_v, c_u):
         """Exact flow of the triangular constant-coefficient block
 
             d/dt Rhat   = a Rhat - (i/tau^2) k . Mhat
@@ -288,20 +304,19 @@ class _Stepper:
         with the rates a, e of linear_symbols:
 
             Mhat(h) = e^(e h) Mhat,
-            Rhat(h) = e^(a h) Rhat - (i/tau^2) k.Mhat * (e^(a h)-e^(e h))/(a-e).
+            Rhat(h) = e^(a h) Rhat - (i/tau^2) k.Mhat * (e^(a h)-e^(e h))/(a-e),
 
-        [R, M] go forward as one stack and come back as one.  The dispersive
-        terms are handled explicitly in N under their CFL; an implicit
-        mean-density linearization was tried and rejected because its
-        explicit counter-term interacts with the exact drag crush in vacuum
-        cells, turning neutral dispersion into growth."""
+        on Xh, the coefficients of the stack [R, M], advanced in place and
+        returned: the flow makes no transform (advance carries Xh).  The
+        dispersive terms are handled explicitly in N under their CFL; an
+        implicit mean-density linearization was tried and rejected because
+        its explicit counter-term interacts with the exact drag crush in
+        vacuum cells, turning neutral dispersion into growth."""
         sp = self.sp
         Ea, S_t2, Ee = self.propagator(h, tau_v, c_u)
-        Xh = sp.fwd(np.concatenate((R[None], M)))
         Xh[0] = Ea * Xh[0] - S_t2 * sp.sum_axes(sp.ik * Xh[1:])
         Xh[1:] *= Ee
-        X = sp.inv(Xh)
-        return X[0], X[1:]
+        return Xh
 
     def propagator(self, h, tau_v, c_u):
         """(e^(a h), (e^(a h) - e^(e h)) / ((a - e) tau^2), e^(e h)) of
@@ -328,41 +343,39 @@ class _Stepper:
     ACOUSTIC_BAND = 1.0
     KORTEWEG_BAND = ETA2_BAND = _DEALIASED
 
-    def density_forces(self, R, tau_v, taudot_v) -> _Frozen:
-        """Forces on M that depend on R only (constant during the N substep):
-        confinement + pressure (+ nu taudot/tau grad R), the divergence-form
-        Korteweg stress of the root s = sqrt_reg(R), cold pressure, and the
-        eta2 term; returned with the other R-only inputs of n_rhs.  Three
-        transform batches: [R, s] forward; grad R, the eta2 grad lap^(2s+1) R,
-        grad s and hess s back; the upper stress entries, the cold pressure
-        and the eta2 products forward.  The spectral parts of each component
-        are then summed before one inverse transform."""
+    def density_forces(self, R, Rh, tau_v, taudot_v) -> _Frozen:
+        """Forces on M that depend on R only (constant during the N substep),
+        as coefficients: confinement + pressure (+ nu taudot/tau grad R), the
+        divergence-form Korteweg stress of the root s = sqrt_reg(R), cold
+        pressure, and the eta2 term; returned with the other R-only inputs
+        of n_rhs.  Rh = fwd(R) comes from the linear half step.  Three
+        transform batches: s forward; grad R, the eta2 grad lap^(2s+1) R,
+        grad s and hess s back; the confinement 2 y R, the upper stress
+        entries, the cold pressure and the eta2 products forward.  The
+        spectral parts of each component are then summed; nothing goes
+        back."""
         p, sp = self.p, self.sp
         t2 = tau_v**2
         rho = self.rho_smooth(R)
-        roots = {"R": R[None]}
-        if p.eps > 0:
-            roots["s"] = self.sqrt_reg(R, rho)[None]
-        hat = sp.batch(sp.fwd, roots)
-        Rh = hat["R"][0]
         derivs = {"grad_R": sp.ik * Rh}
         if p.eta2 > 0:
             derivs["eta2"] = sp.grad_lap_symbol(2 * p.s + 1) * Rh
         if p.eps > 0:
-            derivs["s"] = sp.deriv_sym * hat["s"][0]
+            s = self.sqrt_reg(R, rho)
+            derivs["s"] = sp.deriv_sym * sp.fwd(s)
         back = sp.batch(sp.inv, derivs)
-        prods = {}
+        prods = {"confinement": self.y2 * R}
         if p.eps > 0:
             # the stress is symmetric: transform its upper entries and
             # mirror them through sp.hess_full
             gs, hs = back["s"][: sp.d], back["s"][sp.d :]
-            prods["stress"] = diag.korteweg_stress_entries(sp, roots["s"][0], gs, hs)
+            prods["stress"] = diag.korteweg_stress_entries(sp, s, gs, hs)
         if p.eta1 > 0:
             prods["cold"] = self.rho_tilde(R)[None] ** (-p.alpha)
         if p.eta2 > 0:
             prods["eta2"] = R * back["eta2"]
-        ph = sp.batch(sp.fwd, prods) if prods else {}
-        Fh = (p.nu * taudot_v / tau_v - 1.0) * sp.ik * Rh
+        ph = sp.batch(sp.fwd, prods)
+        Fh = (p.nu * taudot_v / tau_v - 1.0) * sp.ik * Rh - ph["confinement"]
         if p.eps > 0:
             stress_h = ph["stress"][sp.hess_full]
             Fh += (p.eps**2 / (2.0 * t2)) * sp.div_dealiased_hat(stress_h)
@@ -370,8 +383,7 @@ class _Stepper:
             Fh += self.eta1_ik * ph["cold"]
         if p.eta2 > 0:
             Fh += (p.eta2 / t2) * sp.mask * ph["eta2"]
-        F = sp.inv(Fh) - self.y2 * R
-        return _Frozen(R, rho, F, back["grad_R"])
+        return _Frozen(R, rho, Fh, back["grad_R"])
 
     # the flux and the viscous stress enter M through div_dealiased_hat, but
     # the flux's waves run at U +- c, not at the advective rate's U, so that
@@ -381,9 +393,11 @@ class _Stepper:
     VISCOUS_BAND = _DEALIASED
 
     def stress(self, fz: _Frozen, M, U, gradU, gradM):
-        """The momentum flux -M x U plus the viscous stress nu R D(U) as a
-        (d, d) stack, row j holding the entries i (gradU[j, i] = d_i U_j,
-        gradM likewise; each is needed only by its viscous form).
+        """The upper entries (sp.hess_keys order) of the symmetric momentum
+        flux -M x U = -M x M / rho_sm plus the viscous stress nu R D(U),
+        stacked (d(d+1)/2,) + grid.shape: the entry (i, j), i <= j, of the
+        flux is -M_j U_i (gradU[j, i] = d_i U_j, gradM likewise; each is
+        needed only by its viscous form).
 
         Two exact assemblies of R D(U): the bounded form R * D(M/rho) pairs
         cleanly with the energy functionals; the vacuum form
@@ -391,52 +405,51 @@ class _Stepper:
         differentiates the near-floor quotient, whose spatial ringing seeds a
         momentum amplifier on long vacuum runs."""
         nu, gR = self.p.nu, fz.grad_R
-        out = -M[None, :] * U[:, None]
+        i, j = self.sp.hess_upper
+        out = -M[j] * U[i]
         if nu > 0 and self.viscous_form == "bounded":
-            out += nu * (fz.R * 0.5 * (gradU + gradU.swapaxes(0, 1)))
+            out += nu * (fz.R * 0.5 * (gradU[j, i] + gradU[i, j]))
         elif nu > 0:
             out += nu * (
-                0.5 * (gradM + gradM.swapaxes(0, 1))
-                - 0.5 * (U[:, None] * gR[None, :] + U[None, :] * gR[:, None])
+                0.5 * (gradM[j, i] + gradM[i, j]) - 0.5 * (U[j] * gR[i] + U[i] * gR[j])
             )
         return out
 
-    def n_rhs(self, M, fz: _Frozen, tau_v, c_u):
-        """M-dependent part of the explicit remainder, plus the frozen F: per
-        component one dealiased divergence of the stress row plus the delta1
-        and delta2 terms, summed in spectral space.  Three transform batches:
-        [U, U - c_u M] forward (M in place of U in the vacuum viscous form,
-        both with delta1); grad U (grad M) back; the stress entries and the
-        delta1 cross products forward."""
+    def n_rhs(self, M, Mh, fz: _Frozen, tau_v, c_u):
+        """Coefficients of the explicit remainder's rate: the M-dependent
+        part plus the frozen Fh, from M and its coefficients Mh.  Per
+        component one dealiased divergence of the mirrored stress row plus
+        the delta1 and delta2 terms, summed in spectral space.  Three
+        transform batches: U forward (for delta1, delta2 or the bounded
+        viscous form); grad U (grad M, from Mh, in the vacuum viscous form)
+        back; the upper stress entries and the delta1 cross product
+        forward.  The delta2 field U - c_u M goes as Uh - c_u Mh."""
         p, sp, d = self.p, self.sp, self.grid.d
         U = M / fz.rho
         vacuum = p.nu > 0 and self.viscous_form == "vacuum"
-        fields = {}
-        if p.delta1 > 0 or (p.nu > 0 and not vacuum):
-            fields["U"] = U
-        if vacuum:
-            fields["M"] = M
-        if p.delta2 > 0:
-            fields["delta2"] = U - c_u * M
-        hat = sp.batch(sp.fwd, fields) if fields else {}
+        grad_u = p.delta1 > 0 or (p.nu > 0 and not vacuum)
+        Uh = sp.fwd(U) if grad_u or p.delta2 > 0 else None
         flat = (d * d,) + sp.half_shape
-        to_grad = {f: sp.apply(sp.ik, hat[f]).reshape(flat) for f in ("U", "M") if f in hat}
+        to_grad = {}
+        if grad_u:
+            to_grad["U"] = sp.apply(sp.ik, Uh).reshape(flat)
+        if vacuum:
+            to_grad["M"] = sp.apply(sp.ik, Mh).reshape(flat)
         grads = sp.batch(sp.inv, to_grad) if to_grad else {}
         # gradU[j, i] = d_i U_j, likewise gradM
         gradU, gradM = (
             grads[f].reshape((d, d) + sp.shape) if f in grads else None for f in ("U", "M")
         )
-        stress = self.stress(fz, M, U, gradU, gradM)
-        prods = {"stress": stress.reshape((d * d,) + sp.shape)}
+        prods = {"stress": self.stress(fz, M, U, gradU, gradM)}
         if p.delta1 > 0:
             prods["cross"] = sp.sum_axes(fz.grad_R * gradU)
         ph = sp.batch(sp.fwd, prods)
-        fh = sp.div_dealiased_hat(ph["stress"].reshape((d, d) + sp.half_shape))
+        fh = sp.div_dealiased_hat(ph["stress"][sp.hess_full])
         if p.delta1 > 0:
             fh -= self.delta1_mask * ph["cross"]
         if p.delta2 > 0:
-            fh -= self.delta2_lap2 * hat["delta2"]
-        return sp.inv(fh) / tau_v**2 + fz.F
+            fh -= self.delta2_lap2 * (Uh - c_u * Mh)
+        return fh / tau_v**2 + fz.Fh
 
     # -- CFL -------------------------------------------------------------------
 
@@ -512,18 +525,31 @@ class _Stepper:
     # -- one composed step -------------------------------------------------------
 
     def advance(self, R, M, h, tau_pair):
+        """One step of the composition, carrying the coefficients of [R, M]
+        between the linear half steps: [R, M] go forward once, come back
+        once after the first half step (N reads them pointwise) and once
+        after the second.  The SSP-RK3 stages keep M and Mh side by side:
+        stages 1 and 2 invert their rate, because the next stage's
+        U = M / rho_sm reads M, and stage 3 stays in Fourier space."""
         tau_v, taudot_v = tau_pair
+        sp = self.sp
         c_u = self.bilaplacian_coefficient(R)
 
         M = self.drag_flow(R, M, 0.5 * h, tau_v)
-        R, M = self.linear_flow(R, M, 0.5 * h, tau_v, c_u)
+        Xh = self.linear_flow(sp.fwd(np.concatenate((R[None], M))), 0.5 * h, tau_v, c_u)
+        X = sp.inv(Xh)
+        R, M, Mh = X[0], X[1:], Xh[1:]
 
-        fz = self.density_forces(R, tau_v, taudot_v)
-        M1 = M + h * self.n_rhs(M, fz, tau_v, c_u)
-        M2 = 0.75 * M + 0.25 * (M1 + h * self.n_rhs(M1, fz, tau_v, c_u))
-        M = (1.0 / 3.0) * M + (2.0 / 3.0) * (M2 + h * self.n_rhs(M2, fz, tau_v, c_u))
+        fz = self.density_forces(R, Xh[0], tau_v, taudot_v)
+        rh = h * self.n_rhs(M, Mh, fz, tau_v, c_u)
+        M1, M1h = M + sp.inv(rh), Mh + rh
+        rh = h * self.n_rhs(M1, M1h, fz, tau_v, c_u)
+        M2, M2h = 0.75 * M + 0.25 * (M1 + sp.inv(rh)), 0.75 * Mh + 0.25 * (M1h + rh)
+        rh = h * self.n_rhs(M2, M2h, fz, tau_v, c_u)
+        Xh[1:] = (1.0 / 3.0) * Mh + (2.0 / 3.0) * (M2h + rh)
 
-        R, M = self.linear_flow(R, M, 0.5 * h, tau_v, c_u)
+        X = sp.inv(self.linear_flow(Xh, 0.5 * h, tau_v, c_u))
+        R, M = X[0], X[1:]
         M = self.drag_flow(R, M, 0.5 * h, tau_v)
         M = self.vacuum_sponge(R, M, h, tau_v, taudot_v)
         return R, M
@@ -548,10 +574,10 @@ def rhs(state: FluidState, params: ParamSet, tau) -> tuple[ScalarField, VectorFi
     sp = st.sp
     c_u = st.bilaplacian_coefficient(R)
     a, e = st.linear_symbols(tau_v, c_u)
-    Mh = sp.fwd(M)
-    dR = sp.inv(a * sp.fwd(R) - sp.sum_axes(sp.ik * Mh) / tau_v**2)
-    fz = st.density_forces(R, tau_v, taudot_v)
-    dM = sp.inv(e * Mh) + st.n_rhs(M, fz, tau_v, c_u) + st.drag_rate(R, M, tau_v)
+    Rh, Mh = sp.fwd(R), sp.fwd(M)
+    dR = sp.inv(a * Rh - sp.sum_axes(sp.ik * Mh) / tau_v**2)
+    fz = st.density_forces(R, Rh, tau_v, taudot_v)
+    dM = sp.inv(e * Mh + st.n_rhs(M, Mh, fz, tau_v, c_u)) + st.drag_rate(R, M, tau_v)
     return ScalarField(grid, dR), VectorField.from_arrays(grid, dM)
 
 
@@ -596,6 +622,7 @@ def run(
 
     traj = Trajectory(params=p)
     timing = traj.timing = {"advance_s": 0.0, "diagnostics_s": 0.0, "snapshots_s": 0.0}
+    calls0 = st.sp.calls
     t = initial.t
     # blow-up detector: spectral ringing in vacuum tails undershoots zero by
     # tiny transients, which is harmless; only a sizeable negative excursion
@@ -621,6 +648,8 @@ def run(
         traj.state_final = current_state()
         wall = timing["wall_s"] = time.perf_counter() - start
         timing["steps_per_s"] = traj.n_steps / wall if wall > 0 else 0.0
+        timing["transforms"] = st.sp.calls - calls0
+        timing["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         return traj
 
     emit(full=True)

@@ -29,6 +29,13 @@ Conventions
   (4 x 128^2: 0.99 ms, against 0.73 ms for four calls; 0.8-0.9x as fast
   with 4 or more components in 2D).  A component's coefficients and
   samples are bitwise the same either way;
+* parallelism: every transform runs on one thread.  On a 2-core x86 host
+  (scipy 1.17, best of 7) scipy.fft's workers=2 was slower or level
+  against workers=1: one 128^2 irfftn 239 us against 153 us, a stacked
+  4 x 128^2 inverse 1.35 ms against 1.08 ms, one 32^3 irfftn 0.67 ms
+  against 0.36 ms, a 256-point irfft 11.5 us against 11.6 us.  The one
+  parallel setting is the sweep's thread pool (the `threads` config key,
+  default 1), which runs whole ladder points side by side;
 * Nyquist rule: a symbol s acts as the real part of its complex-transform
   evaluation does, i.e. as (s(m) + conj(s(-m)))/2 with modes taken mod n.
   So an odd symbol (a single factor i k_j) uses k_j = 0 at the Nyquist index
@@ -233,7 +240,10 @@ class Spectral:
         keep = (np.abs(grid.modes) <= grid.n / 3.0).astype(float)  # 2/3 rule
         self.mask = self._half(math.prod(_along(grid.d, i, keep) for i in range(grid.d)))
         self.mask_ik = self.mask * self.ik
+        self._axis_ik = [1j * ki * _along(grid.d, i, np.abs(grid.modes) < grid.n / 2)
+                         for i, ki in enumerate(k)]
         self.size = math.prod(self.shape)
+        self.calls = 0  # scipy.fft calls made so far
         self._symbols: dict = {}
         # index of a new component axis, and of each entry of the existing
         # one, just in front of the grid axes
@@ -250,12 +260,21 @@ class Spectral:
         neg = np.roll(np.flip(full), 1, axis=tuple(range(self.d)))
         return (0.5 * (full + np.conj(neg)))[..., : self.shape[-1] // 2 + 1].copy()
 
+    @cached_property
+    def cik(self) -> np.ndarray:
+        """i k_j on the full spectrum, stacked over the axes j and zero at
+        axis j's Nyquist index, as the Nyquist rule sets ik: the gradient
+        symbol of a complex field."""
+        return np.stack([np.broadcast_to(c, self.shape) for c in self._axis_ik])
+
     # -- transforms: scipy.fft names are looked up at every call, so tools
-    #    that rebind them (profilers, call counters) see each transform.
-    #    Leading axes are stack components (see the module notes).
+    #    that rebind them (profilers, call counters) see each transform;
+    #    `calls` counts them.  Leading axes are stack components (see the
+    #    module notes).
 
     def fwd(self, a: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients of a real array or stack, one call."""
+        self.calls += 1
         if self.d == 1:
             return scipy.fft.rfft(a)
         return scipy.fft.rfftn(a, axes=self._grid_axes)
@@ -264,21 +283,27 @@ class Spectral:
         """Real array or stack of half-spectrum coefficients: one call in
         1D, one irfftn call per component for d > 1."""
         if self.d == 1:
+            self.calls += 1
             return scipy.fft.irfft(ah)
         lead = ah.shape[: ah.ndim - self.d]
         if not lead:
+            self.calls += 1
             return scipy.fft.irfftn(ah, s=self.shape)
         out = np.empty(lead + self.shape)
         for idx in np.ndindex(lead):
+            self.calls += 1
             out[idx] = scipy.fft.irfftn(ah[idx], s=self.shape)
         return out
 
     def cfwd(self, z: np.ndarray) -> np.ndarray:
         """Full-spectrum coefficients of a complex array."""
+        self.calls += 1
         return scipy.fft.fft(z) if self.d == 1 else scipy.fft.fftn(z)
 
     def cinv(self, zh: np.ndarray) -> np.ndarray:
-        return scipy.fft.ifft(zh) if self.d == 1 else scipy.fft.ifftn(zh)
+        """Complex array or stack of full-spectrum coefficients, one call."""
+        self.calls += 1
+        return scipy.fft.ifft(zh) if self.d == 1 else scipy.fft.ifftn(zh, axes=self._grid_axes)
 
     # -- cached symbols --------------------------------------------------------
 

@@ -12,11 +12,13 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 import isofluid.experiments as E
 from isofluid import diagnostics as diag
 from isofluid import io as io_
+from isofluid import solver
 from isofluid.cli import main as cli_main
 from isofluid.spectral import Grid, ScalarField
 
@@ -292,6 +294,47 @@ def test_cli_sweep_delta(tmp_path):
     assert diffs[0] > diffs[1]  # paper's delta -> 0 convergence, numeric proxy
 
 
+def test_cli_sweep_csv_independent_of_threads(tmp_path):
+    # each ladder point runs alone whatever the pool size, so the sweep's
+    # CSV is byte-identical with one thread and with two
+    cfg = {
+        "grid": {"d": 1, "ell": 6.0, "n": 64},
+        "params": {"nu": 0.05, "eps": 0.1, "r0": 0.01, "r1": 0.01,
+                   "dt_policy": "fixed", "dt": 2e-3, "viscous_form": "bounded"},
+        "initial": {"generator": "prepared_gaussian", "theta": 0.3, "iota": 0.4},
+        "t_end": 0.02,
+        "ladder": [1e-3, 1e-4, 1e-5, 1e-6],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        args = ["sweep", "--axis", "delta", "--config", str(cfg_path), "--out", str(out)]
+        assert cli_main([*args, "--threads", threads]) == 0
+        csvs.append((out / "sweep.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def test_cli_korteweg_short_horizon(tmp_path):
+    # a horizon shorter than the row's dt: both solvers take one cut step to
+    # t_end, inside the tau table
+    cfg = {
+        "grid": {"d": 1, "ell": 8.0, "n": 128},
+        "params": {"eps": 1.0},
+        "initial": {"generator": "offset_gaussian", "offset": 0.35, "offset_width": 3.0},
+        "t_end": 0.0005,
+        "ladder": [[1e-3, 2e-3]],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main(["korteweg", "--config", str(cfg_path), "--out", str(out)]) == 0
+    [row] = json.loads((out / "metadata.json").read_text())["rows"]
+    assert row["status"] == "ok" and row["t_end"] == 0.0005
+    assert math.isfinite(row["diff_rel"])
+
+
 def test_cli_check_filter(tmp_path):
     rc = cli_main(["check", "--filter", "spectral", "--out", str(tmp_path)])
     assert rc == 0
@@ -477,10 +520,47 @@ def test_metadata_splits_the_run_time(tmp_path, command):
     assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
     timing = json.loads((out / "metadata.json").read_text())["timing"]
     parts = ("advance_s", "diagnostics_s", "snapshots_s")
-    assert set(timing) == {*parts, "wall_s", "steps_per_s"}
+    assert set(timing) == {*parts, "wall_s", "steps_per_s", "transforms", "peak_rss_mb", "io_s"}
     assert all(timing[k] > 0 for k in parts[:2]) and timing["snapshots_s"] >= 0
     assert sum(timing[k] for k in parts) <= timing["wall_s"]
     assert timing["steps_per_s"] == pytest.approx(4 / timing["wall_s"])
+
+
+def test_timing_counts_the_run_transforms_and_io(tmp_path, monkeypatch):
+    # the backend's own count equals the scipy.fft calls a monkeypatched
+    # counter sees over the same run; simulate adds peak RSS and io_s, and
+    # the counting leaves diagnostics.csv as a plain run writes it
+    cfg = {
+        "grid": {"d": 2, "ell": 6.0, "n": 16},
+        "params": {"nu": 0.1, "eps": 0.1, "delta1": 1e-4, "dt_policy": "fixed", "dt": 5e-3},
+        "initial": {"generator": "prepared_gaussian", "theta": 0.2, "iota": 0.4},
+        "t_end": 0.02,
+        "snapshot_every": 2,
+    }
+    raw = {**cfg, "kind": "simulate", "out_dir": str(tmp_path / "plain")}
+    inputs = E.ExperimentConfig.from_dict(raw).build()
+    [(_, initial, params)] = inputs.points
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        orig = getattr(scipy.fft, name)
+        monkeypatch.setattr(
+            scipy.fft, name, lambda *a, _orig=orig, **k: calls.append(1) or _orig(*a, **k)
+        )
+    traj = solver.run(initial, params, cfg["t_end"], snapshot_every=2)
+    monkeypatch.undo()
+    assert traj.timing["transforms"] == len(calls) > 0
+    assert traj.timing["peak_rss_mb"] > 0
+    io_.write_diagnostics_csv(inputs.out, traj.records, 2)
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    timing = json.loads((out / "metadata.json").read_text())["timing"]
+    assert timing["transforms"] == len(calls)
+    assert timing["peak_rss_mb"] > 0 and timing["io_s"] > 0
+    csv_name = "diagnostics.csv"
+    assert (out / csv_name).read_bytes() == (inputs.out / csv_name).read_bytes()
 
 
 def test_llogl_family_sorts_the_radii_once_per_grid(monkeypatch):

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from isofluid import diagnostics as diag
 from isofluid import lognls
 from isofluid.experiments import make_wavefunction
-from isofluid.rescaling import WaveFunction, madelung
+from isofluid.rescaling import WaveFunction, madelung, wave_gradients
 from isofluid.spectral import Grid, ScalarField, integrate
 from isofluid.tauode import tau_solve
 
@@ -62,6 +64,124 @@ def test_frozen_tau_conserves_pseudo_energy():
     eT = lognls.nls_energy(psi, p, (1.0, 0.0))
     assert abs(lognls.pseudo_dissipation(psi, (1.0, 0.0))) < 1e-14
     assert abs(eT - e0) / abs(e0) < 1e-5
+
+
+def _reference_nls_step(psi, params, tau=(1.0, 0.0), mu=None):
+    """nls_step as it stood before the march on coefficients: kinetic half
+    step, potential step and kinetic half step, each from physical space."""
+    g, h, eps = psi.grid, params.dt, params.eps
+    if mu is None:
+        mu = 1e-12 * max(float(np.max(np.abs(psi.psi) ** 2)), 1e-300)
+    tau_v = float(tau[0]) if params.variant == "rescaled" else 1.0
+    z = psi.re.values + 1j * psi.im.values
+    sp = g.spectral
+    kin = np.exp(-1j * eps * g.k2 * h / (4.0 * tau_v**2))
+    z = sp.cinv(kin * sp.cfwd(z))
+    pot = np.log(np.abs(z) ** 2 + mu)
+    if params.variant == "rescaled":
+        pot = pot + g.r2
+    z = z * np.exp(-1j * h * pot / eps)
+    z = sp.cinv(kin * sp.cfwd(z))
+    return WaveFunction.from_complex(psi.t + h, g, z, eps)
+
+
+def _offset_wave(d, n):
+    g = Grid(d, 6.0, n)
+    spec = {"generator": "offset_gaussian", "offset": 0.35, "offset_width": 3.0}
+    return make_wavefunction(g, spec, eps=1.0)
+
+
+@pytest.mark.parametrize("variant", ["rescaled", "original"])
+@pytest.mark.parametrize("d,n", [(1, 128), (2, 32), (3, 16)])
+def test_nls_step_bitwise_unchanged(d, n, variant):
+    psi = _offset_wave(d, n)
+    p = lognls.NlsParams(eps=0.7, dt=2e-3, variant=variant)
+    for tau in ((1.0, 0.0), (1.3, 0.2)):
+        out = lognls.nls_step(psi, p, tau)
+        ref = _reference_nls_step(psi, p, tau)
+        assert out.t == ref.t
+        assert np.array_equal(out.psi, ref.psi)
+
+
+@pytest.mark.parametrize("d,n", [(1, 128), (2, 32)])
+def test_run_nls_matches_nls_step_loop(d, n):
+    # the march on coefficients against a loop of nls_step calls sampled
+    # from physical space, as run_nls did before
+    psi0 = _offset_wave(d, n)
+    p = lognls.NlsParams(eps=1.0, dt=2e-3)
+    ts = tau_solve(0.1, 1e-12, 1e-14)
+    traj = lognls.run_nls(psi0, p, 0.05, tau_sol=ts, sample_every=5)
+    mu = 1e-12 * float(np.max(np.abs(psi0.psi) ** 2))
+    psi, ref = psi0, {"mass": [], "energy": [], "dissipation": [], "e_variant": []}
+
+    def sample():
+        tp = ts.eval(psi.t)
+        grads = wave_gradients(psi)
+        ops = diag.StateOps.of(madelung(psi, grads=grads))
+        ref["mass"].append(psi.mass())
+        ref["energy"].append(diag.energy(ops, tp, 1.0))
+        ref["dissipation"].append(diag.dissipation(ops, tp, 1.0, nu=0.0))
+        ref["e_variant"].append(lognls.nls_energy(psi, p, tp, grads=grads))
+
+    sample()
+    for k in range(1, 26):
+        psi = _reference_nls_step(psi, p, ts.eval(psi.t + 1e-3), mu=mu)
+        if k % 5 == 0:
+            sample()
+    assert traj.times == pytest.approx([0.01 * i for i in range(6)], rel=1e-13, abs=0)
+    assert np.abs(traj.psi_final.psi - psi.psi).max() <= 1e-12
+    for name, values in ref.items():
+        assert getattr(traj, name) == pytest.approx(values, rel=1e-13, abs=0), name
+    assert traj.max_step_mass_drift <= 1e-12
+
+
+@pytest.mark.parametrize("t_end", [0.0005, 0.0109])
+def test_run_nls_lands_on_t_end(t_end):
+    # a horizon that is no multiple of dt ends with a shorter step, as in
+    # solver.run: no step past the tau table, no stop short of t_end
+    psi0 = _offset_wave(1, 64)
+    p = lognls.NlsParams(eps=1.0, dt=2e-3)
+    ts = tau_solve(max(t_end, 1e-3) * 1.001, 1e-12, 1e-14)
+    traj = lognls.run_nls(psi0, p, t_end, tau_sol=ts, sample_every=10**9)
+    assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
+    assert traj.psi_final.t == traj.times[-1]
+    assert len(traj.times) == 2
+
+
+def _count_complex(monkeypatch) -> list:
+    """The complex transforms called from now on (the march's; the
+    functionals of a sample transform real fields)."""
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        orig = getattr(scipy.fft, name)
+        monkeypatch.setattr(
+            scipy.fft, name, lambda *a, _o=orig, _n=name, **k: calls.append(_n) or _o(*a, **k)
+        )
+    return calls
+
+
+def test_run_nls_zero_horizon_samples_once(monkeypatch):
+    psi0 = _offset_wave(1, 64)
+    calls = _count_complex(monkeypatch)
+    traj = lognls.run_nls(psi0, lognls.NlsParams(eps=1.0, dt=2e-3), psi0.t)
+    assert traj.times == [psi0.t]
+    assert traj.max_step_mass_drift == 0.0
+    assert calls == ["fft", "ifft"]  # psi0 forward, the sample back
+    assert np.abs(traj.psi_final.psi - psi0.psi).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+def test_run_nls_transform_count(monkeypatch, d, n):
+    # psi0 goes forward once; each Strang step makes one complex inverse and
+    # one forward; each sample one stacked inverse of [psi, grad psi]
+    psi0 = _offset_wave(d, n)
+    ts = tau_solve(0.1, 1e-12, 1e-14)
+    calls = _count_complex(monkeypatch)
+    traj = lognls.run_nls(psi0, lognls.NlsParams(eps=1.0, dt=2e-3), 0.02, ts, sample_every=3)
+    steps, samples = 10, len(traj.times)
+    assert samples == 5  # t = 0, steps 3, 6, 9 and the last
+    assert len(calls) == 1 + 2 * steps + samples
+    assert set(calls) == ({"fft", "ifft"} if d == 1 else {"fftn", "ifftn"})
 
 
 def test_madelung_kinetic_split():
