@@ -4,7 +4,7 @@ quantum Navier-Stokes-Korteweg system on a periodic box."""
 __version__ = "0.1.0"
 
 from .params import ParamSet
-from .spectral import Grid, ScalarField, VectorField
+from .spectral import Grid
 from .rescaling import FluidState, WaveFunction, to_self_similar, from_self_similar, madelung
 from .tauode import TauSolution, tau_solve, tau_asymptotic_ratio
 from .solver import Trajectory, rhs, step, run, prepare_initial_data, drag_schedule
@@ -13,8 +13,6 @@ from .lognls import NlsParams, nls_step, run_nls, nls_to_hydro_crosscheck
 __all__ = [
     "ParamSet",
     "Grid",
-    "ScalarField",
-    "VectorField",
     "FluidState",
     "WaveFunction",
     "to_self_similar",

@@ -1,6 +1,6 @@
 """Energy, entropy and identity diagnostics for fluid states.
 
-Every functional of the self-similar formulation is evaluated by quadrature
+Every functional of the self-similar system is evaluated by quadrature
 on the torus.  Conventions used throughout:
 
 * 0 log 0 = 0; logarithms of the density are taken as log(max(R, 1e-30)),
@@ -10,12 +10,12 @@ on the torus.  Conventions used throughout:
 * in the balance functionals R |hess log R|^2 is evaluated on R > r_floor
   through the split hess R / R - grad R x grad R / R^2
   (StateOps.hess_logR_split);
-* kinetic quantities use Lambda = sqrt(R) U, so R|U|^2 = |Lambda|^2 needs no
-  division; U itself is M / smooth_density(R, r_floor), the solver's
-  recovery (r_floor: see StateOps).
+* kinetic quantities use Lambda = M / sqrt(rho_sm), so R|U|^2 = |Lambda|^2
+  up to the floor's bias; U itself is M / rho_sm, rho_sm =
+  smooth_density(R, r_floor), the solver's recovery (r_floor: see StateOps).
 
 Stacks.  A StateOps is the table of one state's derived arrays, built from
-the stepper's (R, M, r_min) or from a FluidState.  A vector (Lambda, U, the
+(R, M, r_floor), the stepper's or a FluidState's.  A vector (Lambda, U, the
 momentum sqrt R Lambda, a gradient) is a (d,) + grid.shape stack, grad U a
 (d, d) one with grad_U[j, i] = d_i U_j, and a Hessian the stack of its upper
 entries in sp.hess_keys order.
@@ -45,7 +45,7 @@ import numpy as np
 
 from .params import ParamSet
 from .rescaling import FluidState, smooth_density, vacuum_floor
-from .spectral import Grid, ScalarField
+from .spectral import Grid
 
 __all__ = [
     "DiagnosticsRecord",
@@ -79,10 +79,6 @@ __all__ = [
 LOG_FLOOR = 1e-30
 
 
-def _quad(grid: Grid, arr) -> float:
-    return float(grid.weight * arr.sum())
-
-
 def _dot(grid: Grid, a, b) -> float:
     """quad(a b), summed over the stack components as well."""
     return float(grid.weight * np.vdot(a, b))
@@ -93,7 +89,7 @@ def _gaussian(grid: Grid):
 
     def build():
         g = np.exp(-grid.r2)
-        return g, _quad(grid, g)
+        return g, grid.quad(g)
 
     return grid.spectral.cached("gaussian", build)
 
@@ -175,48 +171,35 @@ class StateOps:
     the fields (hat), their derivatives (ops[name], see _DERIVS) and the
     term integrals (q, see _TERMS).
 
-    Built from the stepper's stacks: R (raw, so min_density is the raw
-    minimum; StateOps.R is max(R, 0)) and M = R U, with Lambda =
-    M / sqrt(rho_sm) as in solver.state_from_arrays.  r_floor is the
+    Built from R (raw, so min_density is the raw minimum; StateOps.R is
+    max(R, 0)) and M = R U, with Lambda = M / sqrt(rho_sm).  r_floor is the
     density floor of rho_sm = smooth_density(R, r_floor), of the eta1
     clamp rho_tilde = max(R, r_floor) and of the live set of
     R |hess log R|^2; record passes the solver's r_min, and it defaults to
     rescaling.vacuum_floor(R).  Without M the momentum is zero."""
 
     def __init__(self, grid: Grid, R, M=None, r_floor: float | None = None, t: float = 0.0):
-        R = np.asarray(R, dtype=float)
-        pos = np.maximum(R, 0.0)
-        self._bind(grid, t, R, pos, np.sqrt(pos), None, r_floor)
-        if M is not None:
+        self.grid, self.sp, self.t = grid, grid.spectral, t
+        self._R_raw = R = np.asarray(R, dtype=float)
+        self.R = np.maximum(R, 0.0)
+        self.s = np.sqrt(self.R)
+        self._cache, self._hat, self._arr, self._terms, self._plan = {}, {}, {}, {}, None
+        if r_floor is not None:
+            self._cache["r_floor"] = r_floor
+        if M is None:
+            self.lam = np.zeros((grid.d,) + grid.shape)
+        else:
             # rho_sm of the raw R, as the solver recovers U
             root = self._cache["root"] = np.sqrt(smooth_density(R, self.r_floor))
             self.lam = M / root
 
     @classmethod
     def of(cls, x, r_floor: float | None = None) -> "StateOps":
-        """x itself when it is already a StateOps, the ops of a density when
-        it is a ScalarField, else those of the FluidState x, whose root and
-        Lambda are taken as they are."""
+        """x itself when it is already a StateOps, else the ops of the
+        FluidState x."""
         if isinstance(x, StateOps):
             return x
-        if isinstance(x, ScalarField):
-            return cls(x.grid, x.values, r_floor=r_floor)
-        return cls._of_root(x.sqrtR, np.array(x.Lambda.arrays()), r_floor, x.t)
-
-    @classmethod
-    def _of_root(cls, f: ScalarField, lam=None, r_floor=None, t=0.0) -> "StateOps":
-        """The ops of R = f^2 whose root is f itself."""
-        ops, R = cls.__new__(cls), f.values**2
-        ops._bind(f.grid, t, R, R, f.values, lam, r_floor)
-        return ops
-
-    def _bind(self, grid, t, R_raw, R, s, lam, r_floor):
-        self.grid, self.sp, self.t = grid, grid.spectral, t
-        self.R, self.s, self._R_raw = R, s, R_raw
-        self.lam = np.zeros((grid.d,) + grid.shape) if lam is None else lam
-        self._cache, self._hat, self._arr, self._terms, self._plan = {}, {}, {}, {}, None
-        if r_floor is not None:
-            self._cache["r_floor"] = r_floor
+        return cls(x.grid, x.R, x.M, r_floor, x.t)
 
     # -- transforms and term integrals --------------------------------------
 
@@ -399,13 +382,13 @@ def _inner(o: StateOps, a, b) -> float:
 # the transforms are _FIELDS or _DERIVS keys, or a function of the term's
 # arguments that returns them.
 _TERMS = {
-    "R": ((), lambda o: _quad(o.grid, o.R)),
+    "R": ((), lambda o: o.grid.quad(o.R)),
     "Rr2": ((), lambda o: _dot(o.grid, o.R, o.grid.r2)),
     "RlogR": ((), lambda o: _dot(o.grid, o.R, o.logR)),
-    "logR": ((), lambda o: _quad(o.grid, o.logR)),
-    "logR_le1": ((), lambda o: _quad(o.grid, np.where(o.R <= 1.0, o.logR, 0.0))),
-    "lam2": ((), lambda o: _quad(o.grid, o.lam2)),
-    "U2": ((), lambda o: _quad(o.grid, o.U2)),
+    "logR": ((), lambda o: o.grid.quad(o.logR)),
+    "logR_le1": ((), lambda o: o.grid.quad(np.where(o.R <= 1.0, o.logR, 0.0))),
+    "lam2": ((), lambda o: o.grid.quad(o.lam2)),
+    "U2": ((), lambda o: o.grid.quad(o.U2)),
     "lam2U2": ((), lambda o: _dot(o.grid, o.lam2, o.U2)),
     # quad(rho_tilde^(-alpha)), as the square of the transformed field
     "rtneg": ((), lambda o, alpha: _dot(o.grid, o.neg(alpha), o.neg(alpha))),
@@ -423,7 +406,7 @@ _TERMS = {
         lambda o: _dot(o.grid, np.where(o.R > o.r_floor, o.R, 0.0), o.sp.frob2(o.hess_logR_split)),
     ),
     "U2UgR": (("grad_R",), lambda o: _dot(o.grid, o.U2 * o.U, o["grad_R"])),
-    "lapR_rt": (("hess_R",), lambda o: _quad(o.grid, o.lapR_rt)),
+    "lapR_rt": (("hess_R",), lambda o: o.grid.quad(o.lapR_rt)),
     "lapR_divmom": (("hess_R", "div_mom"), lambda o: _dot(o.grid, o.lapR_rt, o["div_mom"])),
     # sum_ij d_i U_j d_i R d_j log R
     "mix": (
@@ -669,7 +652,7 @@ def bd_identity_residual(times, f_series, diss_series, rhs_series) -> float:
 # entropy comparisons with the Gaussian attractor
 
 
-def relative_entropy(R: ScalarField | StateOps) -> float:
+def relative_entropy(R: FluidState | StateOps) -> float:
     """quad(R log(R / Gamma_m)) with Gamma_m the mass-matched periodized
     Gaussian: log Gamma_m = -|y|^2 + log(m / quad(exp(-|y|^2))), so this is
     quad(R log R) + quad(R |y|^2) - m log(m / quad(exp(-|y|^2)))."""
@@ -679,14 +662,14 @@ def relative_entropy(R: ScalarField | StateOps) -> float:
     return ops.q("RlogR") + ops.q("Rr2") - shift
 
 
-def csiszar_kullback_gap(R: ScalarField | StateOps) -> float:
+def csiszar_kullback_gap(R: FluidState | StateOps) -> float:
     """quad(R log(R/Gamma_m)) - |R - Gamma_m|_L1^2 / (2 m), m = quad(R).
 
     Nonnegative (up to roundoff) by the Csiszar-Kullback/Pinsker inequality,
     which holds exactly for the discrete lattice measure."""
     ops = StateOps.of(R)
     m = ops.q("R")
-    l1 = _quad(ops.grid, np.abs(ops.R - matched_gaussian(ops.grid, m)))
+    l1 = ops.grid.quad(np.abs(ops.R - matched_gaussian(ops.grid, m)))
     return relative_entropy(ops) - l1**2 / (2.0 * m)
 
 
@@ -694,10 +677,10 @@ def csiszar_kullback_gap(R: ScalarField | StateOps) -> float:
 # algebraic identities (Korteweg, log-Hessian, Jungel)
 
 
-def korteweg_identity_residual(sqrtR: ScalarField | StateOps) -> float:
+def korteweg_identity_residual(R: FluidState | StateOps) -> float:
     """Normalized L2 mismatch of
     R grad(lap sqrt R / sqrt R) = div(sqrt R hess sqrt R - grad sqrt R x grad sqrt R)."""
-    ops = sqrtR if isinstance(sqrtR, StateOps) else StateOps._of_root(sqrtR)
+    ops = StateOps.of(R)
     if ops.s.min() <= 0:
         raise ValueError("sqrtR must be strictly positive for the identity check")
     ops.fetch("grad_ks", "div_stress")
@@ -707,7 +690,7 @@ def korteweg_identity_residual(sqrtR: ScalarField | StateOps) -> float:
     return num / max(den, 1e-300)
 
 
-def loghess_identity_residual(R: ScalarField | StateOps) -> float:
+def loghess_identity_residual(R: FluidState | StateOps) -> float:
     """Normalized mismatch of  1/2 quad(R |hess log R|^2) = quad((lap sqrt R / sqrt R) lap R)."""
     ops = StateOps.of(R)
     if ops.min_density <= 0:
@@ -718,13 +701,13 @@ def loghess_identity_residual(R: ScalarField | StateOps) -> float:
     return abs(left - right) / max(abs(left), 1e-300)
 
 
-def jungel_quantities(R: ScalarField | StateOps) -> tuple[float, float]:
+def jungel_quantities(R: FluidState | StateOps) -> tuple[float, float]:
     """(quad|hess sqrt R|^2 + quad|grad R^(1/4)|^4,  quad R |hess log R|^2);
     equivalent up to implicit constants, reported without assertion."""
     ops = StateOps.of(R)
     ops.fetch("hess_s", "grad_root_s", "hess_logR")
     g = ops.grid
-    left = _quad(g, ops.sp.frob2(ops["hess_s"]))
+    left = g.quad(ops.sp.frob2(ops["hess_s"]))
     g4 = np.sum(ops["grad_root_s"] ** 2, axis=0)
     left += _dot(g, g4, g4)
     return float(left), ops.q("RhlogR2_sp")
@@ -806,10 +789,10 @@ def _llogl_tables(grid: Grid, p_neg: float):
     return grid.spectral.cached(("llogl", p_neg), build)
 
 
-def llogl_bound(f: ScalarField | StateOps, beta: float) -> tuple[float, float]:
+def llogl_bound(state: FluidState | StateOps, beta: float) -> tuple[float, float]:
     """(value, bound) for the L log L control of |f|^2 in terms of the L2 norm,
-    the momentum |y| f and the discrete H1 norm; f is a field, or the
-    StateOps of a state, whose root it then takes.
+    the momentum |y| f and the discrete H1 norm, where f = sqrt R is the
+    root of the state.
 
     value = quad(|f|^2 |log |f|^2|).  The bound reproduces the proof's split at
     |f| = 1 with t |log t| <= (2/(e beta)) t^(1 -/+ beta/2) on each branch:
@@ -831,7 +814,7 @@ def llogl_bound(f: ScalarField | StateOps, beta: float) -> tuple[float, float]:
     All steps are exact finite-sum inequalities, so value <= bound holds for
     every grid function with the stated finiteness.
     """
-    ops = f if isinstance(f, StateOps) else StateOps._of_root(f)
+    ops = StateOps.of(state)
     g = ops.grid
     if not 0.0 < beta < 4.0 / (g.d + 2):
         raise ValueError(f"beta must lie in (0, 4/(d+2)) = (0, {4.0/(g.d+2):.4f})")
@@ -999,7 +982,7 @@ def record(
     rec = DiagnosticsRecord(
         t=ops.t,
         mass=ops.q("R"),
-        momentum=tuple(_quad(g, m) for m in ops.mom),
+        momentum=tuple(g.quad(m) for m in ops.mom),
         second_moment=ops.q("Rr2"),
         min_density=ops.min_density,
         **_columns(ops, p, tau, full),

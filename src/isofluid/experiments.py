@@ -25,11 +25,10 @@ from . import diagnostics as diag
 from . import io as io_
 from . import lognls, solver
 from .params import ParamSet
-from .rescaling import FluidState, WaveFunction, from_self_similar, madelung, to_self_similar
-from .spectral import (
-    Grid, ScalarField, VectorField, dealias, derivative, gradient, integrate,
-    transform_forward, transform_inverse,
+from .rescaling import (
+    FluidState, WaveFunction, from_self_similar, madelung, smooth_density, to_self_similar,
 )
+from .spectral import Grid
 from .tauode import tau_solve, tau_asymptotic_ratio
 
 __all__ = [
@@ -129,7 +128,7 @@ class ExperimentConfig:
                         g, {"generator": "prepared_gaussian", "theta": 1.0 / v**3, "iota": 1.0 / v},
                         self.seed,
                     )
-                    r0, r1, eps_l = solver.drag_schedule(v, init.R, self.params.get("eps", 0.0))
+                    r0, r1, eps_l = solver.drag_schedule(g, init.R, self.params.get("eps", 0.0))
                     inputs.points.append((v, init, params(g.d, r0=r0, r1=r1, eps=eps_l)))
             elif kind not in ("tau", "check"):
                 keys = SWEEP_KEYS.get(kind, ())
@@ -215,16 +214,11 @@ def make_initial(grid: Grid, spec: dict, seed: int = 0) -> FluidState:
         s = np.sqrt(s)
     else:
         raise BadConfig(f"unknown generator {name!r}")
-    lam = [np.zeros(grid.shape) for _ in range(grid.d)]
+    lam = np.zeros((grid.d,) + grid.shape)
     amp = float(spec.get("velocity_amplitude", 0.0))
     if amp:
         lam[0] = amp * s * np.sin(math.pi * y0 / grid.ell)
-    state = FluidState(
-        t=0.0, grid=grid, sqrtR=ScalarField(grid, s), Lambda=VectorField.from_arrays(grid, lam)
-    )
-    gamma_mass = float(np.exp(-grid.r2).sum() * grid.weight)
-    state.mass_ratio = state.mass() / gamma_mass
-    return state
+    return solver.state_from_root(grid, s, lam)
 
 
 def random_positive_field(grid: Grid, rng, roughness: float = 4.0) -> np.ndarray:
@@ -258,10 +252,10 @@ def make_wavefunction(grid: Grid, spec: dict, eps: float) -> WaveFunction:
     else:
         raise BadConfig(f"unknown wavefunction generator {name!r}")
     if spec.get("mass_match", True):
-        target = float(np.exp(-grid.r2).sum() * grid.weight)
-        have = float((np.abs(z) ** 2).sum() * grid.weight)
+        target = grid.quad(np.exp(-grid.r2))
+        have = grid.quad(np.abs(z) ** 2)
         z *= math.sqrt(target / have)
-    return WaveFunction.from_complex(0.0, grid, z, eps)
+    return WaveFunction(0.0, grid, z, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +315,11 @@ def _run_single(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
     )
     t0 = time.perf_counter()
     for snap in traj.snapshots:
-        io_.write_snapshot(io_.snapshot_path(out, "R", snap.t), snap.R, snap.t)
-        for i, lam in enumerate(snap.Lambda.components):
-            io_.write_snapshot(io_.snapshot_path(out, f"Lambda{i}", snap.t), lam, snap.t)
+        # R, and Lambda = sqrt R U from the solver's recovery U = M / rho_sm
+        lam = snap.M / np.sqrt(smooth_density(snap.R, traj.r_min))
+        fields = {"R": np.maximum(snap.R, 0.0), **{f"Lambda{i}": c for i, c in enumerate(lam)}}
+        for name, values in fields.items():
+            io_.write_snapshot(io_.snapshot_path(out, name, snap.t), snap.grid, values, snap.t)
     traj.timing["io_s"] += time.perf_counter() - t0
     io_.write_metadata(
         out,
@@ -375,10 +371,8 @@ def _run_sweep(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
     for (va, ta), (vb, tb) in zip(results, results[1:]):
         sa, sb = ta.state_final, tb.state_final
         if sa.grid == sb.grid:
-            num = math.sqrt(
-                integrate(ScalarField(sa.grid, (sa.R.values - sb.R.values) ** 2))
-            )
-            den = math.sqrt(integrate(ScalarField(sa.grid, sb.R.values**2)))
+            num = math.sqrt(sa.grid.quad((sa.R - sb.R) ** 2))
+            den = math.sqrt(sa.grid.quad(sb.R**2))
             diffs.append({"pair": f"{va}->{vb}", "l2_density_diff": num / max(den, 1e-300)})
         else:
             diffs.append(
@@ -410,7 +404,7 @@ def _run_longtime(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> in
     gam = diag.matched_gaussian(grid, mass)
     targets = {
         "mass": mass,
-        "second_moment_target": float(grid.weight * (gam * grid.r2).sum()),
+        "second_moment_target": grid.quad(gam * grid.r2),
         "second_moment_final": traj.records[-1].second_moment,
     }
     io_.write_metadata(
@@ -529,26 +523,26 @@ def _check_spectral() -> list[str]:
     rng = np.random.default_rng(7)
     for d, n in ((1, 64), (2, 32)):
         g = Grid(d, 5.0, n)
-        f = ScalarField(g, g.spectral.dealias(rng.standard_normal(g.shape)))
-        back = transform_inverse(g, transform_forward(f))
-        err = np.abs(back.values - f.values).max() / max(np.abs(f.values).max(), 1e-300)
+        sp = g.spectral
+        f = sp.dealias(rng.standard_normal(g.shape))
+        coeffs = sp.cfwd(f)
+        back = sp.cinv(coeffs).real
+        err = np.abs(back - f).max() / max(np.abs(f).max(), 1e-300)
         if err > 1e-13:
             errs.append(f"d={d} roundtrip error {err:.2e}")
-        quad = integrate(ScalarField(g, f.values**2))
-        coeffs = transform_forward(f)
-        pars = g.volume * float(np.sum(np.abs(coeffs) ** 2))
+        quad = g.quad(f**2)
+        pars = g.volume * float(np.sum(np.abs(coeffs / sp.size) ** 2))
         if abs(quad - pars) / abs(quad) > 1e-12:
             errs.append(f"d={d} Parseval mismatch {abs(quad-pars)/abs(quad):.2e}")
-        dfdx = derivative(f, 0)
-        if abs(integrate(dfdx)) > 1e-12 * np.abs(dfdx.values).max() * g.volume:
+        dfdx = sp.grad(f)[0]
+        if abs(g.quad(dfdx)) > 1e-12 * np.abs(dfdx).max() * g.volume:
             errs.append(f"d={d} integral of derivative not zero")
-        da = dealias(f)
-        db = dealias(da)
-        if np.abs(da.values - db.values).max() > 1e-14:
+        da = sp.dealias(f)
+        db = sp.dealias(da)
+        if np.abs(da - db).max() > 1e-14:
             errs.append("dealias not idempotent")
     g = Grid(1, 10.0, 256)
-    gauss = ScalarField(g, np.exp(-g.r2))
-    if abs(integrate(gauss) - math.sqrt(math.pi)) > 1e-10:
+    if abs(g.quad(np.exp(-g.r2)) - math.sqrt(math.pi)) > 1e-10:
         errs.append("Gaussian quadrature off")
     return errs
 
@@ -556,22 +550,19 @@ def _check_spectral() -> list[str]:
 def _check_rescaling() -> list[str]:
     errs = []
     g = Grid(1, 8.0, 128)
-    rho = ScalarField(g, np.exp(-g.r2) + 0.05)
-    u = VectorField.from_arrays(g, [0.3 * np.sin(math.pi * np.broadcast_to(g.y[0], g.shape) / g.ell)])
-    state = to_self_similar(rho, u, (1.0, 0.0))
+    rho = np.exp(-g.r2) + 0.05
+    u = 0.3 * np.sin(math.pi * np.stack(g.y) / g.ell)
+    state = to_self_similar(g, rho, u, (1.0, 0.0))
     rho2, u2 = from_self_similar(state, (1.0, 0.0))
-    if np.abs(rho2.values - rho.values).max() > 1e-12:
+    if np.abs(rho2 - rho).max() > 1e-12:
         errs.append("density roundtrip failed")
-    if np.abs(u2[0].values - u[0].values).max() > 1e-10:
+    if np.abs(u2 - u).max() > 1e-10:
         errs.append("velocity roundtrip failed")
     kvec = math.pi * 2 / g.ell
-    psi = WaveFunction.from_complex(
-        0.0, g, np.exp(1j * kvec * np.broadcast_to(g.y[0], g.shape)), 1.3
-    )
-    st = madelung(psi)
-    if np.abs(st.sqrtR.values - 1.0).max() > 1e-12:
+    st = madelung(WaveFunction(0.0, g, np.exp(1j * kvec * g.y[0]), 1.3))
+    if np.abs(st.R - 1.0).max() > 1e-12:
         errs.append("plane-wave modulus wrong")
-    if np.abs(st.Lambda[0].values - 1.3 * kvec).max() > 1e-9:
+    if np.abs(st.M - 1.3 * kvec).max() > 1e-9:
         errs.append("plane-wave velocity wrong")
     return errs
 
@@ -580,11 +571,11 @@ def _check_korteweg() -> list[str]:
     errs = []
     for d, n, tol in ((1, 128, 1e-8), (2, 64, 1e-6)):
         g = Grid(d, 5.0, n)
-        s = np.exp(-g.r2) + 0.2
-        res = diag.korteweg_identity_residual(ScalarField(g, s))
+        ops = diag.StateOps(g, (np.exp(-g.r2) + 0.2) ** 2)
+        res = diag.korteweg_identity_residual(ops)
         if res > tol:
             errs.append(f"korteweg_residual d={d} n={n}: {res:.2e} > {tol:.0e}")
-        res2 = diag.loghess_identity_residual(ScalarField(g, s**2))
+        res2 = diag.loghess_identity_residual(ops)
         if res2 > tol:
             errs.append(f"loghess_residual d={d} n={n}: {res2:.2e} > {tol:.0e}")
     return errs
@@ -597,8 +588,7 @@ def _check_csiszar() -> list[str]:
     grids = (Grid(1, 6.0, 64), Grid(2, 6.0, 32))
     for i in range(100):
         g = grids[i % 2]
-        R = ScalarField(g, random_positive_field(g, rng))
-        gap = diag.csiszar_kullback_gap(R)
+        gap = diag.csiszar_kullback_gap(diag.StateOps(g, random_positive_field(g, rng)))
         worst = min(worst, gap)
     if worst < -1e-10:
         errs.append(f"min gap {worst:.2e} < -1e-10")
@@ -612,8 +602,8 @@ def _check_llogl() -> list[str]:
     for i in range(100):
         g = grids[i % 2]
         beta = 2.0 / (g.d + 2)
-        f = ScalarField(g, np.sqrt(random_positive_field(g, rng)))
-        value, bound = diag.llogl_bound(f, beta)
+        ops = diag.StateOps(g, random_positive_field(g, rng))
+        value, bound = diag.llogl_bound(ops, beta)
         if not value <= bound:
             errs.append(f"seed {i}: value {value:.3e} > bound {bound:.3e}")
             break
@@ -623,26 +613,16 @@ def _check_llogl() -> list[str]:
 def _check_compat() -> list[str]:
     errs = []
     g = Grid(1, 6.0, 128)
-    s = np.exp(-g.r2) + 0.3
-    state = FluidState(
-        t=0.0, grid=g, sqrtR=ScalarField(g, s),
-        Lambda=VectorField.from_arrays(g, [0.7 * s]),  # U constant = 0.7
-    )
-    tn, sk = diag.compatibility_residuals(state)
+    R = (np.exp(-g.r2) + 0.3) ** 2
+    tn, sk = diag.compatibility_residuals(diag.StateOps(g, R, 0.7 * R[None]))  # U = 0.7
     if tn > 1e-10:
         errs.append(f"T_N residual for constant U: {tn:.2e}")
-    const = FluidState(
-        t=0.0, grid=g, sqrtR=ScalarField(g, np.full(g.shape, 0.8)),
-        Lambda=VectorField.zero(g),
-    )
-    stress = diag.korteweg_stress(g.spectral, const.sqrtR.values)
-    if max(np.abs(a).max() for row in stress for a in row) > 1e-12:
+    stress = diag.korteweg_stress(g.spectral, np.full(g.shape, 0.8))
+    if np.abs(stress).max() > 1e-12:
         errs.append("S_K of constant density not zero")
     g2 = Grid(2, 6.0, 64)
-    z = (0.2 + np.exp(-g2.r2)) * np.exp(
-        1j * (math.pi / g2.ell) * np.broadcast_to(g2.y[0], g2.shape)
-    )
-    st = madelung(WaveFunction.from_complex(0.0, g2, z, 1.0))
+    z = (0.2 + np.exp(-g2.r2)) * np.exp(1j * (math.pi / g2.ell) * g2.y[0])
+    st = madelung(WaveFunction(0.0, g2, z, 1.0))
     irr = diag.irrotationality_residual(st)
     if irr > 1e-8:
         errs.append(f"irrotationality residual {irr:.2e} > 1e-8")
@@ -655,10 +635,7 @@ def drag_run_state(n=128, ell=8.0, perturbation=0.4, velocity=0.6) -> FluidState
     y = np.broadcast_to(g.y[0], g.shape)
     s = np.exp(-(y**2) / 2.0) * np.sqrt(1.0 + perturbation * np.cos(math.pi * y / ell))
     lam = velocity * np.exp(-(y**2) / 2.0) * np.sin(2 * math.pi * y / ell)
-    return FluidState(
-        t=0.0, grid=g, sqrtR=ScalarField(g, s),
-        Lambda=VectorField.from_arrays(g, [lam]),
-    )
+    return solver.state_from_root(g, s, lam[None])
 
 
 def full_reg_setup(n=256, ell=8.0):
@@ -800,10 +777,10 @@ def truncation_study(ells, n=2048, theta_exponent=3.0):
             float(ell) ** (-theta_exponent),
             1.0 / float(ell),
         )
-        mass = st.mass()
-        gs = gradient(st.sqrtR)
-        dirichlet = integrate(ScalarField(g, gs[0].values ** 2))
-        mom = integrate(ScalarField(g, st.R.values * g.r2))
+        s = np.sqrt(st.R)
+        mass = g.quad(st.R)
+        dirichlet = g.quad(g.spectral.grad(s)[0] ** 2)
+        mom = g.quad(st.R * g.r2)
         out.append(
             {
                 "ell": ell,
@@ -813,7 +790,7 @@ def truncation_study(ells, n=2048, theta_exponent=3.0):
                 "mass_excess": (mass - mass_target) / mass_target,
                 "dirichlet_excess": (dirichlet - grad_target) / grad_target,
                 "moment_excess": (mom - mom_target) / mom_target,
-                "min_sqrtR": float(st.sqrtR.values.min()),
+                "min_sqrtR": float(s.min()),
             }
         )
     return out
@@ -825,10 +802,10 @@ def _check_snapshots() -> list[str]:
     errs = []
     g = Grid(2, 3.0, 16)
     rng = np.random.default_rng(3)
-    f = ScalarField(g, rng.standard_normal(g.shape))
+    f = rng.standard_normal(g.shape)
     with tempfile.TemporaryDirectory() as tmp:
-        p = io_.write_snapshot(io_.snapshot_path(tmp, "R", 0.25), f, 0.25)
+        p = io_.write_snapshot(io_.snapshot_path(tmp, "R", 0.25), g, f, 0.25)
         back, t = io_.read_snapshot(p)
-        if t != 0.25 or back.grid != g or not np.array_equal(back.values, f.values):
+        if t != 0.25 or back.grid != g or not np.array_equal(back.values, f):
             errs.append("snapshot roundtrip not bitwise")
     return errs

@@ -15,13 +15,15 @@ import hashlib
 import json
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .spectral import Grid, ScalarField
+from .spectral import Grid
 
 __all__ = [
+    "Snapshot",
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION",
     "write_snapshot",
@@ -41,16 +43,22 @@ def snapshot_path(out_dir, field_name: str, t: float) -> Path:
     return Path(out_dir) / f"snap_t{t:.6f}_{field_name}.isof"
 
 
-def write_snapshot(path, field: ScalarField, t: float) -> Path:
-    g = field.grid
+class Snapshot(NamedTuple):
+    """The samples of one field read back from a snapshot file."""
+
+    grid: Grid
+    values: np.ndarray
+
+
+def write_snapshot(path, grid: Grid, values, t: float) -> Path:
     path = Path(path)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, g.d, g.n, g.ell, t))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write(_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.d, grid.n, grid.ell, t))
+        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
     return path
 
 
-def read_snapshot(path) -> tuple[ScalarField, float]:
+def read_snapshot(path) -> tuple[Snapshot, float]:
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise ValueError(f"{path}: truncated snapshot header ({len(data)} bytes)")
@@ -63,7 +71,7 @@ def read_snapshot(path) -> tuple[ScalarField, float]:
         raise ValueError(f"{path}: {len(data) - _HEADER.size} data bytes, not a d={d} n={n} grid")
     grid = Grid(d, ell, n)
     raw = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
-    return ScalarField(grid, raw.reshape(grid.shape).copy()), t
+    return Snapshot(grid, raw.reshape(grid.shape).copy()), t
 
 
 def write_diagnostics_csv(out_dir, records, d: int, stem: str = "diagnostics") -> Path:

@@ -42,7 +42,6 @@ __all__ = [
     "NlsTrajectory",
     "nls_step",
     "nls_energy",
-    "pseudo_energy",
     "pseudo_dissipation",
     "run_nls",
     "psi_dissipation_identity",
@@ -74,7 +73,7 @@ class NlsParams:
 def _resolve_mu(params: NlsParams, psi: WaveFunction) -> float:
     if params.mu is not None:
         return params.mu
-    peak = float(np.max(psi.re.values**2 + psi.im.values**2))
+    peak = float(np.max(psi.psi.real**2 + psi.psi.imag**2))
     return 1e-12 * max(peak, 1e-300)
 
 
@@ -100,9 +99,8 @@ def nls_step(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), mu: float | N
         mu = _resolve_mu(params, psi)
     rescaled = params.variant == "rescaled"
     tau_v = float(tau[0]) if rescaled else 1.0
-    zh = g.spectral.cfwd(psi.re.values + 1j * psi.im.values)
-    zh = _strang_hat(g, zh, params.dt, params.eps, tau_v, mu, rescaled)
-    return WaveFunction.from_complex(psi.t + params.dt, g, g.spectral.cinv(zh), params.eps)
+    zh = _strang_hat(g, g.spectral.cfwd(psi.psi), params.dt, params.eps, tau_v, mu, rescaled)
+    return WaveFunction(psi.t + params.dt, g, g.spectral.cinv(zh), params.eps)
 
 
 def nls_energy(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), grads=None) -> float:
@@ -114,20 +112,13 @@ def nls_energy(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), grads=None)
     tau_v = float(tau[0]) if params.variant == "rescaled" else 1.0
     ga, gb = wave_gradients(psi) if grads is None else grads
     grad2 = sum(a**2 + b**2 for a, b in zip(ga, gb))
-    rho = psi.re.values**2 + psi.im.values**2
+    rho = psi.psi.real**2 + psi.psi.imag**2
     ent = np.where(rho > 0, rho * np.log(np.maximum(rho, diag.LOG_FLOOR)), 0.0)
-    out = eps**2 / (2 * tau_v**2) * float(g.weight * grad2.sum())
-    out += float(g.weight * ent.sum())
+    out = eps**2 / (2 * tau_v**2) * g.quad(grad2)
+    out += g.quad(ent)
     if params.variant == "rescaled":
-        out += float(g.weight * (g.r2 * rho).sum())
+        out += g.quad(g.r2 * rho)
     return out
-
-
-def pseudo_energy(psi: WaveFunction, tau) -> float:
-    """Pseudo-energy of the Madelung image:
-    (1/2 tau^2) quad(|Lambda|^2 + eps^2 |grad sqrt R|^2) + quad(R|y|^2 + R log R)."""
-    state = madelung(psi)
-    return diag.energy(state, tau, psi.epsilon)
 
 
 def pseudo_dissipation(psi: WaveFunction, tau) -> float:
@@ -183,7 +174,7 @@ def run_nls(
     def emit(zh, m):
         # psi and grad psi = grad Re psi + i grad Im psi in one inverse
         X = sp.cinv(np.concatenate((zh[None], sp.cik * zh)))
-        psi = traj.psi_final = WaveFunction.from_complex(t, g, X[0], eps)
+        psi = traj.psi_final = WaveFunction(t, g, X[0], eps)
         grads = (X[1:].real, X[1:].imag)
         tp = tau_at(t)
         traj.times.append(t)
@@ -193,7 +184,7 @@ def run_nls(
         traj.dissipation.append(diag.dissipation(ops, tp, eps, nu=0.0))
         traj.e_variant.append(nls_energy(psi, params, tp, grads=grads))
 
-    zh = sp.cfwd(psi0.re.values + 1j * psi0.im.values)
+    zh = sp.cfwd(psi0.psi)
     m_after = mass(zh)
     emit(zh, m_after)
     k = 0
@@ -260,7 +251,7 @@ def nls_to_hydro_crosscheck(
     if tau_sol is None:
         tau_sol = tau_solve(max(t_end, 1e-3) * 1.001, 1e-12, 1e-14)
     if t_end <= psi0.t:
-        m = psi0.mass()
+        m = psi0.grid.quad(psi0.psi.real**2 + psi0.psi.imag**2)
         return CrosscheckReport(
             t_end=t_end, dt=params_nls.dt, delta_stab=delta_stab, status="ok",
             diff_rel=0.0, mass_nls=m, mass_hydro=m,
@@ -268,7 +259,7 @@ def nls_to_hydro_crosscheck(
 
     nls_traj = run_nls(psi0, params_nls, t_end, tau_sol=tau_sol, sample_every=10**9)
     psiT = nls_traj.psi_final
-    r_nls = psiT.re.values**2 + psiT.im.values**2
+    r_nls = psiT.psi.real**2 + psiT.psi.imag**2
 
     # stabilization: density diffusion only.  The velocity bilaplacian
     # (delta2) is an unweighted k^4 force whose linearly-implicit treatment
@@ -290,12 +281,12 @@ def nls_to_hydro_crosscheck(
         return CrosscheckReport(
             t_end=t_end, dt=params_nls.dt, delta_stab=delta_stab,
             status=f"hydro_{hydro.status}", diff_rel=None,
-            mass_nls=float(psi0.grid.weight * r_nls.sum()), mass_hydro=None,
+            mass_nls=psi0.grid.quad(r_nls), mass_hydro=None,
         )
-    r_hyd = hydro.state_final.sqrtR.values ** 2
+    r_hyd = np.maximum(hydro.state_final.R, 0.0)
     g = psi0.grid
-    num = math.sqrt(float(g.weight * ((r_nls - r_hyd) ** 2).sum()))
-    den = math.sqrt(float(g.weight * (r_nls**2).sum()))
+    num = math.sqrt(g.quad((r_nls - r_hyd) ** 2))
+    den = math.sqrt(g.quad(r_nls**2))
     state_nls = madelung(psiT)
     return CrosscheckReport(
         t_end=t_end,
@@ -303,8 +294,8 @@ def nls_to_hydro_crosscheck(
         delta_stab=delta_stab,
         status="ok",
         diff_rel=num / max(den, 1e-300),
-        mass_nls=float(g.weight * r_nls.sum()),
-        mass_hydro=float(g.weight * r_hyd.sum()),
+        mass_nls=g.quad(r_nls),
+        mass_hydro=g.quad(r_hyd),
         irrot_residual_nls=diag.irrotationality_residual(state_nls),
     )
 
@@ -344,5 +335,5 @@ def reconstruct_original(
     x2 = phys.r2
     eps = Psi.epsilon
     phase = taudot_v * x2 / (2.0 * eps * tau_v) - theta / eps
-    z = (Psi.re.values + 1j * Psi.im.values) * math.sqrt(mass_ratio) / tau_v ** (d / 2.0)
+    z = Psi.psi * math.sqrt(mass_ratio) / tau_v ** (d / 2.0)
     return phys, z * np.exp(1j * phase)

@@ -60,7 +60,12 @@ recovers U = M / rho_sm and sets the drag coefficients, the advective CFL
 rate and c_u; rho_tilde = max(R, r_min) clamps the cold pressure and its
 sound speed; sqrt_reg(R) = sqrt((R + rho_sm)/2) is the Korteweg root; the
 vacuum sponge acts below about 10 r_min.  diagnostics.record evaluates on the
-same r_min; standalone diagnostics default to VACUUM_FLOOR_REL max R.
+same r_min.  A FluidState holds (R, M) as the stepper does, so a run starts
+and ends with no conversion.
+
+Step budget.  Under the CFL policy a run whose projected step count
+k + (t_end - t)/dt exceeds MAX_STEPS stops with status "budget" before the
+step, as one whose step underflows dt_min does.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ import numpy as np
 from . import diagnostics as diag
 from .params import ParamSet
 from .rescaling import FluidState, smooth_density
-from .spectral import Grid, ScalarField, VectorField
+from .spectral import Grid
 from .tauode import TauSolution, tau_solve
 
 __all__ = [
@@ -91,11 +96,20 @@ __all__ = [
     "mollifier_kernel",
     "state_from_arrays",
     "arrays_from_state",
+    "state_from_root",
+    "MAX_STEPS",
 ]
 
 _RK3_IMAG = math.sqrt(3.0)  # imaginary-axis stability reach of SSP-RK3
 _RK3_REAL = 2.51  # real-axis stability reach of SSP-RK3
 _DEALIASED = 2.0 / 3.0  # band of a force that enters M through the 2/3 mask
+# the most steps a CFL-policy run may take: above 10x the longest CFL run of
+# the test suite and the acceptance runs (criterion 3 to t = 1, 1,251 steps),
+# and far below the 249,168 steps a 2D n = 16 eta2 = 0.999, s = 5 run would
+# ask for to reach t = 0.01, whose dt of 4e-8 never trips dt_min
+MAX_STEPS = 100_000
+# numpy's floating-point warnings, off where a status names the failure
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 class SolverError(RuntimeError):
@@ -113,6 +127,7 @@ class Trajectory:
     status: str = "ok"
     n_steps: int = 0
     state_final: FluidState | None = None
+    r_min: float | None = None  # the stepper's density floor
     # steps per binding CFL family (cfl_dt), or "dt_cap" where params.dt
     # bound; empty under the fixed policy
     cfl_binding: dict = field(default_factory=dict)
@@ -161,23 +176,11 @@ def _contrast(R) -> float:
 
 def arrays_from_state(state: FluidState):
     """(R, M) with M stacked, shape (d,) + grid.shape."""
-    s = state.sqrtR.values
-    return s**2, s * np.stack(state.Lambda.arrays())
+    return state.R, state.M
 
 
-def state_from_arrays(
-    grid: Grid, t: float, R, M, r_floor: float, mass_ratio: float = 1.0
-) -> FluidState:
-    s = np.sqrt(np.maximum(R, 0.0))
-    lam = M / np.sqrt(smooth_density(R, r_floor))
-    return FluidState(
-        t=t,
-        grid=grid,
-        sqrtR=ScalarField(grid, s),
-        Lambda=VectorField.from_arrays(grid, lam),
-        formulation="self_similar",
-        mass_ratio=mass_ratio,
-    )
+def state_from_arrays(grid: Grid, t: float, R, M, mass_ratio: float = 1.0) -> FluidState:
+    return FluidState(t=t, grid=grid, R=R, M=M, mass_ratio=mass_ratio)
 
 
 class _Frozen(NamedTuple):
@@ -559,7 +562,7 @@ class _Stepper:
 # public operations
 
 
-def rhs(state: FluidState, params: ParamSet, tau) -> tuple[ScalarField, VectorField]:
+def rhs(state: FluidState, params: ParamSet, tau) -> tuple[np.ndarray, np.ndarray]:
     """Semi-discrete right-hand side (dR/dt, dM/dt): the generator of `step`
     with (tau, taudot) frozen, summed from the stepper's own pieces (the
     linear-block rates, density_forces, n_rhs and drag_rate), so the
@@ -578,7 +581,7 @@ def rhs(state: FluidState, params: ParamSet, tau) -> tuple[ScalarField, VectorFi
     dR = sp.inv(a * Rh - sp.sum_axes(sp.ik * Mh) / tau_v**2)
     fz = st.density_forces(R, Rh, tau_v, taudot_v)
     dM = sp.inv(e * Mh + st.n_rhs(M, Mh, fz, tau_v, c_u)) + st.drag_rate(R, M, tau_v)
-    return ScalarField(grid, dR), VectorField.from_arrays(grid, dM)
+    return dR, dM
 
 
 def step(state: FluidState, params: ParamSet, dt: float, tau) -> FluidState:
@@ -591,9 +594,7 @@ def step(state: FluidState, params: ParamSet, dt: float, tau) -> FluidState:
     R, M = st.advance(R, M, float(dt), (float(tau[0]), float(tau[1])))
     if not (np.all(np.isfinite(R)) and np.all(np.isfinite(M))):
         raise SolverError("non-finite state after step")
-    return state_from_arrays(
-        grid, state.t + dt, R, M, st.r_min, mass_ratio=state.mass_ratio
-    )
+    return state_from_arrays(grid, state.t + dt, R, M, mass_ratio=state.mass_ratio)
 
 
 def run(
@@ -609,8 +610,9 @@ def run(
 ) -> Trajectory:
     """March the state to t_end recording diagnostics; stops early (keeping
     the last valid state) with status "floor" when the density loses
-    positivity (min R < -neg_tol_rel * max R0), "nan" on blow-up, or
-    "underflow" when the CFL step collapses."""
+    positivity (min R < -neg_tol_rel * max R0), "nan" on blow-up,
+    "underflow" when the CFL step collapses, or "budget" when the CFL steps
+    left would take the run past MAX_STEPS."""
     start = time.perf_counter()
     grid = initial.grid
     p = params.bind(grid.d)
@@ -620,7 +622,7 @@ def run(
         horizon = max(t_end, initial.t, 1e-3) * 1.001
         tau_sol = tau_solve(horizon, 1e-12, 1e-14)
 
-    traj = Trajectory(params=p)
+    traj = Trajectory(params=p, r_min=st.r_min)
     timing = traj.timing = {"advance_s": 0.0, "diagnostics_s": 0.0, "snapshots_s": 0.0}
     calls0 = st.sp.calls
     t = initial.t
@@ -630,13 +632,15 @@ def run(
     neg_tol = neg_tol_rel * max(float(np.max(R)), 1e-300)
 
     def current_state():
-        return state_from_arrays(grid, t, R, M, st.r_min, initial.mass_ratio)
+        return state_from_arrays(grid, t, R, M, initial.mass_ratio)
 
     def emit(full: bool):
         t0 = time.perf_counter()
         traj.times.append(t)
         ops = diag.StateOps(grid, R, M, st.r_min, t)
-        traj.records.append(diag.record(ops, p, tau_sol.eval(t), full=full))
+        # a diverging state records the inf or nan its terms come to
+        with np.errstate(**_QUIET):
+            traj.records.append(diag.record(ops, p, tau_sol.eval(t), full=full))
         timing["diagnostics_s"] += time.perf_counter() - t0
 
     def snapshot():
@@ -671,12 +675,14 @@ def run(
             if dt > p.dt:
                 dt, family = p.dt, "dt_cap"
         dt = min(dt, t_end - t)
-        if dt < dt_min:
-            stop("underflow", np.unravel_index(np.argmin(R), R.shape))
+        over_budget = family is not None and k + (t_end - t) / dt > MAX_STEPS
+        if dt < dt_min or over_budget:
+            reason = "underflow" if dt < dt_min else "budget"
+            stop(reason, np.unravel_index(np.argmin(R), R.shape))
             break
         # a diverging step overflows on its way to inf or nan; the checks
         # below name it in the status, so numpy's warnings are not raised
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(**_QUIET):
             t0 = time.perf_counter()
             R_new, M_new = st.advance(R, M, dt, tau_sol.eval(t + 0.5 * dt))
             timing["advance_s"] += time.perf_counter() - t0
@@ -734,7 +740,7 @@ def mollifier_kernel(grid: Grid, iota: float) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         z = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
     z = np.broadcast_to(z, grid.shape).copy()
-    total = z.sum() * grid.weight
+    total = grid.quad(z)
     if total <= 0:
         raise ValueError("mollifier width too small for the grid")
     return z / total
@@ -749,11 +755,12 @@ def prepare_initial_data(
 ) -> FluidState:
     """Plateau-truncated, floored and mollified initial data
 
-        sqrtR = (sqrtR0 * chi_ell + theta) conv zeta_iota,   Lambda = Lambda0.
+        sqrtR = (sqrtR0 * chi_ell + theta) conv zeta_iota,   Lambda = Lambda0,
 
-    The output sqrtR is bounded below by theta exactly (the kernel is
-    nonnegative with unit discrete mass, and the constant theta convolves to
-    itself), so the density never falls below theta^2.
+    returned as the state R = sqrtR^2, M = sqrtR Lambda (state_from_root).
+    sqrtR is bounded below by theta exactly (the kernel is nonnegative with
+    unit discrete mass, and the constant theta convolves to itself), so the
+    density never falls below theta^2.
     """
     if theta <= 0 or iota <= 0:
         raise ValueError("theta and iota must be positive")
@@ -767,25 +774,24 @@ def prepare_initial_data(
     lam = Lambda0_sampler(*grid.y)
     if not isinstance(lam, (tuple, list)):
         lam = (lam,)
-    lam = [np.asarray(c, dtype=float) + np.zeros(grid.shape) for c in lam]
-    state = FluidState(
-        t=0.0,
-        grid=grid,
-        sqrtR=ScalarField(grid, s),
-        Lambda=VectorField.from_arrays(grid, lam),
-        formulation="self_similar",
+    lam = np.stack([np.asarray(c, dtype=float) + np.zeros(grid.shape) for c in lam])
+    return state_from_root(grid, s, lam)
+
+
+def state_from_root(grid: Grid, s, lam) -> FluidState:
+    """The state of the root s = sqrt R and Lambda = sqrt R U (stacked):
+    R = s^2, M = s Lambda, with the mass ratio quad(R) / quad(exp(-|y|^2))."""
+    R = s**2
+    return FluidState(
+        t=0.0, grid=grid, R=R, M=s * lam,
+        mass_ratio=grid.quad(R) / grid.quad(np.exp(-grid.r2)),
     )
-    gamma_mass = float(np.exp(-grid.r2).sum() * grid.weight)
-    state.mass_ratio = state.mass() / gamma_mass
-    return state
 
 
-def drag_schedule(ell: float, R0ell: ScalarField, eps: float = 0.0):
-    """Box-size-dependent drag parameters:
+def drag_schedule(grid: Grid, R0, eps: float = 0.0):
+    """Box-size-dependent drag parameters of R0 sampled on grid, ell = grid.ell:
     r0 = 1/(ell + quad(log R0 1_{R0<1})^2),  r1 = 1/ell,  eps_ell = eps + 1/ell."""
-    if ell <= 0:
-        raise ValueError("ell must be positive")
-    r = R0ell.values
-    logneg = np.where(r < 1.0, np.log(np.maximum(r, diag.LOG_FLOOR)), 0.0)
-    intlog = float(R0ell.grid.weight * logneg.sum())
+    ell = grid.ell
+    logneg = np.where(R0 < 1.0, np.log(np.maximum(R0, diag.LOG_FLOOR)), 0.0)
+    intlog = grid.quad(logneg)
     return 1.0 / (ell + intlog**2), 1.0 / ell, eps + 1.0 / ell

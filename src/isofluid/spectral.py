@@ -1,5 +1,5 @@
-"""Periodic-box field algebra: FFT transforms, spectral derivatives, dealiasing,
-quadrature and pointwise operations on the torus [-ell, ell]^d.
+"""Periodic-box field algebra: FFT transforms, spectral derivatives, dealiasing
+and quadrature of plain sample arrays on the torus [-ell, ell]^d.
 
 Conventions
 -----------
@@ -53,23 +53,7 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 
-__all__ = [
-    "Grid",
-    "Spectral",
-    "ScalarField",
-    "VectorField",
-    "transform_forward",
-    "transform_inverse",
-    "derivative",
-    "gradient",
-    "divergence",
-    "laplacian",
-    "bilaplacian",
-    "laplacian_power",
-    "dealias",
-    "integrate",
-    "moment",
-]
+__all__ = ["Grid", "Spectral"]
 
 
 def _along(d: int, i: int, v: np.ndarray) -> np.ndarray:
@@ -107,6 +91,10 @@ class Grid:
             sum(yi**2 for yi in self.y), self.shape
         ).copy()  # |y|^2 samples
 
+    def quad(self, a) -> float:
+        """Quadrature of the samples a (summed over a stack as well)."""
+        return float(self.weight * a.sum())
+
     @cached_property
     def spectral(self) -> "Spectral":
         """The transform backend of this grid, built on first use."""
@@ -125,84 +113,6 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(d={self.d}, ell={self.ell}, n={self.n})"
-
-
-class ScalarField:
-    """Real samples of a scalar on a Grid (value-like, do not mutate)."""
-
-    def __init__(self, grid: Grid, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
-        self.grid = grid
-        self.values = values
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        return cls(grid, np.asarray(fn(*grid.y), dtype=float) + np.zeros(grid.shape))
-
-    @classmethod
-    def constant(cls, grid: Grid, c: float) -> "ScalarField":
-        return cls(grid, np.full(grid.shape, float(c)))
-
-    def check_finite(self) -> "ScalarField":
-        if not np.all(np.isfinite(self.values)):
-            raise FloatingPointError("non-finite entries in field")
-        return self
-
-    def __add__(self, other):
-        return ScalarField(self.grid, self.values + _vals(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ScalarField(self.grid, self.values - _vals(other))
-
-    def __rsub__(self, other):
-        return ScalarField(self.grid, _vals(other) - self.values)
-
-    def __mul__(self, other):
-        return ScalarField(self.grid, self.values * _vals(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return ScalarField(self.grid, self.values / _vals(other))
-
-    def __neg__(self):
-        return ScalarField(self.grid, -self.values)
-
-
-def _vals(x):
-    return x.values if isinstance(x, ScalarField) else x
-
-
-class VectorField:
-    """d scalar components on a shared Grid."""
-
-    def __init__(self, grid: Grid, components):
-        comps = tuple(components)
-        if len(comps) != grid.d:
-            raise ValueError(f"expected {grid.d} components, got {len(comps)}")
-        for c in comps:
-            if c.grid != grid:
-                raise ValueError("component grids differ")
-        self.grid = grid
-        self.components = comps
-
-    @classmethod
-    def from_arrays(cls, grid: Grid, arrays) -> "VectorField":
-        return cls(grid, tuple(ScalarField(grid, a) for a in arrays))
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "VectorField":
-        return cls.from_arrays(grid, [np.zeros(grid.shape)] * grid.d)
-
-    def __getitem__(self, i: int) -> ScalarField:
-        return self.components[i]
-
-    def arrays(self):
-        return tuple(c.values for c in self.components)
 
 
 # ---------------------------------------------------------------------------
@@ -400,75 +310,3 @@ class Spectral:
 
     def div_dealiased(self, comps) -> np.ndarray:
         return self.inv(self.div_dealiased_hat(self.fwd(np.asarray(comps))))
-
-
-def transform_forward(f: ScalarField) -> np.ndarray:
-    """Coefficients of the trigonometric interpolant (complex array)."""
-    return f.grid.spectral.cfwd(f.values) / f.grid.n**f.grid.d
-
-
-def transform_inverse(grid: Grid, coeffs: np.ndarray) -> ScalarField:
-    vals = grid.spectral.cinv(coeffs * grid.n**grid.d)
-    return ScalarField(grid, vals.real)
-
-
-# ---------------------------------------------------------------------------
-# field-level operations
-
-
-def derivative(f: ScalarField, axis: int) -> ScalarField:
-    if not 0 <= axis < f.grid.d:
-        raise ValueError(f"axis {axis} out of range for d={f.grid.d}")
-    sp = f.grid.spectral
-    return ScalarField(f.grid, sp.inv(sp.ik[axis] * sp.fwd(f.values)))
-
-
-def gradient(f: ScalarField) -> VectorField:
-    return VectorField.from_arrays(f.grid, f.grid.spectral.grad(f.values))
-
-
-def divergence(v: VectorField) -> ScalarField:
-    return ScalarField(v.grid, v.grid.spectral.div(v.arrays()))
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, f.grid.spectral.lap(f.values, 1))
-
-
-def bilaplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, f.grid.spectral.lap(f.values, 2))
-
-
-def laplacian_power(f: ScalarField, p: int) -> ScalarField:
-    if p < 1:
-        raise ValueError(f"power must be >= 1, got {p}")
-    return ScalarField(f.grid, f.grid.spectral.lap(f.values, p))
-
-
-def dealias(f: ScalarField) -> ScalarField:
-    """Zero every coefficient with an axis mode |m_j| > n/3 (2/3 rule)."""
-    return ScalarField(f.grid, f.grid.spectral.dealias(f.values))
-
-
-def integrate(f: ScalarField) -> float:
-    return float(f.grid.weight * f.values.sum())
-
-
-def moment(f: ScalarField, weight: str = "1") -> float:
-    """Quadrature of f against a weight in {1, y_i, |y|^2}.
-
-    weight: "1", "y0"/"y1"/"y2" (coordinate), or "r2" (= |y|^2).
-    """
-    g = f.grid
-    if weight == "1":
-        w = 1.0
-    elif weight == "r2":
-        w = g.r2
-    elif weight.startswith("y"):
-        i = int(weight[1:])
-        if not 0 <= i < g.d:
-            raise ValueError(f"coordinate {weight} out of range for d={g.d}")
-        w = np.broadcast_to(g.y[i], g.shape)
-    else:
-        raise ValueError(f"unknown moment weight {weight!r}")
-    return float(g.weight * (f.values * w).sum())

@@ -15,13 +15,14 @@ from hypothesis import given, settings, strategies as st
 from isofluid import diagnostics as diag
 from isofluid.params import ParamSet
 from isofluid.rescaling import FluidState, smooth_density
-from isofluid.spectral import Grid, ScalarField, VectorField
+from isofluid.solver import state_from_root
+from isofluid.spectral import Grid
 
 
 def state_from_R(g, R, lam=None):
-    s = np.sqrt(np.maximum(R, 0.0))
-    lamf = VectorField.zero(g) if lam is None else VectorField.from_arrays(g, lam)
-    return FluidState(t=0.0, grid=g, sqrtR=ScalarField(g, s), Lambda=lamf)
+    """The state of R with Lambda = sqrt R U (a list of components)."""
+    lam = np.zeros((g.d,) + g.shape) if lam is None else np.stack(lam)
+    return state_from_root(g, np.sqrt(np.maximum(R, 0.0)), lam)
 
 
 def random_mass_matched(g, rng, mass):
@@ -106,11 +107,10 @@ def test_bd_entropy_reg_nonnegative_sweep():
 def test_relative_entropy_and_ck_gap():
     g = Grid(1, 8.0, 256)
     gam = diag.matched_gaussian(g, math.sqrt(math.pi))
-    st_R = ScalarField(g, gam)
+    st_R = diag.StateOps(g, gam)
     assert abs(diag.relative_entropy(st_R)) < 1e-12
     assert abs(diag.csiszar_kullback_gap(st_R)) < 1e-12
-    y0 = np.broadcast_to(g.y[0], g.shape)
-    shifted = ScalarField(g, np.exp(-((y0 - 1.0) ** 2)))
+    shifted = diag.StateOps(g, np.exp(-((g.y[0] - 1.0) ** 2)))
     assert diag.csiszar_kullback_gap(shifted) > 1e-3
 
 
@@ -120,47 +120,44 @@ def test_ck_gap_sweep():
     for i in range(100):
         d = 1 if i % 2 == 0 else 2
         g = Grid(d, 6.0, 64 if d == 1 else 32)
-        R = ScalarField(g, random_mass_matched(g, rng, 2.0))
+        R = diag.StateOps(g, random_mass_matched(g, rng, 2.0))
         worst = min(worst, diag.csiszar_kullback_gap(R))
     assert worst >= -1e-10
 
 
 def test_korteweg_identity_residuals():
     g1 = Grid(1, 5.0, 128)
-    const = ScalarField.constant(g1, 0.8)
+    const = diag.StateOps(g1, np.full(g1.shape, 0.8**2))
     assert diag.korteweg_identity_residual(const) < 1e-12
-    assert diag.loghess_identity_residual(ScalarField.constant(g1, 0.5)) < 1e-12
-    s1 = ScalarField(g1, np.exp(-g1.r2) + 0.2)
-    assert diag.korteweg_identity_residual(s1) <= 1e-8
-    assert diag.loghess_identity_residual(ScalarField(g1, s1.values**2)) <= 1e-8
+    assert diag.loghess_identity_residual(diag.StateOps(g1, np.full(g1.shape, 0.5))) < 1e-12
+    s1 = np.exp(-g1.r2) + 0.2
+    assert diag.korteweg_identity_residual(diag.StateOps(g1, s1**2)) <= 1e-8
+    assert diag.loghess_identity_residual(diag.StateOps(g1, s1**2)) <= 1e-8
     g2 = Grid(2, 5.0, 64)
-    s2 = ScalarField(g2, np.exp(-g2.r2) + 0.2)
-    assert diag.korteweg_identity_residual(s2) <= 1e-6
-    assert diag.loghess_identity_residual(ScalarField(g2, s2.values**2)) <= 1e-6
+    s2 = np.exp(-g2.r2) + 0.2
+    assert diag.korteweg_identity_residual(diag.StateOps(g2, s2**2)) <= 1e-6
+    assert diag.loghess_identity_residual(diag.StateOps(g2, s2**2)) <= 1e-6
 
 
 def test_korteweg_residual_decays_with_resolution():
     res = []
     for n in (32, 64, 128):
         g = Grid(1, 5.0, n)
-        s = ScalarField(g, np.exp(-g.r2) + 0.2)
-        res.append(max(diag.korteweg_identity_residual(s), 1e-16))
+        s = np.exp(-g.r2) + 0.2
+        res.append(max(diag.korteweg_identity_residual(diag.StateOps(g, s**2)), 1e-16))
     assert res[0] > res[1] >= res[2] - 1e-16
 
 
 def test_korteweg_requires_positive_field():
     g = Grid(1, 5.0, 64)
     with pytest.raises(ValueError):
-        diag.korteweg_identity_residual(ScalarField(g, np.zeros(g.shape)))
+        diag.korteweg_identity_residual(diag.StateOps(g, np.zeros(g.shape)))
 
 
 def test_compatibility_constant_velocity():
     g = Grid(1, 6.0, 128)
     s = np.exp(-g.r2) + 0.3
-    st = FluidState(
-        t=0.0, grid=g, sqrtR=ScalarField(g, s),
-        Lambda=VectorField.from_arrays(g, [0.7 * s]),
-    )
+    st = state_from_root(g, s, 0.7 * s[None])  # U = 0.7
     tn, sk = diag.compatibility_residuals(st)
     assert tn <= 1e-10
     assert sk <= 1e-10
@@ -182,18 +179,17 @@ def test_irrotationality_trivial_1d():
 
 def test_llogl_bound_small_field_branch():
     g = Grid(1, 6.0, 128)
-    f = ScalarField(g, 0.9 * np.exp(-g.r2))  # |f| <= 0.9 < 1 everywhere
-    value, bound = diag.llogl_bound(f, beta=2.0 / 3.0)
+    f = 0.9 * np.exp(-g.r2)  # |f| <= 0.9 < 1 everywhere
+    value, bound = diag.llogl_bound(diag.StateOps(g, f**2), beta=2.0 / 3.0)
     assert value <= bound
 
 
 def test_llogl_bound_gaussian_and_scaling():
     g = Grid(1, 6.0, 128)
-    f = ScalarField(g, np.exp(-g.r2 / 2.0))
-    v1, b1 = diag.llogl_bound(f, beta=2.0 / 3.0)
+    f = np.exp(-g.r2 / 2.0)
+    v1, b1 = diag.llogl_bound(diag.StateOps(g, f**2), beta=2.0 / 3.0)
     assert v1 <= b1
-    f2 = ScalarField(g, 2.0 * f.values)
-    v2, b2 = diag.llogl_bound(f2, beta=2.0 / 3.0)
+    v2, b2 = diag.llogl_bound(diag.StateOps(g, (2.0 * f) ** 2), beta=2.0 / 3.0)
     assert v2 <= b2
     assert v2 > v1 and b2 > b1
 
@@ -205,24 +201,24 @@ def test_llogl_bound_sweep_and_validation():
     for i in range(100):
         d = 1 if i % 2 == 0 else 2
         g = Grid(d, 6.0, 64 if d == 1 else 32)
-        f = ScalarField(g, np.sqrt(random_positive_field(g, rng)))
-        value, bound = diag.llogl_bound(f, 2.0 / (d + 2))
+        f = np.sqrt(random_positive_field(g, rng))
+        value, bound = diag.llogl_bound(diag.StateOps(g, f**2), 2.0 / (d + 2))
         assert value <= bound
     g = Grid(1, 4.0, 32)
     with pytest.raises(ValueError):
-        diag.llogl_bound(ScalarField.constant(g, 1.0), beta=2.0)
+        diag.llogl_bound(diag.StateOps(g, np.ones(g.shape)), beta=2.0)
 
 
 def test_jungel_quantities():
     g = Grid(1, 5.0, 128)
-    l0, r0 = diag.jungel_quantities(ScalarField.constant(g, 0.7))
+    l0, r0 = diag.jungel_quantities(diag.StateOps(g, np.full(g.shape, 0.7)))
     assert abs(l0) < 1e-12 and abs(r0) < 1e-12
     rng = np.random.default_rng(4)
     from isofluid.experiments import random_positive_field
 
     ratios = []
     for _ in range(100):
-        R = ScalarField(g, random_positive_field(g, rng) + 0.05)
+        R = diag.StateOps(g, random_positive_field(g, rng) + 0.05)
         left, right = diag.jungel_quantities(R)
         assert left >= 0.0 and right >= 0.0
         if right > 1e-12:
@@ -291,22 +287,22 @@ def positive_fields(draw):
     g = Grid(d, draw(st.sampled_from([3.0, 6.0, 10.0])), draw(st.sampled_from([8, 16, 32, 64])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     R = random_positive_field(g, rng, draw(st.sampled_from([1.0, 4.0, 8.0])))
-    return ScalarField(g, draw(st.sampled_from([0.1, 1.0, 30.0])) * np.sqrt(R / R.max()))
+    return g, draw(st.sampled_from([0.1, 1.0, 30.0])) * np.sqrt(R / R.max())
 
 
 @settings(max_examples=60)
 @given(positive_fields())
-def test_llogl_bound_matches_reference_kappa_loop(f):
-    g = f.grid
+def test_llogl_bound_matches_reference_kappa_loop(case):
+    g, f = case
     beta = 2.0 / (g.d + 2)
-    value, bound = diag.llogl_bound(f, beta)
+    value, bound = diag.llogl_bound(diag.StateOps(g, f**2), beta)
     assert value <= bound
-    v2 = f.values**2
+    v2 = f**2
     l2 = math.sqrt(g.weight * v2.sum())
     yf = math.sqrt(g.weight * (g.r2 * v2).sum())
     small = _llogl_small_reference(g, l2, yf, beta)
     # the large-field term, unchanged: the lattice Sobolev bound of max |f|
-    h1 = g.weight * (v2.sum() + sum(a**2 for a in g.spectral.grad(f.values)).sum())
+    h1 = g.weight * (v2.sum() + sum(a**2 for a in g.spectral.grad(f)).sum())
     f_inf = math.sqrt(float(np.sum(1.0 / (1.0 + g.k2))) / g.volume * h1)
     ref = 2.0 / (math.e * beta) * (small + f_inf**beta * l2**2)
     assert abs(bound - ref) <= 1e-14 * ref
@@ -334,9 +330,9 @@ def _reference_record(state, p, tau, r_floor):
     def tensor2(h):
         return sum((1.0 if i == j else 2.0) * v**2 for (i, j), v in h.items())
 
-    s = state.sqrtR.values
-    R = s**2
-    lam = [c.values for c in state.Lambda.components]
+    R = state.R
+    s = np.sqrt(R)
+    lam = [a / np.sqrt(smooth_density(R, r_floor)) for a in state.M]
     U = [a / np.sqrt(smooth_density(R, r_floor)) for a in lam]
     rt = np.maximum(R, r_floor)
     logR = np.log(np.maximum(R, diag.LOG_FLOOR))
@@ -508,10 +504,8 @@ def test_record_matches_physical_space_reference(case):
     state, p, tau, r_floor = case
     g = state.grid
     terms, residuals = _reference_record(state, p, tau, r_floor)
-    R = state.sqrtR.values ** 2
-    M = state.sqrtR.values * np.stack(state.Lambda.arrays())
-    for ops in (diag.StateOps.of(state, r_floor), diag.StateOps(g, R, M, r_floor)):
-        rec = diag.record(ops, p, tau, full=True)
+    for x in (state, diag.StateOps(g, state.R, state.M, r_floor)):
+        rec = diag.record(x, p, tau, full=True, r_floor=r_floor)
         row = dict(zip(diag.DiagnosticsRecord.csv_columns(g.d), rec.csv_row()))
         for name, parts in terms.items():
             assert abs(row[name] - sum(parts)) <= 1e-12 * sum(abs(a) for a in parts), name
@@ -520,6 +514,6 @@ def test_record_matches_physical_space_reference(case):
                 assert row[name] == 0.0
         for name, ref in residuals.items():
             assert abs(row[name] - ref) <= RESIDUAL_TOL[name], name
-        value, bound = diag.llogl_bound(state.sqrtR, 2.0 / (g.d + 2))
+        value, bound = diag.llogl_bound(state, 2.0 / (g.d + 2))
         assert abs(row["llogl_bound"] - bound) <= 1e-12 * bound
-        assert row["min_density"] == ops.min_density == float(R.min())
+        assert row["min_density"] == float(state.R.min())

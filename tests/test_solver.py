@@ -20,15 +20,15 @@ from isofluid.solver import (
     prepare_initial_data,
     rhs,
     run,
+    state_from_root,
     step,
 )
-from isofluid.spectral import Grid, ScalarField, VectorField
+from isofluid.spectral import Grid
 from isofluid.tauode import tau_solve
 
 
 def gaussian_state(g):
-    s = np.exp(-g.r2 / 2.0)
-    return FluidState(t=0.0, grid=g, sqrtR=ScalarField(g, s), Lambda=VectorField.zero(g))
+    return state_from_root(g, np.exp(-g.r2 / 2.0), np.zeros((g.d,) + g.shape))
 
 
 def term_state(g):
@@ -37,32 +37,24 @@ def term_state(g):
     gauss = np.exp(-g.r2 / 2.0)
     y = [np.broadcast_to(yi, g.shape) for yi in g.y]
     s = gauss * np.sqrt(1.0 + 0.4 * np.cos(math.pi * y[0] / g.ell)) + 0.5
-    lam = [0.6 * gauss * np.sin(2 * math.pi * yi / g.ell) for yi in y]
-    return FluidState(
-        t=0.0, grid=g, sqrtR=ScalarField(g, s), Lambda=VectorField.from_arrays(g, lam)
-    )
+    lam = np.stack([0.6 * gauss * np.sin(2 * math.pi * yi / g.ell) for yi in y])
+    return state_from_root(g, s, lam)
 
 
 def drag_state(g, pert=0.4, vel=0.6):
     y = np.broadcast_to(g.y[0], g.shape)
     s = np.exp(-(y**2) / 2.0) * np.sqrt(1.0 + pert * np.cos(math.pi * y / g.ell))
     lam = vel * np.exp(-(y**2) / 2.0) * np.sin(2 * math.pi * y / g.ell)
-    return FluidState(
-        t=0.0, grid=g, sqrtR=ScalarField(g, s), Lambda=VectorField.from_arrays(g, [lam])
-    )
+    return state_from_root(g, s, lam[None])
 
 
 def test_rhs_constant_state_confinement_only():
     g = Grid(1, 6.0, 64)
     c = 0.7
-    st = FluidState(
-        t=0.0, grid=g, sqrtR=ScalarField.constant(g, math.sqrt(c)),
-        Lambda=VectorField.zero(g),
-    )
+    st = FluidState(t=0.0, grid=g, R=np.full(g.shape, c), M=np.zeros((1,) + g.shape))
     dR, dM = rhs(st, ParamSet(nu=0.3, eps=0.1), (1.0, 0.0))
-    y = np.broadcast_to(g.y[0], g.shape)
-    assert np.abs(dR.values).max() < 1e-13
-    assert np.abs(dM[0].values + 2.0 * y * c).max() < 1e-12
+    assert np.abs(dR).max() < 1e-13
+    assert np.abs(dM[0] + 2.0 * g.y[0] * c).max() < 1e-12
 
 
 def test_rhs_gaussian_equilibrium_eps0():
@@ -70,8 +62,8 @@ def test_rhs_gaussian_equilibrium_eps0():
     g = Grid(1, 8.0, 128)
     st = gaussian_state(g)
     dR, dM = rhs(st, ParamSet(nu=0.3, eps=0.0), (1.0, 0.0))
-    assert np.abs(dR.values).max() < 1e-13
-    assert np.abs(dM[0].values).max() < 1e-12
+    assert np.abs(dR).max() < 1e-13
+    assert np.abs(dM[0]).max() < 1e-12
 
 
 def test_korteweg_divergence_form_matches_potential_form():
@@ -80,11 +72,11 @@ def test_korteweg_divergence_form_matches_potential_form():
     R = s**2
     lhs = g.spectral.grad(g.spectral.lap(s) / s)
     lhs = [R * a for a in lhs]
-    st = FluidState(t=0.0, grid=g, sqrtR=ScalarField(g, s), Lambda=VectorField.zero(g))
+    st = state_from_root(g, s, np.zeros((1,) + g.shape))
     dR, dM = rhs(st, ParamSet(nu=0.0, eps=2.0), (1.0, 0.0))
     # subtract the pressure + confinement part (eps-independent)
     dR0, dM0 = rhs(st, ParamSet(nu=1e-30, eps=0.0), (1.0, 0.0))
-    kort = dM[0].values - dM0[0].values  # = (eps^2/2) Div(S_K)
+    kort = dM[0] - dM0[0]  # = (eps^2/2) Div(S_K)
     rel = np.abs(kort - 2.0 * lhs[0]).max() / np.abs(kort).max()
     assert rel < 1e-8
 
@@ -117,10 +109,10 @@ def test_rhs_is_the_generator_of_step(term):
 
     def defect(hh):
         R1, M1 = stepper.advance(R, M, hh, tau)
-        return (R1 - R) / hh - dR.values, (M1[0] - M[0]) / hh - dM[0].values
+        return (R1 - R) / hh - dR, (M1[0] - M[0]) / hh - dM[0]
 
     (r_h, m_h), (r_h2, m_h2) = defect(h), defect(h / 2)
-    scale = np.abs(dM[0].values).max()
+    scale = np.abs(dM[0]).max()
     assert np.abs(2.0 * r_h2 - r_h).max() <= 1e-7 * scale
     assert np.abs(2.0 * m_h2 - m_h).max() <= 1e-7 * scale
 
@@ -349,7 +341,7 @@ def test_step_frozen_tau_preserves_equilibrium():
     st = st0
     for _ in range(100):
         st = step(st, p, 1e-3, (1.0, 0.0))
-    drift = np.abs(st.sqrtR.values**2 - st0.sqrtR.values**2).max()
+    drift = np.abs(st.R - st0.R).max()
     assert drift <= 1e-10
 
 
@@ -358,12 +350,12 @@ def test_step_mass_exact():
     st = drag_state(g)
     p = ParamSet(nu=0.1, eps=0.2, r1=0.05, dt_policy="fixed", dt=5e-3,
                  viscous_form="bounded")
-    m0 = st.mass()
+    m0 = g.quad(st.R)
     for _ in range(20):
         st = step(st, p, 5e-3, (1.02, 0.2))
-    # the zero mode of R is exactly constant; reported mass moves only by the
-    # clipping of round-off-negative vacuum cells when states are emitted
-    assert abs(st.mass() - m0) / m0 < 1e-12
+    # the zero mode of R is exactly constant; the state carries the raw R,
+    # so its mass moves only by round-off
+    assert abs(g.quad(st.R) - m0) / m0 < 1e-12
 
 
 def test_state_convergence_second_order():
@@ -374,7 +366,7 @@ def test_state_convergence_second_order():
         p = ParamSet(nu=0.1, eps=0.2, r1=0.05, dt_policy="fixed", dt=dt,
                      viscous_form="bounded")
         traj = run(st0, p, 0.1, diag_every=10**9)
-        finals[dt] = traj.state_final.sqrtR.values ** 2
+        finals[dt] = traj.state_final.R
     e1 = np.abs(finals[8e-3] - finals[5e-4]).max()
     e2 = np.abs(finals[4e-3] - finals[5e-4]).max()
     e3 = np.abs(finals[2e-3] - finals[5e-4]).max()
@@ -525,7 +517,8 @@ def test_run_zero_horizon_returns_initial():
     traj = run(st, ParamSet(nu=0.1, eps=0.0, dt_policy="fixed", dt=1e-3), 0.0)
     assert traj.n_steps == 0
     assert len(traj.records) == 1
-    assert np.abs(traj.state_final.sqrtR.values - st.sqrtR.values).max() == 0.0
+    assert np.abs(traj.state_final.R - st.R).max() == 0.0
+    assert np.abs(traj.state_final.M - st.M).max() == 0.0
 
 
 def test_run_times_strictly_increasing():
@@ -547,7 +540,7 @@ def test_run_detects_blowup():
     p = ParamSet(nu=0.5, eps=1.0, dt_policy="fixed", dt=0.3, viscous_form="bounded")
     traj = run(st, p, 3.0, diag_every=1)
     assert traj.status in ("nan", "floor")
-    assert np.all(np.isfinite(traj.state_final.sqrtR.values))
+    assert np.all(np.isfinite(traj.state_final.R))
 
 
 def test_prepare_initial_data_floor_and_mass():
@@ -560,8 +553,8 @@ def test_prepare_initial_data_floor_and_mass():
         iota=0.3,
     )
     # the constant theta convolves to itself: sqrtR >= theta exactly
-    assert st.sqrtR.values.min() >= 0.1 - 1e-12
-    assert st.mass() > 0
+    assert np.sqrt(st.R).min() >= 0.1 - 1e-12
+    assert g.quad(st.R) > 0
 
 
 def test_prepare_small_iota_approaches_unmollified():
@@ -579,7 +572,7 @@ def test_prepare_small_iota_approaches_unmollified():
         from isofluid.solver import plateau
 
         raw = np.exp(-g.r2 / 2.0) * plateau(g) + 0.25
-        errs.append(np.abs(st.sqrtR.values - raw).max())
+        errs.append(np.abs(np.sqrt(st.R) - raw).max())
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -604,8 +597,7 @@ def test_truncation_functionals_approach_full_space():
 
 def test_drag_schedule_values():
     g = Grid(1, 10.0, 64)
-    above_one = ScalarField.constant(g, 2.0)
-    r0, r1, eps_l = drag_schedule(10.0, above_one, eps=0.25)
+    r0, r1, eps_l = drag_schedule(g, np.full(g.shape, 2.0), eps=0.25)
     assert abs(r0 - 0.1) < 1e-15  # indicator region empty
     assert abs(r1 - 0.1) < 1e-15
     assert abs(eps_l - 0.35) < 1e-15
@@ -615,9 +607,9 @@ def test_drag_schedule_log_product_vanishes():
     vals = []
     for ell in (4.0, 8.0, 16.0):
         g = Grid(1, ell, 256)
-        R0 = ScalarField(g, np.exp(-g.r2))
-        r0, _, _ = drag_schedule(ell, R0)
-        logneg = np.where(R0.values < 1.0, np.log(np.maximum(R0.values, 1e-30)), 0.0)
+        R0 = np.exp(-g.r2)
+        r0, _, _ = drag_schedule(g, R0)
+        logneg = np.where(R0 < 1.0, np.log(np.maximum(R0, 1e-30)), 0.0)
         intlog = float(g.weight * logneg.sum())
         vals.append(abs(r0 * intlog))
     assert vals[0] > vals[1] > vals[2]
@@ -679,4 +671,4 @@ def test_run_stops_a_diverging_run_without_warnings():
     assert stop["step"] == traj.n_steps + 1
     assert stop["t"] == traj.state_final.t < 1.0
     assert len(stop["cell"]) == 1 and 0 <= stop["cell"][0] < 256
-    assert np.all(np.isfinite(traj.state_final.sqrtR.values))
+    assert np.all(np.isfinite(traj.state_final.R))

@@ -6,22 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isofluid.spectral import (
-    Grid,
-    ScalarField,
-    VectorField,
-    bilaplacian,
-    dealias,
-    derivative,
-    divergence,
-    gradient,
-    integrate,
-    laplacian,
-    laplacian_power,
-    moment,
-    transform_forward,
-    transform_inverse,
-)
+from isofluid.spectral import Grid
 
 
 def test_grid_validation():
@@ -38,13 +23,13 @@ def test_grid_validation():
 def test_quadrature_weight():
     g = Grid(2, 3.0, 16)
     assert abs(g.weight - (6.0 / 16) ** 2) < 1e-15
-    assert abs(integrate(ScalarField.constant(g, 1.0)) - 36.0) < 1e-12
+    assert abs(g.quad(np.ones(g.shape)) - 36.0) < 1e-12
 
 
 def test_pure_mode_single_pair():
     g = Grid(1, 4.0, 32)
-    f = ScalarField(g, np.cos(math.pi * np.broadcast_to(g.y[0], g.shape) / g.ell))
-    c = transform_forward(f)
+    f = np.cos(math.pi * g.y[0] / g.ell)
+    c = g.spectral.cfwd(f) / g.n
     mags = np.abs(c)
     big = mags > 1e-12
     assert big.sum() == 2  # modes m = +-1 only
@@ -52,94 +37,87 @@ def test_pure_mode_single_pair():
 
 def test_roundtrip_random():
     g = Grid(2, 2.0, 16)
+    sp = g.spectral
     rng = np.random.default_rng(0)
-    f = ScalarField(g, rng.standard_normal(g.shape))
-    back = transform_inverse(g, transform_forward(f))
-    rel = np.abs(back.values - f.values).max() / np.abs(f.values).max()
-    assert rel < 1e-13
+    f = rng.standard_normal(g.shape)
+    for back in (sp.cinv(sp.cfwd(f)).real, sp.inv(sp.fwd(f))):
+        rel = np.abs(back - f).max() / np.abs(f).max()
+        assert rel < 1e-13
 
 
 def test_parseval():
     g = Grid(1, 3.0, 64)
+    sp = g.spectral
     rng = np.random.default_rng(1)
-    f = ScalarField(g, rng.standard_normal(g.shape))
-    quad = integrate(ScalarField(g, f.values**2))
-    coeffs = transform_forward(f)
+    f = rng.standard_normal(g.shape)
+    quad = g.quad(f**2)
+    coeffs = sp.cfwd(f) / g.n
     spec = g.volume * float(np.sum(np.abs(coeffs) ** 2))
     assert abs(quad - spec) / abs(quad) < 1e-12
+    # the half-spectrum form the diagnostics use
+    fh = sp.fwd(f)
+    assert abs(quad - g.weight * sp.inner(fh, fh)) / abs(quad) < 1e-12
 
 
 def test_derivative_pure_mode():
     g = Grid(1, 4.0, 64)
-    y = np.broadcast_to(g.y[0], g.shape)
-    f = ScalarField(g, np.sin(math.pi * y / g.ell))
-    df = derivative(f, 0)
+    y = g.y[0]
+    df = g.spectral.grad(np.sin(math.pi * y / g.ell))[0]
     expect = (math.pi / g.ell) * np.cos(math.pi * y / g.ell)
-    assert np.abs(df.values - expect).max() < 1e-12
+    assert np.abs(df - expect).max() < 1e-12
 
 
 def test_laplacian_constant_zero():
     g = Grid(2, 1.0, 16)
-    assert np.abs(laplacian(ScalarField.constant(g, 3.7)).values).max() < 1e-13
+    assert np.abs(g.spectral.lap(np.full(g.shape, 3.7))).max() < 1e-13
 
 
 def test_bilaplacian_symbol():
     g = Grid(2, 2.0, 16)
     kx = math.pi * 2 / g.ell  # mode m = 2 on axis 0
-    y0 = np.broadcast_to(g.y[0], g.shape)
-    f = ScalarField(g, np.cos(kx * y0))
-    out = bilaplacian(f)
-    assert np.abs(out.values - kx**4 * f.values).max() < 1e-9 * kx**4
+    f = np.broadcast_to(np.cos(kx * g.y[0]), g.shape)
+    out = g.spectral.lap(f, 2)
+    assert np.abs(out - kx**4 * f).max() < 1e-9 * kx**4
 
 
 def test_laplacian_power_matches_composition():
     g = Grid(1, 2.0, 32)
+    sp = g.spectral
     rng = np.random.default_rng(2)
-    f = dealias(ScalarField(g, rng.standard_normal(g.shape)))
-    twice = laplacian(laplacian(f))
-    power = laplacian_power(f, 2)
-    assert np.abs(twice.values - power.values).max() < 1e-8
-    with pytest.raises(ValueError):
-        laplacian_power(f, 0)
+    f = sp.dealias(rng.standard_normal(g.shape))
+    twice = sp.lap(sp.lap(f))
+    power = sp.lap(f, 2)
+    assert np.abs(twice - power).max() < 1e-8
 
 
 def test_dealias_rules():
     g = Grid(1, 1.0, 32)
-    y = np.broadcast_to(g.y[0], g.shape)
-    keep = ScalarField(g, np.cos(math.pi * (g.n // 4) * y / g.ell))  # m = 8 < 32/3
-    gone = ScalarField(g, np.cos(math.pi * (g.n // 2 - 1) * y / g.ell))  # m = 15
-    assert np.abs(dealias(keep).values - keep.values).max() < 1e-12
-    assert np.abs(dealias(gone).values).max() < 1e-12
+    sp = g.spectral
+    y = g.y[0]
+    keep = np.cos(math.pi * (g.n // 4) * y / g.ell)  # m = 8 < 32/3
+    gone = np.cos(math.pi * (g.n // 2 - 1) * y / g.ell)  # m = 15
+    assert np.abs(sp.dealias(keep) - keep).max() < 1e-12
+    assert np.abs(sp.dealias(gone)).max() < 1e-12
     rng = np.random.default_rng(3)
-    f = ScalarField(g, rng.standard_normal(g.shape))
-    once = dealias(f)
-    twice = dealias(once)
-    assert np.abs(once.values - twice.values).max() < 1e-14
+    f = rng.standard_normal(g.shape)
+    once = sp.dealias(f)
+    twice = sp.dealias(once)
+    assert np.abs(once - twice).max() < 1e-14
 
 
 def test_integral_of_derivative_vanishes():
     g = Grid(2, 2.5, 32)
     rng = np.random.default_rng(4)
-    f = ScalarField(g, rng.standard_normal(g.shape))
-    df = derivative(f, 1)
-    assert abs(integrate(df)) < 1e-12 * np.abs(df.values).max() * g.volume
+    df = g.spectral.grad(rng.standard_normal(g.shape))[1]
+    assert abs(g.quad(df)) < 1e-12 * np.abs(df).max() * g.volume
 
 
 def test_gaussian_quadrature():
     g = Grid(1, 10.0, 256)
-    f = ScalarField(g, np.exp(-g.r2))
-    assert abs(integrate(f) - math.sqrt(math.pi)) < 1e-10
-    assert abs(moment(f, "r2") - math.sqrt(math.pi) / 2) < 1e-9
-    assert abs(moment(f, "y0")) < 1e-12
-
-
-def test_moment_weights_validated():
-    g = Grid(1, 1.0, 16)
-    f = ScalarField.constant(g, 1.0)
-    with pytest.raises(ValueError):
-        moment(f, "y2")  # out of range for d = 1
-    with pytest.raises(ValueError):
-        moment(f, "cubic")
+    f = np.exp(-g.r2)
+    assert abs(g.quad(f) - math.sqrt(math.pi)) < 1e-10
+    assert abs(g.quad(f * g.r2) - math.sqrt(math.pi) / 2) < 1e-9
+    assert abs(g.quad(f * g.y[0])) < 1e-12
 
 
 def test_spectral_accuracy_ladder():
@@ -148,29 +126,22 @@ def test_spectral_accuracy_ladder():
     errs = []
     for n in (16, 32):
         g = Grid(1, 3.0, n)
-        y = np.broadcast_to(g.y[0], g.shape)
-        f = ScalarField(g, np.exp(np.sin(math.pi * y / g.ell)))
-        df = derivative(f, 0)
+        y = g.y[0]
+        df = g.spectral.grad(np.exp(np.sin(math.pi * y / g.ell)))[0]
         expect = (
             (math.pi / g.ell) * np.cos(math.pi * y / g.ell) * np.exp(np.sin(math.pi * y / g.ell))
         )
-        errs.append(np.abs(df.values - expect).max())
+        errs.append(np.abs(df - expect).max())
     assert errs[1] < 1e-2 * errs[0]
 
 
 def test_gradient_divergence_consistency():
     g = Grid(2, 2.0, 32)
+    sp = g.spectral
     rng = np.random.default_rng(5)
-    f = dealias(ScalarField(g, rng.standard_normal(g.shape)))
-    gv = gradient(f)
-    lap = divergence(gv)
-    assert np.abs(lap.values - laplacian(f).values).max() < 1e-9
-
-
-def test_vector_field_shape_checks():
-    g = Grid(2, 1.0, 16)
-    with pytest.raises(ValueError):
-        VectorField(g, [ScalarField.constant(g, 0.0)])  # wrong component count
+    f = sp.dealias(rng.standard_normal(g.shape))
+    lap = sp.div(sp.grad(f))
+    assert np.abs(lap - sp.lap(f)).max() < 1e-9
 
 
 def _nyquist_rich_field(g, rng):
