@@ -84,30 +84,16 @@ def _dot(grid: Grid, a, b) -> float:
     return float(grid.weight * np.vdot(a, b))
 
 
-def _gaussian(grid: Grid):
-    """(exp(-|y|^2), its quadrature), built once per grid."""
-
-    def build():
-        g = np.exp(-grid.r2)
-        return g, grid.quad(g)
-
-    return grid.spectral.cached("gaussian", build)
-
-
 def matched_gaussian(grid: Grid, mass: float) -> np.ndarray:
     """Discrete periodized Gaussian exp(-|y|^2) rescaled to the given mass."""
-    g, z = _gaussian(grid)
-    return g * (mass / z)
+    return np.exp(-grid.r2) * (mass / grid.gaussian_mass)
 
 
 def korteweg_stress(sp, s) -> np.ndarray:
-    """The Korteweg stress s hess s - grad s x grad s as a (d, d) stack (row
-    j holds the entries i = 0..d-1), whose row divergence is
-    R grad(lap s / s) for s = sqrt R: its upper entries mirrored through
-    sp.hess_full (see korteweg_stress_entries).  s is the root, or the
-    StateOps of a state, whose root and derivatives it then takes."""
-    if isinstance(s, StateOps):
-        return korteweg_stress_entries(sp, s.s, s["grad_s"], s["hess_s"])[sp.hess_full]
+    """The Korteweg stress s hess s - grad s x grad s of the root s as a
+    (d, d) stack (row j holds the entries i = 0..d-1), whose row divergence
+    is R grad(lap s / s) for s = sqrt R: its upper entries mirrored through
+    sp.hess_full (see korteweg_stress_entries)."""
     derivs = sp.inv(sp.deriv_sym * sp.fwd(s))
     return korteweg_stress_entries(sp, s, derivs[: sp.d], derivs[sp.d :])[sp.hess_full]
 
@@ -223,22 +209,14 @@ class StateOps:
     def _transform(self, todo: dict, named: set) -> None:
         """One stage of fetch: the fields forward in one batch, the
         derivatives back in one more."""
-        sp, lead = self.sp, {}
+        sp = self.sp
         todo = {n: key for n, key in todo.items() if n not in self._arr}
         fields = dict.fromkeys(key for key in todo.values() if key not in self._hat)
-        if fields:
-            stacks = {key: _FIELDS[key[0]](self, *key[1:]) for key in fields}
-            self._hat.update(sp.batch(sp.fwd, stacks))
-
-        def coefficients(n, key):
-            c = _DERIVS[n][1](sp, self._hat[key])
-            lead[n] = c.shape[: c.ndim - sp.d]
-            return c.reshape((-1,) + sp.half_shape)
-
-        parts = {n: partial(coefficients, n, key) for n, key in todo.items() if n in _DERIVS}
-        if parts:
-            for n, x in sp.batch(sp.inv, parts).items():
-                self._arr[n] = x.reshape(lead[n] + sp.shape)
+        stacks = {key: _FIELDS[key[0]](self, *key[1:]) for key in fields}
+        self._hat.update(sp.batch(sp.fwd, stacks))
+        parts = {n: partial(_DERIVS[n][1], sp, self._hat[key])
+                 for n, key in todo.items() if n in _DERIVS}
+        self._arr.update(sp.batch(sp.inv, parts))
         for key in fields.keys() - named:
             del self._hat[key]
 
@@ -354,9 +332,11 @@ class StateOps:
     @property
     def stress(self):
         """The upper entries of korteweg_stress (sp.hess_keys order)."""
-        return self._get(
-            "stress", lambda: np.asarray(korteweg_stress(self.sp, self))[self.sp.hess_upper]
-        )
+
+        def build():
+            return korteweg_stress_entries(self.sp, self.s, self["grad_s"], self["hess_s"])
+
+        return self._get("stress", build)
 
     @property
     def hess_logR_split(self):
@@ -576,15 +556,13 @@ def balance_rhs(state: FluidState | StateOps, params: ParamSet, tau) -> float:
     )
 
 
-def energy_balance_residual(times, e_reg, d_reg, rhs, normalize: bool = True) -> float:
-    """|E(T) - E(0) + int (D - RHS) dt| from dense per-step samples (trapezoid)."""
+def energy_balance_residual(times, e_reg, d_reg, rhs) -> float:
+    """|E(T) - E(0) + int (D - RHS) dt| / |E(0)| from dense samples (trapezoid)."""
     times = np.asarray(times, float)
     e_reg = np.asarray(e_reg, float)
     flux = np.asarray(d_reg, float) - np.asarray(rhs, float)
     res = abs(e_reg[-1] - e_reg[0] + np.trapezoid(flux, times))
-    if normalize:
-        res /= max(abs(e_reg[0]), 1e-300)
-    return float(res)
+    return float(res / max(abs(e_reg[0]), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +636,7 @@ def relative_entropy(R: FluidState | StateOps) -> float:
     quad(R log R) + quad(R |y|^2) - m log(m / quad(exp(-|y|^2)))."""
     ops = StateOps.of(R)
     m = ops.q("R")
-    shift = m * math.log(m / _gaussian(ops.grid)[1]) if m > 0 else 0.0
+    shift = m * math.log(m / ops.grid.gaussian_mass) if m > 0 else 0.0
     return ops.q("RlogR") + ops.q("Rr2") - shift
 
 
@@ -677,13 +655,22 @@ def csiszar_kullback_gap(R: FluidState | StateOps) -> float:
 # algebraic identities (Korteweg, log-Hessian, Jungel)
 
 
+# the transforms each identity function fetches, which record's full tier
+# makes up front
+_KORTEWEG_NEEDS = ("grad_ks", "div_stress")
+_LOGHESS_NEEDS = ("hess_logR", "hess_R", "hess_s")
+_JUNGEL_NEEDS = ("hess_s", "grad_root_s", "hess_logR")
+_COMPAT_NEEDS = ("grad_s", "hess_s", "hess_R", "grad_U", "grad_mom")
+_IRROT_NEEDS = ("grad_s", "grad_mom")
+
+
 def korteweg_identity_residual(R: FluidState | StateOps) -> float:
     """Normalized L2 mismatch of
     R grad(lap sqrt R / sqrt R) = div(sqrt R hess sqrt R - grad sqrt R x grad sqrt R)."""
     ops = StateOps.of(R)
     if ops.s.min() <= 0:
         raise ValueError("sqrtR must be strictly positive for the identity check")
-    ops.fetch("grad_ks", "div_stress")
+    ops.fetch(*_KORTEWEG_NEEDS)
     diff = ops.R * ops["grad_ks"] - ops["div_stress"]
     num = math.sqrt(_dot(ops.grid, diff, diff))
     den = math.sqrt(_dot(ops.grid, ops["div_stress"], ops["div_stress"]))
@@ -695,7 +682,7 @@ def loghess_identity_residual(R: FluidState | StateOps) -> float:
     ops = StateOps.of(R)
     if ops.min_density <= 0:
         raise ValueError("R must be strictly positive for the identity check")
-    ops.fetch("hess_logR", "hess_R", "hess_s")
+    ops.fetch(*_LOGHESS_NEEDS)
     left = 0.5 * ops.q("RhlogR2_sp")
     right = _dot(ops.grid, ops.ks, ops.sp.trace(ops["hess_R"]))
     return abs(left - right) / max(abs(left), 1e-300)
@@ -705,7 +692,7 @@ def jungel_quantities(R: FluidState | StateOps) -> tuple[float, float]:
     """(quad|hess sqrt R|^2 + quad|grad R^(1/4)|^4,  quad R |hess log R|^2);
     equivalent up to implicit constants, reported without assertion."""
     ops = StateOps.of(R)
-    ops.fetch("hess_s", "grad_root_s", "hess_logR")
+    ops.fetch(*_JUNGEL_NEEDS)
     g = ops.grid
     left = g.quad(ops.sp.frob2(ops["hess_s"]))
     g4 = np.sum(ops["grad_root_s"] ** 2, axis=0)
@@ -725,7 +712,7 @@ def compatibility_residuals(state: FluidState | StateOps) -> tuple[float, float]
                             = hess(R)/2 - 2 grad sqrtR x grad sqrtR.
     """
     ops = StateOps.of(state)
-    ops.fetch("grad_s", "hess_s", "hess_R", "grad_U", "grad_mom")
+    ops.fetch(*_COMPAT_NEEDS)
     sp = ops.sp
     live = (ops.R > ops.r_floor).astype(float)
     gs = ops["grad_s"]
@@ -761,7 +748,7 @@ def irrotationality_residual(state: FluidState | StateOps) -> float:
     g = ops.grid
     if g.d == 1:
         return 0.0
-    ops.fetch("grad_s", "grad_mom")
+    ops.fetch(*_IRROT_NEEDS)
     gs, lam = ops["grad_s"], ops.lam
     gj = ops["grad_mom"]  # gj[c, i] = d_i j_c
     a, b = ([0], [1]) if g.d == 2 else ([1, 2, 0], [2, 0, 1])
@@ -933,9 +920,9 @@ class DiagnosticsRecord:
 
 # what the full tier transforms besides its columns' terms: for the
 # compatibility, irrotationality and L log L functions, then for the
-# identities on R > 0
-_FULL_NEEDS = ("grad_s", "hess_s", "hess_R", "grad_U", "grad_mom")
-_IDENTITY_NEEDS = ("hess_logR", "grad_root_s", "grad_ks", "div_stress")
+# identities on R > 0 (a fetch takes each name at its first place)
+_FULL_NEEDS = _COMPAT_NEEDS + _IRROT_NEEDS
+_IDENTITY_NEEDS = _LOGHESS_NEEDS + _JUNGEL_NEEDS + _KORTEWEG_NEEDS
 
 
 def _columns(ops: StateOps, p: ParamSet, tau, full: bool) -> dict:

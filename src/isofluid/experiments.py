@@ -29,7 +29,7 @@ from .rescaling import (
     FluidState, WaveFunction, from_self_similar, madelung, smooth_density, to_self_similar,
 )
 from .spectral import Grid
-from .tauode import tau_solve, tau_asymptotic_ratio
+from .tauode import tau_asymptotic_ratio, tau_cover, tau_solve
 
 __all__ = [
     "ExperimentConfig", "BadConfig", "run_experiment", "check", "check_families", "make_initial",
@@ -76,19 +76,12 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise BadConfig(f"config must be a JSON object, got {type(raw).__name__}")
         raw = {"kind": default_kind, **raw, **overrides}
-        version = raw.pop("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise BadConfig(f"unsupported schema_version {version}")
-        cfg = cls(kind=raw.pop("kind"))
-        if cfg.kind not in EXPERIMENT_KINDS:
-            raise BadConfig(f"kind must be one of {EXPERIMENT_KINDS}, got {cfg.kind!r}")
-        for key, val in raw.items():
-            if key not in _KEY_TYPES:
-                raise BadConfig(f"unknown config key {key!r}")
-            name, types = _KEY_TYPES[key]
-            if isinstance(val, bool) or not isinstance(val, types):
-                raise BadConfig(f"{key} must be {name}, got {val!r}")
-            setattr(cfg, key, val)
+        if raw["kind"] not in EXPERIMENT_KINDS:
+            raise BadConfig(f"kind must be one of {EXPERIMENT_KINDS}, got {raw['kind']!r}")
+        _check_keys(raw, _KEY_TYPES)
+        cfg = cls(**raw)
+        if cfg.schema_version != SCHEMA_VERSION:
+            raise BadConfig(f"unsupported schema_version {cfg.schema_version}")
         if not abs(cfg.t_end) <= sys.float_info.max:
             raise BadConfig(f"t_end must be a finite float, got {cfg.t_end!r}")
         return cfg
@@ -102,6 +95,8 @@ class ExperimentConfig:
             return ParamSet(**{**self.params, **overrides}).bind(d)
 
         try:
+            _check_keys(self.grid, _GRID_TYPES, "grid.")
+            _check_keys(self.params, _PARAM_TYPES, "params.")
             inputs = RunInputs(out=Path(self.out_dir))
             ladder = list(self.ladder) or DEFAULT_LADDER.get(kind, [])
             steps = list(zip(ladder, ladder[1:]))
@@ -111,16 +106,17 @@ class ExperimentConfig:
                 raise BadConfig(f"tau needs t_end > 0, got {self.t_end!r}")
             if kind not in ("tau", "check"):
                 g = self.grid
-                grid = Grid(int(g.get("d", 1)), float(g.get("ell", 8.0)), int(g.get("n", 256)))
+                grid = Grid(g.get("d", 1), float(g.get("ell", 8.0)), g.get("n", 256))
             if kind == "korteweg_crosscheck":
                 eps = float(self.params.get("eps", 1.0))
                 spec = self.initial
-                if spec.get("generator") in (None, "gaussian"):
+                if spec.get("generator") in (None, "gaussian"):  # reads no other key
+                    _check_keys(spec, {"generator": "str | None"}, "initial.")
                     spec = {"generator": "offset_gaussian", "offset": 0.35, "offset_width": 3.0}
                 inputs.psi0 = make_wavefunction(grid, spec, eps)
                 inputs.pairs = [(float(ds), float(dt)) for ds, dt in ladder]
-                for ds, dt in inputs.pairs:  # the hydro parameters of the cross-check
-                    ParamSet(nu=0.0, eps=eps, delta1=ds, dt=dt)
+                for ds, dt in inputs.pairs:
+                    lognls.crosscheck_hydro_params(eps, ds, dt)
             elif kind == "sweep_drag_ell":
                 for v in ladder:
                     g = Grid(grid.d, float(v), grid.n)
@@ -141,12 +137,26 @@ class ExperimentConfig:
         return inputs
 
 
-# (name, JSON types) of each config key, from the field annotations
-_KEY_TYPES = {
-    f.name: (f.type, {"str": str, "int": int, "float": (int, float), "dict": dict,
-                      "list": list, "str | None": (str, type(None))}[f.type])
-    for f in fields(ExperimentConfig)
-}
+# the JSON types of each annotation's parts; true and false are no numbers
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "dict": dict,
+               "list": list, "None": type(None)}
+# the annotation of each key of the config, of `params` and of `grid`
+_KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_PARAM_TYPES = {f.name: f.type for f in fields(ParamSet)}
+_GRID_TYPES = {"d": "int", "ell": "float", "n": "int"}
+
+
+def _check_keys(raw: dict, types: dict, where: str = "") -> None:
+    """Every key of the config object raw is one of types, and its value of
+    the JSON type of its annotation there; where prefixes nested keys."""
+    for key, val in raw.items():
+        if key not in types:
+            raise BadConfig(f"unknown config key {where + key!r}")
+        name = types[key]
+        allowed = tuple(_JSON_TYPES[part] for part in name.split(" | "))
+        if isinstance(val, bool) != (name == "bool") or not isinstance(val, allowed):
+            raise BadConfig(f"{where}{key} must be {name}, got {val!r}")
+
 
 # the ladder of each kind whose config gives none
 DEFAULT_LADDER = {
@@ -177,10 +187,24 @@ def _gaussian_sqrtR(grid: Grid) -> np.ndarray:
     return np.exp(-grid.r2 / 2.0)
 
 
+# the keys of `initial` each generator reads (prepared_gaussian starts at rest)
+_MOVING = {"generator": "str", "seed": "int", "velocity_amplitude": "float"}
+_INITIAL_TYPES = {
+    "gaussian": _MOVING,
+    "perturbed_gaussian": {**_MOVING, "amplitude": "float", "mode": "int"},
+    "two_bump": {**_MOVING, "separation": "float", "width": "float"},
+    "prepared_gaussian": {"generator": "str", "seed": "int", "theta": "float", "iota": "float"},
+    "random_positive": {**_MOVING, "roughness": "float"},
+}
+
+
 def make_initial(grid: Grid, spec: dict, seed: int = 0) -> FluidState:
     """Named generators: gaussian, perturbed_gaussian (x (1 + a cos(pi m y/ell))),
-    two_bump, prepared_gaussian (plateau + theta, mollified), random_positive."""
+    two_bump, prepared_gaussian (plateau + theta, mollified), random_positive;
+    a key the generator does not read, or of the wrong type, is a BadConfig."""
     name = spec.get("generator", "gaussian")
+    if name in _INITIAL_TYPES:
+        _check_keys(spec, _INITIAL_TYPES[name], "initial.")
     rng = np.random.default_rng(spec.get("seed", seed))
     y0 = np.broadcast_to(grid.y[0], grid.shape)
     if name == "gaussian":
@@ -230,10 +254,16 @@ def random_positive_field(grid: Grid, rng, roughness: float = 4.0) -> np.ndarray
     return np.exp(0.5 * smooth) * np.exp(-grid.r2 / 2.0)
 
 
+# the keys of `initial` a wavefunction generator reads (and "mode" for a plane wave)
+_WAVE_TYPES = {"generator": "str", "offset": "float", "offset_width": "float", "mass_match": "bool"}
+
+
 def make_wavefunction(grid: Grid, spec: dict, eps: float) -> WaveFunction:
     """Wavefunction generators: gaussian, offset_gaussian (strictly positive
     modulus), plane_wave_phase (gaussian plus offset times exp(i k.y))."""
     name = spec.get("generator", "gaussian")
+    types = {**_WAVE_TYPES, "mode": "int"} if name == "plane_wave_phase" else _WAVE_TYPES
+    _check_keys(spec, types, "initial.")
     amp = float(spec.get("offset", 0.1))
     w = float(spec.get("offset_width", 2.0))
     # the "offset" floor is a wide Gaussian, not a constant: the modulus must
@@ -252,9 +282,7 @@ def make_wavefunction(grid: Grid, spec: dict, eps: float) -> WaveFunction:
     else:
         raise BadConfig(f"unknown wavefunction generator {name!r}")
     if spec.get("mass_match", True):
-        target = grid.quad(np.exp(-grid.r2))
-        have = grid.quad(np.abs(z) ** 2)
-        z *= math.sqrt(target / have)
+        z *= math.sqrt(grid.gaussian_mass / grid.quad(np.abs(z) ** 2))
     return WaveFunction(0.0, grid, z, eps)
 
 
@@ -419,7 +447,7 @@ def _run_crosscheck(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> 
     rows = []
     ok = True
     # the tau nls_to_hydro_crosscheck would solve for each row
-    tau_sol = tau_solve(max(config.t_end, 1e-3) * 1.001, 1e-12, 1e-14)
+    tau_sol = tau_cover(config.t_end, inputs.psi0.t)
     for delta_stab, dt in inputs.pairs:
         rep = lognls.nls_to_hydro_crosscheck(
             inputs.psi0, config.t_end, delta_stab=delta_stab, dt=dt, tau_sol=tau_sol
@@ -629,18 +657,19 @@ def _check_compat() -> list[str]:
     return errs
 
 
-def drag_run_state(n=128, ell=8.0, perturbation=0.4, velocity=0.6) -> FluidState:
+def drag_run_state() -> FluidState:
     """Gaussian-tail perturbed state used by the identity-grade drag runs."""
-    g = Grid(1, ell, n)
+    g = Grid(1, 8.0, 128)
     y = np.broadcast_to(g.y[0], g.shape)
-    s = np.exp(-(y**2) / 2.0) * np.sqrt(1.0 + perturbation * np.cos(math.pi * y / ell))
-    lam = velocity * np.exp(-(y**2) / 2.0) * np.sin(2 * math.pi * y / ell)
+    s = np.exp(-(y**2) / 2.0) * np.sqrt(1.0 + 0.4 * np.cos(math.pi * y / g.ell))
+    lam = 0.6 * np.exp(-(y**2) / 2.0) * np.sin(2 * math.pi * y / g.ell)
     return solver.state_from_root(g, s, lam[None])
 
 
-def full_reg_setup(n=256, ell=8.0):
-    """Plateau-floored data and the all-terms-active parameter set of the
-    mass-conservation run (every regularization strictly positive)."""
+def full_reg_setup(n=256):
+    """Plateau-floored data on [-8, 8] and the all-terms-active parameter set
+    of the mass-conservation run (every regularization strictly positive)."""
+    ell = 8.0
     g = Grid(1, ell, n)
     state = solver.prepare_initial_data(
         g,
@@ -657,21 +686,18 @@ def full_reg_setup(n=256, ell=8.0):
     return state, params
 
 
-def identity_ladder(kind: str, dts=(2e-2, 1e-2, 5e-3), t_end=0.4, r0=0.0):
+def identity_ladder(kind: str, dts=(2e-2, 1e-2, 5e-3), t_end=0.4):
     """Balance/BD residuals on the drag run across a fixed-dt ladder."""
-    return _ladder_residuals(kind, _drag_ladder(dts, t_end, r0))
+    return _ladder_residuals(kind, _drag_ladder(dts, t_end))
 
 
-def _drag_ladder(dts=(2e-2, 1e-2, 5e-3), t_end=0.4, r0=0.0):
-    """(trajectories, None) of the drag run at each fixed dt of the ladder, or
-    (None, error) at the first run that aborts."""
+def _drag_ladder(dts=(2e-2, 1e-2, 5e-3), t_end=0.4):
+    """(trajectories, None) of the drag run (cubic drag r1 only) at each
+    fixed dt of the ladder, or (None, error) at the first run that aborts."""
     state = drag_run_state()
     trajs = []
     for dt in dts:
-        p = ParamSet(
-            nu=0.1, eps=0.2, r0=r0, r1=0.05,
-            dt_policy="fixed", dt=dt, viscous_form="bounded",
-        )
+        p = ParamSet(nu=0.1, eps=0.2, r1=0.05, dt_policy="fixed", dt=dt, viscous_form="bounded")
         traj = solver.run(state, p, t_end, diag_every=1)
         if traj.status != "ok":
             return None, f"run aborted: {traj.status} at dt={dt}"
@@ -761,7 +787,7 @@ def _check_prepare() -> list[str]:
     return errs
 
 
-def truncation_study(ells, n=2048, theta_exponent=3.0):
+def truncation_study(ells, n=2048):
     """Prepared-data functionals vs the analytic full-space Gaussian values
     (sqrtR0 = exp(-|y|^2/2): mass sqrt(pi), Dirichlet and moment sqrt(pi)/2)."""
     out = []
@@ -774,7 +800,7 @@ def truncation_study(ells, n=2048, theta_exponent=3.0):
             g,
             lambda y: np.exp(-np.asarray(y) ** 2 / 2.0),
             lambda y: (np.zeros(g.shape),),
-            float(ell) ** (-theta_exponent),
+            float(ell) ** (-3.0),
             1.0 / float(ell),
         )
         s = np.sqrt(st.R)

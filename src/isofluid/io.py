@@ -74,12 +74,12 @@ def read_snapshot(path) -> tuple[Snapshot, float]:
     return Snapshot(grid, raw.reshape(grid.shape).copy()), t
 
 
-def write_diagnostics_csv(out_dir, records, d: int, stem: str = "diagnostics") -> Path:
-    """One CSV row per record plus a JSON header with column semantics."""
+def write_diagnostics_csv(out_dir, records, d: int) -> Path:
+    """diagnostics.csv, one row per record, and its column semantics as diagnostics.columns.json."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cols = DiagnosticsRecord.csv_columns(d)
-    path = out_dir / f"{stem}.csv"
+    path = out_dir / "diagnostics.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
@@ -90,7 +90,7 @@ def write_diagnostics_csv(out_dir, records, d: int, stem: str = "diagnostics") -
         "semantics": DiagnosticsRecord.column_semantics(),
         "units": "dimensionless (self-similar variables)",
     }
-    with open(out_dir / f"{stem}.columns.json", "w") as fh:
+    with open(out_dir / "diagnostics.columns.json", "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
     return path
 
@@ -100,10 +100,10 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def write_metadata(out_dir, meta: dict, stem: str = "metadata") -> Path:
+def write_metadata(out_dir, meta: dict) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{stem}.json"
+    path = out_dir / "metadata.json"
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
     return path

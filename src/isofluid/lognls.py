@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .params import ParamSet
 from .rescaling import WaveFunction, madelung, wave_gradients
 from .spectral import Grid
 from .solver import run as hydro_run
-from .tauode import TauSolution, tau_solve
+from .tauode import TauSolution, tau_cover
 
 __all__ = [
     "NlsParams",
@@ -46,6 +47,7 @@ __all__ = [
     "run_nls",
     "psi_dissipation_identity",
     "nls_to_hydro_crosscheck",
+    "crosscheck_hydro_params",
     "CrosscheckReport",
     "theta_phase",
     "reconstruct_original",
@@ -154,9 +156,10 @@ def run_nls(
     the mass, the Madelung pseudo-energy/dissipation and the variant energy
     at the start, at every sample_every-th step and at the end.  The march
     carries the coefficients of psi: the per-step mass is Parseval's, and
-    psi and its gradient come back only at a sample."""
+    psi and its gradient come back only at a sample.  The rescaled variant
+    without tau_sol solves tau_cover(t_end, psi0.t)."""
     if tau_sol is None and params.variant == "rescaled":
-        tau_sol = tau_solve(max(t_end, 1e-3) * 1.001, 1e-12, 1e-14)
+        tau_sol = tau_cover(t_end, psi0.t)
 
     def tau_at(t):
         return tau_sol.eval(t) if tau_sol is not None else (1.0, 0.0)
@@ -227,76 +230,67 @@ class CrosscheckReport:
     irrot_residual_nls: float | None = None
 
 
+# the hydro vacuum floor (ParamSet.r_min) of the cross-check: below it the
+# Korteweg root is flattened.  The Madelung form cannot represent near-nodes
+# (the root develops cusps that pump grid-scale oscillations), so the floor
+# must sit above the smallest density scale the comparison is expected to
+# resolve.
+CROSSCHECK_R_MIN = 1e-4
+
+
+def crosscheck_hydro_params(eps: float, delta_stab: float, dt: float) -> ParamSet:
+    """The hydrodynamic parameters of the cross-check, stabilized by density
+    diffusion delta1 = delta_stab alone: the velocity bilaplacian (delta2) is
+    an unweighted k^4 force whose linearly-implicit treatment needs 1/R of
+    bounded variation; on wavefunction data with near-vacuum tails it
+    amplifies tail noise, so the paper's construction applies it only to
+    densities bounded below."""
+    return ParamSet(nu=0.0, eps=eps, delta1=delta_stab, delta2=0.0, dt=dt,
+                    dt_policy="fixed", r_min=CROSSCHECK_R_MIN)
+
+
 def nls_to_hydro_crosscheck(
     psi0: WaveFunction,
     t_end: float,
     delta_stab: float = 1e-4,
     dt: float | None = None,
     tau_sol: TauSolution | None = None,
-    r_min: float = 1e-4,
 ) -> CrosscheckReport:
-    """Evolve the rescaled log-NLS and the hydrodynamic system (nu = 0,
-    density diffusion delta1 = delta_stab) from the Madelung image of psi0 and
-    report the relative L2 difference of the densities at t_end.
-
-    r_min is the hydro vacuum floor: below it the Korteweg root is flattened.
-    The Madelung form cannot represent near-nodes (the root develops cusps
-    that pump grid-scale oscillations), so the floor must sit above the
-    smallest density scale the comparison is expected to resolve.
+    """Evolve the rescaled log-NLS and the hydrodynamic system of
+    crosscheck_hydro_params from the Madelung image of psi0 and report the
+    relative L2 difference of the densities at t_end.  Without tau_sol both
+    runs share tau_cover(t_end, psi0.t).
 
     A hydro abort is reported in the status, not raised.
     """
     eps = psi0.epsilon
     params_nls = NlsParams(eps=eps, dt=dt if dt is not None else 1e-3)
     if tau_sol is None:
-        tau_sol = tau_solve(max(t_end, 1e-3) * 1.001, 1e-12, 1e-14)
+        tau_sol = tau_cover(t_end, psi0.t)
+    report = partial(CrosscheckReport, t_end=t_end, dt=params_nls.dt, delta_stab=delta_stab)
     if t_end <= psi0.t:
         m = psi0.grid.quad(psi0.psi.real**2 + psi0.psi.imag**2)
-        return CrosscheckReport(
-            t_end=t_end, dt=params_nls.dt, delta_stab=delta_stab, status="ok",
-            diff_rel=0.0, mass_nls=m, mass_hydro=m,
-        )
+        return report(status="ok", diff_rel=0.0, mass_nls=m, mass_hydro=m)
 
     nls_traj = run_nls(psi0, params_nls, t_end, tau_sol=tau_sol, sample_every=10**9)
     psiT = nls_traj.psi_final
     r_nls = psiT.psi.real**2 + psiT.psi.imag**2
 
-    # stabilization: density diffusion only.  The velocity bilaplacian
-    # (delta2) is an unweighted k^4 force whose linearly-implicit treatment
-    # needs 1/R of bounded variation; on wavefunction data with near-vacuum
-    # tails it amplifies tail noise, so the paper's construction applies it
-    # only to densities bounded below.  delta1 alone stabilizes this run.
-    initial = madelung(psi0)
-    hp = ParamSet(
-        nu=0.0,
-        eps=eps,
-        delta1=delta_stab,
-        delta2=0.0,
-        dt=params_nls.dt,
-        dt_policy="fixed",
-        r_min=r_min,
-    )
-    hydro = hydro_run(initial, hp, t_end, tau_sol=tau_sol, diag_every=10**9)
-    if hydro.status != "ok":
-        return CrosscheckReport(
-            t_end=t_end, dt=params_nls.dt, delta_stab=delta_stab,
-            status=f"hydro_{hydro.status}", diff_rel=None,
-            mass_nls=psi0.grid.quad(r_nls), mass_hydro=None,
-        )
-    r_hyd = np.maximum(hydro.state_final.R, 0.0)
+    hp = crosscheck_hydro_params(eps, delta_stab, params_nls.dt)
+    hydro = hydro_run(madelung(psi0), hp, t_end, tau_sol=tau_sol, diag_every=10**9)
     g = psi0.grid
+    if hydro.status != "ok":
+        status = f"hydro_{hydro.status}"
+        return report(status=status, diff_rel=None, mass_nls=g.quad(r_nls), mass_hydro=None)
+    r_hyd = np.maximum(hydro.state_final.R, 0.0)
     num = math.sqrt(g.quad((r_nls - r_hyd) ** 2))
     den = math.sqrt(g.quad(r_nls**2))
-    state_nls = madelung(psiT)
-    return CrosscheckReport(
-        t_end=t_end,
-        dt=params_nls.dt,
-        delta_stab=delta_stab,
+    return report(
         status="ok",
         diff_rel=num / max(den, 1e-300),
         mass_nls=g.quad(r_nls),
         mass_hydro=g.quad(r_hyd),
-        irrot_residual_nls=diag.irrotationality_residual(state_nls),
+        irrot_residual_nls=diag.irrotationality_residual(madelung(psiT)),
     )
 
 
@@ -304,14 +298,12 @@ def nls_to_hydro_crosscheck(
 # original <-> rescaled bookkeeping
 
 
-def theta_phase(
-    tau_sol: TauSolution, t: float, d: int, mass_ratio: float, n_quad: int = 2001
-) -> float:
+def theta_phase(tau_sol: TauSolution, t: float, d: int, mass_ratio: float) -> float:
     """theta(t) = d int_0^t log tau ds - t log(mass_ratio); the integral is
-    evaluated by composite trapezoid over dense tau samples."""
+    evaluated by composite trapezoid over 2001 evenly spaced tau samples."""
     if t == 0.0:
         return 0.0
-    ts = np.linspace(0.0, t, n_quad)
+    ts = np.linspace(0.0, t, 2001)
     tau_vals, _ = tau_sol.eval(ts)
     return d * float(np.trapezoid(np.log(tau_vals), ts)) - t * math.log(mass_ratio)
 

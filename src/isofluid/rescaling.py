@@ -105,33 +105,22 @@ def _tau_pair(tau) -> tuple[float, float]:
     return float(tau_v), float(taudot_v)
 
 
-def to_self_similar(
-    grid: Grid,
-    rho: np.ndarray,
-    u: np.ndarray,
-    tau,
-    t: float = 0.0,
-    mass_ratio: float | None = None,
-    gamma_mass: float | None = None,
-) -> FluidState:
-    """Map (rho, u), u stacked (d,) + grid.shape, sampled on the physical box
-    [-ell*tau, ell*tau]^d to (R, M = R U).
+def to_self_similar(grid: Grid, rho: np.ndarray, u: np.ndarray, tau, t: float = 0.0) -> FluidState:
+    """Map (rho, u), u stacked (d,) + grid.shape, sampled at time t on the
+    physical box [-ell*tau, ell*tau]^d to (R, M = R U).
 
     R(t, y) = tau^d rho(t, tau y) / mass_ratio,  U(t, y) = tau u(t, tau y) - taudot tau y,
-    where mass_ratio = quad(rho)/gamma_mass unless given.  gamma_mass defaults
-    to the quadrature of the periodized Gaussian exp(-|y|^2) on the grid
-    (about pi^(d/2); no closed-form constant is hard-coded).  M = R U is zero
+    where mass_ratio = quad(rho) / grid.gaussian_mass, the ratio that makes
+    R as heavy as the periodized Gaussian exp(-|y|^2) on the grid (about
+    pi^(d/2); no closed-form constant is hard-coded).  M = R U is zero
     exactly wherever rho is.
     """
     tau_v, taudot_v = _tau_pair(tau)
     if np.any(rho < 0):
         raise ValueError("density must be nonnegative")
-    if gamma_mass is None:
-        gamma_mass = grid.quad(np.exp(-grid.r2))
-    if mass_ratio is None:
-        # rho lives on the physical box [-ell tau, ell tau]^d: its quadrature
-        # weight carries a tau^d relative to the self-similar grid
-        mass_ratio = tau_v**grid.d * grid.quad(rho) / gamma_mass
+    # rho lives on the physical box [-ell tau, ell tau]^d: its quadrature
+    # weight carries a tau^d relative to the self-similar grid
+    mass_ratio = tau_v**grid.d * grid.quad(rho) / grid.gaussian_mass
     R = tau_v**grid.d * rho / mass_ratio
     U = tau_v * u - taudot_v * tau_v * _coordinates(grid)
     return FluidState(t=t, grid=grid, R=R, M=R * U, mass_ratio=float(mass_ratio))
@@ -150,8 +139,8 @@ def from_self_similar(state: FluidState, tau) -> tuple[np.ndarray, np.ndarray]:
     return rho, U / tau_v + (taudot_v / tau_v) * (tau_v * _coordinates(grid))
 
 
-def madelung(psi: WaveFunction, t: float | None = None, grads=None) -> FluidState:
-    """Polar decomposition: R = |psi|^2 and the momentum
+def madelung(psi: WaveFunction, grads=None) -> FluidState:
+    """Polar decomposition at psi.t: R = |psi|^2 and the momentum
     M = eps Im(conj(psi) grad psi) = eps (a grad b - b grad a) for psi = a + i b,
     with no floor and no division.  grads passes a precomputed
     (grad Re psi, grad Im psi).
@@ -159,7 +148,7 @@ def madelung(psi: WaveFunction, t: float | None = None, grads=None) -> FluidStat
     a, b = psi.psi.real, psi.psi.imag
     ga, gb = wave_gradients(psi) if grads is None else grads
     return FluidState(
-        t=psi.t if t is None else t,
+        t=psi.t,
         grid=psi.grid,
         R=a * a + b * b,
         M=psi.epsilon * (a * gb - b * ga),

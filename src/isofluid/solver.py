@@ -63,9 +63,9 @@ vacuum sponge acts below about 10 r_min.  diagnostics.record evaluates on the
 same r_min.  A FluidState holds (R, M) as the stepper does, so a run starts
 and ends with no conversion.
 
-Step budget.  Under the CFL policy a run whose projected step count
-k + (t_end - t)/dt exceeds MAX_STEPS stops with status "budget" before the
-step, as one whose step underflows dt_min does.
+Stops.  A run stops before a step whose dt is below DT_MIN ("underflow") or,
+under the CFL policy, whose projected step count k + (t_end - t)/dt exceeds
+MAX_STEPS ("budget"), and after one that leaves R < -NEG_TOL_REL max R0.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from . import diagnostics as diag
 from .params import ParamSet
 from .rescaling import FluidState, smooth_density
 from .spectral import Grid
-from .tauode import TauSolution, tau_solve
+from .tauode import TauSolution, tau_cover
 
 __all__ = [
     "Trajectory",
@@ -106,8 +106,14 @@ _DEALIASED = 2.0 / 3.0  # band of a force that enters M through the 2/3 mask
 # the most steps a CFL-policy run may take: above 10x the longest CFL run of
 # the test suite and the acceptance runs (criterion 3 to t = 1, 1,251 steps),
 # and far below the 249,168 steps a 2D n = 16 eta2 = 0.999, s = 5 run would
-# ask for to reach t = 0.01, whose dt of 4e-8 never trips dt_min
+# ask for to reach t = 0.01, whose dt of 4e-8 never trips DT_MIN
 MAX_STEPS = 100_000
+# the least step a run takes: a CFL step below it has collapsed
+DT_MIN = 1e-12
+# the density undershoot, relative to max R0, that means lost positivity:
+# spectral ringing in vacuum tails undershoots zero by tiny transients, which
+# is harmless; only a sizeable negative excursion signals a blow-up
+NEG_TOL_REL = 1e-5
 # numpy's floating-point warnings, off where a status names the failure
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
@@ -427,22 +433,19 @@ class _Stepper:
         viscous form); grad U (grad M, from Mh, in the vacuum viscous form)
         back; the upper stress entries and the delta1 cross product
         forward.  The delta2 field U - c_u M goes as Uh - c_u Mh."""
-        p, sp, d = self.p, self.sp, self.grid.d
+        p, sp = self.p, self.sp
         U = M / fz.rho
         vacuum = p.nu > 0 and self.viscous_form == "vacuum"
         grad_u = p.delta1 > 0 or (p.nu > 0 and not vacuum)
         Uh = sp.fwd(U) if grad_u or p.delta2 > 0 else None
-        flat = (d * d,) + sp.half_shape
         to_grad = {}
         if grad_u:
-            to_grad["U"] = sp.apply(sp.ik, Uh).reshape(flat)
+            to_grad["U"] = sp.apply(sp.ik, Uh)
         if vacuum:
-            to_grad["M"] = sp.apply(sp.ik, Mh).reshape(flat)
-        grads = sp.batch(sp.inv, to_grad) if to_grad else {}
+            to_grad["M"] = sp.apply(sp.ik, Mh)
+        grads = sp.batch(sp.inv, to_grad)
         # gradU[j, i] = d_i U_j, likewise gradM
-        gradU, gradM = (
-            grads[f].reshape((d, d) + sp.shape) if f in grads else None for f in ("U", "M")
-        )
+        gradU, gradM = grads.get("U"), grads.get("M")
         prods = {"stress": self.stress(fz, M, U, gradU, gradM)}
         if p.delta1 > 0:
             prods["cross"] = sp.sum_axes(fz.grad_R * gradU)
@@ -572,7 +575,7 @@ def rhs(state: FluidState, params: ParamSet, tau) -> tuple[np.ndarray, np.ndarra
     tau_v, taudot_v = float(tau[0]), float(tau[1])
     R, M = arrays_from_state(state)
     st = _Stepper(grid, params, float(np.mean(R)), _contrast(R))
-    if st.p.eta1 == 0.0 and float(np.min(R)) < -1e-5 * max(float(np.max(R)), 1e-300):
+    if st.p.eta1 == 0.0 and float(np.min(R)) < -NEG_TOL_REL * max(float(np.max(R)), 1e-300):
         raise SolverError("density below floor (blow-up) with eta1 = 0")
     sp = st.sp
     c_u = st.bilaplacian_coefficient(R)
@@ -604,32 +607,25 @@ def run(
     tau_sol: TauSolution | None = None,
     snapshot_every: int = 0,
     diag_every: int = 1,
-    full_diag_every: int = 0,
-    dt_min: float = 1e-12,
-    neg_tol_rel: float = 1e-5,
 ) -> Trajectory:
-    """March the state to t_end recording diagnostics; stops early (keeping
-    the last valid state) with status "floor" when the density loses
-    positivity (min R < -neg_tol_rel * max R0), "nan" on blow-up,
-    "underflow" when the CFL step collapses, or "budget" when the CFL steps
-    left would take the run past MAX_STEPS."""
+    """March the state to t_end (on tau_cover(t_end, initial.t) without
+    tau_sol), recording a full record at the start and the end and a core
+    one every diag_every-th step.  Stops early (keeping the last valid state)
+    with status "floor" when min R < -NEG_TOL_REL max R0, "nan" on blow-up,
+    "underflow" below DT_MIN, or "budget" past MAX_STEPS (see the notes)."""
     start = time.perf_counter()
     grid = initial.grid
     p = params.bind(grid.d)
     R, M = arrays_from_state(initial)
     st = _Stepper(grid, p, float(np.mean(R)), _contrast(R))
     if tau_sol is None:
-        horizon = max(t_end, initial.t, 1e-3) * 1.001
-        tau_sol = tau_solve(horizon, 1e-12, 1e-14)
+        tau_sol = tau_cover(t_end, initial.t)
 
     traj = Trajectory(params=p, r_min=st.r_min)
     timing = traj.timing = {"advance_s": 0.0, "diagnostics_s": 0.0, "snapshots_s": 0.0}
     calls0 = st.sp.calls
     t = initial.t
-    # blow-up detector: spectral ringing in vacuum tails undershoots zero by
-    # tiny transients, which is harmless; only a sizeable negative excursion
-    # signals loss of positivity
-    neg_tol = neg_tol_rel * max(float(np.max(R)), 1e-300)
+    neg_tol = NEG_TOL_REL * max(float(np.max(R)), 1e-300)
 
     def current_state():
         return state_from_arrays(grid, t, R, M, initial.mass_ratio)
@@ -668,21 +664,21 @@ def run(
 
     k = 0
     while t < t_end * (1.0 - 1e-12):
-        if p.dt_policy == "fixed":
-            dt, family = p.dt, None
-        else:
-            dt, family = st.cfl_dt(R, M, *tau_sol.eval(t))
-            if dt > p.dt:
-                dt, family = p.dt, "dt_cap"
-        dt = min(dt, t_end - t)
-        over_budget = family is not None and k + (t_end - t) / dt > MAX_STEPS
-        if dt < dt_min or over_budget:
-            reason = "underflow" if dt < dt_min else "budget"
-            stop(reason, np.unravel_index(np.argmin(R), R.shape))
-            break
-        # a diverging step overflows on its way to inf or nan; the checks
-        # below name it in the status, so numpy's warnings are not raised
+        # a diverging step overflows on its way to inf or nan, and an
+        # overflowing CFL rate gives dt = 0; the checks below name either in
+        # the status, so numpy's warnings are not raised
         with np.errstate(**_QUIET):
+            if p.dt_policy == "fixed":
+                dt, family = p.dt, None
+            else:
+                dt, family = st.cfl_dt(R, M, *tau_sol.eval(t))
+                if dt > p.dt:
+                    dt, family = p.dt, "dt_cap"
+            dt = min(dt, t_end - t)
+            if dt < DT_MIN or (family is not None and k + (t_end - t) / dt > MAX_STEPS):
+                reason = "underflow" if dt < DT_MIN else "budget"
+                stop(reason, np.unravel_index(np.argmin(R), R.shape))
+                break
             t0 = time.perf_counter()
             R_new, M_new = st.advance(R, M, dt, tau_sol.eval(t + 0.5 * dt))
             timing["advance_s"] += time.perf_counter() - t0
@@ -701,7 +697,7 @@ def run(
             traj.cfl_binding[family] = traj.cfl_binding.get(family, 0) + 1
         at_end = t >= t_end * (1.0 - 1e-12)
         if diag_every and (k % diag_every == 0 or at_end):
-            emit(full=at_end or bool(full_diag_every and k % full_diag_every == 0))
+            emit(full=at_end)
         if snapshot_every and (k % snapshot_every == 0 or at_end):
             snapshot()
     traj.validate()
@@ -780,12 +776,10 @@ def prepare_initial_data(
 
 def state_from_root(grid: Grid, s, lam) -> FluidState:
     """The state of the root s = sqrt R and Lambda = sqrt R U (stacked):
-    R = s^2, M = s Lambda, with the mass ratio quad(R) / quad(exp(-|y|^2))."""
+    R = s^2, M = s Lambda, with the mass ratio quad(R) / grid.gaussian_mass."""
     R = s**2
-    return FluidState(
-        t=0.0, grid=grid, R=R, M=s * lam,
-        mass_ratio=grid.quad(R) / grid.quad(np.exp(-grid.r2)),
-    )
+    mass_ratio = grid.quad(R) / grid.gaussian_mass
+    return FluidState(t=0.0, grid=grid, R=R, M=s * lam, mass_ratio=mass_ratio)
 
 
 def drag_schedule(grid: Grid, R0, eps: float = 0.0):

@@ -96,6 +96,12 @@ class Grid:
         return float(self.weight * a.sum())
 
     @cached_property
+    def gaussian_mass(self) -> float:
+        """quad(exp(-|y|^2)): the periodized Gaussian's mass, about pi^(d/2)."""
+        gaussian = np.exp(-self.r2)
+        return self.quad(gaussian)
+
+    @cached_property
     def spectral(self) -> "Spectral":
         """The transform backend of this grid, built on first use."""
         return Spectral(self)
@@ -240,19 +246,22 @@ class Spectral:
         )
 
     def batch(self, transform, parts: dict) -> dict:
-        """`transform` (fwd or inv) of the named parts, each a stack along one
-        leading axis or a function that builds it.  In 1D the parts go as one
-        concatenated stack, one call; for d > 1 each part goes alone (a
-        forward stack is one call, an inverse one call per component anyway),
-        a function's part built just before its transform."""
-        if len(parts) == 1 or self.d > 1:
+        """`transform` (fwd or inv) of the named parts, each a stack of any
+        leading shape or a function that builds it; each result keeps its
+        part's leading shape.  In 1D the parts go as one concatenated stack,
+        one call; for d > 1 each part goes alone (a forward stack is one
+        call, an inverse one call per component anyway), a function's part
+        built just before its transform."""
+        if len(parts) < 2 or self.d > 1:
             return {name: transform(v() if callable(v) else v) for name, v in parts.items()}
         stacks = [v() if callable(v) else v for v in parts.values()]
-        out = transform(np.concatenate(stacks))
+        flat = [v if v.ndim == 2 else v.reshape(-1, v.shape[-1]) for v in stacks]
+        out = transform(np.concatenate(flat))
         pieces, lo = {}, 0
-        for name, v in zip(parts, stacks):
-            pieces[name] = out[lo : lo + len(v)]
-            lo += len(v)
+        for name, v, f in zip(parts, stacks, flat):
+            piece = out[lo : lo + len(f)]
+            pieces[name] = piece if f is v else piece.reshape(v.shape[:-1] + out.shape[-1:])
+            lo += len(f)
         return pieces
 
     def inner(self, ah, bh) -> float:
@@ -271,7 +280,7 @@ class Spectral:
         upper entries (hess_keys order) the stack h holds."""
         return np.tensordot(self.hess_w, h * h, axes=1)
 
-    # -- operations on real arrays or stacks; `ah` passes a precomputed fwd(a)
+    # -- operations on real arrays or stacks
 
     def apply(self, syms, ah) -> np.ndarray:
         """Each symbol of the stack `syms` times each coefficient array of
@@ -286,18 +295,16 @@ class Spectral:
             out = out + x[e]
         return out
 
-    def grad(self, a, ah=None) -> np.ndarray:
+    def grad(self, a) -> np.ndarray:
         """grad(a)[..., i, :] = d_i a, for an array or a stack a."""
-        ah = self.fwd(a) if ah is None else ah
-        return self.inv(self.apply(self.ik, ah))
+        return self.inv(self.apply(self.ik, self.fwd(a)))
 
     def div(self, comps) -> np.ndarray:
         """sum_i d_i comps[..., i, :]."""
         return self.inv(self.sum_axes(self.ik * self.fwd(np.asarray(comps))))
 
-    def lap(self, a, p: int = 1, ah=None) -> np.ndarray:
-        ah = self.fwd(a) if ah is None else ah
-        return self.inv(self.lap_symbol(p) * ah)
+    def lap(self, a, p: int = 1) -> np.ndarray:
+        return self.inv(self.lap_symbol(p) * self.fwd(a))
 
     def dealias(self, a) -> np.ndarray:
         """Zero every coefficient with an axis mode |m_j| > n/3 (2/3 rule)."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-__all__ = ["TauSolution", "IntegratorError", "tau_solve", "tau_asymptotic_ratio"]
+__all__ = ["TauSolution", "IntegratorError", "tau_solve", "tau_cover", "tau_asymptotic_ratio"]
 
 
 class IntegratorError(RuntimeError):
@@ -54,16 +54,12 @@ class TauSolution:
     t: np.ndarray
     tau: np.ndarray
     taudot: np.ndarray
-    interpolation_order: int = 3
 
     def __post_init__(self):
         # plain-float node lists for the scalar path of eval
         object.__setattr__(
             self, "_nodes", (self.t.tolist(), self.tau.tolist(), self.taudot.tolist())
         )
-
-    def __call__(self, t):
-        return self.eval(t)
 
     def eval(self, t):
         """Return (tau, taudot) at time(s) t in [0, t_max].  A float t takes
@@ -149,6 +145,12 @@ def tau_solve(t_max: float, rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> T
     out = TauSolution(t_max=float(t_max), t=t, tau=tau, taudot=taudot)
     out.validate(10.0 * max(rel_tol, abs_tol))
     return out
+
+
+def tau_cover(t_end: float, t0: float) -> TauSolution:
+    """The tau every run from t0 to t_end solves when given none: a horizon
+    0.1% past both times (and past 1e-3), at tolerances (1e-12, 1e-14)."""
+    return tau_solve(max(t_end, t0, 1e-3) * 1.001, 1e-12, 1e-14)
 
 
 def tau_asymptotic_ratio(sol: TauSolution, t: float) -> float:

@@ -17,6 +17,7 @@ import isofluid
 from isofluid import io as io_
 from isofluid.cli import main as cli_main
 from isofluid.spectral import Grid
+from isofluid.tauode import tau_cover
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,6 +42,16 @@ def test_tracer_finds_every_required_name():
 
 def test_probe_advance_runs():
     _load("workloads").probe_advance(1)
+
+
+def test_crit3_tau_is_the_tau_cover_of_its_horizon():
+    # the workload hands solver.run the tau it would solve when given none
+    crit3 = _load("workloads").Crit3(Path("unused"), 0)
+    crit3.setup()
+    tau = tau_cover(crit3.t_end, crit3.state.t)
+    assert tau.t_max == crit3.tau.t_max
+    for name in ("t", "tau", "taudot"):
+        assert np.array_equal(getattr(tau, name), getattr(crit3.tau, name)), name
 
 
 def test_simulate_snapshots_read_back_with_their_grid(tmp_path):

@@ -9,11 +9,12 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import isofluid.experiments as E
 from isofluid import diagnostics as diag
@@ -195,6 +196,27 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
         (["simulate"], {"params": {"nu": math.nan}}),
         (["simulate"], {"params": {"nu": 0.1, "dt_policy": "fixed", "dt": math.nan}}),
         (["simulate"], {"params": {"nu": 0.1, "r0": math.inf}}),
+        (["simulate"], {"grid": {"N": 64}, **NU}),
+        (["simulate"], {"initial": {"generator": "prepared_gaussian", "thetta": 0.3}, **NU}),
+        (["simulate"], {"initial": {"generator": "gaussian", "theta": 0.3}, **NU}),
+        (["simulate"], {"initial": {"generator": "prepared_gaussian",
+                                    "velocity_amplitude": 0.1}, **NU}),
+        (["korteweg"], {"initial": {"generator": "gaussian", "offset": 0.3}}),
+        (["korteweg"], {"initial": {"generator": "offset_gaussian", "mode": 2}}),
+        (["simulate"], {"grid": {"n": 64.7}, **NU}),
+        (["simulate"], {"grid": {"d": 1.9}, **NU}),
+        (["simulate"], {"grid": {"ell": "6"}, **NU}),
+        (["simulate"], {"initial": {"generator": "perturbed_gaussian", "mode": 2.5}, **NU}),
+        (["simulate"], {"initial": {"generator": "perturbed_gaussian", "amplitude": "0.3"},
+                        **NU}),
+        (["korteweg"], {"initial": {"generator": "plane_wave_phase", "mass_match": 1}}),
+        (["simulate"], {"initial": {"generator": "prepared_gaussian", "theta": True}, **NU}),
+        (["simulate"], {"params": {"nu": True}}),
+        (["simulate"], {"params": {"nu": 0.1, "r_min": True}}),
+        (["simulate"], {"params": {"nu": 0.1, "cfl": True}}),
+        (["simulate"], {"params": {"nu": 0.1, "alpha": "8"}}),
+        (["simulate"], {"params": {"nu": 0.1, "eta2": 1e-13, "s": 2.5}}),
+        (["simulate"], {"schema_version": True, **NU}),
     ],
     ids=["unknown_param", "negative_nu", "non_integer_n", "sweep_unknown_param",
          "negative_theta", "non_numeric_amplitude", "initial_not_a_dict", "non_numeric_t_end",
@@ -205,7 +227,12 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
          "infinite_n", "infinite_mode", "out_under_a_file", "tau_negative_t_end",
          "tau_zero_t_end", "non_string_filter", "non_integer_threads", "nan_t_end",
          "longtime_nan_t_end", "korteweg_nan_t_end", "tau_nan_t_end", "infinite_t_end",
-         "tau_infinite_t_end", "vanishing_ell", "nan_nu", "nan_dt", "inf_r0"],
+         "tau_infinite_t_end", "vanishing_ell", "nan_nu", "nan_dt", "inf_r0",
+         "unknown_grid_key", "misspelt_initial_key", "foreign_initial_key",
+         "velocity_of_prepared_data", "korteweg_gaussian_offset", "korteweg_foreign_mode",
+         "fractional_n", "fractional_d", "string_ell", "fractional_mode", "string_amplitude",
+         "integer_mass_match", "bool_theta", "bool_nu", "bool_r_min", "bool_cfl",
+         "string_alpha", "fractional_s", "bool_schema_version"],
 )
 def test_cli_bad_construction_exits_3(tmp_path, capsys, command, config):
     out = tmp_path / "out"
@@ -341,10 +368,10 @@ def test_cli_check_filter(tmp_path):
 
 
 def test_check_catches_injected_sign_error(monkeypatch):
-    stress = diag.korteweg_stress
-    monkeypatch.setattr(
-        diag, "korteweg_stress", lambda sp, s: [[-a for a in row] for row in stress(sp, s)]
-    )
+    # the identity checks take the stress entries from the one function the
+    # solver's force takes them from
+    entries = diag.korteweg_stress_entries
+    monkeypatch.setattr(diag, "korteweg_stress_entries", lambda *args: -entries(*args))
     ok, failures = E.check(filter="korteweg", verbose=False)
     assert not ok
     assert any("korteweg_residual" in f for f in failures)
@@ -483,15 +510,17 @@ FUZZ_INITIAL = [
 
 @st.composite
 def tiny_simulate_configs(draw):
-    """A whole `simulate` run on a grid of n = 8..16 to t_end <= 0.01 with
-    fixed steps of at least 1e-3, so that no run takes more than 10 steps."""
+    """A whole `simulate` run on a grid of n = 8..16 to t_end <= 0.01, with
+    fixed steps of at least 1e-3 (no more than 10 steps) or CFL steps capped
+    at the same dt (no more than the test's step budget)."""
     params = {name: draw(st.sampled_from(FUZZ_VALUES)) for name in ("nu", "eps", "r0", "r1")}
     for name in ("delta1", "delta2", "eta1", "eta2"):
         params[name] = draw(st.sampled_from(FUZZ_SMALL))
     params.update(
         alpha=draw(st.sampled_from([4.0, 5.0, 8.0, 8.0, 1e3])),
         s=draw(st.sampled_from([1, 3, 3, 5])),
-        dt_policy="fixed",
+        dt_policy=draw(st.sampled_from(["fixed", "cfl"])),
+        cfl=draw(st.sampled_from([0.4, 1.0, 2.0])),
         dt=draw(st.sampled_from([1e-3, 5e-3, 1e-2])),
         viscous_form=draw(st.sampled_from(["auto", "bounded", "vacuum"])),
     )
@@ -507,14 +536,25 @@ def tiny_simulate_configs(draw):
     }
 
 
+# the cold pressure's sound speed overflows in the CFL rate; the run stops
+# "underflow" (exit 2) in silence
+CFL_OVERFLOW = {
+    "kind": "simulate", "grid": {"d": 1, "ell": 6.0, "n": 8},
+    "params": {"nu": 0.1, "eps": 0.1, "eta1": 0.999, "alpha": 1e3, "dt_policy": "cfl"},
+    "initial": {"generator": "prepared_gaussian", "theta": 0.2, "iota": 0.4}, "t_end": 0.01,
+}
+
+
 @settings(max_examples=120)
 @given(tiny_simulate_configs())
+@example(CFL_OVERFLOW)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_fuzz_tiny_runs_exit_cleanly(config):
     # a whole run ends in 0 (ok), 2 (run failure) or 3 (bad config, and then
     # no output directory), never in a traceback, and numpy warns of nothing:
-    # a diverging run records the inf or nan it computed in silence
-    with tempfile.TemporaryDirectory() as tmp:
+    # a diverging run records the inf or nan it computed in silence.  A CFL
+    # run longer than 300 steps stops "budget"
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(solver, "MAX_STEPS", 300):
         cfg = os.path.join(tmp, "cfg.json")
         out = os.path.join(tmp, "out")
         with open(cfg, "w") as fh:

@@ -9,7 +9,9 @@ import scipy.fft
 from isofluid import diagnostics as diag
 from isofluid import lognls
 from isofluid.experiments import make_wavefunction
+from isofluid.params import ParamSet
 from isofluid.rescaling import WaveFunction, madelung, wave_gradients
+from isofluid.solver import run
 from isofluid.spectral import Grid
 from isofluid.tauode import tau_solve
 
@@ -146,6 +148,17 @@ def test_run_nls_lands_on_t_end(t_end):
     assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
     assert traj.psi_final.t == traj.times[-1]
     assert len(traj.times) == 2
+
+
+def test_run_nls_past_t_end_samples_its_start():
+    # a start past t_end takes no step, as in solver.run, and the tau the
+    # run solves covers the start
+    psi0 = _offset_wave(1, 64)
+    psi0 = WaveFunction(0.5, psi0.grid, psi0.psi, psi0.epsilon)
+    traj = lognls.run_nls(psi0, lognls.NlsParams(eps=1.0, dt=2e-3), 0.1)
+    assert traj.times == [0.5] and traj.psi_final.t == 0.5
+    hydro = run(madelung(psi0), ParamSet(eps=1.0, dt_policy="fixed", dt=2e-3), 0.1)
+    assert hydro.times == [0.5] and hydro.status == "ok"
 
 
 def _count_complex(monkeypatch) -> list:

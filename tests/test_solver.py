@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -672,3 +674,15 @@ def test_run_stops_a_diverging_run_without_warnings():
     assert stop["t"] == traj.state_final.t < 1.0
     assert len(stop["cell"]) == 1 and 0 <= stop["cell"][0] < 256
     assert np.all(np.isfinite(traj.state_final.R))
+
+
+def test_readme_quick_start_reaches_its_t_end(capsys):
+    # the README's library quick start, executed as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    scope = {}
+    exec(block, scope)
+    traj = scope["traj"]
+    assert traj.status == "ok" and traj.stop is None
+    assert traj.times[-1] == pytest.approx(1.0, rel=1e-12)
+    assert capsys.readouterr().out.split()[:2] == ["ok", str(traj.n_steps)]
