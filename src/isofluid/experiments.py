@@ -695,10 +695,12 @@ def _drag_ladder(dts=(2e-2, 1e-2, 5e-3), t_end=0.4):
     """(trajectories, None) of the drag run (cubic drag r1 only) at each
     fixed dt of the ladder, or (None, error) at the first run that aborts."""
     state = drag_run_state()
+    # the tau solver.run would solve for each dt
+    tau_sol = tau_cover(t_end, state.t)
     trajs = []
     for dt in dts:
         p = ParamSet(nu=0.1, eps=0.2, r1=0.05, dt_policy="fixed", dt=dt, viscous_form="bounded")
-        traj = solver.run(state, p, t_end, diag_every=1)
+        traj = solver.run(state, p, t_end, tau_sol=tau_sol, diag_every=1)
         if traj.status != "ok":
             return None, f"run aborted: {traj.status} at dt={dt}"
         trajs.append(traj)
@@ -760,10 +762,12 @@ def _check_nls() -> list[str]:
     errs = []
     g = Grid(1, 8.0, 128)
     psi0 = make_wavefunction(g, {"generator": "gaussian"}, eps=1.0)
+    # the tau run_nls would solve for each dt
+    tau_sol = tau_cover(0.5, psi0.t)
     res = []
     for dt in (4e-3, 2e-3):
         p = lognls.NlsParams(eps=1.0, dt=dt)
-        traj = lognls.run_nls(psi0, p, 0.5)
+        traj = lognls.run_nls(psi0, p, 0.5, tau_sol=tau_sol)
         if traj.max_step_mass_drift > 1e-12:
             errs.append(f"mass drift per step {traj.max_step_mass_drift:.2e} > 1e-12")
             break

@@ -54,6 +54,14 @@ inverse one call per component, 46 per 2D and 71 per 3D advance (see the
 spectral module notes).  The carry moves results only at round-off, and R's
 zero mode is carried exactly.
 
+Terms that are off.  A step skips work whose result nothing reads or that
+is an identity: without delta2 it builds no c_u, and L neither builds nor
+applies e^(e h) = 1 (linear_symbols gives the scalar rate 0); without
+delta1 L builds no e^(a h); the drag and the sponge return M untouched when
+they are off.  The Hessian tables gather stacked entries as views where
+their index set is contiguous, as in 1D (see the spectral module notes).
+The states are bitwise those of the full work.
+
 Floors.  The solver's one density floor is r_min (ParamSet.r_min, default
 1e-10 mean(R0)).  rho_sm = smooth_density(R, r_min) = sqrt(R^2 + r_min^2)
 recovers U = M / rho_sm and sets the drag coefficients, the advective CFL
@@ -261,8 +269,11 @@ class _Stepper:
     def bilaplacian_coefficient(self, R):
         """c_u of the implicit damping -delta2 c_u lap^2 M: twice the largest
         1/rho_sm, so the explicit counter-term stays strictly inside the decay
-        budget (delta-regularized runs assume data bounded below)."""
-        return 2.0 / max(float(np.min(self.rho_smooth(R))), 1e-300)
+        budget (delta-regularized runs assume data bounded below).  0 without
+        delta2, where only delta2 terms would read it."""
+        if self.p.delta2 == 0.0:
+            return 0.0
+        return 2.0 / max(float(self.rho_smooth(R).min()), 1e-300)
 
     # -- drag substep (exact pointwise Bernoulli flow, R frozen) -----------
 
@@ -300,9 +311,12 @@ class _Stepper:
 
     def linear_symbols(self, tau_v, c_u):
         """Rates a = -delta1 |k|^2/tau^2 (on Rhat) and e = -delta2 c_u |k|^4/tau^2
-        (on each Mhat_j) of the linear block."""
+        (on each Mhat_j) of the linear block; a rate whose coefficient is 0
+        is the scalar 0.0, so its exponential is the scalar 1.0."""
         p, t2 = self.p, tau_v**2
-        return -(p.delta1 / t2) * self.sp.k2, -(p.delta2 * c_u / t2) * self.sp.k2**2
+        a = -(p.delta1 / t2) * self.sp.k2 if p.delta1 > 0 else 0.0
+        e = -(p.delta2 * c_u / t2) * self.sp.k2**2 if p.delta2 > 0 else 0.0
+        return a, e
 
     def linear_flow(self, Xh, h, tau_v, c_u):
         """Exact flow of the triangular constant-coefficient block
@@ -324,13 +338,17 @@ class _Stepper:
         sp = self.sp
         Ea, S_t2, Ee = self.propagator(h, tau_v, c_u)
         Xh[0] = Ea * Xh[0] - S_t2 * sp.sum_axes(sp.ik * Xh[1:])
-        Xh[1:] *= Ee
+        if self.p.delta2 > 0:  # else e^(e h) = 1
+            Xh[1:] *= Ee
         return Xh
 
     def propagator(self, h, tau_v, c_u):
         """(e^(a h), (e^(a h) - e^(e h)) / ((a - e) tau^2), e^(e h)) of
         linear_flow, kept for the next call with the same (h, tau, c_u): the
-        two half steps of one advance share it."""
+        two half steps of one advance share it.  A rate that is the scalar 0
+        (see linear_symbols) gives the values of its array form bitwise: its
+        exponential is 1, and a - e differs only in the sign of the zero
+        mode's 0, where `small` picks h e^(a h) either way."""
         key, prop = self._propagator
         if key != (h, tau_v, c_u):
             a, e = self.linear_symbols(tau_v, c_u)
@@ -413,15 +431,15 @@ class _Stepper:
         (d_i M_j + d_j M_i)/2 - (M_j d_i R + M_i d_j R)/(2 rho) never
         differentiates the near-floor quotient, whose spatial ringing seeds a
         momentum amplifier on long vacuum runs."""
-        nu, gR = self.p.nu, fz.grad_R
-        i, j = self.sp.hess_upper
+        nu, gR, sp = self.p.nu, fz.grad_R, self.sp
+        (i, j), (ji, ij) = sp.hess_upper, sp.hess_flat
         out = -M[j] * U[i]
         if nu > 0 and self.viscous_form == "bounded":
-            out += nu * (fz.R * 0.5 * (gradU[j, i] + gradU[i, j]))
+            gU = gradU.reshape((-1,) + sp.shape)
+            out += nu * (fz.R * 0.5 * (gU[ji] + gU[ij]))
         elif nu > 0:
-            out += nu * (
-                0.5 * (gradM[j, i] + gradM[i, j]) - 0.5 * (U[j] * gR[i] + U[i] * gR[j])
-            )
+            gM = gradM.reshape((-1,) + sp.shape)
+            out += nu * (0.5 * (gM[ji] + gM[ij]) - 0.5 * (U[j] * gR[i] + U[i] * gR[j]))
         return out
 
     def n_rhs(self, M, Mh, fz: _Frozen, tau_v, c_u):
@@ -682,11 +700,11 @@ def run(
             t0 = time.perf_counter()
             R_new, M_new = st.advance(R, M, dt, tau_sol.eval(t + 0.5 * dt))
             timing["advance_s"] += time.perf_counter() - t0
-            if not (np.all(np.isfinite(R_new)) and np.all(np.isfinite(M_new))):
+            if not (np.isfinite(R_new).all() and np.isfinite(M_new).all()):
                 finite = np.isfinite(R_new) & np.all(np.isfinite(M_new), axis=0)
                 stop("nan", np.unravel_index(np.argmin(finite), R.shape))
                 break
-            if float(np.min(R_new)) < -neg_tol:
+            if float(R_new.min()) < -neg_tol:
                 stop("floor", np.unravel_index(np.argmin(R_new), R.shape))
                 break
         R, M = R_new, M_new

@@ -12,10 +12,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import isofluid
+from isofluid import experiments, solver
 from isofluid import io as io_
 from isofluid.cli import main as cli_main
+from isofluid.lognls import crosscheck_hydro_params
+from isofluid.rescaling import madelung
 from isofluid.spectral import Grid
 from isofluid.tauode import tau_cover
 
@@ -52,6 +56,45 @@ def test_crit3_tau_is_the_tau_cover_of_its_horizon():
     assert tau.t_max == crit3.tau.t_max
     for name in ("t", "tau", "taudot"):
         assert np.array_equal(getattr(tau, name), getattr(crit3.tau, name)), name
+
+
+# calls per advance of each traced substep but the CFL, which run makes once
+# per step under the CFL policy
+SUBSTEP_CALLS = {"drag_flow": 2, "linear_flow": 2, "density_forces": 1, "n_rhs": 3,
+                 "vacuum_sponge": 1}
+
+
+def _crosscheck_run():
+    g = Grid(1, 8.0, 256)
+    psi0 = experiments.make_wavefunction(
+        g, {"generator": "offset_gaussian", "offset": 0.35, "offset_width": 3.0}, eps=1.0
+    )
+    return madelung(psi0), crosscheck_hydro_params(1.0, 1e-4, 2.5e-4), 1e-3
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [lambda: (*experiments.full_reg_setup(n=256), 3e-3), _crosscheck_run],
+    ids=["full_reg", "crosscheck"],
+)
+def test_traced_substeps_stay_on_the_advance_path(monkeypatch, setup):
+    # a step that skipped a traced substep would zero its per-layer metric
+    substeps = _load("tracer").STEPPER_SUBSTEPS.values()
+    assert set(substeps) == {*SUBSTEP_CALLS, "cfl_dt"}
+    calls = dict.fromkeys(substeps, 0)
+    for name in substeps:
+
+        def counted(self, *args, _orig=getattr(solver._Stepper, name), _name=name):
+            calls[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(solver._Stepper, name, counted)
+    state, params, t_end = setup()
+    traj = solver.run(state, params, t_end, diag_every=0)
+    assert traj.status == "ok" and traj.n_steps >= 3
+    cfl_steps = traj.n_steps if params.dt_policy == "cfl" else 0
+    assert calls == {"cfl_dt": cfl_steps,
+                     **{name: k * traj.n_steps for name, k in SUBSTEP_CALLS.items()}}
 
 
 def test_simulate_snapshots_read_back_with_their_grid(tmp_path):

@@ -409,6 +409,24 @@ def test_check_runs_the_identity_ladder_once(monkeypatch, filter, runs):
     assert len(calls) == runs
 
 
+def test_check_solves_tau_once_per_ladder(monkeypatch):
+    # the tau family solves two horizons; the drag ladder, the bd family's
+    # nu = 0 run, the mass run and the nls ladder one tau cover each
+    from isofluid import tauode
+
+    calls = []
+
+    def counted(*args, _orig=tauode.tau_solve):
+        calls.append(args)
+        return _orig(*args)
+
+    monkeypatch.setattr(tauode, "tau_solve", counted)
+    monkeypatch.setattr(E, "tau_solve", counted)
+    ok, failures = E.check(verbose=False)
+    assert ok, failures
+    assert len(calls) == 6
+
+
 def test_check_ladder_does_not_outlive_its_call(monkeypatch):
     calls = _count_runs(monkeypatch)
     for expected in (3, 6):

@@ -1,5 +1,6 @@
 """Stepper, right-hand side, initial-data preparation and drag schedules."""
 
+import copy
 import dataclasses
 import math
 import re
@@ -12,9 +13,11 @@ import scipy.fft
 
 from isofluid import diagnostics as diag
 from isofluid import experiments
+from isofluid.lognls import crosscheck_hydro_params
 from isofluid.params import ParamSet
-from isofluid.rescaling import FluidState
+from isofluid.rescaling import FluidState, madelung
 from isofluid.solver import (
+    _contrast,
     _Stepper,
     arrays_from_state,
     drag_schedule,
@@ -119,13 +122,14 @@ def test_rhs_is_the_generator_of_step(term):
     assert np.abs(2.0 * m_h2 - m_h).max() <= 1e-7 * scale
 
 
-def _baseline_setup(d):
+def _baseline_setup(d, n=None):
     """The baseline grids of the FFT counts: 1D n=256 with every term of the
     mass-conservation run; 2D n=128 and 3D n=32 prepared Gaussians with every
-    regularization on."""
+    regularization on (the 2D parameters are those of the fixed_2d bench
+    workload); n replaces the grid size for d > 1."""
     if d == 1:
         return experiments.full_reg_setup(n=256)
-    g = Grid(d, 8.0, {2: 128, 3: 32}[d])
+    g = Grid(d, 8.0, n or {2: 128, 3: 32}[d])
     state = experiments.make_initial(
         g, {"generator": "prepared_gaussian", "theta": 0.2, "iota": 0.4}
     )
@@ -311,6 +315,114 @@ def test_carried_advance_matches_round_trip_reference(d, form, zeros):
     (R, M), (R_ref, M_ref) = out
     assert np.abs(R - R_ref).max() <= 1e-12 * np.abs(R_ref).max()
     assert np.abs(M - M_ref).max() <= 1e-12 * np.abs(M_ref).max()
+
+
+class _UnskippedStepper(_Stepper):
+    """The advance that makes every term's work whether or not the term is
+    on, kept as the bitwise reference of the skips: c_u, the delta1 and
+    delta2 rates as arrays and e^(e h) applied to Mhat, and the Hessian
+    tables as integer arrays, whose gathers copy."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        sp = self.sp = copy.copy(self.sp)
+        d, n_upper = sp.d, len(sp.hess_keys)
+        sp.hess_upper = tuple(np.arange(d)[t] for t in sp.hess_upper)
+        sp.hess_flat = tuple(np.arange(d * d)[t] for t in sp.hess_flat)
+        sp.hess_full = np.arange(n_upper)[sp.hess_full]
+        sp.hess_diag = np.arange(n_upper)[sp.hess_diag]
+
+    def bilaplacian_coefficient(self, R):
+        return 2.0 / max(float(np.min(self.rho_smooth(R))), 1e-300)
+
+    def linear_symbols(self, tau_v, c_u):
+        p, t2 = self.p, tau_v**2
+        return -(p.delta1 / t2) * self.sp.k2, -(p.delta2 * c_u / t2) * self.sp.k2**2
+
+    def propagator(self, h, tau_v, c_u):
+        a, e = self.linear_symbols(tau_v, c_u)
+        Ea, Ee = np.exp(a * h), np.exp(e * h)
+        diff = a - e
+        small = np.abs(diff) * h < 1e-8
+        S = np.where(small, h * Ea, (Ea - Ee) / np.where(small, 1.0, diff))
+        return Ea, S / tau_v**2, Ee
+
+    def linear_flow(self, Xh, h, tau_v, c_u):
+        sp = self.sp
+        Ea, S_t2, Ee = self.propagator(h, tau_v, c_u)
+        Xh[0] = Ea * Xh[0] - S_t2 * sp.sum_axes(sp.ik * Xh[1:])
+        Xh[1:] *= Ee
+        return Xh
+
+    def stress(self, fz, M, U, gradU, gradM):
+        nu, gR = self.p.nu, fz.grad_R
+        i, j = self.sp.hess_upper
+        out = -M[j] * U[i]
+        if nu > 0 and self.viscous_form == "bounded":
+            out += nu * (fz.R * 0.5 * (gradU[j, i] + gradU[i, j]))
+        elif nu > 0:
+            out += nu * (
+                0.5 * (gradM[j, i] + gradM[i, j]) - 0.5 * (U[j] * gR[i] + U[i] * gR[j])
+            )
+        return out
+
+
+def _crosscheck_setup():
+    """The Madelung image of the korteweg cross-check's offset Gaussian (1D
+    n = 256) and its hydro parameters: no delta2, drag, nu or eta."""
+    g = Grid(1, 8.0, 256)
+    psi0 = experiments.make_wavefunction(
+        g, {"generator": "offset_gaussian", "offset": 0.35, "offset_width": 3.0}, eps=1.0
+    )
+    return madelung(psi0), crosscheck_hydro_params(1.0, 1e-4, 2.5e-4), 2.5e-4
+
+
+def _drag_ladder_setup(form):
+    """The drag ladder's state and parameters (no delta1 or delta2)."""
+    p = ParamSet(nu=0.1, eps=0.2, r1=0.05, dt_policy="fixed", dt=5e-3, viscous_form=form)
+    return experiments.drag_run_state(), p, 5e-3
+
+
+# (state, params, h) of runs that skip work and of runs that make it all
+SKIP_SETUPS = {
+    "crosscheck": _crosscheck_setup,
+    "full_reg": lambda: (*experiments.full_reg_setup(n=256), 2e-4),
+    "drag_bounded": lambda: _drag_ladder_setup("bounded"),
+    "drag_vacuum": lambda: _drag_ladder_setup("vacuum"),
+    "fixed_2d_n32": lambda: (*_baseline_setup(2, n=32), 1e-3),
+}
+
+
+@pytest.mark.parametrize("setup", list(SKIP_SETUPS))
+def test_advance_is_bitwise_the_unskipped_advance(setup):
+    # skipping the work of a term that is off, and gathering through views,
+    # changes no bit of the state
+    state, params, h = SKIP_SETUPS[setup]()
+    R0, M0 = arrays_from_state(state)
+    args = (state.grid, params, float(R0.mean()), _contrast(R0))
+    out = []
+    for stepper in (_Stepper(*args), _UnskippedStepper(*args)):
+        R, M = R0, M0
+        for k in range(30):
+            R, M = stepper.advance(R, M, h, (1.0 + 0.01 * k, 0.3))
+        out.append((R, M))
+    (R, M), (R_ref, M_ref) = out
+    assert np.all(np.isfinite(R)) and np.all(np.isfinite(M))
+    assert np.array_equal(R, R_ref) and np.array_equal(M, M_ref)
+
+
+@pytest.mark.parametrize("setup", list(SKIP_SETUPS))
+def test_advance_record_and_rhs_leave_their_input_unchanged(setup):
+    # a gather that returns a view is never written into
+    state, params, h = SKIP_SETUPS[setup]()
+    R, M = arrays_from_state(state)
+    R_in, M_in = R.copy(), M.copy()
+    stepper = _Stepper(state.grid, params, float(R.mean()), _contrast(R))
+    stepper.advance(R, M, h, (1.1, 0.3))
+    diag.record(diag.StateOps(state.grid, R, M, stepper.r_min, 0.0), stepper.p, (1.1, 0.3),
+                full=True)
+    rhs(state, params, (1.1, 0.3))
+    assert np.array_equal(R, R_in) and np.array_equal(M, M_in)
 
 
 @pytest.mark.parametrize(

@@ -248,3 +248,39 @@ def test_stacked_forward_bitwise_per_component(d, n):
         assert ah.shape == (count,) + sp.half_shape
         for i in range(count):
             assert np.array_equal(ah[i], sp.fwd(a[i]))
+
+
+def _integer_tables(d: int) -> dict:
+    """The Hessian index tables as integer arrays, each with the length of
+    the leading axis it gathers along: the stacked entries (i, j), i <= j,
+    their rows and columns, the places of (i, j) and of its mirror in a
+    flattened (d*d,) stack, the mirrored (d, d) rows and the diagonal."""
+    keys = [(i, j) for i in range(d) for j in range(i, d)]
+    rows, cols = np.array(keys).T
+    full = np.array([[keys.index((min(i, j), max(i, j))) for i in range(d)] for j in range(d)])
+    return {
+        "hess_upper": ((rows, d), (cols, d)),
+        "hess_flat": ((cols * d + rows, d * d), (rows * d + cols, d * d)),
+        "hess_full": ((full, len(keys)),),
+        "hess_diag": ((np.array([keys.index((i, i)) for i in range(d)]), len(keys)),),
+    }
+
+
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    tail=st.lists(st.integers(1, 4), min_size=0, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_index_tables_gather_as_the_integer_tables(d, tail, seed):
+    # every table gathers the values, in the shape, of its integer array;
+    # in 1D each gather is a view
+    sp = Grid(d, 4.0, 8).spectral
+    rng = np.random.default_rng(seed)
+    for name, parts in _integer_tables(d).items():
+        tables = getattr(sp, name) if len(parts) == 2 else (getattr(sp, name),)
+        for table, (ref, length) in zip(tables, parts, strict=True):
+            x = rng.standard_normal((length, *tail))
+            got = x[table]
+            assert got.shape == x[ref].shape, name
+            assert np.array_equal(got, x[ref]), name
+            assert (d == 1) == np.shares_memory(got, x), name
