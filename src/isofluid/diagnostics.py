@@ -98,13 +98,15 @@ def korteweg_stress(sp, s) -> np.ndarray:
     return korteweg_stress_entries(sp, s, derivs[: sp.d], derivs[sp.d :])[sp.hess_full]
 
 
-def korteweg_stress_entries(sp, s, gs, hs) -> np.ndarray:
+def korteweg_stress_entries(sp, s, gs, hs, out=None) -> np.ndarray:
     """The upper entries (i <= j, in sp.hess_keys order) of the symmetric
     Korteweg stress s d_i d_j s - d_i s d_j s, from grad s and the upper
-    Hessian entries of s.  The solver's force takes the dealiased
-    divergence of the mirrored rows."""
+    Hessian entries of s, written into out where it is given.  The
+    solver's force takes the dealiased divergence of the mirrored rows."""
     i, j = sp.hess_upper
-    return s * hs - gs[i] * gs[j]
+    out = np.multiply(s, hs, out=out)
+    out -= gs[i] * gs[j]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +130,42 @@ _FIELDS = {
 }
 _LATE = {"laplog": ("grad_R", "hess_R"), "ks": ("hess_s",), "stress": ("grad_s", "hess_s")}
 
+# the coefficients of the derivatives of a field from the field's, h, as a
+# Spectral.batch part (lead, fill): grad and hess of a scalar field (one
+# component), the Jacobian [j, i] = d_i h_j of a stack and the divergence
+# over its component axis
+def _grad(sp, h):
+    return (sp.d,), partial(np.multiply, sp.ik, h)
+
+
+def _hess(sp, h):
+    return (len(sp.hess_keys),), partial(np.multiply, sp.hess_sym, h)
+
+
+def _jacobian(sp, h):
+    return (sp.d, sp.d), partial(sp.apply, sp.ik, h)
+
+
+def _div(sp, h):
+    return h.shape[: -sp.d - 1], lambda out: np.copyto(out, sp.sum_axes(sp.ik * h))
+
+
 # derivatives that come back from the coefficients of one field
 _DERIVS = {
-    "grad_s": ("s", lambda sp, h: sp.ik * h),
-    "hess_s": ("s", lambda sp, h: sp.hess_sym * h),
-    "grad_R": ("R", lambda sp, h: sp.ik * h),
-    "hess_R": ("R", lambda sp, h: sp.hess_sym * h),
-    "grad_U": ("U", lambda sp, h: sp.apply(sp.ik, h)),  # [j, i] = d_i U_j
-    "grad_mom": ("mom", lambda sp, h: sp.apply(sp.ik, h)),
-    "div_mom": ("mom", lambda sp, h: sp.sum_axes(sp.ik * h)),
-    "grad_logR": ("logR", lambda sp, h: sp.ik * h),
+    "grad_s": ("s", _grad),
+    "hess_s": ("s", _hess),
+    "grad_R": ("R", _grad),
+    "hess_R": ("R", _hess),
+    "grad_U": ("U", _jacobian),  # [j, i] = d_i U_j
+    "grad_mom": ("mom", _jacobian),
+    "div_mom": ("mom", _div),
+    "grad_logR": ("logR", _grad),
     # the spectral Hessian of log R, for the identity checks on R > 0
-    "hess_logR": ("logR", lambda sp, h: sp.hess_sym * h),
-    "grad_root_s": ("root_s", lambda sp, h: sp.ik * h),
-    "grad_ks": ("ks", lambda sp, h: sp.ik * h),
+    "hess_logR": ("logR", _hess),
+    "grad_root_s": ("root_s", _grad),
+    "grad_ks": ("ks", _grad),
     # row divergences of the Korteweg stress
-    "div_stress": ("stress", lambda sp, h: sp.sum_axes(sp.ik * h[sp.hess_full])),
+    "div_stress": ("stress", lambda sp, h: _div(sp, h[sp.hess_full])),
 }
 
 
@@ -214,8 +236,7 @@ class StateOps:
         fields = dict.fromkeys(key for key in todo.values() if key not in self._hat)
         stacks = {key: _FIELDS[key[0]](self, *key[1:]) for key in fields}
         self._hat.update(sp.batch(sp.fwd, stacks))
-        parts = {n: partial(_DERIVS[n][1], sp, self._hat[key])
-                 for n, key in todo.items() if n in _DERIVS}
+        parts = {n: _DERIVS[n][1](sp, self._hat[key]) for n, key in todo.items() if n in _DERIVS}
         self._arr.update(sp.batch(sp.inv, parts))
         for key in fields.keys() - named:
             del self._hat[key]

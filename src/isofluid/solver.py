@@ -39,20 +39,29 @@ Spectral carry.  A state goes back to physical space only where a pointwise
 product, a drag or a check reads it.  advance transforms [R, M] forward once;
 the linear half steps act on those coefficients, and each is followed by the
 step's only inverses of [R, M] (N and the drag read R and M pointwise).
-density_forces takes Rhat from the first half step, transforms only
+density forces take Rhat from the first half step, transform only
 sqrt_reg(R) forward, their derivatives back and the force products (the
-confinement 2 y R among them) forward, and keeps the forces as coefficients.
+confinement 2 y R among them) forward, and keep the forces as coefficients.
 n_rhs takes Mhat and returns its rate as coefficients: U forward, grad U
 back, the upper triangle of the symmetric stress (flux plus viscous) and the
 delta1 cross product forward; the delta2 field is Uhat - c_u Mhat.  RK stages
 1 and 2 invert their rate once each (the next stage's U = M / rho_sm reads
 M) and keep Mhat alongside; stage 3 stays in Fourier space and feeds the
-second half step.  The quantities that depend on R alone (rho_sm, the
-density forces, grad R) are built once per N substep.  In 1D a stack is one
-transform call, 17 per advance; for d > 1 a forward stack is one call and an
-inverse one call per component, 46 per 2D and 71 per 3D advance (see the
-spectral module notes).  The carry moves results only at round-off, and R's
-zero mode is carried exactly.
+second half step.  The quantities that depend on R alone (rho_sm, R/2, the
+density forces, grad R) are built once per N substep.
+
+One first stage.  density_forces builds the R-only inputs and leaves its
+three transform batches to a job (see Spectral.run_jobs) that the substep's
+first n_rhs runs beside its own: in 1D the two jobs' batches go merged, s
+with U forward, the derivatives of R and s with grad U back, and the force
+products with the stress and cross products forward; for d > 1 the density
+job runs first and alone, so no array lives longer than it would unfused.
+Every batch is written in place into one stack, and so is advance's [R, M].
+In 1D a stack is one transform call, 14 per advance (17 unfused); for
+d > 1 a forward stack is one call and an inverse one call per component,
+40 per 2D and 65 per 3D advance (46 and 71 with a call per forward part;
+see the spectral module notes).  The carry moves results only at
+round-off, and R's zero mode is carried exactly.
 
 Terms that are off.  A step skips work whose result nothing reads or that
 is an identity: without delta2 it builds no c_u, and L neither builds nor
@@ -82,7 +91,7 @@ import math
 import resource
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Generator
 
 import numpy as np
 
@@ -197,15 +206,20 @@ def state_from_arrays(grid: Grid, t: float, R, M, mass_ratio: float = 1.0) -> Fl
     return FluidState(t=t, grid=grid, R=R, M=M, mass_ratio=mass_ratio)
 
 
-class _Frozen(NamedTuple):
+@dataclass(eq=False)
+class _Frozen:
     """What the N substep reads of R, which it never changes: R, rho_sm(R),
-    the coefficients Fh of the density forces on M ((d,) + half spectrum)
-    and grad R ((d,) + grid.shape)."""
+    R/2 (the bounded viscous stress's factor, else None), grad R
+    ((d,) + grid.shape) and the coefficients Fh of the density forces on M
+    ((d,) + half spectrum).  grad R and Fh are left to `job`, the density
+    forces' transform batches, which the first n_rhs runs and clears."""
 
     R: np.ndarray
     rho: np.ndarray
-    Fh: np.ndarray
-    grad_R: np.ndarray
+    R_half: np.ndarray | None
+    job: Generator | None = None
+    grad_R: np.ndarray | None = None
+    Fh: np.ndarray | None = None
 
 
 class _Stepper:
@@ -234,13 +248,39 @@ class _Stepper:
         self.eta1_ik = p.eta1 * sp.ik
         self.delta1_mask = p.delta1 * sp.mask
         self.delta2_lap2 = p.delta2 * sp.lap_symbol(2)
+        # the gates of the terms, and the Layouts of the N substep's batches:
+        # n_rhs's three and the density forces' three, whose rows follow
+        # n_rhs's in 1D, where the two share each stack (see the module notes)
+        self.vacuum = p.nu > 0 and self.viscous_form == "vacuum"
+        self.grad_u = p.delta1 > 0 or (p.nu > 0 and not self.vacuum)
+        self.jacobian = (g.d, g.d) + sp.half_shape
+        d, fwd, inv, upper = g.d, sp.fwd, sp.inv, (len(sp.hess_keys),)
+        self.rhs_layouts = (
+            sp.layout(fwd, {"U": (d,)} if self.grad_u or p.delta2 > 0 else {}),
+            sp.layout(inv, {**({"U": (d * d,)} if self.grad_u else {}),
+                            **({"M": (d * d,)} if self.vacuum else {})}),
+            sp.layout(fwd, {"stress": upper, **({"cross": (d,)} if p.delta1 > 0 else {})}),
+        )
+        density = (
+            (fwd, {"s": (1,)} if p.eps > 0 else {}),
+            (inv, {"grad_R": (d,), **({"eta2": (d,)} if p.eta2 > 0 else {}),
+                   **({"s": sp.deriv_sym.shape[:1]} if p.eps > 0 else {})}),
+            (fwd, {"confinement": (d,), **({"korteweg": upper} if p.eps > 0 else {}),
+                   **({"cold": (1,)} if p.eta1 > 0 else {}),
+                   **({"eta2": (d,)} if p.eta2 > 0 else {})}),
+        )
+        self.density_layouts = tuple(
+            sp.layout(tf, leads, rhs.end if d == 1 else 0)
+            for (tf, leads), rhs in zip(density, self.rhs_layouts)
+        )
         self._propagator = (None, None)
         self._rho = (None, None)
+        self._drag_R = (None, (None, None))
 
     # -- helpers -----------------------------------------------------------
 
-    def rho_tilde(self, R):
-        return np.maximum(R, self.r_min)
+    def rho_tilde(self, R, out=None):
+        return np.maximum(R, self.r_min, out=out)
 
     def rho_smooth(self, R):
         """smooth_density(R, r_min): equals R up to a relative bias
@@ -259,12 +299,12 @@ class _Stepper:
             self._rho = (R, rho)
         return rho
 
-    def sqrt_reg(self, R, rho):
+    def sqrt_reg(self, R, rho, out=None):
         """Smooth regularized root from rho = rho_sm(R): sqrt(R) + O(r_min/sqrt(R))
         in the bulk, C-infinity through ring-induced zero crossings (plain
         sqrt(max(R, 0)) has square-root kinks there whose Korteweg stress
-        pollutes the tails)."""
-        return np.sqrt(0.5 * (R + rho))
+        pollutes the tails).  Written into out where it is given."""
+        return np.sqrt(0.5 * (R + rho), out=out)
 
     def bilaplacian_coefficient(self, R):
         """c_u of the implicit damping -delta2 c_u lap^2 M: twice the largest
@@ -280,26 +320,37 @@ class _Stepper:
     def drag_coefficients(self, R, M, tau_v):
         """(a, b, |M|^2) of the drag ODE dM/dt = -(a + b |M|^2) M, with
         a = r0 / (tau^2 rho_sm) and b = r1 R^+ / (tau^2 rho_sm^3); b and |M|^2
-        are None when r1 = 0."""
+        are None when r1 = 0.  r1 R^+ and rho_sm^3 are kept, like rho_sm,
+        for the last R: the last drag of a step and the first of the next
+        read one R."""
         p = self.p
         rho = self.rho_smooth(R)
         a = p.r0 / (tau_v**2 * rho)
         if p.r1 == 0.0:
             return a, None, None
-        return a, p.r1 * np.maximum(R, 0.0) / (tau_v**2 * rho**3), self.sp.sum_axes(M * M)
+        key, (num, rho3) = self._drag_R
+        if key is not R:
+            num, rho3 = p.r1 * np.maximum(R, 0.0), rho**3
+            self._drag_R = (R, (num, rho3))
+        return a, num / (tau_v**2 * rho3), self.sp.sum_axes(M * M)
 
-    def drag_flow(self, R, M, h, tau_v):
+    def drag_flow(self, R, M, h, tau_v, out=None):
+        """M after the drag's time h, written into out where it is given."""
         p = self.p
         if p.r0 == 0.0 and p.r1 == 0.0:
-            return M
+            if out is None or out is M:
+                return M
+            out[...] = M
+            return out
         a, b, m2 = self.drag_coefficients(R, M, tau_v)
         if b is None:
             fac = np.exp(-a * h)
         elif p.r0 > 0.0:
-            fac = np.sqrt(a * np.exp(-2.0 * a * h) / (a - b * m2 * np.expm1(-2.0 * a * h)))
+            x = -2.0 * a * h
+            fac = np.sqrt(a * np.exp(x) / (a - b * m2 * np.expm1(x)))
         else:
             fac = np.sqrt(1.0 / (1.0 + 2.0 * b * m2 * h))
-        return M * fac
+        return np.multiply(M, fac, out=out)
 
     def drag_rate(self, R, M, tau_v):
         """Generator of drag_flow: -(a + b |M|^2) M."""
@@ -337,7 +388,7 @@ class _Stepper:
         vacuum cells, turning neutral dispersion into growth."""
         sp = self.sp
         Ea, S_t2, Ee = self.propagator(h, tau_v, c_u)
-        Xh[0] = Ea * Xh[0] - S_t2 * sp.sum_axes(sp.ik * Xh[1:])
+        np.subtract(Ea * Xh[0], S_t2 * sp.sum_axes(sp.ik * Xh[1:]), out=Xh[0])
         if self.p.delta2 > 0:  # else e^(e h) = 1
             Xh[1:] *= Ee
         return Xh
@@ -371,46 +422,63 @@ class _Stepper:
     KORTEWEG_BAND = ETA2_BAND = _DEALIASED
 
     def density_forces(self, R, Rh, tau_v, taudot_v) -> _Frozen:
-        """Forces on M that depend on R only (constant during the N substep),
-        as coefficients: confinement + pressure (+ nu taudot/tau grad R), the
-        divergence-form Korteweg stress of the root s = sqrt_reg(R), cold
-        pressure, and the eta2 term; returned with the other R-only inputs
-        of n_rhs.  Rh = fwd(R) comes from the linear half step.  Three
-        transform batches: s forward; grad R, the eta2 grad lap^(2s+1) R,
-        grad s and hess s back; the confinement 2 y R, the upper stress
-        entries, the cold pressure and the eta2 products forward.  The
-        spectral parts of each component are then summed; nothing goes
-        back."""
-        p, sp = self.p, self.sp
-        t2 = tau_v**2
+        """The R-only inputs of n_rhs, with the forces on M that depend on R
+        only (constant during the N substep) left to a job: confinement +
+        pressure (+ nu taudot/tau grad R), the divergence-form Korteweg
+        stress of the root s = sqrt_reg(R), cold pressure, and the eta2
+        term.  Rh = fwd(R) comes from the linear half step."""
         rho = self.rho_smooth(R)
-        derivs = {"grad_R": sp.ik * Rh}
-        if p.eta2 > 0:
-            derivs["eta2"] = sp.grad_lap_symbol(2 * p.s + 1) * Rh
-        if p.eps > 0:
-            s = self.sqrt_reg(R, rho)
-            derivs["s"] = sp.deriv_sym * sp.fwd(s)
-        back = sp.batch(sp.inv, derivs)
-        prods = {"confinement": self.y2 * R}
-        if p.eps > 0:
+        fz = _Frozen(R, rho, R * 0.5 if self.p.nu > 0 and not self.vacuum else None)
+        fz.job = self._density_job(fz, Rh, tau_v, taudot_v)
+        return fz
+
+    def _density_job(self, fz, Rh, tau_v, taudot_v):
+        """The density forces' three batches (density_layouts), a job of
+        Spectral.run_jobs that sets fz.grad_R and fz.Fh: s forward; grad R,
+        the eta2 grad lap^(2s+1) R, grad s and hess s back; the confinement
+        2 y R, the upper Korteweg stress entries, the cold pressure and the
+        eta2 products forward.  The spectral parts of each component are
+        then summed; nothing goes back."""
+        p, sp, d, R = self.p, self.sp, self.sp.d, fz.R
+        t2 = tau_v**2
+        at1, at2, at3 = self.density_layouts
+        eps, eta1, eta2 = p.eps > 0, p.eta1 > 0, p.eta2 > 0
+        st = yield at1
+        s = self.sqrt_reg(R, fz.rho, st[at1.s]) if eps else None
+        res = yield
+        st = yield at2
+        np.multiply(sp.ik, Rh, out=st[at2.grad_R])
+        if eta2:
+            np.multiply(sp.grad_lap_symbol(2 * p.s + 1), Rh, out=st[at2.eta2])
+        if eps:
+            np.multiply(sp.deriv_sym, res[at1.s], out=st[at2.s])
+        del res
+        back = yield
+        fz.grad_R = back[at2.grad_R]
+        st = yield at3
+        np.multiply(self.y2, R, out=st[at3.confinement])
+        if eps:
             # the stress is symmetric: transform its upper entries and
             # mirror them through sp.hess_full
-            gs, hs = back["s"][: sp.d], back["s"][sp.d :]
-            prods["stress"] = diag.korteweg_stress_entries(sp, s, gs, hs)
-        if p.eta1 > 0:
-            prods["cold"] = self.rho_tilde(R)[None] ** (-p.alpha)
-        if p.eta2 > 0:
-            prods["eta2"] = R * back["eta2"]
-        ph = sp.batch(sp.fwd, prods)
-        Fh = (p.nu * taudot_v / tau_v - 1.0) * sp.ik * Rh - ph["confinement"]
-        if p.eps > 0:
-            stress_h = ph["stress"][sp.hess_full]
+            ds = back[at2.s]
+            diag.korteweg_stress_entries(sp, s, ds[:d], ds[d:], st[at3.korteweg])
+        if eta1:
+            cold = st[at3.cold]
+            self.rho_tilde(R, cold[0])
+            cold **= -p.alpha
+        if eta2:
+            np.multiply(R, back[at2.eta2], out=st[at3.eta2])
+        del back
+        ph = yield
+        Fh = (p.nu * taudot_v / tau_v - 1.0) * sp.ik * Rh - ph[at3.confinement]
+        if eps:
+            stress_h = ph[at3.korteweg][sp.hess_full]
             Fh += (p.eps**2 / (2.0 * t2)) * sp.div_dealiased_hat(stress_h)
-        if p.eta1 > 0:
-            Fh += self.eta1_ik * ph["cold"]
-        if p.eta2 > 0:
-            Fh += (p.eta2 / t2) * sp.mask * ph["eta2"]
-        return _Frozen(R, rho, Fh, back["grad_R"])
+        if eta1:
+            Fh += self.eta1_ik * ph[at3.cold]
+        if eta2:
+            Fh += (p.eta2 / t2) * sp.mask * ph[at3.eta2]
+        fz.Fh = Fh
 
     # the flux and the viscous stress enter M through div_dealiased_hat, but
     # the flux's waves run at U +- c, not at the advective rate's U, so that
@@ -419,12 +487,13 @@ class _Stepper:
     ADVECTIVE_BAND = 1.0
     VISCOUS_BAND = _DEALIASED
 
-    def stress(self, fz: _Frozen, M, U, gradU, gradM):
+    def stress(self, fz: _Frozen, M, U, gradU, gradM, out):
         """The upper entries (sp.hess_keys order) of the symmetric momentum
         flux -M x U = -M x M / rho_sm plus the viscous stress nu R D(U),
-        stacked (d(d+1)/2,) + grid.shape: the entry (i, j), i <= j, of the
-        flux is -M_j U_i (gradU[j, i] = d_i U_j, gradM likewise; each is
-        needed only by its viscous form).
+        stacked (d(d+1)/2,) + grid.shape and written into out: the entry
+        (i, j), i <= j, of the flux is -M_j U_i (the flattened Jacobian
+        gradU[j d + i] = d_i U_j, gradM likewise; each is needed only by its
+        viscous form).
 
         Two exact assemblies of R D(U): the bounded form R * D(M/rho) pairs
         cleanly with the energy functionals; the vacuum form
@@ -433,47 +502,71 @@ class _Stepper:
         momentum amplifier on long vacuum runs."""
         nu, gR, sp = self.p.nu, fz.grad_R, self.sp
         (i, j), (ji, ij) = sp.hess_upper, sp.hess_flat
-        out = -M[j] * U[i]
+        out = np.negative(M[j], out=out)
+        out *= U[i]
         if nu > 0 and self.viscous_form == "bounded":
-            gU = gradU.reshape((-1,) + sp.shape)
-            out += nu * (fz.R * 0.5 * (gU[ji] + gU[ij]))
+            out += nu * (fz.R_half * (gradU[ji] + gradU[ij]))
         elif nu > 0:
-            gM = gradM.reshape((-1,) + sp.shape)
-            out += nu * (0.5 * (gM[ji] + gM[ij]) - 0.5 * (U[j] * gR[i] + U[i] * gR[j]))
+            out += nu * (0.5 * (gradM[ji] + gradM[ij]) - 0.5 * (U[j] * gR[i] + U[i] * gR[j]))
         return out
 
     def n_rhs(self, M, Mh, fz: _Frozen, tau_v, c_u):
         """Coefficients of the explicit remainder's rate: the M-dependent
-        part plus the frozen Fh, from M and its coefficients Mh.  Per
-        component one dealiased divergence of the mirrored stress row plus
-        the delta1 and delta2 terms, summed in spectral space.  Three
-        transform batches: U forward (for delta1, delta2 or the bounded
-        viscous form); grad U (grad M, from Mh, in the vacuum viscous form)
-        back; the upper stress entries and the delta1 cross product
-        forward.  The delta2 field U - c_u M goes as Uh - c_u Mh."""
+        part plus the frozen Fh, from M and its coefficients Mh.  The first
+        call of an N substep runs fz's density job beside its own (see the
+        module notes)."""
+        job = self._rhs_job(M, Mh, fz, tau_v, c_u)
+        if fz.job is None:
+            return self.sp.run_jobs(job)[0]
+        density, fz.job = fz.job, None
+        return self.sp.run_jobs(density, job)[1]
+
+    def _rhs_job(self, M, Mh, fz: _Frozen, tau_v, c_u):
+        """n_rhs's three batches (rhs_layouts), a job of Spectral.run_jobs:
+        U forward (for delta1, delta2 or the bounded viscous form); grad U
+        (grad M, from Mh, in the vacuum viscous form) back; the upper stress
+        entries and the delta1 cross product forward.  Per component one
+        dealiased divergence of the mirrored stress row plus the delta1 and
+        delta2 terms, summed in spectral space; the delta2 field U - c_u M
+        goes as Uh - c_u Mh.  Reads fz.grad_R and fz.Fh only after its
+        second batch."""
         p, sp = self.p, self.sp
-        U = M / fz.rho
-        vacuum = p.nu > 0 and self.viscous_form == "vacuum"
-        grad_u = p.delta1 > 0 or (p.nu > 0 and not vacuum)
-        Uh = sp.fwd(U) if grad_u or p.delta2 > 0 else None
-        to_grad = {}
-        if grad_u:
-            to_grad["U"] = sp.apply(sp.ik, Uh)
-        if vacuum:
-            to_grad["M"] = sp.apply(sp.ik, Mh)
-        grads = sp.batch(sp.inv, to_grad)
-        # gradU[j, i] = d_i U_j, likewise gradM
-        gradU, gradM = grads.get("U"), grads.get("M")
-        prods = {"stress": self.stress(fz, M, U, gradU, gradM)}
+        at1, at2, at3 = self.rhs_layouts
+        hat_u = self.grad_u or p.delta2 > 0
+        st = yield at1
+        U = np.divide(M, fz.rho, out=st[at1.U] if hat_u else None)
+        res = yield
+        Uh = res[at1.U] if hat_u else None
+        st = yield at2
+        if self.grad_u:
+            sp.apply(sp.ik, Uh, st[at2.U].reshape(self.jacobian))
+        if self.vacuum:
+            sp.apply(sp.ik, Mh, st[at2.M].reshape(self.jacobian))
+        res = yield
+        # flattened Jacobians: gradU[j d + i] = d_i U_j, likewise gradM
+        gradU = res[at2.U] if self.grad_u else None
+        gradM = res[at2.M] if self.vacuum else None
+        st = yield at3
+        self.stress(fz, M, U, gradU, gradM, st[at3.stress])
         if p.delta1 > 0:
-            prods["cross"] = sp.sum_axes(fz.grad_R * gradU)
-        ph = sp.batch(sp.fwd, prods)
-        fh = sp.div_dealiased_hat(ph["stress"][sp.hess_full])
+            self._cross(fz.grad_R, gradU, st[at3.cross])
+        ph = yield
+        fh = sp.div_dealiased_hat(ph[at3.stress][sp.hess_full])
         if p.delta1 > 0:
-            fh -= self.delta1_mask * ph["cross"]
+            fh -= self.delta1_mask * ph[at3.cross]
         if p.delta2 > 0:
             fh -= self.delta2_lap2 * (Uh - c_u * Mh)
         return fh / tau_v**2 + fz.Fh
+
+    def _cross(self, grad_R, gradU, out):
+        """The delta1 cross product sum_i d_i R d_i U_j, stacked over j, from
+        the flattened Jacobian gradU[j d + i] = d_i U_j, written into out;
+        summed in order i = 0..d-1."""
+        d = self.sp.d
+        out = np.multiply(gradU[0::d], grad_R[0], out=out)
+        for i in range(1, d):
+            out += gradU[i::d] * grad_R[i]
+        return out
 
     # -- CFL -------------------------------------------------------------------
 
@@ -525,13 +618,13 @@ class _Stepper:
         its force reaches (the *_BAND constants beside the forces)."""
         p, kmx = self.p, self.kmx
         t2 = tau_v**2
-        rmax = max(float(np.max(R)), 1e-300)
+        rmax = max(float(R.max()), 1e-300)
         live = R > 1e-6 * rmax
         u2 = self.sp.sum_axes((M / self.rho_smooth(R)) ** 2)
-        u2max = max(float(np.max(np.where(live, u2, 0.0))), 1e-300)
+        u2max = max(float(np.where(live, u2, 0.0).max()), 1e-300)
         cs2 = 1.0 + p.nu * abs(taudot_v) / tau_v
         if p.eta1 > 0:
-            cs2 += p.eta1 * p.alpha * float(np.max(self.rho_tilde(R) ** (-p.alpha - 1.0)))
+            cs2 += p.eta1 * p.alpha * float((self.rho_tilde(R) ** (-p.alpha - 1.0)).max())
         rows = [
             ("advective", math.sqrt(u2max) * kmx / t2, 1, self.ADVECTIVE_BAND),
             ("acoustic", math.sqrt(cs2) * kmx / tau_v, 1, self.ACOUSTIC_BAND),
@@ -559,8 +652,10 @@ class _Stepper:
         sp = self.sp
         c_u = self.bilaplacian_coefficient(R)
 
-        M = self.drag_flow(R, M, 0.5 * h, tau_v)
-        Xh = self.linear_flow(sp.fwd(np.concatenate((R[None], M))), 0.5 * h, tau_v, c_u)
+        X = np.empty((sp.d + 1,) + sp.shape)
+        X[0] = R
+        self.drag_flow(R, M, 0.5 * h, tau_v, X[1:])
+        Xh = self.linear_flow(sp.fwd(X), 0.5 * h, tau_v, c_u)
         X = sp.inv(Xh)
         R, M, Mh = X[0], X[1:], Xh[1:]
 
@@ -574,7 +669,7 @@ class _Stepper:
 
         X = sp.inv(self.linear_flow(Xh, 0.5 * h, tau_v, c_u))
         R, M = X[0], X[1:]
-        M = self.drag_flow(R, M, 0.5 * h, tau_v)
+        M = self.drag_flow(R, M, 0.5 * h, tau_v, M)
         M = self.vacuum_sponge(R, M, h, tau_v, taudot_v)
         return R, M
 

@@ -22,13 +22,24 @@ Conventions
   div/div_dealiased sum over that axis.  A forward transform takes the
   whole stack in one call: rfft in 1D, rfftn over the grid axes otherwise
   (on a 2-core x86 host, scipy 1.17, one rfft call took about 9 us on one
-  256-point row and about 14 us on six, and one rfftn on 4 x 128^2 about
-  260 us against 321 us for four calls).  An inverse takes the whole stack
-  in one irfft call in 1D, but for d > 1 each component gets its own
-  irfftn call, because one multi-axis inverse on a stack measured slower
-  (4 x 128^2: 0.99 ms, against 0.73 ms for four calls; 0.8-0.9x as fast
-  with 4 or more components in 2D).  A component's coefficients and
-  samples are bitwise the same either way;
+  256-point row and about 14 us on six; one rfftn on 3 x 128^2 took 405 us
+  against 453 us for three calls, and on 4 x 128^2 532 us against 608 us).
+  An inverse takes the whole stack in one irfft call in 1D, but for d > 1
+  each component gets its own irfftn call, because one multi-axis inverse
+  on a stack measured slower (4 x 128^2: 0.99 ms, against 0.73 ms for four
+  calls; 0.8-0.9x as fast with 4 or more components in 2D).  A component's
+  coefficients and samples are bitwise the same either way;
+* batches: a Layout gives each named part of a batch its rows in one
+  stack, allocated per batch, into which the part is written in place (by
+  its ufunc's out=; Spectral.batch copies an array part in): one call in 1D
+  and one forward call for d > 1, where an inverse gives each part its own
+  output, so that a result kept after the batch (grad R through the N
+  substep, a record's kept derivatives) does not hold the others alive.
+  Spectral.run_jobs drives jobs, generators that write their batches: in
+  1D the jobs share each level's stack, one call; for d > 1 one job runs
+  after the other, so that no array of one job lives through another's.
+  On a 2-core x86 host a 1D RK stage's rate written this way took 44 us,
+  against 47 us built part by part and then concatenated;
 * index tables: the Hessian tables (hess_upper, hess_flat, hess_full,
   hess_diag) gather entries along a stack's leading axis.  Where a table's
   index set is one contiguous run, as in 1D, it is a basic slice and the
@@ -59,7 +70,7 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 
-__all__ = ["Grid", "Spectral"]
+__all__ = ["Grid", "Layout", "Spectral"]
 
 
 def _along(d: int, i: int, v: np.ndarray) -> np.ndarray:
@@ -187,6 +198,7 @@ class Spectral:
         self.size = math.prod(self.shape)
         self.calls = 0  # scipy.fft calls made so far
         self._symbols: dict = {}
+        self._layouts: dict = {}  # see layout
         # index of a new component axis, and of each entry of the existing
         # one, just in front of the grid axes
         grid_axes = (slice(None),) * self.d
@@ -271,24 +283,103 @@ class Spectral:
             ("grad_lap_norm", p), lambda: self.sum_axes(np.abs(self.grad_lap_symbol(p)) ** 2)
         )
 
+    def layout(self, transform, leads: dict, offset: int = 0) -> "Layout":
+        """The Layout of a batch of `transform` (fwd or inv) whose named
+        parts have these leading shapes, its rows from `offset` on; built
+        once."""
+        key = (transform, offset, *leads.items())
+        lay = self._layouts.get(key)
+        if lay is None:
+            lay = self._layouts[key] = Layout(self, transform == self.fwd, leads, offset)
+        return lay
+
     def batch(self, transform, parts: dict) -> dict:
         """`transform` (fwd or inv) of the named parts, each a stack of any
-        leading shape or a function that builds it; each result keeps its
-        part's leading shape.  In 1D the parts go as one concatenated stack,
-        one call; for d > 1 each part goes alone (a forward stack is one
-        call, an inverse one call per component anyway), a function's part
-        built just before its transform."""
-        if len(parts) < 2 or self.d > 1:
-            return {name: transform(v() if callable(v) else v) for name, v in parts.items()}
-        stacks = [v() if callable(v) else v for v in parts.values()]
-        flat = [v if v.ndim == 2 else v.reshape(-1, v.shape[-1]) for v in stacks]
-        out = transform(np.concatenate(flat))
-        pieces, lo = {}, 0
-        for name, v, f in zip(parts, stacks, flat):
-            piece = out[lo : lo + len(f)]
-            pieces[name] = piece if f is v else piece.reshape(v.shape[:-1] + out.shape[-1:])
-            lo += len(f)
-        return pieces
+        leading shape or a pair (lead, fill), fill(out) writing the stack
+        of leading shape lead into out; each result keeps its part's
+        leading shape.  The parts are written into one stack (see Layout),
+        except that a lone part, and each part of a d > 1 inverse, goes on
+        its own, built just before its calls."""
+        if len(parts) == 1 or (self.d > 1 and transform != self.fwd):
+            # each part alone, built just before its calls
+            return {name: transform(self._built(v, transform)) for name, v in parts.items()}
+        lay = self.layout(transform, {name: v[0] if type(v) is tuple else v.shape[: v.ndim - self.d]
+                                      for name, v in parts.items()})
+        stack = np.empty(lay.end_shape, lay.dtype)
+        for (name, cut, shape, _), v in zip(lay.parts, parts.values()):
+            view = stack[cut] if shape is None else stack[cut].reshape(shape)
+            if type(v) is tuple:
+                v[1](view)
+            else:
+                view[...] = v
+        results = self._transform_stack(lay, stack)
+        return {name: results[cut] if shape is None else results[cut].reshape(shape)
+                for name, cut, _, shape in lay.parts}
+
+    def _built(self, part, transform):
+        """A batch part as an array: itself, or the stack its fill writes."""
+        if type(part) is not tuple:
+            return part
+        lead, fill = part
+        fwd = transform == self.fwd
+        out = np.empty(lead + (self.shape if fwd else self.half_shape), float if fwd else complex)
+        fill(out)
+        return out
+
+    def _transform_stack(self, lay: "Layout", stack):
+        """The transform of a stack laid out by lay (or by Layouts of one
+        transform that share it): the array of the results at the parts'
+        rows, or for a d > 1 inverse the results of each part on its own,
+        read the same way, res[cut]; None, and no call, for a stack
+        without rows."""
+        if not len(stack):
+            return None
+        if lay.each:
+            return _PerPart((cut.start, self.inv(stack[cut])) for _, cut, _, _ in lay.parts)
+        return self.fwd(stack) if lay.forward else self.inv(stack)
+
+    def run_jobs(self, *jobs) -> list:
+        """The return values of jobs: generators that write their batches
+        into stacks.  At each batch a job yields the Layout of its parts,
+        is sent the stack and writes them into their rows (Layout
+        attributes name them), yields again and is sent the transformed
+        stack (_transform_stack).  In 1D the jobs go in step: at
+        each level they share one stack, so their Layouts must be of one
+        transform, with rows apart, and the jobs must end together; at each
+        level they resume in the order given, so a job may read what an
+        earlier one wrote.  For d > 1 one job runs after the other, so that
+        no array of one job lives through another's (see the module
+        notes)."""
+        if self.d > 1 or len(jobs) == 1:
+            return [self._alone(job) for job in jobs]
+        out, results = [None] * len(jobs), None
+        while True:
+            lays = []
+            for i, job in enumerate(jobs):
+                try:
+                    lays.append(job.send(results))
+                except StopIteration as stop:
+                    out[i] = stop.value
+            if not lays:
+                return out
+            stack = np.empty((max(lay.end for lay in lays),) + lays[0].base, lays[0].dtype)
+            for job in jobs:
+                job.send(stack)
+            results = self._transform_stack(lays[0], stack)
+            del stack  # the stack lives no longer than the parts written into it
+
+    def _alone(self, job):
+        """run_jobs of one job."""
+        results = None
+        try:
+            while True:
+                lay = job.send(results)
+                stack = np.empty(lay.end_shape, lay.dtype)
+                job.send(stack)
+                results = self._transform_stack(lay, stack)
+                del stack
+        except StopIteration as stop:
+            return stop.value
 
     def inner(self, ah, bh) -> float:
         """Grid sum of a * b (and over the stack) from ah = fwd(a), bh = fwd(b)
@@ -308,10 +399,11 @@ class Spectral:
 
     # -- operations on real arrays or stacks
 
-    def apply(self, syms, ah) -> np.ndarray:
+    def apply(self, syms, ah, out=None) -> np.ndarray:
         """Each symbol of the stack `syms` times each coefficient array of
-        `ah`: shape ah.lead + syms.lead + half (ready for one inverse)."""
-        return syms * ah[self._new_axis]
+        `ah`: shape ah.lead + syms.lead + half (ready for one inverse),
+        written into out where it is given."""
+        return np.multiply(syms, ah[self._new_axis], out=out)
 
     def sum_axes(self, x) -> np.ndarray:
         """Sum over the d-long component axis just in front of the grid axes
@@ -343,3 +435,42 @@ class Spectral:
 
     def div_dealiased(self, comps) -> np.ndarray:
         return self.inv(self.div_dealiased_hat(self.fwd(np.asarray(comps))))
+
+
+class Layout:
+    """The rows of a batch's parts in its stack, allocated per batch: each
+    named part's slice of rows (its leading shape flattened), also an
+    attribute of that name, from `offset` on.  `parts` holds (name, cut,
+    view shape, result shape), the shapes None for a one-axis lead, which
+    needs no reshape.  Built by Spectral.layout."""
+
+    def __init__(self, sp: Spectral, forward: bool, leads: dict, offset: int = 0):
+        self.forward = forward
+        self.base, res = (sp.shape, sp.half_shape) if forward else (sp.half_shape, sp.shape)
+        self.dtype = float if forward else complex
+        # a d > 1 inverse: one output per part (see the module notes)
+        self.each = sp.d > 1 and not forward
+        self.parts, lo = [], offset
+        for name, lead in leads.items():
+            cut = slice(lo, lo + math.prod(lead))
+            if isinstance(name, str):
+                if name in _LAYOUT_FIELDS:
+                    raise ValueError(f"a part may not be named {name!r}")
+                setattr(self, name, cut)
+            one = len(lead) == 1
+            self.parts.append((name, cut, None if one else lead + self.base,
+                               None if one else lead + res))
+            lo = cut.stop
+        self.end = lo
+        self.end_shape = (lo,) + self.base
+
+
+_LAYOUT_FIELDS = {"forward", "base", "dtype", "each", "parts", "end", "end_shape"}
+
+
+class _PerPart(dict):
+    """The results of a d > 1 inverse batch, one array per part, keyed by
+    the start of the part's rows and read as res[cut]."""
+
+    def __getitem__(self, cut):
+        return dict.__getitem__(self, cut.start)

@@ -156,14 +156,16 @@ def _count_transforms(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("d,expected", [(1, 17), (2, 46), (3, 71)])
+@pytest.mark.parametrize("d,expected", [(1, 14), (2, 40), (3, 65)])
 def test_transform_calls_per_advance(monkeypatch, d, expected):
     # 1D transforms each substep batch as one stack: [R, M] forward once and
-    # back after each linear half step (3), 3 for the density forces, 3 per
-    # RK stage plus the inverse of the rate after stages 1 and 2; d > 1
-    # transforms each forward stack in one call and each inverse one
-    # component per call, and the symmetric stresses only their upper
-    # triangles
+    # back after each linear half step (3), 3 per RK stage, the density
+    # forces' 3 merged into stage 1's, plus the inverse of the rate after
+    # stages 1 and 2; d > 1 transforms each forward stack in one call and
+    # each inverse one component per call, and the symmetric stresses only
+    # their upper triangles.  For d > 1 the density forces run before stage
+    # 1, not merged, so that none of their arrays outlives them: 2 forward
+    # calls more than a merged stage would make (38 and 63)
     state, params = _baseline_setup(d)
     R, M = arrays_from_state(state)
     stepper = _Stepper(state.grid, params, float(R.mean()), float(R.min() / R.max()))
@@ -354,16 +356,18 @@ class _UnskippedStepper(_Stepper):
         Xh[1:] *= Ee
         return Xh
 
-    def stress(self, fz, M, U, gradU, gradM):
-        nu, gR = self.p.nu, fz.grad_R
+    def stress(self, fz, M, U, gradU, gradM, out):
+        # the flattened Jacobians: gradU[j d + i] = d_i U_j
+        nu, gR, d = self.p.nu, fz.grad_R, self.sp.d
         i, j = self.sp.hess_upper
-        out = -M[j] * U[i]
+        flux = -M[j] * U[i]
         if nu > 0 and self.viscous_form == "bounded":
-            out += nu * (fz.R * 0.5 * (gradU[j, i] + gradU[i, j]))
+            flux += nu * (fz.R * 0.5 * (gradU[j * d + i] + gradU[i * d + j]))
         elif nu > 0:
-            out += nu * (
-                0.5 * (gradM[j, i] + gradM[i, j]) - 0.5 * (U[j] * gR[i] + U[i] * gR[j])
+            flux += nu * (
+                0.5 * (gradM[j * d + i] + gradM[i * d + j]) - 0.5 * (U[j] * gR[i] + U[i] * gR[j])
             )
+        out[...] = flux
         return out
 
 
@@ -411,6 +415,199 @@ def test_advance_is_bitwise_the_unskipped_advance(setup):
     assert np.array_equal(R, R_ref) and np.array_equal(M, M_ref)
 
 
+class _UnfusedStepper(_Stepper):
+    """The advance before the density forces merged into the first RK
+    stage, kept as the bitwise reference of the merge and of the stacks
+    written in place: density_forces makes its own three transform batches
+    and returns the forces, each n_rhs builds its parts before it hands them
+    to Spectral.batch, [R, M] is concatenated, the linear half step assigns
+    Rhat, and the drag builds all its factors at each call."""
+
+    class Frozen(NamedTuple):
+        R: np.ndarray
+        rho: np.ndarray
+        Fh: np.ndarray
+        grad_R: np.ndarray
+
+    def drag_coefficients(self, R, M, tau_v):
+        p = self.p
+        rho = self.rho_smooth(R)
+        a = p.r0 / (tau_v**2 * rho)
+        if p.r1 == 0.0:
+            return a, None, None
+        return a, p.r1 * np.maximum(R, 0.0) / (tau_v**2 * rho**3), self.sp.sum_axes(M * M)
+
+    def drag_flow(self, R, M, h, tau_v):
+        p = self.p
+        if p.r0 == 0.0 and p.r1 == 0.0:
+            return M
+        a, b, m2 = self.drag_coefficients(R, M, tau_v)
+        if b is None:
+            fac = np.exp(-a * h)
+        elif p.r0 > 0.0:
+            fac = np.sqrt(a * np.exp(-2.0 * a * h) / (a - b * m2 * np.expm1(-2.0 * a * h)))
+        else:
+            fac = np.sqrt(1.0 / (1.0 + 2.0 * b * m2 * h))
+        return M * fac
+
+    def linear_flow(self, Xh, h, tau_v, c_u):
+        sp = self.sp
+        Ea, S_t2, Ee = self.propagator(h, tau_v, c_u)
+        Xh[0] = Ea * Xh[0] - S_t2 * sp.sum_axes(sp.ik * Xh[1:])
+        if self.p.delta2 > 0:
+            Xh[1:] *= Ee
+        return Xh
+
+    def density_forces(self, R, Rh, tau_v, taudot_v):
+        p, sp = self.p, self.sp
+        t2 = tau_v**2
+        rho = self.rho_smooth(R)
+        derivs = {"grad_R": sp.ik * Rh}
+        if p.eta2 > 0:
+            derivs["eta2"] = sp.grad_lap_symbol(2 * p.s + 1) * Rh
+        if p.eps > 0:
+            s = self.sqrt_reg(R, rho)
+            derivs["s"] = sp.deriv_sym * sp.fwd(s)
+        back = sp.batch(sp.inv, derivs)
+        prods = {"confinement": self.y2 * R}
+        if p.eps > 0:
+            gs, hs = back["s"][: sp.d], back["s"][sp.d :]
+            prods["stress"] = diag.korteweg_stress_entries(sp, s, gs, hs)
+        if p.eta1 > 0:
+            prods["cold"] = self.rho_tilde(R)[None] ** (-p.alpha)
+        if p.eta2 > 0:
+            prods["eta2"] = R * back["eta2"]
+        ph = sp.batch(sp.fwd, prods)
+        Fh = (p.nu * taudot_v / tau_v - 1.0) * sp.ik * Rh - ph["confinement"]
+        if p.eps > 0:
+            Fh += (p.eps**2 / (2.0 * t2)) * sp.div_dealiased_hat(ph["stress"][sp.hess_full])
+        if p.eta1 > 0:
+            Fh += self.eta1_ik * ph["cold"]
+        if p.eta2 > 0:
+            Fh += (p.eta2 / t2) * sp.mask * ph["eta2"]
+        return self.Frozen(R, rho, Fh, back["grad_R"])
+
+    def stress(self, fz, M, U, gradU, gradM):
+        nu, gR, sp = self.p.nu, fz.grad_R, self.sp
+        (i, j), (ji, ij) = sp.hess_upper, sp.hess_flat
+        out = -M[j] * U[i]
+        if nu > 0 and self.viscous_form == "bounded":
+            gU = gradU.reshape((-1,) + sp.shape)
+            out += nu * (fz.R * 0.5 * (gU[ji] + gU[ij]))
+        elif nu > 0:
+            gM = gradM.reshape((-1,) + sp.shape)
+            out += nu * (0.5 * (gM[ji] + gM[ij]) - 0.5 * (U[j] * gR[i] + U[i] * gR[j]))
+        return out
+
+    def n_rhs(self, M, Mh, fz, tau_v, c_u):
+        p, sp = self.p, self.sp
+        U = M / fz.rho
+        vacuum = p.nu > 0 and self.viscous_form == "vacuum"
+        grad_u = p.delta1 > 0 or (p.nu > 0 and not vacuum)
+        Uh = sp.fwd(U) if grad_u or p.delta2 > 0 else None
+        to_grad = {}
+        if grad_u:
+            to_grad["U"] = sp.apply(sp.ik, Uh)
+        if vacuum:
+            to_grad["M"] = sp.apply(sp.ik, Mh)
+        grads = sp.batch(sp.inv, to_grad)
+        gradU, gradM = grads.get("U"), grads.get("M")
+        prods = {"stress": self.stress(fz, M, U, gradU, gradM)}
+        if p.delta1 > 0:
+            prods["cross"] = sp.sum_axes(fz.grad_R * gradU)
+        ph = sp.batch(sp.fwd, prods)
+        fh = sp.div_dealiased_hat(ph["stress"][sp.hess_full])
+        if p.delta1 > 0:
+            fh -= self.delta1_mask * ph["cross"]
+        if p.delta2 > 0:
+            fh -= self.delta2_lap2 * (Uh - c_u * Mh)
+        return fh / tau_v**2 + fz.Fh
+
+    def advance(self, R, M, h, tau_pair):
+        tau_v, taudot_v = tau_pair
+        sp = self.sp
+        c_u = self.bilaplacian_coefficient(R)
+        M = self.drag_flow(R, M, 0.5 * h, tau_v)
+        Xh = self.linear_flow(sp.fwd(np.concatenate((R[None], M))), 0.5 * h, tau_v, c_u)
+        X = sp.inv(Xh)
+        R, M, Mh = X[0], X[1:], Xh[1:]
+        fz = self.density_forces(R, Xh[0], tau_v, taudot_v)
+        rh = h * self.n_rhs(M, Mh, fz, tau_v, c_u)
+        M1, M1h = M + sp.inv(rh), Mh + rh
+        rh = h * self.n_rhs(M1, M1h, fz, tau_v, c_u)
+        M2, M2h = 0.75 * M + 0.25 * (M1 + sp.inv(rh)), 0.75 * Mh + 0.25 * (M1h + rh)
+        rh = h * self.n_rhs(M2, M2h, fz, tau_v, c_u)
+        Xh[1:] = (1.0 / 3.0) * Mh + (2.0 / 3.0) * (M2h + rh)
+        X = sp.inv(self.linear_flow(Xh, 0.5 * h, tau_v, c_u))
+        R, M = X[0], X[1:]
+        M = self.drag_flow(R, M, 0.5 * h, tau_v)
+        M = self.vacuum_sponge(R, M, h, tau_v, taudot_v)
+        return R, M
+
+
+@pytest.mark.parametrize("setup", list(SKIP_SETUPS))
+def test_advance_is_bitwise_the_unfused_advance(setup):
+    # merging the density forces into the first RK stage, writing each
+    # batch in place and keeping the drag's R-only factors change no bit of
+    # the state
+    state, params, h = SKIP_SETUPS[setup]()
+    R0, M0 = arrays_from_state(state)
+    args = (state.grid, params, float(R0.mean()), _contrast(R0))
+    out = []
+    for stepper in (_Stepper(*args), _UnfusedStepper(*args)):
+        R, M = R0, M0
+        for k in range(30):
+            R, M = stepper.advance(R, M, h, (1.0 + 0.01 * k, 0.3))
+        out.append((R, M))
+    (R, M), (R_ref, M_ref) = out
+    assert np.all(np.isfinite(R)) and np.all(np.isfinite(M))
+    assert np.array_equal(R, R_ref) and np.array_equal(M, M_ref)
+
+
+@pytest.mark.parametrize("setup", ["full_reg", "drag_vacuum", "fixed_2d_n32"])
+def test_advance_results_outlive_the_next_advance(monkeypatch, setup):
+    # the R and M an advance returns come through the next advance unchanged
+    # and share no memory with the stacks of any batch or their transforms
+    from isofluid import spectral
+
+    state, params, h = SKIP_SETUPS[setup]()
+    R, M = arrays_from_state(state)
+    stepper = _Stepper(state.grid, params, float(R.mean()), _contrast(R))
+    stacks = []
+
+    def kept(self, lay, stack, _orig=spectral.Spectral._transform_stack):
+        out = _orig(self, lay, stack)
+        stacks.append(stack)
+        stacks.extend(out.values() if isinstance(out, dict) else [] if out is None else [out])
+        return out
+
+    monkeypatch.setattr(spectral.Spectral, "_transform_stack", kept)
+    R1, M1 = stepper.advance(R, M, h, (1.0, 0.3))
+    R1_in, M1_in = R1.copy(), M1.copy()
+    stepper.advance(R1, M1, h, (1.01, 0.3))
+    assert np.array_equal(R1, R1_in) and np.array_equal(M1, M1_in)
+    assert stacks
+    assert not any(np.shares_memory(a, s) for a in (R1, M1) for s in stacks)
+
+
+def test_run_snapshots_keep_the_states_of_their_steps(monkeypatch):
+    # a snapshot holds the arrays of its step, which later steps never write
+    from isofluid import solver
+
+    state, params = _baseline_setup(2, n=16)
+    taken = []
+
+    def copied(grid, t, R, M, mass_ratio=1.0, _orig=solver.state_from_arrays):
+        taken.append((R.copy(), M.copy()))
+        return _orig(grid, t, R, M, mass_ratio)
+
+    monkeypatch.setattr(solver, "state_from_arrays", copied)
+    traj = run(state, params, 5e-3, snapshot_every=1, diag_every=0)
+    assert traj.status == "ok" and len(traj.snapshots) == traj.n_steps + 1 == 6
+    for snap, (R, M) in zip(traj.snapshots, taken):
+        assert np.array_equal(snap.R, R) and np.array_equal(snap.M, M)
+
+
 @pytest.mark.parametrize("setup", list(SKIP_SETUPS))
 def test_advance_record_and_rhs_leave_their_input_unchanged(setup):
     # a gather that returns a view is never written into
@@ -427,14 +624,15 @@ def test_advance_record_and_rhs_leave_their_input_unchanged(setup):
 
 @pytest.mark.parametrize(
     "d,full,expected",
-    [(1, False, 3), (1, True, 4), (2, False, 21), (2, True, 40), (3, False, 32), (3, True, 65)],
+    [(1, False, 3), (1, True, 4), (2, False, 16), (2, True, 32), (3, False, 27), (3, True, 57)],
 )
 def test_transform_calls_per_record(monkeypatch, d, full, expected):
     # every derivative once per record: in 1D the state's fields go forward
     # in one call and their derivatives back in one, then lap log R (and, in
     # the full tier, lap sqrt R / sqrt R and the Korteweg stress) forward and
-    # their derivatives back; for d > 1 each field's forward is one call and
-    # each inverse component one call.  The Parseval terms make no inverse.
+    # their derivatives back; for d > 1 each stage's fields go forward in
+    # one call too, and each inverse component is one call.  The Parseval
+    # terms make no inverse.
     state, params = _baseline_setup(d)
     p = params.bind(d)
     R, M = arrays_from_state(state)

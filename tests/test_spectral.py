@@ -1,6 +1,7 @@
 """Transform, derivative, dealiasing and quadrature tests."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -284,3 +285,60 @@ def test_index_tables_gather_as_the_integer_tables(d, tail, seed):
             assert got.shape == x[ref].shape, name
             assert np.array_equal(got, x[ref]), name
             assert (d == 1) == np.shares_memory(got, x), name
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
+def test_batch_stacks_its_parts_bitwise(d, n):
+    # a batch writes its parts, arrays and (lead, fill) pairs, into one
+    # stack: each result is bitwise its part's own transform; a forward
+    # batch is one call, a d > 1 inverse one call per component with an
+    # output of each part's own
+    sp = Grid(d, 4.0, n).spectral
+    rng = np.random.default_rng(d)
+    a, b = rng.standard_normal((2,) + sp.shape), rng.standard_normal(sp.shape)
+    parts = {"a": a, "ab": ((2,), partial(np.multiply, a, b)), "b": b}
+    calls = sp.calls
+    hat = sp.batch(sp.fwd, parts)
+    assert sp.calls - calls == 1
+    for name, v in {"a": a, "ab": a * b, "b": b}.items():
+        assert np.array_equal(hat[name], sp.fwd(v)), name
+    derivs = {"grad": ((d,), partial(np.multiply, sp.ik, hat["b"])), "a": hat["a"]}
+    calls = sp.calls
+    back = sp.batch(sp.inv, derivs)
+    assert sp.calls - calls == (1 if d == 1 else d + 2)
+    assert np.array_equal(back["grad"], sp.inv(sp.ik * hat["b"]))
+    assert np.array_equal(back["a"], sp.inv(hat["a"]))
+    owner = [r if r.base is None else r.base for r in (back["grad"], back["a"])]
+    assert (d == 1) == (owner[0] is owner[1])
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
+def test_run_jobs_merge_in_1d_and_take_turns_for_d_above_1(d, n):
+    # two jobs of two batches each: in 1D they share each stack, one call a
+    # batch, and resume in turn; for d > 1 the first job ends before the
+    # second starts; either way each result is bitwise the job's own
+    sp = Grid(d, 4.0, n).spectral
+    x = np.random.default_rng(7).standard_normal(sp.shape)
+    first = sp.layout(sp.fwd, {"x": (1,)}), sp.layout(sp.inv, {"x": (d,)})
+    # in 1D the second job's rows follow the first's in the shared stack
+    second = (sp.layout(sp.fwd, {"x": (1,)}, first[0].end if d == 1 else 0),
+              sp.layout(sp.inv, {"x": (d,)}, first[1].end if d == 1 else 0))
+    order = []
+
+    def job(lays, scale):
+        st = yield lays[0]
+        np.multiply(x, scale, out=st[lays[0].x])
+        res = yield
+        order.append(scale)
+        st = yield lays[1]
+        np.multiply(sp.ik, res[lays[0].x], out=st[lays[1].x])
+        res = yield
+        order.append(scale)
+        return res[lays[1].x]
+
+    calls = sp.calls
+    g1, g2 = sp.run_jobs(job(first, 1.0), job(second, 2.0))
+    assert sp.calls - calls == (2 if d == 1 else 2 + 2 * d)
+    assert order == ([1.0, 2.0, 1.0, 2.0] if d == 1 else [1.0, 1.0, 2.0, 2.0])
+    assert np.array_equal(g1, sp.inv(sp.ik * sp.fwd(x[None])))
+    assert np.array_equal(g2, sp.inv(sp.ik * sp.fwd(2.0 * x[None])))
