@@ -29,7 +29,7 @@ from .rescaling import (
     FluidState, WaveFunction, from_self_similar, madelung, smooth_density, to_self_similar,
 )
 from .spectral import Grid
-from .tauode import tau_asymptotic_ratio, tau_cover, tau_solve
+from .tauode import T_MAX, tau_asymptotic_ratio, tau_cover, tau_solve
 
 __all__ = [
     "ExperimentConfig", "BadConfig", "run_experiment", "check", "check_families", "make_initial",
@@ -72,7 +72,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw, default_kind: str | None = None, **overrides) -> "ExperimentConfig":
         """Check raw JSON: a mapping of known keys, each value of its field's
-        type, with a finite t_end; overrides replace keys of raw."""
+        type, with a finite t_end of at most T_MAX; overrides replace keys of raw."""
         if not isinstance(raw, dict):
             raise BadConfig(f"config must be a JSON object, got {type(raw).__name__}")
         raw = {"kind": default_kind, **raw, **overrides}
@@ -82,8 +82,8 @@ class ExperimentConfig:
         cfg = cls(**raw)
         if cfg.schema_version != SCHEMA_VERSION:
             raise BadConfig(f"unsupported schema_version {cfg.schema_version}")
-        if not abs(cfg.t_end) <= sys.float_info.max:
-            raise BadConfig(f"t_end must be a finite float, got {cfg.t_end!r}")
+        if not abs(cfg.t_end) <= T_MAX:
+            raise BadConfig(f"t_end must be finite, at most tauode.T_MAX, got {cfg.t_end!r}")
         return cfg
 
     def build(self) -> "RunInputs":

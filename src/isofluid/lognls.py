@@ -299,13 +299,11 @@ def nls_to_hydro_crosscheck(
 
 
 def theta_phase(tau_sol: TauSolution, t: float, d: int, mass_ratio: float) -> float:
-    """theta(t) = d int_0^t log tau ds - t log(mass_ratio); the integral is
-    evaluated by composite trapezoid over 2001 evenly spaced tau samples."""
-    if t == 0.0:
-        return 0.0
-    ts = np.linspace(0.0, t, 2001)
-    tau_vals, _ = tau_sol.eval(ts)
-    return d * float(np.trapezoid(np.log(tau_vals), ts)) - t * math.log(mass_ratio)
+    """theta(t) = d int_0^t log tau ds - t log(mass_ratio), where
+    int_0^t log tau ds = tau taudot / 4 - t / 2, as (tau taudot)' =
+    taudot^2 + tau tauddot = 4 log tau + 2."""
+    tau, taudot = tau_sol.eval(t)
+    return d * (tau * taudot / 4 - t / 2) - t * math.log(mass_ratio)
 
 
 def reconstruct_original(

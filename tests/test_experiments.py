@@ -87,6 +87,24 @@ def test_cli_tau(tmp_path):
     assert "config_hash" in meta
 
 
+def test_cli_tau_far_horizon(tmp_path):
+    # the closed form holds the first integral wherever exp(u^2) is finite
+    assert cli_main(["tau", "--out", str(tmp_path), "--t-end", "1e300"]) == 0
+    rows = (tmp_path / "tau.csv").read_text().strip().splitlines()
+    t, tau, taudot, res = map(float, rows[-1].split(","))
+    assert t == 1e300 and abs(tau / 5.267783742771559e301 - 1.0) < 1e-12
+    assert abs(res) < 1e-12
+
+
+def test_cli_tau_past_t_max_exits_3_and_prints_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main(["tau", "--out", str(out), "--t-end", "1e308"]) == 3
+    cap = capsys.readouterr()
+    assert cap.out == "" and not out.exists()
+    assert cap.err.startswith("bad config: ") and cap.err.count("\n") == 1
+    assert "T_MAX" in cap.err
+
+
 def test_cli_simulate_and_reproducibility(tmp_path):
     # at this coarse resolution the vacuum floor must sit above the scheme's
     # tail-ringing scale (the default 1e-10 * mean targets n >= 128 grids)
@@ -217,6 +235,8 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
         (["simulate"], {"params": {"nu": 0.1, "alpha": "8"}}),
         (["simulate"], {"params": {"nu": 0.1, "eta2": 1e-13, "s": 2.5}}),
         (["simulate"], {"schema_version": True, **NU}),
+        *[(cmd, {"t_end": 1e307}) for cmd in (["simulate"], ["sweep"], ["longtime"],
+                                              ["korteweg"], ["tau"])],
     ],
     ids=["unknown_param", "negative_nu", "non_integer_n", "sweep_unknown_param",
          "negative_theta", "non_numeric_amplitude", "initial_not_a_dict", "non_numeric_t_end",
@@ -232,7 +252,9 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
          "velocity_of_prepared_data", "korteweg_gaussian_offset", "korteweg_foreign_mode",
          "fractional_n", "fractional_d", "string_ell", "fractional_mode", "string_amplitude",
          "integer_mass_match", "bool_theta", "bool_nu", "bool_r_min", "bool_cfl",
-         "string_alpha", "fractional_s", "bool_schema_version"],
+         "string_alpha", "fractional_s", "bool_schema_version",
+         *[f"{kind}_t_end_past_t_max" for kind in ("simulate", "sweep", "longtime", "korteweg",
+                                                   "tau")]],
 )
 def test_cli_bad_construction_exits_3(tmp_path, capsys, command, config):
     out = tmp_path / "out"

@@ -259,6 +259,16 @@ def test_theta_phase_and_reconstruction():
     assert np.abs(z - psi.psi).max() < 1e-6
 
 
+def test_theta_phase_identity_against_fine_trapezoid():
+    # int_0^t log tau = tau taudot / 4 - t / 2, at a node (the table's end)
+    for t in (0.1, 1.0, 10.0):
+        ts = tau_solve(t, 1e-12, 1e-14)
+        s = np.linspace(0.0, t, 200_001)
+        tau, _ = ts.eval(s)
+        ref = float(np.trapezoid(np.log(tau), s))
+        assert abs(lognls.theta_phase(ts, t, 1, 1.0) / ref - 1.0) <= 1e-10, t
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         lognls.NlsParams(eps=0.0)
