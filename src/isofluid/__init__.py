@@ -7,7 +7,7 @@ from .params import ParamSet
 from .spectral import Grid
 from .rescaling import FluidState, WaveFunction, to_self_similar, from_self_similar, madelung
 from .tauode import TauSolution, tau_solve, tau_asymptotic_ratio
-from .solver import Trajectory, rhs, step, run, prepare_initial_data, drag_schedule
+from .solver import Trajectory, rhs, run, prepare_initial_data, drag_schedule
 from .lognls import NlsParams, nls_step, run_nls, nls_to_hydro_crosscheck
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "tau_asymptotic_ratio",
     "Trajectory",
     "rhs",
-    "step",
     "run",
     "prepare_initial_data",
     "drag_schedule",

@@ -64,7 +64,6 @@ __all__ = [
     "bd_identity_residual",
     "relative_entropy",
     "csiszar_kullback_gap",
-    "korteweg_stress",
     "korteweg_stress_entries",
     "korteweg_identity_residual",
     "loghess_identity_residual",
@@ -87,15 +86,6 @@ def _dot(grid: Grid, a, b) -> float:
 def matched_gaussian(grid: Grid, mass: float) -> np.ndarray:
     """Discrete periodized Gaussian exp(-|y|^2) rescaled to the given mass."""
     return np.exp(-grid.r2) * (mass / grid.gaussian_mass)
-
-
-def korteweg_stress(sp, s) -> np.ndarray:
-    """The Korteweg stress s hess s - grad s x grad s of the root s as a
-    (d, d) stack (row j holds the entries i = 0..d-1), whose row divergence
-    is R grad(lap s / s) for s = sqrt R: its upper entries mirrored through
-    sp.hess_full (see korteweg_stress_entries)."""
-    derivs = sp.inv(sp.deriv_sym * sp.fwd(s))
-    return korteweg_stress_entries(sp, s, derivs[: sp.d], derivs[sp.d :])[sp.hess_full]
 
 
 def korteweg_stress_entries(sp, s, gs, hs, out=None) -> np.ndarray:
@@ -352,7 +342,9 @@ class StateOps:
 
     @property
     def stress(self):
-        """The upper entries of korteweg_stress (sp.hess_keys order)."""
+        """The upper entries of the Korteweg stress s hess s - grad s x grad s,
+        whose mirrored rows (sp.hess_full) have the divergence
+        R grad(lap s / s) (korteweg_stress_entries)."""
 
         def build():
             return korteweg_stress_entries(self.sp, self.s, self["grad_s"], self["hess_s"])

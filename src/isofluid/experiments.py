@@ -72,7 +72,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw, default_kind: str | None = None, **overrides) -> "ExperimentConfig":
         """Check raw JSON: a mapping of known keys, each value of its field's
-        type, with a finite t_end of at most T_MAX; overrides replace keys of raw."""
+        type, with a finite t_end of at most T_MAX, threads >= 1 and
+        nonnegative step intervals; overrides replace keys of raw."""
         if not isinstance(raw, dict):
             raise BadConfig(f"config must be a JSON object, got {type(raw).__name__}")
         raw = {"kind": default_kind, **raw, **overrides}
@@ -84,6 +85,9 @@ class ExperimentConfig:
             raise BadConfig(f"unsupported schema_version {cfg.schema_version}")
         if not abs(cfg.t_end) <= T_MAX:
             raise BadConfig(f"t_end must be finite, at most tauode.T_MAX, got {cfg.t_end!r}")
+        for key, least in (("threads", 1), ("snapshot_every", 0), ("diag_every", 0)):
+            if getattr(cfg, key) < least:
+                raise BadConfig(f"{key} must be at least {least}, got {getattr(cfg, key)}")
         return cfg
 
     def build(self) -> "RunInputs":
@@ -370,9 +374,8 @@ def _run_sweep(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
         v, init, p = point
         return v, solver.run(init, p, config.t_end, diag_every=max(config.diag_every, 1))
 
-    workers = max(1, config.threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if config.threads > 1:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
             results = list(pool.map(one_point, inputs.points))
     else:
         results = [one_point(point) for point in inputs.points]
@@ -645,7 +648,7 @@ def _check_compat() -> list[str]:
     tn, sk = diag.compatibility_residuals(diag.StateOps(g, R, 0.7 * R[None]))  # U = 0.7
     if tn > 1e-10:
         errs.append(f"T_N residual for constant U: {tn:.2e}")
-    stress = diag.korteweg_stress(g.spectral, np.full(g.shape, 0.8))
+    stress = diag.StateOps(g, np.full(g.shape, 0.64)).stress  # the root is 0.8
     if np.abs(stress).max() > 1e-12:
         errs.append("S_K of constant density not zero")
     g2 = Grid(2, 6.0, 64)

@@ -43,7 +43,6 @@ __all__ = [
     "NlsTrajectory",
     "nls_step",
     "nls_energy",
-    "pseudo_dissipation",
     "run_nls",
     "psi_dissipation_identity",
     "nls_to_hydro_crosscheck",
@@ -121,12 +120,6 @@ def nls_energy(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), grads=None)
     if params.variant == "rescaled":
         out += g.quad(g.r2 * rho)
     return out
-
-
-def pseudo_dissipation(psi: WaveFunction, tau) -> float:
-    """(taudot/tau^3) quad(|Lambda|^2 + eps^2 |grad sqrt R|^2)."""
-    state = madelung(psi)
-    return diag.dissipation(state, tau, psi.epsilon, nu=0.0)
 
 
 @dataclass

@@ -22,13 +22,14 @@ evaluated with (tau, taudot) frozen at the step midpoint:
   and the variable-coefficient remainder of the delta2 term), advanced with
   three-stage SSP Runge-Kutta, whose stability region covers the imaginary
   axis up to sqrt(3) (dispersive terms) and the real axis to -2.51, under
-  the CFL bound of cfl_dt.
+  the CFL bound of cfl_dt.  TERMS says, per coefficient, which explicit
+  family of that bound its force feeds, or why it feeds none.
   N never touches R, so the zero mode of R is exactly constant and mass is
   conserved to round-off.
 
 The symmetric composition of second-order (or exact) flows with
 midpoint-frozen coefficients is globally second-order accurate.  `rhs` is its
-generator, summed from the same substep methods, so (step(h) x - x)/h
+generator, summed from the same substep methods, so (advance(h) x - x)/h
 tends to rhs(x) term by term.
 
 Stacked components.  M = (d,) + grid.shape, and U and every stress and
@@ -105,7 +106,6 @@ __all__ = [
     "Trajectory",
     "SolverError",
     "rhs",
-    "step",
     "run",
     "prepare_initial_data",
     "drag_schedule",
@@ -115,11 +115,36 @@ __all__ = [
     "arrays_from_state",
     "state_from_root",
     "MAX_STEPS",
+    "TERMS",
 ]
 
 _RK3_IMAG = math.sqrt(3.0)  # imaginary-axis stability reach of SSP-RK3
 _RK3_REAL = 2.51  # real-axis stability reach of SSP-RK3
 _DEALIASED = 2.0 / 3.0  # band of a force that enters M through the 2/3 mask
+# Each ParamSet coefficient that gates a term, with what the CFL bound of
+# cfl_dt makes of the term's force: (family, band) is the explicit family of
+# _rates the force feeds, band the largest |k| / kmx the force reaches; a
+# string says why the term needs no family; None marks a term whose part in
+# N has no family yet.
+TERMS = {
+    "nu": ("viscous", _DEALIASED),
+    "eps": ("korteweg", _DEALIASED),
+    "r0": "the drag is an exact pointwise flow",
+    "r1": "the drag is an exact pointwise flow",
+    "delta1": None,  # L holds its linear part exactly; the cross term in N has no family
+    "delta2": None,  # the variable-coefficient remainder in N has no family
+    "eta1": "the cold pressure raises the acoustic sound speed",
+    "eta2": ("eta2", _DEALIASED),
+}
+# the rate at kmx and the power of |k| of each family in TERMS, from its
+# coefficient c, kmx, tau^2, max R and the eta2 exponent s; the viscous rate
+# is rescaled by sqrt(3)/2.51, so that its reach is the real axis's
+_FAMILY_RATES = {
+    "viscous": lambda c, kmx, t2, rmax, s: (c * kmx**2 / t2 * (_RK3_IMAG / _RK3_REAL), 2),
+    "korteweg": lambda c, kmx, t2, rmax, s: (0.5 * c * kmx**2 / t2, 2),
+    "eta2": lambda c, kmx, t2, rmax, s: (
+        math.sqrt(c * rmax) * kmx ** (2 * s + 2) / t2, 2 * s + 2),
+}
 # the most steps a CFL-policy run may take: above 10x the longest CFL run of
 # the test suite and the acceptance runs (criterion 3 to t = 1, 1,251 steps),
 # and far below the 249,168 steps a 2D n = 16 eta2 = 0.999, s = 5 run would
@@ -414,13 +439,6 @@ class _Stepper:
 
     # -- explicit remainder ---------------------------------------------------
 
-    # CFL bands, the largest |k| / kmx each force reaches: the pressure
-    # i k Rh and the cold pressure are not masked, so the acoustic wave sees
-    # the whole grid; the Korteweg stress and the eta2 product enter M
-    # through div_dealiased_hat and sp.mask
-    ACOUSTIC_BAND = 1.0
-    KORTEWEG_BAND = ETA2_BAND = _DEALIASED
-
     def density_forces(self, R, Rh, tau_v, taudot_v) -> _Frozen:
         """The R-only inputs of n_rhs, with the forces on M that depend on R
         only (constant during the N substep) left to a job: confinement +
@@ -479,13 +497,6 @@ class _Stepper:
         if eta2:
             Fh += (p.eta2 / t2) * sp.mask * ph[at3.eta2]
         fz.Fh = Fh
-
-    # the flux and the viscous stress enter M through div_dealiased_hat, but
-    # the flux's waves run at U +- c, not at the advective rate's U, so that
-    # family keeps the full band as a margin: at 2/3 kmx its dt came out
-    # above envelope/1.5 in test_cfl_dt_within_stability_envelope
-    ADVECTIVE_BAND = 1.0
-    VISCOUS_BAND = _DEALIASED
 
     def stress(self, fz: _Frozen, M, U, gradU, gradM, out):
         """The upper entries (sp.hess_keys order) of the symmetric momentum
@@ -574,14 +585,7 @@ class _Stepper:
         """(dt, family): dt = cfl * sqrt(3) / the largest rate of the explicit
         families in _rates, and the family that sets it.  Each family's rate
         is taken at its band, rate(kmx) * band**power, the band being the
-        largest |k| its force reaches: acoustic (with the cold pressure's
-        sound-speed boost) at the grid's kmx, because the pressure is not
-        masked; viscous (rescaled by sqrt(3)/2.51 so its effective reach is
-        the real axis), Korteweg dispersive and the eta2 wave at (2/3) kmx,
-        because their forces pass the 2/3 mask; advective at kmx, although
-        the flux passes the mask, because its waves also carry the sound
-        speed.  The advective scale counts live cells only: deep-vacuum
-        U = M/rho is noise over the floor."""
+        largest |k| / kmx its force reaches (TERMS gives a coefficient's)."""
         rows = self._rates(R, M, tau_v, taudot_v)
         rate, family = max((rate * band**power, name) for name, rate, power, band in rows)
         return self.p.cfl * _RK3_IMAG / rate, family
@@ -615,7 +619,13 @@ class _Stepper:
     def _rates(self, R, M, tau_v, taudot_v):
         """(family, rate at kmx, power of |k|, band) of each active explicit
         family: its rate grows as |k|^power, and band is the largest |k| / kmx
-        its force reaches (the *_BAND constants beside the forces)."""
+        its force reaches.  The advective and acoustic families are always
+        on, at the full band: the pressure is not masked, and the flux,
+        although it passes the mask, runs waves at U +- c, not at the
+        advective rate's U (at 2/3 kmx the advective dt came out above
+        envelope/1.5 in test_cfl_dt_within_stability_envelope).  The
+        advective scale counts live cells only: deep-vacuum U = M/rho is
+        noise over the floor.  The coefficient families follow TERMS."""
         p, kmx = self.p, self.kmx
         t2 = tau_v**2
         rmax = max(float(R.max()), 1e-300)
@@ -626,17 +636,14 @@ class _Stepper:
         if p.eta1 > 0:
             cs2 += p.eta1 * p.alpha * float((self.rho_tilde(R) ** (-p.alpha - 1.0)).max())
         rows = [
-            ("advective", math.sqrt(u2max) * kmx / t2, 1, self.ADVECTIVE_BAND),
-            ("acoustic", math.sqrt(cs2) * kmx / tau_v, 1, self.ACOUSTIC_BAND),
+            ("advective", math.sqrt(u2max) * kmx / t2, 1, 1.0),
+            ("acoustic", math.sqrt(cs2) * kmx / tau_v, 1, 1.0),
         ]
-        if p.nu > 0:
-            rate = p.nu * kmx**2 / t2 * (_RK3_IMAG / _RK3_REAL)
-            rows.append(("viscous", rate, 2, self.VISCOUS_BAND))
-        if p.eps > 0:
-            rows.append(("korteweg", 0.5 * p.eps * kmx**2 / t2, 2, self.KORTEWEG_BAND))
-        if p.eta2 > 0:
-            q = 2 * p.s + 2
-            rows.append(("eta2", math.sqrt(p.eta2 * rmax) * kmx**q / t2, q, self.ETA2_BAND))
+        for coef, entry in TERMS.items():
+            c = getattr(p, coef)
+            if isinstance(entry, tuple) and c > 0:
+                family, band = entry
+                rows.append((family, *_FAMILY_RATES[family](c, kmx, t2, rmax, p.s), band))
         return rows
 
     # -- one composed step -------------------------------------------------------
@@ -679,8 +686,8 @@ class _Stepper:
 
 
 def rhs(state: FluidState, params: ParamSet, tau) -> tuple[np.ndarray, np.ndarray]:
-    """Semi-discrete right-hand side (dR/dt, dM/dt): the generator of `step`
-    with (tau, taudot) frozen, summed from the stepper's own pieces (the
+    """Semi-discrete right-hand side (dR/dt, dM/dt): the generator of
+    _Stepper.advance with (tau, taudot) frozen, summed from the stepper's own pieces (the
     linear-block rates, density_forces, n_rhs and drag_rate), so the
     -delta2 c_u lap^2 M split cancels as it does inside a step.  The vacuum
     sponge is a numerical device and is not part of it."""
@@ -698,19 +705,6 @@ def rhs(state: FluidState, params: ParamSet, tau) -> tuple[np.ndarray, np.ndarra
     fz = st.density_forces(R, Rh, tau_v, taudot_v)
     dM = sp.inv(e * Mh + st.n_rhs(M, Mh, fz, tau_v, c_u)) + st.drag_rate(R, M, tau_v)
     return dR, dM
-
-
-def step(state: FluidState, params: ParamSet, dt: float, tau) -> FluidState:
-    """One composed step with (tau, taudot) frozen at the given pair."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    grid = state.grid
-    R, M = arrays_from_state(state)
-    st = _Stepper(grid, params, float(np.mean(R)), _contrast(R))
-    R, M = st.advance(R, M, float(dt), (float(tau[0]), float(tau[1])))
-    if not (np.all(np.isfinite(R)) and np.all(np.isfinite(M))):
-        raise SolverError("non-finite state after step")
-    return state_from_arrays(grid, state.t + dt, R, M, mass_ratio=state.mass_ratio)
 
 
 def run(

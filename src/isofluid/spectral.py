@@ -19,7 +19,7 @@ Conventions
   are components, so an array of shape lead + grid.shape is a stack of
   fields.  fwd/inv transform every component; grad adds a d-long component
   axis just in front of the grid axes (grad(a)[..., i, :] = d_i a), and
-  div/div_dealiased sum over that axis.  A forward transform takes the
+  div/div_dealiased_hat sum over that axis.  A forward transform takes the
   whole stack in one call: rfft in 1D, rfftn over the grid axes otherwise
   (on a 2-core x86 host, scipy 1.17, one rfft call took about 9 us on one
   256-point row and about 14 us on six; one rfftn on 3 x 128^2 took 405 us
@@ -432,9 +432,6 @@ class Spectral:
         """Coefficients of sum_i d_i dealias(c[..., i, :]) from ch = fwd(c):
         the mask and i k applied together, no round trip."""
         return self.sum_axes(self.mask_ik * ch)
-
-    def div_dealiased(self, comps) -> np.ndarray:
-        return self.inv(self.div_dealiased_hat(self.fwd(np.asarray(comps))))
 
 
 class Layout:

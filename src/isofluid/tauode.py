@@ -34,7 +34,7 @@ _REL_FLOOR = 1e-12
 
 def _hermite(tq, t0, t1, p0, p1, d0, d1):
     """Cubic Hermite interpolation of tau (node values p, slopes d) on the
-    interval [t0, t1] at tq, and its derivative; floats and arrays alike."""
+    interval [t0, t1] at tq, and its derivative."""
     h = t1 - t0
     s = (tq - t0) / h
     u = 1 - s
@@ -63,28 +63,14 @@ class TauSolution:
     taudot: np.ndarray
 
     def __post_init__(self):
-        # plain-float node lists for the scalar path of eval
+        # plain-float node lists for eval's bisect
         object.__setattr__(
             self, "_nodes", (self.t.tolist(), self.tau.tolist(), self.taudot.tolist())
         )
 
-    def eval(self, t):
-        """Return (tau, taudot) at time(s) t in [0, t_max].  A float t takes
-        a scalar path (bisect on plain floats) with bitwise the same result."""
-        if isinstance(t, (float, int)):
-            return self._eval_scalar(float(t))
-        tq = np.asarray(t, dtype=float)
-        if np.any(tq < 0.0) or np.any(tq > self.t_max * (1 + 1e-12)):
-            raise ValueError(f"t out of stored range [0, {self.t_max}]")
-        tq = np.clip(tq, 0.0, self.t_max)
-        i = np.clip(np.searchsorted(self.t, tq, side="right") - 1, 0, len(self.t) - 2)
-        val, der = _hermite(tq, self.t[i], self.t[i + 1], self.tau[i], self.tau[i + 1],
-                            self.taudot[i], self.taudot[i + 1])
-        if np.ndim(t) == 0:
-            return float(val), float(der)
-        return val, der
-
-    def _eval_scalar(self, tq: float):
+    def eval(self, t: float) -> tuple[float, float]:
+        """Return (tau, taudot) at the time t in [0, t_max], as floats."""
+        tq = float(t)
         if tq < 0.0 or tq > self.t_max * (1 + 1e-12):
             raise ValueError(f"t out of stored range [0, {self.t_max}]")
         t, tau, taudot = self._nodes

@@ -237,6 +237,10 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
         (["simulate"], {"schema_version": True, **NU}),
         *[(cmd, {"t_end": 1e307}) for cmd in (["simulate"], ["sweep"], ["longtime"],
                                               ["korteweg"], ["tau"])],
+        (["simulate"], {"diag_every": -2, **NU}),
+        (["simulate"], {"snapshot_every": -3, **NU}),
+        (["sweep", "--axis", "delta"], {"threads": -4, **NU}),
+        (["sweep", "--axis", "delta"], {"threads": 0, **NU}),
     ],
     ids=["unknown_param", "negative_nu", "non_integer_n", "sweep_unknown_param",
          "negative_theta", "non_numeric_amplitude", "initial_not_a_dict", "non_numeric_t_end",
@@ -254,7 +258,8 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
          "integer_mass_match", "bool_theta", "bool_nu", "bool_r_min", "bool_cfl",
          "string_alpha", "fractional_s", "bool_schema_version",
          *[f"{kind}_t_end_past_t_max" for kind in ("simulate", "sweep", "longtime", "korteweg",
-                                                   "tau")]],
+                                                   "tau")],
+         "negative_diag_every", "negative_snapshot_every", "negative_threads", "zero_threads"],
 )
 def test_cli_bad_construction_exits_3(tmp_path, capsys, command, config):
     out = tmp_path / "out"
