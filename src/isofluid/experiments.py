@@ -372,7 +372,7 @@ def _run_sweep(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
 
     def one_point(point):
         v, init, p = point
-        return v, solver.run(init, p, config.t_end, diag_every=max(config.diag_every, 1))
+        return v, solver.run(init, p, config.t_end, diag_every=config.diag_every)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -430,7 +430,7 @@ def _write_sweep_csv(path: Path, rows, diffs):
 
 
 def _run_longtime(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
-    grid, _, traj = _simulate(config, inputs, diag_every=max(config.diag_every, 1))
+    grid, _, traj = _simulate(config, inputs, diag_every=config.diag_every)
     mass = traj.records[-1].mass
     gam = diag.matched_gaussian(grid, mass)
     targets = {

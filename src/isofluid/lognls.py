@@ -270,7 +270,7 @@ def nls_to_hydro_crosscheck(
     r_nls = psiT.psi.real**2 + psiT.psi.imag**2
 
     hp = crosscheck_hydro_params(eps, delta_stab, params_nls.dt)
-    hydro = hydro_run(madelung(psi0), hp, t_end, tau_sol=tau_sol, diag_every=10**9)
+    hydro = hydro_run(madelung(psi0), hp, t_end, tau_sol=tau_sol, diag_every=0)
     g = psi0.grid
     if hydro.status != "ok":
         status = f"hydro_{hydro.status}"

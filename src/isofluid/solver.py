@@ -40,29 +40,30 @@ Spectral carry.  A state goes back to physical space only where a pointwise
 product, a drag or a check reads it.  advance transforms [R, M] forward once;
 the linear half steps act on those coefficients, and each is followed by the
 step's only inverses of [R, M] (N and the drag read R and M pointwise).
-density forces take Rhat from the first half step, transform only
-sqrt_reg(R) forward, their derivatives back and the force products (the
-confinement 2 y R among them) forward, and keep the forces as coefficients.
 n_rhs takes Mhat and returns its rate as coefficients: U forward, grad U
 back, the upper triangle of the symmetric stress (flux plus viscous) and the
-delta1 cross product forward; the delta2 field is Uhat - c_u Mhat.  RK stages
-1 and 2 invert their rate once each (the next stage's U = M / rho_sm reads
-M) and keep Mhat alongside; stage 3 stays in Fourier space and feeds the
+delta1 cross product forward; the delta2 field is Uhat - c_u Mhat.  The
+density forces take Rhat from the first half step, transform only
+sqrt_reg(R) forward, their derivatives back and the force products (the
+confinement 2 y R among them) forward, and stay coefficients.  RK stages 1
+and 2 invert their rate once each (the next stage's U = M / rho_sm reads M)
+and keep Mhat alongside; stage 3 stays in Fourier space and feeds the
 second half step.  The quantities that depend on R alone (rho_sm, R/2, the
 density forces, grad R) are built once per N substep.
 
-One first stage.  density_forces builds the R-only inputs and leaves its
-three transform batches to a job (see Spectral.run_jobs) that the substep's
-first n_rhs runs beside its own: in 1D the two jobs' batches go merged, s
-with U forward, the derivatives of R and s with grad U back, and the force
-products with the stress and cross products forward; for d > 1 the density
-job runs first and alone, so no array lives longer than it would unfused.
-Every batch is written in place into one stack, and so is advance's [R, M].
-In 1D a stack is one transform call, 14 per advance (17 unfused); for
-d > 1 a forward stack is one call and an inverse one call per component,
-40 per 2D and 65 per 3D advance (46 and 71 with a call per forward part;
-see the spectral module notes).  The carry moves results only at
-round-off, and R's zero mode is carried exactly.
+One first stage.  density_forces gathers the R-only inputs, and the
+substep's first n_rhs writes the density forces' parts into its own three
+batches, after its own rows (first_layouts): s with U forward, the
+derivatives of R and s with grad U back, and the force products with the
+stress and cross products forward.  Every batch is written in place into
+one stack, and so is advance's [R, M].  In 1D a stack is one transform
+call, 14 per advance (17 unfused); for d > 1 a forward stack is one call
+and an inverse one call per component, 38 per 2D and 63 per 3D advance
+(46 and 71 with a call per forward part; see the spectral module notes).
+For d > 1 the merged stage holds more arrays at once than the density
+forces made alone, and an advance still peaks below a full record of the
+same state.  The carry moves results only at round-off, and R's zero mode
+is carried exactly.
 
 Terms that are off.  A step skips work whose result nothing reads or that
 is an identity: without delta2 it builds no c_u, and L neither builds nor
@@ -92,7 +93,6 @@ import math
 import resource
 import time
 from dataclasses import dataclass, field
-from typing import Generator
 
 import numpy as np
 
@@ -234,15 +234,16 @@ def state_from_arrays(grid: Grid, t: float, R, M, mass_ratio: float = 1.0) -> Fl
 @dataclass(eq=False)
 class _Frozen:
     """What the N substep reads of R, which it never changes: R, rho_sm(R),
-    R/2 (the bounded viscous stress's factor, else None), grad R
-    ((d,) + grid.shape) and the coefficients Fh of the density forces on M
-    ((d,) + half spectrum).  grad R and Fh are left to `job`, the density
-    forces' transform batches, which the first n_rhs runs and clears."""
+    R/2 (the bounded viscous stress's factor, else None), Rh = fwd(R), the
+    taudot of the step, grad R ((d,) + grid.shape) and the coefficients Fh
+    of the density forces on M ((d,) + half spectrum).  The substep's first
+    n_rhs sets grad R and Fh."""
 
     R: np.ndarray
     rho: np.ndarray
     R_half: np.ndarray | None
-    job: Generator | None = None
+    Rh: np.ndarray
+    taudot: float
     grad_R: np.ndarray | None = None
     Fh: np.ndarray | None = None
 
@@ -273,30 +274,30 @@ class _Stepper:
         self.eta1_ik = p.eta1 * sp.ik
         self.delta1_mask = p.delta1 * sp.mask
         self.delta2_lap2 = p.delta2 * sp.lap_symbol(2)
-        # the gates of the terms, and the Layouts of the N substep's batches:
-        # n_rhs's three and the density forces' three, whose rows follow
-        # n_rhs's in 1D, where the two share each stack (see the module notes)
+        # the gates of the terms, and the Layouts of n_rhs's three batches:
+        # its own parts, and on an N substep's first call the density
+        # forces' parts after them in the same stacks (see the module notes)
         self.vacuum = p.nu > 0 and self.viscous_form == "vacuum"
         self.grad_u = p.delta1 > 0 or (p.nu > 0 and not self.vacuum)
         self.jacobian = (g.d, g.d) + sp.half_shape
         d, fwd, inv, upper = g.d, sp.fwd, sp.inv, (len(sp.hess_keys),)
-        self.rhs_layouts = (
-            sp.layout(fwd, {"U": (d,)} if self.grad_u or p.delta2 > 0 else {}),
-            sp.layout(inv, {**({"U": (d * d,)} if self.grad_u else {}),
-                            **({"M": (d * d,)} if self.vacuum else {})}),
-            sp.layout(fwd, {"stress": upper, **({"cross": (d,)} if p.delta1 > 0 else {})}),
+        rhs = (
+            (fwd, {"U": (d,)} if self.grad_u or p.delta2 > 0 else {}),
+            (inv, {**({"U": (d * d,)} if self.grad_u else {}),
+                   **({"M": (d * d,)} if self.vacuum else {})}),
+            (fwd, {"stress": upper, **({"cross": (d,)} if p.delta1 > 0 else {})}),
         )
         density = (
-            (fwd, {"s": (1,)} if p.eps > 0 else {}),
-            (inv, {"grad_R": (d,), **({"eta2": (d,)} if p.eta2 > 0 else {}),
-                   **({"s": sp.deriv_sym.shape[:1]} if p.eps > 0 else {})}),
-            (fwd, {"confinement": (d,), **({"korteweg": upper} if p.eps > 0 else {}),
-                   **({"cold": (1,)} if p.eta1 > 0 else {}),
-                   **({"eta2": (d,)} if p.eta2 > 0 else {})}),
+            {"s": (1,)} if p.eps > 0 else {},
+            {"grad_R": (d,), **({"eta2": (d,)} if p.eta2 > 0 else {}),
+             **({"s": sp.deriv_sym.shape[:1]} if p.eps > 0 else {})},
+            {"confinement": (d,), **({"korteweg": upper} if p.eps > 0 else {}),
+             **({"cold": (1,)} if p.eta1 > 0 else {}),
+             **({"eta2": (d,)} if p.eta2 > 0 else {})},
         )
-        self.density_layouts = tuple(
-            sp.layout(tf, leads, rhs.end if d == 1 else 0)
-            for (tf, leads), rhs in zip(density, self.rhs_layouts)
+        self.rhs_layouts = tuple(sp.layout(tf, leads) for tf, leads in rhs)
+        self.first_layouts = tuple(
+            sp.layout(tf, {**leads, **more}) for (tf, leads), more in zip(rhs, density)
         )
         self._propagator = (None, None)
         self._rho = (None, None)
@@ -378,7 +379,7 @@ class _Stepper:
         return np.multiply(M, fac, out=out)
 
     def drag_rate(self, R, M, tau_v):
-        """Generator of drag_flow: -(a + b |M|^2) M."""
+        """The generator of drag_flow: -(a + b |M|^2) M."""
         a, b, m2 = self.drag_coefficients(R, M, tau_v)
         rate = a if b is None else a + b * m2
         return -rate * M
@@ -439,64 +440,15 @@ class _Stepper:
 
     # -- explicit remainder ---------------------------------------------------
 
-    def density_forces(self, R, Rh, tau_v, taudot_v) -> _Frozen:
-        """The R-only inputs of n_rhs, with the forces on M that depend on R
-        only (constant during the N substep) left to a job: confinement +
-        pressure (+ nu taudot/tau grad R), the divergence-form Korteweg
-        stress of the root s = sqrt_reg(R), cold pressure, and the eta2
-        term.  Rh = fwd(R) comes from the linear half step."""
-        rho = self.rho_smooth(R)
-        fz = _Frozen(R, rho, R * 0.5 if self.p.nu > 0 and not self.vacuum else None)
-        fz.job = self._density_job(fz, Rh, tau_v, taudot_v)
-        return fz
-
-    def _density_job(self, fz, Rh, tau_v, taudot_v):
-        """The density forces' three batches (density_layouts), a job of
-        Spectral.run_jobs that sets fz.grad_R and fz.Fh: s forward; grad R,
-        the eta2 grad lap^(2s+1) R, grad s and hess s back; the confinement
-        2 y R, the upper Korteweg stress entries, the cold pressure and the
-        eta2 products forward.  The spectral parts of each component are
-        then summed; nothing goes back."""
-        p, sp, d, R = self.p, self.sp, self.sp.d, fz.R
-        t2 = tau_v**2
-        at1, at2, at3 = self.density_layouts
-        eps, eta1, eta2 = p.eps > 0, p.eta1 > 0, p.eta2 > 0
-        st = yield at1
-        s = self.sqrt_reg(R, fz.rho, st[at1.s]) if eps else None
-        res = yield
-        st = yield at2
-        np.multiply(sp.ik, Rh, out=st[at2.grad_R])
-        if eta2:
-            np.multiply(sp.grad_lap_symbol(2 * p.s + 1), Rh, out=st[at2.eta2])
-        if eps:
-            np.multiply(sp.deriv_sym, res[at1.s], out=st[at2.s])
-        del res
-        back = yield
-        fz.grad_R = back[at2.grad_R]
-        st = yield at3
-        np.multiply(self.y2, R, out=st[at3.confinement])
-        if eps:
-            # the stress is symmetric: transform its upper entries and
-            # mirror them through sp.hess_full
-            ds = back[at2.s]
-            diag.korteweg_stress_entries(sp, s, ds[:d], ds[d:], st[at3.korteweg])
-        if eta1:
-            cold = st[at3.cold]
-            self.rho_tilde(R, cold[0])
-            cold **= -p.alpha
-        if eta2:
-            np.multiply(R, back[at2.eta2], out=st[at3.eta2])
-        del back
-        ph = yield
-        Fh = (p.nu * taudot_v / tau_v - 1.0) * sp.ik * Rh - ph[at3.confinement]
-        if eps:
-            stress_h = ph[at3.korteweg][sp.hess_full]
-            Fh += (p.eps**2 / (2.0 * t2)) * sp.div_dealiased_hat(stress_h)
-        if eta1:
-            Fh += self.eta1_ik * ph[at3.cold]
-        if eta2:
-            Fh += (p.eta2 / t2) * sp.mask * ph[at3.eta2]
-        fz.Fh = Fh
+    def density_forces(self, R, Rh, taudot_v) -> _Frozen:
+        """The R-only inputs of n_rhs, whose first call of the substep makes
+        from them the forces on M that depend on R only (constant during the
+        N substep): confinement + pressure (+ nu taudot/tau grad R), the
+        divergence-form Korteweg stress of the root s = sqrt_reg(R), cold
+        pressure, and the eta2 term.  Rh = fwd(R) comes from the linear half
+        step."""
+        R_half = R * 0.5 if self.p.nu > 0 and not self.vacuum else None
+        return _Frozen(R, self.rho_smooth(R), R_half, Rh, taudot_v)
 
     def stress(self, fz: _Frozen, M, U, gradU, gradM, out):
         """The upper entries (sp.hess_keys order) of the symmetric momentum
@@ -522,52 +474,88 @@ class _Stepper:
         return out
 
     def n_rhs(self, M, Mh, fz: _Frozen, tau_v, c_u):
-        """Coefficients of the explicit remainder's rate: the M-dependent
-        part plus the frozen Fh, from M and its coefficients Mh.  The first
-        call of an N substep runs fz's density job beside its own (see the
-        module notes)."""
-        job = self._rhs_job(M, Mh, fz, tau_v, c_u)
-        if fz.job is None:
-            return self.sp.run_jobs(job)[0]
-        density, fz.job = fz.job, None
-        return self.sp.run_jobs(density, job)[1]
+        """Coefficients of the explicit remainder's rate, the M-dependent
+        part plus the frozen Fh, from M and its coefficients Mh, in three
+        batches (rhs_layouts): U forward (for delta1, delta2 or the bounded
+        viscous form); grad U (grad M, from Mh, in the vacuum viscous form)
+        back; the upper stress entries and the delta1 cross product forward.
+        Per component one dealiased divergence of the mirrored stress row
+        plus the delta1 and delta2 terms, summed in spectral space; the
+        delta2 field U - c_u M goes as Uh - c_u Mh.
 
-    def _rhs_job(self, M, Mh, fz: _Frozen, tau_v, c_u):
-        """n_rhs's three batches (rhs_layouts), a job of Spectral.run_jobs:
-        U forward (for delta1, delta2 or the bounded viscous form); grad U
-        (grad M, from Mh, in the vacuum viscous form) back; the upper stress
-        entries and the delta1 cross product forward.  Per component one
-        dealiased divergence of the mirrored stress row plus the delta1 and
-        delta2 terms, summed in spectral space; the delta2 field U - c_u M
-        goes as Uh - c_u Mh.  Reads fz.grad_R and fz.Fh only after its
-        second batch."""
-        p, sp = self.p, self.sp
-        at1, at2, at3 = self.rhs_layouts
+        The substep's first call (fz.Fh is None) writes the density forces'
+        parts into the same batches (first_layouts) and sets fz.grad_R and
+        fz.Fh: s forward; grad R, the eta2 grad lap^(2s+1) R, grad s and
+        hess s back; the confinement 2 y R, the upper Korteweg stress
+        entries, the cold pressure and the eta2 products forward.  The
+        spectral parts of each force component are then summed; nothing
+        goes back."""
+        p, sp, d, R = self.p, self.sp, self.sp.d, fz.R
+        t2 = tau_v**2
+        first = fz.Fh is None
+        eps, eta1, eta2 = (first and c > 0 for c in (p.eps, p.eta1, p.eta2))
+        at1, at2, at3 = self.first_layouts if first else self.rhs_layouts
         hat_u = self.grad_u or p.delta2 > 0
-        st = yield at1
+        st = np.empty(at1.end_shape, at1.dtype)
         U = np.divide(M, fz.rho, out=st[at1.U] if hat_u else None)
-        res = yield
+        s = self.sqrt_reg(R, fz.rho, st[at1.s]) if eps else None
+        res = sp.transform(at1, st)
         Uh = res[at1.U] if hat_u else None
-        st = yield at2
+
+        st = np.empty(at2.end_shape, at2.dtype)
         if self.grad_u:
             sp.apply(sp.ik, Uh, st[at2.U].reshape(self.jacobian))
         if self.vacuum:
             sp.apply(sp.ik, Mh, st[at2.M].reshape(self.jacobian))
-        res = yield
+        if first:
+            np.multiply(sp.ik, fz.Rh, out=st[at2.grad_R])
+        if eta2:
+            np.multiply(sp.grad_lap_symbol(2 * p.s + 1), fz.Rh, out=st[at2.eta2])
+        if eps:
+            np.multiply(sp.deriv_sym, res[at1.s], out=st[at2.s])
+        back = sp.transform(at2, st)
         # flattened Jacobians: gradU[j d + i] = d_i U_j, likewise gradM
-        gradU = res[at2.U] if self.grad_u else None
-        gradM = res[at2.M] if self.vacuum else None
-        st = yield at3
+        gradU = back[at2.U] if self.grad_u else None
+        gradM = back[at2.M] if self.vacuum else None
+        if first:
+            fz.grad_R = back[at2.grad_R]
+
+        st = np.empty(at3.end_shape, at3.dtype)
         self.stress(fz, M, U, gradU, gradM, st[at3.stress])
         if p.delta1 > 0:
             self._cross(fz.grad_R, gradU, st[at3.cross])
-        ph = yield
+        if first:
+            np.multiply(self.y2, R, out=st[at3.confinement])
+        if eps:
+            # the stress is symmetric: transform its upper entries and
+            # mirror them through sp.hess_full
+            ds = back[at2.s]
+            diag.korteweg_stress_entries(sp, s, ds[:d], ds[d:], st[at3.korteweg])
+        if eta1:
+            cold = st[at3.cold]
+            self.rho_tilde(R, cold[0])
+            cold **= -p.alpha
+        if eta2:
+            np.multiply(R, back[at2.eta2], out=st[at3.eta2])
+        del back
+        ph = sp.transform(at3, st)
+        # free the stage's arrays before the sums, where a d > 1 advance peaks
+        del st, U, s, gradU, gradM
+        if first:
+            Fh = (p.nu * fz.taudot / tau_v - 1.0) * sp.ik * fz.Rh - ph[at3.confinement]
+            if eps:
+                Fh += (p.eps**2 / (2.0 * t2)) * sp.div_dealiased_hat(ph[at3.korteweg][sp.hess_full])
+            if eta1:
+                Fh += self.eta1_ik * ph[at3.cold]
+            if eta2:
+                Fh += (p.eta2 / t2) * sp.mask * ph[at3.eta2]
+            fz.Fh = Fh
         fh = sp.div_dealiased_hat(ph[at3.stress][sp.hess_full])
         if p.delta1 > 0:
             fh -= self.delta1_mask * ph[at3.cross]
         if p.delta2 > 0:
             fh -= self.delta2_lap2 * (Uh - c_u * Mh)
-        return fh / tau_v**2 + fz.Fh
+        return fh / t2 + fz.Fh
 
     def _cross(self, grad_R, gradU, out):
         """The delta1 cross product sum_i d_i R d_i U_j, stacked over j, from
@@ -666,7 +654,7 @@ class _Stepper:
         X = sp.inv(Xh)
         R, M, Mh = X[0], X[1:], Xh[1:]
 
-        fz = self.density_forces(R, Xh[0], tau_v, taudot_v)
+        fz = self.density_forces(R, Xh[0], taudot_v)
         rh = h * self.n_rhs(M, Mh, fz, tau_v, c_u)
         M1, M1h = M + sp.inv(rh), Mh + rh
         rh = h * self.n_rhs(M1, M1h, fz, tau_v, c_u)
@@ -702,7 +690,7 @@ def rhs(state: FluidState, params: ParamSet, tau) -> tuple[np.ndarray, np.ndarra
     a, e = st.linear_symbols(tau_v, c_u)
     Rh, Mh = sp.fwd(R), sp.fwd(M)
     dR = sp.inv(a * Rh - sp.sum_axes(sp.ik * Mh) / tau_v**2)
-    fz = st.density_forces(R, Rh, tau_v, taudot_v)
+    fz = st.density_forces(R, Rh, taudot_v)
     dM = sp.inv(e * Mh + st.n_rhs(M, Mh, fz, tau_v, c_u)) + st.drag_rate(R, M, tau_v)
     return dR, dM
 
@@ -717,7 +705,7 @@ def run(
 ) -> Trajectory:
     """March the state to t_end (on tau_cover(t_end, initial.t) without
     tau_sol), recording a full record at the start and the end and a core
-    one every diag_every-th step.  Stops early (keeping the last valid state)
+    one every diag_every-th step (none with diag_every = 0).  Stops early (keeping the last valid state)
     with status "floor" when min R < -NEG_TOL_REL max R0, "nan" on blow-up,
     "underflow" below DT_MIN, or "budget" past MAX_STEPS (see the notes)."""
     start = time.perf_counter()
@@ -803,7 +791,7 @@ def run(
         if family is not None:
             traj.cfl_binding[family] = traj.cfl_binding.get(family, 0) + 1
         at_end = t >= t_end * (1.0 - 1e-12)
-        if diag_every and (k % diag_every == 0 or at_end):
+        if at_end or (diag_every and k % diag_every == 0):
             emit(full=at_end)
         if snapshot_every and (k % snapshot_every == 0 or at_end):
             snapshot()

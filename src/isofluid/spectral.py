@@ -35,11 +35,11 @@ Conventions
   and one forward call for d > 1, where an inverse gives each part its own
   output, so that a result kept after the batch (grad R through the N
   substep, a record's kept derivatives) does not hold the others alive.
-  Spectral.run_jobs drives jobs, generators that write their batches: in
-  1D the jobs share each level's stack, one call; for d > 1 one job runs
-  after the other, so that no array of one job lives through another's.
-  On a 2-core x86 host a 1D RK stage's rate written this way took 44 us,
-  against 47 us built part by part and then concatenated;
+  A caller that writes its parts itself allocates the stack of the
+  Layout's end_shape and calls Spectral.transform; Spectral.batch does
+  both for a dict of parts.  On a 2-core x86 host a 1D RK stage's rate
+  written this way took 44 us, against 47 us built part by part and then
+  concatenated;
 * index tables: the Hessian tables (hess_upper, hess_flat, hess_full,
   hess_diag) gather entries along a stack's leading axis.  Where a table's
   index set is one contiguous run, as in 1D, it is a basic slice and the
@@ -283,14 +283,13 @@ class Spectral:
             ("grad_lap_norm", p), lambda: self.sum_axes(np.abs(self.grad_lap_symbol(p)) ** 2)
         )
 
-    def layout(self, transform, leads: dict, offset: int = 0) -> "Layout":
+    def layout(self, transform, leads: dict) -> "Layout":
         """The Layout of a batch of `transform` (fwd or inv) whose named
-        parts have these leading shapes, its rows from `offset` on; built
-        once."""
-        key = (transform, offset, *leads.items())
+        parts have these leading shapes, in this order; built once."""
+        key = (transform, *leads.items())
         lay = self._layouts.get(key)
         if lay is None:
-            lay = self._layouts[key] = Layout(self, transform == self.fwd, leads, offset)
+            lay = self._layouts[key] = Layout(self, transform == self.fwd, leads)
         return lay
 
     def batch(self, transform, parts: dict) -> dict:
@@ -312,7 +311,7 @@ class Spectral:
                 v[1](view)
             else:
                 view[...] = v
-        results = self._transform_stack(lay, stack)
+        results = self.transform(lay, stack)
         return {name: results[cut] if shape is None else results[cut].reshape(shape)
                 for name, cut, _, shape in lay.parts}
 
@@ -326,60 +325,16 @@ class Spectral:
         fill(out)
         return out
 
-    def _transform_stack(self, lay: "Layout", stack):
-        """The transform of a stack laid out by lay (or by Layouts of one
-        transform that share it): the array of the results at the parts'
-        rows, or for a d > 1 inverse the results of each part on its own,
-        read the same way, res[cut]; None, and no call, for a stack
-        without rows."""
+    def transform(self, lay: "Layout", stack):
+        """The transform of a stack laid out by lay, its parts written into
+        their rows: the array of the results at the parts' rows, or for a
+        d > 1 inverse the results of each part on its own, read the same
+        way, res[cut]; None, and no call, for a stack without rows."""
         if not len(stack):
             return None
         if lay.each:
             return _PerPart((cut.start, self.inv(stack[cut])) for _, cut, _, _ in lay.parts)
         return self.fwd(stack) if lay.forward else self.inv(stack)
-
-    def run_jobs(self, *jobs) -> list:
-        """The return values of jobs: generators that write their batches
-        into stacks.  At each batch a job yields the Layout of its parts,
-        is sent the stack and writes them into their rows (Layout
-        attributes name them), yields again and is sent the transformed
-        stack (_transform_stack).  In 1D the jobs go in step: at
-        each level they share one stack, so their Layouts must be of one
-        transform, with rows apart, and the jobs must end together; at each
-        level they resume in the order given, so a job may read what an
-        earlier one wrote.  For d > 1 one job runs after the other, so that
-        no array of one job lives through another's (see the module
-        notes)."""
-        if self.d > 1 or len(jobs) == 1:
-            return [self._alone(job) for job in jobs]
-        out, results = [None] * len(jobs), None
-        while True:
-            lays = []
-            for i, job in enumerate(jobs):
-                try:
-                    lays.append(job.send(results))
-                except StopIteration as stop:
-                    out[i] = stop.value
-            if not lays:
-                return out
-            stack = np.empty((max(lay.end for lay in lays),) + lays[0].base, lays[0].dtype)
-            for job in jobs:
-                job.send(stack)
-            results = self._transform_stack(lays[0], stack)
-            del stack  # the stack lives no longer than the parts written into it
-
-    def _alone(self, job):
-        """run_jobs of one job."""
-        results = None
-        try:
-            while True:
-                lay = job.send(results)
-                stack = np.empty(lay.end_shape, lay.dtype)
-                job.send(stack)
-                results = self._transform_stack(lay, stack)
-                del stack
-        except StopIteration as stop:
-            return stop.value
 
     def inner(self, ah, bh) -> float:
         """Grid sum of a * b (and over the stack) from ah = fwd(a), bh = fwd(b)
@@ -437,17 +392,17 @@ class Spectral:
 class Layout:
     """The rows of a batch's parts in its stack, allocated per batch: each
     named part's slice of rows (its leading shape flattened), also an
-    attribute of that name, from `offset` on.  `parts` holds (name, cut,
-    view shape, result shape), the shapes None for a one-axis lead, which
-    needs no reshape.  Built by Spectral.layout."""
+    attribute of that name.  `parts` holds (name, cut, view shape, result
+    shape), the shapes None for a one-axis lead, which needs no reshape.
+    Built by Spectral.layout."""
 
-    def __init__(self, sp: Spectral, forward: bool, leads: dict, offset: int = 0):
+    def __init__(self, sp: Spectral, forward: bool, leads: dict):
         self.forward = forward
         self.base, res = (sp.shape, sp.half_shape) if forward else (sp.half_shape, sp.shape)
         self.dtype = float if forward else complex
         # a d > 1 inverse: one output per part (see the module notes)
         self.each = sp.d > 1 and not forward
-        self.parts, lo = [], offset
+        self.parts, lo = [], 0
         for name, lead in leads.items():
             cut = slice(lo, lo + math.prod(lead))
             if isinstance(name, str):
@@ -458,11 +413,10 @@ class Layout:
             self.parts.append((name, cut, None if one else lead + self.base,
                                None if one else lead + res))
             lo = cut.stop
-        self.end = lo
         self.end_shape = (lo,) + self.base
 
 
-_LAYOUT_FIELDS = {"forward", "base", "dtype", "each", "parts", "end", "end_shape"}
+_LAYOUT_FIELDS = {"forward", "base", "dtype", "each", "parts", "end_shape"}
 
 
 class _PerPart(dict):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import dawsn
@@ -62,11 +63,10 @@ class TauSolution:
     tau: np.ndarray
     taudot: np.ndarray
 
-    def __post_init__(self):
-        # plain-float node lists for eval's bisect
-        object.__setattr__(
-            self, "_nodes", (self.t.tolist(), self.tau.tolist(), self.taudot.tolist())
-        )
+    @cached_property
+    def _nodes(self):
+        """Plain-float node lists for eval's bisect, built on its first call."""
+        return self.t.tolist(), self.tau.tolist(), self.taudot.tolist()
 
     def eval(self, t: float) -> tuple[float, float]:
         """Return (tau, taudot) at the time t in [0, t_max], as floats."""
@@ -77,11 +77,6 @@ class TauSolution:
         tq = min(max(tq, 0.0), self.t_max)
         i = min(max(bisect.bisect_right(t, tq) - 1, 0), len(t) - 2)
         return _hermite(tq, t[i], t[i + 1], tau[i], tau[i + 1], taudot[i], taudot[i + 1])
-
-    def tauddot(self, t):
-        """tau'' recomputed from the ODE as 2/tau."""
-        tau, _ = self.eval(t)
-        return 2.0 / tau
 
     def first_integral_residual(self) -> np.ndarray:
         """taudot^2 - 4 log tau at every stored node."""

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import re
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -170,16 +171,14 @@ def _count_transforms(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("d,expected", [(1, 14), (2, 40), (3, 65)])
+@pytest.mark.parametrize("d,expected", [(1, 14), (2, 38), (3, 63)])
 def test_transform_calls_per_advance(monkeypatch, d, expected):
-    # 1D transforms each substep batch as one stack: [R, M] forward once and
-    # back after each linear half step (3), 3 per RK stage, the density
-    # forces' 3 merged into stage 1's, plus the inverse of the rate after
-    # stages 1 and 2; d > 1 transforms each forward stack in one call and
-    # each inverse one component per call, and the symmetric stresses only
-    # their upper triangles.  For d > 1 the density forces run before stage
-    # 1, not merged, so that none of their arrays outlives them: 2 forward
-    # calls more than a merged stage would make (38 and 63)
+    # each substep batch is one stack: [R, M] forward once and back after
+    # each linear half step (3), 3 per RK stage, the density forces' 3
+    # merged into stage 1's, plus the inverse of the rate after stages 1
+    # and 2.  A stack is one call in 1D; for d > 1 a forward stack is one
+    # call and an inverse one call per component, and the symmetric
+    # stresses go as their upper triangles only
     state, params = _baseline_setup(d)
     R, M = arrays_from_state(state)
     stepper = _Stepper(state.grid, params, float(R.mean()), float(R.min() / R.max()))
@@ -188,6 +187,36 @@ def test_transform_calls_per_advance(monkeypatch, d, expected):
     assert len(calls) == expected
     assert all(c.startswith("scipy.fft.") for c in calls)
     assert np.all(np.isfinite(R1)) and np.all(np.isfinite(M1))
+
+
+def _traced_peak(call) -> int:
+    """The peak of the memory tracemalloc traces while call() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+def test_advance_peaks_below_a_full_record(d, n):
+    # the first RK stage holds the density forces' parts beside its own, and
+    # an advance still peaks below the full record that every run makes of
+    # the same state at its start and its end
+    state, params = _baseline_setup(d, n)
+    R, M = arrays_from_state(state)
+    stepper = _Stepper(state.grid, params, float(R.mean()), _contrast(R))
+
+    def record():
+        ops = diag.StateOps(state.grid, R, M, stepper.r_min, 0.0)
+        diag.record(ops, stepper.p, (1.0, 0.3), full=True)
+
+    def advance():
+        stepper.advance(R, M, 1e-3, (1.0, 0.3))
+
+    advance(), record()  # the tables each builds once
+    assert _traced_peak(advance) < _traced_peak(record)
 
 
 class _RoundTripStepper(_Stepper):
@@ -589,13 +618,13 @@ def test_advance_results_outlive_the_next_advance(monkeypatch, setup):
     stepper = _Stepper(state.grid, params, float(R.mean()), _contrast(R))
     stacks = []
 
-    def kept(self, lay, stack, _orig=spectral.Spectral._transform_stack):
+    def kept(self, lay, stack, _orig=spectral.Spectral.transform):
         out = _orig(self, lay, stack)
         stacks.append(stack)
         stacks.extend(out.values() if isinstance(out, dict) else [] if out is None else [out])
         return out
 
-    monkeypatch.setattr(spectral.Spectral, "_transform_stack", kept)
+    monkeypatch.setattr(spectral.Spectral, "transform", kept)
     R1, M1 = stepper.advance(R, M, h, (1.0, 0.3))
     R1_in, M1_in = R1.copy(), M1.copy()
     stepper.advance(R1, M1, h, (1.01, 0.3))
@@ -898,6 +927,18 @@ def test_run_zero_horizon_returns_initial():
     assert len(traj.records) == 1
     assert np.abs(traj.state_final.R - st.R).max() == 0.0
     assert np.abs(traj.state_final.M - st.M).max() == 0.0
+
+
+def test_run_without_diagnostics_records_the_start_and_the_end():
+    # diag_every = 0 keeps exactly the two full records, at t = 0 and at
+    # t_end, that a run recording every step makes there
+    state, params = experiments.full_reg_setup(n=64)
+    every, ends = (run(state, params, 0.01, diag_every=k) for k in (1, 0))
+    assert ends.status == every.status == "ok"
+    assert ends.n_steps == every.n_steps > 1
+    assert ends.times == [every.times[0], every.times[-1]]
+    assert ends.times[-1] == pytest.approx(0.01)
+    assert ends.records == [every.records[0], every.records[-1]]
 
 
 def test_run_times_strictly_increasing():

@@ -314,35 +314,3 @@ def test_batch_stacks_its_parts_bitwise(d, n):
     assert np.array_equal(back["a"], sp.inv(hat["a"]))
     owner = [r if r.base is None else r.base for r in (back["grad"], back["a"])]
     assert (d == 1) == (owner[0] is owner[1])
-
-
-@pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
-def test_run_jobs_merge_in_1d_and_take_turns_for_d_above_1(d, n):
-    # two jobs of two batches each: in 1D they share each stack, one call a
-    # batch, and resume in turn; for d > 1 the first job ends before the
-    # second starts; either way each result is bitwise the job's own
-    sp = Grid(d, 4.0, n).spectral
-    x = np.random.default_rng(7).standard_normal(sp.shape)
-    first = sp.layout(sp.fwd, {"x": (1,)}), sp.layout(sp.inv, {"x": (d,)})
-    # in 1D the second job's rows follow the first's in the shared stack
-    second = (sp.layout(sp.fwd, {"x": (1,)}, first[0].end if d == 1 else 0),
-              sp.layout(sp.inv, {"x": (d,)}, first[1].end if d == 1 else 0))
-    order = []
-
-    def job(lays, scale):
-        st = yield lays[0]
-        np.multiply(x, scale, out=st[lays[0].x])
-        res = yield
-        order.append(scale)
-        st = yield lays[1]
-        np.multiply(sp.ik, res[lays[0].x], out=st[lays[1].x])
-        res = yield
-        order.append(scale)
-        return res[lays[1].x]
-
-    calls = sp.calls
-    g1, g2 = sp.run_jobs(job(first, 1.0), job(second, 2.0))
-    assert sp.calls - calls == (2 if d == 1 else 2 + 2 * d)
-    assert order == ([1.0, 2.0, 1.0, 2.0] if d == 1 else [1.0, 1.0, 2.0, 2.0])
-    assert np.array_equal(g1, sp.inv(sp.ik * sp.fwd(x[None])))
-    assert np.array_equal(g2, sp.inv(sp.ik * sp.fwd(2.0 * x[None])))

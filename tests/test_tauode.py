@@ -131,12 +131,6 @@ def test_eval_out_of_range_raises():
         sol.eval(2.0)
 
 
-def test_tauddot_from_ode():
-    sol = tau_solve(1.0, 1e-10, 1e-12)
-    tau, _ = sol.eval(0.7)
-    assert abs(sol.tauddot(0.7) - 2.0 / tau) < 1e-15
-
-
 def test_bad_arguments():
     with pytest.raises(ValueError):
         tau_solve(-1.0)
