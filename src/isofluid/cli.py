@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: simulate, sweep, longtime, korteweg, tau, check.
-Common flags: --config PATH (JSON), --out DIR, --seed U64, --threads N,
+Common flags: --config PATH (JSON), --out DIR, --seed U64, --t-end T,
 --filter NAME.  CLI flags override file keys.
 
-Exit codes: 0 ok, 1 invariant violation, 2 run failure, 3 bad config.
+Exit codes: 0 ok, 1 invariant violation, 2 run failure, 3 bad config or
+bad usage (one "bad config:" line on stderr); --help exits 0.
 """
 
 from __future__ import annotations
@@ -20,12 +21,19 @@ def _common(sub):
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--seed", type=int, help="RNG seed")
-    sub.add_argument("--threads", type=int, help="parallel ladder points")
     sub.add_argument("--t-end", type=float, dest="t_end", help="final time")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises BadConfig instead of exiting 2; its subcommand
+    parsers are of this class too."""
+
+    def error(self, message):
+        raise BadConfig(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="isofluid", description=__doc__)
+    ap = _Parser(prog="isofluid", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="single run of the regularized system")
@@ -68,8 +76,8 @@ def config_from_args(args) -> ExperimentConfig:
             raise BadConfig(f"cannot read {args.config}: {exc}") from exc
     kind = (f"sweep_{args.axis}" if args.command == "sweep"
             else _KIND_BY_COMMAND.get(args.command, args.command))
-    flags = {"out_dir": args.out, "seed": args.seed, "threads": args.threads,
-             "t_end": args.t_end, "filter": getattr(args, "filter", None)}
+    flags = {"out_dir": args.out, "seed": args.seed, "t_end": args.t_end,
+             "filter": getattr(args, "filter", None)}
     if args.command == "sweep":
         flags["kind"] = kind
     overrides = {key: val for key, val in flags.items() if val is not None}
@@ -80,9 +88,8 @@ def config_from_args(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return run_experiment(config_from_args(args))
+        return run_experiment(config_from_args(build_parser().parse_args(argv)))
     except BadConfig as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 3

@@ -4,7 +4,8 @@ studies, the NLS/hydro cross-check, and the self-test gate.
 Configs are plain nested dicts (read from JSON by the CLI); every run emits a
 diagnostics CSV, a metadata JSON carrying the config hash, and optional
 snapshots.  Identical config + seed reproduces the CSV bitwise (fixed
-reduction order, single-threaded numerics per run).
+reduction order; a sweep runs its ladder points one after another, each
+on its own tau table).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import functools
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from .rescaling import (
     FluidState, WaveFunction, from_self_similar, madelung, smooth_density, to_self_similar,
 )
 from .spectral import Grid
-from .tauode import T_MAX, tau_asymptotic_ratio, tau_cover, tau_solve
+from .tauode import T_MAX, tau_asymptotic_ratio, tau_solve
 
 __all__ = [
     "ExperimentConfig", "BadConfig", "run_experiment", "check", "check_families", "make_initial",
@@ -58,7 +58,6 @@ class ExperimentConfig:
     kind: str
     out_dir: str = "out"
     seed: int = 0
-    threads: int = 1
     grid: dict = field(default_factory=lambda: {"d": 1, "ell": 8.0, "n": 256})
     params: dict = field(default_factory=dict)
     initial: dict = field(default_factory=lambda: {"generator": "gaussian"})
@@ -72,8 +71,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw, default_kind: str | None = None, **overrides) -> "ExperimentConfig":
         """Check raw JSON: a mapping of known keys, each value of its field's
-        type, with a finite t_end of at most T_MAX, threads >= 1 and
-        nonnegative step intervals; overrides replace keys of raw."""
+        type, with a finite t_end of at most T_MAX and nonnegative step
+        intervals; overrides replace keys of raw."""
         if not isinstance(raw, dict):
             raise BadConfig(f"config must be a JSON object, got {type(raw).__name__}")
         raw = {"kind": default_kind, **raw, **overrides}
@@ -85,9 +84,9 @@ class ExperimentConfig:
             raise BadConfig(f"unsupported schema_version {cfg.schema_version}")
         if not abs(cfg.t_end) <= T_MAX:
             raise BadConfig(f"t_end must be finite, at most tauode.T_MAX, got {cfg.t_end!r}")
-        for key, least in (("threads", 1), ("snapshot_every", 0), ("diag_every", 0)):
-            if getattr(cfg, key) < least:
-                raise BadConfig(f"{key} must be at least {least}, got {getattr(cfg, key)}")
+        for key in ("snapshot_every", "diag_every"):
+            if getattr(cfg, key) < 0:
+                raise BadConfig(f"{key} must be at least 0, got {getattr(cfg, key)}")
         return cfg
 
     def build(self) -> "RunInputs":
@@ -369,17 +368,8 @@ def _stop(traj: solver.Trajectory) -> dict:
 
 def _run_sweep(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
     rows = []
-
-    def one_point(point):
-        v, init, p = point
-        return v, solver.run(init, p, config.t_end, diag_every=config.diag_every)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one_point, inputs.points))
-    else:
-        results = [one_point(point) for point in inputs.points]
-
+    results = [(v, solver.run(init, p, config.t_end, diag_every=config.diag_every))
+               for v, init, p in inputs.points]
     any_fail = False
     for v, traj in results:
         rec = traj.records[-1]
@@ -449,11 +439,9 @@ def _run_longtime(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> in
 def _run_crosscheck(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
     rows = []
     ok = True
-    # the tau nls_to_hydro_crosscheck would solve for each row
-    tau_sol = tau_cover(config.t_end, inputs.psi0.t)
     for delta_stab, dt in inputs.pairs:
         rep = lognls.nls_to_hydro_crosscheck(
-            inputs.psi0, config.t_end, delta_stab=delta_stab, dt=dt, tau_sol=tau_sol
+            inputs.psi0, config.t_end, delta_stab=delta_stab, dt=dt
         )
         rows.append(rep.__dict__)
         ok &= rep.status == "ok"
@@ -698,12 +686,10 @@ def _drag_ladder(dts=(2e-2, 1e-2, 5e-3), t_end=0.4):
     """(trajectories, None) of the drag run (cubic drag r1 only) at each
     fixed dt of the ladder, or (None, error) at the first run that aborts."""
     state = drag_run_state()
-    # the tau solver.run would solve for each dt
-    tau_sol = tau_cover(t_end, state.t)
     trajs = []
     for dt in dts:
         p = ParamSet(nu=0.1, eps=0.2, r1=0.05, dt_policy="fixed", dt=dt, viscous_form="bounded")
-        traj = solver.run(state, p, t_end, tau_sol=tau_sol, diag_every=1)
+        traj = solver.run(state, p, t_end, diag_every=1)
         if traj.status != "ok":
             return None, f"run aborted: {traj.status} at dt={dt}"
         trajs.append(traj)
@@ -765,12 +751,10 @@ def _check_nls() -> list[str]:
     errs = []
     g = Grid(1, 8.0, 128)
     psi0 = make_wavefunction(g, {"generator": "gaussian"}, eps=1.0)
-    # the tau run_nls would solve for each dt
-    tau_sol = tau_cover(0.5, psi0.t)
     res = []
     for dt in (4e-3, 2e-3):
         p = lognls.NlsParams(eps=1.0, dt=dt)
-        traj = lognls.run_nls(psi0, p, 0.5, tau_sol=tau_sol)
+        traj = lognls.run_nls(psi0, p, 0.5)
         if traj.max_step_mass_drift > 1e-12:
             errs.append(f"mass drift per step {traj.max_step_mass_drift:.2e} > 1e-12")
             break

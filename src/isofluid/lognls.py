@@ -147,10 +147,10 @@ def run_nls(
     """March psi to t_end with steps of params.dt, the last one cut to land
     on t_end as solver.run does (no step when t_end <= psi0.t), recording
     the mass, the Madelung pseudo-energy/dissipation and the variant energy
-    at the start, at every sample_every-th step and at the end.  The march
-    carries the coefficients of psi: the per-step mass is Parseval's, and
-    psi and its gradient come back only at a sample.  The rescaled variant
-    without tau_sol solves tau_cover(t_end, psi0.t)."""
+    at the start, at every sample_every-th step (never for 0) and at the
+    end.  The march carries the coefficients of psi: the per-step mass is
+    Parseval's, and psi and its gradient come back only at a sample.  The
+    rescaled variant without tau_sol solves tau_cover(t_end, psi0.t)."""
     if tau_sol is None and params.variant == "rescaled":
         tau_sol = tau_cover(t_end, psi0.t)
 
@@ -193,7 +193,7 @@ def run_nls(
         m_before, m_after = m_after, mass(zh)
         drift = abs(m_after - m_before) / max(abs(m_before), 1e-300)
         traj.max_step_mass_drift = max(traj.max_step_mass_drift, drift)
-        if k % sample_every == 0 or t >= t_end * (1.0 - 1e-12):
+        if t >= t_end * (1.0 - 1e-12) or (sample_every and k % sample_every == 0):
             emit(zh, m_after)
     return traj
 
@@ -247,30 +247,27 @@ def nls_to_hydro_crosscheck(
     t_end: float,
     delta_stab: float = 1e-4,
     dt: float | None = None,
-    tau_sol: TauSolution | None = None,
 ) -> CrosscheckReport:
     """Evolve the rescaled log-NLS and the hydrodynamic system of
     crosscheck_hydro_params from the Madelung image of psi0 and report the
-    relative L2 difference of the densities at t_end.  Without tau_sol both
-    runs share tau_cover(t_end, psi0.t).
+    relative L2 difference of the densities at t_end.  Each run solves its
+    own tau, the same tau_cover(t_end, psi0.t).
 
     A hydro abort is reported in the status, not raised.
     """
     eps = psi0.epsilon
     params_nls = NlsParams(eps=eps, dt=dt if dt is not None else 1e-3)
-    if tau_sol is None:
-        tau_sol = tau_cover(t_end, psi0.t)
     report = partial(CrosscheckReport, t_end=t_end, dt=params_nls.dt, delta_stab=delta_stab)
     if t_end <= psi0.t:
         m = psi0.grid.quad(psi0.psi.real**2 + psi0.psi.imag**2)
         return report(status="ok", diff_rel=0.0, mass_nls=m, mass_hydro=m)
 
-    nls_traj = run_nls(psi0, params_nls, t_end, tau_sol=tau_sol, sample_every=10**9)
+    nls_traj = run_nls(psi0, params_nls, t_end, sample_every=0)
     psiT = nls_traj.psi_final
     r_nls = psiT.psi.real**2 + psiT.psi.imag**2
 
     hp = crosscheck_hydro_params(eps, delta_stab, params_nls.dt)
-    hydro = hydro_run(madelung(psi0), hp, t_end, tau_sol=tau_sol, diag_every=0)
+    hydro = hydro_run(madelung(psi0), hp, t_end, diag_every=0)
     g = psi0.grid
     if hydro.status != "ok":
         status = f"hydro_{hydro.status}"

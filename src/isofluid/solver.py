@@ -187,8 +187,7 @@ class Trajectory:
     # "snapshots_s" (the state copies kept in snapshots) are parts of
     # "wall_s", the whole of solver.run; "steps_per_s" is n_steps / wall_s;
     # "transforms" the scipy.fft calls of the grid's backend during the run
-    # (runs sharing a grid at the same time count each other's) and
-    # "peak_rss_mb" the process's peak resident set (ru_maxrss) at its end
+    # and "peak_rss_mb" the process's peak resident set (ru_maxrss) at its end
     timing: dict = field(default_factory=dict)
 
     def series(self, name: str) -> np.ndarray:

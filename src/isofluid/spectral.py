@@ -50,9 +50,8 @@ Conventions
   (scipy 1.17, best of 7) scipy.fft's workers=2 was slower or level
   against workers=1: one 128^2 irfftn 239 us against 153 us, a stacked
   4 x 128^2 inverse 1.35 ms against 1.08 ms, one 32^3 irfftn 0.67 ms
-  against 0.36 ms, a 256-point irfft 11.5 us against 11.6 us.  The one
-  parallel setting is the sweep's thread pool (the `threads` config key,
-  default 1), which runs whole ladder points side by side;
+  against 0.36 ms, a 256-point irfft 11.5 us against 11.6 us.  Nothing
+  else runs in parallel either: a sweep runs its ladder points in order;
 * Nyquist rule: a symbol s acts as the real part of its complex-transform
   evaluation does, i.e. as (s(m) + conj(s(-m)))/2 with modes taken mod n.
   So an odd symbol (a single factor i k_j) uses k_j = 0 at the Nyquist index

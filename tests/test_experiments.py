@@ -202,7 +202,7 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
         (["tau"], {"t_end": -1}),
         (["tau"], {"t_end": 0}),
         (["check"], {"filter": 3}),
-        (["sweep", "--axis", "delta"], {"threads": "x", **NU}),
+        (["sweep", "--axis", "delta"], {"threads": 2, **NU}),
         (["simulate"], {"t_end": math.nan, **NU}),
         (["longtime"], {"t_end": math.nan, **NU}),
         (["korteweg"], {"t_end": math.nan}),
@@ -239,8 +239,10 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
                                               ["korteweg"], ["tau"])],
         (["simulate"], {"diag_every": -2, **NU}),
         (["simulate"], {"snapshot_every": -3, **NU}),
-        (["sweep", "--axis", "delta"], {"threads": -4, **NU}),
-        (["sweep", "--axis", "delta"], {"threads": 0, **NU}),
+        (["simulate", "--seed", "x"], NU),
+        (["simulate", "--bogus"], NU),
+        (["sweep", "--axis", "delta", "--threads", "2"], NU),
+        ([], NU),
     ],
     ids=["unknown_param", "negative_nu", "non_integer_n", "sweep_unknown_param",
          "negative_theta", "non_numeric_amplitude", "initial_not_a_dict", "non_numeric_t_end",
@@ -249,7 +251,7 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
          "drag_ell_zero_ell", "drag_ell_non_numeric_ell", "non_integer_diag_every",
          "non_integer_snapshot_every", "config_not_an_object", "non_numeric_ladder",
          "infinite_n", "infinite_mode", "out_under_a_file", "tau_negative_t_end",
-         "tau_zero_t_end", "non_string_filter", "non_integer_threads", "nan_t_end",
+         "tau_zero_t_end", "non_string_filter", "threads_key_is_unknown", "nan_t_end",
          "longtime_nan_t_end", "korteweg_nan_t_end", "tau_nan_t_end", "infinite_t_end",
          "tau_infinite_t_end", "vanishing_ell", "nan_nu", "nan_dt", "inf_r0",
          "unknown_grid_key", "misspelt_initial_key", "foreign_initial_key",
@@ -259,7 +261,8 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
          "string_alpha", "fractional_s", "bool_schema_version",
          *[f"{kind}_t_end_past_t_max" for kind in ("simulate", "sweep", "longtime", "korteweg",
                                                    "tau")],
-         "negative_diag_every", "negative_snapshot_every", "negative_threads", "zero_threads"],
+         "negative_diag_every", "negative_snapshot_every", "non_integer_seed_flag",
+         "unknown_flag", "threads_flag", "no_command"],
 )
 def test_cli_bad_construction_exits_3(tmp_path, capsys, command, config):
     out = tmp_path / "out"
@@ -269,7 +272,8 @@ def test_cli_bad_construction_exits_3(tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
     assert cli_main([*command, "--config", str(cfg), "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("bad config: ")
+    err = capsys.readouterr().err
+    assert err.startswith("bad config: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -348,28 +352,6 @@ def test_cli_sweep_delta(tmp_path):
     assert diffs[0] > diffs[1]  # paper's delta -> 0 convergence, numeric proxy
 
 
-def test_cli_sweep_csv_independent_of_threads(tmp_path):
-    # each ladder point runs alone whatever the pool size, so the sweep's
-    # CSV is byte-identical with one thread and with two
-    cfg = {
-        "grid": {"d": 1, "ell": 6.0, "n": 64},
-        "params": {"nu": 0.05, "eps": 0.1, "r0": 0.01, "r1": 0.01,
-                   "dt_policy": "fixed", "dt": 2e-3, "viscous_form": "bounded"},
-        "initial": {"generator": "prepared_gaussian", "theta": 0.3, "iota": 0.4},
-        "t_end": 0.02,
-        "ladder": [1e-3, 1e-4, 1e-5, 1e-6],
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    csvs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        args = ["sweep", "--axis", "delta", "--config", str(cfg_path), "--out", str(out)]
-        assert cli_main([*args, "--threads", threads]) == 0
-        csvs.append((out / "sweep.csv").read_bytes())
-    assert csvs[0] == csvs[1]
-
-
 def test_cli_korteweg_short_horizon(tmp_path):
     # a horizon shorter than the row's dt: both solvers take one cut step to
     # t_end, inside the tau table
@@ -434,24 +416,6 @@ def test_check_runs_the_identity_ladder_once(monkeypatch, filter, runs):
     ok, failures = E.check(filter, verbose=False)
     assert ok, failures
     assert len(calls) == runs
-
-
-def test_check_solves_tau_once_per_ladder(monkeypatch):
-    # the tau family solves two horizons; the drag ladder, the bd family's
-    # nu = 0 run, the mass run and the nls ladder one tau cover each
-    from isofluid import tauode
-
-    calls = []
-
-    def counted(*args, _orig=tauode.tau_solve):
-        calls.append(args)
-        return _orig(*args)
-
-    monkeypatch.setattr(tauode, "tau_solve", counted)
-    monkeypatch.setattr(E, "tau_solve", counted)
-    ok, failures = E.check(verbose=False)
-    assert ok, failures
-    assert len(calls) == 6
 
 
 def test_check_ladder_does_not_outlive_its_call(monkeypatch):

@@ -144,10 +144,24 @@ def test_run_nls_lands_on_t_end(t_end):
     psi0 = _offset_wave(1, 64)
     p = lognls.NlsParams(eps=1.0, dt=2e-3)
     ts = tau_solve(max(t_end, 1e-3) * 1.001, 1e-12, 1e-14)
-    traj = lognls.run_nls(psi0, p, t_end, tau_sol=ts, sample_every=10**9)
+    traj = lognls.run_nls(psi0, p, t_end, tau_sol=ts, sample_every=0)
     assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
     assert traj.psi_final.t == traj.times[-1]
     assert len(traj.times) == 2
+
+
+def test_run_nls_without_samples_records_the_start_and_the_end():
+    # sample_every = 0 keeps only the records at the start and at t_end, as
+    # solver.run's diag_every = 0 does; they are those of a sampled run
+    psi0 = _offset_wave(1, 64)
+    p = lognls.NlsParams(eps=1.0, dt=2e-3)
+    bare = lognls.run_nls(psi0, p, 0.02, sample_every=0)
+    sampled = lognls.run_nls(psi0, p, 0.02, sample_every=3)
+    assert len(bare.times) == 2
+    for name in ("times", "mass", "energy", "dissipation", "e_variant"):
+        full = getattr(sampled, name)
+        assert getattr(bare, name) == [full[0], full[-1]], name
+    assert np.array_equal(bare.psi_final.psi, sampled.psi_final.psi)
 
 
 def test_run_nls_past_t_end_samples_its_start():
