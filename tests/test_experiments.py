@@ -239,6 +239,8 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
                                               ["korteweg"], ["tau"])],
         (["simulate"], {"diag_every": -2, **NU}),
         (["simulate"], {"snapshot_every": -3, **NU}),
+        # threads is no longer a config key: a stale one is refused whatever its value
+        *[(["sweep", "--axis", "delta"], {"threads": v, **NU}) for v in ("x", -4, 0)],
         (["simulate", "--seed", "x"], NU),
         (["simulate", "--bogus"], NU),
         (["sweep", "--axis", "delta", "--threads", "2"], NU),
@@ -261,7 +263,8 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
          "string_alpha", "fractional_s", "bool_schema_version",
          *[f"{kind}_t_end_past_t_max" for kind in ("simulate", "sweep", "longtime", "korteweg",
                                                    "tau")],
-         "negative_diag_every", "negative_snapshot_every", "non_integer_seed_flag",
+         "negative_diag_every", "negative_snapshot_every", "non_integer_threads",
+         "negative_threads", "zero_threads", "non_integer_seed_flag",
          "unknown_flag", "threads_flag", "no_command"],
 )
 def test_cli_bad_construction_exits_3(tmp_path, capsys, command, config):
