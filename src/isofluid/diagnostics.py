@@ -23,10 +23,10 @@ entries in sp.hess_keys order.
 Terms.  Each functional is a sum of named term integrals (_TERMS) with
 coefficients from the parameters and tau; StateOps.q computes each term once
 per state, and a term whose coefficient vanishes is not evaluated.  `record`
-first notes what its columns transform, then makes those transforms in one
-StateOps.fetch: each group as one Spectral.batch, the fields built from
-derivatives (lap log R, lap sqrt R / sqrt R, the Korteweg stress) in a
-second stage.
+builds the (coefficient, term) lists of its columns once, makes what their
+terms transform in one StateOps.fetch (each group as one Spectral.batch, the
+fields built from derivatives (lap log R, lap sqrt R / sqrt R, the Korteweg
+stress) in a second stage), then sums each column from the same lists.
 
 Parseval.  Quadratures of products of linear derivatives of one field
 (|grad lap^s R|^2, (lap^(s+1) R)^2, |grad rho_tilde^(-alpha/2)|^2, |lap U|^2,
@@ -181,7 +181,7 @@ class StateOps:
         self._R_raw = R = np.asarray(R, dtype=float)
         self.R = np.maximum(R, 0.0)
         self.s = np.sqrt(self.R)
-        self._cache, self._hat, self._arr, self._terms, self._plan = {}, {}, {}, {}, None
+        self._cache, self._hat, self._arr, self._terms = {}, {}, {}, {}
         if r_floor is not None:
             self._cache["r_floor"] = r_floor
         if M is None:
@@ -224,10 +224,12 @@ class StateOps:
         sp = self.sp
         todo = {n: key for n, key in todo.items() if n not in self._arr}
         fields = dict.fromkeys(key for key in todo.values() if key not in self._hat)
-        stacks = {key: _FIELDS[key[0]](self, *key[1:]) for key in fields}
-        self._hat.update(sp.batch(sp.fwd, stacks))
+        if fields:
+            stacks = {key: _FIELDS[key[0]](self, *key[1:]) for key in fields}
+            self._hat.update(sp.batch(sp.fwd, stacks))
         parts = {n: _DERIVS[n][1](sp, self._hat[key]) for n, key in todo.items() if n in _DERIVS}
-        self._arr.update(sp.batch(sp.inv, parts))
+        if parts:
+            self._arr.update(sp.batch(sp.inv, parts))
         for key in fields.keys() - named:
             del self._hat[key]
 
@@ -258,29 +260,17 @@ class StateOps:
             out = self._terms[key] = float(_TERMS[name][1](self, *args))
         return out
 
-    def total(self, *terms) -> float:
-        """The sum of c * q(key) over the (c, key) pairs whose c != 0; while
-        `planned` runs, it notes what they transform instead and returns 0."""
-        if self._plan is not None:
+    def total(self, *groups) -> float:
+        """The sums of c * q(key) over the (c, key) pairs whose c != 0 of
+        each group (a list of pairs), added group after group."""
+        out = 0.0
+        for terms in groups:
+            part = 0.0
             for c, key in terms:
                 if c != 0.0:
-                    self._plan.update(dict.fromkeys(_needs(_key(key))))
-            return 0.0
-        out = 0.0
-        for c, key in terms:
-            if c != 0.0:
-                out += c * self.q(key)
+                    part += c * self.q(key)
+            out += part
         return out
-
-    def planned(self, evaluate) -> list:
-        """What the totals of evaluate() transform, noted without
-        transforming or integrating anything."""
-        self._plan = {}
-        try:
-            evaluate()
-            return list(self._plan)
-        finally:
-            self._plan = None
 
     # -- pointwise arrays, each built on first use ----------------------------
 
@@ -436,6 +426,11 @@ def _times(c: float, terms) -> list:
 
 # ---------------------------------------------------------------------------
 # energy / dissipation of the plain system
+#
+# Each functional is the total of its (coefficient, term) lists, built by the
+# function of the same name with a leading underscore; record builds the
+# lists of all its columns once and reads them for both its fetch and its
+# sums.
 
 
 _POTENTIAL = [(1.0, "Rr2"), (1.0, "RlogR")]  # quad(R |y|^2 + R log R)
@@ -446,22 +441,34 @@ def _kinetic(eps: float, eta2: float = 0.0, s: int | None = None) -> list:
     return [(1.0, "lam2"), (eps**2, "gs2"), (eta2, ("glR2", s))]
 
 
+def _energy(tau, eps: float) -> list:
+    return [*_times(1.0 / (2 * tau[0] ** 2), _kinetic(eps)), *_POTENTIAL]
+
+
 def energy(state: FluidState | StateOps, tau, eps: float) -> float:
     """Self-similar pseudo-energy
     (1/2 tau^2) quad(R|U|^2 + eps^2 |grad sqrt R|^2) + quad(R|y|^2 + R log R)."""
-    kin = _times(1.0 / (2 * tau[0] ** 2), _kinetic(eps))
-    return StateOps.of(state).total(*kin, *_POTENTIAL)
+    return StateOps.of(state).total(_energy(tau, eps))
+
+
+def _dissipation(tau, eps: float, nu: float) -> list:
+    tau_v, taudot_v = tau
+    return [*_times(taudot_v / tau_v**3, _kinetic(eps)), (nu / tau_v**4, "RDU2")]
 
 
 def dissipation(state: FluidState | StateOps, tau, eps: float, nu: float) -> float:
     """(taudot/tau^3) quad(R|U|^2 + eps^2|grad sqrt R|^2) + (nu/tau^4) quad(R |DU|^2)."""
-    tau_v, taudot_v = tau
-    rate = _times(taudot_v / tau_v**3, _kinetic(eps))
-    return StateOps.of(state).total(*rate, (nu / tau_v**4, "RDU2"))
+    return StateOps.of(state).total(_dissipation(tau, eps, nu))
 
 
 # ---------------------------------------------------------------------------
 # BD entropy family
+
+
+def _bd_entropy(tau, eps: float, nu: float, r0: float) -> list:
+    kin = [(1.0, "lam2"), (4.0 * nu, "lgs"), (4.0 * nu**2 + eps**2, "gs2"),
+           (-2.0 * r0, "logR_le1")]
+    return [*_times(1.0 / (2 * tau[0] ** 2), kin), *_POTENTIAL]
 
 
 def bd_entropy(
@@ -470,18 +477,18 @@ def bd_entropy(
     """BD entropy; with r0 > 0 includes the drag term -2 r0 (log R) 1_{R<=1}.
     R |U + nu grad log R|^2 is expanded without division:
     |Lambda|^2 + 4 nu Lambda . grad sqrt R + 4 nu^2 |grad sqrt R|^2."""
-    kin = [(1.0, "lam2"), (4.0 * nu, "lgs"), (4.0 * nu**2 + eps**2, "gs2"),
-           (-2.0 * r0, "logR_le1")]
-    return StateOps.of(state).total(*_times(1.0 / (2 * tau[0] ** 2), kin), *_POTENTIAL)
+    return StateOps.of(state).total(_bd_entropy(tau, eps, nu, r0))
+
+
+def _bd_dissipation(tau, eps: float, nu: float) -> list:
+    tau_v, taudot_v = tau
+    t4 = tau_v**4
+    return [*_times(taudot_v / tau_v**3, _kinetic(eps)),
+            (4.0 * nu / tau_v**2, "gs2"), (nu / t4, "RAU2"), (nu * eps**2 / t4, "RhlogR2")]
 
 
 def bd_dissipation(state: FluidState | StateOps, tau, eps: float, nu: float) -> float:
-    tau_v, taudot_v = tau
-    t4 = tau_v**4
-    return StateOps.of(state).total(
-        *_times(taudot_v / tau_v**3, _kinetic(eps)),
-        (4.0 * nu / tau_v**2, "gs2"), (nu / t4, "RAU2"), (nu * eps**2 / t4, "RhlogR2"),
-    )
+    return StateOps.of(state).total(_bd_dissipation(tau, eps, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -515,58 +522,71 @@ def _velocity_damping(p: ParamSet, tau) -> list:
     return [(p.delta2 / t4, "lapU2"), (p.r0 / t4, "U2"), (p.r1 / t4, "lam2U2")]
 
 
+def _energy_reg(p: ParamSet, tau) -> tuple:
+    return _energy(tau, p.eps), _eta_potential(p, tau)
+
+
 def energy_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
-    ops = StateOps.of(state)
-    return energy(ops, tau, params.eps) + ops.total(*_eta_potential(params, tau))
+    return StateOps.of(state).total(*_energy_reg(params, tau))
 
 
-def dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
-    p = params
+def _dissipation_reg(p: ParamSet, tau) -> list:
     tau_v, taudot_v = tau
     t4 = tau_v**4
-    return StateOps.of(state).total(
+    return [
         *_times(taudot_v / tau_v**3, _kinetic(p.eps, p.eta2, p.s)),
         (p.nu / t4, "RDU2"),
         *_diffusion_dissipation(p, tau, p.delta1),
         (p.delta1 * p.eps**2 / (2 * t4), "RhlogR2"),
         *_velocity_damping(p, tau),
-    )
+    ]
+
+
+def dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
+    return StateOps.of(state).total(_dissipation_reg(params, tau))
+
+
+def _bd_entropy_reg(p: ParamSet, tau) -> tuple:
+    return _bd_entropy(tau, p.eps, p.nu, p.r0), _eta_potential(p, tau)
 
 
 def bd_entropy_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
     """Positive part of the regularized BD entropy (drag log-term truncated
     to {R <= 1}, plus the eta contributions)."""
-    p, ops = params, StateOps.of(state)
-    return bd_entropy(ops, tau, p.eps, p.nu, p.r0) + ops.total(*_eta_potential(p, tau))
+    return StateOps.of(state).total(*_bd_entropy_reg(params, tau))
 
 
-def bd_dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
+def _bd_dissipation_reg(p: ParamSet, tau) -> list:
     # sum of the energy-identity and BD-identity dissipations; adding the
     # two derivations gives the density-diffusion coefficient nu + delta1.
     # The drag term 2 r0 nu (taudot/tau^3) quad(|log R| 1_{R<1}) is read off
     # quad(log R 1_{R<=1}) <= 0.
-    p = params
     tau_v, taudot_v = tau
     t4 = tau_v**4
     chess = p.delta1 * p.nu**2 + p.nu * p.eps**2 + p.delta1 * p.eps**2 / 2.0
-    return StateOps.of(state).total(
+    return [
         *_times(taudot_v / tau_v**3, _kinetic(p.eps, p.eta2, p.s)),
         (-2.0 * p.r0 * p.nu * taudot_v / tau_v**3, "logR_le1"),
         (chess / t4, "RhlogR2"),
         *_diffusion_dissipation(p, tau, p.nu + p.delta1),
         (p.nu / t4, "RAU2"),
         *_velocity_damping(p, tau),
-    )
+    ]
+
+
+def bd_dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
+    return StateOps.of(state).total(_bd_dissipation_reg(params, tau))
+
+
+def _balance_rhs(p: ParamSet, tau, d: int) -> list:
+    tau_v, taudot_v = tau
+    return [(2.0 * d * p.delta1 / tau_v**2, "R"), (-p.nu * taudot_v / tau_v**3, "RdivU")]
 
 
 def balance_rhs(state: FluidState | StateOps, params: ParamSet, tau) -> float:
     """Right side of the regularized energy balance:
     2 d delta1 / tau^2 quad(R) - nu taudot / tau^3 quad(R div U)."""
-    ops, p = StateOps.of(state), params
-    tau_v, taudot_v = tau
-    return ops.total(
-        (2.0 * ops.grid.d * p.delta1 / tau_v**2, "R"), (-p.nu * taudot_v / tau_v**3, "RdivU")
-    )
+    return StateOps.of(state).total(_balance_rhs(params, tau, state.grid.d))
 
 
 def energy_balance_residual(times, e_reg, d_reg, rhs) -> float:
@@ -582,19 +602,10 @@ def energy_balance_residual(times, e_reg, d_reg, rhs) -> float:
 # BD identity (time-integrated, all terms carry a factor nu)
 
 
-def bd_identity_terms(
-    state: FluidState | StateOps, params: ParamSet, tau
-) -> tuple[float, float, float]:
-    """(F, DISS, RHS) of the BD identity at one instant, where the identity is
-
-        dF/dt + DISS = RHS,
-        F = (1/tau^2) quad(nu R U . grad log R + nu^2/2 R |grad log R|^2
-                           - 2 r0 nu log R).
-    """
-    p = params
+def _bd_identity(p: ParamSet, tau, d: int) -> tuple:
+    """The term lists of (F, DISS, RHS) of bd_identity_terms; empty without nu."""
     if p.nu == 0.0:
-        return 0.0, 0.0, 0.0
-    ops = StateOps.of(state)
+        return [], [], []
     tau_v, taudot_v = tau
     nu, t4 = p.nu, tau_v**4
     # R U . grad log R = U . grad R = 2 Lambda . grad sqrt R (no division).
@@ -604,22 +615,35 @@ def bd_identity_terms(
     # (int R grad(lap sqrt R / sqrt R) . grad log R = -1/2 int R |hess log R|^2,
     # so the eps^2/2-weighted force contributes eps^2/4), and both are
     # confirmed by the residual vanishing at the scheme's order.
-    f = ops.total(*_times(1.0 / tau_v**2, [(2.0 * nu, "lgs"), (2.0 * nu**2, "gs2"),
-                                           (-p.r0 * nu, "logR")]))
-    diss = ops.total(
+    f = _times(1.0 / tau_v**2, [(2.0 * nu, "lgs"), (2.0 * nu**2, "gs2"), (-p.r0 * nu, "logR")])
+    diss = [
         *_times(2.0 * nu * taudot_v / tau_v**3, [(2.0, "lgs"), (-p.r0, "logR")]),
         *_diffusion_dissipation(p, tau, nu),
         ((p.delta1 * nu**2 + p.eps**2 * nu / 4.0) / t4, "RhlogR2"),
-    )
-    rhs = ops.total(
-        (2.0 * ops.grid.d * nu / tau_v**2, "R"),
+    ]
+    rhs = [
+        (2.0 * d * nu / tau_v**2, "R"),
         (nu / t4, "RgUgUT"),
         (-p.r1 * nu / t4, "U2UgR"),
         (-p.r0 * nu * p.delta1 / t4, "lapR_rt"),
         (-p.delta1 * nu / t4, "mix"),
         (-p.delta1 * nu / t4, "lapR_divmom"),
         (-p.delta2 * nu / t4, "lapU_glaplog"),
-    )
+    ]
+    return f, diss, rhs
+
+
+def bd_identity_terms(
+    state: FluidState | StateOps, params: ParamSet, tau
+) -> tuple[float, float, float]:
+    """(F, DISS, RHS) of the BD identity at one instant, where the identity is
+
+        dF/dt + DISS = RHS,
+        F = (1/tau^2) quad(nu R U . grad log R + nu^2/2 R |grad log R|^2
+                           - 2 r0 nu log R).
+    """
+    ops = StateOps.of(state)
+    f, diss, rhs = (ops.total(terms) for terms in _bd_identity(params, tau, ops.grid.d))
     return f, diss, rhs
 
 
@@ -938,21 +962,25 @@ _FULL_NEEDS = _COMPAT_NEEDS + _IRROT_NEEDS
 _IDENTITY_NEEDS = _LOGHESS_NEEDS + _JUNGEL_NEEDS + _KORTEWEG_NEEDS
 
 
-def _columns(ops: StateOps, p: ParamSet, tau, full: bool) -> dict:
-    """The value columns of a record but its moments."""
+def _column_terms(p: ParamSet, tau, d: int, full: bool) -> dict:
+    """The (coefficient, term) lists of each value column of a record but its
+    moments, grouped as its functional groups them: the column is the
+    lists' totals added in order (energy_reg is energy plus the eta
+    potential's total)."""
+    bdid = _bd_identity(p, tau, d)
     cols = {
-        "energy": energy(ops, tau, p.eps),
-        "dissipation": dissipation(ops, tau, p.eps, p.nu),
-        "energy_reg": energy_reg(ops, p, tau),
-        "dissipation_reg": dissipation_reg(ops, p, tau),
-        "balance_rhs": balance_rhs(ops, p, tau),
-        "bd_entropy": bd_entropy(ops, tau, p.eps, p.nu, p.r0),
-        "bd_dissipation": bd_dissipation(ops, tau, p.eps, p.nu),
+        "energy": (_energy(tau, p.eps),),
+        "dissipation": (_dissipation(tau, p.eps, p.nu),),
+        "energy_reg": _energy_reg(p, tau),
+        "dissipation_reg": (_dissipation_reg(p, tau),),
+        "balance_rhs": (_balance_rhs(p, tau, d),),
+        "bd_entropy": (_bd_entropy(tau, p.eps, p.nu, p.r0),),
+        "bd_dissipation": (_bd_dissipation(tau, p.eps, p.nu),),
+        **{name: (terms,) for name, terms in zip(("bdid_f", "bdid_diss", "bdid_rhs"), bdid)},
     }
-    cols["bdid_f"], cols["bdid_diss"], cols["bdid_rhs"] = bd_identity_terms(ops, p, tau)
     if full:
-        cols["bd_entropy_reg"] = bd_entropy_reg(ops, p, tau)
-        cols["bd_dissipation_reg"] = bd_dissipation_reg(ops, p, tau)
+        cols["bd_entropy_reg"] = _bd_entropy_reg(p, tau)
+        cols["bd_dissipation_reg"] = (_bd_dissipation_reg(p, tau),)
     return cols
 
 
@@ -968,14 +996,18 @@ def record(
 
     The core tier (always computed) carries everything needed for the
     time-integrated balance residuals; full=True adds the identity residuals
-    and entropy comparisons (meaningful on smooth positive states).  Every
-    transform that the columns and the identity functions need is made up
-    front, in one fetch.
+    and entropy comparisons (meaningful on smooth positive states).  The
+    columns' term lists are built once (_column_terms); every transform that
+    their terms and the identity functions need is made up front, in one
+    fetch, and each column is then summed once.
     """
-    ops, p, g = StateOps.of(state, r_floor), params, state.grid
+    ops, g = StateOps.of(state, r_floor), state.grid
     positive = ops.min_density > 0
+    cols = _column_terms(params, tau, g.d, full)
+    keys = dict.fromkeys(key for groups in cols.values() for pairs in groups
+                         for c, key in pairs if c != 0.0)
     ops.fetch(
-        *ops.planned(lambda: _columns(ops, p, tau, full)),
+        *dict.fromkeys(n for key in keys for n in _needs(_key(key))),
         *(_FULL_NEEDS if full else ()),
         *(_IDENTITY_NEEDS if full and positive else ()),
     )
@@ -985,7 +1017,7 @@ def record(
         momentum=tuple(g.quad(m) for m in ops.mom),
         second_moment=ops.q("Rr2"),
         min_density=ops.min_density,
-        **_columns(ops, p, tau, full),
+        **{name: ops.total(*groups) for name, groups in cols.items()},
     )
     if full:
         ops.keep(*_FULL_NEEDS, *_IDENTITY_NEEDS)

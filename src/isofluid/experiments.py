@@ -134,6 +134,16 @@ class ExperimentConfig:
                 for v in ladder if keys else [None]:
                     init = make_initial(grid, self.initial, self.seed)
                     inputs.points.append((v, init, params(grid.d, **dict.fromkeys(keys, v))))
+                p = inputs.points[0][2]
+                if kind == "simulate" and p.dt_policy == "fixed" and self.t_end > init.t \
+                        and 0 < self.snapshot_every < 1e-6 / p.dt:
+                    # the first snapshot after the start comes at most t1, past
+                    # the rounding of a sum of steps
+                    t1 = min(init.t + self.snapshot_every * p.dt, self.t_end)
+                    if _snapshot_clash([init.t, t1 * (1.0 + 1e-9)]):
+                        raise BadConfig(f"snapshot_every * dt = {self.snapshot_every * p.dt:g}: "
+                                        f"the snapshots at t = {init.t:g} and t <= {t1:g} "
+                                        "share a file name (6 decimals of t)")
             inputs.out.mkdir(parents=True, exist_ok=True)
         except (TypeError, ValueError, AttributeError, ArithmeticError, OSError) as exc:
             raise BadConfig(str(exc)) from exc
@@ -345,7 +355,10 @@ def _run_single(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
         config, inputs, snapshot_every=config.snapshot_every, diag_every=config.diag_every
     )
     t0 = time.perf_counter()
-    for snap in traj.snapshots:
+    clash = _snapshot_clash([snap.t for snap in traj.snapshots])
+    if clash:
+        print(f"run failed: snapshot name collision: {clash}", file=sys.stderr)
+    for snap in [] if clash else traj.snapshots:
         # R, and Lambda = sqrt R U from the solver's recovery U = M / rho_sm
         lam = snap.M / np.sqrt(smooth_density(snap.R, traj.r_min))
         fields = {"R": np.maximum(snap.R, 0.0), **{f"Lambda{i}": c for i, c in enumerate(lam)}}
@@ -358,7 +371,18 @@ def _run_single(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
          "cfl_binding": traj.cfl_binding, "params": asdict(params), "timing": traj.timing,
          **_stop(traj)},
     )
-    return 0 if traj.status == "ok" else 2
+    return 0 if traj.status == "ok" and not clash else 2
+
+
+def _snapshot_clash(times) -> str | None:
+    """Which two of the snapshot times would share a file (io.snapshot_path
+    keeps 6 decimals of t), or None when each has a file of its own."""
+    first = {}
+    for t in times:
+        name = io_.snapshot_path("", "*", t)
+        if first.setdefault(name, t) != t:
+            return f"t = {first[name]!r} and t = {t!r} both name {name}"
+    return None
 
 
 def _stop(traj: solver.Trajectory) -> dict:

@@ -136,14 +136,16 @@ TERMS = {
     "eta1": "the cold pressure raises the acoustic sound speed",
     "eta2": ("eta2", _DEALIASED),
 }
-# the rate at kmx and the power of |k| of each family in TERMS, from its
-# coefficient c, kmx, tau^2, max R and the eta2 exponent s; the viscous rate
-# is rescaled by sqrt(3)/2.51, so that its reach is the real axis's
+# each family in TERMS, from its coefficient c, kmx and the eta2 exponent s:
+# its rate at kmx as a function of (tau^2, max R), and the power of |k| it
+# grows as; the viscous rate is rescaled by sqrt(3)/2.51, so that its reach
+# is the real axis's
 _FAMILY_RATES = {
-    "viscous": lambda c, kmx, t2, rmax, s: (c * kmx**2 / t2 * (_RK3_IMAG / _RK3_REAL), 2),
-    "korteweg": lambda c, kmx, t2, rmax, s: (0.5 * c * kmx**2 / t2, 2),
-    "eta2": lambda c, kmx, t2, rmax, s: (
-        math.sqrt(c * rmax) * kmx ** (2 * s + 2) / t2, 2 * s + 2),
+    "viscous": lambda c, kmx, s: (
+        lambda t2, rmax: c * kmx**2 / t2 * (_RK3_IMAG / _RK3_REAL), 2),
+    "korteweg": lambda c, kmx, s: (lambda t2, rmax: 0.5 * c * kmx**2 / t2, 2),
+    "eta2": lambda c, kmx, s: (
+        lambda t2, rmax: math.sqrt(c * rmax) * kmx ** (2 * s + 2) / t2, 2 * s + 2),
 }
 # the most steps a CFL-policy run may take: above 10x the longest CFL run of
 # the test suite and the acceptance runs (criterion 3 to t = 1, 1,251 steps),
@@ -272,16 +274,30 @@ class _Stepper:
         p, sp = self.p, self.sp
         self.eta1_ik = p.eta1 * sp.ik
         self.delta1_mask = p.delta1 * sp.mask
-        self.delta2_lap2 = p.delta2 * sp.lap_symbol(2)
+        self.lap2 = sp.lap_symbol(2)  # |k|^4
+        self.delta2_lap2 = p.delta2 * self.lap2
+        self.eta2_sym = sp.grad_lap_symbol(2 * p.s + 1) if p.eta2 > 0 else None
+        # the active coefficient families of _rates: (family, its rate at kmx
+        # as a function of (tau^2, max R), band**power)
+        self.families = []
+        for coef, entry in TERMS.items():
+            c = getattr(p, coef)
+            if isinstance(entry, tuple) and c > 0:
+                family, band = entry
+                rate, power = _FAMILY_RATES[family](c, self.kmx, p.s)
+                self.families.append((family, rate, band**power))
         # the gates of the terms, and the Layouts of n_rhs's three batches:
         # its own parts, and on an N substep's first call the density
         # forces' parts after them in the same stacks (see the module notes)
         self.vacuum = p.nu > 0 and self.viscous_form == "vacuum"
         self.grad_u = p.delta1 > 0 or (p.nu > 0 and not self.vacuum)
+        self.hat_u = self.grad_u or p.delta2 > 0
+        # the density forces' gates, which only a substep's first n_rhs opens
+        self.first_gates = (p.eps > 0, p.eta1 > 0, p.eta2 > 0)
         self.jacobian = (g.d, g.d) + sp.half_shape
         d, fwd, inv, upper = g.d, sp.fwd, sp.inv, (len(sp.hess_keys),)
         rhs = (
-            (fwd, {"U": (d,)} if self.grad_u or p.delta2 > 0 else {}),
+            (fwd, {"U": (d,)} if self.hat_u else {}),
             (inv, {**({"U": (d * d,)} if self.grad_u else {}),
                    **({"M": (d * d,)} if self.vacuum else {})}),
             (fwd, {"stress": upper, **({"cross": (d,)} if p.delta1 > 0 else {})}),
@@ -391,7 +407,7 @@ class _Stepper:
         is the scalar 0.0, so its exponential is the scalar 1.0."""
         p, t2 = self.p, tau_v**2
         a = -(p.delta1 / t2) * self.sp.k2 if p.delta1 > 0 else 0.0
-        e = -(p.delta2 * c_u / t2) * self.sp.k2**2 if p.delta2 > 0 else 0.0
+        e = -(p.delta2 * c_u / t2) * self.lap2 if p.delta2 > 0 else 0.0
         return a, e
 
     def linear_flow(self, Xh, h, tau_v, c_u):
@@ -492,14 +508,13 @@ class _Stepper:
         p, sp, d, R = self.p, self.sp, self.sp.d, fz.R
         t2 = tau_v**2
         first = fz.Fh is None
-        eps, eta1, eta2 = (first and c > 0 for c in (p.eps, p.eta1, p.eta2))
+        eps, eta1, eta2 = self.first_gates if first else (False, False, False)
         at1, at2, at3 = self.first_layouts if first else self.rhs_layouts
-        hat_u = self.grad_u or p.delta2 > 0
         st = np.empty(at1.end_shape, at1.dtype)
-        U = np.divide(M, fz.rho, out=st[at1.U] if hat_u else None)
+        U = np.divide(M, fz.rho, out=st[at1.U] if self.hat_u else None)
         s = self.sqrt_reg(R, fz.rho, st[at1.s]) if eps else None
         res = sp.transform(at1, st)
-        Uh = res[at1.U] if hat_u else None
+        Uh = res[at1.U] if self.hat_u else None
 
         st = np.empty(at2.end_shape, at2.dtype)
         if self.grad_u:
@@ -509,7 +524,7 @@ class _Stepper:
         if first:
             np.multiply(sp.ik, fz.Rh, out=st[at2.grad_R])
         if eta2:
-            np.multiply(sp.grad_lap_symbol(2 * p.s + 1), fz.Rh, out=st[at2.eta2])
+            np.multiply(self.eta2_sym, fz.Rh, out=st[at2.eta2])
         if eps:
             np.multiply(sp.deriv_sym, res[at1.s], out=st[at2.s])
         back = sp.transform(at2, st)
@@ -574,7 +589,7 @@ class _Stepper:
         is taken at its band, rate(kmx) * band**power, the band being the
         largest |k| / kmx its force reaches (TERMS gives a coefficient's)."""
         rows = self._rates(R, M, tau_v, taudot_v)
-        rate, family = max((rate * band**power, name) for name, rate, power, band in rows)
+        rate, family = max((rate * scale, name) for name, rate, scale in rows)
         return self.p.cfl * _RK3_IMAG / rate, family
 
     # -- vacuum momentum sponge ----------------------------------------------
@@ -599,20 +614,21 @@ class _Stepper:
         if self.viscous_form != "vacuum":
             return M
         w = 1.0 / (1.0 + (np.maximum(R, 0.0) / (10.0 * self.r_min)) ** 4)
-        sigma = 3.0 * max(rate for _, rate, _, _ in self._rates(R, M, tau_v, taudot_v))
+        sigma = 3.0 * max(rate for _, rate, _ in self._rates(R, M, tau_v, taudot_v))
         fac = np.exp(-np.minimum(h * sigma * w, 50.0))
         return M * fac
 
     def _rates(self, R, M, tau_v, taudot_v):
-        """(family, rate at kmx, power of |k|, band) of each active explicit
-        family: its rate grows as |k|^power, and band is the largest |k| / kmx
-        its force reaches.  The advective and acoustic families are always
+        """(family, rate at kmx, band**power) of each active explicit family:
+        its rate grows as |k|^power, and band is the largest |k| / kmx its
+        force reaches.  The advective and acoustic families are always
         on, at the full band: the pressure is not masked, and the flux,
         although it passes the mask, runs waves at U +- c, not at the
         advective rate's U (at 2/3 kmx the advective dt came out above
         envelope/1.5 in test_cfl_dt_within_stability_envelope).  The
         advective scale counts live cells only: deep-vacuum U = M/rho is
-        noise over the floor.  The coefficient families follow TERMS."""
+        noise over the floor.  The coefficient families follow TERMS
+        (self.families)."""
         p, kmx = self.p, self.kmx
         t2 = tau_v**2
         rmax = max(float(R.max()), 1e-300)
@@ -622,16 +638,11 @@ class _Stepper:
         cs2 = 1.0 + p.nu * abs(taudot_v) / tau_v
         if p.eta1 > 0:
             cs2 += p.eta1 * p.alpha * float((self.rho_tilde(R) ** (-p.alpha - 1.0)).max())
-        rows = [
-            ("advective", math.sqrt(u2max) * kmx / t2, 1, 1.0),
-            ("acoustic", math.sqrt(cs2) * kmx / tau_v, 1, 1.0),
+        return [
+            ("advective", math.sqrt(u2max) * kmx / t2, 1.0),
+            ("acoustic", math.sqrt(cs2) * kmx / tau_v, 1.0),
+            *((family, rate(t2, rmax), scale) for family, rate, scale in self.families),
         ]
-        for coef, entry in TERMS.items():
-            c = getattr(p, coef)
-            if isinstance(entry, tuple) and c > 0:
-                family, band = entry
-                rows.append((family, *_FAMILY_RATES[family](c, kmx, t2, rmax, p.s), band))
-        return rows
 
     # -- one composed step -------------------------------------------------------
 
@@ -709,9 +720,9 @@ def run(
     "underflow" below DT_MIN, or "budget" past MAX_STEPS (see the notes)."""
     start = time.perf_counter()
     grid = initial.grid
-    p = params.bind(grid.d)
     R, M = arrays_from_state(initial)
-    st = _Stepper(grid, p, float(np.mean(R)), _contrast(R))
+    st = _Stepper(grid, params, float(np.mean(R)), _contrast(R))
+    p = st.p
     if tau_sol is None:
         tau_sol = tau_cover(t_end, initial.t)
 
@@ -728,9 +739,7 @@ def run(
         t0 = time.perf_counter()
         traj.times.append(t)
         ops = diag.StateOps(grid, R, M, st.r_min, t)
-        # a diverging state records the inf or nan its terms come to
-        with np.errstate(**_QUIET):
-            traj.records.append(diag.record(ops, p, tau_sol.eval(t), full=full))
+        traj.records.append(diag.record(ops, p, tau_sol.eval(t), full=full))
         timing["diagnostics_s"] += time.perf_counter() - t0
 
     def snapshot():
@@ -746,22 +755,22 @@ def run(
         timing["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         return traj
 
-    emit(full=True)
-    if snapshot_every:
-        snapshot()
-    if t_end <= initial.t:
-        return finish()
-
     def stop(reason, cell):
         traj.status = reason
         traj.stop = {"reason": reason, "step": k + 1, "t": t, "cell": [int(i) for i in cell]}
 
-    k = 0
-    while t < t_end * (1.0 - 1e-12):
-        # a diverging step overflows on its way to inf or nan, and an
-        # overflowing CFL rate gives dt = 0; the checks below name either in
-        # the status, so numpy's warnings are not raised
-        with np.errstate(**_QUIET):
+    # a diverging step overflows on its way to inf or nan, an overflowing
+    # CFL rate gives dt = 0 and a diverging state records the inf or nan its
+    # terms come to; the checks below name each failure in the status, so
+    # numpy's warnings are not raised
+    with np.errstate(**_QUIET):
+        emit(full=True)
+        if snapshot_every:
+            snapshot()
+        if t_end <= initial.t:
+            return finish()
+        k = 0
+        while t < t_end * (1.0 - 1e-12):
             if p.dt_policy == "fixed":
                 dt, family = p.dt, None
             else:
@@ -783,17 +792,17 @@ def run(
             if float(R_new.min()) < -neg_tol:
                 stop("floor", np.unravel_index(np.argmin(R_new), R.shape))
                 break
-        R, M = R_new, M_new
-        t += dt
-        k += 1
-        traj.n_steps = k
-        if family is not None:
-            traj.cfl_binding[family] = traj.cfl_binding.get(family, 0) + 1
-        at_end = t >= t_end * (1.0 - 1e-12)
-        if at_end or (diag_every and k % diag_every == 0):
-            emit(full=at_end)
-        if snapshot_every and (k % snapshot_every == 0 or at_end):
-            snapshot()
+            R, M = R_new, M_new
+            t += dt
+            k += 1
+            traj.n_steps = k
+            if family is not None:
+                traj.cfl_binding[family] = traj.cfl_binding.get(family, 0) + 1
+            at_end = t >= t_end * (1.0 - 1e-12)
+            if at_end or (diag_every and k % diag_every == 0):
+                emit(full=at_end)
+            if snapshot_every and (k % snapshot_every == 0 or at_end):
+                snapshot()
     traj.validate()
     return finish()
 

@@ -517,3 +517,30 @@ def test_record_matches_physical_space_reference(case):
         value, bound = diag.llogl_bound(state, 2.0 / (g.d + 2))
         assert abs(row["llogl_bound"] - bound) <= 1e-12 * bound
         assert row["min_density"] == float(state.R.min())
+
+
+@settings(max_examples=20)
+@given(record_cases())
+def test_record_columns_are_their_functionals_bitwise(case):
+    # record builds the term lists of its columns once and sums each column
+    # as the functional of its name does, in the same groups (energy_reg is
+    # energy plus the eta potential's total); taudot = 0 turns the
+    # taudot-weighted terms off in both
+    state, p, tau, r_floor = case
+    rec = diag.record(state, p, tau, full=True, r_floor=r_floor)
+
+    def ops():
+        return diag.StateOps(state.grid, state.R, state.M, r_floor)
+
+    columns = {
+        "energy": diag.energy(ops(), tau, p.eps),
+        "dissipation": diag.dissipation(ops(), tau, p.eps, p.nu),
+        "bd_entropy": diag.bd_entropy(ops(), tau, p.eps, p.nu, p.r0),
+        "bd_dissipation": diag.bd_dissipation(ops(), tau, p.eps, p.nu),
+        **{name: getattr(diag, name)(ops(), p, tau)
+           for name in ("energy_reg", "dissipation_reg", "bd_entropy_reg", "bd_dissipation_reg",
+                        "balance_rhs")},
+        **dict(zip(("bdid_f", "bdid_diss", "bdid_rhs"), diag.bd_identity_terms(ops(), p, tau))),
+    }
+    for name, value in columns.items():
+        assert np.float64(getattr(rec, name)).view(np.int64) == np.float64(value).view(np.int64), name

@@ -461,6 +461,33 @@ def test_cli_check_metadata_records_each_family(tmp_path, capsys):
     assert [ln.split()[1] for ln in lines if ln.startswith("[ok]")] == suite
 
 
+@pytest.mark.parametrize("dt,t_end,code,reason", [
+    # every snapshot of t <= 3e-7 is snap_t0.000000_*: build foresees it
+    (1e-7, 3e-7, 3, "the snapshots at t = 0 and t <= 1e-07 share a file name"),
+    # t = 6e-7 and 1.2e-6 both round to 0.000001: only the run finds it
+    (6e-7, 1.5e-6, 2, "t = 6e-07 and t = 1.2e-06 both name snap_t0.000001_*.isof"),
+], ids=["foreseen", "run"])
+def test_simulate_snapshot_name_collision_exits_with_its_reason(tmp_path, capsys, dt, t_end,
+                                                                code, reason):
+    # snapshot names keep 6 decimals of t; snapshots that would share a file
+    # end the command, and no snapshot file is written, so none is overwritten
+    cfg = {"grid": {"d": 1, "ell": 8.0, "n": 16},
+           "params": {"nu": 0.1, "eps": 0.1, "dt_policy": "fixed", "dt": dt},
+           "t_end": t_end, "snapshot_every": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert reason in err and err.count("\n") == 1
+    if code == 3:
+        assert not out.exists()
+    else:
+        assert err.startswith("run failed: snapshot name collision: ")
+        assert not list(out.glob("*.isof"))
+        assert json.loads((out / "metadata.json").read_text())["n_steps"] == 3
+
+
 def test_simulate_metadata_records_where_a_run_stopped(tmp_path):
     # a grossly unstable fixed step (dt = 0.3) stops early; a stable one does not
     cfg = {

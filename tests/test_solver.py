@@ -689,6 +689,30 @@ def test_transform_calls_per_record(monkeypatch, d, full, expected):
     assert np.all(np.isfinite(np.hstack([getattr(rec, name) for name in filled])))
 
 
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a, float).view(np.int64), np.asarray(b, float).view(np.int64))
+
+
+@pytest.mark.parametrize("d,t_end,every", [(1, 1e-2, 3), (2, 3e-3, 1)], ids=["1d", "2d"])
+def test_run_records_are_the_standalone_records_of_their_states(d, t_end, every):
+    # a run builds each record's term lists from the parameters and tau once
+    # per record; each of its records, the full ones at the start (taudot = 0
+    # there, which turns the taudot-weighted terms off) and the end and the
+    # core ones between, is bitwise the standalone record of its state
+    state, params = _baseline_setup(d)
+    tau = tau_cover(t_end, 0.0)
+    traj = run(state, params, t_end, tau_sol=tau, snapshot_every=every, diag_every=every)
+    assert traj.status == "ok" and len(traj.records) == len(traj.snapshots) >= 3
+    assert tau.eval(traj.times[0])[1] == 0.0
+    last = len(traj.records) - 1
+    for i, (rec, snap) in enumerate(zip(traj.records, traj.snapshots)):
+        assert rec.t == snap.t
+        ops = diag.StateOps(state.grid, snap.R, snap.M, traj.r_min, snap.t)
+        alone = diag.record(ops, traj.params, tau.eval(snap.t), full=i in (0, last))
+        assert (rec.bd_entropy_reg is None) == (0 < i < last)
+        assert _same_bits(rec.csv_row(), alone.csv_row()), i
+
+
 def test_step_frozen_tau_preserves_equilibrium():
     g = Grid(1, 8.0, 128)
     R0, M = arrays_from_state(gaussian_state(g))
