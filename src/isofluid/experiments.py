@@ -461,16 +461,9 @@ def _run_longtime(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> in
 
 
 def _run_crosscheck(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
-    rows = []
-    ok = True
-    for delta_stab, dt in inputs.pairs:
-        rep = lognls.nls_to_hydro_crosscheck(
-            inputs.psi0, config.t_end, delta_stab=delta_stab, dt=dt
-        )
-        rows.append(rep.__dict__)
-        ok &= rep.status == "ok"
-    io_.write_metadata(inputs.out, {**meta, "rows": rows})
-    return 0 if ok else 2
+    reps = lognls.crosscheck_ladder(inputs.psi0, config.t_end, inputs.pairs)
+    io_.write_metadata(inputs.out, {**meta, "rows": [rep.__dict__ for rep in reps]})
+    return 0 if all(rep.status == "ok" for rep in reps) else 2
 
 
 def _run_tau(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
@@ -708,15 +701,14 @@ def identity_ladder(kind: str, dts=(2e-2, 1e-2, 5e-3), t_end=0.4):
 
 def _drag_ladder(dts=(2e-2, 1e-2, 5e-3), t_end=0.4):
     """(trajectories, None) of the drag run (cubic drag r1 only) at each
-    fixed dt of the ladder, or (None, error) at the first run that aborts."""
-    state = drag_run_state()
-    trajs = []
-    for dt in dts:
-        p = ParamSet(nu=0.1, eps=0.2, r1=0.05, dt_policy="fixed", dt=dt, viscous_form="bounded")
-        traj = solver.run(state, p, t_end, diag_every=1)
+    fixed dt of the ladder, one solver.run of the ladder, or (None, error)
+    naming the first run that aborts."""
+    rows = [ParamSet(nu=0.1, eps=0.2, r1=0.05, dt_policy="fixed", dt=dt, viscous_form="bounded")
+            for dt in dts]
+    trajs = solver.run(drag_run_state(), rows, t_end, diag_every=1)
+    for dt, traj in zip(dts, trajs):
         if traj.status != "ok":
             return None, f"run aborted: {traj.status} at dt={dt}"
-        trajs.append(traj)
     return trajs, None
 
 

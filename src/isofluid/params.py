@@ -79,4 +79,6 @@ class ParamSet:
             raise ValueError("eta1 > 0 requires alpha > 4")
         if self.eta2 > 0 and s <= d:
             raise ValueError("eta2 > 0 requires s > d")
+        if isinstance(self.s, int):  # already bound
+            return self
         return ParamSet(**{**asdict(self), "s": int(s)})

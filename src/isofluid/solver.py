@@ -73,6 +73,18 @@ they are off.  The Hessian tables gather stacked entries as views where
 their index set is contiguous, as in 1D (see the spectral module notes).
 The states are bitwise those of the full work.
 
+Rows.  run advances the rows of a fixed-dt ladder, runs from one state that
+differ only in dt and delta1, together: R is (B,) + grid.shape and M
+(d, B) + grid.shape on the backend Grid.rows(B), and the step scalars h,
+h/2, tau, taudot, tau^2, delta1 and c_u are (B, 1, ...) arrays.  advance
+builds each row's scalars in Python floats, as a single run builds them,
+and only then stacks them: Python's tau**2 calls libm's pow, which is not
+always the correctly rounded square numpy's ** 2 gives (on the dt = 5e-4
+row of tau_cover(0.25, 0) the two differ in the last bit at steps 126 and
+314), and each row must be its single run bitwise.  Every reduction (c_u's
+min, the stop checks, the records) is taken on one row.  A single run
+builds no row axis.
+
 Floors.  The solver's one density floor is r_min (ParamSet.r_min, default
 1e-10 mean(R0)).  rho_sm = smooth_density(R, r_min) = sqrt(R^2 + r_min^2)
 recovers U = M / rho_sm and sets the drag coefficients, the advective CFL
@@ -92,7 +104,7 @@ from __future__ import annotations
 import math
 import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -223,6 +235,13 @@ def _contrast(R) -> float:
     return max(float(np.min(R)), 0.0) / rmax
 
 
+def _viscous_form(p: ParamSet, r0_contrast: float) -> str:
+    """p.viscous_form, "auto" resolved by the initial density contrast."""
+    if p.viscous_form == "auto":
+        return "bounded" if r0_contrast > 1e-6 else "vacuum"
+    return p.viscous_form
+
+
 def arrays_from_state(state: FluidState):
     """(R, M) with M stacked, shape (d,) + grid.shape."""
     return state.R, state.M
@@ -236,44 +255,53 @@ def state_from_arrays(grid: Grid, t: float, R, M, mass_ratio: float = 1.0) -> Fl
 class _Frozen:
     """What the N substep reads of R, which it never changes: R, rho_sm(R),
     R/2 (the bounded viscous stress's factor, else None), Rh = fwd(R), the
-    taudot of the step, grad R ((d,) + grid.shape) and the coefficients Fh
-    of the density forces on M ((d,) + half spectrum).  The substep's first
-    n_rhs sets grad R and Fh."""
+    step's factor nu taudot/tau - 1 of grad R in the density forces, grad R
+    ((d,) + grid.shape) and the coefficients Fh of the density forces on M
+    ((d,) + half spectrum).  The substep's first n_rhs sets grad R and Fh."""
 
     R: np.ndarray
     rho: np.ndarray
     R_half: np.ndarray | None
     Rh: np.ndarray
-    taudot: float
+    grad_R_factor: float | np.ndarray
     grad_R: np.ndarray | None = None
     Fh: np.ndarray | None = None
 
 
 class _Stepper:
-    """Work tables bound to one (grid, params) pair.  M, U and every stress
-    and gradient are stacked component arrays, (d,) + grid.shape or
-    (d, d) + grid.shape, so that each substep hands its independent
-    transforms to the backend as one stack."""
+    """Work tables bound to a grid and one ParamSet, or the ParamSets of a
+    ladder's rows (see run), which differ only in dt and delta1 and agree on
+    whether delta1 is on.  M, U and every stress and gradient are stacked
+    component arrays, (d,) + grid.shape or (d, d) + grid.shape, so that each
+    substep hands its independent transforms to the backend as one stack.
+    Rows advance together on the backend Grid.rows: R is (B,) + grid.shape,
+    M (d, B) + grid.shape, and each row's step scalars are (B, 1, ...)
+    arrays (see advance)."""
 
-    def __init__(self, grid: Grid, params: ParamSet, r0_mean: float, r0_contrast: float = 1.0):
-        self.grid = grid
-        self.p = params.bind(grid.d)
+    def __init__(self, grid: Grid, params, r0_mean: float, r0_contrast: float = 1.0):
+        self.grid = g = grid
+        if isinstance(params, ParamSet):
+            self.p, self.rows, self.sp = params.bind(g.d), None, g.spectral
+            self.delta1 = self.p.delta1
+        else:
+            self.rows = [p.bind(g.d) for p in params]
+            self.p, self.sp = self.rows[0], g.rows(len(self.rows))
+            self.row_shape = (len(self.rows),) + (1,) * g.d
+            self.delta1 = self._stacked([p.delta1 for p in self.rows])
         self.r_min = (
             self.p.r_min if self.p.r_min is not None else 1e-10 * max(r0_mean, 1e-300)
         )
-        if self.p.viscous_form == "auto":
-            self.viscous_form = "bounded" if r0_contrast > 1e-6 else "vacuum"
-        else:
-            self.viscous_form = self.p.viscous_form
-        g = grid
-        self.sp = g.spectral
+        self.viscous_form = _viscous_form(self.p, r0_contrast)
         self.kmx = math.pi * (g.n / 2) / g.ell * math.sqrt(g.d)
         # 2 y of the confinement force, and the constant symbol products of
         # the density and N forces
         self.y2 = 2.0 * np.stack([np.broadcast_to(yi, g.shape) for yi in g.y])
+        if self.rows is not None:
+            self.y2 = self.y2[:, None]
         p, sp = self.p, self.sp
         self.eta1_ik = p.eta1 * sp.ik
-        self.delta1_mask = p.delta1 * sp.mask
+        self.with_delta1 = p.delta1 > 0
+        self.delta1_mask = self.delta1 * sp.mask
         self.lap2 = sp.lap_symbol(2)  # |k|^4
         self.delta2_lap2 = p.delta2 * self.lap2
         self.eta2_sym = sp.grad_lap_symbol(2 * p.s + 1) if p.eta2 > 0 else None
@@ -290,7 +318,7 @@ class _Stepper:
         # its own parts, and on an N substep's first call the density
         # forces' parts after them in the same stacks (see the module notes)
         self.vacuum = p.nu > 0 and self.viscous_form == "vacuum"
-        self.grad_u = p.delta1 > 0 or (p.nu > 0 and not self.vacuum)
+        self.grad_u = self.with_delta1 or (p.nu > 0 and not self.vacuum)
         self.hat_u = self.grad_u or p.delta2 > 0
         # the density forces' gates, which only a substep's first n_rhs opens
         self.first_gates = (p.eps > 0, p.eta1 > 0, p.eta2 > 0)
@@ -300,7 +328,7 @@ class _Stepper:
             (fwd, {"U": (d,)} if self.hat_u else {}),
             (inv, {**({"U": (d * d,)} if self.grad_u else {}),
                    **({"M": (d * d,)} if self.vacuum else {})}),
-            (fwd, {"stress": upper, **({"cross": (d,)} if p.delta1 > 0 else {})}),
+            (fwd, {"stress": upper, **({"cross": (d,)} if self.with_delta1 else {})}),
         )
         density = (
             {"s": (1,)} if p.eps > 0 else {},
@@ -314,11 +342,14 @@ class _Stepper:
         self.first_layouts = tuple(
             sp.layout(tf, {**leads, **more}) for (tf, leads), more in zip(rhs, density)
         )
-        self._propagator = (None, None)
         self._rho = (None, None)
         self._drag_R = (None, (None, None))
 
     # -- helpers -----------------------------------------------------------
+
+    def _stacked(self, values) -> np.ndarray:
+        """Each row's Python float, stacked to broadcast over its row."""
+        return np.array(values).reshape(self.row_shape)
 
     def rho_tilde(self, R, out=None):
         return np.maximum(R, self.r_min, out=out)
@@ -351,31 +382,35 @@ class _Stepper:
         """c_u of the implicit damping -delta2 c_u lap^2 M: twice the largest
         1/rho_sm, so the explicit counter-term stays strictly inside the decay
         budget (delta-regularized runs assume data bounded below).  0 without
-        delta2, where only delta2 terms would read it."""
+        delta2, where only delta2 terms would read it.  Rows take each
+        row's own min."""
         if self.p.delta2 == 0.0:
             return 0.0
-        return 2.0 / max(float(self.rho_smooth(R).min()), 1e-300)
+        rho = self.rho_smooth(R)
+        if self.rows is None:
+            return 2.0 / max(float(rho.min()), 1e-300)
+        return self._stacked([2.0 / max(float(r.min()), 1e-300) for r in rho])
 
     # -- drag substep (exact pointwise Bernoulli flow, R frozen) -----------
 
-    def drag_coefficients(self, R, M, tau_v):
+    def drag_coefficients(self, R, M, t2):
         """(a, b, |M|^2) of the drag ODE dM/dt = -(a + b |M|^2) M, with
-        a = r0 / (tau^2 rho_sm) and b = r1 R^+ / (tau^2 rho_sm^3); b and |M|^2
-        are None when r1 = 0.  r1 R^+ and rho_sm^3 are kept, like rho_sm,
-        for the last R: the last drag of a step and the first of the next
-        read one R."""
+        a = r0 / (tau^2 rho_sm) and b = r1 R^+ / (tau^2 rho_sm^3), t2 = tau^2;
+        b and |M|^2 are None when r1 = 0.  r1 R^+ and rho_sm^3 are kept, like
+        rho_sm, for the last R: the last drag of a step and the first of the
+        next read one R."""
         p = self.p
         rho = self.rho_smooth(R)
-        a = p.r0 / (tau_v**2 * rho)
+        a = p.r0 / (t2 * rho)
         if p.r1 == 0.0:
             return a, None, None
         key, (num, rho3) = self._drag_R
         if key is not R:
             num, rho3 = p.r1 * np.maximum(R, 0.0), rho**3
             self._drag_R = (R, (num, rho3))
-        return a, num / (tau_v**2 * rho3), self.sp.sum_axes(M * M)
+        return a, num / (t2 * rho3), self.sp.sum_axes(M * M)
 
-    def drag_flow(self, R, M, h, tau_v, out=None):
+    def drag_flow(self, R, M, h, t2, out=None):
         """M after the drag's time h, written into out where it is given."""
         p = self.p
         if p.r0 == 0.0 and p.r1 == 0.0:
@@ -383,7 +418,7 @@ class _Stepper:
                 return M
             out[...] = M
             return out
-        a, b, m2 = self.drag_coefficients(R, M, tau_v)
+        a, b, m2 = self.drag_coefficients(R, M, t2)
         if b is None:
             fac = np.exp(-a * h)
         elif p.r0 > 0.0:
@@ -393,24 +428,24 @@ class _Stepper:
             fac = np.sqrt(1.0 / (1.0 + 2.0 * b * m2 * h))
         return np.multiply(M, fac, out=out)
 
-    def drag_rate(self, R, M, tau_v):
+    def drag_rate(self, R, M, t2):
         """The generator of drag_flow: -(a + b |M|^2) M."""
-        a, b, m2 = self.drag_coefficients(R, M, tau_v)
+        a, b, m2 = self.drag_coefficients(R, M, t2)
         rate = a if b is None else a + b * m2
         return -rate * M
 
     # -- exact linear substep ------------------------------------------------
 
-    def linear_symbols(self, tau_v, c_u):
+    def linear_symbols(self, t2, c_u):
         """Rates a = -delta1 |k|^2/tau^2 (on Rhat) and e = -delta2 c_u |k|^4/tau^2
-        (on each Mhat_j) of the linear block; a rate whose coefficient is 0
-        is the scalar 0.0, so its exponential is the scalar 1.0."""
-        p, t2 = self.p, tau_v**2
-        a = -(p.delta1 / t2) * self.sp.k2 if p.delta1 > 0 else 0.0
-        e = -(p.delta2 * c_u / t2) * self.lap2 if p.delta2 > 0 else 0.0
+        (on each Mhat_j) of the linear block, t2 = tau^2; a rate whose
+        coefficient is 0 is the scalar 0.0, so its exponential is the
+        scalar 1.0."""
+        a = -(self.delta1 / t2) * self.sp.k2 if self.with_delta1 else 0.0
+        e = -(self.p.delta2 * c_u / t2) * self.lap2 if self.p.delta2 > 0 else 0.0
         return a, e
 
-    def linear_flow(self, Xh, h, tau_v, c_u):
+    def linear_flow(self, Xh, prop):
         """Exact flow of the triangular constant-coefficient block
 
             d/dt Rhat   = a Rhat - (i/tau^2) k . Mhat
@@ -421,49 +456,47 @@ class _Stepper:
             Mhat(h) = e^(e h) Mhat,
             Rhat(h) = e^(a h) Rhat - (i/tau^2) k.Mhat * (e^(a h)-e^(e h))/(a-e),
 
-        on Xh, the coefficients of the stack [R, M], advanced in place and
-        returned: the flow makes no transform (advance carries Xh).  The
+        on Xh, the coefficients of the stack [R, M], advanced in place by the
+        propagator prop of the step and returned: the flow makes no
+        transform (advance carries Xh).  The
         dispersive terms are handled explicitly in N under their CFL; an
         implicit mean-density linearization was tried and rejected because
         its explicit counter-term interacts with the exact drag crush in
         vacuum cells, turning neutral dispersion into growth."""
         sp = self.sp
-        Ea, S_t2, Ee = self.propagator(h, tau_v, c_u)
+        Ea, S_t2, Ee = prop
         np.subtract(Ea * Xh[0], S_t2 * sp.sum_axes(sp.ik * Xh[1:]), out=Xh[0])
         if self.p.delta2 > 0:  # else e^(e h) = 1
             Xh[1:] *= Ee
         return Xh
 
-    def propagator(self, h, tau_v, c_u):
+    def propagator(self, h, t2, c_u):
         """(e^(a h), (e^(a h) - e^(e h)) / ((a - e) tau^2), e^(e h)) of
-        linear_flow, kept for the next call with the same (h, tau, c_u): the
-        two half steps of one advance share it.  A rate that is the scalar 0
-        (see linear_symbols) gives the values of its array form bitwise: its
-        exponential is 1, and a - e differs only in the sign of the zero
-        mode's 0, where `small` picks h e^(a h) either way."""
-        key, prop = self._propagator
-        if key != (h, tau_v, c_u):
-            a, e = self.linear_symbols(tau_v, c_u)
-            Ea = np.exp(a * h)
-            Ee = np.exp(e * h)
-            diff = a - e
-            small = np.abs(diff) * h < 1e-8
-            S = np.where(small, h * Ea, (Ea - Ee) / np.where(small, 1.0, diff))
-            prop = (Ea, S / tau_v**2, Ee)
-            self._propagator = ((h, tau_v, c_u), prop)
-        return prop
+        linear_flow, t2 = tau^2: the two half steps of one advance share it.
+        A rate that is the scalar 0 (see linear_symbols) gives the values of
+        its array form bitwise: its exponential is 1, and a - e differs only
+        in the sign of the zero mode's 0, where `small` picks h e^(a h)
+        either way."""
+        a, e = self.linear_symbols(t2, c_u)
+        Ea = np.exp(a * h)
+        Ee = np.exp(e * h)
+        diff = a - e
+        small = np.abs(diff) * h < 1e-8
+        S = np.where(small, h * Ea, (Ea - Ee) / np.where(small, 1.0, diff))
+        return Ea, S / t2, Ee
 
     # -- explicit remainder ---------------------------------------------------
 
-    def density_forces(self, R, Rh, taudot_v) -> _Frozen:
+    def density_forces(self, R, Rh, tau_v, taudot_v) -> _Frozen:
         """The R-only inputs of n_rhs, whose first call of the substep makes
         from them the forces on M that depend on R only (constant during the
         N substep): confinement + pressure (+ nu taudot/tau grad R), the
         divergence-form Korteweg stress of the root s = sqrt_reg(R), cold
         pressure, and the eta2 term.  Rh = fwd(R) comes from the linear half
         step."""
-        R_half = R * 0.5 if self.p.nu > 0 and not self.vacuum else None
-        return _Frozen(R, self.rho_smooth(R), R_half, Rh, taudot_v)
+        p = self.p
+        R_half = R * 0.5 if p.nu > 0 and not self.vacuum else None
+        return _Frozen(R, self.rho_smooth(R), R_half, Rh, p.nu * taudot_v / tau_v - 1.0)
 
     def stress(self, fz: _Frozen, M, U, gradU, gradM, out):
         """The upper entries (sp.hess_keys order) of the symmetric momentum
@@ -477,18 +510,22 @@ class _Stepper:
         cleanly with the energy functionals; the vacuum form
         (d_i M_j + d_j M_i)/2 - (M_j d_i R + M_i d_j R)/(2 rho) never
         differentiates the near-floor quotient, whose spatial ringing seeds a
-        momentum amplifier on long vacuum runs."""
-        nu, gR, sp = self.p.nu, fz.grad_R, self.sp
-        (i, j), (ji, ij) = sp.hess_upper, sp.hess_flat
-        out = np.negative(M[j], out=out)
-        out *= U[i]
-        if nu > 0 and self.viscous_form == "bounded":
-            out += nu * (fz.R_half * (gradU[ji] + gradU[ij]))
-        elif nu > 0:
-            out += nu * (0.5 * (gradM[ji] + gradM[ij]) - 0.5 * (U[j] * gR[i] + U[i] * gR[j]))
+        momentum amplifier on long vacuum runs.
+
+        Each entry is built in its own row of out from the rows it reads,
+        so no gathered copy of M, U or a Jacobian is made."""
+        nu, gR, d = self.p.nu, fz.grad_R, self.sp.d
+        for e, (i, j) in enumerate(self.sp.hess_keys):
+            entry = np.negative(M[j], out=out[e])
+            entry *= U[i]
+            ji, ij = j * d + i, i * d + j
+            if nu > 0 and self.viscous_form == "bounded":
+                entry += nu * (fz.R_half * (gradU[ji] + gradU[ij]))
+            elif nu > 0:
+                entry += nu * (0.5 * (gradM[ji] + gradM[ij]) - 0.5 * (U[j] * gR[i] + U[i] * gR[j]))
         return out
 
-    def n_rhs(self, M, Mh, fz: _Frozen, tau_v, c_u):
+    def n_rhs(self, M, Mh, fz: _Frozen, t2, c_u):
         """Coefficients of the explicit remainder's rate, the M-dependent
         part plus the frozen Fh, from M and its coefficients Mh, in three
         batches (rhs_layouts): U forward (for delta1, delta2 or the bounded
@@ -504,9 +541,8 @@ class _Stepper:
         hess s back; the confinement 2 y R, the upper Korteweg stress
         entries, the cold pressure and the eta2 products forward.  The
         spectral parts of each force component are then summed; nothing
-        goes back."""
+        goes back.  t2 = tau^2."""
         p, sp, d, R = self.p, self.sp, self.sp.d, fz.R
-        t2 = tau_v**2
         first = fz.Fh is None
         eps, eta1, eta2 = self.first_gates if first else (False, False, False)
         at1, at2, at3 = self.first_layouts if first else self.rhs_layouts
@@ -536,13 +572,13 @@ class _Stepper:
 
         st = np.empty(at3.end_shape, at3.dtype)
         self.stress(fz, M, U, gradU, gradM, st[at3.stress])
-        if p.delta1 > 0:
+        if self.with_delta1:
             self._cross(fz.grad_R, gradU, st[at3.cross])
         if first:
             np.multiply(self.y2, R, out=st[at3.confinement])
         if eps:
-            # the stress is symmetric: transform its upper entries and
-            # mirror them through sp.hess_full
+            # the stress is symmetric: transform its upper entries, from
+            # which div_upper_dealiased_hat reads each row
             ds = back[at2.s]
             diag.korteweg_stress_entries(sp, s, ds[:d], ds[d:], st[at3.korteweg])
         if eta1:
@@ -556,16 +592,16 @@ class _Stepper:
         # free the stage's arrays before the sums, where a d > 1 advance peaks
         del st, U, s, gradU, gradM
         if first:
-            Fh = (p.nu * fz.taudot / tau_v - 1.0) * sp.ik * fz.Rh - ph[at3.confinement]
+            Fh = fz.grad_R_factor * sp.ik * fz.Rh - ph[at3.confinement]
             if eps:
-                Fh += (p.eps**2 / (2.0 * t2)) * sp.div_dealiased_hat(ph[at3.korteweg][sp.hess_full])
+                Fh += (p.eps**2 / (2.0 * t2)) * sp.div_upper_dealiased_hat(ph[at3.korteweg])
             if eta1:
                 Fh += self.eta1_ik * ph[at3.cold]
             if eta2:
                 Fh += (p.eta2 / t2) * sp.mask * ph[at3.eta2]
             fz.Fh = Fh
-        fh = sp.div_dealiased_hat(ph[at3.stress][sp.hess_full])
-        if p.delta1 > 0:
+        fh = sp.div_upper_dealiased_hat(ph[at3.stress])
+        if self.with_delta1:
             fh -= self.delta1_mask * ph[at3.cross]
         if p.delta2 > 0:
             fh -= self.delta2_lap2 * (Uh - c_u * Mh)
@@ -652,29 +688,41 @@ class _Stepper:
         once after the first half step (N reads them pointwise) and once
         after the second.  The SSP-RK3 stages keep M and Mh side by side:
         stages 1 and 2 invert their rate, because the next stage's
-        U = M / rho_sm reads M, and stage 3 stays in Fourier space."""
-        tau_v, taudot_v = tau_pair
+        U = M / rho_sm reads M, and stage 3 stays in Fourier space.
+
+        Rows take each row's h and (tau, taudot) in a list.  Its scalars h,
+        h/2, tau, taudot and tau^2 are built per row as a single run builds
+        them, in Python floats, and only then stacked: Python's tau**2 calls
+        libm's pow, which is not always the correctly rounded square that
+        numpy's ** 2 gives, and the rows must be their single runs bitwise."""
+        if self.rows is None:
+            (tau_v, taudot_v), half = tau_pair, 0.5 * h
+            t2 = tau_v**2
+        else:
+            h, half, tau_v, taudot_v, t2 = (self._stacked(v) for v in zip(*(
+                (hb, 0.5 * hb, tau, taudot, tau**2) for hb, (tau, taudot) in zip(h, tau_pair))))
         sp = self.sp
         c_u = self.bilaplacian_coefficient(R)
+        prop = self.propagator(half, t2, c_u)
 
         X = np.empty((sp.d + 1,) + sp.shape)
         X[0] = R
-        self.drag_flow(R, M, 0.5 * h, tau_v, X[1:])
-        Xh = self.linear_flow(sp.fwd(X), 0.5 * h, tau_v, c_u)
+        self.drag_flow(R, M, half, t2, X[1:])
+        Xh = self.linear_flow(sp.fwd(X), prop)
         X = sp.inv(Xh)
         R, M, Mh = X[0], X[1:], Xh[1:]
 
-        fz = self.density_forces(R, Xh[0], taudot_v)
-        rh = h * self.n_rhs(M, Mh, fz, tau_v, c_u)
+        fz = self.density_forces(R, Xh[0], tau_v, taudot_v)
+        rh = h * self.n_rhs(M, Mh, fz, t2, c_u)
         M1, M1h = M + sp.inv(rh), Mh + rh
-        rh = h * self.n_rhs(M1, M1h, fz, tau_v, c_u)
+        rh = h * self.n_rhs(M1, M1h, fz, t2, c_u)
         M2, M2h = 0.75 * M + 0.25 * (M1 + sp.inv(rh)), 0.75 * Mh + 0.25 * (M1h + rh)
-        rh = h * self.n_rhs(M2, M2h, fz, tau_v, c_u)
+        rh = h * self.n_rhs(M2, M2h, fz, t2, c_u)
         Xh[1:] = (1.0 / 3.0) * Mh + (2.0 / 3.0) * (M2h + rh)
 
-        X = sp.inv(self.linear_flow(Xh, 0.5 * h, tau_v, c_u))
+        X = sp.inv(self.linear_flow(Xh, prop))
         R, M = X[0], X[1:]
-        M = self.drag_flow(R, M, 0.5 * h, tau_v, M)
+        M = self.drag_flow(R, M, half, t2, M)
         M = self.vacuum_sponge(R, M, h, tau_v, taudot_v)
         return R, M
 
@@ -691,33 +739,44 @@ def rhs(state: FluidState, params: ParamSet, tau) -> tuple[np.ndarray, np.ndarra
     sponge is a numerical device and is not part of it."""
     grid = state.grid
     tau_v, taudot_v = float(tau[0]), float(tau[1])
+    t2 = tau_v**2
     R, M = arrays_from_state(state)
     st = _Stepper(grid, params, float(np.mean(R)), _contrast(R))
     if st.p.eta1 == 0.0 and float(np.min(R)) < -NEG_TOL_REL * max(float(np.max(R)), 1e-300):
         raise SolverError("density below floor (blow-up) with eta1 = 0")
     sp = st.sp
     c_u = st.bilaplacian_coefficient(R)
-    a, e = st.linear_symbols(tau_v, c_u)
+    a, e = st.linear_symbols(t2, c_u)
     Rh, Mh = sp.fwd(R), sp.fwd(M)
-    dR = sp.inv(a * Rh - sp.sum_axes(sp.ik * Mh) / tau_v**2)
-    fz = st.density_forces(R, Rh, taudot_v)
-    dM = sp.inv(e * Mh + st.n_rhs(M, Mh, fz, tau_v, c_u)) + st.drag_rate(R, M, tau_v)
+    dR = sp.inv(a * Rh - sp.sum_axes(sp.ik * Mh) / t2)
+    fz = st.density_forces(R, Rh, tau_v, taudot_v)
+    dM = sp.inv(e * Mh + st.n_rhs(M, Mh, fz, t2, c_u)) + st.drag_rate(R, M, t2)
     return dR, dM
 
 
 def run(
     initial: FluidState,
-    params: ParamSet,
+    params: ParamSet | list,
     t_end: float,
     tau_sol: TauSolution | None = None,
     snapshot_every: int = 0,
     diag_every: int = 1,
-) -> Trajectory:
+) -> Trajectory | list:
     """March the state to t_end (on tau_cover(t_end, initial.t) without
     tau_sol), recording a full record at the start and the end and a core
     one every diag_every-th step (none with diag_every = 0).  Stops early (keeping the last valid state)
     with status "floor" when min R < -NEG_TOL_REL max R0, "nan" on blow-up,
-    "underflow" below DT_MIN, or "budget" past MAX_STEPS (see the notes)."""
+    "underflow" below DT_MIN, or "budget" past MAX_STEPS (see the notes).
+
+    params may instead be a ladder: a list of ParamSets that differ only in
+    dt and delta1 (else ValueError, naming the field), each row starting
+    from `initial` on one tau.  run returns the rows' Trajectories, each
+    exactly the one run(initial, row, ...) gives.  The rows of a fixed-dt
+    ladder advance together as one stack (_run_rows); a CFL ladder, one that
+    needs the vacuum sponge, or one whose rows disagree on whether delta1 is
+    on runs its rows one after another."""
+    if not isinstance(params, ParamSet):
+        return _run_ladder(initial, list(params), t_end, tau_sol, snapshot_every, diag_every)
     start = time.perf_counter()
     grid = initial.grid
     R, M = arrays_from_state(initial)
@@ -805,6 +864,146 @@ def run(
                 snapshot()
     traj.validate()
     return finish()
+
+
+def _run_ladder(initial, rows, t_end, tau_sol, snapshot_every, diag_every) -> list:
+    """run on a ladder (see run)."""
+    if not rows:
+        raise ValueError("a ladder needs at least one row")
+    for f in fields(ParamSet):
+        if f.name not in ("dt", "delta1") and any(
+            getattr(p, f.name) != getattr(rows[0], f.name) for p in rows
+        ):
+            raise ValueError(f"ladder rows differ in {f.name}; they may differ in dt and delta1")
+    if tau_sol is None:
+        tau_sol = tau_cover(t_end, initial.t)
+    p = rows[0]
+    if (len(rows) > 1 and p.dt_policy == "fixed" and len({q.delta1 > 0 for q in rows}) == 1
+            and _viscous_form(p, _contrast(initial.R)) != "vacuum"):
+        return _run_rows(initial, rows, t_end, tau_sol, snapshot_every, diag_every)
+    return [run(initial, q, t_end, tau_sol, snapshot_every, diag_every) for q in rows]
+
+
+class _Row:
+    """A row of _run_rows: its bound parameters, Trajectory, last accepted
+    state (R, M), time, step count and the transforms it took part in."""
+
+    def __init__(self, p: ParamSet, r_min: float, initial: FluidState):
+        self.p, self.R, self.M = p, initial.R, initial.M
+        self.traj = Trajectory(params=p, r_min=r_min, timing={
+            "advance_s": 0.0, "diagnostics_s": 0.0, "snapshots_s": 0.0})
+        self.t, self.k, self.calls = initial.t, 0, 0
+
+
+def _run_rows(initial, rows, t_end, tau_sol, snapshot_every, diag_every) -> list:
+    """The fixed-dt ladder's march: while two or more rows go on, one
+    advance of the rows stepper takes each row's own step.  A row leaves the
+    stack at its t_end or its stop, and the stepper is built again for the
+    rows left, a lone row on the single-run stepper.  Each row's step, stop
+    checks, records and snapshots are those of run on the row's own arrays,
+    so each Trajectory is bitwise its row's run; a row's timing counts the
+    shared advances it took part in, and its wall_s runs to its own end."""
+    start = time.perf_counter()
+    grid = initial.grid
+    R0, M0 = arrays_from_state(initial)
+    r0 = (float(np.mean(R0)), _contrast(R0))
+    neg_tol = NEG_TOL_REL * max(float(np.max(R0)), 1e-300)
+    st = _Stepper(grid, rows, *r0)
+    R, M = np.stack([R0] * len(rows)), np.stack([M0] * len(rows), axis=1)
+    out = [_Row(p, st.r_min, initial) for p in st.rows]
+
+    def state(row):
+        return state_from_arrays(grid, row.t, row.R, np.ascontiguousarray(row.M),
+                                 initial.mass_ratio)
+
+    def emit(row, full: bool):
+        t0, calls0 = time.perf_counter(), grid.spectral.calls
+        row.traj.times.append(row.t)
+        ops = diag.StateOps(grid, row.R, np.ascontiguousarray(row.M), st.r_min, row.t)
+        row.traj.records.append(diag.record(ops, row.p, tau_sol.eval(row.t), full=full))
+        row.calls += grid.spectral.calls - calls0
+        row.traj.timing["diagnostics_s"] += time.perf_counter() - t0
+
+    def snapshot(row):
+        t0 = time.perf_counter()
+        row.traj.snapshots.append(state(row))
+        row.traj.timing["snapshots_s"] += time.perf_counter() - t0
+
+    def finish(row):
+        row.traj.validate()
+        row.traj.state_final = state(row)
+        timing = row.traj.timing
+        wall = timing["wall_s"] = time.perf_counter() - start
+        timing["steps_per_s"] = row.traj.n_steps / wall if wall > 0 else 0.0
+        timing["transforms"] = row.calls
+        timing["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+    def stop(row, reason, cell):
+        row.traj.status = reason
+        row.traj.stop = {"reason": reason, "step": row.k + 1, "t": row.t,
+                         "cell": [int(i) for i in cell]}
+        finish(row)
+
+    def stacked(live):
+        if len(live) == 1:
+            return _Stepper(grid, live[0].p, *r0), live[0].R, live[0].M
+        return (_Stepper(grid, [row.p for row in live], *r0),
+                np.stack([row.R for row in live]), np.stack([row.M for row in live], axis=1))
+
+    with np.errstate(**_QUIET):
+        for row in out:
+            emit(row, full=True)
+            if snapshot_every:
+                snapshot(row)
+        if t_end <= initial.t:
+            for row in out:
+                finish(row)
+            return [row.traj for row in out]
+        live = out
+        while live:
+            # a row whose step underflows takes part in the advance and
+            # stops before it
+            hs = [min(row.p.dt, t_end - row.t) for row in live]
+            taus = [tau_sol.eval(row.t + 0.5 * h) for row, h in zip(live, hs)]
+            t0, calls0 = time.perf_counter(), st.sp.calls
+            if st.rows is None:
+                R, M = st.advance(R, M, hs[0], taus[0])
+                steps = [(R, M)]
+            else:
+                R, M = st.advance(R, M, hs, taus)
+                steps = [(R[b], M[:, b]) for b in range(len(live))]
+            took, calls = time.perf_counter() - t0, st.sp.calls - calls0
+            going = []
+            for row, h, (R_new, M_new) in zip(live, hs, steps):
+                row.traj.timing["advance_s"] += took
+                row.calls += calls
+                if h < DT_MIN:
+                    stop(row, "underflow", np.unravel_index(np.argmin(row.R), row.R.shape))
+                    continue
+                if not (np.isfinite(R_new).all() and np.isfinite(M_new).all()):
+                    finite = np.isfinite(R_new) & np.all(np.isfinite(M_new), axis=0)
+                    stop(row, "nan", np.unravel_index(np.argmin(finite), R_new.shape))
+                    continue
+                if float(R_new.min()) < -neg_tol:
+                    stop(row, "floor", np.unravel_index(np.argmin(R_new), R_new.shape))
+                    continue
+                row.R, row.M = R_new, M_new
+                row.t += h
+                row.k += 1
+                row.traj.n_steps = row.k
+                at_end = row.t >= t_end * (1.0 - 1e-12)
+                if at_end or (diag_every and row.k % diag_every == 0):
+                    emit(row, full=at_end)
+                if snapshot_every and (row.k % snapshot_every == 0 or at_end):
+                    snapshot(row)
+                if at_end:
+                    finish(row)
+                else:
+                    going.append(row)
+            if len(going) < len(live) and going:
+                st, R, M = stacked(going)
+            live = going
+    return [row.traj for row in out]
 
 
 # ---------------------------------------------------------------------------

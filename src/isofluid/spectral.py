@@ -40,8 +40,8 @@ Conventions
   both for a dict of parts.  On a 2-core x86 host a 1D RK stage's rate
   written this way took 44 us, against 47 us built part by part and then
   concatenated;
-* index tables: the Hessian tables (hess_upper, hess_flat, hess_full,
-  hess_diag) gather entries along a stack's leading axis.  Where a table's
+* index tables: the Hessian tables (hess_upper, hess_full, hess_diag)
+  gather entries along a stack's leading axis.  Where a table's
   index set is one contiguous run, as in 1D, it is a basic slice and the
   gather is a view (on a 2-core x86 host, numpy 2.4, 0.15 us against
   1.8 us for an integer-array copy of one 256-point row); otherwise it is
@@ -51,7 +51,16 @@ Conventions
   against workers=1: one 128^2 irfftn 239 us against 153 us, a stacked
   4 x 128^2 inverse 1.35 ms against 1.08 ms, one 32^3 irfftn 0.67 ms
   against 0.36 ms, a 256-point irfft 11.5 us against 11.6 us.  Nothing
-  else runs in parallel either: a sweep runs its ladder points in order;
+  else runs in parallel either: a sweep runs its ladder points in order,
+  and the rows of a fixed-dt ladder share each call as one stack (below);
+* rows: Grid.rows(B) is the backend of B fields of one grid that a solver
+  ladder advances together.  Its sample shape is (B,) + grid.shape and
+  every table carries a unit row axis in front of the grid axes; a
+  component axis goes in front of the row axis, so a stack is lead + (B,)
+  + grid.shape and the Hessian tables gather along its leading axis as
+  before; the transforms act on the grid axes only.  Each row's
+  coefficients and samples are bitwise those of Grid.spectral, which every
+  single run keeps using;
 * Nyquist rule: a symbol s acts as the real part of its complex-transform
   evaluation does, i.e. as (s(m) + conj(s(-m)))/2 with modes taken mod n.
   So an odd symbol (a single factor i k_j) uses k_j = 0 at the Nyquist index
@@ -122,6 +131,7 @@ class Grid:
         self.r2 = np.broadcast_to(
             sum(yi**2 for yi in self.y), self.shape
         ).copy()  # |y|^2 samples
+        self._rows: dict = {}  # see rows
 
     def quad(self, a) -> float:
         """Quadrature of the samples a (summed over a stack as well)."""
@@ -137,6 +147,15 @@ class Grid:
     def spectral(self) -> "Spectral":
         """The transform backend of this grid, built on first use."""
         return Spectral(self)
+
+    def rows(self, count: int) -> "Spectral":
+        """The transform backend of `count` rows of this grid's fields, whose
+        sample shape is (count,) + shape (see the module notes), built once
+        per count."""
+        sp = self._rows.get(count)
+        if sp is None:
+            sp = self._rows[count] = Spectral(self, count)
+        return sp
 
     def __eq__(self, other) -> bool:
         return (
@@ -162,9 +181,10 @@ class Spectral:
     spectrum, complex-to-complex transforms for complex fields, and the
     symbol tables, each built once (see the module notes for the Nyquist
     rule and the stack convention).  Transforms are unnormalized:
-    inv(fwd(a)) == a."""
+    inv(fwd(a)) == a.  With rows (Grid.rows), the samples of each field
+    are (rows,) + grid.shape and every table carries a unit row axis."""
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, rows: int | None = None):
         self.d, self.shape = grid.d, grid.shape
         self.half_shape = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
         k = grid.k
@@ -174,16 +194,12 @@ class Spectral:
         self.hess_keys = [(i, j) for i in range(self.d) for j in range(i, self.d)]
         self.hess_sym = np.stack([self._half(-(k[i] * k[j])) for i, j in self.hess_keys])
         # gathers over a stack's leading axis (see _gather): hess_upper the
-        # (rows, columns) of the stacked entries; hess_flat the places
-        # (j d + i, i d + j) of entry (i, j) and of its mirror in a flattened
-        # (d*d,) stack; hess_full[j, i] the stacked entry at row j, column i
+        # (rows, columns) of the stacked entries; hess_full[j, i] the stacked
+        # entry at row j, column i
         d, keys = self.d, self.hess_keys
         self.hess_upper = tuple(_gather(v) for v in zip(*keys))
-        self.hess_flat = (_gather([j * d + i for i, j in keys]),
-                          _gather([i * d + j for i, j in keys]))
-        self.hess_full = _gather(
-            [[keys.index((min(i, j), max(i, j))) for i in range(d)] for j in range(d)]
-        )
+        self._mirror = [[keys.index((min(i, j), max(i, j))) for i in range(d)] for j in range(d)]
+        self.hess_full = _gather(self._mirror)
         # the diagonal entries, and the weight of each entry in a Frobenius norm
         self.hess_diag = _gather([keys.index((i, i)) for i in range(d)])
         self.hess_w = np.array([1.0 if i == j else 2.0 for i, j in self.hess_keys])
@@ -198,12 +214,20 @@ class Spectral:
         self.calls = 0  # scipy.fft calls made so far
         self._symbols: dict = {}
         self._layouts: dict = {}  # see layout
-        # index of a new component axis, and of each entry of the existing
-        # one, just in front of the grid axes
-        grid_axes = (slice(None),) * self.d
+        self._grid_shape = grid.shape
         self._grid_axes = tuple(range(-self.d, 0))
-        self._new_axis = (Ellipsis, None) + grid_axes
-        self._entries = [(Ellipsis, i) + grid_axes for i in range(self.d)]
+        if rows is not None:
+            # a unit row axis in front of each table's grid axes
+            unit = (Ellipsis, None) + (slice(None),) * self.d
+            for name in ("k2", "ik", "hess_sym", "deriv_sym", "mask", "mask_ik"):
+                setattr(self, name, getattr(self, name)[unit])
+            self.shape, self.half_shape = (rows,) + self.shape, (rows,) + self.half_shape
+        # index of a new component axis, and of each entry of the existing
+        # one, just in front of the sample axes (the row axis, if any, and
+        # the grid axes)
+        sample_axes = (slice(None),) * len(self.shape)
+        self._new_axis = (Ellipsis, None) + sample_axes
+        self._entries = [(Ellipsis, i) + sample_axes for i in range(self.d)]
 
     def _half(self, sym) -> np.ndarray:
         """Half-spectrum table of a full-spectrum symbol as the real part of
@@ -238,14 +262,15 @@ class Spectral:
         if self.d == 1:
             self.calls += 1
             return scipy.fft.irfft(ah)
-        lead = ah.shape[: ah.ndim - self.d]
+        lead = ah.shape[: ah.ndim - len(self.shape)]
+        s, axes = self._grid_shape, self._grid_axes
         if not lead:
             self.calls += 1
-            return scipy.fft.irfftn(ah, s=self.shape)
+            return scipy.fft.irfftn(ah, s=s, axes=axes)
         out = np.empty(lead + self.shape)
         for idx in np.ndindex(lead):
             self.calls += 1
-            out[idx] = scipy.fft.irfftn(ah[idx], s=self.shape)
+            out[idx] = scipy.fft.irfftn(ah[idx], s=s, axes=axes)
         return out
 
     def cfwd(self, z: np.ndarray) -> np.ndarray:
@@ -386,6 +411,21 @@ class Spectral:
         """Coefficients of sum_i d_i dealias(c[..., i, :]) from ch = fwd(c):
         the mask and i k applied together, no round trip."""
         return self.sum_axes(self.mask_ik * ch)
+
+    def div_upper_dealiased_hat(self, ch) -> np.ndarray:
+        """div_dealiased_hat of the symmetric tensor whose upper entries
+        (hess_keys order) the stack ch holds, from their coefficients: row j
+        adds its d products mask i k_i ch[(i, j)] in order i = 0..d-1 into
+        its own output, as div_dealiased_hat(ch[hess_full]) adds them, so no
+        mirrored (d, d) stack is built."""
+        if self.d == 1:  # one row of one product
+            return self.mask_ik * ch
+        out = np.empty((self.d,) + ch.shape[1:], complex)
+        for row, entries in zip(out, self._mirror):
+            np.multiply(self.mask_ik[0], ch[entries[0]], out=row)
+            for i in range(1, self.d):
+                row += self.mask_ik[i] * ch[entries[i]]
+        return out
 
 
 class Layout:

@@ -399,13 +399,14 @@ def test_console_entrypoint():
 
 
 def _count_runs(monkeypatch):
+    """One entry per run of solver.run from now on: per row of a ladder."""
     from isofluid import solver
 
     calls = []
 
-    def counted(*args, _orig=solver.run, **kwargs):
-        calls.append(1)
-        return _orig(*args, **kwargs)
+    def counted(initial, params, *args, _orig=solver.run, **kwargs):
+        calls.extend([1] * (1 if isinstance(params, E.ParamSet) else len(params)))
+        return _orig(initial, params, *args, **kwargs)
 
     monkeypatch.setattr(solver, "run", counted)
     return calls

@@ -203,7 +203,11 @@ def _traced_peak(call) -> int:
 def test_advance_peaks_below_a_full_record(d, n):
     # the first RK stage holds the density forces' parts beside its own, and
     # an advance still peaks below the full record that every run makes of
-    # the same state at its start and its end
+    # the same state at its start and its end, and below 61 (2D n = 32) and
+    # 100 (3D n = 16) real fields of the grid: the stress and the force sums
+    # build each entry and row from their own rows, where gathered copies
+    # peaked at 62.6 and 109.7 fields
+    fields = {2: 61, 3: 100}[d]
     state, params = _baseline_setup(d, n)
     R, M = arrays_from_state(state)
     stepper = _Stepper(state.grid, params, float(R.mean()), _contrast(R))
@@ -216,7 +220,9 @@ def test_advance_peaks_below_a_full_record(d, n):
         stepper.advance(R, M, 1e-3, (1.0, 0.3))
 
     advance(), record()  # the tables each builds once
-    assert _traced_peak(advance) < _traced_peak(record)
+    peak = _traced_peak(advance)
+    assert peak < _traced_peak(record)
+    assert peak < fields * 8 * state.R.size
 
 
 class _RoundTripStepper(_Stepper):
@@ -233,7 +239,7 @@ class _RoundTripStepper(_Stepper):
 
     def linear_flow(self, R, M, h, tau_v, c_u):
         sp = self.sp
-        Ea, S_t2, Ee = self.propagator(h, tau_v, c_u)
+        Ea, S_t2, Ee = self.propagator(h, tau_v**2, c_u)
         Xh = sp.fwd(np.concatenate((R[None], M)))
         Xh[0] = Ea * Xh[0] - S_t2 * sp.sum_axes(sp.ik * Xh[1:])
         Xh[1:] *= Ee
@@ -319,14 +325,14 @@ class _RoundTripStepper(_Stepper):
     def advance(self, R, M, h, tau_pair):
         tau_v, taudot_v = tau_pair
         c_u = self.bilaplacian_coefficient(R)
-        M = self.drag_flow(R, M, 0.5 * h, tau_v)
+        M = self.drag_flow(R, M, 0.5 * h, tau_v**2)
         R, M = self.linear_flow(R, M, 0.5 * h, tau_v, c_u)
         fz = self.density_forces(R, tau_v, taudot_v)
         M1 = M + h * self.n_rhs(M, fz, tau_v, c_u)
         M2 = 0.75 * M + 0.25 * (M1 + h * self.n_rhs(M1, fz, tau_v, c_u))
         M = (1.0 / 3.0) * M + (2.0 / 3.0) * (M2 + h * self.n_rhs(M2, fz, tau_v, c_u))
         R, M = self.linear_flow(R, M, 0.5 * h, tau_v, c_u)
-        M = self.drag_flow(R, M, 0.5 * h, tau_v)
+        M = self.drag_flow(R, M, 0.5 * h, tau_v**2)
         M = self.vacuum_sponge(R, M, h, tau_v, taudot_v)
         return R, M
 
@@ -373,28 +379,27 @@ class _UnskippedStepper(_Stepper):
         sp = self.sp = copy.copy(self.sp)
         d, n_upper = sp.d, len(sp.hess_keys)
         sp.hess_upper = tuple(np.arange(d)[t] for t in sp.hess_upper)
-        sp.hess_flat = tuple(np.arange(d * d)[t] for t in sp.hess_flat)
         sp.hess_full = np.arange(n_upper)[sp.hess_full]
         sp.hess_diag = np.arange(n_upper)[sp.hess_diag]
 
     def bilaplacian_coefficient(self, R):
         return 2.0 / max(float(np.min(self.rho_smooth(R))), 1e-300)
 
-    def linear_symbols(self, tau_v, c_u):
-        p, t2 = self.p, tau_v**2
+    def linear_symbols(self, t2, c_u):
+        p = self.p
         return -(p.delta1 / t2) * self.sp.k2, -(p.delta2 * c_u / t2) * self.sp.k2**2
 
-    def propagator(self, h, tau_v, c_u):
-        a, e = self.linear_symbols(tau_v, c_u)
+    def propagator(self, h, t2, c_u):
+        a, e = self.linear_symbols(t2, c_u)
         Ea, Ee = np.exp(a * h), np.exp(e * h)
         diff = a - e
         small = np.abs(diff) * h < 1e-8
         S = np.where(small, h * Ea, (Ea - Ee) / np.where(small, 1.0, diff))
-        return Ea, S / tau_v**2, Ee
+        return Ea, S / t2, Ee
 
-    def linear_flow(self, Xh, h, tau_v, c_u):
+    def linear_flow(self, Xh, prop):
         sp = self.sp
-        Ea, S_t2, Ee = self.propagator(h, tau_v, c_u)
+        Ea, S_t2, Ee = prop
         Xh[0] = Ea * Xh[0] - S_t2 * sp.sum_axes(sp.ik * Xh[1:])
         Xh[1:] *= Ee
         return Xh
@@ -495,7 +500,7 @@ class _UnfusedStepper(_Stepper):
 
     def linear_flow(self, Xh, h, tau_v, c_u):
         sp = self.sp
-        Ea, S_t2, Ee = self.propagator(h, tau_v, c_u)
+        Ea, S_t2, Ee = self.propagator(h, tau_v**2, c_u)
         Xh[0] = Ea * Xh[0] - S_t2 * sp.sum_axes(sp.ik * Xh[1:])
         if self.p.delta2 > 0:
             Xh[1:] *= Ee
@@ -532,7 +537,8 @@ class _UnfusedStepper(_Stepper):
 
     def stress(self, fz, M, U, gradU, gradM):
         nu, gR, sp = self.p.nu, fz.grad_R, self.sp
-        (i, j), (ji, ij) = sp.hess_upper, sp.hess_flat
+        (i, j), (ki, kj) = sp.hess_upper, np.array(sp.hess_keys).T
+        ji, ij = kj * sp.d + ki, ki * sp.d + kj
         out = -M[j] * U[i]
         if nu > 0 and self.viscous_form == "bounded":
             gU = gradU.reshape((-1,) + sp.shape)
@@ -605,6 +611,91 @@ def test_advance_is_bitwise_the_unfused_advance(setup):
     (R, M), (R_ref, M_ref) = out
     assert np.all(np.isfinite(R)) and np.all(np.isfinite(M))
     assert np.array_equal(R, R_ref) and np.array_equal(M, M_ref)
+
+
+def _crosscheck_ladder(t_end, pairs):
+    """The cross-check's Madelung state and hydro rows (delta_stab, dt)."""
+    state = _crosscheck_setup()[0]
+    return state, [crosscheck_hydro_params(1.0, ds, dt) for ds, dt in pairs], t_end, 0
+
+
+def _ladder_of(state, p, t_end, diag_every, *others):
+    """p and its copies with each of the others' (dt, delta1)."""
+    rows = [p, *(dataclasses.replace(p, dt=dt, delta1=d1) for dt, d1 in others)]
+    return state, rows, t_end, diag_every
+
+
+# (state, rows, t_end, diag_every) of ladders whose rows must be their runs
+LADDERS = {
+    # to t = 0.095 the dt = 5e-4 row meets, at step 126, a tau whose
+    # Python square tau**2 differs from numpy's, and the bit carries to the
+    # row's final state
+    "crosscheck": lambda: _crosscheck_ladder(0.095, [(1e-3, 5e-4), (1e-4, 2.5e-4)]),
+    # the dt = 5e-3 row stops while the other finishes
+    "row_stops": lambda: _crosscheck_ladder(0.25, [(1e-3, 5e-3), (1e-3, 1e-3)]),
+    # the dt = 1e-13 row underflows at its first step
+    "underflow": lambda: _crosscheck_ladder(0.01, [(1e-3, 1e-3), (1e-3, 1e-13)]),
+    # three rows, a record at every step
+    "drag": lambda: _ladder_of(*_drag_ladder_setup("bounded")[:2], 0.1, 1,
+                               (1e-2, 0.0), (2e-2, 0.0)),
+    # every regularization on: each row's own c_u, and the d > 1 inverse
+    "fixed_2d_n16": lambda: _ladder_of(*_baseline_setup(2, n=16), 4e-3, 3, (5e-4, 2e-4)),
+    # a CFL ladder runs its rows one after another
+    "cfl": lambda: _ladder_of(*experiments.full_reg_setup(n=64), 0.01, 2, (2e-3, 1e-4)),
+}
+
+
+@pytest.mark.parametrize("case", list(LADDERS))
+def test_ladder_rows_are_their_single_runs(case):
+    # each row of a ladder run is bitwise the run of that row alone: its
+    # final state, every record, its status, stop and step count
+    state, rows, t_end, diag_every = LADDERS[case]()
+    ladder = run(state, rows, t_end, diag_every=diag_every)
+    assert len(ladder) == len(rows)
+    for traj, p in zip(ladder, rows):
+        own = run(state, p, t_end, diag_every=diag_every)
+        assert (traj.status, traj.stop, traj.n_steps) == (own.status, own.stop, own.n_steps)
+        assert traj.times == own.times and traj.records == own.records
+        assert np.array_equal(traj.state_final.R, own.state_final.R)
+        assert np.array_equal(traj.state_final.M, own.state_final.M)
+    if case in ("row_stops", "underflow"):
+        assert [traj.status for traj in ladder] != ["ok", "ok"]
+
+
+def test_crosscheck_ladder_meets_a_tau_numpy_squares_differently():
+    # the horizon of LADDERS["crosscheck"] is one where squaring the rows'
+    # tau with numpy would change a row
+    tau_sol, t, differs = tau_cover(0.095, 0.0), 0.0, []
+    for k in range(190):
+        tau = tau_sol.eval(t + 0.5 * 5e-4)[0]
+        differs.append(tau**2 != float(np.square(np.array([tau]))[0]))
+        t += 5e-4
+    assert differs.index(True) == 125
+
+
+_OTHER_VALUES = {"nu": 0.1, "eps": 0.5, "r0": 0.01, "r1": 0.01, "delta2": 1e-7,
+                 "eta1": 1e-12, "eta2": 1e-12, "alpha": 9.0, "s": 3, "dt_policy": "cfl",
+                 "cfl": 0.3, "r_min": 1e-5, "viscous_form": "bounded"}
+
+
+@pytest.mark.parametrize("name", list(_OTHER_VALUES))
+def test_ladder_rows_may_differ_only_in_dt_and_delta1(name):
+    assert set(_OTHER_VALUES) == {f.name for f in dataclasses.fields(ParamSet)} - {"dt", "delta1"}
+    state, p, _ = _crosscheck_setup()
+    with pytest.raises(ValueError, match=f"differ in {name};"):
+        run(state, [p, dataclasses.replace(p, **{name: _OTHER_VALUES[name]})], 1e-3)
+
+
+@pytest.mark.parametrize("d,expected", [(1, 14), (2, 38), (3, 63)])
+def test_rows_advance_makes_the_transform_calls_of_one(monkeypatch, d, expected):
+    # a stack of rows goes through the transforms of a single advance
+    state, params = _baseline_setup(d, {1: None, 2: 16, 3: 8}[d])
+    R, M = arrays_from_state(state)
+    rows = [params, dataclasses.replace(params, dt=params.dt / 2, delta1=2 * params.delta1)]
+    stepper = _Stepper(state.grid, rows, float(R.mean()), _contrast(R))
+    calls = _count_transforms(monkeypatch)
+    stepper.advance(np.stack([R, R]), np.stack([M, M], axis=1), [1e-4, 5e-5], [(1.0, 0.0)] * 2)
+    assert len(calls) == expected
 
 
 @pytest.mark.parametrize("setup", ["full_reg", "drag_vacuum", "fixed_2d_n32"])
@@ -1100,6 +1191,16 @@ def test_paramset_validation():
         ParamSet(nu=0.1, viscous_form="magic")
     p = ParamSet(nu=0.1, eta2=0.5).bind(2)
     assert p.s == 3  # default s = d + 1
+
+
+def test_binding_a_bound_set_returns_it_after_the_d_checks():
+    p = ParamSet(nu=0.1, eta2=0.5).bind(1)
+    assert p.bind(1) is p
+    # s = 2 > d holds at d = 1 only: the check runs again at d = 2
+    with pytest.raises(ValueError, match="s > d"):
+        p.bind(2)
+    with pytest.raises(ValueError, match="alpha > 4"):
+        dataclasses.replace(p, eta1=0.5, alpha=3.0).bind(1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

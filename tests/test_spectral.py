@@ -258,14 +258,12 @@ def test_stacked_forward_bitwise_per_component(d, n):
 def _integer_tables(d: int) -> dict:
     """The Hessian index tables as integer arrays, each with the length of
     the leading axis it gathers along: the stacked entries (i, j), i <= j,
-    their rows and columns, the places of (i, j) and of its mirror in a
-    flattened (d*d,) stack, the mirrored (d, d) rows and the diagonal."""
+    their rows and columns, the mirrored (d, d) rows and the diagonal."""
     keys = [(i, j) for i in range(d) for j in range(i, d)]
     rows, cols = np.array(keys).T
     full = np.array([[keys.index((min(i, j), max(i, j))) for i in range(d)] for j in range(d)])
     return {
         "hess_upper": ((rows, d), (cols, d)),
-        "hess_flat": ((cols * d + rows, d * d), (rows * d + cols, d * d)),
         "hess_full": ((full, len(keys)),),
         "hess_diag": ((np.array([keys.index((i, i)) for i in range(d)]), len(keys)),),
     }
