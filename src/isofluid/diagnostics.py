@@ -20,6 +20,23 @@ momentum sqrt R Lambda, a gradient) is a (d,) + grid.shape stack, grad U a
 (d, d) one with grad_U[j, i] = d_i U_j, and a Hessian the stack of its upper
 entries in sp.hess_keys order.
 
+Stacks of states.  A StateOps also holds a stack of B states of one grid,
+in the layout of Grid.rows(B): R (B,) + grid.shape and M (d, B) +
+grid.shape, so a vector is (d, B) + grid.shape and every derivative, which
+goes through the rows backend, has the row axis just in front of the grid
+axes.  Its pointwise arrays and transforms are built once for the stack;
+every reduction (quad, the dot of two stacks, Parseval's inner, the vacuum
+floor's max) runs per row, as the single state's own call on a contiguous
+copy of the row (StateOps.dot, quad, inner), so each row's term integral
+is bitwise its state's.  A term integral, total and the functionals built
+on them return the array of the rows' values.  A functional of tau takes
+one (tau, taudot) pair per row: each row's coefficients are built from its
+own pair in Python floats, and a coefficient that vanishes on some rows
+skips its term on exactly those rows.  The scalar math on each row's
+integrals (the CK shift's log, the L log L kappa sweep) runs row by row on
+Python floats.  A single state (R with the grid's d axes) has no row axis
+and keeps its own path.
+
 Terms.  Each functional is a sum of named term integrals (_TERMS) with
 coefficients from the parameters and tau; StateOps.q computes each term once
 per state, and a term whose coefficient vanishes is not evaluated.  `record`
@@ -72,15 +89,41 @@ __all__ = [
     "llogl_bound",
     "jungel_quantities",
     "matched_gaussian",
+    "each_row",
+    "stack_rows",
     "record",
 ]
 
 LOG_FLOOR = 1e-30
+# the grid values of the states that one stack holds, half of one 2D
+# n = 128 field: it bounds the memory of a stack's derived arrays.  Measured
+# in-process on `isofluid check` (2-core x86 host, numpy 2.4): at 128 * 128
+# the process's peak RSS rose 1.0-1.3 MiB over one state at a time, at this
+# bound 0.1-0.25 MiB, and the nls family took the same time at either
+STACK_VALUES = 128 * 64
+
+
+def stack_rows(grid: Grid) -> int:
+    """The number of states of this grid that one stack holds (at least one)."""
+    return max(1, STACK_VALUES // math.prod(grid.shape))
 
 
 def _dot(grid: Grid, a, b) -> float:
     """quad(a b), summed over the stack components as well."""
     return float(grid.weight * np.vdot(a, b))
+
+
+def each_row(grid: Grid, reduce, *arrays) -> np.ndarray:
+    """The array of reduce on each row of a stack (see the module notes):
+    every array with a row axis, just in front of the grid axes, gives the
+    row's contiguous copy, and a grid table (the grid's axes only) goes to
+    every row whole, so each value is bitwise reduce of the row's own
+    state."""
+    d = grid.d
+    rows = next(a.shape[-d - 1] for a in arrays if a.ndim > d)
+    at = [(Ellipsis, b) + (slice(None),) * d for b in range(rows)]
+    return np.array([reduce(*(a if a.ndim == d else np.ascontiguousarray(a[i]) for a in arrays))
+                     for i in at])
 
 
 def matched_gaussian(grid: Grid, mass: float) -> np.ndarray:
@@ -137,7 +180,8 @@ def _jacobian(sp, h):
 
 
 def _div(sp, h):
-    return h.shape[: -sp.d - 1], lambda out: np.copyto(out, sp.sum_axes(sp.ik * h))
+    lead = h.shape[: h.ndim - len(sp.shape) - 1]
+    return lead, lambda out: np.copyto(out, sp.sum_axes(sp.ik * h))
 
 
 # derivatives that come back from the coefficients of one field
@@ -164,28 +208,33 @@ def _key(key) -> tuple:
 
 
 class StateOps:
-    """Derived arrays of one state, each computed once and shared between
-    functionals: the density and its root, Lambda, U, the coefficients of
-    the fields (hat), their derivatives (ops[name], see _DERIVS) and the
-    term integrals (q, see _TERMS).
+    """Derived arrays of one state, or of a stack of states (see the module
+    notes), each computed once and shared between functionals: the density
+    and its root, Lambda, U, the coefficients of the fields (hat), their
+    derivatives (ops[name], see _DERIVS) and the term integrals (q, see
+    _TERMS).
 
     Built from R (raw, so min_density is the raw minimum; StateOps.R is
     max(R, 0)) and M = R U, with Lambda = M / sqrt(rho_sm).  r_floor is the
     density floor of rho_sm = smooth_density(R, r_floor), of the eta1
     clamp rho_tilde = max(R, r_floor) and of the live set of
     R |hess log R|^2; record passes the solver's r_min, and it defaults to
-    rescaling.vacuum_floor(R).  Without M the momentum is zero."""
+    rescaling.vacuum_floor(R), per row for a stack.  Without M the momentum
+    is zero.  A stack's t holds each row's time."""
 
     def __init__(self, grid: Grid, R, M=None, r_floor: float | None = None, t: float = 0.0):
-        self.grid, self.sp, self.t = grid, grid.spectral, t
         self._R_raw = R = np.asarray(R, dtype=float)
+        # the row count of a stack, None for one state
+        self.rows = len(R) if R.ndim > grid.d else None
+        self.grid, self.t = grid, t
+        self.sp = grid.spectral if self.rows is None else grid.rows(self.rows)
         self.R = np.maximum(R, 0.0)
         self.s = np.sqrt(self.R)
         self._cache, self._hat, self._arr, self._terms = {}, {}, {}, {}
         if r_floor is not None:
             self._cache["r_floor"] = r_floor
         if M is None:
-            self.lam = np.zeros((grid.d,) + grid.shape)
+            self.lam = np.zeros((grid.d,) + R.shape)
         else:
             # rho_sm of the raw R, as the solver recovers U
             root = self._cache["root"] = np.sqrt(smooth_density(R, self.r_floor))
@@ -251,18 +300,24 @@ class StateOps:
             self.fetch(name)
         return self._arr[name]
 
-    def q(self, key) -> float:
+    def q(self, key):
         """The term integral `key` of _TERMS (a name, or a tuple of a name
-        and its arguments), computed once."""
+        and its arguments), computed once: a float, or a stack's array of
+        the rows' values."""
         out = self._terms.get(key)
         if out is None:
             name, args = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
-            out = self._terms[key] = float(_TERMS[name][1](self, *args))
+            out = _TERMS[name][1](self, *args)
+            out = self._terms[key] = float(out) if self.rows is None else out
         return out
 
-    def total(self, *groups) -> float:
+    def total(self, *groups):
         """The sums of c * q(key) over the (c, key) pairs whose c != 0 of
-        each group (a list of pairs), added group after group."""
+        each group (a list of pairs), added group after group.  For a stack
+        each c is the array of the rows' coefficients (see groups), and a
+        term is added on the rows whose c != 0."""
+        if self.rows is not None:
+            return self._total_rows(groups)
         out = 0.0
         for terms in groups:
             part = 0.0
@@ -271,6 +326,67 @@ class StateOps:
                     part += c * self.q(key)
             out += part
         return out
+
+    def _total_rows(self, groups) -> np.ndarray:
+        out = np.zeros(self.rows)
+        for terms in groups:
+            part = np.zeros(self.rows)
+            for c, key in terms:
+                on = c != 0.0
+                if on.any():
+                    part[on] += c[on] * self.q(key)[on]
+            out += part
+        return out
+
+    def groups(self, build, tau) -> tuple:
+        """The groups of (coefficient, key) pairs that build(tau) returns (a
+        list is one group).  For a stack, tau holds one (tau, taudot) pair
+        per row: each row's lists are built from its own pair, and each
+        coefficient becomes the array of the rows' coefficients."""
+        if self.rows is None:
+            return _as_groups(build(tau))
+        if len(tau) != self.rows:
+            raise ValueError(f"a stack of {self.rows} states needs {self.rows} tau pairs, "
+                             f"got {len(tau)}")
+        per_row = [_as_groups(build(pair)) for pair in tau]
+        return tuple([(np.array([c for c, _ in pairs]), pairs[0][1]) for pairs in zip(*lists)]
+                     for lists in zip(*per_row))
+
+    # -- reductions, per row for a stack -------------------------------------
+
+    def per_row(self, reduce, *arrays):
+        """reduce(*arrays), or for a stack the array of its values on each
+        row (each_row)."""
+        if self.rows is None:
+            return reduce(*arrays)
+        return each_row(self.grid, reduce, *arrays)
+
+    def dot(self, a, b):
+        """quad(a b), summed over the stack components as well (_dot)."""
+        return self.per_row(partial(_dot, self.grid), a, b)
+
+    def quad(self, a):
+        """Grid.quad of a."""
+        return self.per_row(self.grid.quad, a)
+
+    def inner(self, ah, bh):
+        """quad of the product of two fields from their coefficients
+        (Parseval, Spectral.inner)."""
+        return self.per_row(partial(_inner, self.grid), ah, bh)
+
+    def each(self, fn, *values):
+        """fn of the values (floats), or for a stack the array of fn on each
+        row's values (arrays of the rows' values)."""
+        if self.rows is None:
+            return fn(*values)
+        return np.array([fn(*row) for row in zip(*values)])
+
+    def column(self, values):
+        """The rows' values shaped to broadcast over a stack's samples
+        (values itself for one state)."""
+        if self.rows is None:
+            return values
+        return np.reshape(values, (self.rows,) + (1,) * self.grid.d)
 
     # -- pointwise arrays, each built on first use ----------------------------
 
@@ -281,13 +397,15 @@ class StateOps:
         return out
 
     @property
-    def r_floor(self) -> float:
-        return self._get("r_floor", lambda: vacuum_floor(self.R))
+    def r_floor(self):
+        """The density floor: a float, or for a stack the column of the
+        rows' floors (see column)."""
+        return self._get("r_floor", lambda: self.column(self.per_row(vacuum_floor, self.R)))
 
     @property
-    def min_density(self) -> float:
-        """The raw minimum of R."""
-        return self._get("min", lambda: float(self._R_raw.min()))
+    def min_density(self):
+        """The raw minimum of R (each row's, for a stack)."""
+        return self._get("min", lambda: self.per_row(lambda r: float(r.min()), self._R_raw))
 
     @property
     def U(self):
@@ -356,62 +474,66 @@ class StateOps:
         return self._get("hlog", build)
 
 
-def _inner(o: StateOps, a, b) -> float:
+def _inner(grid: Grid, a, b) -> float:
     """quad of the product of two fields from their coefficients (Parseval)."""
-    return o.grid.weight * o.sp.inner(a, b)
+    return grid.weight * grid.spectral.inner(a, b)
+
+
+def _as_groups(out) -> tuple:
+    return out if isinstance(out, tuple) else (out,)
 
 
 # The term integrals, by name: (what they transform, (ops, *args) -> value);
 # the transforms are _FIELDS or _DERIVS keys, or a function of the term's
 # arguments that returns them.
 _TERMS = {
-    "R": ((), lambda o: o.grid.quad(o.R)),
-    "Rr2": ((), lambda o: _dot(o.grid, o.R, o.grid.r2)),
-    "RlogR": ((), lambda o: _dot(o.grid, o.R, o.logR)),
-    "logR": ((), lambda o: o.grid.quad(o.logR)),
-    "logR_le1": ((), lambda o: o.grid.quad(np.where(o.R <= 1.0, o.logR, 0.0))),
-    "lam2": ((), lambda o: o.grid.quad(o.lam2)),
-    "U2": ((), lambda o: o.grid.quad(o.U2)),
-    "lam2U2": ((), lambda o: _dot(o.grid, o.lam2, o.U2)),
+    "R": ((), lambda o: o.quad(o.R)),
+    "Rr2": ((), lambda o: o.dot(o.R, o.grid.r2)),
+    "RlogR": ((), lambda o: o.dot(o.R, o.logR)),
+    "logR": ((), lambda o: o.quad(o.logR)),
+    "logR_le1": ((), lambda o: o.quad(np.where(o.R <= 1.0, o.logR, 0.0))),
+    "lam2": ((), lambda o: o.quad(o.lam2)),
+    "U2": ((), lambda o: o.quad(o.U2)),
+    "lam2U2": ((), lambda o: o.dot(o.lam2, o.U2)),
     # quad(rho_tilde^(-alpha)), as the square of the transformed field
-    "rtneg": ((), lambda o, alpha: _dot(o.grid, o.neg(alpha), o.neg(alpha))),
-    "gs2": (("grad_s",), lambda o: _dot(o.grid, o["grad_s"], o["grad_s"])),
-    "lgs": (("grad_s",), lambda o: _dot(o.grid, o.lam, o["grad_s"])),
+    "rtneg": ((), lambda o, alpha: o.dot(o.neg(alpha), o.neg(alpha))),
+    "gs2": (("grad_s",), lambda o: o.dot(o["grad_s"], o["grad_s"])),
+    "lgs": (("grad_s",), lambda o: o.dot(o.lam, o["grad_s"])),
     # R |grad U|^2 and R grad U : grad U^T; R |DU|^2 and R |AU|^2 are their
     # half sum and half difference
-    "RgU2": (("grad_U",), lambda o: _dot(o.grid, o["grad_U"], o.R * o["grad_U"])),
-    "RgUgUT": (("grad_U",), lambda o: _dot(o.grid, o["grad_U"].swapaxes(0, 1), o.R * o["grad_U"])),
+    "RgU2": (("grad_U",), lambda o: o.dot(o["grad_U"], o.R * o["grad_U"])),
+    "RgUgUT": (("grad_U",), lambda o: o.dot(o["grad_U"].swapaxes(0, 1), o.R * o["grad_U"])),
     "RDU2": (("grad_U",), lambda o: 0.5 * (o.q("RgU2") + o.q("RgUgUT"))),
     "RAU2": (("grad_U",), lambda o: 0.5 * (o.q("RgU2") - o.q("RgUgUT"))),
-    "RdivU": (("grad_U",), lambda o: _dot(o.grid, o.R, np.trace(o["grad_U"]))),
+    "RdivU": (("grad_U",), lambda o: o.dot(o.R, np.trace(o["grad_U"]))),
     "RhlogR2": (
         ("grad_R", "hess_R"),
-        lambda o: _dot(o.grid, np.where(o.R > o.r_floor, o.R, 0.0), o.sp.frob2(o.hess_logR_split)),
+        lambda o: o.dot(np.where(o.R > o.r_floor, o.R, 0.0), o.sp.frob2(o.hess_logR_split)),
     ),
-    "U2UgR": (("grad_R",), lambda o: _dot(o.grid, o.U2 * o.U, o["grad_R"])),
-    "lapR_rt": (("hess_R",), lambda o: o.grid.quad(o.lapR_rt)),
-    "lapR_divmom": (("hess_R", "div_mom"), lambda o: _dot(o.grid, o.lapR_rt, o["div_mom"])),
+    "U2UgR": (("grad_R",), lambda o: o.dot(o.U2 * o.U, o["grad_R"])),
+    "lapR_rt": (("hess_R",), lambda o: o.quad(o.lapR_rt)),
+    "lapR_divmom": (("hess_R", "div_mom"), lambda o: o.dot(o.lapR_rt, o["div_mom"])),
     # sum_ij d_i U_j d_i R d_j log R
     "mix": (
         ("grad_U", "grad_R", "grad_logR"),
-        lambda o: _dot(o.grid, o["grad_logR"], o.sp.sum_axes(o["grad_U"] * o["grad_R"])),
+        lambda o: o.dot(o["grad_logR"], o.sp.sum_axes(o["grad_U"] * o["grad_R"])),
     ),
     # Parseval: |grad lap^p R|^2, (lap^p R)^2, |grad rho_tilde^(-alpha/2)|^2,
     # |lap U|^2 and lap U . grad lap log R (lap log R the trace of
     # hess_logR_split)
-    "glR2": (("R",), lambda o, p: _inner(o, o.hat("R"), o.sp.grad_lap_norm(p) * o.hat("R"))),
-    "lapR2": (("R",), lambda o, p: _inner(o, o.hat("R"), o.sp.lap_symbol(2 * p) * o.hat("R"))),
+    "glR2": (("R",), lambda o, p: o.inner(o.hat("R"), o.sp.grad_lap_norm(p) * o.hat("R"))),
+    "lapR2": (("R",), lambda o, p: o.inner(o.hat("R"), o.sp.lap_symbol(2 * p) * o.hat("R"))),
     "gneg2": (
         lambda alpha: (("neg", alpha),),
-        lambda o, a: _inner(o, o.hat(("neg", a)), o.sp.grad_lap_norm(0) * o.hat(("neg", a))),
+        lambda o, a: o.inner(o.hat(("neg", a)), o.sp.grad_lap_norm(0) * o.hat(("neg", a))),
     ),
-    "lapU2": (("U",), lambda o: _inner(o, o.hat("U"), o.sp.lap_symbol(2) * o.hat("U"))),
+    "lapU2": (("U",), lambda o: o.inner(o.hat("U"), o.sp.lap_symbol(2) * o.hat("U"))),
     "lapU_glaplog": (
         ("U", "laplog"),
-        lambda o: _inner(o, o.hat("U"), o.sp.grad_lap_symbol(1) * o.hat("laplog")),
+        lambda o: o.inner(o.hat("U"), o.sp.grad_lap_symbol(1) * o.hat("laplog")),
     ),
     # R |hess log R|^2 with the spectral Hessian of log R (identity checks)
-    "RhlogR2_sp": (("hess_logR",), lambda o: _dot(o.grid, o.R, o.sp.frob2(o["hess_logR"]))),
+    "RhlogR2_sp": (("hess_logR",), lambda o: o.dot(o.R, o.sp.frob2(o["hess_logR"]))),
 }
 
 
@@ -441,6 +563,13 @@ def _kinetic(eps: float, eta2: float = 0.0, s: int | None = None) -> list:
     return [(1.0, "lam2"), (eps**2, "gs2"), (eta2, ("glR2", s))]
 
 
+def _total(state, build, tau):
+    """The total of the term groups build(tau) returns (StateOps.groups),
+    on the ops of state."""
+    ops = StateOps.of(state)
+    return ops.total(*ops.groups(build, tau))
+
+
 def _energy(tau, eps: float) -> list:
     return [*_times(1.0 / (2 * tau[0] ** 2), _kinetic(eps)), *_POTENTIAL]
 
@@ -448,7 +577,7 @@ def _energy(tau, eps: float) -> list:
 def energy(state: FluidState | StateOps, tau, eps: float) -> float:
     """Self-similar pseudo-energy
     (1/2 tau^2) quad(R|U|^2 + eps^2 |grad sqrt R|^2) + quad(R|y|^2 + R log R)."""
-    return StateOps.of(state).total(_energy(tau, eps))
+    return _total(state, partial(_energy, eps=eps), tau)
 
 
 def _dissipation(tau, eps: float, nu: float) -> list:
@@ -458,7 +587,7 @@ def _dissipation(tau, eps: float, nu: float) -> list:
 
 def dissipation(state: FluidState | StateOps, tau, eps: float, nu: float) -> float:
     """(taudot/tau^3) quad(R|U|^2 + eps^2|grad sqrt R|^2) + (nu/tau^4) quad(R |DU|^2)."""
-    return StateOps.of(state).total(_dissipation(tau, eps, nu))
+    return _total(state, partial(_dissipation, eps=eps, nu=nu), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +606,7 @@ def bd_entropy(
     """BD entropy; with r0 > 0 includes the drag term -2 r0 (log R) 1_{R<=1}.
     R |U + nu grad log R|^2 is expanded without division:
     |Lambda|^2 + 4 nu Lambda . grad sqrt R + 4 nu^2 |grad sqrt R|^2."""
-    return StateOps.of(state).total(_bd_entropy(tau, eps, nu, r0))
+    return _total(state, partial(_bd_entropy, eps=eps, nu=nu, r0=r0), tau)
 
 
 def _bd_dissipation(tau, eps: float, nu: float) -> list:
@@ -488,7 +617,7 @@ def _bd_dissipation(tau, eps: float, nu: float) -> list:
 
 
 def bd_dissipation(state: FluidState | StateOps, tau, eps: float, nu: float) -> float:
-    return StateOps.of(state).total(_bd_dissipation(tau, eps, nu))
+    return _total(state, partial(_bd_dissipation, eps=eps, nu=nu), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +656,7 @@ def _energy_reg(p: ParamSet, tau) -> tuple:
 
 
 def energy_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
-    return StateOps.of(state).total(*_energy_reg(params, tau))
+    return _total(state, partial(_energy_reg, params), tau)
 
 
 def _dissipation_reg(p: ParamSet, tau) -> list:
@@ -543,7 +672,7 @@ def _dissipation_reg(p: ParamSet, tau) -> list:
 
 
 def dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
-    return StateOps.of(state).total(_dissipation_reg(params, tau))
+    return _total(state, partial(_dissipation_reg, params), tau)
 
 
 def _bd_entropy_reg(p: ParamSet, tau) -> tuple:
@@ -553,7 +682,7 @@ def _bd_entropy_reg(p: ParamSet, tau) -> tuple:
 def bd_entropy_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
     """Positive part of the regularized BD entropy (drag log-term truncated
     to {R <= 1}, plus the eta contributions)."""
-    return StateOps.of(state).total(*_bd_entropy_reg(params, tau))
+    return _total(state, partial(_bd_entropy_reg, params), tau)
 
 
 def _bd_dissipation_reg(p: ParamSet, tau) -> list:
@@ -575,7 +704,7 @@ def _bd_dissipation_reg(p: ParamSet, tau) -> list:
 
 
 def bd_dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
-    return StateOps.of(state).total(_bd_dissipation_reg(params, tau))
+    return _total(state, partial(_bd_dissipation_reg, params), tau)
 
 
 def _balance_rhs(p: ParamSet, tau, d: int) -> list:
@@ -586,7 +715,7 @@ def _balance_rhs(p: ParamSet, tau, d: int) -> list:
 def balance_rhs(state: FluidState | StateOps, params: ParamSet, tau) -> float:
     """Right side of the regularized energy balance:
     2 d delta1 / tau^2 quad(R) - nu taudot / tau^3 quad(R div U)."""
-    return StateOps.of(state).total(_balance_rhs(params, tau, state.grid.d))
+    return _total(state, lambda pair: _balance_rhs(params, pair, state.grid.d), tau)
 
 
 def energy_balance_residual(times, e_reg, d_reg, rhs) -> float:
@@ -643,7 +772,8 @@ def bd_identity_terms(
                            - 2 r0 nu log R).
     """
     ops = StateOps.of(state)
-    f, diss, rhs = (ops.total(terms) for terms in _bd_identity(params, tau, ops.grid.d))
+    groups = ops.groups(lambda pair: _bd_identity(params, pair, ops.grid.d), tau)
+    f, diss, rhs = (ops.total(terms) for terms in groups)
     return f, diss, rhs
 
 
@@ -672,8 +802,8 @@ def relative_entropy(R: FluidState | StateOps) -> float:
     Gaussian: log Gamma_m = -|y|^2 + log(m / quad(exp(-|y|^2))), so this is
     quad(R log R) + quad(R |y|^2) - m log(m / quad(exp(-|y|^2)))."""
     ops = StateOps.of(R)
-    m = ops.q("R")
-    shift = m * math.log(m / ops.grid.gaussian_mass) if m > 0 else 0.0
+    gm = ops.grid.gaussian_mass
+    shift = ops.each(lambda m: m * math.log(m / gm) if m > 0 else 0.0, ops.q("R"))
     return ops.q("RlogR") + ops.q("Rr2") - shift
 
 
@@ -684,7 +814,7 @@ def csiszar_kullback_gap(R: FluidState | StateOps) -> float:
     which holds exactly for the discrete lattice measure."""
     ops = StateOps.of(R)
     m = ops.q("R")
-    l1 = ops.grid.quad(np.abs(ops.R - matched_gaussian(ops.grid, m)))
+    l1 = ops.quad(np.abs(ops.R - matched_gaussian(ops.grid, ops.column(m))))
     return relative_entropy(ops) - l1**2 / (2.0 * m)
 
 
@@ -801,14 +931,16 @@ def irrotationality_residual(state: FluidState | StateOps) -> float:
 
 
 def _llogl_tables(grid: Grid, p_neg: float):
-    """The grid's sorted radii |y| and the reversed cumulative sums of
-    max(|y|, dy 1e-6)^(-p_neg) over them (a trailing 0 past the largest),
-    built once per grid and p_neg."""
+    """The grid's sorted radii |y|, the reversed cumulative sums of
+    max(|y|, dy 1e-6)^(-p_neg) over them (a trailing 0 past the largest)
+    and the lattice sweep's 24 kappa candidates, built once per grid and
+    p_neg."""
 
     def build():
         rad = np.sort(np.sqrt(grid.r2), axis=None)
         far = np.maximum(rad, grid.dy * 1e-6) ** (-p_neg)
-        return rad, np.append(np.cumsum(far[::-1])[::-1], 0.0)
+        kappas = np.geomspace(grid.dy, grid.ell * math.sqrt(grid.d), 24)
+        return rad, np.append(np.cumsum(far[::-1])[::-1], 0.0), kappas
 
     return grid.spectral.cached(("llogl", p_neg), build)
 
@@ -836,24 +968,32 @@ def llogl_bound(state: FluidState | StateOps, beta: float) -> tuple[float, float
       S_grid = sum over lattice modes of (1 + |k|^2)^(-1) (finite sum).
 
     All steps are exact finite-sum inequalities, so value <= bound holds for
-    every grid function with the stated finiteness.
+    every grid function with the stated finiteness.  For a stack, both are
+    the arrays of the rows' values.
     """
     ops = StateOps.of(state)
     g = ops.grid
     if not 0.0 < beta < 4.0 / (g.d + 2):
         raise ValueError(f"beta must lie in (0, 4/(d+2)) = (0, {4.0/(g.d+2):.4f})")
     # |f|^2 = R, and log(max(R, LOG_FLOOR)) vanishes with R on {R = 0}
-    value = _dot(g, ops.R, np.abs(ops.logR))
+    value = ops.dot(ops.R, np.abs(ops.logR))
+    h1 = ops.q("R") + ops.q("gs2")
+    bound = ops.each(partial(_llogl_bound_of, g, beta), ops.q("R"), ops.q("Rr2"), h1)
+    return (float(value), float(bound)) if ops.rows is None else (value, bound)
 
+
+def _llogl_bound_of(g: Grid, beta: float, mass: float, second: float, h1: float) -> float:
+    """llogl_bound's bound of one state from its quad(R), quad(R |y|^2) and
+    H1 norm quad(R) + quad(|grad sqrt R|^2)."""
     cpt = 2.0 / (math.e * beta)  # max of t^(beta/2) |log t| on (0,1] and [1,inf)
-    l2 = math.sqrt(ops.q("R"))
-    yf = math.sqrt(ops.q("Rr2"))
+    l2 = math.sqrt(mass)
+    yf = math.sqrt(second)
     a_exp = g.d * beta / 2.0
     b_exp = (2.0 - beta) - a_exp  # positive iff beta < 4/(d+2)
     p_neg = 2.0 * (2.0 - beta) / beta
 
-    # continuum kappa* (documented optimization), plus a lattice sweep
-    cand = set()
+    # the lattice sweep, plus the continuum kappa* (documented optimization)
+    rad, tail, cand = _llogl_tables(g, p_neg)
     if yf > 0 and l2 > 0:
         c_d = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}[g.d]
         s_d = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[g.d]
@@ -862,13 +1002,11 @@ def llogl_bound(state: FluidState | StateOps, beta: float) -> tuple[float, float
             beta / 2.0
         )
         if P > 0 and Q > 0:
-            cand.add((b_exp * Q / (a_exp * P)) ** (1.0 / (a_exp + b_exp)))
-    cand.update(np.geomspace(g.dy, g.ell * math.sqrt(g.d), 24))
+            cand = np.append(cand, (b_exp * Q / (a_exp * P)) ** (1.0 / (a_exp + b_exp)))
     # every candidate in one pass over the sorted radii: the count of radii
     # <= kappa gives V_kappa, and the sum of |y|^(-p) over the rest (from
     # the smallest term up) gives W_kappa
-    rad, tail = _llogl_tables(g, p_neg)
-    n_near = np.searchsorted(rad, np.fromiter(cand, float), side="right")
+    n_near = np.searchsorted(rad, cand, side="right")
     v_kappa = g.weight * n_near
     w_kappa = g.weight * tail[n_near]
     b_small = l2 ** (2.0 - beta) * v_kappa ** (beta / 2.0) + yf ** (
@@ -876,13 +1014,11 @@ def llogl_bound(state: FluidState | StateOps, beta: float) -> tuple[float, float
     ) * w_kappa ** (beta / 2.0)
     small_best = float(b_small.min())
 
-    h1 = ops.q("R") + ops.q("gs2")
     s_grid = g.spectral.cached("sobolev", lambda: float(np.sum(1.0 / (1.0 + g.k2))))
     f_inf_bound = math.sqrt(s_grid / g.volume * h1)
     b_large = f_inf_bound**beta * l2**2
 
-    bound = cpt * (small_best + b_large)
-    return float(value), float(bound)
+    return float(cpt * (small_best + b_large))
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,23 @@ run_nls marches on the coefficients psihat = cfwd(psi): each step is
 kin . cfwd(P(cinv(kin . psihat))), so consecutive kinetic half steps
 multiply in Fourier space and a step makes two complex transforms.  The
 per-step mass is Parseval's on psihat.  Samples are the only other inverses:
-psi and grad psi come back in one stacked inverse of [psihat, i k psihat]
-(i k zero at each axis's Nyquist index, the real-field rule).  nls_step is
-the same kernel between one forward and one inverse.
+run_nls keeps the coefficients of the states it samples and evaluates them
+in blocks of diagnostics.stack_rows states, each block as one stack of
+states (diagnostics.StateOps, module notes): psi and grad psi of the whole
+block come back in one inverse of [psihat, i k psihat] (i k zero at each
+axis's Nyquist index, the real-field rule), and every sample's values are
+bitwise those of its state evaluated alone.  nls_step is the same kernel
+between one forward and one inverse.
+
+NlsTrajectory.timing holds the run's perf_counter seconds in
+solver.Trajectory.timing's keys: advance_s (the march), diagnostics_s (the
+samples), wall_s, steps_per_s and transforms.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -105,22 +114,33 @@ def nls_step(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), mu: float | N
     return WaveFunction(psi.t + params.dt, g, g.spectral.cinv(zh), params.eps)
 
 
-def nls_energy(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), grads=None) -> float:
+def nls_energy(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), grads=None):
     """Energy of the chosen variant: (eps^2/2 tau^2) quad|grad psi|^2
     + quad(|psi|^2 log|psi|^2) [+ quad(|y|^2 |psi|^2) if rescaled].  grads
-    passes a precomputed wave_gradients(psi)."""
+    passes a precomputed wave_gradients(psi).  For a stack of wavefunctions
+    (psi with a row axis in front of the grid axes), tau holds one pair per
+    row and the result is the array of the rows' energies, each reduced on
+    its own row as diagnostics.StateOps reduces a stack."""
     g = psi.grid
     eps = params.eps
-    tau_v = float(tau[0]) if params.variant == "rescaled" else 1.0
+    rescaled = params.variant == "rescaled"
     ga, gb = wave_gradients(psi) if grads is None else grads
     grad2 = sum(a**2 + b**2 for a, b in zip(ga, gb))
     rho = psi.psi.real**2 + psi.psi.imag**2
     ent = np.where(rho > 0, rho * np.log(np.maximum(rho, diag.LOG_FLOOR)), 0.0)
-    out = eps**2 / (2 * tau_v**2) * g.quad(grad2)
-    out += g.quad(ent)
-    if params.variant == "rescaled":
-        out += g.quad(g.r2 * rho)
-    return out
+    parts = (grad2, ent, g.r2 * rho) if rescaled else (grad2, ent)
+
+    def total(pair, kin, *rest):
+        tau_v = float(pair[0]) if rescaled else 1.0
+        out = eps**2 / (2 * tau_v**2) * kin
+        for q in rest:
+            out += q
+        return out
+
+    if psi.psi.ndim == g.d:
+        return total(tau, *(g.quad(a) for a in parts))
+    quads = [diag.each_row(g, g.quad, a) for a in parts]
+    return np.array([total(pair, *q) for pair, *q in zip(tau, *quads)])
 
 
 @dataclass
@@ -133,6 +153,12 @@ class NlsTrajectory:
     e_variant: list = field(default_factory=list)  # energy of the evolved variant
     max_step_mass_drift: float = 0.0
     psi_final: WaveFunction | None = None
+    n_steps: int = 0
+    # perf_counter seconds of the run in solver.Trajectory.timing's keys:
+    # "advance_s" the march, "diagnostics_s" the samples, "wall_s" the whole
+    # of run_nls, "steps_per_s" n_steps / wall_s and "transforms" the
+    # scipy.fft calls of the grid's backends
+    timing: dict = field(default_factory=dict)
 
     def dissipation_identity_residual(self) -> float:
         return psi_dissipation_identity(self)
@@ -150,8 +176,12 @@ def run_nls(
     the mass, the Madelung pseudo-energy/dissipation and the variant energy
     at the start, at every sample_every-th step (never for 0) and at the
     end.  The march carries the coefficients of psi: the per-step mass is
-    Parseval's, and psi and its gradient come back only at a sample.  The
-    rescaled variant without tau_sol solves tau_cover(t_end, psi0.t)."""
+    Parseval's, and the sampled coefficients are evaluated in blocks of
+    diagnostics.stack_rows states, each as one stack.  The rescaled variant
+    without tau_sol solves tau_cover(t_end, psi0.t)."""
+    if not isinstance(sample_every, (int, np.integer)) or sample_every < 0:
+        raise ValueError(f"sample_every must be a nonnegative integer, got {sample_every!r}")
+    start = time.perf_counter()
     if tau_sol is None and params.variant == "rescaled":
         tau_sol = tau_cover(t_end, psi0.t)
 
@@ -160,32 +190,61 @@ def run_nls(
 
     g, eps = psi0.grid, params.eps
     sp = g.spectral
+    calls0 = sp.calls
     rescaled = params.variant == "rescaled"
     mu = _resolve_mu(params, psi0)
     traj = NlsTrajectory(params=params)
+    timing = traj.timing = {"advance_s": 0.0, "diagnostics_s": 0.0, "transforms": 0}
+    block = diag.stack_rows(g)
+    pending = []  # (t, mass, coefficients) of the samples not evaluated yet
     t = psi0.t
 
     def mass(zh) -> float:
         return g.weight * float(np.vdot(zh, zh).real) / sp.size
 
-    def emit(zh, m):
-        # psi and grad psi = grad Re psi + i grad Im psi in one inverse
-        X = sp.cinv(np.concatenate((zh[None], sp.cik * zh)))
-        psi = traj.psi_final = WaveFunction(t, g, X[0], eps)
+    def evaluate():
+        # psi and grad psi = grad Re psi + i grad Im psi of the block in one
+        # inverse of [psihat, i k psihat], then the block's values as one
+        # stack of states
+        t0 = time.perf_counter()
+        ts, ms, zs = zip(*pending)
+        pending.clear()
+        stack = np.empty((1 + g.d, len(zs)) + g.shape, complex)
+        np.stack(zs, out=stack[0])
+        np.multiply(sp.cik[:, None], stack[0], out=stack[1:])
+        del zs
+        X = sp.cinv(stack)
+        del stack
+        psi = WaveFunction(ts, g, X[0], eps)
         grads = (X[1:].real, X[1:].imag)
-        tp = tau_at(t)
-        traj.times.append(t)
-        traj.mass.append(m)
-        ops = diag.StateOps.of(madelung(psi, grads=grads))
-        traj.energy.append(diag.energy(ops, tp, eps))
-        traj.dissipation.append(diag.dissipation(ops, tp, eps, nu=0.0))
-        traj.e_variant.append(nls_energy(psi, params, tp, grads=grads))
+        taus = [tau_at(ti) for ti in ts]
+        traj.e_variant += nls_energy(psi, params, taus, grads=grads).tolist()
+        traj.psi_final = WaveFunction(ts[-1], g, X[0, -1].copy(), eps)
+        state = madelung(psi, grads=grads)
+        # the block's transforms go before the stack's derived arrays come:
+        # it keeps the peak memory of a block down
+        del X, psi, grads
+        ops = diag.StateOps.of(state)
+        del state
+        rows_calls0 = ops.sp.calls
+        traj.energy += diag.energy(ops, taus, eps).tolist()
+        traj.dissipation += diag.dissipation(ops, taus, eps, nu=0.0).tolist()
+        traj.times += ts
+        traj.mass += ms
+        timing["transforms"] += ops.sp.calls - rows_calls0
+        timing["diagnostics_s"] += time.perf_counter() - t0
+
+    def sample(zh, m):
+        pending.append((t, m, zh))
+        if len(pending) == block:
+            evaluate()
 
     zh = sp.cfwd(psi0.psi)
     m_after = mass(zh)
-    emit(zh, m_after)
+    sample(zh, m_after)
     k = 0
     while t < t_end * (1.0 - 1e-12):
+        t0 = time.perf_counter()
         h = min(params.dt, t_end - t)
         tau_v = float(tau_at(t + 0.5 * h)[0]) if rescaled else 1.0
         zh = _strang_hat(g, zh, h, eps, tau_v, mu, rescaled)
@@ -194,8 +253,15 @@ def run_nls(
         m_before, m_after = m_after, mass(zh)
         drift = abs(m_after - m_before) / max(abs(m_before), 1e-300)
         traj.max_step_mass_drift = max(traj.max_step_mass_drift, drift)
+        timing["advance_s"] += time.perf_counter() - t0
         if t >= t_end * (1.0 - 1e-12) or (sample_every and k % sample_every == 0):
-            emit(zh, m_after)
+            sample(zh, m_after)
+    if pending:
+        evaluate()
+    traj.n_steps = k
+    wall = timing["wall_s"] = time.perf_counter() - start
+    timing["steps_per_s"] = k / wall if wall > 0 else 0.0
+    timing["transforms"] += sp.calls - calls0
     return traj
 
 
@@ -222,6 +288,9 @@ class CrosscheckReport:
     mass_nls: float
     mass_hydro: float | None
     irrot_residual_nls: float | None = None
+    # the row's runs' timing: {"nls": NlsTrajectory.timing, "hydro":
+    # Trajectory.timing}, empty when t_end <= psi0.t
+    timing: dict = field(default_factory=dict)
 
 
 # the hydro vacuum floor (ParamSet.r_min) of the cross-check: below it the
@@ -264,7 +333,8 @@ def crosscheck_ladder(psi0: WaveFunction, t_end: float, ladder) -> list[Crossche
     advance together on one tau; the log-NLS runs go one per row, each
     solving its own tau_cover(t_end, psi0.t), because a march of its rows in
     lockstep measured slower (see ROADMAP).  A hydro abort is reported in
-    its row's status, not raised.
+    its row's status, not raised.  Each report's timing holds its row's
+    log-NLS and hydro timing.
     """
     eps, g = psi0.epsilon, psi0.grid
     rows = [crosscheck_hydro_params(eps, ds, dt) for ds, dt in ladder]
@@ -276,8 +346,10 @@ def crosscheck_ladder(psi0: WaveFunction, t_end: float, ladder) -> list[Crossche
     hydro = hydro_run(madelung(psi0), rows, t_end, diag_every=0)
     out = []
     for report, (_, dt), traj in zip(reports, ladder, hydro):
-        psiT = run_nls(psi0, NlsParams(eps=eps, dt=dt), t_end, sample_every=0).psi_final
+        nls = run_nls(psi0, NlsParams(eps=eps, dt=dt), t_end, sample_every=0)
+        psiT = nls.psi_final
         r_nls = psiT.psi.real**2 + psiT.psi.imag**2
+        report = partial(report, timing={"nls": nls.timing, "hydro": traj.timing})
         if traj.status != "ok":
             out.append(report(status=f"hydro_{traj.status}", diff_rel=None,
                               mass_nls=g.quad(r_nls), mass_hydro=None))

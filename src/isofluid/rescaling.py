@@ -60,8 +60,12 @@ def smooth_density(R, r_floor: float):
     tail pollutes paired functionals, and an additive floor R + r biases bulk
     velocities at first order in the floor.  No hard cut is needed on
     vacuum: M = R U vanishes there by construction.  The 1e-150 clamp keeps
-    r*r from underflowing to 0, which would leave rho = 0 at R = 0."""
-    r = max(r_floor, _FLOOR_MIN)
+    r*r from underflowing to 0, which would leave rho = 0 at R = 0.  An
+    array r_floor (a stack's per-row floors) broadcasts against R."""
+    if isinstance(r_floor, np.ndarray):
+        r = np.maximum(r_floor, _FLOOR_MIN)
+    else:
+        r = max(r_floor, _FLOOR_MIN)
     return np.sqrt(R * R + r * r)
 
 

@@ -129,3 +129,43 @@ def test_every_exported_name_resolves():
         mod = importlib.import_module(f"isofluid.{modname}")
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{modname}.{name}"
+
+
+def test_reproducibility_gate_outputs_are_byte_identical(tmp_path):
+    # perfbench/run.py's reproducibility gate fails every call whose output
+    # digest differs from the first: the korteweg metadata rows (hashed by
+    # GateXcheck.gate) and simulate's diagnostics.csv must not move from run
+    # to run, so the runs' timing goes beside the rows, never inside them
+    korteweg = {
+        "kind": "korteweg_crosscheck",
+        "grid": {"d": 1, "ell": 8.0, "n": 64},
+        "params": {"eps": 1.0},
+        "initial": {"generator": "offset_gaussian", "offset": 0.35, "offset_width": 3.0},
+        "t_end": 0.01,
+        "ladder": [[1e-3, 5e-4], [1e-4, 2.5e-4]],
+    }
+    simulate = {
+        "kind": "simulate",
+        "grid": {"d": 2, "ell": 6.0, "n": 16},
+        "params": {"nu": 0.1, "eps": 0.1, "dt_policy": "fixed", "dt": 5e-3},
+        "initial": {"generator": "prepared_gaussian", "theta": 0.2, "iota": 0.4},
+        "t_end": 0.02,
+    }
+    outputs = {"korteweg": [], "simulate": []}
+    for cmd, cfg in (("korteweg", korteweg), ("simulate", simulate)):
+        cfg_path = tmp_path / f"{cmd}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for i in range(2):
+            out = tmp_path / f"{cmd}{i}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli_main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
+            meta = json.loads((out / "metadata.json").read_text())
+            if cmd == "korteweg":
+                assert [r["status"] for r in meta["rows"]] == ["ok", "ok"]
+                assert [sorted(t) for t in meta["timing"]] == [["hydro", "nls"]] * 2
+                assert all("timing" not in r for r in meta["rows"])
+                outputs[cmd].append(json.dumps(meta["rows"], sort_keys=True).encode())
+            else:
+                outputs[cmd].append((out / "diagnostics.csv").read_bytes())
+    for cmd, (first, second) in outputs.items():
+        assert first == second, cmd

@@ -544,3 +544,60 @@ def test_record_columns_are_their_functionals_bitwise(case):
     }
     for name, value in columns.items():
         assert np.float64(getattr(rec, name)).view(np.int64) == np.float64(value).view(np.int64), name
+
+
+# ---------------------------------------------------------------------------
+# stacks of states
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32)])
+def test_stack_rows_are_their_single_states_bitwise(d, n):
+    # a stacked StateOps gives each row the term integrals and functionals
+    # of the row's own StateOps, bitwise; the rows differ in mass, and the
+    # first has taudot = 0, which turns its taudot-weighted terms off
+    from isofluid.experiments import random_positive_field
+
+    g = Grid(d, 6.0, n)
+    rng = np.random.default_rng(21)
+    Rs = [m * random_positive_field(g, rng) + 0.01 for m in (0.5, 1.0, 3.0)]
+    Ms = [np.stack([0.3 * R * (random_positive_field(g, rng) - 0.5) for _ in range(d)])
+          for R in Rs]
+    taus = [(1.0, 0.0), (1.3, 0.2), (2.1, 0.6)]
+    p = ParamSet(nu=0.1, eps=0.2, r0=0.03, r1=0.05, delta1=1e-3, delta2=1e-4, eta1=1e-6,
+                 eta2=1e-9, alpha=5.0, s=d + 1).bind(d)
+    stack = diag.StateOps(g, np.stack(Rs), np.stack(Ms, axis=1))
+    singles = [diag.StateOps(g, R, M) for R, M in zip(Rs, Ms)]
+    assert stack.rows == 3 and all(ops.rows is None for ops in singles)
+
+    def same(name, fn, with_tau=False):
+        got = fn(stack, taus) if with_tau else fn(stack)
+        want = [fn(ops, tau) if with_tau else fn(ops) for ops, tau in zip(singles, taus)]
+        assert np.array_equal(_bits(got), _bits(want)), name
+
+    args = {"glR2": (p.s,), "lapR2": (p.s + 1,), "gneg2": (p.alpha,), "rtneg": (p.alpha,)}
+    for name in diag._TERMS:
+        key = (name, *args[name]) if name in args else name
+        same(name, lambda ops: ops.q(key))
+    same("min_density", lambda ops: ops.min_density)
+    same("energy", lambda ops, tau: diag.energy(ops, tau, p.eps), True)
+    same("dissipation", lambda ops, tau: diag.dissipation(ops, tau, p.eps, p.nu), True)
+    same("dissipation nu=0", lambda ops, tau: diag.dissipation(ops, tau, p.eps, 0.0), True)
+    same("bd_entropy", lambda ops, tau: diag.bd_entropy(ops, tau, p.eps, p.nu, p.r0), True)
+    same("bd_dissipation", lambda ops, tau: diag.bd_dissipation(ops, tau, p.eps, p.nu), True)
+    for name in ("energy_reg", "dissipation_reg", "bd_entropy_reg", "bd_dissipation_reg",
+                 "balance_rhs"):
+        same(name, lambda ops, tau, fn=getattr(diag, name): fn(ops, p, tau), True)
+    for i in range(3):
+        same(f"bd_identity_terms[{i}]",
+             lambda ops, tau: diag.bd_identity_terms(ops, p, tau)[i], True)
+    same("relative_entropy", diag.relative_entropy)
+    same("csiszar_kullback_gap", diag.csiszar_kullback_gap)
+    for i in range(2):
+        same(f"llogl_bound[{i}]", lambda ops: diag.llogl_bound(ops, 2.0 / (d + 2))[i])
+    assert diag.dissipation(stack, taus, p.eps, 0.0)[0] == 0.0
+    with pytest.raises(ValueError, match="3 tau pairs"):
+        diag.energy(stack, taus[:2], p.eps)

@@ -446,6 +446,21 @@ def test_sampled_families_build_one_backend_per_grid_shape(monkeypatch):
         assert len(built) <= 2
 
 
+def test_check_random_stacks_are_the_fields_drawn_one_at_a_time():
+    # the csiszar and llogl families draw in the order of one field at a
+    # time, alternating grids, and each stack's rows are those fields bitwise
+    rng = np.random.default_rng(11)
+    grids = (Grid(1, 6.0, 64), Grid(2, 6.0, 32))
+    fields = [E.random_positive_field(grids[i % 2], rng) for i in range(100)]
+    seen = []
+    for index, ops in E._random_stacks(11):
+        assert ops.rows == len(index) <= diag.stack_rows(ops.grid)
+        for row, i in enumerate(index):
+            assert ops.grid == grids[i % 2] and np.array_equal(ops._R_raw[row], fields[i])
+        seen += index
+    assert sorted(seen) == list(range(100))
+
+
 def test_cli_check_metadata_records_each_family(tmp_path, capsys):
     out = tmp_path / "check"
     assert cli_main(["check", "--out", str(out)]) == 0

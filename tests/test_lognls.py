@@ -200,15 +200,93 @@ def test_run_nls_zero_horizon_samples_once(monkeypatch):
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
 def test_run_nls_transform_count(monkeypatch, d, n):
     # psi0 goes forward once; each Strang step makes one complex inverse and
-    # one forward; each sample one stacked inverse of [psi, grad psi]
+    # one forward; each block of samples one stacked inverse of [psi, grad
+    # psi]: the five samples fit one block of STACK_VALUES grid values, or
+    # go in three blocks of at most two
     psi0 = _offset_wave(d, n)
     ts = tau_solve(0.1, 1e-12, 1e-14)
-    calls = _count_complex(monkeypatch)
-    traj = lognls.run_nls(psi0, lognls.NlsParams(eps=1.0, dt=2e-3), 0.02, ts, sample_every=3)
-    steps, samples = 10, len(traj.times)
-    assert samples == 5  # t = 0, steps 3, 6, 9 and the last
-    assert len(calls) == 1 + 2 * steps + samples
-    assert set(calls) == ({"fft", "ifft"} if d == 1 else {"fftn", "ifftn"})
+    steps = 10
+    for block, blocks in ((diag.STACK_VALUES, 1), (2 * n**d, 3)):
+        monkeypatch.setattr(diag, "STACK_VALUES", block)
+        calls = _count_complex(monkeypatch)
+        traj = lognls.run_nls(psi0, lognls.NlsParams(eps=1.0, dt=2e-3), 0.02, ts, sample_every=3)
+        monkeypatch.undo()
+        assert len(traj.times) == 5  # t = 0, steps 3, 6, 9 and the last
+        assert len(calls) == 1 + 2 * steps + blocks
+        assert traj.timing["transforms"] >= len(calls)  # and the samples' real transforms
+        assert set(calls) == ({"fft", "ifft"} if d == 1 else {"fftn", "ifftn"})
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+def test_run_nls_samples_are_their_states_one_at_a_time(monkeypatch, d, n, sample_every):
+    # the march's own states, each evaluated alone on the single-state path,
+    # give run_nls's sample series bitwise, with blocks of two samples (so a
+    # run evaluates several stacks, the last one shorter) and of all of them
+    psi0 = _offset_wave(d, n)
+    g, sp = psi0.grid, psi0.grid.spectral
+    p = lognls.NlsParams(eps=1.0, dt=2e-3)
+    ts = tau_solve(0.05, 1e-12, 1e-14)
+    mu = 1e-12 * float(np.max(psi0.psi.real**2 + psi0.psi.imag**2))
+    names = ("times", "mass", "energy", "dissipation", "e_variant")
+    ref = {name: [] for name in names}
+    zh, t = sp.cfwd(psi0.psi), psi0.t
+
+    def sample():
+        X = sp.cinv(np.concatenate((zh[None], sp.cik * zh)))
+        psi = WaveFunction(t, g, X[0], 1.0)
+        grads = (X[1:].real, X[1:].imag)
+        tp = ts.eval(t)
+        ops = diag.StateOps.of(madelung(psi, grads=grads))
+        for name, value in zip(names, (t, g.weight * float(np.vdot(zh, zh).real) / sp.size,
+                                       diag.energy(ops, tp, 1.0),
+                                       diag.dissipation(ops, tp, 1.0, nu=0.0),
+                                       lognls.nls_energy(psi, p, tp, grads=grads))):
+            ref[name].append(value)
+        return psi
+
+    psi = sample()
+    for k in range(1, 11):
+        h = min(p.dt, 0.02 - t)
+        zh = lognls._strang_hat(g, zh, h, 1.0, float(ts.eval(t + 0.5 * h)[0]), mu, True)
+        t += h
+        if k % sample_every == 0 or k == 10:
+            psi = sample()
+    for block in (2 * n**d, diag.STACK_VALUES):
+        monkeypatch.setattr(diag, "STACK_VALUES", block)
+        traj = lognls.run_nls(psi0, p, 0.02, tau_sol=ts, sample_every=sample_every)
+        for name in names:
+            got = getattr(traj, name)
+            assert len(got) == len(ref[name]) and all(type(v) is float for v in got), name
+            assert np.array_equal(np.array(got).view(np.int64),
+                                  np.array(ref[name]).view(np.int64)), name
+        assert traj.psi_final.t == t and np.array_equal(traj.psi_final.psi, psi.psi)
+
+
+@pytest.mark.parametrize("bad", [-3, 1.5, "2", None])
+def test_run_nls_refuses_a_bad_sample_every(bad):
+    # Python's modulo would sample -3 and 1.5 every 3rd step
+    with pytest.raises(ValueError, match="sample_every"):
+        lognls.run_nls(_offset_wave(1, 64), lognls.NlsParams(eps=1.0), 0.01, sample_every=bad)
+
+
+def test_run_nls_times_its_march_and_samples(monkeypatch):
+    # the keys of solver.Trajectory.timing, the march and the samples as
+    # parts of the wall time, and every scipy.fft call of the run counted
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        orig = getattr(scipy.fft, name)
+        monkeypatch.setattr(scipy.fft, name,
+                            lambda *a, _o=orig, **k: calls.append(1) or _o(*a, **k))
+    traj = lognls.run_nls(_offset_wave(2, 16), lognls.NlsParams(eps=1.0, dt=2e-3), 0.02,
+                          sample_every=3)
+    timing = traj.timing
+    assert set(timing) == {"advance_s", "diagnostics_s", "wall_s", "steps_per_s", "transforms"}
+    assert traj.n_steps == 10
+    assert 0.0 < timing["advance_s"] and 0.0 < timing["diagnostics_s"]
+    assert timing["advance_s"] + timing["diagnostics_s"] <= timing["wall_s"]
+    assert timing["steps_per_s"] == 10 / timing["wall_s"]
+    assert timing["transforms"] == len(calls)
 
 
 def test_madelung_kinetic_split():
