@@ -31,10 +31,14 @@ copy of the row (StateOps.dot, quad, inner), so each row's term integral
 is bitwise its state's.  A term integral, total and the functionals built
 on them return the array of the rows' values.  A functional of tau takes
 one (tau, taudot) pair per row: each row's coefficients are built from its
-own pair in Python floats, and a coefficient that vanishes on some rows
-skips its term on exactly those rows.  The scalar math on each row's
-integrals (the CK shift's log, the L log L kappa sweep) runs row by row on
-Python floats.  A single state (R with the grid's d axes) has no row axis
+own pair in Python floats, and each row's total is summed as one state's,
+on its own coefficients and integrals, so a coefficient that vanishes on
+some rows skips its term on exactly those rows.  The scalar math on each
+row's integrals (the CK shift's log, the L log L kappa sweep) runs row by
+row on Python floats.  record's core tier takes a stack and returns one
+record per row: solver.run evaluates a run's core records in blocks of
+stack_rows states this way, lognls.run_nls its samples, and check its
+random fields.  A single state (R with the grid's d axes) has no row axis
 and keeps its own path.
 
 Terms.  Each functional is a sum of named term integrals (_TERMS) with
@@ -57,6 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -120,10 +125,9 @@ def each_row(grid: Grid, reduce, *arrays) -> np.ndarray:
     every row whole, so each value is bitwise reduce of the row's own
     state."""
     d = grid.d
-    rows = next(a.shape[-d - 1] for a in arrays if a.ndim > d)
-    at = [(Ellipsis, b) + (slice(None),) * d for b in range(rows)]
-    return np.array([reduce(*(a if a.ndim == d else np.ascontiguousarray(a[i]) for a in arrays))
-                     for i in at])
+    rows = [map(np.ascontiguousarray, np.moveaxis(a, -d - 1, 0)) if a.ndim > d else repeat(a)
+            for a in arrays]
+    return np.array([reduce(*row) for row in zip(*rows)])
 
 
 def matched_gaussian(grid: Grid, mass: float) -> np.ndarray:
@@ -231,6 +235,8 @@ class StateOps:
         self.R = np.maximum(R, 0.0)
         self.s = np.sqrt(self.R)
         self._cache, self._hat, self._arr, self._terms = {}, {}, {}, {}
+        # each row's term integrals, as Python floats (see total)
+        self._row_terms = None if self.rows is None else [{} for _ in range(self.rows)]
         if r_floor is not None:
             self._cache["r_floor"] = r_floor
         if M is None:
@@ -308,49 +314,41 @@ class StateOps:
         if out is None:
             name, args = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
             out = _TERMS[name][1](self, *args)
-            out = self._terms[key] = float(out) if self.rows is None else out
+            if self.rows is None:
+                out = float(out)
+            else:
+                for terms, value in zip(self._row_terms, out.tolist()):
+                    terms[key] = value
+            self._terms[key] = out
         return out
 
-    def total(self, *groups):
-        """The sums of c * q(key) over the (c, key) pairs whose c != 0 of
-        each group (a list of pairs), added group after group.  For a stack
-        each c is the array of the rows' coefficients (see groups), and a
-        term is added on the rows whose c != 0."""
-        if self.rows is not None:
-            return self._total_rows(groups)
-        out = 0.0
-        for terms in groups:
-            part = 0.0
-            for c, key in terms:
-                if c != 0.0:
-                    part += c * self.q(key)
-            out += part
-        return out
-
-    def _total_rows(self, groups) -> np.ndarray:
-        out = np.zeros(self.rows)
-        for terms in groups:
-            part = np.zeros(self.rows)
-            for c, key in terms:
-                on = c != 0.0
-                if on.any():
-                    part[on] += c[on] * self.q(key)[on]
-            out += part
-        return out
-
-    def groups(self, build, tau) -> tuple:
-        """The groups of (coefficient, key) pairs that build(tau) returns (a
-        list is one group).  For a stack, tau holds one (tau, taudot) pair
-        per row: each row's lists are built from its own pair, and each
-        coefficient becomes the array of the rows' coefficients."""
+    def total(self, groups):
+        """The sum of c * q(key) over the (c, key) pairs whose c != 0 of
+        each group (a list of pairs, or a tuple of such lists), added group
+        after group.  For a stack, groups holds each row's groups (see
+        groups), and each row is summed as one state is, on its own
+        coefficients and term integrals in Python floats: the array of the
+        rows' sums."""
         if self.rows is None:
-            return _as_groups(build(tau))
+            return _sum(groups, self.q)
+        for row in groups:
+            for terms in _as_groups(row):
+                for c, key in terms:
+                    if c != 0.0:
+                        self.q(key)
+        return np.array([_sum(row, terms.__getitem__)
+                         for row, terms in zip(groups, self._row_terms)])
+
+    def groups(self, build, tau):
+        """build(tau), the groups of (coefficient, key) pairs of total.  For
+        a stack, tau holds one (tau, taudot) pair per row, and the groups
+        are the list of each row's, built from its own pair."""
+        if self.rows is None:
+            return build(tau)
         if len(tau) != self.rows:
             raise ValueError(f"a stack of {self.rows} states needs {self.rows} tau pairs, "
                              f"got {len(tau)}")
-        per_row = [_as_groups(build(pair)) for pair in tau]
-        return tuple([(np.array([c for c, _ in pairs]), pairs[0][1]) for pairs in zip(*lists)]
-                     for lists in zip(*per_row))
+        return [build(pair) for pair in tau]
 
     # -- reductions, per row for a stack -------------------------------------
 
@@ -483,6 +481,18 @@ def _as_groups(out) -> tuple:
     return out if isinstance(out, tuple) else (out,)
 
 
+def _sum(groups, q) -> float:
+    """StateOps.total of one state's groups, q giving each term integral."""
+    out = 0.0
+    for terms in _as_groups(groups):
+        part = 0.0
+        for c, key in terms:
+            if c != 0.0:
+                part += c * q(key)
+        out += part
+    return out
+
+
 # The term integrals, by name: (what they transform, (ops, *args) -> value);
 # the transforms are _FIELDS or _DERIVS keys, or a function of the term's
 # arguments that returns them.
@@ -567,7 +577,7 @@ def _total(state, build, tau):
     """The total of the term groups build(tau) returns (StateOps.groups),
     on the ops of state."""
     ops = StateOps.of(state)
-    return ops.total(*ops.groups(build, tau))
+    return ops.total(ops.groups(build, tau))
 
 
 def _energy(tau, eps: float) -> list:
@@ -772,8 +782,8 @@ def bd_identity_terms(
                            - 2 r0 nu log R).
     """
     ops = StateOps.of(state)
-    groups = ops.groups(lambda pair: _bd_identity(params, pair, ops.grid.d), tau)
-    f, diss, rhs = (ops.total(terms) for terms in groups)
+    f, diss, rhs = (_total(ops, lambda pair, i=i: _bd_identity(params, pair, ops.grid.d)[i], tau)
+                    for i in range(3))
     return f, diss, rhs
 
 
@@ -1126,7 +1136,7 @@ def record(
     tau,
     full: bool = False,
     r_floor: float | None = None,
-) -> DiagnosticsRecord:
+) -> DiagnosticsRecord | list:
     """Evaluate the diagnostics family on one state (a StateOps, such as the
     one run builds from the stepper's (R, M, r_min), or a FluidState).
 
@@ -1136,25 +1146,39 @@ def record(
     columns' term lists are built once (_column_terms); every transform that
     their terms and the identity functions need is made up front, in one
     fetch, and each column is then summed once.
+
+    On a stack of states (StateOps, module notes) with one (tau, taudot)
+    pair per row, the core tier returns one record per row, each bitwise
+    the row's own record; a full record takes one state (else ValueError).
     """
     ops, g = StateOps.of(state, r_floor), state.grid
-    positive = ops.min_density > 0
-    cols = _column_terms(params, tau, g.d, full)
-    keys = dict.fromkeys(key for groups in cols.values() for pairs in groups
+    if full and ops.rows is not None:
+        raise ValueError("a full record takes one state, not a stack")
+    # the column table, or each row's
+    cols = ops.groups(lambda pair: _column_terms(params, pair, g.d, full), tau)
+    tables = [cols] if ops.rows is None else cols
+    keys = dict.fromkeys(key for table in tables for groups in table.values() for pairs in groups
                          for c, key in pairs if c != 0.0)
+    positive = full and ops.min_density > 0
     ops.fetch(
         *dict.fromkeys(n for key in keys for n in _needs(_key(key))),
         *(_FULL_NEEDS if full else ()),
-        *(_IDENTITY_NEEDS if full and positive else ()),
+        *(_IDENTITY_NEEDS if positive else ()),
     )
-    rec = DiagnosticsRecord(
-        t=ops.t,
+    values = dict(
         mass=ops.q("R"),
-        momentum=tuple(g.quad(m) for m in ops.mom),
+        momentum=tuple(ops.quad(m) for m in ops.mom),
         second_moment=ops.q("Rr2"),
         min_density=ops.min_density,
-        **{name: ops.total(*groups) for name, groups in cols.items()},
+        **{name: ops.total(cols[name] if ops.rows is None else [table[name] for table in tables])
+           for name in tables[0]},
     )
+    if ops.rows is not None:
+        lists = {name: v.tolist() for name, v in values.items() if name != "momentum"}
+        lists["momentum"] = list(zip(*(m.tolist() for m in values["momentum"])))
+        return [DiagnosticsRecord(t=t, **{name: v[b] for name, v in lists.items()})
+                for b, t in enumerate(ops.t)]
+    rec = DiagnosticsRecord(t=ops.t, **values)
     if full:
         ops.keep(*_FULL_NEEDS, *_IDENTITY_NEEDS)
         rec.relative_entropy = relative_entropy(ops)

@@ -85,6 +85,19 @@ row of tau_cover(0.25, 0) the two differ in the last bit at steps 126 and
 min, the stop checks, the records) is taken on one row.  A single run
 builds no row axis.
 
+Records.  Both march loops keep a trajectory's state, records, snapshots,
+stop and end in one _Row.  A core record only keeps its step's (t, R, M),
+arrays no later step writes; the pending states are evaluated as one stack
+of states (diagnostics.StateOps, with each row's own (tau, taudot)) once
+diagnostics.stack_rows(grid) of them are pending, before any full record
+and when the trajectory ends or stops, so every record is kept and the
+records stay in time order.  A lone pending state is evaluated alone, as
+every record is where stack_rows is 1 (2D n = 128).  Each row of a stack
+is bitwise the record of its state alone (the diagnostics module notes),
+so the records are those of one state at a time; timing counts a block's
+seconds and transforms, made on the backend Grid.rows(B), as the
+trajectory's.
+
 Floors.  The solver's one density floor is r_min (ParamSet.r_min, default
 1e-10 mean(R0)).  rho_sm = smooth_density(R, r_min) = sqrt(R^2 + r_min^2)
 recovers U = M / rho_sm and sets the drag coefficients, the advective CFL
@@ -200,8 +213,10 @@ class Trajectory:
     # perf_counter seconds of the run: "advance_s", "diagnostics_s" and
     # "snapshots_s" (the state copies kept in snapshots) are parts of
     # "wall_s", the whole of solver.run; "steps_per_s" is n_steps / wall_s;
-    # "transforms" the scipy.fft calls of the grid's backend during the run
-    # and "peak_rss_mb" the process's peak resident set (ru_maxrss) at its end
+    # "transforms" the scipy.fft calls made for the run (a ladder row's: the
+    # shared advances it took part in), its record blocks' on Grid.rows(B)
+    # too, and "peak_rss_mb" the process's peak resident set (ru_maxrss) at
+    # its end
     timing: dict = field(default_factory=dict)
 
     def series(self, name: str) -> np.ndarray:
@@ -764,9 +779,11 @@ def run(
 ) -> Trajectory | list:
     """March the state to t_end (on tau_cover(t_end, initial.t) without
     tau_sol), recording a full record at the start and the end and a core
-    one every diag_every-th step (none with diag_every = 0).  Stops early (keeping the last valid state)
-    with status "floor" when min R < -NEG_TOL_REL max R0, "nan" on blow-up,
-    "underflow" below DT_MIN, or "budget" past MAX_STEPS (see the notes).
+    one every diag_every-th step (none with diag_every = 0), the core ones
+    evaluated in blocks (see the notes).  Stops early (keeping the last
+    valid state) with status "floor" when min R < -NEG_TOL_REL max R0,
+    "nan" on blow-up, "underflow" below DT_MIN, or "budget" past MAX_STEPS
+    (see the notes).
 
     params may instead be a ladder: a list of ParamSets that differ only in
     dt and delta1 (else ValueError, naming the field), each row starting
@@ -778,92 +795,48 @@ def run(
     if not isinstance(params, ParamSet):
         return _run_ladder(initial, list(params), t_end, tau_sol, snapshot_every, diag_every)
     start = time.perf_counter()
-    grid = initial.grid
     R, M = arrays_from_state(initial)
-    st = _Stepper(grid, params, float(np.mean(R)), _contrast(R))
+    st = _Stepper(initial.grid, params, float(np.mean(R)), _contrast(R))
     p = st.p
     if tau_sol is None:
         tau_sol = tau_cover(t_end, initial.t)
-
-    traj = Trajectory(params=p, r_min=st.r_min)
-    timing = traj.timing = {"advance_s": 0.0, "diagnostics_s": 0.0, "snapshots_s": 0.0}
-    calls0 = st.sp.calls
-    t = initial.t
+    row = _Row(p, st.r_min, initial, tau_sol, start)
+    traj, timing = row.traj, row.traj.timing
     neg_tol = NEG_TOL_REL * max(float(np.max(R)), 1e-300)
-
-    def current_state():
-        return state_from_arrays(grid, t, R, M, initial.mass_ratio)
-
-    def emit(full: bool):
-        t0 = time.perf_counter()
-        traj.times.append(t)
-        ops = diag.StateOps(grid, R, M, st.r_min, t)
-        traj.records.append(diag.record(ops, p, tau_sol.eval(t), full=full))
-        timing["diagnostics_s"] += time.perf_counter() - t0
-
-    def snapshot():
-        t0 = time.perf_counter()
-        traj.snapshots.append(current_state())
-        timing["snapshots_s"] += time.perf_counter() - t0
-
-    def finish():
-        traj.state_final = current_state()
-        wall = timing["wall_s"] = time.perf_counter() - start
-        timing["steps_per_s"] = traj.n_steps / wall if wall > 0 else 0.0
-        timing["transforms"] = st.sp.calls - calls0
-        timing["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        return traj
-
-    def stop(reason, cell):
-        traj.status = reason
-        traj.stop = {"reason": reason, "step": k + 1, "t": t, "cell": [int(i) for i in cell]}
 
     # a diverging step overflows on its way to inf or nan, an overflowing
     # CFL rate gives dt = 0 and a diverging state records the inf or nan its
     # terms come to; the checks below name each failure in the status, so
     # numpy's warnings are not raised
     with np.errstate(**_QUIET):
-        emit(full=True)
+        row.record(full=True)
         if snapshot_every:
-            snapshot()
+            row.snapshot()
         if t_end <= initial.t:
-            return finish()
-        k = 0
-        while t < t_end * (1.0 - 1e-12):
+            return row.finish()
+        while row.t < t_end * (1.0 - 1e-12):
+            t = row.t
             if p.dt_policy == "fixed":
                 dt, family = p.dt, None
             else:
-                dt, family = st.cfl_dt(R, M, *tau_sol.eval(t))
+                dt, family = st.cfl_dt(row.R, row.M, *tau_sol.eval(t))
                 if dt > p.dt:
                     dt, family = p.dt, "dt_cap"
             dt = min(dt, t_end - t)
-            if dt < DT_MIN or (family is not None and k + (t_end - t) / dt > MAX_STEPS):
+            if dt < DT_MIN or (family is not None and row.k + (t_end - t) / dt > MAX_STEPS):
                 reason = "underflow" if dt < DT_MIN else "budget"
-                stop(reason, np.unravel_index(np.argmin(R), R.shape))
+                row.stop(reason, np.unravel_index(np.argmin(row.R), row.R.shape))
                 break
-            t0 = time.perf_counter()
-            R_new, M_new = st.advance(R, M, dt, tau_sol.eval(t + 0.5 * dt))
+            t0, calls0 = time.perf_counter(), st.sp.calls
+            R_new, M_new = st.advance(row.R, row.M, dt, tau_sol.eval(t + 0.5 * dt))
             timing["advance_s"] += time.perf_counter() - t0
-            if not (np.isfinite(R_new).all() and np.isfinite(M_new).all()):
-                finite = np.isfinite(R_new) & np.all(np.isfinite(M_new), axis=0)
-                stop("nan", np.unravel_index(np.argmin(finite), R.shape))
+            row.calls += st.sp.calls - calls0
+            if not row.take(R_new, M_new, dt, neg_tol):
                 break
-            if float(R_new.min()) < -neg_tol:
-                stop("floor", np.unravel_index(np.argmin(R_new), R.shape))
-                break
-            R, M = R_new, M_new
-            t += dt
-            k += 1
-            traj.n_steps = k
             if family is not None:
                 traj.cfl_binding[family] = traj.cfl_binding.get(family, 0) + 1
-            at_end = t >= t_end * (1.0 - 1e-12)
-            if at_end or (diag_every and k % diag_every == 0):
-                emit(full=at_end)
-            if snapshot_every and (k % snapshot_every == 0 or at_end):
-                snapshot()
-    traj.validate()
-    return finish()
+            row.sample(row.t >= t_end * (1.0 - 1e-12), diag_every, snapshot_every)
+    return row.finish()
 
 
 def _run_ladder(initial, rows, t_end, tau_sol, snapshot_every, diag_every) -> list:
@@ -885,14 +858,102 @@ def _run_ladder(initial, rows, t_end, tau_sol, snapshot_every, diag_every) -> li
 
 
 class _Row:
-    """A row of _run_rows: its bound parameters, Trajectory, last accepted
-    state (R, M), time, step count and the transforms it took part in."""
+    """One trajectory of a march, a run or a row of a ladder: its bound
+    parameters, Trajectory, last accepted state (R, M), time, step count,
+    the transforms it took part in, and the (t, R, M) of its core records
+    not evaluated yet (see the module notes, Records).  Both march loops
+    accept, record, snapshot, stop and finish a trajectory through it."""
 
-    def __init__(self, p: ParamSet, r_min: float, initial: FluidState):
+    def __init__(self, p: ParamSet, r_min: float, initial: FluidState, tau_sol, start: float):
         self.p, self.R, self.M = p, initial.R, initial.M
+        self.grid, self.mass_ratio, self.tau_sol, self.start = (
+            initial.grid, initial.mass_ratio, tau_sol, start)
         self.traj = Trajectory(params=p, r_min=r_min, timing={
             "advance_s": 0.0, "diagnostics_s": 0.0, "snapshots_s": 0.0})
         self.t, self.k, self.calls = initial.t, 0, 0
+        self.pending, self.block = [], diag.stack_rows(self.grid)
+
+    def state(self) -> FluidState:
+        return state_from_arrays(self.grid, self.t, self.R, np.ascontiguousarray(self.M),
+                                 self.mass_ratio)
+
+    def take(self, R, M, h: float, neg_tol: float) -> bool:
+        """Accept the step of size h to (R, M), or stop the trajectory on a
+        non-finite value ("nan") or a density below -neg_tol ("floor");
+        whether the step was accepted."""
+        if not (np.isfinite(R).all() and np.isfinite(M).all()):
+            finite = np.isfinite(R) & np.all(np.isfinite(M), axis=0)
+            self.stop("nan", np.unravel_index(np.argmin(finite), R.shape))
+            return False
+        if float(R.min()) < -neg_tol:
+            self.stop("floor", np.unravel_index(np.argmin(R), R.shape))
+            return False
+        self.R, self.M, self.t, self.k = R, M, self.t + h, self.k + 1
+        self.traj.n_steps = self.k
+        return True
+
+    def sample(self, at_end: bool, diag_every: int, snapshot_every: int) -> None:
+        """The record and the snapshot that the accepted step k asks for."""
+        if at_end or (diag_every and self.k % diag_every == 0):
+            self.record(full=at_end)
+        if snapshot_every and (self.k % snapshot_every == 0 or at_end):
+            self.snapshot()
+
+    def record(self, full: bool = False) -> None:
+        """Record the current state: a core record waits until `block` of
+        them are pending, a full one is evaluated at once, after them."""
+        if full:
+            self.flush()
+            self._evaluate([(self.t, self.R, self.M)], full=True)
+            return
+        self.pending.append((self.t, self.R, self.M))
+        if len(self.pending) == self.block:
+            self.flush()
+
+    def flush(self) -> None:
+        """Evaluate the pending core records as one stack."""
+        if self.pending:
+            self._evaluate(self.pending)
+            self.pending = []
+
+    def _evaluate(self, states, full: bool = False) -> None:
+        """The records of the (t, R, M) states, a lone one as one state and
+        more as one stack of states (diagnostics.StateOps)."""
+        t0 = time.perf_counter()
+        ts, Rs, Ms = zip(*states)
+        taus = [self.tau_sol.eval(t) for t in ts]
+        one = len(states) == 1
+        R, M = (Rs[0], np.ascontiguousarray(Ms[0])) if one else (np.stack(Rs), np.stack(Ms, axis=1))
+        ops = diag.StateOps(self.grid, R, M, self.traj.r_min, ts[0] if one else list(ts))
+        calls0 = ops.sp.calls
+        recs = diag.record(ops, self.p, taus[0] if one else taus, full=full)
+        self.calls += ops.sp.calls - calls0
+        self.traj.times += ts
+        self.traj.records += [recs] if one else recs
+        self.traj.timing["diagnostics_s"] += time.perf_counter() - t0
+
+    def snapshot(self) -> None:
+        t0 = time.perf_counter()
+        self.traj.snapshots.append(self.state())
+        self.traj.timing["snapshots_s"] += time.perf_counter() - t0
+
+    def stop(self, reason: str, cell) -> None:
+        self.traj.status = reason
+        self.traj.stop = {"reason": reason, "step": self.k + 1, "t": self.t,
+                          "cell": [int(i) for i in cell]}
+
+    def finish(self) -> Trajectory:
+        """Evaluate the pending records and close the trajectory: its final
+        state and timing (wall_s from the march's start to now)."""
+        self.flush()
+        traj, timing = self.traj, self.traj.timing
+        traj.validate()
+        traj.state_final = self.state()
+        wall = timing["wall_s"] = time.perf_counter() - self.start
+        timing["steps_per_s"] = traj.n_steps / wall if wall > 0 else 0.0
+        timing["transforms"] = self.calls
+        timing["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        return traj
 
 
 def _run_rows(initial, rows, t_end, tau_sol, snapshot_every, diag_every) -> list:
@@ -910,39 +971,7 @@ def _run_rows(initial, rows, t_end, tau_sol, snapshot_every, diag_every) -> list
     neg_tol = NEG_TOL_REL * max(float(np.max(R0)), 1e-300)
     st = _Stepper(grid, rows, *r0)
     R, M = np.stack([R0] * len(rows)), np.stack([M0] * len(rows), axis=1)
-    out = [_Row(p, st.r_min, initial) for p in st.rows]
-
-    def state(row):
-        return state_from_arrays(grid, row.t, row.R, np.ascontiguousarray(row.M),
-                                 initial.mass_ratio)
-
-    def emit(row, full: bool):
-        t0, calls0 = time.perf_counter(), grid.spectral.calls
-        row.traj.times.append(row.t)
-        ops = diag.StateOps(grid, row.R, np.ascontiguousarray(row.M), st.r_min, row.t)
-        row.traj.records.append(diag.record(ops, row.p, tau_sol.eval(row.t), full=full))
-        row.calls += grid.spectral.calls - calls0
-        row.traj.timing["diagnostics_s"] += time.perf_counter() - t0
-
-    def snapshot(row):
-        t0 = time.perf_counter()
-        row.traj.snapshots.append(state(row))
-        row.traj.timing["snapshots_s"] += time.perf_counter() - t0
-
-    def finish(row):
-        row.traj.validate()
-        row.traj.state_final = state(row)
-        timing = row.traj.timing
-        wall = timing["wall_s"] = time.perf_counter() - start
-        timing["steps_per_s"] = row.traj.n_steps / wall if wall > 0 else 0.0
-        timing["transforms"] = row.calls
-        timing["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-    def stop(row, reason, cell):
-        row.traj.status = reason
-        row.traj.stop = {"reason": reason, "step": row.k + 1, "t": row.t,
-                         "cell": [int(i) for i in cell]}
-        finish(row)
+    out = [_Row(p, st.r_min, initial, tau_sol, start) for p in st.rows]
 
     def stacked(live):
         if len(live) == 1:
@@ -952,13 +981,11 @@ def _run_rows(initial, rows, t_end, tau_sol, snapshot_every, diag_every) -> list
 
     with np.errstate(**_QUIET):
         for row in out:
-            emit(row, full=True)
+            row.record(full=True)
             if snapshot_every:
-                snapshot(row)
+                row.snapshot()
         if t_end <= initial.t:
-            for row in out:
-                finish(row)
-            return [row.traj for row in out]
+            return [row.finish() for row in out]
         live = out
         while live:
             # a row whose step underflows takes part in the advance and
@@ -978,28 +1005,14 @@ def _run_rows(initial, rows, t_end, tau_sol, snapshot_every, diag_every) -> list
                 row.traj.timing["advance_s"] += took
                 row.calls += calls
                 if h < DT_MIN:
-                    stop(row, "underflow", np.unravel_index(np.argmin(row.R), row.R.shape))
-                    continue
-                if not (np.isfinite(R_new).all() and np.isfinite(M_new).all()):
-                    finite = np.isfinite(R_new) & np.all(np.isfinite(M_new), axis=0)
-                    stop(row, "nan", np.unravel_index(np.argmin(finite), R_new.shape))
-                    continue
-                if float(R_new.min()) < -neg_tol:
-                    stop(row, "floor", np.unravel_index(np.argmin(R_new), R_new.shape))
-                    continue
-                row.R, row.M = R_new, M_new
-                row.t += h
-                row.k += 1
-                row.traj.n_steps = row.k
-                at_end = row.t >= t_end * (1.0 - 1e-12)
-                if at_end or (diag_every and row.k % diag_every == 0):
-                    emit(row, full=at_end)
-                if snapshot_every and (row.k % snapshot_every == 0 or at_end):
-                    snapshot(row)
-                if at_end:
-                    finish(row)
-                else:
-                    going.append(row)
+                    row.stop("underflow", np.unravel_index(np.argmin(row.R), row.R.shape))
+                elif row.take(R_new, M_new, h, neg_tol):
+                    at_end = row.t >= t_end * (1.0 - 1e-12)
+                    row.sample(at_end, diag_every, snapshot_every)
+                    if not at_end:
+                        going.append(row)
+                        continue
+                row.finish()
             if len(going) < len(live) and going:
                 st, R, M = stacked(going)
             live = going

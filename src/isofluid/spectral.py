@@ -327,10 +327,13 @@ class Spectral:
     def layout(self, transform, leads: dict) -> "Layout":
         """The Layout of a batch of `transform` (fwd or inv) whose named
         parts have these leading shapes, in this order; built once."""
-        key = (transform, *leads.items())
+        forward = transform == self.fwd
+        # keyed by the direction, not the bound method, which would hold
+        # this backend in a reference cycle that only the cyclic GC frees
+        key = (forward, *leads.items())
         lay = self._layouts.get(key)
         if lay is None:
-            lay = self._layouts[key] = Layout(self, transform == self.fwd, leads)
+            lay = self._layouts[key] = Layout(self, forward, leads)
         return lay
 
     def batch(self, transform, parts: dict) -> dict:
@@ -343,7 +346,8 @@ class Spectral:
         if len(parts) == 1 or (self.d > 1 and transform != self.fwd):
             # each part alone, built just before its calls
             return {name: transform(self._built(v, transform)) for name, v in parts.items()}
-        lay = self.layout(transform, {name: v[0] if type(v) is tuple else v.shape[: v.ndim - self.d]
+        ndim = len(self.shape)  # the sample axes: the row axis, if any, and the grid's
+        lay = self.layout(transform, {name: v[0] if type(v) is tuple else v.shape[: v.ndim - ndim]
                                       for name, v in parts.items()})
         stack = np.empty(lay.end_shape, lay.dtype)
         for (name, cut, shape, _), v in zip(lay.parts, parts.values()):

@@ -554,6 +554,27 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+def test_stacked_fetch_of_several_fields_is_each_states_fetch(d, n):
+    # a stack's fetch of derivatives of several fields, forward as one
+    # batch, gives each row the derivatives of its own state, bitwise
+    from isofluid.experiments import random_positive_field
+
+    g = Grid(d, 6.0, n)
+    rng = np.random.default_rng(22)
+    Rs = [random_positive_field(g, rng) + 0.01 for _ in range(3)]
+    Ms = [np.stack([R * (random_positive_field(g, rng) - 0.5) for _ in range(d)]) for R in Rs]
+    names = ("grad_s", "grad_U", "hess_R", "div_mom")
+    stack = diag.StateOps(g, np.stack(Rs), np.stack(Ms, axis=1))
+    stack.fetch(*names)
+    for b, (R, M) in enumerate(zip(Rs, Ms)):
+        one = diag.StateOps(g, R, M)
+        one.fetch(*names)
+        for name in names:
+            row = stack[name][(Ellipsis, b) + (slice(None),) * d]
+            assert np.array_equal(_bits(row), _bits(one[name])), (b, name)
+
+
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 32)])
 def test_stack_rows_are_their_single_states_bitwise(d, n):
     # a stacked StateOps gives each row the term integrals and functionals

@@ -2,9 +2,11 @@
 
 import copy
 import dataclasses
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 from typing import NamedTuple
 
@@ -784,24 +786,110 @@ def _same_bits(a, b) -> bool:
     return np.array_equal(np.asarray(a, float).view(np.int64), np.asarray(b, float).view(np.int64))
 
 
-@pytest.mark.parametrize("d,t_end,every", [(1, 1e-2, 3), (2, 3e-3, 1)], ids=["1d", "2d"])
-def test_run_records_are_the_standalone_records_of_their_states(d, t_end, every):
+# (state, params or a ladder, t_end, record and snapshot cadence, states per
+# block of core records or None for diagnostics.STACK_VALUES) of runs whose
+# records must be the standalone records of their states
+RECORD_RUNS = {
+    "1d": lambda: (*_baseline_setup(1), 1e-2, 3, None),
+    "2d": lambda: (*_baseline_setup(2), 3e-3, 1, None),
+    # every step recorded, 8 steps in blocks of 2 states
+    "1d_blocks": lambda: (*_baseline_setup(1), 1e-2, 1, 2),
+    # three rows, each with its own blocks of 4 states (5 for the first)
+    "ladder": lambda: _ladder_of(*_drag_ladder_setup("bounded")[:2], 0.1, 1,
+                                 (1e-2, 0.0), (2e-2, 0.0)) + (4,),
+    # stops "floor" after 5 steps, with 2 records pending in a block of 3
+    "floor": lambda: (_crosscheck_setup()[0], crosscheck_hydro_params(1.0, 1e-3, 5e-3), 0.25,
+                      1, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(RECORD_RUNS))
+def test_run_records_are_the_standalone_records_of_their_states(monkeypatch, case):
     # a run builds each record's term lists from the parameters and tau once
-    # per record; each of its records, the full ones at the start (taudot = 0
-    # there, which turns the taudot-weighted terms off) and the end and the
-    # core ones between, is bitwise the standalone record of its state
-    state, params = _baseline_setup(d)
+    # per record, and evaluates its core records in blocks, as stacks of
+    # states; each of its records, the full ones at the start (taudot = 0
+    # there, which turns the taudot-weighted terms off) and at the end of a
+    # run that reaches t_end and the core ones between, is bitwise the
+    # standalone record of its state, and a run that stops keeps every
+    # record it took
+    state, params, t_end, every, block = RECORD_RUNS[case]()
+    if block:
+        monkeypatch.setattr(diag, "STACK_VALUES", block * math.prod(state.grid.shape))
     tau = tau_cover(t_end, 0.0)
-    traj = run(state, params, t_end, tau_sol=tau, snapshot_every=every, diag_every=every)
-    assert traj.status == "ok" and len(traj.records) == len(traj.snapshots) >= 3
-    assert tau.eval(traj.times[0])[1] == 0.0
-    last = len(traj.records) - 1
-    for i, (rec, snap) in enumerate(zip(traj.records, traj.snapshots)):
-        assert rec.t == snap.t
-        ops = diag.StateOps(state.grid, snap.R, snap.M, traj.r_min, snap.t)
-        alone = diag.record(ops, traj.params, tau.eval(snap.t), full=i in (0, last))
-        assert (rec.bd_entropy_reg is None) == (0 < i < last)
-        assert _same_bits(rec.csv_row(), alone.csv_row()), i
+    out = run(state, params, t_end, tau_sol=tau, snapshot_every=every, diag_every=every)
+    trajs = out if isinstance(out, list) else [out]
+    if block:
+        # the core records of every step but the last fill 3 or more blocks;
+        # the floor run stops with a block part filled
+        cores = [traj.n_steps - (traj.status == "ok") for traj in trajs]
+        assert max(cores) >= 3 * block if case != "floor" else cores[0] % block
+    for traj in trajs:
+        ok = traj.status == "ok"
+        assert ok == (case != "floor")
+        assert len(traj.records) == len(traj.snapshots) >= 3
+        if block:
+            assert len(traj.records) == traj.n_steps + 1
+        assert tau.eval(traj.times[0])[1] == 0.0
+        last = len(traj.records) - 1
+        for i, (rec, snap) in enumerate(zip(traj.records, traj.snapshots)):
+            assert rec.t == snap.t
+            full = i == 0 or (ok and i == last)
+            ops = diag.StateOps(state.grid, snap.R, snap.M, traj.r_min, snap.t)
+            alone = diag.record(ops, traj.params, tau.eval(snap.t), full=full)
+            assert (rec.bd_entropy_reg is None) == (not full)
+            assert _same_bits(rec.csv_row(), alone.csv_row()), i
+
+
+@pytest.mark.parametrize("d,expected", [(1, 3), (2, 16), (3, 27)])
+def test_a_block_of_core_records_makes_the_transform_calls_of_one(monkeypatch, d, expected):
+    # a stack of states goes through the transforms of one core record
+    state, params = _baseline_setup(d, {1: None, 2: 16, 3: 8}[d])
+    p = params.bind(d)
+    R, M = arrays_from_state(state)
+    stepper = _Stepper(state.grid, p, float(R.mean()), _contrast(R))
+    ops = diag.StateOps(state.grid, np.stack([R] * 4), np.stack([M] * 4, axis=1),
+                        stepper.r_min, [0.1, 0.2, 0.3, 0.4])
+    calls = _count_transforms(monkeypatch)
+    recs = diag.record(ops, p, [(1.1, 0.3)] * 4)
+    assert len(calls) == expected
+    assert [rec.t for rec in recs] == [0.1, 0.2, 0.3, 0.4]
+    with pytest.raises(ValueError, match="a full record takes one state"):
+        diag.record(ops, p, [(1.1, 0.3)] * 4, full=True)
+
+
+def test_run_timing_counts_the_transforms_of_its_record_blocks(monkeypatch):
+    # timing["transforms"] counts every scipy.fft call of the run: 14 per
+    # advance, 4 per full record and 3 per block of core records, made on
+    # the rows backend of the block
+    state, params = _baseline_setup(1)
+    monkeypatch.setattr(diag, "STACK_VALUES", 2 * math.prod(state.grid.shape))
+    calls = _count_transforms(monkeypatch)
+    traj = run(state, params, 1e-2, diag_every=1)
+    blocks = math.ceil((traj.n_steps - 1) / 2)
+    assert traj.status == "ok" and blocks >= 3
+    assert traj.timing["transforms"] == len(calls) == 14 * traj.n_steps + 2 * 4 + 3 * blocks
+
+
+def test_a_backend_is_freed_without_the_cyclic_gc():
+    # a backend and its rows backends hold no reference cycle (a layout's
+    # cache key names its direction, not a bound method), so they go when
+    # the grid and a stepper built on it do, with the cyclic GC off
+    state, params = _baseline_setup(2, n=16)
+    g = Grid(2, state.grid.ell, 16)
+    R, M = arrays_from_state(state)
+    gc.collect()
+    gc.disable()
+    try:
+        stepper = _Stepper(g, params, float(R.mean()), _contrast(R))
+        stepper.advance(R, M, 1e-4, (1.0, 0.3))
+        stack = diag.StateOps(g, np.stack([R, R]), np.stack([M, M], axis=1), t=[0.1, 0.2])
+        diag.record(stack, stepper.p, [(1.0, 0.3)] * 2)
+        refs = [weakref.ref(g.spectral), weakref.ref(g.rows(2))]
+        assert g.spectral._layouts and g.rows(2)._layouts
+        del g, stepper, stack
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_step_frozen_tau_preserves_equilibrium():
