@@ -1147,13 +1147,17 @@ def record(
     their terms and the identity functions need is made up front, in one
     fetch, and each column is then summed once.
 
-    On a stack of states (StateOps, module notes) with one (tau, taudot)
-    pair per row, the core tier returns one record per row, each bitwise
-    the row's own record; a full record takes one state (else ValueError).
+    On a stack of states (StateOps, module notes) with one time t and one
+    (tau, taudot) pair per row, the core tier returns one record per row,
+    each bitwise the row's own record; a full record takes one state (else
+    ValueError, as for a stack without its times).
     """
     ops, g = StateOps.of(state, r_floor), state.grid
     if full and ops.rows is not None:
         raise ValueError("a full record takes one state, not a stack")
+    if ops.rows is not None and np.shape(ops.t) != (ops.rows,):
+        raise ValueError(f"a stack of {ops.rows} states needs {ops.rows} times t, "
+                         f"got t of shape {np.shape(ops.t)}")
     # the column table, or each row's
     cols = ops.groups(lambda pair: _column_terms(params, pair, g.d, full), tau)
     tables = [cols] if ops.rows is None else cols

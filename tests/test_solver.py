@@ -855,6 +855,10 @@ def test_a_block_of_core_records_makes_the_transform_calls_of_one(monkeypatch, d
     assert [rec.t for rec in recs] == [0.1, 0.2, 0.3, 0.4]
     with pytest.raises(ValueError, match="a full record takes one state"):
         diag.record(ops, p, [(1.1, 0.3)] * 4, full=True)
+    untimed = diag.StateOps(state.grid, np.stack([R] * 4), np.stack([M] * 4, axis=1),
+                            stepper.r_min)
+    with pytest.raises(ValueError, match=r"4 states needs 4 times t, got t of shape \(\)"):
+        diag.record(untimed, p, [(1.1, 0.3)] * 4)
 
 
 def test_run_timing_counts_the_transforms_of_its_record_blocks(monkeypatch):

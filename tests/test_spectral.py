@@ -5,8 +5,10 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
+from isofluid import spectral
 from isofluid.spectral import Grid
 
 
@@ -253,6 +255,64 @@ def test_stacked_forward_bitwise_per_component(d, n):
         assert ah.shape == (count,) + sp.half_shape
         for i in range(count):
             assert np.array_equal(ah[i], sp.fwd(a[i]))
+
+
+def _same_bits(x, y) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _backend_calls(monkeypatch) -> list:
+    """Whether each call the pocketfft backend sees from now on is taken
+    (True) or declined (False)."""
+    seen = []
+    serve = spectral._Pocketfft.__ua_function__
+
+    def counted(method, args, kwargs):
+        out = serve(method, args, kwargs)
+        seen.append(out is not NotImplemented)
+        return out
+
+    monkeypatch.setattr(spectral._Pocketfft, "__ua_function__", staticmethod(counted))
+    return seen
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
+def test_transforms_are_the_scipy_fft_calls_bitwise(monkeypatch, d, n):
+    # the backend takes every call of fwd and inv on single fields, stacks
+    # and rows, and of cfwd and cinv on a complex field, and each result is
+    # bitwise the same scipy.fft call made outside Spectral
+    g = Grid(d, 3.0, n)
+    axes = tuple(range(-d, 0))
+    rng = np.random.default_rng(40 + d)
+    z = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    pairs = [(g.spectral.cfwd, z, scipy.fft.fft(z) if d == 1 else scipy.fft.fftn(z)),
+             (g.spectral.cinv, z, scipy.fft.ifft(z) if d == 1 else scipy.fft.ifftn(z, axes=axes))]
+    for sp, lead in [(g.spectral, ()), (g.spectral, (3,)), (g.spectral, (2, 2)), (g.rows(3), ())]:
+        a = rng.standard_normal(lead + sp.shape)
+        ah = scipy.fft.rfft(a) if d == 1 else scipy.fft.rfftn(a, axes=axes)
+        if d == 1:
+            back = scipy.fft.irfft(ah)
+        else:
+            back = np.empty(a.shape)
+            for idx in np.ndindex(a.shape[:-d]):
+                back[idx] = scipy.fft.irfftn(ah[idx], s=g.shape, axes=axes)
+        pairs += [(sp.fwd, a, ah), (sp.inv, ah, back)]
+    seen = _backend_calls(monkeypatch)
+    for transform, x, want in pairs:
+        assert _same_bits(transform(x), want)
+    assert len(seen) >= len(pairs) and all(seen)
+
+
+def test_backend_declines_other_calls_and_is_off_outside_spectral(monkeypatch):
+    sp = Grid(1, 3.0, 32).spectral
+    a = np.random.default_rng(7).standard_normal(sp.shape)
+    seen = _backend_calls(monkeypatch)
+    # a real array into cfwd: declined, so scipy's own backend runs it
+    assert _same_bits(sp.cfwd(a), scipy.fft.fft(a)) and seen == [False]
+    # scipy.fft called outside Spectral never reaches the backend
+    scipy.fft.rfft(a)
+    scipy.fft.rfftn(a[None], axes=(-1,))
+    assert seen == [False]
 
 
 def _integer_tables(d: int) -> dict:
