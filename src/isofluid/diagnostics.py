@@ -45,9 +45,35 @@ Terms.  Each functional is a sum of named term integrals (_TERMS) with
 coefficients from the parameters and tau; StateOps.q computes each term once
 per state, and a term whose coefficient vanishes is not evaluated.  `record`
 builds the (coefficient, term) lists of its columns once, makes what their
-terms transform in one StateOps.fetch (each group as one Spectral.batch, the
-fields built from derivatives (lap log R, lap sqrt R / sqrt R, the Korteweg
-stress) in a second stage), then sums each column from the same lists.
+terms transform in one StateOps.fetch (the fields forward as one
+Spectral.batch and their derivatives back as one more; the fields built from
+derivatives (lap log R, lap sqrt R / sqrt R, the Korteweg stress) in a
+second such stage where those derivatives are not held yet), then sums each
+column from the same lists.
+
+Phases.  A full record fetches and integrates in three phases: its columns;
+then relative_entropy, csiszar_kullback_gap, compatibility_residuals,
+irrotationality_residual and llogl_bound; then, on R > 0, the identities.
+Between two phases StateOps.keep drops every coefficient, derivative and
+pointwise array that no later phase reads, and keeps what one does: the
+derivatives it reads and the coefficients of sqrt R, R U and log R, whose
+later derivatives come back from them.  So no field goes forward twice and
+no derivative comes back twice.  A kept array that is rows of a larger
+batch is copied out, so that the batch goes.  A core record is the first
+phase alone.  The phases cost one more forward call per d > 1 full record
+(33 in 2D, 58 in 3D) and two per 1D one (6).  On the fixed_2d workload's
+2D n = 128 start state (tracemalloc, 2-core x86 host, numpy 2.4) a full
+record peaked at 5.78 MiB, against 9.32 MiB with one fetch of everything,
+and a core record at 5.27 against 5.90 MiB, both below the 6.37 MiB of one
+advance of the state: the advance, not the diagnostics, sets a 2D run's
+traced peak.
+
+Fields in their rows.  A fetch builds each field that goes forward straight
+into its rows of the batch's stack (a Spectral.batch part (lead, fill)),
+and the table keeps those rows as the field's pointwise array (R, sqrt R,
+U, R U, log R, rho_tilde^(-alpha/2), lap sqrt R / sqrt R, the Korteweg
+stress), so the stack is those arrays and nothing is copied into it; a
+field built before its fetch is copied in and kept there from then on.
 
 Parseval.  Quadratures of products of linear derivatives of one field
 (|grad lap^s R|^2, (lap^(s+1) R)^2, |grad rho_tilde^(-alpha/2)|^2, |lap U|^2,
@@ -150,21 +176,58 @@ def korteweg_stress_entries(sp, s, gs, hs, out=None) -> np.ndarray:
 # the derived-array table of one state
 
 
-# fields that go forward, each as a stack along one leading axis ("neg" takes
-# alpha); the late ones are built from the derivatives _LATE lists, so a fetch
-# transforms them in a second stage
+def _neg(o, out, alpha):
+    # in out, rho_tilde ** (-alpha/2) as numpy's ** gives it: a copy, then
+    # the power in place
+    if out is None:
+        return o.rho_tilde ** (-alpha / 2.0)
+    np.copyto(out, o.rho_tilde)
+    out **= -alpha / 2.0
+    return out
+
+
+def _ks(o, out):
+    out = o.sp.trace(o["hess_s"], out=out)
+    out /= o.s
+    return out
+
+
+# the leading shape of a field's stack in a batch (fetch): () for a scalar
+# field, which takes one row
+def _scalar(sp):
+    return ()
+
+
+def _vector(sp):
+    return (sp.d,)
+
+
+def _upper(sp):
+    return (len(sp.hess_keys),)
+
+
+# fields that go forward: (the leading shape of the field, build(ops, out,
+# *args)), build writing the field into out, or a new array where out is
+# None, and returning it ("neg" takes alpha).  A fetch builds each field
+# straight into its rows of the batch's stack.  The fields of _KEPT are
+# pointwise arrays of the table, each built once (StateOps.field): where a
+# fetch builds one first, the table keeps its rows.  The late fields are
+# built from the derivatives _LATE lists; a fetch transforms them in a
+# second stage while it still has to make those
 _FIELDS = {
-    "R": lambda o: o.R[None],
-    "s": lambda o: o.s[None],
-    "U": lambda o: o.U,
-    "mom": lambda o: o.mom,
-    "logR": lambda o: o.logR[None],
-    "root_s": lambda o: np.sqrt(o.s)[None],
-    "neg": lambda o, alpha: o.neg(alpha)[None],
-    "laplog": lambda o: o.sp.trace(o.hess_logR_split)[None],
-    "ks": lambda o: o.ks[None],
-    "stress": lambda o: o.stress,
+    "R": (_scalar, lambda o, out: np.maximum(o._R_raw, 0.0, out=out)),
+    "s": (_scalar, lambda o, out: np.sqrt(o.R, out=out)),
+    "U": (_vector, lambda o, out: np.divide(o.lam, o.root, out=out)),
+    "mom": (_vector, lambda o, out: np.multiply(o.s, o.lam, out=out)),
+    "logR": (_scalar, lambda o, out: np.log(np.maximum(o.R, LOG_FLOOR, out=out), out=out)),
+    "root_s": (_scalar, lambda o, out: np.sqrt(o.s, out=out)),
+    "neg": (_scalar, _neg),
+    "laplog": (_scalar, lambda o, out: o.sp.trace(o.hess_logR_split, out=out)),
+    "ks": (_scalar, _ks),
+    "stress": (_upper, lambda o, out: korteweg_stress_entries(
+        o.sp, o.s, o["grad_s"], o["hess_s"], out)),
 }
+_KEPT = {"R", "s", "U", "mom", "logR", "neg", "ks", "stress"}
 _LATE = {"laplog": ("grad_R", "hess_R"), "ks": ("hess_s",), "stress": ("grad_s", "hess_s")}
 
 # the coefficients of the derivatives of a field from the field's, h, as a
@@ -188,22 +251,23 @@ def _div(sp, h):
     return lead, lambda out: np.copyto(out, sp.sum_axes(sp.ik * h))
 
 
-# derivatives that come back from the coefficients of one field
+# derivatives that come back from the coefficients of one field: (the
+# field's key, the function of its batch part above)
 _DERIVS = {
-    "grad_s": ("s", _grad),
-    "hess_s": ("s", _hess),
-    "grad_R": ("R", _grad),
-    "hess_R": ("R", _hess),
-    "grad_U": ("U", _jacobian),  # [j, i] = d_i U_j
-    "grad_mom": ("mom", _jacobian),
-    "div_mom": ("mom", _div),
-    "grad_logR": ("logR", _grad),
+    "grad_s": (("s",), _grad),
+    "hess_s": (("s",), _hess),
+    "grad_R": (("R",), _grad),
+    "hess_R": (("R",), _hess),
+    "grad_U": (("U",), _jacobian),  # [j, i] = d_i U_j
+    "grad_mom": (("mom",), _jacobian),
+    "div_mom": (("mom",), _div),
+    "grad_logR": (("logR",), _grad),
     # the spectral Hessian of log R, for the identity checks on R > 0
-    "hess_logR": ("logR", _hess),
-    "grad_root_s": ("root_s", _grad),
-    "grad_ks": ("ks", _grad),
+    "hess_logR": (("logR",), _hess),
+    "grad_root_s": (("root_s",), _grad),
+    "grad_ks": (("ks",), _grad),
     # row divergences of the Korteweg stress
-    "div_stress": ("stress", lambda sp, h: _div(sp, h[sp.hess_full])),
+    "div_stress": (("stress",), lambda sp, h: _div(sp, h[sp.hess_full])),
 }
 
 
@@ -232,8 +296,6 @@ class StateOps:
         self.rows = len(R) if R.ndim > grid.d else None
         self.grid, self.t = grid, t
         self.sp = grid.spectral if self.rows is None else grid.rows(self.rows)
-        self.R = np.maximum(R, 0.0)
-        self.s = np.sqrt(self.R)
         self._cache, self._hat, self._arr, self._terms = {}, {}, {}, {}
         # each row's term integrals, as Python floats (see total)
         self._row_terms = None if self.rows is None else [{} for _ in range(self.rows)]
@@ -242,9 +304,7 @@ class StateOps:
         if M is None:
             self.lam = np.zeros((grid.d,) + R.shape)
         else:
-            # rho_sm of the raw R, as the solver recovers U
-            root = self._cache["root"] = np.sqrt(smooth_density(R, self.r_floor))
-            self.lam = M / root
+            self.lam = M / self.root
 
     @classmethod
     def of(cls, x, r_floor: float | None = None) -> "StateOps":
@@ -256,37 +316,64 @@ class StateOps:
 
     # -- transforms and term integrals --------------------------------------
 
-    def fetch(self, *names) -> None:
+    def fetch(self, *names, later=()) -> None:
         """Transform what the named fields (_FIELDS keys, forward only) and
         derivatives (_DERIVS) need and the table does not hold yet: the
-        fields forward as one Spectral.batch and the derivatives back as one
-        more; the late fields, and what they are built from, in two such
-        stages.  Only the named fields keep their coefficients."""
-        todo = {}  # name: the key of the field it needs
-        for n in names:
-            key = todo[n] = (_DERIVS[n][0],) if n in _DERIVS else _key(n)
-            if key[0] in _LATE:
-                todo.update({dep: (_DERIVS[dep][0],) for dep in _LATE[key[0]]})
-        named = {todo[n] for n in names if n not in _DERIVS}
-        early = {n: key for n, key in todo.items() if key[0] not in _LATE}
+        fields forward as one Spectral.batch, each built in its rows, and
+        the derivatives back as one more; a late field, and what it is built
+        from, in a second such stage where the table does not hold that yet.
+        The named fields keep their coefficients, and so do the fields of
+        the derivatives that `later` names, which a later fetch makes."""
+        if all(n in self._arr for n in names):
+            return
+        needs = self._requires(names)
+        todo = {n: key for n, key in needs.items() if n not in self._arr}
+        named = {needs[n] for n in names if n not in _DERIVS} | {
+            key for n, key in self._requires(later).items()
+            if n in _DERIVS and n not in self._arr and n not in todo}
+        early = {n: key for n, key in todo.items()
+                 if not any(dep in todo for dep in _LATE.get(key[0], ()))}
         self._transform(early, named)
         if len(early) < len(todo):
             self._transform({n: key for n, key in todo.items() if n not in early}, named)
 
+    def _requires(self, names) -> dict:
+        """name: the key of the field it needs, for the named fields and
+        derivatives, and for the derivatives that a late field among them
+        is built from where the table holds neither the field's
+        coefficients nor the field."""
+        needs = {}
+        for n in names:
+            key = needs[n] = _DERIVS[n][0] if n in _DERIVS else _key(n)
+            late = _LATE.get(key[0])
+            if late and key not in self._hat and key not in self._cache:
+                for dep in late:
+                    needs[dep] = _DERIVS[dep][0]
+        return needs
+
     def _transform(self, todo: dict, named: set) -> None:
         """One stage of fetch: the fields forward in one batch, the
-        derivatives back in one more."""
+        derivatives back in one more; then the coefficients made or read
+        here that are not named go, and a kept one that shares its stack
+        with them is copied out, so that the stack goes too."""
         sp = self.sp
-        todo = {n: key for n, key in todo.items() if n not in self._arr}
         fields = dict.fromkeys(key for key in todo.values() if key not in self._hat)
         if fields:
-            stacks = {key: _FIELDS[key[0]](self, *key[1:]) for key in fields}
-            self._hat.update(sp.batch(sp.fwd, stacks))
+            self._hat.update(sp.batch(sp.fwd, {key: self._rows(key) for key in fields}))
         parts = {n: _DERIVS[n][1](sp, self._hat[key]) for n, key in todo.items() if n in _DERIVS}
         if parts:
             self._arr.update(sp.batch(sp.inv, parts))
-        for key in fields.keys() - named:
-            del self._hat[key]
+        drop = (fields.keys() | {todo[n] for n in parts}) - named
+        if drop:
+            self._hat = {key: _owned(h) for key, h in self._hat.items() if key not in drop}
+
+    def _rows(self, key):
+        """The Spectral.batch part (lead, fill) of the field `key`, which
+        fill builds in its rows of the batch's stack."""
+        lead = _FIELDS[key[0]][0](self.sp)
+        if lead:
+            return lead, partial(self.field, key)
+        return (1,), lambda rows: self.field(key, rows[0])
 
     def hat(self, key) -> np.ndarray:
         """The coefficients of a field (a _FIELDS key), with its stack axis."""
@@ -295,10 +382,19 @@ class StateOps:
         return self._hat[_key(key)]
 
     def keep(self, *names) -> None:
-        """Drop the coefficients and every derivative but the named ones,
-        once the terms that read them are integrated."""
-        self._hat.clear()
-        self._arr = {n: self._arr[n] for n in names if n in self._arr}
+        """Drop, once the terms that read them are integrated, every
+        coefficient, derivative and pointwise array that a fetch of the
+        named fields and derivatives would not read.  R, sqrt R and the
+        floor stay; a kept array that shares its stack with dropped
+        ones is copied out (_owned).  A dropped pointwise array is built
+        again where it is read."""
+        needs = self._requires(names)
+        fields = {key for n, key in needs.items() if n not in self._arr}
+        self._arr = {n: _owned(a) for n, a in self._arr.items() if n in needs}
+        self._hat = {key: _owned(h) for key, h in self._hat.items() if key in fields}
+        # and the fields that go forward from their pointwise arrays
+        state = _STATE | (fields - self._hat.keys())
+        self._cache = {key: _owned(a) for key, a in self._cache.items() if key in state}
 
     def __getitem__(self, name) -> np.ndarray:
         """The derivative `name` of _DERIVS."""
@@ -394,6 +490,34 @@ class StateOps:
             out = self._cache[key] = build()
         return out
 
+    def field(self, key, out=None) -> np.ndarray:
+        """The field `key` of _FIELDS (a tuple of a name and its arguments),
+        written into out where it is given (fetch: the field's rows in a
+        batch's stack).  A field of _KEPT is a pointwise array of the
+        table, built once; given out, it is kept there from then on, built
+        there or copied there where it was built before."""
+        arr = self._cache.get(key)
+        if arr is None:
+            arr = _FIELDS[key[0]][1](self, out, *key[1:])
+        elif out is None:
+            return arr
+        if out is not None and arr is not out:
+            np.copyto(out, arr)
+            arr = out
+        if key[0] in _KEPT:
+            self._cache[key] = arr
+        return arr
+
+    @property
+    def R(self):
+        """max(R, 0) of the raw R."""
+        return self.field(("R",))
+
+    @property
+    def s(self):
+        """sqrt(R)."""
+        return self.field(("s",))
+
     @property
     def r_floor(self):
         """The density floor: a float, or for a stack the column of the
@@ -406,15 +530,20 @@ class StateOps:
         return self._get("min", lambda: self.per_row(lambda r: float(r.min()), self._R_raw))
 
     @property
+    def root(self):
+        """sqrt(rho_sm), rho_sm of the raw R as the solver recovers U; built
+        where it is read (for Lambda and U), not kept."""
+        return np.sqrt(smooth_density(self._R_raw, self.r_floor))
+
+    @property
     def U(self):
         """The solver's recovery U = M / rho_sm = Lambda / sqrt(rho_sm)."""
-        root = self._get("root", lambda: np.sqrt(smooth_density(self.R, self.r_floor)))
-        return self._get("U", lambda: self.lam / root)
+        return self.field(("U",))
 
     @property
     def mom(self):
         """sqrt R Lambda = R U."""
-        return self._get("mom", lambda: self.s * self.lam)
+        return self.field(("mom",))
 
     @property
     def lam2(self):
@@ -430,11 +559,11 @@ class StateOps:
 
     @property
     def logR(self):
-        return self._get("logR", lambda: np.log(np.maximum(self.R, LOG_FLOOR)))
+        return self.field(("logR",))
 
     def neg(self, alpha):
         """rho_tilde^(-alpha/2)."""
-        return self._get(("neg", alpha), lambda: self.rho_tilde ** (-alpha / 2.0))
+        return self.field(("neg", alpha))
 
     @property
     def lapR_rt(self):
@@ -444,18 +573,14 @@ class StateOps:
     @property
     def ks(self):
         """lap sqrt R / sqrt R, lap sqrt R the trace of hess sqrt R."""
-        return self._get("ks", lambda: self.sp.trace(self["hess_s"]) / self.s)
+        return self.field(("ks",))
 
     @property
     def stress(self):
         """The upper entries of the Korteweg stress s hess s - grad s x grad s,
         whose mirrored rows (sp.hess_full) have the divergence
         R grad(lap s / s) (korteweg_stress_entries)."""
-
-        def build():
-            return korteweg_stress_entries(self.sp, self.s, self["grad_s"], self["hess_s"])
-
-        return self._get("stress", build)
+        return self.field(("stress",))
 
     @property
     def hess_logR_split(self):
@@ -470,6 +595,18 @@ class StateOps:
             return (self["hess_R"] - gR[i] * gR[j] / rho) / rho
 
         return self._get("hlog", build)
+
+
+# the pointwise arrays that StateOps.keep keeps: R, sqrt R, the floor and
+# the raw minimum
+_STATE = {("R",), ("s",), "r_floor", "min"}
+
+
+def _owned(a):
+    """a, or a copy of a where a is rows of a larger array, so that a does
+    not keep the rest of that array alive."""
+    base = getattr(a, "base", None)
+    return a.copy() if base is not None and base.nbytes > a.nbytes else a
 
 
 def _inner(grid: Grid, a, b) -> float:
@@ -833,7 +970,7 @@ def csiszar_kullback_gap(R: FluidState | StateOps) -> float:
 
 
 # the transforms each identity function fetches, which record's full tier
-# makes up front
+# makes for them in its second and third phases
 _KORTEWEG_NEEDS = ("grad_ks", "div_stress")
 _LOGHESS_NEEDS = ("hess_logR", "hess_R", "hess_s")
 _JUNGEL_NEEDS = ("hess_s", "grad_root_s", "hess_logR")
@@ -1101,9 +1238,10 @@ class DiagnosticsRecord:
         return out
 
 
-# what the full tier transforms besides its columns' terms: for the
-# compatibility, irrotationality and L log L functions, then for the
-# identities on R > 0 (a fetch takes each name at its first place)
+# what the full tier transforms besides its columns' terms, in its second
+# and third phases (see record): for the compatibility, irrotationality and
+# L log L functions, then for the identities on R > 0 (a fetch takes each
+# name at its first place)
 _FULL_NEEDS = _COMPAT_NEEDS + _IRROT_NEEDS
 _IDENTITY_NEEDS = _LOGHESS_NEEDS + _JUNGEL_NEEDS + _KORTEWEG_NEEDS
 
@@ -1143,9 +1281,10 @@ def record(
     The core tier (always computed) carries everything needed for the
     time-integrated balance residuals; full=True adds the identity residuals
     and entropy comparisons (meaningful on smooth positive states).  The
-    columns' term lists are built once (_column_terms); every transform that
-    their terms and the identity functions need is made up front, in one
-    fetch, and each column is then summed once.
+    columns' term lists are built once (_column_terms); what their terms
+    transform is made in one fetch, and each column is then summed once.
+    The full tier's functions and identities fetch theirs in two more
+    phases (the module notes).
 
     On a stack of states (StateOps, module notes) with one time t and one
     (tau, taudot) pair per row, the core tier returns one record per row,
@@ -1164,11 +1303,11 @@ def record(
     keys = dict.fromkeys(key for table in tables for groups in table.values() for pairs in groups
                          for c, key in pairs if c != 0.0)
     positive = full and ops.min_density > 0
-    ops.fetch(
-        *dict.fromkeys(n for key in keys for n in _needs(_key(key))),
-        *(_FULL_NEEDS if full else ()),
-        *(_IDENTITY_NEEDS if positive else ()),
-    )
+    # the phases of the transforms: the columns', the full tier's functions'
+    # and the identities'; each fetch keeps what a later phase reads
+    phases = [dict.fromkeys(n for key in keys for n in _needs(_key(key))),
+              _FULL_NEEDS if full else (), _IDENTITY_NEEDS if positive else ()]
+    ops.fetch(*phases[0], later=phases[1] + phases[2])
     values = dict(
         mass=ops.q("R"),
         momentum=tuple(ops.quad(m) for m in ops.mom),
@@ -1184,13 +1323,16 @@ def record(
                 for b, t in enumerate(ops.t)]
     rec = DiagnosticsRecord(t=ops.t, **values)
     if full:
-        ops.keep(*_FULL_NEEDS, *_IDENTITY_NEEDS)
+        ops.keep(*phases[1], *phases[2])
+        ops.fetch(*phases[1], later=phases[2])
         rec.relative_entropy = relative_entropy(ops)
         rec.ck_gap = csiszar_kullback_gap(ops)
         rec.tn_residual, rec.sk_residual = compatibility_residuals(ops)
         rec.irrot_residual = irrotationality_residual(ops)
         rec.llogl_value, rec.llogl_bound = llogl_bound(ops, 2.0 / (g.d + 2))
         if positive:
+            ops.keep(*phases[2])
+            ops.fetch(*phases[2])
             rec.korteweg_residual = korteweg_identity_residual(ops)
             rec.loghess_residual = loghess_identity_residual(ops)
             rec.jungel_left, rec.jungel_right = jungel_quantities(ops)

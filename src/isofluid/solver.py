@@ -61,9 +61,10 @@ call, 14 per advance (17 unfused); for d > 1 a forward stack is one call
 and an inverse one call per component, 38 per 2D and 63 per 3D advance
 (46 and 71 with a call per forward part; see the spectral module notes).
 For d > 1 the merged stage holds more arrays at once than the density
-forces made alone, and an advance still peaks below a full record of the
-same state.  The carry moves results only at round-off, and R's zero mode
-is carried exactly.
+forces made alone, and an advance sets a run's traced peak: a full or a
+core record of the same state peaks at or below it (the diagnostics module
+notes, "Phases").  The carry moves results only at round-off, and R's zero
+mode is carried exactly.
 
 Terms that are off.  A step skips work whose result nothing reads or that
 is an identity: without delta2 it builds no c_u, and L neither builds nor
@@ -348,7 +349,7 @@ class _Stepper:
         density = (
             {"s": (1,)} if p.eps > 0 else {},
             {"grad_R": (d,), **({"eta2": (d,)} if p.eta2 > 0 else {}),
-             **({"s": sp.deriv_sym.shape[:1]} if p.eps > 0 else {})},
+             **({"s": (d + len(sp.hess_keys),)} if p.eps > 0 else {})},
             {"confinement": (d,), **({"korteweg": upper} if p.eps > 0 else {}),
              **({"cold": (1,)} if p.eta1 > 0 else {}),
              **({"eta2": (d,)} if p.eta2 > 0 else {})},
@@ -576,8 +577,9 @@ class _Stepper:
             np.multiply(sp.ik, fz.Rh, out=st[at2.grad_R])
         if eta2:
             np.multiply(self.eta2_sym, fz.Rh, out=st[at2.eta2])
-        if eps:
-            np.multiply(sp.deriv_sym, res[at1.s], out=st[at2.s])
+        if eps:  # grad s, then the upper Hessian entries of s
+            np.multiply(sp.ik, res[at1.s], out=st[at2.s][:d])
+            np.multiply(sp.hess_sym, res[at1.s], out=st[at2.s][d:])
         back = sp.transform(at2, st)
         # flattened Jacobians: gradU[j d + i] = d_i U_j, likewise gradM
         gradU = back[at2.U] if self.grad_u else None

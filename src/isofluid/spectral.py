@@ -13,8 +13,13 @@ Conventions
   fields use real-to-complex transforms (scipy.fft rfft/irfft in 1D,
   rfftn/irfftn otherwise) and live on the half spectrum, whose last axis
   keeps the modes 0..n/2; its tables (wavenumbers, |k|^2, the 2/3 mask and
-  the derived symbols) are built once.  Complex fields use the
-  complex-to-complex transforms on the full spectrum;
+  the derived symbols) are built once, and each is held once: no table is
+  another's concatenation (the solver multiplies ik and hess_sym into the
+  two halves of its rows of grad s and hess s), and grad_lap_norm(p) keeps
+  no grad_lap_symbol(p) (at 2D n = 128 a concatenated derivative table
+  held 0.63 MiB, and each grad_lap_symbol 0.25 MiB).  Complex fields use
+  the complex-to-complex transforms on the full spectrum, over the grid
+  axes only, so a stack's rows are each field's transform;
 * dispatch: fwd, inv, cfwd and cinv call the public scipy.fft names, looked
   up at each call, so tools that rebind those names (a profiler, a call
   counter, a clock that stamps each transform) see every transform, and
@@ -224,7 +229,7 @@ def _c2c(forward, x, axes=(-1,)):
 _F8, _C16 = np.dtype(np.float64), np.dtype(np.complex128)
 # the scipy.fft calls Spectral makes, by name and keywords: (input dtype,
 # pocketfft call).  inorm 0 is scipy's unscaled forward transform, 2 its
-# 1/N inverse; fftn with no axes transforms every axis, as scipy's does
+# 1/N inverse
 _POCKETFFT_CALLS = {
     ("rfft",): (_F8, _r2c),
     ("irfft",): (_C16, _c2r),
@@ -232,7 +237,7 @@ _POCKETFFT_CALLS = {
     ("irfftn", "s", "axes"): (_C16, _c2r),
     ("fft",): (_C16, partial(_c2c, True)),
     ("ifft",): (_C16, partial(_c2c, False)),
-    ("fftn",): (_C16, lambda x: _c2c(True, x, tuple(range(x.ndim)))),
+    ("fftn", "axes"): (_C16, partial(_c2c, True)),
     ("ifftn", "axes"): (_C16, partial(_c2c, False)),
 }
 
@@ -291,8 +296,6 @@ class Spectral:
         # the diagonal entries, and the weight of each entry in a Frobenius norm
         self.hess_diag = _gather([keys.index((i, i)) for i in range(d)])
         self.hess_w = np.array([1.0 if i == j else 2.0 for i, j in self.hess_keys])
-        # first and second derivatives of a scalar: grad, then the Hessian entries
-        self.deriv_sym = np.concatenate((self.ik, self.hess_sym))
         keep = (np.abs(grid.modes) <= grid.n / 3.0).astype(float)  # 2/3 rule
         self.mask = self._half(math.prod(_along(grid.d, i, keep) for i in range(grid.d)))
         self.mask_ik = self.mask * self.ik
@@ -320,7 +323,7 @@ class Spectral:
         call count, symbols and layouts."""
         out = copy.copy(self)
         unit = (Ellipsis, None) + (slice(None),) * self.d
-        for name in ("k2", "ik", "hess_sym", "deriv_sym", "mask", "mask_ik"):
+        for name in ("k2", "ik", "hess_sym", "mask", "mask_ik"):
             setattr(out, name, getattr(self, name)[unit])
         out.shape, out.half_shape = (rows,) + self.shape, (rows,) + self.half_shape
         out.calls, out._symbols, out._layouts = 0, {}, {}
@@ -376,10 +379,10 @@ class Spectral:
         return out
 
     def cfwd(self, z: np.ndarray) -> np.ndarray:
-        """Full-spectrum coefficients of a complex array."""
+        """Full-spectrum coefficients of a complex array or stack, one call."""
         self.calls += 1
         with _POCKETFFT:
-            return scipy.fft.fft(z) if self.d == 1 else scipy.fft.fftn(z)
+            return scipy.fft.fft(z) if self.d == 1 else scipy.fft.fftn(z, axes=self._grid_axes)
 
     def cinv(self, zh: np.ndarray) -> np.ndarray:
         """Complex array or stack of full-spectrum coefficients, one call."""
@@ -406,9 +409,10 @@ class Spectral:
         return self.cached(("grad_lap", p), lambda: self.ik * self.lap_symbol(p))
 
     def grad_lap_norm(self, p: int) -> np.ndarray:
-        """sum_j |i k_j (-|k|^2)^p|^2, the symbol of |grad lap^p a|^2 in inner."""
+        """sum_j |i k_j (-|k|^2)^p|^2, the symbol of |grad lap^p a|^2 in inner,
+        built from ik and lap_symbol(p) without keeping grad_lap_symbol(p)."""
         return self.cached(
-            ("grad_lap_norm", p), lambda: self.sum_axes(np.abs(self.grad_lap_symbol(p)) ** 2)
+            ("grad_lap_norm", p), lambda: self.sum_axes(np.abs(self.ik * self.lap_symbol(p)) ** 2)
         )
 
     def layout(self, transform, leads: dict) -> "Layout":
@@ -475,9 +479,10 @@ class Spectral:
         both = 2.0 * np.vdot(ah, bh) - np.vdot(ah[..., 0], bh[..., 0])
         return float((both - np.vdot(ah[..., -1], bh[..., -1])).real) / self.size
 
-    def trace(self, h) -> np.ndarray:
-        """sum_i h_ii of a stack of upper Hessian entries (hess_keys order)."""
-        return h[self.hess_diag].sum(axis=0)
+    def trace(self, h, out=None) -> np.ndarray:
+        """sum_i h_ii of a stack of upper Hessian entries (hess_keys order),
+        written into out where it is given."""
+        return h[self.hess_diag].sum(axis=0, out=out)
 
     def frob2(self, h) -> np.ndarray:
         """|h|^2, the squared Frobenius norm of the symmetric tensor whose

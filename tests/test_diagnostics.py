@@ -622,3 +622,78 @@ def test_stack_rows_are_their_single_states_bitwise(d, n):
     assert diag.dissipation(stack, taus, p.eps, 0.0)[0] == 0.0
     with pytest.raises(ValueError, match="3 tau pairs"):
         diag.energy(stack, taus[:2], p.eps)
+
+
+# ---------------------------------------------------------------------------
+# a full record's phases, on the fixed_2d workload's state at n = 64
+
+
+def _fixed_2d_state(n):
+    """The fixed_2d bench workload's start state and parameters on a 2D grid
+    of n points per axis, with a stepper of them (its r_min is the floor a
+    run's records take)."""
+    from isofluid import experiments
+    from isofluid.solver import _Stepper, arrays_from_state
+
+    g = Grid(2, 8.0, n)
+    state = experiments.make_initial(
+        g, {"generator": "prepared_gaussian", "theta": 0.2, "iota": 0.4})
+    params = ParamSet(nu=0.1, eps=0.1, r0=0.02, r1=0.02, delta1=1e-4, delta2=1e-7,
+                      eta1=1e-14, eta2=1e-22, alpha=8.0, s=3, dt_policy="fixed", dt=1e-3)
+    R, M = arrays_from_state(state)
+    return g, R, M, _Stepper(g, params, float(R.mean()), float(R.min() / R.max()))
+
+
+def _traced_peak(call) -> int:
+    """The peak of the memory tracemalloc traces while call() runs, in bytes."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_records_peak_at_or_below_an_advance():
+    # a full record fetches in three phases, each dropping what no later
+    # phase reads, and builds its fields in their stack rows: a full and a
+    # core record of a state each peak at or below one advance of it
+    g, R, M, stepper = _fixed_2d_state(64)
+
+    def record(full):
+        diag.record(diag.StateOps(g, R, M, stepper.r_min, 0.0), stepper.p, (1.0, 0.3), full=full)
+
+    def advance():
+        stepper.advance(R, M, 1e-3, (1.0, 0.3))
+
+    advance(), record(True), record(False)  # the tables each builds once
+    peak = _traced_peak(advance)
+    assert _traced_peak(lambda: record(True)) <= peak
+    assert _traced_peak(lambda: record(False)) <= peak
+
+
+def test_full_record_identity_columns_are_the_identity_functions_bitwise():
+    # the second and third phases read what the first kept: each column is
+    # bitwise its function on a fresh StateOps of the state
+    g, R, M, stepper = _fixed_2d_state(64)
+    rec = diag.record(diag.StateOps(g, R, M, stepper.r_min, 0.0), stepper.p, (1.0, 0.3),
+                      full=True)
+
+    def ops():
+        return diag.StateOps(g, R, M, stepper.r_min)
+
+    assert ops().min_density > 0
+    columns = {
+        "relative_entropy": diag.relative_entropy(ops()),
+        "ck_gap": diag.csiszar_kullback_gap(ops()),
+        **dict(zip(("tn_residual", "sk_residual"), diag.compatibility_residuals(ops()))),
+        "irrot_residual": diag.irrotationality_residual(ops()),
+        **dict(zip(("llogl_value", "llogl_bound"), diag.llogl_bound(ops(), 0.5))),
+        "korteweg_residual": diag.korteweg_identity_residual(ops()),
+        "loghess_residual": diag.loghess_identity_residual(ops()),
+        **dict(zip(("jungel_left", "jungel_right"), diag.jungel_quantities(ops()))),
+    }
+    for name, value in columns.items():
+        assert _bits(getattr(rec, name)) == _bits(value), name

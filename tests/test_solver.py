@@ -202,29 +202,23 @@ def _traced_peak(call) -> int:
 
 
 @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
-def test_advance_peaks_below_a_full_record(d, n):
+def test_advance_peaks_below_its_field_bound(d, n):
     # the first RK stage holds the density forces' parts beside its own, and
-    # an advance still peaks below the full record that every run makes of
-    # the same state at its start and its end, and below 61 (2D n = 32) and
-    # 100 (3D n = 16) real fields of the grid: the stress and the force sums
-    # build each entry and row from their own rows, where gathered copies
-    # peaked at 62.6 and 109.7 fields
+    # an advance still peaks below 61 (2D n = 32) and 100 (3D n = 16) real
+    # fields of the grid: the stress and the force sums build each entry
+    # and row from their own rows, where gathered copies peaked at 62.6 and
+    # 109.7 fields (a record peaks at or below an advance:
+    # tests/test_diagnostics.py)
     fields = {2: 61, 3: 100}[d]
     state, params = _baseline_setup(d, n)
     R, M = arrays_from_state(state)
     stepper = _Stepper(state.grid, params, float(R.mean()), _contrast(R))
 
-    def record():
-        ops = diag.StateOps(state.grid, R, M, stepper.r_min, 0.0)
-        diag.record(ops, stepper.p, (1.0, 0.3), full=True)
-
     def advance():
         stepper.advance(R, M, 1e-3, (1.0, 0.3))
 
-    advance(), record()  # the tables each builds once
-    peak = _traced_peak(advance)
-    assert peak < _traced_peak(record)
-    assert peak < fields * 8 * state.R.size
+    advance()  # the tables it builds once
+    assert _traced_peak(advance) < fields * 8 * state.R.size
 
 
 class _RoundTripStepper(_Stepper):
@@ -261,7 +255,7 @@ class _RoundTripStepper(_Stepper):
         if p.eta2 > 0:
             derivs["eta2"] = sp.grad_lap_symbol(2 * p.s + 1) * Rh
         if p.eps > 0:
-            derivs["s"] = sp.deriv_sym * hat["s"][0]
+            derivs["s"] = np.concatenate((sp.ik, sp.hess_sym)) * hat["s"][0]
         back = sp.batch(sp.inv, derivs)
         prods = {}
         if p.eps > 0:
@@ -517,7 +511,7 @@ class _UnfusedStepper(_Stepper):
             derivs["eta2"] = sp.grad_lap_symbol(2 * p.s + 1) * Rh
         if p.eps > 0:
             s = self.sqrt_reg(R, rho)
-            derivs["s"] = sp.deriv_sym * sp.fwd(s)
+            derivs["s"] = np.concatenate((sp.ik, sp.hess_sym)) * sp.fwd(s)
         back = sp.batch(sp.inv, derivs)
         prods = {"confinement": self.y2 * R}
         if p.eps > 0:
@@ -760,15 +754,17 @@ def test_advance_record_and_rhs_leave_their_input_unchanged(setup):
 
 @pytest.mark.parametrize(
     "d,full,expected",
-    [(1, False, 3), (1, True, 4), (2, False, 16), (2, True, 32), (3, False, 27), (3, True, 57)],
+    [(1, False, 3), (1, True, 6), (2, False, 16), (2, True, 33), (3, False, 27), (3, True, 58)],
 )
 def test_transform_calls_per_record(monkeypatch, d, full, expected):
-    # every derivative once per record: in 1D the state's fields go forward
-    # in one call and their derivatives back in one, then lap log R (and, in
-    # the full tier, lap sqrt R / sqrt R and the Korteweg stress) forward and
-    # their derivatives back; for d > 1 each stage's fields go forward in
-    # one call too, and each inverse component is one call.  The Parseval
-    # terms make no inverse.
+    # every field forward and every derivative back once per record.  In 1D
+    # the columns' fields go forward in one call and their derivatives back
+    # in one, then lap log R forward; the full tier's second phase brings
+    # its derivatives back in one call, and its third sends R^(1/4),
+    # lap sqrt R / sqrt R and the Korteweg stress forward in one and their
+    # derivatives back in one.  For d > 1 each forward batch is one call
+    # too, and each inverse component is one call.  The Parseval terms make
+    # no inverse.
     state, params = _baseline_setup(d)
     p = params.bind(d)
     R, M = arrays_from_state(state)
@@ -863,7 +859,7 @@ def test_a_block_of_core_records_makes_the_transform_calls_of_one(monkeypatch, d
 
 def test_run_timing_counts_the_transforms_of_its_record_blocks(monkeypatch):
     # timing["transforms"] counts every scipy.fft call of the run: 14 per
-    # advance, 4 per full record and 3 per block of core records, made on
+    # advance, 6 per full record and 3 per block of core records, made on
     # the rows backend of the block
     state, params = _baseline_setup(1)
     monkeypatch.setattr(diag, "STACK_VALUES", 2 * math.prod(state.grid.shape))
@@ -871,7 +867,7 @@ def test_run_timing_counts_the_transforms_of_its_record_blocks(monkeypatch):
     traj = run(state, params, 1e-2, diag_every=1)
     blocks = math.ceil((traj.n_steps - 1) / 2)
     assert traj.status == "ok" and blocks >= 3
-    assert traj.timing["transforms"] == len(calls) == 14 * traj.n_steps + 2 * 4 + 3 * blocks
+    assert traj.timing["transforms"] == len(calls) == 14 * traj.n_steps + 2 * 6 + 3 * blocks
 
 
 def test_a_backend_is_freed_without_the_cyclic_gc():

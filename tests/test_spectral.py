@@ -303,6 +303,21 @@ def test_transforms_are_the_scipy_fft_calls_bitwise(monkeypatch, d, n):
     assert len(seen) >= len(pairs) and all(seen)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_cfwd_of_rows_is_each_fields_cfwd(d):
+    # cfwd transforms the grid axes only: each row of a stack is bitwise its
+    # field's transform, and a single field's is scipy's fftn over all its
+    # axes, as before
+    g = Grid(d, 3.0, 8)
+    rng = np.random.default_rng(60 + d)
+    z = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
+    rows = g.rows(3).cfwd(z)
+    for b in range(3):
+        one = g.spectral.cfwd(z[b])
+        assert _same_bits(one, scipy.fft.fftn(z[b]))
+        assert _same_bits(rows[b], one)
+
+
 def test_backend_declines_other_calls_and_is_off_outside_spectral(monkeypatch):
     sp = Grid(1, 3.0, 32).spectral
     a = np.random.default_rng(7).standard_normal(sp.shape)
