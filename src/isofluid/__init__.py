@@ -8,7 +8,7 @@ from .spectral import Grid
 from .rescaling import FluidState, WaveFunction, to_self_similar, from_self_similar, madelung
 from .tauode import TauSolution, tau_solve, tau_asymptotic_ratio
 from .solver import Trajectory, rhs, run, prepare_initial_data, drag_schedule
-from .lognls import NlsParams, nls_step, run_nls, nls_to_hydro_crosscheck
+from .lognls import NlsParams, nls_step, run_nls
 
 __all__ = [
     "ParamSet",
@@ -29,5 +29,4 @@ __all__ = [
     "NlsParams",
     "nls_step",
     "run_nls",
-    "nls_to_hydro_crosscheck",
 ]

@@ -54,7 +54,6 @@ __all__ = [
     "nls_energy",
     "run_nls",
     "psi_dissipation_identity",
-    "nls_to_hydro_crosscheck",
     "crosscheck_ladder",
     "crosscheck_hydro_params",
     "CrosscheckReport",
@@ -310,17 +309,6 @@ def crosscheck_hydro_params(eps: float, delta_stab: float, dt: float) -> ParamSe
     densities bounded below."""
     return ParamSet(nu=0.0, eps=eps, delta1=delta_stab, delta2=0.0, dt=dt,
                     dt_policy="fixed", r_min=CROSSCHECK_R_MIN)
-
-
-def nls_to_hydro_crosscheck(
-    psi0: WaveFunction,
-    t_end: float,
-    delta_stab: float = 1e-4,
-    dt: float | None = None,
-) -> CrosscheckReport:
-    """The cross-check of crosscheck_ladder on the one row (delta_stab, dt),
-    dt defaulting to 1e-3."""
-    return crosscheck_ladder(psi0, t_end, [(delta_stab, dt if dt is not None else 1e-3)])[0]
 
 
 def crosscheck_ladder(psi0: WaveFunction, t_end: float, ladder) -> list[CrosscheckReport]:

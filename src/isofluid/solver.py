@@ -74,29 +74,31 @@ they are off.  The Hessian tables gather stacked entries as views where
 their index set is contiguous, as in 1D (see the spectral module notes).
 The states are bitwise those of the full work.
 
-Rows.  run advances the rows of a fixed-dt ladder, runs from one state that
-differ only in dt and delta1, together: R is (B,) + grid.shape and M
-(d, B) + grid.shape on the backend Grid.rows(B), and the step scalars h,
+Rows.  run marches every run through one loop, _march: a single run is the
+march of one row, and a fixed-dt ladder (runs from one state that differ
+only in dt and delta1) marches its rows together: R is (B,) + grid.shape and
+M (d, B) + grid.shape on the backend Grid.rows(B), and the step scalars h,
 h/2, tau, taudot, tau^2, delta1 and c_u are (B, 1, ...) arrays.  advance
 builds each row's scalars in Python floats, as a single run builds them,
 and only then stacks them: Python's tau**2 calls libm's pow, which is not
 always the correctly rounded square numpy's ** 2 gives (on the dt = 5e-4
 row of tau_cover(0.25, 0) the two differ in the last bit at steps 126 and
 314), and each row must be its single run bitwise.  Every reduction (c_u's
-min, the stop checks, the records) is taken on one row.  A single run
-builds no row axis.
+min, the step size, the stop checks, the records) is taken on one row.  A
+row that ends or stops leaves the stack before the next advance; a lone
+row runs on the single stepper, which builds no row axis.
 
-Records.  Both march loops keep a trajectory's state, records, snapshots,
-stop and end in one _Row.  A core record only keeps its step's (t, R, M),
-arrays no later step writes; the pending states are evaluated as one stack
-of states (diagnostics.StateOps, with each row's own (tau, taudot)) once
-diagnostics.stack_rows(grid) of them are pending, before any full record
-and when the trajectory ends or stops, so every record is kept and the
-records stay in time order.  A lone pending state is evaluated alone, as
-every record is where stack_rows is 1 (2D n = 128).  Each row of a stack
-is bitwise the record of its state alone (the diagnostics module notes),
-so the records are those of one state at a time; timing counts a block's
-seconds and transforms, made on the backend Grid.rows(B), as the
+Records.  The march keeps each trajectory's state, step size, records,
+snapshots, stop and end in one _Row.  A core record only keeps its step's
+(t, R, M), arrays no later step writes; the pending states are evaluated as
+one stack of states (diagnostics.StateOps, with each row's own (tau,
+taudot)) once diagnostics.stack_rows(grid) of them are pending, before any
+full record and when the trajectory ends or stops, so every record is kept
+and the records stay in time order.  A lone pending state is evaluated
+alone, as every record is where stack_rows is 1 (2D n = 128).  Each row of
+a stack is bitwise the record of its state alone (the diagnostics module
+notes), so the records are those of one state at a time; timing counts a
+block's seconds and transforms, made on the backend Grid.rows(B), as the
 trajectory's.
 
 Floors.  The solver's one density floor is r_min (ParamSet.r_min, default
@@ -215,9 +217,9 @@ class Trajectory:
     # "snapshots_s" (the state copies kept in snapshots) are parts of
     # "wall_s", the whole of solver.run; "steps_per_s" is n_steps / wall_s;
     # "transforms" the scipy.fft calls made for the run (a ladder row's: the
-    # shared advances it took part in), its record blocks' on Grid.rows(B)
-    # too, and "peak_rss_mb" the process's peak resident set (ru_maxrss) at
-    # its end
+    # advances that stepped it, shared with the rows stacked with it), its
+    # record blocks' on Grid.rows(B) too, and "peak_rss_mb" the process's
+    # peak resident set (ru_maxrss) at its end
     timing: dict = field(default_factory=dict)
 
     def series(self, name: str) -> np.ndarray:
@@ -285,19 +287,21 @@ class _Frozen:
 
 
 class _Stepper:
-    """Work tables bound to a grid and one ParamSet, or the ParamSets of a
-    ladder's rows (see run), which differ only in dt and delta1 and agree on
-    whether delta1 is on.  M, U and every stress and gradient are stacked
-    component arrays, (d,) + grid.shape or (d, d) + grid.shape, so that each
-    substep hands its independent transforms to the backend as one stack.
-    Rows advance together on the backend Grid.rows: R is (B,) + grid.shape,
-    M (d, B) + grid.shape, and each row's step scalars are (B, 1, ...)
-    arrays (see advance)."""
+    """Work tables bound to a grid and one ParamSet (or a list of one), or
+    the ParamSets of a ladder's rows (see run), which differ only in dt and
+    delta1 and agree on whether delta1 is on.  M, U and every stress and
+    gradient are stacked component arrays, (d,) + grid.shape or
+    (d, d) + grid.shape, so that each substep hands its independent
+    transforms to the backend as one stack.  Two or more rows advance
+    together on the backend Grid.rows: R is (B,) + grid.shape, M
+    (d, B) + grid.shape, and each row's step scalars are (B, 1, ...) arrays
+    (see advance)."""
 
     def __init__(self, grid: Grid, params, r0_mean: float, r0_contrast: float = 1.0):
         self.grid = g = grid
-        if isinstance(params, ParamSet):
-            self.p, self.rows, self.sp = params.bind(g.d), None, g.spectral
+        params = [params] if isinstance(params, ParamSet) else params
+        if len(params) == 1:
+            self.p, self.rows, self.sp = params[0].bind(g.d), None, g.spectral
             self.delta1 = self.p.delta1
         else:
             self.rows = [p.bind(g.d) for p in params]
@@ -790,59 +794,13 @@ def run(
     params may instead be a ladder: a list of ParamSets that differ only in
     dt and delta1 (else ValueError, naming the field), each row starting
     from `initial` on one tau.  run returns the rows' Trajectories, each
-    exactly the one run(initial, row, ...) gives.  The rows of a fixed-dt
-    ladder advance together as one stack (_run_rows); a CFL ladder, one that
-    needs the vacuum sponge, or one whose rows disagree on whether delta1 is
-    on runs its rows one after another."""
-    if not isinstance(params, ParamSet):
-        return _run_ladder(initial, list(params), t_end, tau_sol, snapshot_every, diag_every)
+    exactly the one run(initial, row, ...) gives.  Every run is one march
+    (_march): a single run marches one row; a fixed-dt ladder whose rows
+    agree on whether delta1 is on, and which needs no vacuum sponge, marches
+    its rows as one stack; any other ladder (CFL, sponge, or rows split on
+    delta1) marches its rows one after another."""
     start = time.perf_counter()
-    R, M = arrays_from_state(initial)
-    st = _Stepper(initial.grid, params, float(np.mean(R)), _contrast(R))
-    p = st.p
-    if tau_sol is None:
-        tau_sol = tau_cover(t_end, initial.t)
-    row = _Row(p, st.r_min, initial, tau_sol, start)
-    traj, timing = row.traj, row.traj.timing
-    neg_tol = NEG_TOL_REL * max(float(np.max(R)), 1e-300)
-
-    # a diverging step overflows on its way to inf or nan, an overflowing
-    # CFL rate gives dt = 0 and a diverging state records the inf or nan its
-    # terms come to; the checks below name each failure in the status, so
-    # numpy's warnings are not raised
-    with np.errstate(**_QUIET):
-        row.record(full=True)
-        if snapshot_every:
-            row.snapshot()
-        if t_end <= initial.t:
-            return row.finish()
-        while row.t < t_end * (1.0 - 1e-12):
-            t = row.t
-            if p.dt_policy == "fixed":
-                dt, family = p.dt, None
-            else:
-                dt, family = st.cfl_dt(row.R, row.M, *tau_sol.eval(t))
-                if dt > p.dt:
-                    dt, family = p.dt, "dt_cap"
-            dt = min(dt, t_end - t)
-            if dt < DT_MIN or (family is not None and row.k + (t_end - t) / dt > MAX_STEPS):
-                reason = "underflow" if dt < DT_MIN else "budget"
-                row.stop(reason, np.unravel_index(np.argmin(row.R), row.R.shape))
-                break
-            t0, calls0 = time.perf_counter(), st.sp.calls
-            R_new, M_new = st.advance(row.R, row.M, dt, tau_sol.eval(t + 0.5 * dt))
-            timing["advance_s"] += time.perf_counter() - t0
-            row.calls += st.sp.calls - calls0
-            if not row.take(R_new, M_new, dt, neg_tol):
-                break
-            if family is not None:
-                traj.cfl_binding[family] = traj.cfl_binding.get(family, 0) + 1
-            row.sample(row.t >= t_end * (1.0 - 1e-12), diag_every, snapshot_every)
-    return row.finish()
-
-
-def _run_ladder(initial, rows, t_end, tau_sol, snapshot_every, diag_every) -> list:
-    """run on a ladder (see run)."""
+    rows = [params] if isinstance(params, ParamSet) else list(params)
     if not rows:
         raise ValueError("a ladder needs at least one row")
     for f in fields(ParamSet):
@@ -852,19 +810,78 @@ def _run_ladder(initial, rows, t_end, tau_sol, snapshot_every, diag_every) -> li
             raise ValueError(f"ladder rows differ in {f.name}; they may differ in dt and delta1")
     if tau_sol is None:
         tau_sol = tau_cover(t_end, initial.t)
-    p = rows[0]
-    if (len(rows) > 1 and p.dt_policy == "fixed" and len({q.delta1 > 0 for q in rows}) == 1
-            and _viscous_form(p, _contrast(initial.R)) != "vacuum"):
-        return _run_rows(initial, rows, t_end, tau_sol, snapshot_every, diag_every)
-    return [run(initial, q, t_end, tau_sol, snapshot_every, diag_every) for q in rows]
+    args, p = (t_end, tau_sol, snapshot_every, diag_every), rows[0]
+    if len(rows) == 1 or (p.dt_policy == "fixed" and len({q.delta1 > 0 for q in rows}) == 1
+                          and _viscous_form(p, _contrast(initial.R)) != "vacuum"):
+        trajs = _march(initial, rows, *args, start)
+    else:
+        trajs = [_march(initial, [q], *args, time.perf_counter())[0] for q in rows]
+    return trajs[0] if isinstance(params, ParamSet) else trajs
+
+
+def _march(initial, rows, t_end, tau_sol, snapshot_every, diag_every, start) -> list:
+    """run's one loop: the rows' Trajectories from `initial` to t_end, a
+    lone row on the single stepper and two or more (a fixed-dt ladder) as
+    one stack on the rows stepper.  Each step, the rows that take a step
+    (_Row.step_size) advance; the others have finished before it.  The
+    stepper and the stack are built again where the rows that step differ
+    from the stepper's, so each row is its run alone; a row's timing counts
+    the advances it took part in, and its wall_s runs to its own end."""
+    grid, R0 = initial.grid, initial.R
+    r0 = (float(np.mean(R0)), _contrast(R0))
+    neg_tol = NEG_TOL_REL * max(float(np.max(R0)), 1e-300)
+    st = _Stepper(grid, rows, *r0)
+    out = stepping = [_Row(p, st.r_min, initial, tau_sol, start) for p in st.rows or [st.p]]
+    R, M = _stack(stepping)
+    end = t_end * (1.0 - 1e-12) if t_end > initial.t else -math.inf
+
+    # a diverging step overflows on its way to inf or nan, an overflowing
+    # CFL rate gives dt = 0 and a diverging state records the inf or nan its
+    # terms come to; the rows' checks name each failure in the status, so
+    # numpy's warnings are not raised
+    with np.errstate(**_QUIET):
+        for row in out:
+            row.record(full=True)
+            if snapshot_every:
+                row.snapshot()
+        live = out
+        while live := [row for row in live if row.step_size(st, t_end, end)]:
+            if live != stepping:
+                st, stepping = _Stepper(grid, [row.p for row in live], *r0), live
+                R, M = _stack(live)
+            t0, calls0 = time.perf_counter(), st.sp.calls
+            if st.rows is None:
+                (row,) = live
+                R, M = st.advance(R, M, row.h, tau_sol.eval(row.t + 0.5 * row.h))
+                steps = ((row, R, M),)
+            else:
+                R, M = st.advance(R, M, [row.h for row in live],
+                                  [tau_sol.eval(row.t + 0.5 * row.h) for row in live])
+                steps = zip(live, R, M.swapaxes(0, 1))
+            took, calls = time.perf_counter() - t0, st.sp.calls - calls0
+            for row, R_new, M_new in steps:
+                row.traj.timing["advance_s"] += took
+                row.calls += calls
+                if row.take(R_new, M_new, neg_tol):
+                    row.sample(row.t >= end, diag_every, snapshot_every)
+    return [row.traj for row in out]
+
+
+def _stack(rows) -> tuple:
+    """The (R, M) the stepper of the rows takes: a lone row's own, more rows'
+    stacked on the row axis."""
+    if len(rows) == 1:
+        return rows[0].R, rows[0].M
+    return np.stack([row.R for row in rows]), np.stack([row.M for row in rows], axis=1)
 
 
 class _Row:
-    """One trajectory of a march, a run or a row of a ladder: its bound
-    parameters, Trajectory, last accepted state (R, M), time, step count,
-    the transforms it took part in, and the (t, R, M) of its core records
-    not evaluated yet (see the module notes, Records).  Both march loops
-    accept, record, snapshot, stop and finish a trajectory through it."""
+    """One trajectory of the march: its bound parameters, Trajectory, last
+    accepted state (R, M), time, step count, next step (h, family), the
+    transforms it took part in, and the (t, R, M) of its core records not
+    evaluated yet (see the module notes, Records).  The march sizes,
+    accepts, records, snapshots, stops and finishes each step of a
+    trajectory through it."""
 
     def __init__(self, p: ParamSet, r_min: float, initial: FluidState, tau_sol, start: float):
         self.p, self.R, self.M = p, initial.R, initial.M
@@ -872,17 +889,43 @@ class _Row:
             initial.grid, initial.mass_ratio, tau_sol, start)
         self.traj = Trajectory(params=p, r_min=r_min, timing={
             "advance_s": 0.0, "diagnostics_s": 0.0, "snapshots_s": 0.0})
-        self.t, self.k, self.calls = initial.t, 0, 0
+        self.t, self.k, self.calls, self.h, self.family = initial.t, 0, 0, None, None
         self.pending, self.block = [], diag.stack_rows(self.grid)
 
     def state(self) -> FluidState:
         return state_from_arrays(self.grid, self.t, self.R, np.ascontiguousarray(self.M),
                                  self.mass_ratio)
 
-    def take(self, R, M, h: float, neg_tol: float) -> bool:
-        """Accept the step of size h to (R, M), or stop the trajectory on a
-        non-finite value ("nan") or a density below -neg_tol ("floor");
-        whether the step was accepted."""
+    def step_size(self, st: _Stepper, t_end: float, end: float) -> bool:
+        """Whether the row takes a next step, whose size h and binding
+        family it sets: p.dt under the fixed policy (family None), else
+        st.cfl_dt (st is the row's own stepper: a CFL row marches alone)
+        capped at p.dt ("dt_cap"), cut to t_end.  A row that has stopped or
+        reached end takes none, nor does one whose h is below DT_MIN
+        ("underflow") or, under the CFL policy, whose projected step count
+        k + (t_end - t)/h passes MAX_STEPS ("budget"), which stop it; a row
+        that takes none is finished."""
+        p, t = self.p, self.t
+        if self.traj.stop is None and t < end:
+            if p.dt_policy == "fixed":
+                h, family = p.dt, None
+            else:
+                h, family = st.cfl_dt(self.R, self.M, *self.tau_sol.eval(t))
+                if h > p.dt:
+                    h, family = p.dt, "dt_cap"
+            h = min(h, t_end - t)
+            self.h, self.family = h, family
+            if not (h < DT_MIN or (family is not None and self.k + (t_end - t) / h > MAX_STEPS)):
+                return True
+            self.stop("underflow" if h < DT_MIN else "budget",
+                      np.unravel_index(np.argmin(self.R), self.R.shape))
+        self.finish()
+        return False
+
+    def take(self, R, M, neg_tol: float) -> bool:
+        """Accept the step of size h to (R, M), counting its binding CFL
+        family, or stop the trajectory on a non-finite value ("nan") or a
+        density below -neg_tol ("floor"); whether the step was accepted."""
         if not (np.isfinite(R).all() and np.isfinite(M).all()):
             finite = np.isfinite(R) & np.all(np.isfinite(M), axis=0)
             self.stop("nan", np.unravel_index(np.argmin(finite), R.shape))
@@ -890,8 +933,10 @@ class _Row:
         if float(R.min()) < -neg_tol:
             self.stop("floor", np.unravel_index(np.argmin(R), R.shape))
             return False
-        self.R, self.M, self.t, self.k = R, M, self.t + h, self.k + 1
-        self.traj.n_steps = self.k
+        self.R, self.M, self.t, self.k = R, M, self.t + self.h, self.k + 1
+        self.traj.n_steps, family = self.k, self.family
+        if family is not None:
+            self.traj.cfl_binding[family] = self.traj.cfl_binding.get(family, 0) + 1
         return True
 
     def sample(self, at_end: bool, diag_every: int, snapshot_every: int) -> None:
@@ -956,69 +1001,6 @@ class _Row:
         timing["transforms"] = self.calls
         timing["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         return traj
-
-
-def _run_rows(initial, rows, t_end, tau_sol, snapshot_every, diag_every) -> list:
-    """The fixed-dt ladder's march: while two or more rows go on, one
-    advance of the rows stepper takes each row's own step.  A row leaves the
-    stack at its t_end or its stop, and the stepper is built again for the
-    rows left, a lone row on the single-run stepper.  Each row's step, stop
-    checks, records and snapshots are those of run on the row's own arrays,
-    so each Trajectory is bitwise its row's run; a row's timing counts the
-    shared advances it took part in, and its wall_s runs to its own end."""
-    start = time.perf_counter()
-    grid = initial.grid
-    R0, M0 = arrays_from_state(initial)
-    r0 = (float(np.mean(R0)), _contrast(R0))
-    neg_tol = NEG_TOL_REL * max(float(np.max(R0)), 1e-300)
-    st = _Stepper(grid, rows, *r0)
-    R, M = np.stack([R0] * len(rows)), np.stack([M0] * len(rows), axis=1)
-    out = [_Row(p, st.r_min, initial, tau_sol, start) for p in st.rows]
-
-    def stacked(live):
-        if len(live) == 1:
-            return _Stepper(grid, live[0].p, *r0), live[0].R, live[0].M
-        return (_Stepper(grid, [row.p for row in live], *r0),
-                np.stack([row.R for row in live]), np.stack([row.M for row in live], axis=1))
-
-    with np.errstate(**_QUIET):
-        for row in out:
-            row.record(full=True)
-            if snapshot_every:
-                row.snapshot()
-        if t_end <= initial.t:
-            return [row.finish() for row in out]
-        live = out
-        while live:
-            # a row whose step underflows takes part in the advance and
-            # stops before it
-            hs = [min(row.p.dt, t_end - row.t) for row in live]
-            taus = [tau_sol.eval(row.t + 0.5 * h) for row, h in zip(live, hs)]
-            t0, calls0 = time.perf_counter(), st.sp.calls
-            if st.rows is None:
-                R, M = st.advance(R, M, hs[0], taus[0])
-                steps = [(R, M)]
-            else:
-                R, M = st.advance(R, M, hs, taus)
-                steps = [(R[b], M[:, b]) for b in range(len(live))]
-            took, calls = time.perf_counter() - t0, st.sp.calls - calls0
-            going = []
-            for row, h, (R_new, M_new) in zip(live, hs, steps):
-                row.traj.timing["advance_s"] += took
-                row.calls += calls
-                if h < DT_MIN:
-                    row.stop("underflow", np.unravel_index(np.argmin(row.R), row.R.shape))
-                elif row.take(R_new, M_new, h, neg_tol):
-                    at_end = row.t >= t_end * (1.0 - 1e-12)
-                    row.sample(at_end, diag_every, snapshot_every)
-                    if not at_end:
-                        going.append(row)
-                        continue
-                row.finish()
-            if len(going) < len(live) and going:
-                st, R, M = stacked(going)
-            live = going
-    return [row.traj for row in out]
 
 
 # ---------------------------------------------------------------------------

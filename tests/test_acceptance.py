@@ -221,7 +221,7 @@ def test_criterion_10_madelung_crosscheck():
     ladder = [(1e-3, 5e-4), (1e-4, 2.5e-4)]
     diffs = []
     for delta, dt in ladder:
-        rep = lognls.nls_to_hydro_crosscheck(psi0, 0.25, delta_stab=delta, dt=dt)
+        rep = lognls.crosscheck_ladder(psi0, 0.25, [(delta, dt)])[0]
         assert rep.status == "ok", rep.status
         diffs.append(rep.diff_rel)
     took = time.time() - t0

@@ -309,7 +309,7 @@ def test_madelung_kinetic_split():
 def test_crosscheck_zero_horizon():
     g = Grid(1, 8.0, 128)
     psi0 = make_wavefunction(g, {"generator": "offset_gaussian", "offset": 0.3}, eps=1.0)
-    rep = lognls.nls_to_hydro_crosscheck(psi0, 0.0, delta_stab=1e-3, dt=1e-3)
+    rep = lognls.crosscheck_ladder(psi0, 0.0, [(1e-3, 1e-3)])[0]
     assert rep.status == "ok"
     assert rep.diff_rel == 0.0
     assert abs(rep.mass_nls - rep.mass_hydro) < 1e-12
@@ -321,8 +321,8 @@ def test_crosscheck_ladder_decreases():
         g, {"generator": "offset_gaussian", "offset": 0.35, "offset_width": 3.0}, eps=1.0
     )
     reps = [
-        lognls.nls_to_hydro_crosscheck(psi0, 0.1, delta_stab=1e-3, dt=1e-3),
-        lognls.nls_to_hydro_crosscheck(psi0, 0.1, delta_stab=1e-4, dt=5e-4),
+        lognls.crosscheck_ladder(psi0, 0.1, [(1e-3, 1e-3)])[0],
+        lognls.crosscheck_ladder(psi0, 0.1, [(1e-4, 5e-4)])[0],
     ]
     assert all(r.status == "ok" for r in reps)
     assert reps[0].diff_rel > reps[1].diff_rel
@@ -335,7 +335,7 @@ def test_crosscheck_reports_hydro_failure():
     psi0 = make_wavefunction(
         g, {"generator": "offset_gaussian", "offset": 0.35, "offset_width": 3.0}, eps=1.0
     )
-    rep = lognls.nls_to_hydro_crosscheck(psi0, 0.25, delta_stab=1e-3, dt=5e-3)
+    rep = lognls.crosscheck_ladder(psi0, 0.25, [(1e-3, 5e-3)])[0]
     assert rep.status.startswith("hydro_")
     assert rep.diff_rel is None
 

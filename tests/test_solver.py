@@ -615,6 +615,11 @@ def _crosscheck_ladder(t_end, pairs):
     return state, [crosscheck_hydro_params(1.0, ds, dt) for ds, dt in pairs], t_end, 0
 
 
+def _starting_at(t, state, rows, t_end, diag_every):
+    """The ladder from `state` moved to time t."""
+    return dataclasses.replace(state, t=t), rows, t_end, diag_every
+
+
 def _ladder_of(state, p, t_end, diag_every, *others):
     """p and its copies with each of the others' (dt, delta1)."""
     rows = [p, *(dataclasses.replace(p, dt=dt, delta1=d1) for dt, d1 in others)]
@@ -638,6 +643,13 @@ LADDERS = {
     "fixed_2d_n16": lambda: _ladder_of(*_baseline_setup(2, n=16), 4e-3, 3, (5e-4, 2e-4)),
     # a CFL ladder runs its rows one after another
     "cfl": lambda: _ladder_of(*experiments.full_reg_setup(n=64), 0.01, 2, (2e-3, 1e-4)),
+    # a ladder of one row is the single run
+    "one_row": lambda: _crosscheck_ladder(0.095, [(1e-3, 5e-4)]),
+    # a ladder that needs the vacuum sponge runs its rows one after another
+    "sponge": lambda: _ladder_of(*_drag_ladder_setup("vacuum")[:2], 0.1, 1, (1e-2, 0.0)),
+    # starting within 1e-12 relative of t_end, every row ends ok with no step
+    "near_end": lambda: _starting_at(0.25 - 1e-14, *_crosscheck_ladder(
+        0.25, [(1e-3, 1e-3), (1e-4, 5e-4)])),
 }
 
 
@@ -651,6 +663,7 @@ def test_ladder_rows_are_their_single_runs(case):
     for traj, p in zip(ladder, rows):
         own = run(state, p, t_end, diag_every=diag_every)
         assert (traj.status, traj.stop, traj.n_steps) == (own.status, own.stop, own.n_steps)
+        assert traj.timing["transforms"] == own.timing["transforms"]
         assert traj.times == own.times and traj.records == own.records
         assert np.array_equal(traj.state_final.R, own.state_final.R)
         assert np.array_equal(traj.state_final.M, own.state_final.M)
