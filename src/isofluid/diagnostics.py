@@ -93,7 +93,7 @@ import numpy as np
 
 from .params import ParamSet
 from .rescaling import FluidState, smooth_density, vacuum_floor
-from .spectral import Grid
+from .spectral import Grid, vdot
 
 __all__ = [
     "DiagnosticsRecord",
@@ -141,7 +141,7 @@ def stack_rows(grid: Grid) -> int:
 
 def _dot(grid: Grid, a, b) -> float:
     """quad(a b), summed over the stack components as well."""
-    return float(grid.weight * np.vdot(a, b))
+    return float(grid.weight * vdot(a, b))
 
 
 def each_row(grid: Grid, reduce, *arrays) -> np.ndarray:
@@ -609,6 +609,21 @@ def _owned(a):
     return a.copy() if base is not None and base.nbytes > a.nbytes else a
 
 
+def _rgugut(o):
+    """quad(R grad U : grad U^T) = sum_ij quad(R d_i U_j d_j U_i), one entry
+    pair at a time: the diagonal, then each pair i < j twice, so that no
+    swapped copy of grad U nor a whole R grad U is made (in 1D the one
+    entry's dot, as the whole stack's was)."""
+    gU, d = o["grad_U"], o.grid.d
+    total = o.dot(gU[0, 0], o.R * gU[0, 0])
+    for i in range(1, d):
+        total = total + o.dot(gU[i, i], o.R * gU[i, i])
+    for i in range(d):
+        for j in range(i + 1, d):
+            total = total + 2.0 * o.dot(gU[i, j], o.R * gU[j, i])
+    return total
+
+
 def _inner(grid: Grid, a, b) -> float:
     """quad of the product of two fields from their coefficients (Parseval)."""
     return grid.weight * grid.spectral.inner(a, b)
@@ -649,7 +664,7 @@ _TERMS = {
     # R |grad U|^2 and R grad U : grad U^T; R |DU|^2 and R |AU|^2 are their
     # half sum and half difference
     "RgU2": (("grad_U",), lambda o: o.dot(o["grad_U"], o.R * o["grad_U"])),
-    "RgUgUT": (("grad_U",), lambda o: o.dot(o["grad_U"].swapaxes(0, 1), o.R * o["grad_U"])),
+    "RgUgUT": (("grad_U",), _rgugut),
     "RDU2": (("grad_U",), lambda o: 0.5 * (o.q("RgU2") + o.q("RgUgUT"))),
     "RAU2": (("grad_U",), lambda o: 0.5 * (o.q("RgU2") - o.q("RgUgUT"))),
     "RdivU": (("grad_U",), lambda o: o.dot(o.R, np.trace(o["grad_U"]))),

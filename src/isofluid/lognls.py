@@ -43,7 +43,7 @@ import numpy as np
 from . import diagnostics as diag
 from .params import ParamSet
 from .rescaling import WaveFunction, madelung, wave_gradients
-from .spectral import Grid
+from .spectral import Grid, vdot
 from .solver import run as hydro_run
 from .tauode import TauSolution, tau_cover
 
@@ -199,7 +199,7 @@ def run_nls(
     t = psi0.t
 
     def mass(zh) -> float:
-        return g.weight * float(np.vdot(zh, zh).real) / sp.size
+        return g.weight * float(vdot(zh, zh).real) / sp.size
 
     def evaluate():
         # psi and grad psi = grad Re psi + i grad Im psi of the block in one

@@ -24,6 +24,13 @@ evaluated with (tau, taudot) frozen at the step midpoint:
   axis up to sqrt(3) (dispersive terms) and the real axis to -2.51, under
   the CFL bound of cfl_dt.  TERMS says, per coefficient, which explicit
   family of that bound its force feeds, or why it feeds none.
+  The pressure (isothermal and cold) and the eta2 force depend on R only, so
+  N freezes them (density_forces) while L alone moves R: their waves run as
+  drift-kick-drift, the Stormer-Verlet splitting of an exact continuity
+  flow around a frozen force, which is stable while omega h < 2, not
+  sqrt(3).  cfl_dt gives the acoustic and eta2 families that reach.  The
+  Korteweg stress is frozen the same way; its family keeps sqrt(3) until
+  the runs it binds are measured at 2.
   N never touches R, so the zero mode of R is exactly constant and mass is
   conserved to round-off.
 
@@ -148,6 +155,9 @@ __all__ = [
 
 _RK3_IMAG = math.sqrt(3.0)  # imaginary-axis stability reach of SSP-RK3
 _RK3_REAL = 2.51  # real-axis stability reach of SSP-RK3
+# the stability reach of a wave between L's exact flow of R and N's frozen
+# density forces: the Stormer-Verlet bound omega h < 2 (see the module notes)
+_KICK = 2.0
 _DEALIASED = 2.0 / 3.0  # band of a force that enters M through the 2/3 mask
 # Each ParamSet coefficient that gates a term, with what the CFL bound of
 # cfl_dt makes of the term's force: (family, band) is the explicit family of
@@ -161,8 +171,9 @@ TERMS = {
     "r1": "the drag is an exact pointwise flow",
     "delta1": None,  # L holds its linear part exactly; the cross term in N has no family
     "delta2": None,  # the variable-coefficient remainder in N has no family
+    # the pressures are frozen in N: the acoustic family's reach is _KICK
     "eta1": "the cold pressure raises the acoustic sound speed",
-    "eta2": ("eta2", _DEALIASED),
+    "eta2": ("eta2", _DEALIASED),  # frozen in N: its reach is _KICK
 }
 # each family in TERMS, from its coefficient c, kmx and the eta2 exponent s:
 # its rate at kmx as a function of (tau^2, max R), and the power of |k| it
@@ -176,9 +187,9 @@ _FAMILY_RATES = {
         lambda t2, rmax: math.sqrt(c * rmax) * kmx ** (2 * s + 2) / t2, 2 * s + 2),
 }
 # the most steps a CFL-policy run may take: above 10x the longest CFL run of
-# the test suite and the acceptance runs (criterion 3 to t = 1, 1,251 steps),
-# and far below the 249,168 steps a 2D n = 16 eta2 = 0.999, s = 5 run would
-# ask for to reach t = 0.01, whose dt of 4e-8 never trips DT_MIN
+# the test suite and the acceptance runs (criterion 3 to t = 1, 1,080 steps),
+# and far below the 215,786 steps a 2D n = 16 eta2 = 0.999, s = 5 run would
+# ask for to reach t = 0.01, whose dt of 4.6e-8 never trips DT_MIN
 MAX_STEPS = 100_000
 # the least step a run takes: a CFL step below it has collapsed
 DT_MIN = 1e-12
@@ -326,14 +337,16 @@ class _Stepper:
         self.delta2_lap2 = p.delta2 * self.lap2
         self.eta2_sym = sp.grad_lap_symbol(2 * p.s + 1) if p.eta2 > 0 else None
         # the active coefficient families of _rates: (family, its rate at kmx
-        # as a function of (tau^2, max R), band**power)
+        # as a function of (tau^2, max R), scale): the scale is band**power,
+        # times sqrt(3)/2 for the frozen eta2 force (reach 2, see _KICK)
         self.families = []
         for coef, entry in TERMS.items():
             c = getattr(p, coef)
             if isinstance(entry, tuple) and c > 0:
                 family, band = entry
                 rate, power = _FAMILY_RATES[family](c, self.kmx, p.s)
-                self.families.append((family, rate, band**power))
+                kick = _RK3_IMAG / _KICK if family == "eta2" else 1.0
+                self.families.append((family, rate, band**power * kick))
         # the gates of the terms, and the Layouts of n_rhs's three batches:
         # its own parts, and on an N substep's first call the density
         # forces' parts after them in the same stacks (see the module notes)
@@ -644,7 +657,9 @@ class _Stepper:
         """(dt, family): dt = cfl * sqrt(3) / the largest rate of the explicit
         families in _rates, and the family that sets it.  Each family's rate
         is taken at its band, rate(kmx) * band**power, the band being the
-        largest |k| / kmx its force reaches (TERMS gives a coefficient's)."""
+        largest |k| / kmx its force reaches (TERMS gives a coefficient's),
+        and the scale of the acoustic and eta2 families, frozen forces
+        between exact flows of R, takes their reach 2 instead of sqrt(3)."""
         rows = self._rates(R, M, tau_v, taudot_v)
         rate, family = max((rate * scale, name) for name, rate, scale in rows)
         return self.p.cfl * _RK3_IMAG / rate, family
@@ -676,16 +691,17 @@ class _Stepper:
         return M * fac
 
     def _rates(self, R, M, tau_v, taudot_v):
-        """(family, rate at kmx, band**power) of each active explicit family:
-        its rate grows as |k|^power, and band is the largest |k| / kmx its
-        force reaches.  The advective and acoustic families are always
-        on, at the full band: the pressure is not masked, and the flux,
-        although it passes the mask, runs waves at U +- c, not at the
-        advective rate's U (at 2/3 kmx the advective dt came out above
-        envelope/1.5 in test_cfl_dt_within_stability_envelope).  The
-        advective scale counts live cells only: deep-vacuum U = M/rho is
-        noise over the floor.  The coefficient families follow TERMS
-        (self.families)."""
+        """(family, rate at kmx, scale) of each active explicit family: its
+        rate grows as |k|^power, and its scale is band**power, band the
+        largest |k| / kmx its force reaches, times sqrt(3)/2 for the
+        acoustic and eta2 families (their reach 2, see _KICK).  The
+        advective and acoustic families are always on, at the full band:
+        the pressure is not masked, and the flux, although it passes the
+        mask, runs waves at U +- c, not at the advective rate's U (at 2/3
+        kmx the advective dt came out above envelope/1.5 in
+        test_cfl_dt_within_stability_envelope).  The advective scale counts
+        live cells only: deep-vacuum U = M/rho is noise over the floor.  The
+        coefficient families follow TERMS (self.families)."""
         p, kmx = self.p, self.kmx
         t2 = tau_v**2
         rmax = max(float(R.max()), 1e-300)
@@ -697,7 +713,7 @@ class _Stepper:
             cs2 += p.eta1 * p.alpha * float((self.rho_tilde(R) ** (-p.alpha - 1.0)).max())
         return [
             ("advective", math.sqrt(u2max) * kmx / t2, 1.0),
-            ("acoustic", math.sqrt(cs2) * kmx / tau_v, 1.0),
+            ("acoustic", math.sqrt(cs2) * kmx / tau_v, _RK3_IMAG / _KICK),
             *((family, rate(t2, rmax), scale) for family, rate, scale in self.families),
         ]
 

@@ -78,7 +78,15 @@ Conventions
   4 x 128^2 inverse 1.35 ms against 1.08 ms, one 32^3 irfftn 0.67 ms
   against 0.36 ms, a 256-point irfft 11.5 us against 11.6 us.  Nothing
   else runs in parallel either: a sweep runs its ladder points in order,
-  and the rows of a fixed-dt ladder share each call as one stack (below);
+  and the rows of a fixed-dt ladder share each call as one stack (below).
+  The grid reductions (diagnostics' quadratures of products, Spectral.inner,
+  the log-NLS mass) go through vdot, which hands np.vdot chunks of at most
+  VDOT_CHUNK = 8,192 values and adds the partial sums in order: OpenBLAS
+  splits a longer dot product over its threads, whose partial sums it adds
+  in an order that depends on the thread count, so a 2D n = 128 field
+  (16,384 values) summed in one call gave different last bits under
+  OPENBLAS_NUM_THREADS=1 and =2.  A 1D field stays below the chunk and is
+  one np.vdot call, as before;
 * rows: Grid.rows(B) is the backend of B fields of one grid that a solver
   ladder advances together, or that diagnostics.StateOps evaluates as one
   stack of states.  Its sample shape is (B,) + grid.shape and every table
@@ -110,7 +118,11 @@ import numpy as np
 import scipy.fft
 from scipy.fft._pocketfft import pypocketfft as _pypocketfft
 
-__all__ = ["Grid", "Layout", "Spectral"]
+__all__ = ["Grid", "Layout", "Spectral", "vdot"]
+
+# the most values one np.vdot call reduces (see the module notes): below
+# the length above which OpenBLAS splits a dot product over its threads
+VDOT_CHUNK = 8192
 
 
 def _along(d: int, i: int, v: np.ndarray) -> np.ndarray:
@@ -132,6 +144,19 @@ def _gather(idx):
     ):
         return (None,) * (idx.ndim - 1) + (slice(lo, lo + idx.size),)
     return idx
+
+
+def vdot(a, b):
+    """np.vdot(a, b) (a conjugated), summed over chunks of at most VDOT_CHUNK
+    values whose partial sums are added in order, so that the result is the
+    same bits at any OpenBLAS thread count."""
+    if a.size <= VDOT_CHUNK:
+        return np.vdot(a, b)
+    a, b = a.ravel(), b.ravel()
+    total = np.vdot(a[:VDOT_CHUNK], b[:VDOT_CHUNK])
+    for lo in range(VDOT_CHUNK, a.size, VDOT_CHUNK):
+        total += np.vdot(a[lo:lo + VDOT_CHUNK], b[lo:lo + VDOT_CHUNK])
+    return total
 
 
 class Grid:
@@ -476,8 +501,8 @@ class Spectral:
         """Grid sum of a * b (and over the stack) from ah = fwd(a), bh = fwd(b)
         by Parseval: a coefficient off the last axis's 0 and Nyquist columns
         also stands for its conjugate mirror."""
-        both = 2.0 * np.vdot(ah, bh) - np.vdot(ah[..., 0], bh[..., 0])
-        return float((both - np.vdot(ah[..., -1], bh[..., -1])).real) / self.size
+        both = 2.0 * vdot(ah, bh) - vdot(ah[..., 0], bh[..., 0])
+        return float((both - vdot(ah[..., -1], bh[..., -1])).real) / self.size
 
     def trace(self, h, out=None) -> np.ndarray:
         """sum_i h_ii of a stack of upper Hessian entries (hess_keys order),

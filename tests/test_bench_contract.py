@@ -74,7 +74,7 @@ def _crosscheck_run():
 
 @pytest.mark.parametrize(
     "setup",
-    [lambda: (*experiments.full_reg_setup(n=256), 3e-3), _crosscheck_run],
+    [lambda: (*experiments.full_reg_setup(n=256), 5e-3), _crosscheck_run],
     ids=["full_reg", "crosscheck"],
 )
 def test_traced_substeps_stay_on_the_advance_path(monkeypatch, setup):

@@ -398,6 +398,37 @@ def test_console_entrypoint():
     assert "simulate" in out.stdout
 
 
+def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a 2D n = 128 field has 16,384 values, more than OpenBLAS sums before
+    # it splits a dot product over its threads; the diagnostics.csv of a few
+    # steps with a core record at each is the same bytes under one and two
+    # OpenBLAS threads
+    config = {
+        "kind": "simulate",
+        "grid": {"d": 2, "ell": 8.0, "n": 128},
+        "params": {
+            "nu": 0.1, "eps": 0.1, "r0": 0.02, "r1": 0.02, "delta1": 1e-4, "delta2": 1e-7,
+            "eta1": 1e-14, "eta2": 1e-22, "alpha": 8.0, "s": 3, "dt_policy": "fixed",
+            "dt": 1e-3,
+        },
+        "initial": {"generator": "prepared_gaussian", "theta": 0.2, "iota": 0.4},
+        "t_end": 0.003,
+        "diag_every": 1,
+    }
+    cfg = tmp_path / "simulate.json"
+    cfg.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(E.__file__))
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-m", "isofluid.cli", "simulate", "--config", str(cfg),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        csvs.append((out / "diagnostics.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def _count_runs(monkeypatch):
     """One entry per run of solver.run from now on: per row of a ladder."""
     from isofluid import solver
@@ -530,7 +561,7 @@ def test_simulate_metadata_records_where_a_run_stopped(tmp_path):
 
 
 def test_simulate_stops_a_cfl_run_over_the_step_budget(tmp_path):
-    # the eta2 family's CFL step is 4.01e-8 here: 249,168 steps to t_end,
+    # the eta2 family's CFL step is 4.63e-8 here: 215,786 steps to t_end,
     # more than solver.MAX_STEPS, and far above dt_min; the run stops before
     # its first step
     cfg = {
@@ -547,7 +578,7 @@ def test_simulate_stops_a_cfl_run_over_the_step_budget(tmp_path):
     assert meta["status"] == meta["stop"]["reason"] == "budget"
     assert meta["stop"]["step"] == 1 and meta["n_steps"] == 0
     assert len(meta["stop"]["cell"]) == 2
-    assert 10 * 1251 < solver.MAX_STEPS < 249_168
+    assert 10 * 1080 < solver.MAX_STEPS < 215_786
 
 
 # parameter values from zero to the extremes; a delta or eta of 1, an eta1

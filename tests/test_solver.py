@@ -1120,7 +1120,8 @@ def test_smooth_density_once_per_distinct_density(monkeypatch):
 def test_cfl_binding_of_the_mass_conservation_run():
     # the eta2 wave binds the first steps of the criterion-3 run (t = 1), and
     # the acoustic wave (with the cold pressure's sound speed) binds from
-    # about t = 0.05 to the end
+    # about t = 0.05 to the end; both at their reach 2, the run takes 1,080
+    # steps, 43 of them bound by eta2
     state, params = experiments.full_reg_setup(n=256)
     R, M = arrays_from_state(state)
     st = _Stepper(state.grid, params.bind(1), float(R.mean()), float(R.min() / R.max()))
@@ -1130,9 +1131,27 @@ def test_cfl_binding_of_the_mass_conservation_run():
     assert set(traj.cfl_binding) == {"eta2", "acoustic"}
     assert sum(traj.cfl_binding.values()) == traj.n_steps
     assert traj.cfl_binding["acoustic"] > 0.9 * traj.n_steps
+    assert 30 <= traj.cfl_binding["eta2"] <= 60 and traj.n_steps < 1150
     R1, M1 = arrays_from_state(traj.state_final)
     tau = tau_solve(1.001, 1e-12, 1e-14).eval(1.0)
     assert st.cfl_dt(R1, M1, *tau)[1] == "acoustic"
+
+
+def test_cfl_run_stays_near_a_converged_run():
+    # the criterion-3 benchmark run (t = 0.1, 87 steps) against the same run
+    # at 1/8 of its CFL number (800 steps), relative: min R is 1.2% off,
+    # the energy 9e-6 and the dissipation 0.2%
+    state, params = experiments.full_reg_setup(n=256)
+    ends = []
+    for cfl in (params.cfl, params.cfl / 8):
+        traj = run(state, dataclasses.replace(params, cfl=cfl), 0.1, diag_every=10**9)
+        assert traj.status == "ok"
+        rec = traj.records[-1]
+        ends.append((float(traj.state_final.R.min()), rec.energy, rec.dissipation))
+    (r, e, d), (r0, e0, d0) = ends
+    assert abs(r / r0 - 1) < 2e-2
+    assert abs(e / e0 - 1) < 5e-5
+    assert abs(d / d0 - 1) < 5e-3
 
 
 def test_run_zero_horizon_returns_initial():
@@ -1306,18 +1325,21 @@ def test_binding_a_bound_set_returns_it_after_the_d_checks():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_stops_a_diverging_run_without_warnings():
-    # at 3x the default CFL number the criterion-3 run diverges near t = 1;
-    # the run names the failed step and cell instead of letting numpy warn
+    # the criterion-3 run diverges at 3x the default CFL number, past the
+    # acoustic reach (R undershoots the floor near t = 0.15), and at a fixed
+    # dt of 5e-3, about 4x its CFL steps there (it overflows near t = 0.075);
+    # each run names the failed step and cell instead of letting numpy warn
     state, params = experiments.full_reg_setup(n=256)
-    params = dataclasses.replace(params, cfl=1.2)
-    traj = run(state, params, 1.0, diag_every=10**9)
-    assert traj.status == "nan"
-    stop = traj.stop
-    assert stop["reason"] == "nan"
-    assert stop["step"] == traj.n_steps + 1
-    assert stop["t"] == traj.state_final.t < 1.0
-    assert len(stop["cell"]) == 1 and 0 <= stop["cell"][0] < 256
-    assert np.all(np.isfinite(traj.state_final.R))
+    for policy, status in (({"cfl": 1.2}, "floor"),
+                           ({"dt_policy": "fixed", "dt": 5e-3}, "nan")):
+        traj = run(state, dataclasses.replace(params, **policy), 1.0, diag_every=10**9)
+        assert traj.status == status
+        stop = traj.stop
+        assert stop["reason"] == status
+        assert stop["step"] == traj.n_steps + 1
+        assert stop["t"] == traj.state_final.t < 1.0
+        assert len(stop["cell"]) == 1 and 0 <= stop["cell"][0] < 256
+        assert np.all(np.isfinite(traj.state_final.R))
 
 
 def test_readme_quick_start_reaches_its_t_end(capsys):
