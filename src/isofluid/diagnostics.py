@@ -14,32 +14,22 @@ on the torus.  Conventions used throughout:
   up to the floor's bias; U itself is M / rho_sm, rho_sm =
   smooth_density(R, r_floor), the solver's recovery (r_floor: see StateOps).
 
-Stacks.  A StateOps is the table of one state's derived arrays, built from
-(R, M, r_floor), the stepper's or a FluidState's.  A vector (Lambda, U, the
-momentum sqrt R Lambda, a gradient) is a (d,) + grid.shape stack, grad U a
-(d, d) one with grad_U[j, i] = d_i U_j, and a Hessian the stack of its upper
-entries in sp.hess_keys order.
-
-Stacks of states.  A StateOps also holds a stack of B states of one grid,
-in the layout of Grid.rows(B): R (B,) + grid.shape and M (d, B) +
-grid.shape, so a vector is (d, B) + grid.shape and every derivative, which
-goes through the rows backend, has the row axis just in front of the grid
-axes.  Its pointwise arrays and transforms are built once for the stack;
-every reduction (quad, the dot of two stacks, Parseval's inner, the vacuum
-floor's max) runs per row, as the single state's own call on a contiguous
-copy of the row (StateOps.dot, quad, inner), so each row's term integral
-is bitwise its state's.  A term integral, total and the functionals built
-on them return the array of the rows' values.  A functional of tau takes
-one (tau, taudot) pair per row: each row's coefficients are built from its
-own pair in Python floats, and each row's total is summed as one state's,
-on its own coefficients and integrals, so a coefficient that vanishes on
-some rows skips its term on exactly those rows.  The scalar math on each
-row's integrals (the CK shift's log, the L log L kappa sweep) runs row by
-row on Python floats.  record's core tier takes a stack and returns one
-record per row: solver.run evaluates a run's core records in blocks of
-stack_rows states this way, lognls.run_nls its samples, and check its
-random fields.  A single state (R with the grid's d axes) has no row axis
-and keeps its own path.
+Stacks.  A StateOps is the table of the derived arrays of a stack of B >= 1
+states of one grid, from (R, M, r_floor) in the layout of Grid.rows(B): R
+(B,) + grid.shape, M and every vector (d, B) + grid.shape, grad U (d, d,
+B) + grid.shape with grad_U[j, i] = d_i U_j, and a Hessian the stack of its
+upper entries in sp.hess_keys order.  Its arrays and transforms are built
+once for the stack and every reduction runs on each row (each_row), so
+each row's values are bitwise those of its stack of one.  A functional of
+tau takes one (tau, taudot) pair per row and returns the array of the
+rows' values; each row's coefficients, total and scalar math (the CK shift,
+the L log L sweep, the residuals' norms) are Python floats, so a
+coefficient that vanishes on some rows skips its term on exactly those.
+solver.run evaluates its records in blocks of stack_rows states,
+lognls.run_nls its samples and check its random fields.  A lone state (a
+FluidState, WaveFunction or StateOps whose R has the grid's axes only)
+crosses one boundary, lone_state, around every public functional: it goes
+in as its stack of one and comes back as Python floats or one record.
 
 Terms.  Each functional is a sum of named term integrals (_TERMS) with
 coefficients from the parameters and tau; StateOps.q computes each term once
@@ -53,7 +43,8 @@ column from the same lists.
 
 Phases.  A full record fetches and integrates in three phases: its columns;
 then relative_entropy, csiszar_kullback_gap, compatibility_residuals,
-irrotationality_residual and llogl_bound; then, on R > 0, the identities.
+irrotationality_residual and llogl_bound; then the identities, on the rows
+whose R > 0 (on their own stack, StateOps.take, where other rows have not).
 Between two phases StateOps.keep drops every coefficient, derivative and
 pointwise array that no later phase reads, and keeps what one does: the
 derivatives it reads and the coefficients of sqrt R, R U and log R, whose
@@ -61,12 +52,9 @@ later derivatives come back from them.  So no field goes forward twice and
 no derivative comes back twice.  A kept array that is rows of a larger
 batch is copied out, so that the batch goes.  A core record is the first
 phase alone.  The phases cost one more forward call per d > 1 full record
-(33 in 2D, 58 in 3D) and two per 1D one (6).  On the fixed_2d workload's
-2D n = 128 start state (tracemalloc, 2-core x86 host, numpy 2.4) a full
-record peaked at 5.78 MiB, against 9.32 MiB with one fetch of everything,
-and a core record at 5.27 against 5.90 MiB, both below the 6.37 MiB of one
-advance of the state: the advance, not the diagnostics, sets a 2D run's
-traced peak.
+(33 in 2D, 58 in 3D) and two per 1D one (6), and keep a record's traced
+peak at or below one advance's (5.78 against 6.37 MiB on the fixed_2d
+start state; tests/test_diagnostics.py).
 
 Fields in their rows.  A fetch builds each field that goes forward straight
 into its rows of the batch's stack (a Spectral.batch part (lead, fill)),
@@ -84,15 +72,15 @@ they equal the grid sums of the inverses up to rounding.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field, fields
-from functools import partial
-from itertools import repeat
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache, partial, wraps
 
 import numpy as np
 
 from .params import ParamSet
-from .rescaling import FluidState, smooth_density, vacuum_floor
+from .rescaling import FluidState, WaveFunction, smooth_density, vacuum_floor
 from .spectral import Grid, vdot
 
 __all__ = [
@@ -121,6 +109,7 @@ __all__ = [
     "jungel_quantities",
     "matched_gaussian",
     "each_row",
+    "lone_state",
     "stack_rows",
     "record",
 ]
@@ -145,15 +134,20 @@ def _dot(grid: Grid, a, b) -> float:
 
 
 def each_row(grid: Grid, reduce, *arrays) -> np.ndarray:
-    """The array of reduce on each row of a stack (see the module notes):
-    every array with a row axis, just in front of the grid axes, gives the
-    row's contiguous copy, and a grid table (the grid's axes only) goes to
-    every row whole, so each value is bitwise reduce of the row's own
-    state."""
+    """The array of reduce on each row of a stack: each array with a row axis
+    in front of the grid axes (the first has one) gives reduce its row,
+    contiguous, and a grid table goes to every row whole: each value is
+    bitwise that of the row's stack of one, which is its own row."""
     d = grid.d
-    rows = [map(np.ascontiguousarray, np.moveaxis(a, -d - 1, 0)) if a.ndim > d else repeat(a)
-            for a in arrays]
-    return np.array([reduce(*row) for row in zip(*rows)])
+    out = np.empty(arrays[0].shape[-d - 1])
+    if len(out) == 1:
+        out[0] = reduce(*arrays)
+        return out
+    cut = (slice(None),) * d
+    for b in range(len(out)):
+        out[b] = reduce(*[np.ascontiguousarray(a[(Ellipsis, b) + cut]) if a.ndim > d else a
+                          for a in arrays])
+    return out
 
 
 def matched_gaussian(grid: Grid, mass: float) -> np.ndarray:
@@ -173,7 +167,7 @@ def korteweg_stress_entries(sp, s, gs, hs, out=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the derived-array table of one state
+# the derived-array table of a stack of states
 
 
 def _neg(o, out, alpha):
@@ -276,9 +270,9 @@ def _key(key) -> tuple:
 
 
 class StateOps:
-    """Derived arrays of one state, or of a stack of states (see the module
-    notes), each computed once and shared between functionals: the density
-    and its root, Lambda, U, the coefficients of the fields (hat), their
+    """Derived arrays of a stack of states (see the module notes), each
+    computed once and shared between functionals: the density and its
+    root, Lambda, U, the coefficients of the fields (hat), their
     derivatives (ops[name], see _DERIVS) and the term integrals (q, see
     _TERMS).
 
@@ -287,18 +281,21 @@ class StateOps:
     density floor of rho_sm = smooth_density(R, r_floor), of the eta1
     clamp rho_tilde = max(R, r_floor) and of the live set of
     R |hess log R|^2; record passes the solver's r_min, and it defaults to
-    rescaling.vacuum_floor(R), per row for a stack.  Without M the momentum
-    is zero.  A stack's t holds each row's time."""
+    rescaling.vacuum_floor(R) of each row.  Without M the momentum is zero.
+    t holds each row's time.  A lone state (R with the grid's axes only, M
+    and t its own) is held as its stack of one and marked `lone`."""
 
-    def __init__(self, grid: Grid, R, M=None, r_floor: float | None = None, t: float = 0.0):
-        self._R_raw = R = np.asarray(R, dtype=float)
-        # the row count of a stack, None for one state
-        self.rows = len(R) if R.ndim > grid.d else None
+    def __init__(self, grid: Grid, R, M=None, r_floor: float | None = None, t=0.0):
+        R = np.asarray(R, dtype=float)
+        self.lone = R.ndim == grid.d
+        if self.lone:
+            R, M, t = _with_row(R, grid.d), _with_row(M, grid.d), [t]
+        self._R_raw, self.rows = R, len(R)
         self.grid, self.t = grid, t
-        self.sp = grid.spectral if self.rows is None else grid.rows(self.rows)
+        self.sp = grid.rows(self.rows)
+        self._dot, self._inner = partial(_dot, grid), partial(_inner, grid)
         self._cache, self._hat, self._arr, self._terms = {}, {}, {}, {}
-        # each row's term integrals, as Python floats (see total)
-        self._row_terms = None if self.rows is None else [{} for _ in range(self.rows)]
+        self._values = {}  # each term integral's rows' values, a list (see _sum)
         if r_floor is not None:
             self._cache["r_floor"] = r_floor
         if M is None:
@@ -308,11 +305,17 @@ class StateOps:
 
     @classmethod
     def of(cls, x, r_floor: float | None = None) -> "StateOps":
-        """x itself when it is already a StateOps, else the ops of the
-        FluidState x."""
+        """x itself if a StateOps, else the StateOps of the FluidState x."""
         if isinstance(x, StateOps):
             return x
         return cls(x.grid, x.R, x.M, r_floor, x.t)
+
+    def take(self, rows) -> "StateOps":
+        """The StateOps of these rows (indices), bitwise theirs here."""
+        floor = self.r_floor[rows] if isinstance(self.r_floor, np.ndarray) else self.r_floor
+        out = StateOps(self.grid, self._R_raw[rows], None, floor, [self.t[b] for b in rows])
+        out.lam = self.lam[:, rows]
+        return out
 
     # -- transforms and term integrals --------------------------------------
 
@@ -402,84 +405,52 @@ class StateOps:
             self.fetch(name)
         return self._arr[name]
 
-    def q(self, key):
+    def q(self, key) -> np.ndarray:
         """The term integral `key` of _TERMS (a name, or a tuple of a name
-        and its arguments), computed once: a float, or a stack's array of
-        the rows' values."""
+        and its arguments), computed once: the array of the rows' values."""
         out = self._terms.get(key)
         if out is None:
             name, args = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
-            out = _TERMS[name][1](self, *args)
-            if self.rows is None:
-                out = float(out)
-            else:
-                for terms, value in zip(self._row_terms, out.tolist()):
-                    terms[key] = value
-            self._terms[key] = out
+            out = self._terms[key] = _TERMS[name][1](self, *args)
+            self._values[key] = out.tolist()
         return out
 
-    def total(self, groups):
-        """The sum of c * q(key) over the (c, key) pairs whose c != 0 of
-        each group (a list of pairs, or a tuple of such lists), added group
-        after group.  For a stack, groups holds each row's groups (see
-        groups), and each row is summed as one state is, on its own
-        coefficients and term integrals in Python floats: the array of the
-        rows' sums."""
-        if self.rows is None:
-            return _sum(groups, self.q)
-        for row in groups:
-            for terms in _as_groups(row):
-                for c, key in terms:
-                    if c != 0.0:
-                        self.q(key)
-        return np.array([_sum(row, terms.__getitem__)
-                         for row, terms in zip(groups, self._row_terms)])
+    def total(self, tables: list) -> dict:
+        """From each row's table (see groups) of named groups of (c, key)
+        pairs (a list of pairs, or a tuple of such lists), the dict of each
+        name's list of the rows' sums of c * q(key) over the pairs whose
+        c != 0, added group after group, in Python floats (_sum)."""
+        return {name: [_sum(table[name], self, b) for b, table in enumerate(tables)]
+                for name in tables[0]}
 
-    def groups(self, build, tau):
-        """build(tau), the groups of (coefficient, key) pairs of total.  For
-        a stack, tau holds one (tau, taudot) pair per row, and the groups
-        are the list of each row's, built from its own pair."""
-        if self.rows is None:
-            return build(tau)
+    def groups(self, build, tau) -> list:
+        """Each row's table of total, build of its own (tau, taudot) pair."""
         if len(tau) != self.rows:
             raise ValueError(f"a stack of {self.rows} states needs {self.rows} tau pairs, "
                              f"got {len(tau)}")
         return [build(pair) for pair in tau]
 
-    # -- reductions, per row for a stack -------------------------------------
+    # -- reductions, per row ---------------------------------------------------
 
-    def per_row(self, reduce, *arrays):
-        """reduce(*arrays), or for a stack the array of its values on each
-        row (each_row)."""
-        if self.rows is None:
-            return reduce(*arrays)
-        return each_row(self.grid, reduce, *arrays)
-
-    def dot(self, a, b):
+    def dot(self, a, b) -> np.ndarray:
         """quad(a b), summed over the stack components as well (_dot)."""
-        return self.per_row(partial(_dot, self.grid), a, b)
+        return each_row(self.grid, self._dot, a, b)
 
-    def quad(self, a):
+    def quad(self, a) -> np.ndarray:
         """Grid.quad of a."""
-        return self.per_row(self.grid.quad, a)
+        return each_row(self.grid, self.grid.quad, a)
 
-    def inner(self, ah, bh):
+    def inner(self, ah, bh) -> np.ndarray:
         """quad of the product of two fields from their coefficients
         (Parseval, Spectral.inner)."""
-        return self.per_row(partial(_inner, self.grid), ah, bh)
+        return each_row(self.grid, self._inner, ah, bh)
 
-    def each(self, fn, *values):
-        """fn of the values (floats), or for a stack the array of fn on each
-        row's values (arrays of the rows' values)."""
-        if self.rows is None:
-            return fn(*values)
-        return np.array([fn(*row) for row in zip(*values)])
+    def each(self, fn, *values) -> np.ndarray:
+        """The array of fn on each row's values (Python floats) of values."""
+        return np.array([fn(*row) for row in zip(*(np.asarray(v).tolist() for v in values))])
 
-    def column(self, values):
-        """The rows' values shaped to broadcast over a stack's samples
-        (values itself for one state)."""
-        if self.rows is None:
-            return values
+    def column(self, values) -> np.ndarray:
+        """The rows' values shaped to broadcast over the stack's samples."""
         return np.reshape(values, (self.rows,) + (1,) * self.grid.d)
 
     # -- pointwise arrays, each built on first use ----------------------------
@@ -520,14 +491,14 @@ class StateOps:
 
     @property
     def r_floor(self):
-        """The density floor: a float, or for a stack the column of the
-        rows' floors (see column)."""
-        return self._get("r_floor", lambda: self.column(self.per_row(vacuum_floor, self.R)))
+        """The density floor: the float given, or the column of the rows'
+        floors (see column)."""
+        return self._get("r_floor", lambda: self.column(each_row(self.grid, vacuum_floor, self.R)))
 
     @property
     def min_density(self):
-        """The raw minimum of R (each row's, for a stack)."""
-        return self._get("min", lambda: self.per_row(lambda r: float(r.min()), self._R_raw))
+        """Each row's raw minimum of R."""
+        return self._get("min", lambda: each_row(self.grid, np.ndarray.min, self._R_raw))
 
     @property
     def root(self):
@@ -609,6 +580,53 @@ def _owned(a):
     return a.copy() if base is not None and base.nbytes > a.nbytes else a
 
 
+# ---------------------------------------------------------------------------
+# the boundary of a lone state
+
+
+def _with_row(x, d: int):
+    """A lone state's x as a stack of one: an array with a unit row axis in
+    front of its d grid axes, each of a tuple, a WaveFunction's psi (its t
+    the list of one); anything else as it is."""
+    if isinstance(x, np.ndarray):
+        return x[(Ellipsis, None) + (slice(None),) * d]
+    if isinstance(x, tuple):
+        return tuple(_with_row(a, d) for a in x)
+    return replace(x, t=[x.t], psi=_with_row(x.psi, d)) if isinstance(x, WaveFunction) else x
+
+
+def _the_row(out):
+    """A stack of one's value as its state's: a list's record, an array's float."""
+    if isinstance(out, tuple):
+        return tuple(map(_the_row, out))
+    return out[0] if isinstance(out, list) else float(out[0])
+
+
+def lone_state(fn):
+    """The boundary of a lone state around fn(x, *args, **kw), a function of
+    a stack of states x: a StateOps (a FluidState goes in as its StateOps,
+    on the keyword r_floor if given) or a WaveFunction.  A lone x, each
+    array keyword argument and fn's argument tau (its one pair) go in as
+    their stacks of one, and fn's value comes back as the one state's."""
+    names = list(inspect.signature(fn).parameters)
+    at = names.index("tau") - 1 if "tau" in names else None
+
+    @wraps(fn)
+    def boundary(x, *args, **kw):
+        if isinstance(x, FluidState):
+            x = StateOps.of(x, kw.get("r_floor"))
+        if not (x.lone if isinstance(x, StateOps) else x.psi.ndim == x.grid.d):
+            return fn(x, *args, **kw)
+        if "tau" in kw:
+            kw["tau"] = [kw["tau"]]
+        elif at is not None:
+            args = (*args[:at], [args[at]], *args[at + 1:])
+        kw = {name: _with_row(v, x.grid.d) for name, v in kw.items()}
+        return _the_row(fn(_with_row(x, x.grid.d), *args, **kw))
+
+    return boundary
+
+
 def _rgugut(o):
     """quad(R grad U : grad U^T) = sum_ij quad(R d_i U_j d_j U_i), one entry
     pair at a time: the diagonal, then each pair i < j twice, so that no
@@ -633,14 +651,14 @@ def _as_groups(out) -> tuple:
     return out if isinstance(out, tuple) else (out,)
 
 
-def _sum(groups, q) -> float:
-    """StateOps.total of one state's groups, q giving each term integral."""
+def _sum(groups, ops: StateOps, b: int) -> float:
+    """StateOps.total of row b's groups, on row b's own term integrals."""
     out = 0.0
     for terms in _as_groups(groups):
         part = 0.0
         for c, key in terms:
             if c != 0.0:
-                part += c * q(key)
+                part += c * (ops._values.get(key) or ops.q(key).tolist())[b]
         out += part
     return out
 
@@ -704,6 +722,12 @@ def _needs(key: tuple) -> tuple:
     return needs(*key[1:]) if callable(needs) else needs
 
 
+@lru_cache(maxsize=64)
+def _column_needs(keys: tuple) -> tuple:
+    """What the terms `keys` transform, each once in order (once per set)."""
+    return tuple(dict.fromkeys(n for key in keys for n in _needs(_key(key))))
+
+
 def _times(c: float, terms) -> list:
     return [(c * a, key) for a, key in terms]
 
@@ -725,18 +749,18 @@ def _kinetic(eps: float, eta2: float = 0.0, s: int | None = None) -> list:
     return [(1.0, "lam2"), (eps**2, "gs2"), (eta2, ("glR2", s))]
 
 
-def _total(state, build, tau):
-    """The total of the term groups build(tau) returns (StateOps.groups),
-    on the ops of state."""
-    ops = StateOps.of(state)
-    return ops.total(ops.groups(build, tau))
+@lone_state
+def _total(ops: StateOps, build, tau):
+    """The array of each row's total of the term groups build(tau) returns
+    for the row's pair (StateOps.total): a tau functional's lone_state."""
+    return np.array(ops.total(ops.groups(lambda pair: {"": build(pair)}, tau))[""])
 
 
 def _energy(tau, eps: float) -> list:
     return [*_times(1.0 / (2 * tau[0] ** 2), _kinetic(eps)), *_POTENTIAL]
 
 
-def energy(state: FluidState | StateOps, tau, eps: float) -> float:
+def energy(state: FluidState | StateOps, tau, eps: float):
     """Self-similar pseudo-energy
     (1/2 tau^2) quad(R|U|^2 + eps^2 |grad sqrt R|^2) + quad(R|y|^2 + R log R)."""
     return _total(state, partial(_energy, eps=eps), tau)
@@ -747,7 +771,7 @@ def _dissipation(tau, eps: float, nu: float) -> list:
     return [*_times(taudot_v / tau_v**3, _kinetic(eps)), (nu / tau_v**4, "RDU2")]
 
 
-def dissipation(state: FluidState | StateOps, tau, eps: float, nu: float) -> float:
+def dissipation(state: FluidState | StateOps, tau, eps: float, nu: float):
     """(taudot/tau^3) quad(R|U|^2 + eps^2|grad sqrt R|^2) + (nu/tau^4) quad(R |DU|^2)."""
     return _total(state, partial(_dissipation, eps=eps, nu=nu), tau)
 
@@ -762,9 +786,7 @@ def _bd_entropy(tau, eps: float, nu: float, r0: float) -> list:
     return [*_times(1.0 / (2 * tau[0] ** 2), kin), *_POTENTIAL]
 
 
-def bd_entropy(
-    state: FluidState | StateOps, tau, eps: float, nu: float, r0: float = 0.0
-) -> float:
+def bd_entropy(state: FluidState | StateOps, tau, eps: float, nu: float, r0: float = 0.0):
     """BD entropy; with r0 > 0 includes the drag term -2 r0 (log R) 1_{R<=1}.
     R |U + nu grad log R|^2 is expanded without division:
     |Lambda|^2 + 4 nu Lambda . grad sqrt R + 4 nu^2 |grad sqrt R|^2."""
@@ -778,7 +800,7 @@ def _bd_dissipation(tau, eps: float, nu: float) -> list:
             (4.0 * nu / tau_v**2, "gs2"), (nu / t4, "RAU2"), (nu * eps**2 / t4, "RhlogR2")]
 
 
-def bd_dissipation(state: FluidState | StateOps, tau, eps: float, nu: float) -> float:
+def bd_dissipation(state: FluidState | StateOps, tau, eps: float, nu: float):
     return _total(state, partial(_bd_dissipation, eps=eps, nu=nu), tau)
 
 
@@ -817,7 +839,7 @@ def _energy_reg(p: ParamSet, tau) -> tuple:
     return _energy(tau, p.eps), _eta_potential(p, tau)
 
 
-def energy_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
+def energy_reg(state: FluidState | StateOps, params: ParamSet, tau):
     return _total(state, partial(_energy_reg, params), tau)
 
 
@@ -833,7 +855,7 @@ def _dissipation_reg(p: ParamSet, tau) -> list:
     ]
 
 
-def dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
+def dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau):
     return _total(state, partial(_dissipation_reg, params), tau)
 
 
@@ -841,7 +863,7 @@ def _bd_entropy_reg(p: ParamSet, tau) -> tuple:
     return _bd_entropy(tau, p.eps, p.nu, p.r0), _eta_potential(p, tau)
 
 
-def bd_entropy_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
+def bd_entropy_reg(state: FluidState | StateOps, params: ParamSet, tau):
     """Positive part of the regularized BD entropy (drag log-term truncated
     to {R <= 1}, plus the eta contributions)."""
     return _total(state, partial(_bd_entropy_reg, params), tau)
@@ -865,7 +887,7 @@ def _bd_dissipation_reg(p: ParamSet, tau) -> list:
     ]
 
 
-def bd_dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau) -> float:
+def bd_dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau):
     return _total(state, partial(_bd_dissipation_reg, params), tau)
 
 
@@ -874,7 +896,7 @@ def _balance_rhs(p: ParamSet, tau, d: int) -> list:
     return [(2.0 * d * p.delta1 / tau_v**2, "R"), (-p.nu * taudot_v / tau_v**3, "RdivU")]
 
 
-def balance_rhs(state: FluidState | StateOps, params: ParamSet, tau) -> float:
+def balance_rhs(state: FluidState | StateOps, params: ParamSet, tau):
     """Right side of the regularized energy balance:
     2 d delta1 / tau^2 quad(R) - nu taudot / tau^3 quad(R div U)."""
     return _total(state, lambda pair: _balance_rhs(params, pair, state.grid.d), tau)
@@ -924,9 +946,7 @@ def _bd_identity(p: ParamSet, tau, d: int) -> tuple:
     return f, diss, rhs
 
 
-def bd_identity_terms(
-    state: FluidState | StateOps, params: ParamSet, tau
-) -> tuple[float, float, float]:
+def bd_identity_terms(state: FluidState | StateOps, params: ParamSet, tau):
     """(F, DISS, RHS) of the BD identity at one instant, where the identity is
 
         dF/dt + DISS = RHS,
@@ -934,9 +954,8 @@ def bd_identity_terms(
                            - 2 r0 nu log R).
     """
     ops = StateOps.of(state)
-    f, diss, rhs = (_total(ops, lambda pair, i=i: _bd_identity(params, pair, ops.grid.d)[i], tau)
-                    for i in range(3))
-    return f, diss, rhs
+    return tuple(_total(ops, lambda pair, i=i: _bd_identity(params, pair, ops.grid.d)[i], tau)
+                 for i in range(3))
 
 
 def bd_identity_residual(times, f_series, diss_series, rhs_series) -> float:
@@ -959,29 +978,35 @@ def bd_identity_residual(times, f_series, diss_series, rhs_series) -> float:
 # entropy comparisons with the Gaussian attractor
 
 
-def relative_entropy(R: FluidState | StateOps) -> float:
+@lone_state
+def relative_entropy(ops: StateOps):
     """quad(R log(R / Gamma_m)) with Gamma_m the mass-matched periodized
     Gaussian: log Gamma_m = -|y|^2 + log(m / quad(exp(-|y|^2))), so this is
     quad(R log R) + quad(R |y|^2) - m log(m / quad(exp(-|y|^2)))."""
-    ops = StateOps.of(R)
     gm = ops.grid.gaussian_mass
-    shift = ops.each(lambda m: m * math.log(m / gm) if m > 0 else 0.0, ops.q("R"))
-    return ops.q("RlogR") + ops.q("Rr2") - shift
+    return ops.each(lambda m, rlogr, r2: rlogr + r2 - (m * math.log(m / gm) if m > 0 else 0.0),
+                    ops.q("R"), ops.q("RlogR"), ops.q("Rr2"))
 
 
-def csiszar_kullback_gap(R: FluidState | StateOps) -> float:
+@lone_state
+def csiszar_kullback_gap(ops: StateOps):
     """quad(R log(R/Gamma_m)) - |R - Gamma_m|_L1^2 / (2 m), m = quad(R).
 
     Nonnegative (up to roundoff) by the Csiszar-Kullback/Pinsker inequality,
     which holds exactly for the discrete lattice measure."""
-    ops = StateOps.of(R)
     m = ops.q("R")
     l1 = ops.quad(np.abs(ops.R - matched_gaussian(ops.grid, ops.column(m))))
-    return relative_entropy(ops) - l1**2 / (2.0 * m)
+    return ops.each(lambda rel, l1, m: rel - l1**2 / (2.0 * m),
+                    relative_entropy.__wrapped__(ops), l1, m)
 
 
 # ---------------------------------------------------------------------------
 # algebraic identities (Korteweg, log-Hessian, Jungel)
+
+
+def _ratio(num: float, den: float) -> float:
+    """sqrt(num) / sqrt(den), the root of den floored at 1e-300."""
+    return math.sqrt(num) / max(math.sqrt(den), 1e-300)
 
 
 # the transforms each identity function fetches, which record's full tier
@@ -993,54 +1018,49 @@ _COMPAT_NEEDS = ("grad_s", "hess_s", "hess_R", "grad_U", "grad_mom")
 _IRROT_NEEDS = ("grad_s", "grad_mom")
 
 
-def korteweg_identity_residual(R: FluidState | StateOps) -> float:
+@lone_state
+def korteweg_identity_residual(ops: StateOps):
     """Normalized L2 mismatch of
     R grad(lap sqrt R / sqrt R) = div(sqrt R hess sqrt R - grad sqrt R x grad sqrt R)."""
-    ops = StateOps.of(R)
     if ops.s.min() <= 0:
         raise ValueError("sqrtR must be strictly positive for the identity check")
     ops.fetch(*_KORTEWEG_NEEDS)
     diff = ops.R * ops["grad_ks"] - ops["div_stress"]
-    num = math.sqrt(_dot(ops.grid, diff, diff))
-    den = math.sqrt(_dot(ops.grid, ops["div_stress"], ops["div_stress"]))
-    return num / max(den, 1e-300)
+    return ops.each(_ratio, ops.dot(diff, diff), ops.dot(ops["div_stress"], ops["div_stress"]))
 
 
-def loghess_identity_residual(R: FluidState | StateOps) -> float:
+@lone_state
+def loghess_identity_residual(ops: StateOps):
     """Normalized mismatch of  1/2 quad(R |hess log R|^2) = quad((lap sqrt R / sqrt R) lap R)."""
-    ops = StateOps.of(R)
-    if ops.min_density <= 0:
+    if ops.min_density.min() <= 0:
         raise ValueError("R must be strictly positive for the identity check")
     ops.fetch(*_LOGHESS_NEEDS)
     left = 0.5 * ops.q("RhlogR2_sp")
-    right = _dot(ops.grid, ops.ks, ops.sp.trace(ops["hess_R"]))
-    return abs(left - right) / max(abs(left), 1e-300)
+    right = ops.dot(ops.ks, ops.sp.trace(ops["hess_R"]))
+    return ops.each(lambda a, b: abs(a - b) / max(abs(a), 1e-300), left, right)
 
 
-def jungel_quantities(R: FluidState | StateOps) -> tuple[float, float]:
+@lone_state
+def jungel_quantities(ops: StateOps):
     """(quad|hess sqrt R|^2 + quad|grad R^(1/4)|^4,  quad R |hess log R|^2);
     equivalent up to implicit constants, reported without assertion."""
-    ops = StateOps.of(R)
     ops.fetch(*_JUNGEL_NEEDS)
-    g = ops.grid
-    left = g.quad(ops.sp.frob2(ops["hess_s"]))
     g4 = np.sum(ops["grad_root_s"] ** 2, axis=0)
-    left += _dot(g, g4, g4)
-    return float(left), ops.q("RhlogR2_sp")
+    return ops.quad(ops.sp.frob2(ops["hess_s"])) + ops.dot(g4, g4), ops.q("RhlogR2_sp")
 
 
 # ---------------------------------------------------------------------------
 # weak-solution compatibility tensors and irrotationality
 
 
-def compatibility_residuals(state: FluidState | StateOps) -> tuple[float, float]:
+@lone_state
+def compatibility_residuals(ops: StateOps):
     """Residuals of the compatibility relations on positive-density cells:
 
     sqrtR T_N = grad(sqrtR Lambda) - 2 Lambda x grad sqrtR, with T_N = sqrtR grad U;
     S_K two-way evaluation: sqrtR hess sqrtR - grad sqrtR x grad sqrtR
                             = hess(R)/2 - 2 grad sqrtR x grad sqrtR.
     """
-    ops = StateOps.of(state)
     ops.fetch(*_COMPAT_NEEDS)
     sp = ops.sp
     live = (ops.R > ops.r_floor).astype(float)
@@ -1053,39 +1073,40 @@ def compatibility_residuals(state: FluidState | StateOps) -> tuple[float, float]
     diff = ops.R * ops["grad_U"]
     diff -= grad_piece
     diff += cross_piece
-    num = _dot(ops.grid, live, np.square(diff, out=diff).sum(axis=(0, 1)))
+    num = ops.dot(live, np.square(diff, out=diff).sum(axis=(0, 1)))
     # scale by the ingredients so exact cancellations score zero
     cross_piece *= cross_piece
     cross_piece += np.square(grad_piece, out=diff)
-    den = _dot(ops.grid, live, cross_piece.sum(axis=(0, 1)))
-    tn_res = math.sqrt(num) / max(math.sqrt(den), 1e-300)
+    den = ops.dot(live, cross_piece.sum(axis=(0, 1)))
+    tn_res = ops.each(_ratio, num, den)
 
     i, j = sp.hess_upper
     gg = gs[i] * gs[j]
     hR, a = ops["hess_R"], ops.stress
-    num = sp.frob2(a - 0.5 * hR + 2.0 * gg).sum()
+    sums = partial(each_row, ops.grid, np.sum)
+    num = sums(sp.frob2(a - 0.5 * hR + 2.0 * gg))
     # a + grad_i sqrtR grad_j sqrtR = sqrtR d_i d_j sqrtR
-    den = sp.frob2(a + gg).sum() + 0.25 * sp.frob2(hR).sum()
-    sk_res = math.sqrt(num) / max(math.sqrt(den), 1e-300)
+    den = sums(sp.frob2(a + gg)) + 0.25 * sums(sp.frob2(hR))
+    sk_res = ops.each(_ratio, num, den)
     return tn_res, sk_res
 
 
-def irrotationality_residual(state: FluidState | StateOps) -> float:
+@lone_state
+def irrotationality_residual(ops: StateOps):
     """Normalized residual of  curl j = 2 grad sqrtR wedge Lambda  (j = sqrtR Lambda);
     identically zero in one dimension."""
-    ops = StateOps.of(state)
     g = ops.grid
     if g.d == 1:
-        return 0.0
+        return np.zeros(ops.rows)
     ops.fetch(*_IRROT_NEEDS)
     gs, lam = ops["grad_s"], ops.lam
     gj = ops["grad_mom"]  # gj[c, i] = d_i j_c
     a, b = ([0], [1]) if g.d == 2 else ([1, 2, 0], [2, 0, 1])
     curl = gj[b, a] - gj[a, b]
     target = 2.0 * (gs[a] * lam[b] - gs[b] * lam[a])
-    num = _dot(g, curl - target, curl - target)
-    den = _dot(g, curl, curl) + _dot(g, target, target)
-    return math.sqrt(num) / max(math.sqrt(den), 1e-300)
+    num = ops.dot(curl - target, curl - target)
+    den = ops.dot(curl, curl) + ops.dot(target, target)
+    return ops.each(_ratio, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -1107,7 +1128,8 @@ def _llogl_tables(grid: Grid, p_neg: float):
     return grid.spectral.cached(("llogl", p_neg), build)
 
 
-def llogl_bound(state: FluidState | StateOps, beta: float) -> tuple[float, float]:
+@lone_state
+def llogl_bound(ops: StateOps, beta: float):
     """(value, bound) for the L log L control of |f|^2 in terms of the L2 norm,
     the momentum |y| f and the discrete H1 norm, where f = sqrt R is the
     root of the state.
@@ -1130,18 +1152,15 @@ def llogl_bound(state: FluidState | StateOps, beta: float) -> tuple[float, float
       S_grid = sum over lattice modes of (1 + |k|^2)^(-1) (finite sum).
 
     All steps are exact finite-sum inequalities, so value <= bound holds for
-    every grid function with the stated finiteness.  For a stack, both are
-    the arrays of the rows' values.
+    every grid function with the stated finiteness.
     """
-    ops = StateOps.of(state)
     g = ops.grid
     if not 0.0 < beta < 4.0 / (g.d + 2):
         raise ValueError(f"beta must lie in (0, 4/(d+2)) = (0, {4.0/(g.d+2):.4f})")
     # |f|^2 = R, and log(max(R, LOG_FLOOR)) vanishes with R on {R = 0}
     value = ops.dot(ops.R, np.abs(ops.logR))
     h1 = ops.q("R") + ops.q("gs2")
-    bound = ops.each(partial(_llogl_bound_of, g, beta), ops.q("R"), ops.q("Rr2"), h1)
-    return (float(value), float(bound)) if ops.rows is None else (value, bound)
+    return value, ops.each(partial(_llogl_bound_of, g, beta), ops.q("R"), ops.q("Rr2"), h1)
 
 
 def _llogl_bound_of(g: Grid, beta: float, mass: float, second: float, h1: float) -> float:
@@ -1184,7 +1203,7 @@ def _llogl_bound_of(g: Grid, beta: float, mass: float, second: float, h1: float)
 
 
 # ---------------------------------------------------------------------------
-# per-state record
+# records
 
 
 def _col(doc: str, **kw):
@@ -1283,72 +1302,63 @@ def _column_terms(p: ParamSet, tau, d: int, full: bool) -> dict:
     return cols
 
 
+@lone_state
 def record(
-    state: FluidState | StateOps,
+    ops: StateOps,
     params: ParamSet,
     tau,
     full: bool = False,
+    *,
     r_floor: float | None = None,
-) -> DiagnosticsRecord | list:
-    """Evaluate the diagnostics family on one state (a StateOps, such as the
-    one run builds from the stepper's (R, M, r_min), or a FluidState).
+):
+    """Evaluate the diagnostics family on a stack of states (a StateOps,
+    such as the one run builds from the stepper's (R, M, r_min) of its
+    pending states, or a FluidState, whose StateOps takes r_floor) with one
+    time t and one (tau, taudot) pair per row: the list of one record per
+    row, each bitwise the record of the row's stack of one.  A lone state
+    takes its one pair and gives its one record (lone_state).
 
     The core tier (always computed) carries everything needed for the
     time-integrated balance residuals; full=True adds the identity residuals
-    and entropy comparisons (meaningful on smooth positive states).  The
-    columns' term lists are built once (_column_terms); what their terms
-    transform is made in one fetch, and each column is then summed once.
-    The full tier's functions and identities fetch theirs in two more
-    phases (the module notes).
-
-    On a stack of states (StateOps, module notes) with one time t and one
-    (tau, taudot) pair per row, the core tier returns one record per row,
-    each bitwise the row's own record; a full record takes one state (else
-    ValueError, as for a stack without its times).
+    and entropy comparisons (meaningful on smooth positive states), the
+    identities on the rows whose R > 0 only.  The columns' term lists are
+    built once (_column_terms); what their terms transform is made in one
+    fetch, and each column is then summed once; the full tier fetches in two
+    more phases (the module notes).
     """
-    ops, g = StateOps.of(state, r_floor), state.grid
-    if full and ops.rows is not None:
-        raise ValueError("a full record takes one state, not a stack")
-    if ops.rows is not None and np.shape(ops.t) != (ops.rows,):
+    g = ops.grid
+    if isinstance(ops.t, float) or len(ops.t) != ops.rows:
         raise ValueError(f"a stack of {ops.rows} states needs {ops.rows} times t, "
                          f"got t of shape {np.shape(ops.t)}")
-    # the column table, or each row's
-    cols = ops.groups(lambda pair: _column_terms(params, pair, g.d, full), tau)
-    tables = [cols] if ops.rows is None else cols
+    tables = ops.groups(lambda pair: _column_terms(params, pair, g.d, full), tau)
     keys = dict.fromkeys(key for table in tables for groups in table.values() for pairs in groups
                          for c, key in pairs if c != 0.0)
-    positive = full and ops.min_density > 0
+    live = [b for b, m in enumerate(ops.min_density.tolist()) if m > 0] if full else []
     # the phases of the transforms: the columns', the full tier's functions'
-    # and the identities'; each fetch keeps what a later phase reads
-    phases = [dict.fromkeys(n for key in keys for n in _needs(_key(key))),
-              _FULL_NEEDS if full else (), _IDENTITY_NEEDS if positive else ()]
+    # and the identities' (of the live rows); each keeps what a later reads
+    phases = [_column_needs(tuple(keys)), _FULL_NEEDS if full else (),
+              _IDENTITY_NEEDS if live else ()]
     ops.fetch(*phases[0], later=phases[1] + phases[2])
-    values = dict(
-        mass=ops.q("R"),
-        momentum=tuple(ops.quad(m) for m in ops.mom),
-        second_moment=ops.q("Rr2"),
-        min_density=ops.min_density,
-        **{name: ops.total(cols[name] if ops.rows is None else [table[name] for table in tables])
-           for name in tables[0]},
-    )
-    if ops.rows is not None:
-        lists = {name: v.tolist() for name, v in values.items() if name != "momentum"}
-        lists["momentum"] = list(zip(*(m.tolist() for m in values["momentum"])))
-        return [DiagnosticsRecord(t=t, **{name: v[b] for name, v in lists.items()})
-                for b, t in enumerate(ops.t)]
-    rec = DiagnosticsRecord(t=ops.t, **values)
+    columns = ops.total(tables)  # each column's list of the rows' values
+    values = dict(mass=ops.q("R"), second_moment=ops.q("Rr2"), min_density=ops.min_density)
+    columns["momentum"] = list(zip(*(ops.quad(m).tolist() for m in ops.mom)))
     if full:
         ops.keep(*phases[1], *phases[2])
         ops.fetch(*phases[1], later=phases[2])
-        rec.relative_entropy = relative_entropy(ops)
-        rec.ck_gap = csiszar_kullback_gap(ops)
-        rec.tn_residual, rec.sk_residual = compatibility_residuals(ops)
-        rec.irrot_residual = irrotationality_residual(ops)
-        rec.llogl_value, rec.llogl_bound = llogl_bound(ops, 2.0 / (g.d + 2))
-        if positive:
-            ops.keep(*phases[2])
-            ops.fetch(*phases[2])
-            rec.korteweg_residual = korteweg_identity_residual(ops)
-            rec.loghess_residual = loghess_identity_residual(ops)
-            rec.jungel_left, rec.jungel_right = jungel_quantities(ops)
-    return rec
+        values["relative_entropy"] = relative_entropy.__wrapped__(ops)
+        values["ck_gap"] = csiszar_kullback_gap.__wrapped__(ops)
+        values["tn_residual"], values["sk_residual"] = compatibility_residuals.__wrapped__(ops)
+        values["irrot_residual"] = irrotationality_residual.__wrapped__(ops)
+        values["llogl_value"], values["llogl_bound"] = llogl_bound.__wrapped__(ops, 2.0 / (g.d + 2))
+    columns.update((name, v.tolist()) for name, v in values.items())
+    if live:
+        ids = ops if len(live) == ops.rows else ops.take(live)  # the rows with R > 0
+        ids.keep(*phases[2])
+        ids.fetch(*phases[2])
+        identities = dict(korteweg_residual=korteweg_identity_residual.__wrapped__(ids),
+                          loghess_residual=loghess_identity_residual.__wrapped__(ids))
+        identities["jungel_left"], identities["jungel_right"] = jungel_quantities.__wrapped__(ids)
+        for name, v in identities.items():
+            columns[name] = list(map(dict(zip(live, v.tolist())).get, range(ops.rows)))
+    return [DiagnosticsRecord(t=t, **{name: column[b] for name, column in columns.items()})
+            for b, t in enumerate(ops.t)]

@@ -261,21 +261,16 @@ def make_initial(grid: Grid, spec: dict, seed: int = 0) -> FluidState:
 def random_positive_field(grid: Grid, rng, roughness: float = 4.0) -> np.ndarray:
     """Strictly positive random field: exp of low-pass-filtered white noise,
     shaped by a Gaussian envelope so moments stay finite."""
-    return _positive_field(grid, rng.standard_normal(grid.shape), roughness)
+    return _positive_field(grid, rng.standard_normal((1,) + grid.shape), roughness)[0]
 
 
 def _positive_field(grid: Grid, noise, roughness: float = 4.0) -> np.ndarray:
-    """random_positive_field of drawn white noise: one draw, or a stack of
-    draws (a row axis in front of the grid axes) whose rows are each
-    bitwise the field of that draw alone (each row scaled by its own std)."""
-    rows = len(noise) if noise.ndim > grid.d else None
-    sp = grid.spectral if rows is None else grid.rows(rows)
+    """random_positive_field of a stack of drawn white noise, each row
+    scaled by its own std: bitwise the field of that draw alone."""
+    sp = grid.rows(len(noise))
     smooth = sp.inv(sp.fwd(noise) * np.exp(-sp.k2 / roughness**2))
-    if rows is None:
-        smooth *= 1.0 / max(smooth.std(), 1e-300)
-    else:
-        scale = [1.0 / max(row.std(), 1e-300) for row in smooth]
-        smooth *= np.reshape(scale, (rows,) + (1,) * grid.d)
+    smooth *= np.reshape([1.0 / max(row.std(), 1e-300) for row in smooth],
+                         (len(noise),) + (1,) * grid.d)
     return np.exp(0.5 * smooth) * np.exp(-grid.r2 / 2.0)
 
 

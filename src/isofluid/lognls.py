@@ -42,7 +42,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .params import ParamSet
-from .rescaling import WaveFunction, madelung, wave_gradients
+from .rescaling import WaveFunction, madelung
 from .spectral import Grid, vdot
 from .solver import run as hydro_run
 from .tauode import TauSolution, tau_cover
@@ -113,18 +113,21 @@ def nls_step(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), mu: float | N
     return WaveFunction(psi.t + params.dt, g, g.spectral.cinv(zh), params.eps)
 
 
-def nls_energy(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), grads=None):
+@diag.lone_state
+def nls_energy(psi: WaveFunction, params: NlsParams, tau, grads=None):
     """Energy of the chosen variant: (eps^2/2 tau^2) quad|grad psi|^2
-    + quad(|psi|^2 log|psi|^2) [+ quad(|y|^2 |psi|^2) if rescaled].  grads
-    passes a precomputed wave_gradients(psi).  For a stack of wavefunctions
-    (psi with a row axis in front of the grid axes), tau holds one pair per
-    row and the result is the array of the rows' energies, each reduced on
-    its own row as diagnostics.StateOps reduces a stack."""
+    + quad(|psi|^2 log|psi|^2) [+ quad(|y|^2 |psi|^2) if rescaled], of a
+    stack of wavefunctions with one (tau, taudot) pair per row: the array of
+    the rows' energies, each reduced on its own row (diagnostics.each_row;
+    a lone psi crosses diagnostics.lone_state).  grads passes (grad Re psi,
+    grad Im psi), each (d, B) + grid.shape."""
     g = psi.grid
     eps = params.eps
     rescaled = params.variant == "rescaled"
-    ga, gb = wave_gradients(psi) if grads is None else grads
-    grad2 = sum(a**2 + b**2 for a, b in zip(ga, gb))
+    if grads is None:
+        sp = g.rows(len(psi.psi))
+        grads = sp.grad(psi.psi.real), sp.grad(psi.psi.imag)
+    grad2 = sum(a**2 + b**2 for a, b in zip(*grads))
     rho = psi.psi.real**2 + psi.psi.imag**2
     ent = np.where(rho > 0, rho * np.log(np.maximum(rho, diag.LOG_FLOOR)), 0.0)
     parts = (grad2, ent, g.r2 * rho) if rescaled else (grad2, ent)
@@ -136,8 +139,6 @@ def nls_energy(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), grads=None)
             out += q
         return out
 
-    if psi.psi.ndim == g.d:
-        return total(tau, *(g.quad(a) for a in parts))
     quads = [diag.each_row(g, g.quad, a) for a in parts]
     return np.array([total(pair, *q) for pair, *q in zip(tau, *quads)])
 

@@ -24,13 +24,12 @@ evaluated with (tau, taudot) frozen at the step midpoint:
   axis up to sqrt(3) (dispersive terms) and the real axis to -2.51, under
   the CFL bound of cfl_dt.  TERMS says, per coefficient, which explicit
   family of that bound its force feeds, or why it feeds none.
-  The pressure (isothermal and cold) and the eta2 force depend on R only, so
-  N freezes them (density_forces) while L alone moves R: their waves run as
-  drift-kick-drift, the Stormer-Verlet splitting of an exact continuity
-  flow around a frozen force, which is stable while omega h < 2, not
-  sqrt(3).  cfl_dt gives the acoustic and eta2 families that reach.  The
-  Korteweg stress is frozen the same way; its family keeps sqrt(3) until
-  the runs it binds are measured at 2.
+  The pressure (isothermal and cold), the Korteweg stress and the eta2
+  force depend on R only, so N freezes them (density_forces) while L alone
+  moves R: their waves run as drift-kick-drift, the Stormer-Verlet
+  splitting of an exact continuity flow around a frozen force, which is
+  stable while omega h < 2, not sqrt(3).  cfl_dt gives the acoustic,
+  Korteweg and eta2 families that reach (_FROZEN).
   N never touches R, so the zero mode of R is exactly constant and mass is
   conserved to round-off.
 
@@ -101,11 +100,11 @@ snapshots, stop and end in one _Row.  A core record only keeps its step's
 one stack of states (diagnostics.StateOps, with each row's own (tau,
 taudot)) once diagnostics.stack_rows(grid) of them are pending, before any
 full record and when the trajectory ends or stops, so every record is kept
-and the records stay in time order.  A lone pending state is evaluated
-alone, as every record is where stack_rows is 1 (2D n = 128).  Each row of
-a stack is bitwise the record of its state alone (the diagnostics module
-notes), so the records are those of one state at a time; timing counts a
-block's seconds and transforms, made on the backend Grid.rows(B), as the
+and the records stay in time order.  A full record is a stack of one, as is
+every record where stack_rows is 1 (2D n = 128).  Each row of a stack is
+bitwise the record of its stack of one (the diagnostics module notes), so
+the records are those of one state at a time; timing counts a block's
+seconds and transforms, made on the backend Grid.rows(B), as the
 trajectory's.
 
 Floors.  The solver's one density floor is r_min (ParamSet.r_min, default
@@ -158,6 +157,9 @@ _RK3_REAL = 2.51  # real-axis stability reach of SSP-RK3
 # the stability reach of a wave between L's exact flow of R and N's frozen
 # density forces: the Stormer-Verlet bound omega h < 2 (see the module notes)
 _KICK = 2.0
+# the families of the density forces N holds frozen (pressures, Korteweg, eta2),
+# each with the scale that gives it the reach _KICK instead of sqrt(3)
+_FROZEN = dict.fromkeys(("acoustic", "korteweg", "eta2"), _RK3_IMAG / _KICK)
 _DEALIASED = 2.0 / 3.0  # band of a force that enters M through the 2/3 mask
 # Each ParamSet coefficient that gates a term, with what the CFL bound of
 # cfl_dt makes of the term's force: (family, band) is the explicit family of
@@ -171,9 +173,8 @@ TERMS = {
     "r1": "the drag is an exact pointwise flow",
     "delta1": None,  # L holds its linear part exactly; the cross term in N has no family
     "delta2": None,  # the variable-coefficient remainder in N has no family
-    # the pressures are frozen in N: the acoustic family's reach is _KICK
     "eta1": "the cold pressure raises the acoustic sound speed",
-    "eta2": ("eta2", _DEALIASED),  # frozen in N: its reach is _KICK
+    "eta2": ("eta2", _DEALIASED),
 }
 # each family in TERMS, from its coefficient c, kmx and the eta2 exponent s:
 # its rate at kmx as a function of (tau^2, max R), and the power of |k| it
@@ -338,15 +339,14 @@ class _Stepper:
         self.eta2_sym = sp.grad_lap_symbol(2 * p.s + 1) if p.eta2 > 0 else None
         # the active coefficient families of _rates: (family, its rate at kmx
         # as a function of (tau^2, max R), scale): the scale is band**power,
-        # times sqrt(3)/2 for the frozen eta2 force (reach 2, see _KICK)
+        # times a frozen force's _FROZEN scale
         self.families = []
         for coef, entry in TERMS.items():
             c = getattr(p, coef)
             if isinstance(entry, tuple) and c > 0:
                 family, band = entry
                 rate, power = _FAMILY_RATES[family](c, self.kmx, p.s)
-                kick = _RK3_IMAG / _KICK if family == "eta2" else 1.0
-                self.families.append((family, rate, band**power * kick))
+                self.families.append((family, rate, band**power * _FROZEN.get(family, 1.0)))
         # the gates of the terms, and the Layouts of n_rhs's three batches:
         # its own parts, and on an N substep's first call the density
         # forces' parts after them in the same stacks (see the module notes)
@@ -658,8 +658,9 @@ class _Stepper:
         families in _rates, and the family that sets it.  Each family's rate
         is taken at its band, rate(kmx) * band**power, the band being the
         largest |k| / kmx its force reaches (TERMS gives a coefficient's),
-        and the scale of the acoustic and eta2 families, frozen forces
-        between exact flows of R, takes their reach 2 instead of sqrt(3)."""
+        and the scale of the acoustic, Korteweg and eta2 families, frozen
+        forces between exact flows of R, takes their reach 2 instead of
+        sqrt(3) (_FROZEN)."""
         rows = self._rates(R, M, tau_v, taudot_v)
         rate, family = max((rate * scale, name) for name, rate, scale in rows)
         return self.p.cfl * _RK3_IMAG / rate, family
@@ -694,7 +695,7 @@ class _Stepper:
         """(family, rate at kmx, scale) of each active explicit family: its
         rate grows as |k|^power, and its scale is band**power, band the
         largest |k| / kmx its force reaches, times sqrt(3)/2 for the
-        acoustic and eta2 families (their reach 2, see _KICK).  The
+        frozen acoustic, Korteweg and eta2 families (_FROZEN).  The
         advective and acoustic families are always on, at the full band:
         the pressure is not masked, and the flux, although it passes the
         mask, runs waves at U +- c, not at the advective rate's U (at 2/3
@@ -713,7 +714,7 @@ class _Stepper:
             cs2 += p.eta1 * p.alpha * float((self.rho_tilde(R) ** (-p.alpha - 1.0)).max())
         return [
             ("advective", math.sqrt(u2max) * kmx / t2, 1.0),
-            ("acoustic", math.sqrt(cs2) * kmx / tau_v, _RK3_IMAG / _KICK),
+            ("acoustic", math.sqrt(cs2) * kmx / tau_v, _FROZEN["acoustic"]),
             *((family, rate(t2, rmax), scale) for family, rate, scale in self.families),
         ]
 
@@ -967,32 +968,23 @@ class _Row:
         them are pending, a full one is evaluated at once, after them."""
         if full:
             self.flush()
-            self._evaluate([(self.t, self.R, self.M)], full=True)
-            return
         self.pending.append((self.t, self.R, self.M))
-        if len(self.pending) == self.block:
-            self.flush()
+        if full or len(self.pending) == self.block:
+            self.flush(full)
 
-    def flush(self) -> None:
-        """Evaluate the pending core records as one stack."""
-        if self.pending:
-            self._evaluate(self.pending)
-            self.pending = []
-
-    def _evaluate(self, states, full: bool = False) -> None:
-        """The records of the (t, R, M) states, a lone one as one state and
-        more as one stack of states (diagnostics.StateOps)."""
+    def flush(self, full: bool = False) -> None:
+        """The records of the pending (t, R, M) states, evaluated as one
+        stack of states (diagnostics.StateOps)."""
+        if not self.pending:
+            return
         t0 = time.perf_counter()
-        ts, Rs, Ms = zip(*states)
-        taus = [self.tau_sol.eval(t) for t in ts]
-        one = len(states) == 1
-        R, M = (Rs[0], np.ascontiguousarray(Ms[0])) if one else (np.stack(Rs), np.stack(Ms, axis=1))
-        ops = diag.StateOps(self.grid, R, M, self.traj.r_min, ts[0] if one else list(ts))
+        ts, Rs, Ms = zip(*self.pending)
+        self.pending = []
+        ops = diag.StateOps(self.grid, np.stack(Rs), np.stack(Ms, axis=1), self.traj.r_min, ts)
         calls0 = ops.sp.calls
-        recs = diag.record(ops, self.p, taus[0] if one else taus, full=full)
+        self.traj.records += diag.record(ops, self.p, [self.tau_sol.eval(t) for t in ts], full=full)
         self.calls += ops.sp.calls - calls0
         self.traj.times += ts
-        self.traj.records += [recs] if one else recs
         self.traj.timing["diagnostics_s"] += time.perf_counter() - t0
 
     def snapshot(self) -> None:

@@ -511,8 +511,9 @@ class Spectral:
 
     def frob2(self, h) -> np.ndarray:
         """|h|^2, the squared Frobenius norm of the symmetric tensor whose
-        upper entries (hess_keys order) the stack h holds."""
-        return np.tensordot(self.hess_w, h * h, axes=1)
+        upper entries (hess_keys order) the stack h holds: np.tensordot's
+        matrix product of the weights and h^2, without its bookkeeping."""
+        return np.dot(self.hess_w[None], (h * h).reshape(len(self.hess_w), -1)).reshape(h.shape[1:])
 
     # -- operations on real arrays or stacks
 

@@ -554,10 +554,19 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def _one(R, M):
+    """The stack of one of the state (R, M)."""
+    return R[None], M[:, None]
+
+
+def _rows(g, Rs, Ms):
+    return np.stack(Rs), np.stack(Ms, axis=1)
+
+
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
 def test_stacked_fetch_of_several_fields_is_each_states_fetch(d, n):
     # a stack's fetch of derivatives of several fields, forward as one
-    # batch, gives each row the derivatives of its own state, bitwise
+    # batch, gives each row the derivatives of its own stack of one, bitwise
     from isofluid.experiments import random_positive_field
 
     g = Grid(d, 6.0, n)
@@ -565,38 +574,49 @@ def test_stacked_fetch_of_several_fields_is_each_states_fetch(d, n):
     Rs = [random_positive_field(g, rng) + 0.01 for _ in range(3)]
     Ms = [np.stack([R * (random_positive_field(g, rng) - 0.5) for _ in range(d)]) for R in Rs]
     names = ("grad_s", "grad_U", "hess_R", "div_mom")
-    stack = diag.StateOps(g, np.stack(Rs), np.stack(Ms, axis=1))
+    stack = diag.StateOps(g, *_rows(g, Rs, Ms))
     stack.fetch(*names)
     for b, (R, M) in enumerate(zip(Rs, Ms)):
-        one = diag.StateOps(g, R, M)
+        one = diag.StateOps(g, *_one(R, M))
         one.fetch(*names)
         for name in names:
-            row = stack[name][(Ellipsis, b) + (slice(None),) * d]
+            row = stack[name][(Ellipsis, slice(b, b + 1)) + (slice(None),) * d]
             assert np.array_equal(_bits(row), _bits(one[name])), (b, name)
+
+
+def _random_rows(d, n, masses=(0.5, 1.0, 3.0)):
+    """A grid and the (R, M) of one random positive state per mass."""
+    from isofluid.experiments import random_positive_field
+
+    g = Grid(d, 6.0, n)
+    rng = np.random.default_rng(21)
+    Rs = [m * random_positive_field(g, rng) + 0.01 for m in masses]
+    Ms = [np.stack([0.3 * R * (random_positive_field(g, rng) - 0.5) for _ in range(d)])
+          for R in Rs]
+    return g, Rs, Ms
+
+
+def _all_terms_params(d):
+    return ParamSet(nu=0.1, eps=0.2, r0=0.03, r1=0.05, delta1=1e-3, delta2=1e-4, eta1=1e-6,
+                    eta2=1e-9, alpha=5.0, s=d + 1).bind(d)
 
 
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 32)])
 def test_stack_rows_are_their_single_states_bitwise(d, n):
     # a stacked StateOps gives each row the term integrals and functionals
-    # of the row's own StateOps, bitwise; the rows differ in mass, and the
-    # first has taudot = 0, which turns its taudot-weighted terms off
-    from isofluid.experiments import random_positive_field
-
-    g = Grid(d, 6.0, n)
-    rng = np.random.default_rng(21)
-    Rs = [m * random_positive_field(g, rng) + 0.01 for m in (0.5, 1.0, 3.0)]
-    Ms = [np.stack([0.3 * R * (random_positive_field(g, rng) - 0.5) for _ in range(d)])
-          for R in Rs]
+    # of the row's own stack of one, bitwise; the rows differ in mass, and
+    # the first has taudot = 0, which turns its taudot-weighted terms off
+    g, Rs, Ms = _random_rows(d, n)
     taus = [(1.0, 0.0), (1.3, 0.2), (2.1, 0.6)]
-    p = ParamSet(nu=0.1, eps=0.2, r0=0.03, r1=0.05, delta1=1e-3, delta2=1e-4, eta1=1e-6,
-                 eta2=1e-9, alpha=5.0, s=d + 1).bind(d)
-    stack = diag.StateOps(g, np.stack(Rs), np.stack(Ms, axis=1))
-    singles = [diag.StateOps(g, R, M) for R, M in zip(Rs, Ms)]
-    assert stack.rows == 3 and all(ops.rows is None for ops in singles)
+    p = _all_terms_params(d)
+    stack = diag.StateOps(g, *_rows(g, Rs, Ms))
+    singles = [diag.StateOps(g, *_one(R, M)) for R, M in zip(Rs, Ms)]
+    assert stack.rows == 3 and all(ops.rows == 1 and not ops.lone for ops in singles)
 
     def same(name, fn, with_tau=False):
         got = fn(stack, taus) if with_tau else fn(stack)
-        want = [fn(ops, tau) if with_tau else fn(ops) for ops, tau in zip(singles, taus)]
+        want = np.concatenate([fn(ops, [tau]) if with_tau else fn(ops)
+                               for ops, tau in zip(singles, taus)])
         assert np.array_equal(_bits(got), _bits(want)), name
 
     args = {"glR2": (p.s,), "lapR2": (p.s + 1,), "gneg2": (p.alpha,), "rtneg": (p.alpha,)}
@@ -619,9 +639,80 @@ def test_stack_rows_are_their_single_states_bitwise(d, n):
     same("csiszar_kullback_gap", diag.csiszar_kullback_gap)
     for i in range(2):
         same(f"llogl_bound[{i}]", lambda ops: diag.llogl_bound(ops, 2.0 / (d + 2))[i])
+        same(f"compatibility_residuals[{i}]", lambda ops: diag.compatibility_residuals(ops)[i])
+        same(f"jungel_quantities[{i}]", lambda ops: diag.jungel_quantities(ops)[i])
+    for fn in (diag.irrotationality_residual, diag.korteweg_identity_residual,
+               diag.loghess_identity_residual):
+        same(fn.__name__, fn)
     assert diag.dissipation(stack, taus, p.eps, 0.0)[0] == 0.0
     with pytest.raises(ValueError, match="3 tau pairs"):
         diag.energy(stack, taus[:2], p.eps)
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32)])
+def test_stack_records_are_their_stacks_of_one_bitwise(d, n, full):
+    # a core or a full record of a stack of B states gives B records, each
+    # bitwise the record of its stack of one; the full tier evaluates the
+    # identities on the rows whose R > 0 and leaves them None on the others
+    g, Rs, Ms = _random_rows(d, n, (0.5, 1.0, 3.0, 2.0))
+    Rs[2] = Rs[2] - 0.02  # a row with R < 0 somewhere
+    taus = [(1.0, 0.0), (1.3, 0.2), (2.1, 0.6), (1.7, 0.3)]
+    times = [0.0, 0.1, 0.2, 0.3]
+    p = _all_terms_params(d)
+    recs = diag.record(diag.StateOps(g, *_rows(g, Rs, Ms), 1e-9, times), p, taus, full=full)
+    assert len(recs) == 4
+    for b, rec in enumerate(recs):
+        alone = diag.record(diag.StateOps(g, *_one(Rs[b], Ms[b]), 1e-9, [times[b]]), p,
+                            [taus[b]], full=full)
+        assert len(alone) == 1 and rec.t == times[b]
+        assert np.array_equal(_bits(rec.csv_row()), _bits(alone[0].csv_row()), equal_nan=True), b
+        assert (rec.ck_gap is None) == (not full)
+        assert (rec.korteweg_residual is None) == (not full or b == 2)
+
+
+def test_lone_states_answer_in_python_floats():
+    # every public functional called on a FluidState returns a Python float,
+    # or a tuple of them, bitwise the value of its stack of one; record
+    # returns one DiagnosticsRecord of Python floats
+    from isofluid import lognls
+    from isofluid.rescaling import WaveFunction
+
+    g, Rs, Ms = _random_rows(2, 16, (1.0,))
+    p, tau = _all_terms_params(2), (1.3, 0.2)
+    state = FluidState(t=0.5, grid=g, R=Rs[0], M=Ms[0])
+    stack = FluidState(t=[0.5], grid=g, R=Rs[0][None], M=Ms[0][:, None])
+    calls = {
+        "energy": (tau, p.eps), "dissipation": (tau, p.eps, p.nu),
+        "bd_entropy": (tau, p.eps, p.nu, p.r0), "bd_dissipation": (tau, p.eps, p.nu),
+        **{name: (p, tau) for name in ("energy_reg", "dissipation_reg", "bd_entropy_reg",
+                                       "bd_dissipation_reg", "balance_rhs",
+                                       "bd_identity_terms")},
+        **{name: () for name in ("relative_entropy", "csiszar_kullback_gap",
+                                 "korteweg_identity_residual", "loghess_identity_residual",
+                                 "jungel_quantities", "compatibility_residuals",
+                                 "irrotationality_residual")},
+        "llogl_bound": (0.5,),
+    }
+    # every name of diagnostics.__all__ that is a functional of a state
+    assert set(calls) | {"record"} == set(diag.__all__) - {
+        "DiagnosticsRecord", "StateOps", "energy_balance_residual", "bd_identity_residual",
+        "korteweg_stress_entries", "matched_gaussian", "each_row", "lone_state", "stack_rows"}
+    for name, args in calls.items():
+        fn = getattr(diag, name)
+        value = fn(state, *args)
+        rows = fn(stack, *[[a] if a is tau else a for a in args])
+        values, rows = (value, rows) if isinstance(value, tuple) else ((value,), (rows,))
+        assert all(type(v) is float for v in values), name
+        assert all(r.shape == (1,) for r in rows), name
+        assert _bits(values).tolist() == _bits(np.concatenate(rows)).tolist(), name
+    rec = diag.record(state, p, tau, full=True)
+    assert isinstance(rec, diag.DiagnosticsRecord) and rec.t == 0.5
+    assert all(type(v) is float for v in rec.csv_row())
+    assert rec == diag.record(stack, p, [tau], full=True)[0]
+    psi = WaveFunction(0.0, g, np.sqrt(Rs[0]) * np.exp(0.3j * g.y[0]), 1.0)
+    energy = lognls.nls_energy(psi, lognls.NlsParams(eps=1.0), tau)
+    assert type(energy) is float
 
 
 # ---------------------------------------------------------------------------

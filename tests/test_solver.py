@@ -851,19 +851,33 @@ def test_run_records_are_the_standalone_records_of_their_states(monkeypatch, cas
 
 @pytest.mark.parametrize("d,expected", [(1, 3), (2, 16), (3, 27)])
 def test_a_block_of_core_records_makes_the_transform_calls_of_one(monkeypatch, d, expected):
-    # a stack of states goes through the transforms of one core record
+    # a stack of states goes through the transforms of one core record; a
+    # full record of the stack goes through those of one full record and
+    # gives one record per row, each bitwise the full record of its stack
+    # of one
     state, params = _baseline_setup(d, {1: None, 2: 16, 3: 8}[d])
     p = params.bind(d)
     R, M = arrays_from_state(state)
     stepper = _Stepper(state.grid, p, float(R.mean()), _contrast(R))
-    ops = diag.StateOps(state.grid, np.stack([R] * 4), np.stack([M] * 4, axis=1),
-                        stepper.r_min, [0.1, 0.2, 0.3, 0.4])
+    times = [0.1, 0.2, 0.3, 0.4]
+
+    def stack(rows, t=None):
+        return diag.StateOps(state.grid, np.stack([R] * rows), np.stack([M] * rows, axis=1),
+                             stepper.r_min, times[:rows] if t is None else t)
+
     calls = _count_transforms(monkeypatch)
-    recs = diag.record(ops, p, [(1.1, 0.3)] * 4)
+    recs = diag.record(stack(4), p, [(1.1, 0.3)] * 4)
     assert len(calls) == expected
-    assert [rec.t for rec in recs] == [0.1, 0.2, 0.3, 0.4]
-    with pytest.raises(ValueError, match="a full record takes one state"):
-        diag.record(ops, p, [(1.1, 0.3)] * 4, full=True)
+    assert [rec.t for rec in recs] == times
+    one = len(calls)
+    diag.record(stack(1), p, [(1.1, 0.3)], full=True)
+    one = len(calls) - one
+    fulls = diag.record(stack(4), p, [(1.1, 0.3)] * 4, full=True)
+    assert len(calls) - expected - one == one
+    for rec, t in zip(fulls, times):
+        alone = diag.record(stack(1, [t]), p, [(1.1, 0.3)], full=True)
+        assert len(alone) == 1 and rec.bd_entropy_reg is not None
+        assert _same_bits(rec.csv_row(), alone[0].csv_row())
     untimed = diag.StateOps(state.grid, np.stack([R] * 4), np.stack([M] * 4, axis=1),
                             stepper.r_min)
     with pytest.raises(ValueError, match=r"4 states needs 4 times t, got t of shape \(\)"):
@@ -1137,21 +1151,47 @@ def test_cfl_binding_of_the_mass_conservation_run():
     assert st.cfl_dt(R1, M1, *tau)[1] == "acoustic"
 
 
+def _against_a_converged_run(state, params, t_end) -> tuple:
+    """The run to t_end against the same run at 1/8 of its CFL number: the
+    run's binding families and the relative errors of its final min R,
+    energy and dissipation."""
+    ends = []
+    for cfl in (params.cfl, params.cfl / 8):
+        traj = run(state, dataclasses.replace(params, cfl=cfl), t_end, diag_every=10**9)
+        assert traj.status == "ok"
+        rec = traj.records[-1]
+        ends.append((float(traj.state_final.R.min()), rec.energy, rec.dissipation,
+                     traj.cfl_binding))
+    (r, e, d, binding), (r0, e0, d0, _) = ends
+    return binding, abs(r / r0 - 1), abs(e / e0 - 1), abs(d / d0 - 1)
+
+
 def test_cfl_run_stays_near_a_converged_run():
     # the criterion-3 benchmark run (t = 0.1, 87 steps) against the same run
     # at 1/8 of its CFL number (800 steps), relative: min R is 1.2% off,
     # the energy 9e-6 and the dissipation 0.2%
     state, params = experiments.full_reg_setup(n=256)
-    ends = []
-    for cfl in (params.cfl, params.cfl / 8):
-        traj = run(state, dataclasses.replace(params, cfl=cfl), 0.1, diag_every=10**9)
-        assert traj.status == "ok"
-        rec = traj.records[-1]
-        ends.append((float(traj.state_final.R.min()), rec.energy, rec.dissipation))
-    (r, e, d), (r0, e0, d0) = ends
-    assert abs(r / r0 - 1) < 2e-2
-    assert abs(e / e0 - 1) < 5e-5
-    assert abs(d / d0 - 1) < 5e-3
+    _, r, e, d = _against_a_converged_run(state, params, 0.1)
+    assert r < 2e-2
+    assert e < 5e-5
+    assert d < 5e-3
+
+
+def test_korteweg_bound_cfl_run_stays_near_a_converged_run():
+    # the Korteweg family binds every step of a prepared Gaussian at eps =
+    # 0.5 (t = 0.1, 35 steps at its reach 2) within the bounds of the
+    # criterion-3 run: min R is 7e-5 off, the energy 2e-7 and the
+    # dissipation 0.05%
+    g = Grid(1, 8.0, 256)
+    state = experiments.make_initial(
+        g, {"generator": "prepared_gaussian", "theta": 0.2, "iota": 0.4})
+    params = ParamSet(nu=0.1, eps=0.5, r0=0.02, r1=0.02, delta1=1e-4, delta2=1e-7,
+                      dt_policy="cfl", dt=5e-3)
+    binding, r, e, d = _against_a_converged_run(state, params, 0.1)
+    assert set(binding) == {"korteweg"}
+    assert r < 2e-2
+    assert e < 5e-5
+    assert d < 5e-3
 
 
 def test_run_zero_horizon_returns_initial():
