@@ -121,6 +121,14 @@ class ExperimentConfig:
                 for ds, dt in inputs.pairs:
                     lognls.crosscheck_hydro_params(eps, ds, dt)
             elif kind == "sweep_drag_ell":
+                # the torus grows after the eta regularizations are gone (the
+                # paper's order of limits), and the ladder floors the data at
+                # ell^-6, where a cold pressure eta1 R^-alpha explodes
+                for key in ("eta1", "eta2"):
+                    if self.params.get(key, 0.0) > 0:
+                        raise BadConfig(f"params.{key} must be 0 on the drag_ell ladder, whose "
+                                        f"torus grows after the eta terms vanish; got "
+                                        f"{self.params[key]!r}")
                 for v in ladder:
                     g = Grid(grid.d, float(v), grid.n)
                     init = make_initial(

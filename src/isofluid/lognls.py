@@ -42,7 +42,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .params import ParamSet
-from .rescaling import WaveFunction, madelung
+from .rescaling import WaveFunction, madelung, vacuum_floor
 from .spectral import Grid, vdot
 from .solver import run as hydro_run
 from .tauode import TauSolution, tau_cover
@@ -53,7 +53,6 @@ __all__ = [
     "nls_step",
     "nls_energy",
     "run_nls",
-    "psi_dissipation_identity",
     "crosscheck_ladder",
     "crosscheck_hydro_params",
     "CrosscheckReport",
@@ -66,7 +65,7 @@ __all__ = [
 class NlsParams:
     eps: float
     dt: float = 1e-3
-    mu: float | None = None  # log floor; None -> 1e-12 * max|psi0|^2 at run start
+    mu: float | None = None  # log floor; None -> rescaling.vacuum_floor(|psi0|^2) at run start
     variant: str = "rescaled"  # or "original"
 
     def __post_init__(self):
@@ -83,8 +82,7 @@ class NlsParams:
 def _resolve_mu(params: NlsParams, psi: WaveFunction) -> float:
     if params.mu is not None:
         return params.mu
-    peak = float(np.max(psi.psi.real**2 + psi.psi.imag**2))
-    return 1e-12 * max(peak, 1e-300)
+    return float(vacuum_floor(psi.psi.real**2 + psi.psi.imag**2))
 
 
 def _strang_hat(g: Grid, zh, h, eps, tau_v, mu, rescaled: bool):
@@ -161,7 +159,10 @@ class NlsTrajectory:
     timing: dict = field(default_factory=dict)
 
     def dissipation_identity_residual(self) -> float:
-        return psi_dissipation_identity(self)
+        """|E(T) + int_0^T D dt - E(0)| / |E(0)| of the Madelung-functional
+        pseudo-energy and dissipation sampled along the run (trapezoid): the
+        energy balance with a zero right side."""
+        return diag.energy_balance_residual(self.times, self.energy, self.dissipation, 0.0)
 
 
 def run_nls(
@@ -263,15 +264,6 @@ def run_nls(
     timing["steps_per_s"] = k / wall if wall > 0 else 0.0
     timing["transforms"] += sp.calls - calls0
     return traj
-
-
-def psi_dissipation_identity(traj: NlsTrajectory) -> float:
-    """|E(T) + int_0^T D dt - E(0)| / |E(0)| with the Madelung-functional
-    pseudo-energy and dissipation sampled along the run (trapezoid)."""
-    t = np.asarray(traj.times, dtype=float)
-    e = np.asarray(traj.energy, dtype=float)
-    d = np.asarray(traj.dissipation, dtype=float)
-    return float(abs(e[-1] + np.trapezoid(d, t) - e[0]) / max(abs(e[0]), 1e-300))
 
 
 # ---------------------------------------------------------------------------

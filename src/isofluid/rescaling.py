@@ -40,7 +40,8 @@ _FLOOR_MIN = 1e-150
 
 
 def vacuum_floor(R: np.ndarray) -> float:
-    """The density floor of a standalone diagnostic: VACUUM_FLOOR_REL * max R."""
+    """The density floor of a standalone diagnostic, and the log-NLS default
+    log floor of |psi|^2: VACUUM_FLOOR_REL * max R."""
     return VACUUM_FLOOR_REL * max(R.max(), 1e-300)
 
 

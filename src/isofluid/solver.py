@@ -28,8 +28,8 @@ evaluated with (tau, taudot) frozen at the step midpoint:
   force depend on R only, so N freezes them (density_forces) while L alone
   moves R: their waves run as drift-kick-drift, the Stormer-Verlet
   splitting of an exact continuity flow around a frozen force, which is
-  stable while omega h < 2, not sqrt(3).  cfl_dt gives the acoustic,
-  Korteweg and eta2 families that reach (_FROZEN).
+  stable while omega h < 2, not sqrt(3).  Each family of that bound is one
+  row of _FAMILIES: its gate, band, reach, power and rate.
   N never touches R, so the zero mode of R is exactly constant and mass is
   conserved to round-off.
 
@@ -157,35 +157,41 @@ _RK3_REAL = 2.51  # real-axis stability reach of SSP-RK3
 # the stability reach of a wave between L's exact flow of R and N's frozen
 # density forces: the Stormer-Verlet bound omega h < 2 (see the module notes)
 _KICK = 2.0
-# the families of the density forces N holds frozen (pressures, Korteweg, eta2),
-# each with the scale that gives it the reach _KICK instead of sqrt(3)
-_FROZEN = dict.fromkeys(("acoustic", "korteweg", "eta2"), _RK3_IMAG / _KICK)
-_DEALIASED = 2.0 / 3.0  # band of a force that enters M through the 2/3 mask
-# Each ParamSet coefficient that gates a term, with what the CFL bound of
-# cfl_dt makes of the term's force: (family, band) is the explicit family of
-# _rates the force feeds, band the largest |k| / kmx the force reaches; a
+# The explicit families of the CFL bound (cfl_dt), one row each: the
+# ParamSet coefficient c that switches the family on (None: always on); its
+# band, the largest |k| / kmx its force reaches (2/3 for a force that enters
+# M through the dealiasing mask); its reach, the stability reach of the
+# integrator its waves run in (SSP-RK3's axes for the flux and the viscous
+# stress, _KICK for the density forces N holds frozen); the power of |k| its
+# rate grows as, from the eta2 exponent s; and its rate at kmx from c,
+# kmx**power and the step's reductions (see _rates).  The advective and
+# acoustic bands are full: the pressure is not masked, and the flux, although
+# it passes the mask, runs waves at U +- c, not at the advective rate's U (at
+# 2/3 kmx the advective dt came out above envelope/1.5 in
+# test_cfl_dt_within_stability_envelope).
+_FAMILIES = {
+    "advective": (None, 1.0, _RK3_IMAG, lambda s: 1,
+                  lambda c, kp, tau, t2, rmax, u2, cs2: math.sqrt(u2) * kp / t2),
+    "acoustic": (None, 1.0, _KICK, lambda s: 1,
+                 lambda c, kp, tau, t2, rmax, u2, cs2: math.sqrt(cs2) * kp / tau),
+    "viscous": ("nu", 2.0 / 3.0, _RK3_REAL, lambda s: 2,
+                lambda c, kp, tau, t2, rmax, u2, cs2: c * kp / t2),
+    "korteweg": ("eps", 2.0 / 3.0, _KICK, lambda s: 2,
+                 lambda c, kp, tau, t2, rmax, u2, cs2: 0.5 * c * kp / t2),
+    "eta2": ("eta2", 2.0 / 3.0, _KICK, lambda s: 2 * s + 2,
+             lambda c, kp, tau, t2, rmax, u2, cs2: math.sqrt(c * rmax) * kp / t2),
+}
+# Each ParamSet coefficient that gates a term, with what the CFL bound makes
+# of the term's force: (family, band) of the _FAMILIES row it switches on; a
 # string says why the term needs no family; None marks a term whose part in
 # N has no family yet.
 TERMS = {
-    "nu": ("viscous", _DEALIASED),
-    "eps": ("korteweg", _DEALIASED),
+    **{gate: (family, band) for family, (gate, band, *_) in _FAMILIES.items() if gate},
     "r0": "the drag is an exact pointwise flow",
     "r1": "the drag is an exact pointwise flow",
     "delta1": None,  # L holds its linear part exactly; the cross term in N has no family
     "delta2": None,  # the variable-coefficient remainder in N has no family
     "eta1": "the cold pressure raises the acoustic sound speed",
-    "eta2": ("eta2", _DEALIASED),
-}
-# each family in TERMS, from its coefficient c, kmx and the eta2 exponent s:
-# its rate at kmx as a function of (tau^2, max R), and the power of |k| it
-# grows as; the viscous rate is rescaled by sqrt(3)/2.51, so that its reach
-# is the real axis's
-_FAMILY_RATES = {
-    "viscous": lambda c, kmx, s: (
-        lambda t2, rmax: c * kmx**2 / t2 * (_RK3_IMAG / _RK3_REAL), 2),
-    "korteweg": lambda c, kmx, s: (lambda t2, rmax: 0.5 * c * kmx**2 / t2, 2),
-    "eta2": lambda c, kmx, s: (
-        lambda t2, rmax: math.sqrt(c * rmax) * kmx ** (2 * s + 2) / t2, 2 * s + 2),
 }
 # the most steps a CFL-policy run may take: above 10x the longest CFL run of
 # the test suite and the acceptance runs (criterion 3 to t = 1, 1,080 steps),
@@ -337,16 +343,14 @@ class _Stepper:
         self.lap2 = sp.lap_symbol(2)  # |k|^4
         self.delta2_lap2 = p.delta2 * self.lap2
         self.eta2_sym = sp.grad_lap_symbol(2 * p.s + 1) if p.eta2 > 0 else None
-        # the active coefficient families of _rates: (family, its rate at kmx
-        # as a function of (tau^2, max R), scale): the scale is band**power,
-        # times a frozen force's _FROZEN scale
+        # the active rows of _FAMILIES: (family, rate, c, kmx**power, scale),
+        # the scale band**power * sqrt(3) / reach putting cfl = 1 at the reach
         self.families = []
-        for coef, entry in TERMS.items():
-            c = getattr(p, coef)
-            if isinstance(entry, tuple) and c > 0:
-                family, band = entry
-                rate, power = _FAMILY_RATES[family](c, self.kmx, p.s)
-                self.families.append((family, rate, band**power * _FROZEN.get(family, 1.0)))
+        for family, (gate, band, reach, power, rate) in _FAMILIES.items():
+            c, power = getattr(p, gate) if gate else 1.0, power(p.s)
+            if c > 0:
+                self.families.append(
+                    (family, rate, c, self.kmx**power, band**power * (_RK3_IMAG / reach)))
         # the gates of the terms, and the Layouts of n_rhs's three batches:
         # its own parts, and on an N substep's first call the density
         # forces' parts after them in the same stacks (see the module notes)
@@ -654,13 +658,10 @@ class _Stepper:
     # -- CFL -------------------------------------------------------------------
 
     def cfl_dt(self, R, M, tau_v, taudot_v):
-        """(dt, family): dt = cfl * sqrt(3) / the largest rate of the explicit
-        families in _rates, and the family that sets it.  Each family's rate
-        is taken at its band, rate(kmx) * band**power, the band being the
-        largest |k| / kmx its force reaches (TERMS gives a coefficient's),
-        and the scale of the acoustic, Korteweg and eta2 families, frozen
-        forces between exact flows of R, takes their reach 2 instead of
-        sqrt(3) (_FROZEN)."""
+        """(dt, family): dt = cfl * sqrt(3) / the largest rate * scale of the
+        active rows of _FAMILIES (_rates), and the family that sets it.  A
+        row's scale band**power * sqrt(3) / reach takes its rate at kmx to
+        its band and puts cfl = 1 at its integrator's reach."""
         rows = self._rates(R, M, tau_v, taudot_v)
         rate, family = max((rate * scale, name) for name, rate, scale in rows)
         return self.p.cfl * _RK3_IMAG / rate, family
@@ -674,9 +675,10 @@ class _Stepper:
         vacuum momentum seeds an exponential amplifier through the advective
         and viscous couplings (rate ~ coefficient * M_vac / r_min * k^2).
         Physically the region below the floor carries no resolvable momentum;
-        the sponge pins it at the forcing floor.  The rate outruns every
-        explicit family, each taken at the full-grid kmx, by 3x and the
-        profile is smooth in R, so no Gibbs cliff is imprinted.  The
+        the sponge pins it at the forcing floor.  The rate is 3x the largest
+        rate of the active families, each taken at the full-grid kmx with no
+        reach folded in, so it outruns every family by 3x; the profile is
+        smooth in R, so no Gibbs cliff is imprinted.  The
         threshold sits just above r_min: higher up the flow is physical and
         must not be touched.
 
@@ -692,18 +694,11 @@ class _Stepper:
         return M * fac
 
     def _rates(self, R, M, tau_v, taudot_v):
-        """(family, rate at kmx, scale) of each active explicit family: its
-        rate grows as |k|^power, and its scale is band**power, band the
-        largest |k| / kmx its force reaches, times sqrt(3)/2 for the
-        frozen acoustic, Korteweg and eta2 families (_FROZEN).  The
-        advective and acoustic families are always on, at the full band:
-        the pressure is not masked, and the flux, although it passes the
-        mask, runs waves at U +- c, not at the advective rate's U (at 2/3
-        kmx the advective dt came out above envelope/1.5 in
-        test_cfl_dt_within_stability_envelope).  The advective scale counts
-        live cells only: deep-vacuum U = M/rho is noise over the floor.  The
-        coefficient families follow TERMS (self.families)."""
-        p, kmx = self.p, self.kmx
+        """(family, rate at kmx, scale) of each active row of _FAMILIES
+        (self.families), each rate evaluated on the step's reductions, taken
+        once: tau^2, max R, the largest |U|^2 over live cells (deep-vacuum
+        U = M/rho is noise over the floor) and the squared sound speed."""
+        p = self.p
         t2 = tau_v**2
         rmax = max(float(R.max()), 1e-300)
         live = R > 1e-6 * rmax
@@ -712,11 +707,8 @@ class _Stepper:
         cs2 = 1.0 + p.nu * abs(taudot_v) / tau_v
         if p.eta1 > 0:
             cs2 += p.eta1 * p.alpha * float((self.rho_tilde(R) ** (-p.alpha - 1.0)).max())
-        return [
-            ("advective", math.sqrt(u2max) * kmx / t2, 1.0),
-            ("acoustic", math.sqrt(cs2) * kmx / tau_v, _FROZEN["acoustic"]),
-            *((family, rate(t2, rmax), scale) for family, rate, scale in self.families),
-        ]
+        return [(family, rate(c, kp, tau_v, t2, rmax, u2max, cs2), scale)
+                for family, rate, c, kp, scale in self.families]
 
     # -- one composed step -------------------------------------------------------
 

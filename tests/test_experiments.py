@@ -6,9 +6,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -166,6 +168,24 @@ def test_cli_bad_config(tmp_path):
     worse = tmp_path / "worse.json"
     worse.write_text("{not json")
     assert cli_main(["simulate", "--config", str(worse), "--out", str(tmp_path)]) == 3
+
+
+def test_drag_ell_sweep_of_the_readme_config_is_a_bad_config(tmp_path, capsys):
+    # README's minimal simulate config keeps eta1 and eta2 on; the drag_ell
+    # ladder refuses each, naming it, before any output or step
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"A minimal simulate config:\n\n```json\n(.*?)```", readme, re.S).group(1)
+    cfg = json.loads(block)
+    assert cfg["params"]["eta1"] > 0 and cfg["params"]["eta2"] > 0
+    for key in ("eta1", "eta2"):
+        path, out = tmp_path / f"{key}.json", tmp_path / key
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["sweep", "--axis", "drag_ell", "--config", str(path),
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"bad config: params.{key} ") and err.count("\n") == 1
+        assert not out.exists()
+        del cfg["params"][key]
 
 
 NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests its own key

@@ -22,6 +22,7 @@ from isofluid.rescaling import FluidState, madelung
 from isofluid.solver import (
     TERMS,
     _contrast,
+    _FAMILIES,
     _Stepper,
     arrays_from_state,
     drag_schedule,
@@ -994,7 +995,7 @@ ENVELOPE_CASES = {
     **{TERMS[c][0]: (case["envelope"], 0.0, 1.0)
        for c, case in TERM_CASES.items() if "envelope" in case},
 }
-FAMILIES = ["advective", "acoustic", *(e[0] for e in TERMS.values() if isinstance(e, tuple))]
+FAMILIES = list(_FAMILIES)
 
 
 def _envelope_setup(family):
@@ -1045,6 +1046,29 @@ def test_cfl_dt_within_stability_envelope(family):
         mid = math.sqrt(lo * hi)
         lo, hi = (mid, hi) if bounded(mid) else (lo, mid)
     assert lo / 8 <= dt <= lo / 1.5
+
+
+def test_vacuum_sponge_outruns_every_family_by_3x():
+    # a vacuum-form state (tails below 1e-6 of the max) whose largest family
+    # at kmx is the viscous one: the sponge damps M by
+    # exp(-min(h 3 max_rate w, 50)), max_rate = nu kmx^2 / tau^2, the rate
+    # with no reach folded in
+    g = Grid(1, 8.0, 128)
+    s = np.exp(-g.r2 / 2.0)
+    state = state_from_root(g, s, 0.5 * s[None])
+    R, M = arrays_from_state(state)
+    st = _Stepper(g, ParamSet(nu=0.5, eps=0.01), float(R.mean()), _contrast(R))
+    tau_v, taudot_v, h = 1.0, 0.0, 1e-3
+    assert st.viscous_form == "vacuum"
+    rates = {family: rate for family, rate, _ in st._rates(R, M, tau_v, taudot_v)}
+    assert max(rates, key=rates.get) == "viscous"
+    max_rate = 0.5 * st.kmx**2 / tau_v**2
+    assert rates["viscous"] == max_rate
+    w = 1.0 / (1.0 + (np.maximum(R, 0.0) / (10.0 * st.r_min)) ** 4)
+    fac = np.exp(-np.minimum(h * 3.0 * max_rate * w, 50.0))
+    assert np.any((fac > 1e-3) & (fac < 0.999))  # cells the factor acts on
+    np.testing.assert_allclose(st.vacuum_sponge(R, M, h, tau_v, taudot_v), M * fac,
+                               rtol=1e-13, atol=0.0)
 
 
 # the ParamSet fields that gate no term: exponents and numerical controls
