@@ -544,9 +544,9 @@ def check_families(filter: str | None = None, verbose: bool = True) -> dict:
         took = time.perf_counter() - t0
         ran[name] = (errs, took)
         if verbose and errs:
-            print(f"[FAIL] {name} ({took:.1f}s): " + "; ".join(errs))
+            print(f"[FAIL] {name} ({took * 1e3:.1f} ms): " + "; ".join(errs))
         elif verbose:
-            print(f"[ok]   {name} ({took:.1f}s)")
+            print(f"[ok]   {name} ({took * 1e3:.1f} ms)")
     return ran
 
 

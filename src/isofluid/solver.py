@@ -9,7 +9,12 @@ One step of size h is the symmetric composition
 evaluated with (tau, taudot) frozen at the step midpoint:
 
 * Drag: the pointwise relaxation dM/dt = -(r0/tau^2) U - (r1/tau^2) R |U|^2 U,
-  integrated exactly (Bernoulli ODE) with R frozen, not dealiased;
+  integrated exactly (Bernoulli ODE) with R frozen, not dealiased.  With r0
+  and r1 both on, its factor takes one exp, y = exp(-2 (h/tau^2) r0/rho_sm),
+  and its R-only factors r0/rho_sm and q = r1 R^+/(r0 rho_sm^2) form one
+  table per R array (drag_table), which the last drag of a step and the
+  first of the next share.  The one-expm1 form sqrt((1 + E)/(1 - q |M|^2 E))
+  is not used: 1 + E cancels where the drag crushes M (e^x below ~1e-3);
 * L: the constant-coefficient linear block, advanced exactly per Fourier mode.
   It is triangular: the full (linear) continuity equation d_t R = (-div M
   + delta1 lap R)/tau^2 and the bilaplacian damping -delta2 c_u lap^2 M / tau^2
@@ -380,7 +385,7 @@ class _Stepper:
             sp.layout(tf, {**leads, **more}) for (tf, leads), more in zip(rhs, density)
         )
         self._rho = (None, None)
-        self._drag_R = (None, (None, None))
+        self._drag_R = (None, None)
 
     # -- helpers -----------------------------------------------------------
 
@@ -430,45 +435,55 @@ class _Stepper:
 
     # -- drag substep (exact pointwise Bernoulli flow, R frozen) -----------
 
-    def drag_coefficients(self, R, M, t2):
-        """(a, b, |M|^2) of the drag ODE dM/dt = -(a + b |M|^2) M, with
-        a = r0 / (tau^2 rho_sm) and b = r1 R^+ / (tau^2 rho_sm^3), t2 = tau^2;
-        b and |M|^2 are None when r1 = 0.  r1 R^+ and rho_sm^3 are kept, like
-        rho_sm, for the last R: the last drag of a step and the first of the
-        next read one R."""
-        p = self.p
-        rho = self.rho_smooth(R)
-        a = p.r0 / (t2 * rho)
-        if p.r1 == 0.0:
-            return a, None, None
-        key, (num, rho3) = self._drag_R
+    def drag_table(self, R):
+        """The R-only factors of drag_flow (r1 > 0), kept, like rho_sm, for
+        the last R: the last drag of a step and the first of the next read
+        one R.  With r0 on too, r0 / rho_sm and q = r1 R^+ / (r0 rho_sm^2),
+        so a = (r0 / rho_sm) / tau^2 and b = q a; with r1 alone, r1 R^+ and
+        rho_sm^3, so b = r1 R^+ / (tau^2 rho_sm^3)."""
+        key, table = self._drag_R
         if key is not R:
-            num, rho3 = p.r1 * np.maximum(R, 0.0), rho**3
-            self._drag_R = (R, (num, rho3))
-        return a, num / (t2 * rho3), self.sp.sum_axes(M * M)
+            p, rho = self.p, self.rho_smooth(R)
+            if p.r0 > 0.0:
+                table = (p.r0 / rho, (p.r1 / p.r0) * np.maximum(R, 0.0) / rho**2)
+            else:
+                table = (p.r1 * np.maximum(R, 0.0), rho**3)
+            self._drag_R = (R, table)
+        return table
 
     def drag_flow(self, R, M, h, t2, out=None):
-        """M after the drag's time h, written into out where it is given."""
+        """M after the drag's time h, written into out where it is given: M
+        times the exact Bernoulli flow's factor.  With r0 and r1 both on it
+        is sqrt(y / (1 + q |M|^2 (1 - y))), y = exp(-2 (h / tau^2) r0 / rho_sm),
+        from drag_table's r0 / rho_sm and q: the flow
+        sqrt(a e^x / (a - b |M|^2 expm1(x))), x = -2 a h, with one
+        transcendental and a denominator >= 1.  With r0 alone it is
+        exp(-a h), with r1 alone sqrt(1 / (1 + 2 b |M|^2 h))."""
         p = self.p
         if p.r0 == 0.0 and p.r1 == 0.0:
             if out is None or out is M:
                 return M
             out[...] = M
             return out
-        a, b, m2 = self.drag_coefficients(R, M, t2)
-        if b is None:
-            fac = np.exp(-a * h)
+        if p.r1 == 0.0:
+            fac = np.exp(-(p.r0 / (t2 * self.rho_smooth(R))) * h)
         elif p.r0 > 0.0:
-            x = -2.0 * a * h
-            fac = np.sqrt(a * np.exp(x) / (a - b * m2 * np.expm1(x)))
+            c, q = self.drag_table(R)
+            y = np.exp((-2.0 * h / t2) * c)
+            fac = np.sqrt(y / (1.0 + q * self.sp.sum_axes(M * M) * (1.0 - y)))
         else:
-            fac = np.sqrt(1.0 / (1.0 + 2.0 * b * m2 * h))
+            num, rho3 = self.drag_table(R)
+            fac = np.sqrt(1.0 / (1.0 + 2.0 * (num / (t2 * rho3)) * self.sp.sum_axes(M * M) * h))
         return np.multiply(M, fac, out=out)
 
     def drag_rate(self, R, M, t2):
-        """The generator of drag_flow: -(a + b |M|^2) M."""
-        a, b, m2 = self.drag_coefficients(R, M, t2)
-        rate = a if b is None else a + b * m2
+        """The generator of drag_flow: -(a + b |M|^2) M, the drag ODE's
+        rate, with a = r0 / (tau^2 rho_sm) and b = r1 R^+ / (tau^2 rho_sm^3),
+        t2 = tau^2."""
+        p, rho = self.p, self.rho_smooth(R)
+        rate = p.r0 / (t2 * rho)
+        if p.r1 > 0.0:
+            rate = rate + p.r1 * np.maximum(R, 0.0) / (t2 * rho**3) * self.sp.sum_axes(M * M)
         return -rate * M
 
     # -- exact linear substep ------------------------------------------------

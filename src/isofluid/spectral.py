@@ -32,15 +32,20 @@ Conventions
   keywords Spectral passes (irfftn only where s is the input's shape, with
   no padding) on a non-empty ndarray, float64 into a real-to-complex
   transform and complex128 into the others; it declines any other call (a
-  real array into cfwd, say), which scipy's own backend then runs.  Calling
-  pocketfft directly would be faster still but would hide the transforms
-  from those tools.  On a 2-core x86 host (scipy 1.17.1, best of 60 x 5 x
-  200 calls) a 3 x 256 rfft took 7.4-7.8 us through scipy's backend,
-  4.6-5.1 us through this one and 3.2-3.3 us calling pocketfft directly.
-  uarray binds the context to the thread that builds it, at import: from
-  another thread Spectral's calls run on scipy's own backend, and while
-  they do the importing thread's scipy.fft calls run on this one, with the
-  same bits either way;
+  real array into cfwd, say), which scipy's own backend then runs.  It
+  checks a call in straight lines on the method's name, with no lookup key
+  built per call and no wrapper frame, because in 1D a call's dispatch
+  costs as much as its kernel.  Calling pocketfft directly would be faster
+  still but would hide the transforms from those tools.  On a 2-core x86
+  host (scipy 1.17.1, best of 40 x 300 calls, each inside the context) a
+  3 x 256 rfft took 6.3 us through scipy's backend, 4.0 us through a
+  backend that looked each call up in a table keyed by name and keywords,
+  3.7 us through this one, 3.4 us through a backend that checks nothing
+  and 2.6 us calling pocketfft directly; an irfft of its coefficients 6.8,
+  4.5 and 4.25 us through the first three.  uarray binds the context to
+  the thread that builds it, at import: from another thread Spectral's
+  calls run on scipy's own backend, and while they do the importing
+  thread's scipy.fft calls run on this one, with the same bits either way;
 * stacks: the leading axes of a real array in front of the grid's d axes
   are components, so an array of shape lead + grid.shape is a stack of
   fields.  fwd/inv transform every component; grad adds a d-long component
@@ -112,7 +117,7 @@ from __future__ import annotations
 
 import copy
 import math
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -233,60 +238,62 @@ class Grid:
 # transforms
 
 
-def _r2c(x, axes=(-1,)):
-    return _pypocketfft.r2c(x, axes, True, 0, None, 1)
-
-
-def _c2r(x, axes=(-1,), s=None):
-    """pocketfft's inverse of the half spectrum x over axes, to the even
-    last length 2 m - 2 of x's m columns; NotImplemented where that length
-    is 0 or s, if given, is not x's shape along axes with it."""
-    last = 2 * x.shape[axes[-1]] - 2
-    if last < 2 or s is not None and list(s) != [x.shape[a] for a in axes[:-1]] + [last]:
-        return NotImplemented
-    return _pypocketfft.c2r(x, axes, last, False, 2, None, 1)
-
-
-def _c2c(forward, x, axes=(-1,)):
-    return _pypocketfft.c2c(x, axes, forward, 0 if forward else 2, None, 1)
-
-
 _F8, _C16 = np.dtype(np.float64), np.dtype(np.complex128)
-# the scipy.fft calls Spectral makes, by name and keywords: (input dtype,
-# pocketfft call).  inorm 0 is scipy's unscaled forward transform, 2 its
-# 1/N inverse
-_POCKETFFT_CALLS = {
-    ("rfft",): (_F8, _r2c),
-    ("irfft",): (_C16, _c2r),
-    ("rfftn", "axes"): (_F8, _r2c),
-    ("irfftn", "s", "axes"): (_C16, _c2r),
-    ("fft",): (_C16, partial(_c2c, True)),
-    ("ifft",): (_C16, partial(_c2c, False)),
-    ("fftn", "axes"): (_C16, partial(_c2c, True)),
-    ("ifftn", "axes"): (_C16, partial(_c2c, False)),
-}
+_R2C, _C2R, _C2C = _pypocketfft.r2c, _pypocketfft.c2r, _pypocketfft.c2c
+_LAST = (-1,)
 
 
 class _Pocketfft:
     """The scipy.fft backend (uarray protocol) that Spectral's transforms
-    run under.  The calls Spectral makes (_POCKETFFT_CALLS: these names,
-    one positional input, these keywords in this order), on a non-empty
-    ndarray that is float64 for a real-to-complex transform and complex128
-    otherwise, go straight to scipy's own pocketfft extension with scipy's
-    default normalization, on one thread, bitwise scipy's result; any other
-    call returns NotImplemented, and scipy's own backend runs it."""
+    run under.  The calls Spectral makes, one positional input on a
+    non-empty ndarray, float64 into a real-to-complex transform and
+    complex128 otherwise, go straight to scipy's own pocketfft extension
+    with scipy's default normalization (inorm 0 forward, 2 the 1/N
+    inverse), on one thread, bitwise scipy's result: rfft, irfft, fft and
+    ifft with no keyword, rfftn, fftn and ifftn with axes alone, and
+    irfftn with s and axes where s is the input's shape, with no padding.
+    Any other call returns NotImplemented, and scipy's own backend runs
+    it.  The checks are straight-line on the name (no table, no wrapper
+    frame): see the module notes, dispatch."""
 
     __ua_domain__ = "numpy.scipy.fft"
 
     @staticmethod
     def __ua_function__(method, args, kwargs):
-        call = _POCKETFFT_CALLS.get((method.__name__, *kwargs))
-        if call is None or len(args) != 1:
+        x = args[0] if len(args) == 1 else None
+        if type(x) is not np.ndarray or not x.size:
             return NotImplemented
-        x = args[0]
-        if type(x) is not np.ndarray or x.dtype != call[0] or not x.size:
+        name, dtype = method.__name__, x.dtype
+        if not kwargs:
+            if name == "rfft" and dtype == _F8:
+                return _R2C(x, _LAST, True, 0, None, 1)
+            if name == "irfft" and dtype == _C16 and x.shape[-1] > 1:
+                return _C2R(x, _LAST, 2 * x.shape[-1] - 2, False, 2, None, 1)
+            if name == "fft" and dtype == _C16:
+                return _C2C(x, _LAST, True, 0, None, 1)
+            if name == "ifft" and dtype == _C16:
+                return _C2C(x, _LAST, False, 2, None, 1)
             return NotImplemented
-        return call[1](x, **kwargs)
+        axes = kwargs.get("axes")
+        if type(axes) is not tuple or not axes:
+            return NotImplemented
+        if len(kwargs) == 1:
+            if name == "rfftn" and dtype == _F8:
+                return _R2C(x, axes, True, 0, None, 1)
+            if name == "fftn" and dtype == _C16:
+                return _C2C(x, axes, True, 0, None, 1)
+            if name == "ifftn" and dtype == _C16:
+                return _C2C(x, axes, False, 2, None, 1)
+        elif len(kwargs) == 2 and name == "irfftn" and dtype == _C16:
+            try:
+                last = 2 * x.shape[axes[-1]] - 2
+                shape = [x.shape[a] for a in axes[:-1]] + [last]
+            except IndexError:  # an axis x lacks: scipy's backend reports it
+                return NotImplemented
+            s = kwargs.get("s")
+            if last > 1 and s is not None and list(s) == shape:
+                return _C2R(x, axes, last, False, 2, None, 1)
+        return NotImplemented
 
 
 # entered by Spectral's transform methods only (module notes: dispatch)

@@ -490,7 +490,10 @@ class _UnfusedStepper(_Stepper):
         if b is None:
             fac = np.exp(-a * h)
         elif p.r0 > 0.0:
-            fac = np.sqrt(a * np.exp(-2.0 * a * h) / (a - b * m2 * np.expm1(-2.0 * a * h)))
+            rho = self.rho_smooth(R)
+            y = np.exp((-2.0 * h / tau_v**2) * (p.r0 / rho))
+            q = (p.r1 / p.r0) * np.maximum(R, 0.0) / rho**2
+            fac = np.sqrt(y / (1.0 + q * m2 * (1.0 - y)))
         else:
             fac = np.sqrt(1.0 / (1.0 + 2.0 * b * m2 * h))
         return M * fac
@@ -608,6 +611,74 @@ def test_advance_is_bitwise_the_unfused_advance(setup):
     (R, M), (R_ref, M_ref) = out
     assert np.all(np.isfinite(R)) and np.all(np.isfinite(M))
     assert np.array_equal(R, R_ref) and np.array_equal(M, M_ref)
+
+
+def _drag_setup(floor, **params):
+    """full_reg_setup's stepper and (R, M), the ParamSet changed by params;
+    with floor, R set to r_min, 0 and -r_min at every 7th, 11th and 13th
+    cell and to a ramp from 1e-9 to 1e-1 at every 17th, where the drag
+    crushes M."""
+    state, p = experiments.full_reg_setup(n=256)
+    R, M = arrays_from_state(state)
+    st = _Stepper(state.grid, dataclasses.replace(p, **params), float(R.mean()), _contrast(R))
+    if floor:
+        R = R.copy()
+        R[::7], R[3::11], R[5::13] = st.r_min, 0.0, -st.r_min
+        R[1::17] = np.geomspace(1e-9, 1e-1, R[1::17].size)
+    return st, R, M
+
+
+def _two_transcendental_drag(st, R, M, h, t2):
+    """The drag flow's factor as the exact Bernoulli flow was first written:
+    sqrt(a e^x / (a - b |M|^2 expm1(x))), x = -2 a h."""
+    p, rho = st.p, st.rho_smooth(R)
+    a, b = p.r0 / (t2 * rho), p.r1 * np.maximum(R, 0.0) / (t2 * rho**3)
+    x = -2.0 * a * h
+    return np.sqrt(a * np.exp(x) / (a - b * (M * M).sum(axis=0) * np.expm1(x)))
+
+
+@pytest.mark.parametrize("h_t2", [1e-6, 1e-3, 1.0])
+@pytest.mark.parametrize("floor", [False, True], ids=["full_reg", "r_min"])
+def test_drag_flow_is_the_two_transcendental_flow(floor, h_t2):
+    # the one-exp flow from the per-R table is the old flow to 1e-13
+    # relative, 0 exactly where the old one is 0, also where it crushes M;
+    # a ladder's rows are their single flows bitwise
+    st, R, M = _drag_setup(floor)
+    t2 = 1.3
+    old = M * _two_transcendental_drag(st, R, M, h_t2 * t2, t2)
+    new = st.drag_flow(R, M, h_t2 * t2, t2)
+    assert np.all(np.abs(new - old) <= 1e-13 * np.abs(old))
+    if floor:  # cells where the old flow gives 0, and where it leaves M < 1e-3 M
+        assert np.any((old == 0) & (M != 0))
+        assert np.any((0 < np.abs(old)) & (np.abs(old) < 1e-3 * np.abs(M)))
+    grid, rows = st.grid, [dataclasses.replace(st.p, dt=dt) for dt in (5e-3, 1e-3, 2e-4)]
+    ladder = _Stepper(grid, rows, float(R.mean()), _contrast(R))
+    R3, M3 = np.stack([R, 0.9 * R, R[::-1]]), np.stack([M, 1.1 * M, M[:, ::-1]], axis=1)
+    t2s = [1.0, t2, 2.0]
+    got = ladder.drag_flow(R3, M3, ladder._stacked([h_t2 * c for c in t2s]), ladder._stacked(t2s))
+    for b, c in enumerate(t2s):
+        one = _Stepper(grid, rows[b], float(R.mean()), _contrast(R))
+        assert np.array_equal(got[:, b], one.drag_flow(R3[b], M3[:, b], h_t2 * c, c))
+        old = M3[:, b] * _two_transcendental_drag(one, R3[b], M3[:, b], h_t2 * c, c)
+        assert np.all(np.abs(got[:, b] - old) <= 1e-13 * np.abs(old))
+
+
+@pytest.mark.parametrize("floor", [False, True], ids=["full_reg", "r_min"])
+@pytest.mark.parametrize("coef", ["r0", "r1"])
+def test_one_coefficient_drag_flows_keep_their_formulas(coef, floor):
+    # with r0 alone the flow is exp(-a h) M, with r1 alone
+    # M / sqrt(1 + 2 b |M|^2 h), bitwise, also from a kept table
+    st, R, M = _drag_setup(floor, **{"r1" if coef == "r0" else "r0": 0.0})
+    p, rho = st.p, st.rho_smooth(R)
+    for h_t2 in (1e-6, 1e-3, 1.0):
+        t2 = 1.3
+        h = h_t2 * t2
+        a, b = p.r0 / (t2 * rho), p.r1 * np.maximum(R, 0.0) / (t2 * rho**3)
+        if coef == "r0":
+            fac = np.exp(-a * h)
+        else:
+            fac = np.sqrt(1.0 / (1.0 + 2.0 * b * (M * M).sum(axis=0) * h))
+        assert np.array_equal(st.drag_flow(R, M, h, t2), M * fac)
 
 
 def _crosscheck_ladder(t_end, pairs):

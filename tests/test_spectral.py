@@ -330,6 +330,55 @@ def test_backend_declines_other_calls_and_is_off_outside_spectral(monkeypatch):
     assert seen == [False]
 
 
+_A = np.random.default_rng(11).standard_normal((3, 16))
+_Z = _A + 1j * np.random.default_rng(12).standard_normal(_A.shape)
+_ZH = scipy.fft.rfftn(_A, axes=(-2, -1))  # the (3, 9) half spectrum of _A
+# scipy.fft calls the pocketfft backend must decline: a dtype, size, keyword
+# set or s it does not take
+DECLINED = {
+    "float_into_cfwd": lambda: scipy.fft.fft(_A),
+    "float_into_cfwd_nd": lambda: scipy.fft.fftn(_A, axes=(-2, -1)),
+    "complex_into_fwd": lambda: scipy.fft.rfft(_Z),
+    "complex_into_fwd_nd": lambda: scipy.fft.rfftn(_Z, axes=(-2, -1)),
+    "float32_into_fwd": lambda: scipy.fft.rfft(_A.astype(np.float32)),
+    "real_into_inv": lambda: scipy.fft.irfft(_A),
+    "zero_size": lambda: scipy.fft.rfft(np.empty((0, 16))),
+    "zero_size_inv": lambda: scipy.fft.irfftn(np.empty((0, 9), complex), s=(0, 16), axes=(-2, -1)),
+    "zero_length": lambda: scipy.fft.rfft(np.empty(0)),
+    "one_column_inv": lambda: scipy.fft.irfft(_ZH[:, :1]),
+    "padding_s": lambda: scipy.fft.irfftn(_ZH, s=(4, 20), axes=(-2, -1)),
+    "odd_s": lambda: scipy.fft.irfftn(_ZH, s=(3, 17), axes=(-2, -1)),
+    "axis_out_of_range_inv": lambda: scipy.fft.irfftn(_ZH, s=(16,), axes=(5,)),
+    "extra_keyword": lambda: scipy.fft.rfft(_A, norm="ortho"),
+    "extra_keyword_nd": lambda: scipy.fft.irfftn(_ZH, s=(3, 16), axes=(-2, -1), workers=1),
+    "axes_as_list": lambda: scipy.fft.rfftn(_A, axes=[-2, -1]),
+    "no_axes": lambda: scipy.fft.ifftn(_Z),
+    "length_n": lambda: scipy.fft.fft(_Z, 8),
+}
+
+
+def _outcome(call):
+    """What call gives: its array's dtype, shape and bytes, or the type
+    and message of what it raised."""
+    try:
+        out = call()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+@pytest.mark.parametrize("case", list(DECLINED))
+def test_backend_declines_calls_it_does_not_know(monkeypatch, case):
+    # inside the backend's context each call is declined, without raising
+    # from the backend, and scipy's own backend gives scipy's bits (or
+    # raises scipy's error)
+    seen = _backend_calls(monkeypatch)
+    with spectral._POCKETFFT:
+        inside = _outcome(DECLINED[case])
+    assert seen == [False]
+    assert inside == _outcome(DECLINED[case]) and seen == [False]
+
+
 def _integer_tables(d: int) -> dict:
     """The Hessian index tables as integer arrays, each with the length of
     the leading axis it gathers along: the stacked entries (i, j), i <= j,
