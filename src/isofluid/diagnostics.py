@@ -32,14 +32,19 @@ crosses one boundary, lone_state, around every public functional: it goes
 in as its stack of one and comes back as Python floats or one record.
 
 Terms.  Each functional is a sum of named term integrals (_TERMS) with
-coefficients from the parameters and tau; StateOps.q computes each term once
-per state, and a term whose coefficient vanishes is not evaluated.  `record`
-builds the (coefficient, term) lists of its columns once, makes what their
-terms transform in one StateOps.fetch (the fields forward as one
-Spectral.batch and their derivatives back as one more; the fields built from
-derivatives (lap log R, lap sqrt R / sqrt R, the Korteweg stress) in a
-second such stage where those derivatives are not held yet), then sums each
-column from the same lists.
+coefficients from the parameters and tau, in groups of (coefficient, term)
+pairs that its term-list builder gives.  A functional, and each tier of
+`record`, evaluates on a _Plan built once per builder and arguments (a
+record's per parameter set, d and tier): the term keys, each column's
+groups, and each coefficient's arithmetic, recorded from the builders and
+replayed on each row's own (tau, taudot) in Python floats.  A term whose
+coefficient is 0 on a row is skipped on that row, and not evaluated where
+it is 0 on every row.  What the live terms transform is made in one
+StateOps.fetch (the fields forward as one Spectral.batch and their
+derivatives back as one more; the fields built from derivatives (lap log
+R, lap sqrt R / sqrt R, the Korteweg stress) in a second such stage where
+those derivatives are not held yet), whose stages are resolved once per
+request; each term integral is taken once per row.
 
 Phases.  A full record fetches and integrates in three phases: its columns;
 then relative_entropy, csiszar_kullback_gap, compatibility_residuals,
@@ -73,7 +78,9 @@ they equal the grid sums of the inverses up to rounding.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial, wraps
 
@@ -128,26 +135,28 @@ def stack_rows(grid: Grid) -> int:
     return max(1, STACK_VALUES // math.prod(grid.shape))
 
 
-def _dot(grid: Grid, a, b) -> float:
-    """quad(a b), summed over the stack components as well."""
-    return float(grid.weight * vdot(a, b))
-
-
 def each_row(grid: Grid, reduce, *arrays) -> np.ndarray:
     """The array of reduce on each row of a stack: each array with a row axis
     in front of the grid axes (the first has one) gives reduce its row,
     contiguous, and a grid table goes to every row whole: each value is
     bitwise that of the row's stack of one, which is its own row."""
     d = grid.d
-    out = np.empty(arrays[0].shape[-d - 1])
-    if len(out) == 1:
-        out[0] = reduce(*arrays)
-        return out
-    cut = (slice(None),) * d
-    for b in range(len(out)):
-        out[b] = reduce(*[np.ascontiguousarray(a[(Ellipsis, b) + cut]) if a.ndim > d else a
-                          for a in arrays])
-    return out
+    rows = arrays[0].shape[-d - 1]
+    if rows == 1:
+        return np.array([reduce(*arrays)], dtype=float)
+    parts = [map(np.ascontiguousarray, _by_row(a, d)) if a.ndim > d
+             else itertools.repeat(a, rows) for a in arrays]
+    return np.fromiter(itertools.starmap(reduce, zip(*parts)), float, rows)
+
+
+_sum_all = partial(np.add.reduce, axis=None)  # ndarray.sum, without its Python frame
+
+
+def _by_row(a, d: int):
+    """a with its row axis (the last before the d grid axes) in front, so
+    that iterating it gives its rows."""
+    at = a.ndim - d - 1
+    return a.transpose(at, *range(at), *range(at + 1, a.ndim))
 
 
 def matched_gaussian(grid: Grid, mass: float) -> np.ndarray:
@@ -269,6 +278,42 @@ def _key(key) -> tuple:
     return key if isinstance(key, tuple) else (key,)
 
 
+_LATE_KEYS = tuple((name,) for name in _LATE)
+
+
+@lru_cache(maxsize=256)
+def _requires(names: tuple, late_held: tuple) -> dict:
+    """name: the key of the field it needs, for the named fields and
+    derivatives, and for the derivatives that a late field among them is
+    built from where the table holds neither the field's coefficients nor
+    the field (late_held); resolved once per request (shared: read only)."""
+    needs = {}
+    for n in names:
+        key = needs[n] = _DERIVS[n][0] if n in _DERIVS else _key(n)
+        if key[0] in _LATE and key not in late_held:
+            for dep in _LATE[key[0]]:
+                needs[dep] = _DERIVS[dep][0]
+    return needs
+
+
+@lru_cache(maxsize=256)
+def _stages(names: tuple, later: tuple, held: frozenset, late_held: tuple) -> tuple:
+    """StateOps.fetch's stages for a table holding the derivatives `held`
+    and the late fields late_held, resolved once per request and holding:
+    ((todo, named), ...), each stage's {name: field key} and the fields
+    whose coefficients stay.  A late field waits for a second stage where
+    this fetch makes a derivative it is built from."""
+    needs = _requires(names, late_held)
+    todo = {n: key for n, key in needs.items() if n not in held}
+    named = {needs[n] for n in names if n not in _DERIVS} | {
+        key for n, key in _requires(later, late_held).items()
+        if n in _DERIVS and n not in held and n not in todo}
+    early = {n: key for n, key in todo.items()
+             if not any(dep in todo for dep in _LATE.get(key[0], ()))}
+    late = {n: key for n, key in todo.items() if n not in early}
+    return tuple((stage, named) for stage in (early, late) if stage)
+
+
 class StateOps:
     """Derived arrays of a stack of states (see the module notes), each
     computed once and shared between functionals: the density and its
@@ -293,9 +338,7 @@ class StateOps:
         self._R_raw, self.rows = R, len(R)
         self.grid, self.t = grid, t
         self.sp = grid.rows(self.rows)
-        self._dot, self._inner = partial(_dot, grid), partial(_inner, grid)
         self._cache, self._hat, self._arr, self._terms = {}, {}, {}, {}
-        self._values = {}  # each term integral's rows' values, a list (see _sum)
         if r_floor is not None:
             self._cache["r_floor"] = r_floor
         if M is None:
@@ -329,30 +372,12 @@ class StateOps:
         the derivatives that `later` names, which a later fetch makes."""
         if all(n in self._arr for n in names):
             return
-        needs = self._requires(names)
-        todo = {n: key for n, key in needs.items() if n not in self._arr}
-        named = {needs[n] for n in names if n not in _DERIVS} | {
-            key for n, key in self._requires(later).items()
-            if n in _DERIVS and n not in self._arr and n not in todo}
-        early = {n: key for n, key in todo.items()
-                 if not any(dep in todo for dep in _LATE.get(key[0], ()))}
-        self._transform(early, named)
-        if len(early) < len(todo):
-            self._transform({n: key for n, key in todo.items() if n not in early}, named)
+        for todo, named in _stages(names, later, frozenset(self._arr), self._late_held()):
+            self._transform(todo, named)
 
-    def _requires(self, names) -> dict:
-        """name: the key of the field it needs, for the named fields and
-        derivatives, and for the derivatives that a late field among them
-        is built from where the table holds neither the field's
-        coefficients nor the field."""
-        needs = {}
-        for n in names:
-            key = needs[n] = _DERIVS[n][0] if n in _DERIVS else _key(n)
-            late = _LATE.get(key[0])
-            if late and key not in self._hat and key not in self._cache:
-                for dep in late:
-                    needs[dep] = _DERIVS[dep][0]
-        return needs
+    def _late_held(self) -> tuple:
+        """The late fields whose coefficients or pointwise array the table holds."""
+        return tuple(key for key in _LATE_KEYS if key in self._hat or key in self._cache)
 
     def _transform(self, todo: dict, named: set) -> None:
         """One stage of fetch: the fields forward in one batch, the
@@ -391,7 +416,7 @@ class StateOps:
         floor stay; a kept array that shares its stack with dropped
         ones is copied out (_owned).  A dropped pointwise array is built
         again where it is read."""
-        needs = self._requires(names)
+        needs = _requires(names, self._late_held())
         fields = {key for n, key in needs.items() if n not in self._arr}
         self._arr = {n: _owned(a) for n, a in self._arr.items() if n in needs}
         self._hat = {key: _owned(h) for key, h in self._hat.items() if key in fields}
@@ -412,38 +437,29 @@ class StateOps:
         if out is None:
             name, args = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
             out = self._terms[key] = _TERMS[name][1](self, *args)
-            self._values[key] = out.tolist()
         return out
-
-    def total(self, tables: list) -> dict:
-        """From each row's table (see groups) of named groups of (c, key)
-        pairs (a list of pairs, or a tuple of such lists), the dict of each
-        name's list of the rows' sums of c * q(key) over the pairs whose
-        c != 0, added group after group, in Python floats (_sum)."""
-        return {name: [_sum(table[name], self, b) for b, table in enumerate(tables)]
-                for name in tables[0]}
-
-    def groups(self, build, tau) -> list:
-        """Each row's table of total, build of its own (tau, taudot) pair."""
-        if len(tau) != self.rows:
-            raise ValueError(f"a stack of {self.rows} states needs {self.rows} tau pairs, "
-                             f"got {len(tau)}")
-        return [build(pair) for pair in tau]
 
     # -- reductions, per row ---------------------------------------------------
 
+    def _weighted(self, reduce, *arrays) -> np.ndarray:
+        """The quadrature weight times reduce on each row (each_row), as
+        Grid.quad takes it."""
+        if self.rows == 1:
+            return np.array([self.grid.weight * reduce(*arrays)])
+        return self.grid.weight * each_row(self.grid, reduce, *arrays)
+
     def dot(self, a, b) -> np.ndarray:
-        """quad(a b), summed over the stack components as well (_dot)."""
-        return each_row(self.grid, self._dot, a, b)
+        """quad(a b), summed over the stack components as well."""
+        return self._weighted(vdot, a, b)
 
     def quad(self, a) -> np.ndarray:
         """Grid.quad of a."""
-        return each_row(self.grid, self.grid.quad, a)
+        return self._weighted(_sum_all, a)
 
     def inner(self, ah, bh) -> np.ndarray:
         """quad of the product of two fields from their coefficients
         (Parseval, Spectral.inner)."""
-        return each_row(self.grid, self._inner, ah, bh)
+        return self._weighted(self.grid.spectral.inner, ah, bh)
 
     def each(self, fn, *values) -> np.ndarray:
         """The array of fn on each row's values (Python floats) of values."""
@@ -642,27 +658,6 @@ def _rgugut(o):
     return total
 
 
-def _inner(grid: Grid, a, b) -> float:
-    """quad of the product of two fields from their coefficients (Parseval)."""
-    return grid.weight * grid.spectral.inner(a, b)
-
-
-def _as_groups(out) -> tuple:
-    return out if isinstance(out, tuple) else (out,)
-
-
-def _sum(groups, ops: StateOps, b: int) -> float:
-    """StateOps.total of row b's groups, on row b's own term integrals."""
-    out = 0.0
-    for terms in _as_groups(groups):
-        part = 0.0
-        for c, key in terms:
-            if c != 0.0:
-                part += c * (ops._values.get(key) or ops.q(key).tolist())[b]
-        out += part
-    return out
-
-
 # The term integrals, by name: (what they transform, (ops, *args) -> value);
 # the transforms are _FIELDS or _DERIVS keys, or a function of the term's
 # arguments that returns them.
@@ -722,10 +717,122 @@ def _needs(key: tuple) -> tuple:
     return needs(*key[1:]) if callable(needs) else needs
 
 
+# ---------------------------------------------------------------------------
+# evaluation plans
+
+
+class _Coef:
+    """A coefficient as a function of one row's (tau, taudot): a term-list
+    builder runs once on _TAU, the pair of the two leaves, and an operation
+    on a _Coef records itself instead of computing, for _Plan to replay on
+    each row's own pair in the builder's order, in Python floats."""
+
+    __slots__ = ("op", "args")
+
+    def __init__(self, op=None, *args):
+        self.op, self.args = op, args
+
+    __mul__ = lambda a, b: _Coef(operator.mul, a, b)
+    __rmul__ = lambda a, b: _Coef(operator.mul, b, a)
+    __truediv__ = lambda a, b: _Coef(operator.truediv, a, b)
+    __rtruediv__ = lambda a, b: _Coef(operator.truediv, b, a)
+    __pow__ = lambda a, b: _Coef(operator.pow, a, b)
+
+
+_TAU = (_Coef(), _Coef())  # tau and taudot
+
+
+class _Plan:
+    """The plan of named columns as a term-list builder gives them on _TAU,
+    each a list of (coefficient, term key) pairs or a tuple of such groups
+    (its total the groups' totals added in order): the term keys in order,
+    each column's groups as (slot, key index) pairs, and the program of a
+    row's slots (its tau and taudot, the constants and the recorded
+    operations, equal ones sharing a slot).  A pair whose coefficient is the
+    constant 0.0 is left out, as it vanishes on every row."""
+
+    def __init__(self, columns: dict):
+        self.init, self.steps, index = [None, None], [], {("tau", 0): 0, ("tau", 1): 1}
+
+        def slot(c) -> int:
+            if not isinstance(c, _Coef):
+                key = (type(c), repr(c))  # repr keeps 0.0 and -0.0 apart
+            else:
+                key = (c.op, *map(slot, c.args)) if c.op else ("tau", _TAU.index(c))
+            if key not in index:
+                index[key] = len(self.init)
+                self.init.append(None if isinstance(c, _Coef) else c)
+                if isinstance(c, _Coef):
+                    self.steps.append((index[key], *key))
+            return index[key]
+
+        groups = {name: [[(slot(c), key) for c, key in group if isinstance(c, _Coef) or c != 0.0]
+                         for group in (g if isinstance(g, tuple) else (g,))]
+                  for name, g in columns.items()}
+        pairs = [pair for gs in groups.values() for group in gs for pair in group]
+        self.keys = list(dict.fromkeys(key for _, key in pairs))
+        at = {key: k for k, key in enumerate(self.keys)}
+        self.columns = {name: [[(s, at[key]) for s, key in group] for group in gs]
+                        for name, gs in groups.items()}
+        # a key is live on the rows where one of its coefficients is not 0
+        self.key_slots = [[s for s, key in pairs if key == k] for k in self.keys]
+        self._needs = {}  # what the live keys transform, per set of them
+
+    def coefficients(self, pair) -> list:
+        """The slots of one row's (tau, taudot) pair."""
+        v = list(self.init)
+        v[:2] = pair
+        for k, op, i, j in self.steps:
+            v[k] = op(v[i], v[j])
+        return v
+
+    def totals(self, ops: StateOps, tau, later=()) -> dict:
+        """Each column's list of the rows' totals on the stack ops, from one
+        (tau, taudot) pair per row: a group's total on a row is the sum of
+        c * q(key) over its pairs whose c != 0 on that row, in Python
+        floats.  What the live terms transform is made in one fetch (later:
+        see StateOps.fetch)."""
+        if len(tau) != ops.rows:
+            raise ValueError(f"a stack of {ops.rows} states needs {ops.rows} tau pairs, "
+                             f"got {len(tau)}")
+        coefs = [self.coefficients(pair) for pair in tau]
+        live = tuple(k for k, slots in enumerate(self.key_slots)
+                     if any(c[s] != 0.0 for c in coefs for s in slots))
+        needs = self._needs.get(live)
+        if needs is None:
+            needs = self._needs[live] = tuple(dict.fromkeys(
+                n for k in live for n in _needs(_key(self.keys[k]))))
+        ops.fetch(*needs, later=later)
+        # each term's rows' values (a term that is not live is never read)
+        terms = [ops.q(key).tolist() if k in live else coefs for k, key in enumerate(self.keys)]
+        out = {name: [] for name in self.columns}
+        for c, *v in zip(coefs, *terms):
+            for name, groups in self.columns.items():
+                total = 0.0
+                for group in groups:
+                    part = 0.0
+                    for s, k in group:
+                        x = c[s]
+                        if x != 0.0:
+                            part += x * v[k]
+                    total += part
+                out[name].append(total)
+        return out
+
+
 @lru_cache(maxsize=64)
-def _column_needs(keys: tuple) -> tuple:
-    """What the terms `keys` transform, each once in order (once per set)."""
-    return tuple(dict.fromkeys(n for key in keys for n in _needs(_key(key))))
+def _plan(build, *args) -> _Plan:
+    """The _Plan of the columns build(tau, *args) gives (a dict of them, or
+    one column), built once per builder and arguments."""
+    columns = build(_TAU, *args)
+    return _Plan(columns if isinstance(columns, dict) else {"": columns})
+
+
+@lone_state
+def _total(ops: StateOps, tau, build, *args):
+    """The array of each row's total of the one column build(tau, *args)
+    gives: a tau functional's lone_state."""
+    return np.array(_plan(build, *args).totals(ops, tau)[""])
 
 
 def _times(c: float, terms) -> list:
@@ -736,9 +843,8 @@ def _times(c: float, terms) -> list:
 # energy / dissipation of the plain system
 #
 # Each functional is the total of its (coefficient, term) lists, built by the
-# function of the same name with a leading underscore; record builds the
-# lists of all its columns once and reads them for both its fetch and its
-# sums.
+# function of the same name with a leading underscore from tau and its
+# arguments; its _plan, and record's, runs the builders once.
 
 
 _POTENTIAL = [(1.0, "Rr2"), (1.0, "RlogR")]  # quad(R |y|^2 + R log R)
@@ -749,13 +855,6 @@ def _kinetic(eps: float, eta2: float = 0.0, s: int | None = None) -> list:
     return [(1.0, "lam2"), (eps**2, "gs2"), (eta2, ("glR2", s))]
 
 
-@lone_state
-def _total(ops: StateOps, build, tau):
-    """The array of each row's total of the term groups build(tau) returns
-    for the row's pair (StateOps.total): a tau functional's lone_state."""
-    return np.array(ops.total(ops.groups(lambda pair: {"": build(pair)}, tau))[""])
-
-
 def _energy(tau, eps: float) -> list:
     return [*_times(1.0 / (2 * tau[0] ** 2), _kinetic(eps)), *_POTENTIAL]
 
@@ -763,7 +862,7 @@ def _energy(tau, eps: float) -> list:
 def energy(state: FluidState | StateOps, tau, eps: float):
     """Self-similar pseudo-energy
     (1/2 tau^2) quad(R|U|^2 + eps^2 |grad sqrt R|^2) + quad(R|y|^2 + R log R)."""
-    return _total(state, partial(_energy, eps=eps), tau)
+    return _total(state, tau, _energy, eps)
 
 
 def _dissipation(tau, eps: float, nu: float) -> list:
@@ -773,7 +872,7 @@ def _dissipation(tau, eps: float, nu: float) -> list:
 
 def dissipation(state: FluidState | StateOps, tau, eps: float, nu: float):
     """(taudot/tau^3) quad(R|U|^2 + eps^2|grad sqrt R|^2) + (nu/tau^4) quad(R |DU|^2)."""
-    return _total(state, partial(_dissipation, eps=eps, nu=nu), tau)
+    return _total(state, tau, _dissipation, eps, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +889,7 @@ def bd_entropy(state: FluidState | StateOps, tau, eps: float, nu: float, r0: flo
     """BD entropy; with r0 > 0 includes the drag term -2 r0 (log R) 1_{R<=1}.
     R |U + nu grad log R|^2 is expanded without division:
     |Lambda|^2 + 4 nu Lambda . grad sqrt R + 4 nu^2 |grad sqrt R|^2."""
-    return _total(state, partial(_bd_entropy, eps=eps, nu=nu, r0=r0), tau)
+    return _total(state, tau, _bd_entropy, eps, nu, r0)
 
 
 def _bd_dissipation(tau, eps: float, nu: float) -> list:
@@ -801,14 +900,14 @@ def _bd_dissipation(tau, eps: float, nu: float) -> list:
 
 
 def bd_dissipation(state: FluidState | StateOps, tau, eps: float, nu: float):
-    return _total(state, partial(_bd_dissipation, eps=eps, nu=nu), tau)
+    return _total(state, tau, _bd_dissipation, eps, nu)
 
 
 # ---------------------------------------------------------------------------
 # regularized energy / dissipation (the discrete balance checked by the solver)
 
 
-def _eta_potential(p: ParamSet, tau) -> list:
+def _eta_potential(tau, p: ParamSet) -> list:
     """The terms of eta1/(alpha+1) quad(rho_tilde^(-alpha))
     + eta2/(2 tau^2) quad(|grad lap^s R|^2), the regularization potential
     shared by energy_reg and bd_entropy_reg."""
@@ -816,7 +915,7 @@ def _eta_potential(p: ParamSet, tau) -> list:
     return [(c1, ("rtneg", p.alpha)), (p.eta2 / (2 * tau[0] ** 2), ("glR2", p.s))]
 
 
-def _diffusion_dissipation(p: ParamSet, tau, c: float) -> list:
+def _diffusion_dissipation(tau, p: ParamSet, c: float) -> list:
     """The terms of the dissipation of the entropy and eta potentials by a
     density diffusion c lap R / tau^2: (c/tau^2) quad(4 |grad sqrt R|^2
     + (4 eta1/alpha) |grad rho_tilde^(-alpha/2)|^2) + (c eta2/tau^4) quad((lap^(s+1) R)^2).
@@ -828,48 +927,48 @@ def _diffusion_dissipation(p: ParamSet, tau, c: float) -> list:
                       (p.eta2 / t2**2, ("lapR2", p.s + 1))])
 
 
-def _velocity_damping(p: ParamSet, tau) -> list:
+def _velocity_damping(tau, p: ParamSet) -> list:
     """The terms of (1/tau^4) quad(delta2 |lap U|^2 + r0 |U|^2 + r1 R |U|^4),
     the delta2 and drag dissipation of dissipation_reg and bd_dissipation_reg."""
     t4 = tau[0] ** 4
     return [(p.delta2 / t4, "lapU2"), (p.r0 / t4, "U2"), (p.r1 / t4, "lam2U2")]
 
 
-def _energy_reg(p: ParamSet, tau) -> tuple:
-    return _energy(tau, p.eps), _eta_potential(p, tau)
+def _energy_reg(tau, p: ParamSet) -> tuple:
+    return _energy(tau, p.eps), _eta_potential(tau, p)
 
 
 def energy_reg(state: FluidState | StateOps, params: ParamSet, tau):
-    return _total(state, partial(_energy_reg, params), tau)
+    return _total(state, tau, _energy_reg, params)
 
 
-def _dissipation_reg(p: ParamSet, tau) -> list:
+def _dissipation_reg(tau, p: ParamSet) -> list:
     tau_v, taudot_v = tau
     t4 = tau_v**4
     return [
         *_times(taudot_v / tau_v**3, _kinetic(p.eps, p.eta2, p.s)),
         (p.nu / t4, "RDU2"),
-        *_diffusion_dissipation(p, tau, p.delta1),
+        *_diffusion_dissipation(tau, p, p.delta1),
         (p.delta1 * p.eps**2 / (2 * t4), "RhlogR2"),
-        *_velocity_damping(p, tau),
+        *_velocity_damping(tau, p),
     ]
 
 
 def dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau):
-    return _total(state, partial(_dissipation_reg, params), tau)
+    return _total(state, tau, _dissipation_reg, params)
 
 
-def _bd_entropy_reg(p: ParamSet, tau) -> tuple:
-    return _bd_entropy(tau, p.eps, p.nu, p.r0), _eta_potential(p, tau)
+def _bd_entropy_reg(tau, p: ParamSet) -> tuple:
+    return _bd_entropy(tau, p.eps, p.nu, p.r0), _eta_potential(tau, p)
 
 
 def bd_entropy_reg(state: FluidState | StateOps, params: ParamSet, tau):
     """Positive part of the regularized BD entropy (drag log-term truncated
     to {R <= 1}, plus the eta contributions)."""
-    return _total(state, partial(_bd_entropy_reg, params), tau)
+    return _total(state, tau, _bd_entropy_reg, params)
 
 
-def _bd_dissipation_reg(p: ParamSet, tau) -> list:
+def _bd_dissipation_reg(tau, p: ParamSet) -> list:
     # sum of the energy-identity and BD-identity dissipations; adding the
     # two derivations gives the density-diffusion coefficient nu + delta1.
     # The drag term 2 r0 nu (taudot/tau^3) quad(|log R| 1_{R<1}) is read off
@@ -881,17 +980,17 @@ def _bd_dissipation_reg(p: ParamSet, tau) -> list:
         *_times(taudot_v / tau_v**3, _kinetic(p.eps, p.eta2, p.s)),
         (-2.0 * p.r0 * p.nu * taudot_v / tau_v**3, "logR_le1"),
         (chess / t4, "RhlogR2"),
-        *_diffusion_dissipation(p, tau, p.nu + p.delta1),
+        *_diffusion_dissipation(tau, p, p.nu + p.delta1),
         (p.nu / t4, "RAU2"),
-        *_velocity_damping(p, tau),
+        *_velocity_damping(tau, p),
     ]
 
 
 def bd_dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau):
-    return _total(state, partial(_bd_dissipation_reg, params), tau)
+    return _total(state, tau, _bd_dissipation_reg, params)
 
 
-def _balance_rhs(p: ParamSet, tau, d: int) -> list:
+def _balance_rhs(tau, p: ParamSet, d: int) -> list:
     tau_v, taudot_v = tau
     return [(2.0 * d * p.delta1 / tau_v**2, "R"), (-p.nu * taudot_v / tau_v**3, "RdivU")]
 
@@ -899,7 +998,7 @@ def _balance_rhs(p: ParamSet, tau, d: int) -> list:
 def balance_rhs(state: FluidState | StateOps, params: ParamSet, tau):
     """Right side of the regularized energy balance:
     2 d delta1 / tau^2 quad(R) - nu taudot / tau^3 quad(R div U)."""
-    return _total(state, lambda pair: _balance_rhs(params, pair, state.grid.d), tau)
+    return _total(state, tau, _balance_rhs, params, state.grid.d)
 
 
 def energy_balance_residual(times, e_reg, d_reg, rhs) -> float:
@@ -915,10 +1014,11 @@ def energy_balance_residual(times, e_reg, d_reg, rhs) -> float:
 # BD identity (time-integrated, all terms carry a factor nu)
 
 
-def _bd_identity(p: ParamSet, tau, d: int) -> tuple:
-    """The term lists of (F, DISS, RHS) of bd_identity_terms; empty without nu."""
+def _bd_identity(tau, p: ParamSet, d: int) -> dict:
+    """The term lists of the columns F, DISS and RHS of bd_identity_terms;
+    empty without nu."""
     if p.nu == 0.0:
-        return [], [], []
+        return dict(bdid_f=[], bdid_diss=[], bdid_rhs=[])
     tau_v, taudot_v = tau
     nu, t4 = p.nu, tau_v**4
     # R U . grad log R = U . grad R = 2 Lambda . grad sqrt R (no division).
@@ -931,7 +1031,7 @@ def _bd_identity(p: ParamSet, tau, d: int) -> tuple:
     f = _times(1.0 / tau_v**2, [(2.0 * nu, "lgs"), (2.0 * nu**2, "gs2"), (-p.r0 * nu, "logR")])
     diss = [
         *_times(2.0 * nu * taudot_v / tau_v**3, [(2.0, "lgs"), (-p.r0, "logR")]),
-        *_diffusion_dissipation(p, tau, nu),
+        *_diffusion_dissipation(tau, p, nu),
         ((p.delta1 * nu**2 + p.eps**2 * nu / 4.0) / t4, "RhlogR2"),
     ]
     rhs = [
@@ -943,19 +1043,19 @@ def _bd_identity(p: ParamSet, tau, d: int) -> tuple:
         (-p.delta1 * nu / t4, "lapR_divmom"),
         (-p.delta2 * nu / t4, "lapU_glaplog"),
     ]
-    return f, diss, rhs
+    return dict(bdid_f=f, bdid_diss=diss, bdid_rhs=rhs)
 
 
-def bd_identity_terms(state: FluidState | StateOps, params: ParamSet, tau):
+@lone_state
+def bd_identity_terms(ops: StateOps, params: ParamSet, tau):
     """(F, DISS, RHS) of the BD identity at one instant, where the identity is
 
         dF/dt + DISS = RHS,
         F = (1/tau^2) quad(nu R U . grad log R + nu^2/2 R |grad log R|^2
                            - 2 r0 nu log R).
     """
-    ops = StateOps.of(state)
-    return tuple(_total(ops, lambda pair, i=i: _bd_identity(params, pair, ops.grid.d)[i], tau)
-                 for i in range(3))
+    columns = _plan(_bd_identity, params, ops.grid.d).totals(ops, tau)
+    return tuple(np.array(v) for v in columns.values())
 
 
 def bd_identity_residual(times, f_series, diss_series, rhs_series) -> float:
@@ -1280,25 +1380,24 @@ _FULL_NEEDS = _COMPAT_NEEDS + _IRROT_NEEDS
 _IDENTITY_NEEDS = _LOGHESS_NEEDS + _JUNGEL_NEEDS + _KORTEWEG_NEEDS
 
 
-def _column_terms(p: ParamSet, tau, d: int, full: bool) -> dict:
+def _columns(tau, p: ParamSet, d: int, full: bool) -> dict:
     """The (coefficient, term) lists of each value column of a record but its
     moments, grouped as its functional groups them: the column is the
     lists' totals added in order (energy_reg is energy plus the eta
     potential's total)."""
-    bdid = _bd_identity(p, tau, d)
     cols = {
-        "energy": (_energy(tau, p.eps),),
-        "dissipation": (_dissipation(tau, p.eps, p.nu),),
-        "energy_reg": _energy_reg(p, tau),
-        "dissipation_reg": (_dissipation_reg(p, tau),),
-        "balance_rhs": (_balance_rhs(p, tau, d),),
-        "bd_entropy": (_bd_entropy(tau, p.eps, p.nu, p.r0),),
-        "bd_dissipation": (_bd_dissipation(tau, p.eps, p.nu),),
-        **{name: (terms,) for name, terms in zip(("bdid_f", "bdid_diss", "bdid_rhs"), bdid)},
+        "energy": _energy(tau, p.eps),
+        "dissipation": _dissipation(tau, p.eps, p.nu),
+        "energy_reg": _energy_reg(tau, p),
+        "dissipation_reg": _dissipation_reg(tau, p),
+        "balance_rhs": _balance_rhs(tau, p, d),
+        "bd_entropy": _bd_entropy(tau, p.eps, p.nu, p.r0),
+        "bd_dissipation": _bd_dissipation(tau, p.eps, p.nu),
+        **_bd_identity(tau, p, d),
     }
     if full:
-        cols["bd_entropy_reg"] = _bd_entropy_reg(p, tau)
-        cols["bd_dissipation_reg"] = (_bd_dissipation_reg(p, tau),)
+        cols["bd_entropy_reg"] = _bd_entropy_reg(tau, p)
+        cols["bd_dissipation_reg"] = _bd_dissipation_reg(tau, p)
     return cols
 
 
@@ -1321,30 +1420,27 @@ def record(
     The core tier (always computed) carries everything needed for the
     time-integrated balance residuals; full=True adds the identity residuals
     and entropy comparisons (meaningful on smooth positive states), the
-    identities on the rows whose R > 0 only.  The columns' term lists are
-    built once (_column_terms); what their terms transform is made in one
-    fetch, and each column is then summed once; the full tier fetches in two
-    more phases (the module notes).
+    identities on the rows whose R > 0 only.  The columns are evaluated
+    on the plan of (params, d, tier), built once (_plan of _columns): what
+    their live terms transform is made in one fetch, each term integral is
+    taken once and each column summed from its rows' coefficients; the full
+    tier fetches in two more phases (the module notes).
     """
     g = ops.grid
     if isinstance(ops.t, float) or len(ops.t) != ops.rows:
         raise ValueError(f"a stack of {ops.rows} states needs {ops.rows} times t, "
                          f"got t of shape {np.shape(ops.t)}")
-    tables = ops.groups(lambda pair: _column_terms(params, pair, g.d, full), tau)
-    keys = dict.fromkeys(key for table in tables for groups in table.values() for pairs in groups
-                         for c, key in pairs if c != 0.0)
     live = [b for b, m in enumerate(ops.min_density.tolist()) if m > 0] if full else []
-    # the phases of the transforms: the columns', the full tier's functions'
-    # and the identities' (of the live rows); each keeps what a later reads
-    phases = [_column_needs(tuple(keys)), _FULL_NEEDS if full else (),
-              _IDENTITY_NEEDS if live else ()]
-    ops.fetch(*phases[0], later=phases[1] + phases[2])
-    columns = ops.total(tables)  # each column's list of the rows' values
+    # the phases of the transforms after the columns': the full tier's
+    # functions' and the identities' (of the live rows); each keeps what a
+    # later reads
+    phases = [_FULL_NEEDS if full else (), _IDENTITY_NEEDS if live else ()]
+    columns = _plan(_columns, params, g.d, full).totals(ops, tau, later=phases[0] + phases[1])
     values = dict(mass=ops.q("R"), second_moment=ops.q("Rr2"), min_density=ops.min_density)
     columns["momentum"] = list(zip(*(ops.quad(m).tolist() for m in ops.mom)))
     if full:
-        ops.keep(*phases[1], *phases[2])
-        ops.fetch(*phases[1], later=phases[2])
+        ops.keep(*phases[0], *phases[1])
+        ops.fetch(*phases[0], later=phases[1])
         values["relative_entropy"] = relative_entropy.__wrapped__(ops)
         values["ck_gap"] = csiszar_kullback_gap.__wrapped__(ops)
         values["tn_residual"], values["sk_residual"] = compatibility_residuals.__wrapped__(ops)
@@ -1353,8 +1449,8 @@ def record(
     columns.update((name, v.tolist()) for name, v in values.items())
     if live:
         ids = ops if len(live) == ops.rows else ops.take(live)  # the rows with R > 0
-        ids.keep(*phases[2])
-        ids.fetch(*phases[2])
+        ids.keep(*phases[1])
+        ids.fetch(*phases[1])
         identities = dict(korteweg_residual=korteweg_identity_residual.__wrapped__(ids),
                           loghess_residual=loghess_identity_residual.__wrapped__(ids))
         identities["jungel_left"], identities["jungel_right"] = jungel_quantities.__wrapped__(ids)

@@ -87,6 +87,11 @@ class ExperimentConfig:
         for key in ("snapshot_every", "diag_every"):
             if getattr(cfg, key) < 0:
                 raise BadConfig(f"{key} must be at least 0, got {getattr(cfg, key)}")
+        if cfg.kind == "check" and cfg.filter:
+            families = list(_families(None))
+            if not any(cfg.filter in name for name in families):
+                raise BadConfig(f"filter {cfg.filter!r} matches no check family: "
+                                f"{', '.join(families)}")
         return cfg
 
     def build(self) -> "RunInputs":
@@ -513,14 +518,10 @@ def check(filter: str | None = None, verbose: bool = True) -> tuple[bool, list[s
     return (not failures), failures
 
 
-def check_families(filter: str | None = None, verbose: bool = True) -> dict:
-    """Run the families of `check` whose name contains filter (all without
-    one): {family: (errors, perf_counter seconds)}, in suite order.
-
-    The energy and bd families read the same three drag runs; the first of
-    them to run makes the runs, and they last as long as this call."""
-    ladder = functools.cache(_drag_ladder)
-    families = {
+def _families(ladder) -> dict:
+    """The families of `check`, in suite order: {name: fn()}; the energy and
+    bd families read the drag runs ladder() gives."""
+    return {
         "tau": _check_tau,
         "spectral": _check_spectral,
         "rescaling": _check_rescaling,
@@ -535,8 +536,16 @@ def check_families(filter: str | None = None, verbose: bool = True) -> dict:
         "prepare": _check_prepare,
         "snapshots": _check_snapshots,
     }
+
+
+def check_families(filter: str | None = None, verbose: bool = True) -> dict:
+    """Run the families of `check` whose name contains filter (all without
+    one): {family: (errors, perf_counter seconds)}, in suite order.
+
+    The energy and bd families read the same three drag runs; the first of
+    them to run makes the runs, and they last as long as this call."""
     ran = {}
-    for name, fn in families.items():
+    for name, fn in _families(functools.cache(_drag_ladder)).items():
         if filter and filter not in name:
             continue
         t0 = time.perf_counter()

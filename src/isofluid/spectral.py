@@ -188,11 +188,16 @@ class Grid:
         # broadcastable per-axis coordinate / wavenumber arrays
         self.y = tuple(_along(self.d, i, axis_y) for i in range(self.d))
         self.k = tuple(_along(self.d, i, axis_k) for i in range(self.d))
-        self.k2 = sum(ki**2 for ki in self.k)  # |k|^2, broadcast to full shape
-        self.k2 = np.broadcast_to(self.k2, self.shape).copy()
-        self.r2 = np.broadcast_to(
-            sum(yi**2 for yi in self.y), self.shape
-        ).copy()  # |y|^2 samples
+        with np.errstate(over="ignore"):  # refused below where they overflow
+            self.k2 = sum(ki**2 for ki in self.k)  # |k|^2, broadcast to full shape
+            self.k2 = np.broadcast_to(self.k2, self.shape).copy()
+            self.r2 = np.broadcast_to(
+                sum(yi**2 for yi in self.y), self.shape
+            ).copy()  # |y|^2 samples
+        for name, table in (("|y|^2", self.r2), ("|k|^2", self.k2)):
+            if not np.isfinite(table).all():
+                raise ValueError(f"half-width {ell!r} leaves the {name} table of n = {n} "
+                                 "not finite")
         self._rows: dict = {}  # see rows
 
     def quad(self, a) -> float:

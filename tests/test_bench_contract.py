@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import isofluid
-from isofluid import experiments, solver
+from isofluid import diagnostics, experiments, solver
 from isofluid import io as io_
 from isofluid.cli import main as cli_main
 from isofluid.lognls import crosscheck_hydro_params
@@ -42,6 +42,25 @@ def test_tracer_finds_every_required_name():
     tr = _load("tracer").Tracer()
     tr.add_isofluid_targets()  # builds the wrappers; installs none
     assert tr.absent == []
+
+
+def test_traced_records_split_into_their_tiers():
+    # diagnostics.core_calls and full_calls count the spans the tracer names
+    # by binding record's `full`: a run records a full record at its start
+    # and its end, and its core records between as one pending stack
+    tr = _load("tracer").Tracer()
+    tr.add_isofluid_targets()
+    state, params = experiments.full_reg_setup(n=64)
+    tr.install()
+    try:
+        traj = solver.run(state, params, 0.02, diag_every=1)
+    finally:
+        tr.uninstall()
+    assert traj.status == "ok" and 3 <= traj.n_steps < diagnostics.stack_rows(state.grid)
+    assert len(traj.records) == traj.n_steps + 1
+    names = [tr.names[i] for i in tr.name_id]
+    assert names.count("diagnostics.record[core]") == 1
+    assert names.count("diagnostics.record[full]") == 2
 
 
 def test_probe_advance_runs():

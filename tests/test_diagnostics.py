@@ -671,6 +671,51 @@ def test_stack_records_are_their_stacks_of_one_bitwise(d, n, full):
         assert (rec.korteweg_residual is None) == (not full or b == 2)
 
 
+def _column_functionals(ops, p, taus, full):
+    """Each column of a record that its functional computes, from a fresh
+    StateOps ops(): {column: the array of the rows' values}."""
+    columns = {
+        "energy": diag.energy(ops(), taus, p.eps),
+        "dissipation": diag.dissipation(ops(), taus, p.eps, p.nu),
+        "bd_entropy": diag.bd_entropy(ops(), taus, p.eps, p.nu, p.r0),
+        "bd_dissipation": diag.bd_dissipation(ops(), taus, p.eps, p.nu),
+        **{name: getattr(diag, name)(ops(), p, taus)
+           for name in ("energy_reg", "dissipation_reg", "balance_rhs")},
+        **dict(zip(("bdid_f", "bdid_diss", "bdid_rhs"), diag.bd_identity_terms(ops(), p, taus))),
+    }
+    if full:
+        columns.update({name: getattr(diag, name)(ops(), p, taus)
+                        for name in ("bd_entropy_reg", "bd_dissipation_reg")})
+    return columns
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_a_block_of_64_records_is_its_stacks_of_one_bitwise(full):
+    # the block a 1D n = 128 run evaluates its records in (stack_rows): the
+    # rows have their own (tau, taudot) pairs, taudot = 0 on every third
+    # (which turns the taudot-weighted terms off on those rows only), and
+    # one row has R < 0; each record is bitwise the record of its stack of
+    # one, and each column bitwise its functional on the stack
+    g, Rs, Ms = _random_rows(1, 128, np.linspace(0.5, 3.0, 64))
+    assert diag.stack_rows(g) == 64
+    Rs[5] = Rs[5] - 0.02
+    taus = [(1.0 + 0.05 * b, 0.0 if b % 3 == 0 else 0.01 * b) for b in range(64)]
+    times = [0.01 * b for b in range(64)]
+    p = _all_terms_params(1)
+
+    def stack():
+        return diag.StateOps(g, *_rows(g, Rs, Ms), 1e-9, times)
+
+    recs = diag.record(stack(), p, taus, full=full)
+    for b, rec in enumerate(recs):
+        alone = diag.record(diag.StateOps(g, *_one(Rs[b], Ms[b]), 1e-9, [times[b]]), p,
+                            [taus[b]], full=full)
+        assert np.array_equal(_bits(rec.csv_row()), _bits(alone[0].csv_row()), equal_nan=True), b
+        assert (rec.korteweg_residual is None) == (not full or b == 5)
+    for name, values in _column_functionals(stack, p, taus, full).items():
+        assert np.array_equal(_bits([getattr(rec, name) for rec in recs]), _bits(values)), name
+
+
 def test_lone_states_answer_in_python_floats():
     # every public functional called on a FluidState returns a Python float,
     # or a tuple of them, bitwise the value of its stack of one; record

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -397,6 +398,36 @@ def test_cli_korteweg_short_horizon(tmp_path):
 def test_cli_check_filter(tmp_path):
     rc = cli_main(["check", "--filter", "spectral", "--out", str(tmp_path)])
     assert rc == 0
+
+
+def test_cli_check_filter_matching_no_family_is_a_bad_config(tmp_path, capsys):
+    # a filter that selects nothing would check nothing and exit 0
+    out = tmp_path / "out"
+    assert cli_main(["check", "--filter", "zzz", "--out", str(out)]) == 3
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.startswith("bad config: ") and cap.err.count("\n") == 1
+    families = list(E._families(None))
+    assert len(families) == 13 and all(name in cap.err for name in families)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ell", [1e300, 1e-300])
+def test_grid_half_width_whose_tables_overflow_is_a_bad_config(tmp_path, capsys, ell):
+    # |y|^2 overflows at ell = 1e300 (the run went on with NaN columns) and
+    # |k|^2 at ell = 1e-300 (the run failed with an OverflowError): both are
+    # refused before any warning
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "grid": {"d": 1, "n": 64, "ell": ell},
+        "params": {"eps": 0.1, "dt_policy": "fixed", "dt": 1e-4}, "t_end": 1e-3}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("bad config: half-width") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_check_catches_injected_sign_error(monkeypatch):

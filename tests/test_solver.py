@@ -956,6 +956,32 @@ def test_a_block_of_core_records_makes_the_transform_calls_of_one(monkeypatch, d
         diag.record(untimed, p, [(1.1, 0.3)] * 4)
 
 
+def test_a_run_builds_one_record_plan_per_params_and_tier(monkeypatch):
+    # a run's records share the evaluation plan of their parameter set and
+    # tier: a run of many records builds two (core and full), a run of a
+    # second parameter set two more, and a repeated run none
+    built = []
+
+    class Counted(diag._Plan):
+        def __init__(self, columns):
+            built.append(tuple(columns))
+            super().__init__(columns)
+
+    monkeypatch.setattr(diag, "_Plan", Counted)
+    diag._plan.cache_clear()
+    try:
+        state, params = experiments.full_reg_setup(n=64)
+        traj = run(state, params, 0.02, diag_every=1)
+        assert traj.status == "ok" and len(traj.records) >= 5
+        assert len(built) == 2 and "bd_entropy_reg" in built[1] + built[0]
+        run(state, dataclasses.replace(params, nu=0.2), 0.02, diag_every=1)
+        assert len(built) == 4
+        run(state, params, 0.02, diag_every=1)
+        assert len(built) == 4
+    finally:
+        diag._plan.cache_clear()
+
+
 def test_run_timing_counts_the_transforms_of_its_record_blocks(monkeypatch):
     # timing["transforms"] counts every scipy.fft call of the run: 14 per
     # advance, 6 per full record and 3 per block of core records, made on
