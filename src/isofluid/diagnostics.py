@@ -87,7 +87,7 @@ from functools import lru_cache, partial, wraps
 import numpy as np
 
 from .params import ParamSet
-from .rescaling import FluidState, WaveFunction, smooth_density, vacuum_floor
+from .rescaling import VACUUM_FLOOR_REL, FluidState, WaveFunction, smooth_density
 from .spectral import Grid, vdot
 
 __all__ = [
@@ -508,13 +508,19 @@ class StateOps:
     @property
     def r_floor(self):
         """The density floor: the float given, or the column of the rows'
-        floors (see column)."""
-        return self._get("r_floor", lambda: self.column(each_row(self.grid, vacuum_floor, self.R)))
+        floors, rescaling.vacuum_floor of each row from one max over the
+        grid axes (a max is exact, so each is its row's bitwise)."""
+        return self._get("r_floor", lambda: self.column(
+            VACUUM_FLOOR_REL * np.maximum(self.R.max(axis=self._grid_axes), 1e-300)))
 
     @property
     def min_density(self):
-        """Each row's raw minimum of R."""
-        return self._get("min", lambda: each_row(self.grid, np.ndarray.min, self._R_raw))
+        """Each row's raw minimum of R, one min over the grid axes."""
+        return self._get("min", lambda: self._R_raw.min(axis=self._grid_axes))
+
+    @property
+    def _grid_axes(self) -> tuple:
+        return tuple(range(1, self.grid.d + 1))
 
     @property
     def root(self):

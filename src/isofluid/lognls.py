@@ -85,13 +85,22 @@ def _resolve_mu(params: NlsParams, psi: WaveFunction) -> float:
     return float(vacuum_floor(psi.psi.real**2 + psi.psi.imag**2))
 
 
+def _kinetic(g: Grid, h, eps, tau_v) -> np.ndarray:
+    """The kinetic half-step symbol exp(-i eps |k|^2 h / (4 tau^2)) on the
+    full spectrum: evaluated on the half spectrum (Spectral.k2) and mirrored
+    along the last axis, where |k|^2 is exactly even, so each value is
+    bitwise its full-spectrum evaluation at half the exps."""
+    half = np.exp(-1j * eps * g.spectral.k2 * h / (4.0 * tau_v**2))
+    return np.concatenate((half, half[..., -2:0:-1]), axis=-1)
+
+
 def _strang_hat(g: Grid, zh, h, eps, tau_v, mu, rescaled: bool):
     """One Strang step of size h on the full-spectrum coefficients
     zh = cfwd(psi), returned as coefficients: kin . cfwd(P(cinv(kin . zh)))
-    with the kinetic half-step symbol kin and the potential flow P, two
-    complex transforms."""
+    with the kinetic half-step symbol kin (_kinetic) and the potential flow
+    P, two complex transforms."""
     sp = g.spectral
-    kin = np.exp(-1j * eps * g.k2 * h / (4.0 * tau_v**2))
+    kin = _kinetic(g, h, eps, tau_v)
     z = sp.cinv(kin * zh)
     pot = np.log(np.abs(z) ** 2 + mu)
     if rescaled:

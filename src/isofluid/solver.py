@@ -56,9 +56,12 @@ back, the upper triangle of the symmetric stress (flux plus viscous) and the
 delta1 cross product forward; the delta2 field is Uhat - c_u Mhat.  The
 density forces take Rhat from the first half step, transform only
 sqrt_reg(R) forward, their derivatives back and the force products (the
-confinement 2 y R among them) forward, and stay coefficients.  RK stages 1
-and 2 invert their rate once each (the next stage's U = M / rho_sm reads M)
-and keep Mhat alongside; stage 3 stays in Fourier space and feeds the
+confinement 2 y R among them) forward, and stay coefficients.  The RK
+stages step in increment form on coefficients: each stage's rate comes
+back as its increment k_i = h rate, stages 2 and 3 start from
+Mhat + k1 and Mhat + (k1 + k2)/4, and each of those two inverts its own
+coefficients once (its U = M / rho_sm reads M); the end of the substep,
+Mhat + (k1 + k2)/6 + 2 k3/3, stays in Fourier space and feeds the
 second half step.  The quantities that depend on R alone (rho_sm, R/2, the
 density forces, grad R) are built once per N substep.
 
@@ -577,9 +580,10 @@ class _Stepper:
                 entry += nu * (0.5 * (gradM[ji] + gradM[ij]) - 0.5 * (U[j] * gR[i] + U[i] * gR[j]))
         return out
 
-    def n_rhs(self, M, Mh, fz: _Frozen, t2, c_u):
-        """Coefficients of the explicit remainder's rate, the M-dependent
-        part plus the frozen Fh, from M and its coefficients Mh, in three
+    def n_rhs(self, M, Mh, fz: _Frozen, t2, c_u, h):
+        """Coefficients of h times the explicit remainder's rate (an RK
+        increment; rhs passes h = 1), the M-dependent part times h / tau^2
+        plus the frozen h Fh, from M and its coefficients Mh, in three
         batches (rhs_layouts): U forward (for delta1, delta2 or the bounded
         viscous form); grad U (grad M, from Mh, in the vacuum viscous form)
         back; the upper stress entries and the delta1 cross product forward.
@@ -592,8 +596,8 @@ class _Stepper:
         fz.Fh: s forward; grad R, the eta2 grad lap^(2s+1) R, grad s and
         hess s back; the confinement 2 y R, the upper Korteweg stress
         entries, the cold pressure and the eta2 products forward.  The
-        spectral parts of each force component are then summed; nothing
-        goes back.  t2 = tau^2."""
+        spectral parts of each force component are then summed and scaled
+        by h in place, once per substep; nothing goes back.  t2 = tau^2."""
         p, sp, d, R = self.p, self.sp, self.sp.d, fz.R
         first = fz.Fh is None
         eps, eta1, eta2 = self.first_gates if first else (False, False, False)
@@ -652,13 +656,16 @@ class _Stepper:
                 Fh += self.eta1_ik * ph[at3.cold]
             if eta2:
                 Fh += (p.eta2 / t2) * sp.mask * ph[at3.eta2]
+            Fh *= h
             fz.Fh = Fh
         fh = sp.div_upper_dealiased_hat(ph[at3.stress])
         if self.with_delta1:
             fh -= self.delta1_mask * ph[at3.cross]
         if p.delta2 > 0:
             fh -= self.delta2_lap2 * (Uh - c_u * Mh)
-        return fh / t2 + fz.Fh
+        fh *= h / t2
+        fh += fz.Fh
+        return fh
 
     def _cross(self, grad_R, gradU, out):
         """The delta1 cross product sum_i d_i R d_i U_j, stacked over j, from
@@ -712,7 +719,10 @@ class _Stepper:
         """(family, rate at kmx, scale) of each active row of _FAMILIES
         (self.families), each rate evaluated on the step's reductions, taken
         once: tau^2, max R, the largest |U|^2 over live cells (deep-vacuum
-        U = M/rho is noise over the floor) and the squared sound speed."""
+        U = M/rho is noise over the floor) and the squared sound speed.  The
+        cold pressure's part of that speed, rho_tilde^(-alpha-1), decreases
+        in R (alpha > 4 where eta1 > 0), so its max is taken at
+        max(min R, r_min) with one pow of a float."""
         p = self.p
         t2 = tau_v**2
         rmax = max(float(R.max()), 1e-300)
@@ -721,7 +731,7 @@ class _Stepper:
         u2max = max(float(np.where(live, u2, 0.0).max()), 1e-300)
         cs2 = 1.0 + p.nu * abs(taudot_v) / tau_v
         if p.eta1 > 0:
-            cs2 += p.eta1 * p.alpha * float((self.rho_tilde(R) ** (-p.alpha - 1.0)).max())
+            cs2 += p.eta1 * p.alpha * max(float(R.min()), self.r_min) ** (-p.alpha - 1.0)
         return [(family, rate(c, kp, tau_v, t2, rmax, u2max, cs2), scale)
                 for family, rate, c, kp, scale in self.families]
 
@@ -731,9 +741,13 @@ class _Stepper:
         """One step of the composition, carrying the coefficients of [R, M]
         between the linear half steps: [R, M] go forward once, come back
         once after the first half step (N reads them pointwise) and once
-        after the second.  The SSP-RK3 stages keep M and Mh side by side:
-        stages 1 and 2 invert their rate, because the next stage's
-        U = M / rho_sm reads M, and stage 3 stays in Fourier space.
+        after the second.  N steps SSP-RK3 in increment (Butcher) form on
+        Mh: with k_i = h rate(stage i) from n_rhs, stage 2 starts from
+        Mh + k1, stage 3 from Mh + (k1 + k2)/4, and N ends at
+        Mh + (k1 + k2)/6 + 2 k3/3 (the Shu-Osher stages, summed out), each
+        sum taken in place.  Stages 2 and 3 invert their own coefficients,
+        because their U = M / rho_sm reads M; the end stays in Fourier
+        space.
 
         Rows take each row's h and (tau, taudot) in a list.  Its scalars h,
         h/2, tau, taudot and tau^2 are built per row as a single run builds
@@ -758,12 +772,17 @@ class _Stepper:
         R, M, Mh = X[0], X[1:], Xh[1:]
 
         fz = self.density_forces(R, Xh[0], tau_v, taudot_v)
-        rh = h * self.n_rhs(M, Mh, fz, t2, c_u)
-        M1, M1h = M + sp.inv(rh), Mh + rh
-        rh = h * self.n_rhs(M1, M1h, fz, t2, c_u)
-        M2, M2h = 0.75 * M + 0.25 * (M1 + sp.inv(rh)), 0.75 * Mh + 0.25 * (M1h + rh)
-        rh = h * self.n_rhs(M2, M2h, fz, t2, c_u)
-        Xh[1:] = (1.0 / 3.0) * Mh + (2.0 / 3.0) * (M2h + rh)
+        k = self.n_rhs(M, Mh, fz, t2, c_u, h)  # k1
+        Sh = Mh + k
+        k += self.n_rhs(sp.inv(Sh), Sh, fz, t2, c_u, h)  # k1 + k2
+        np.multiply(k, 0.25, out=Sh)
+        Sh += Mh
+        k *= 1.0 / 6.0
+        Mh += k  # Mh is Xh[1:]
+        del k
+        k3 = self.n_rhs(sp.inv(Sh), Sh, fz, t2, c_u, h)
+        k3 *= 2.0 / 3.0
+        Mh += k3
 
         X = sp.inv(self.linear_flow(Xh, prop))
         R, M = X[0], X[1:]
@@ -795,7 +814,7 @@ def rhs(state: FluidState, params: ParamSet, tau) -> tuple[np.ndarray, np.ndarra
     Rh, Mh = sp.fwd(R), sp.fwd(M)
     dR = sp.inv(a * Rh - sp.sum_axes(sp.ik * Mh) / t2)
     fz = st.density_forces(R, Rh, tau_v, taudot_v)
-    dM = sp.inv(e * Mh + st.n_rhs(M, Mh, fz, t2, c_u)) + st.drag_rate(R, M, t2)
+    dM = sp.inv(e * Mh + st.n_rhs(M, Mh, fz, t2, c_u, 1.0)) + st.drag_rate(R, M, t2)
     return dR, dM
 
 

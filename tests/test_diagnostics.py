@@ -716,6 +716,24 @@ def test_a_block_of_64_records_is_its_stacks_of_one_bitwise(full):
         assert np.array_equal(_bits([getattr(rec, name) for rec in recs]), _bits(values)), name
 
 
+@pytest.mark.parametrize("d,n", [(1, 128), (2, 16)])
+def test_floor_and_min_density_are_each_rows_bitwise(d, n):
+    # r_floor and min_density, one max and one min over the grid axes, are
+    # bitwise each row's rescaling.vacuum_floor of max(R, 0) and its raw
+    # minimum, on a stack with a row of R < 0 and a row of R <= 0 with zeros
+    from isofluid.rescaling import vacuum_floor
+
+    g, Rs, Ms = _random_rows(d, n, np.linspace(0.5, 3.0, 6))
+    Rs[2] = -Rs[2]
+    Rs[4] = np.where(Rs[4] > np.median(Rs[4]), 0.0, -Rs[4])
+    ops = diag.StateOps(g, *_rows(g, Rs, Ms))
+    floors = [vacuum_floor(np.maximum(R, 0.0)) for R in Rs]
+    assert floors[2] == floors[4] == 1e-312
+    assert ops.r_floor.shape == (6,) + (1,) * d
+    assert np.array_equal(_bits(ops.r_floor.ravel()), _bits(floors))
+    assert np.array_equal(_bits(ops.min_density), _bits([R.min() for R in Rs]))
+
+
 def test_lone_states_answer_in_python_floats():
     # every public functional called on a FluidState returns a Python float,
     # or a tuple of them, bitwise the value of its stack of one; record

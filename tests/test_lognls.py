@@ -105,6 +105,18 @@ def test_nls_step_bitwise_unchanged(d, n, variant):
         assert np.array_equal(out.psi, ref.psi)
 
 
+@pytest.mark.parametrize("d,n", [(1, 128), (1, 256), (2, 32)])
+def test_kinetic_factor_from_the_half_spectrum_is_the_full_one(d, n):
+    # the kinetic half-step symbol, evaluated on the half spectrum and
+    # mirrored, is bitwise its evaluation on the full spectrum
+    g = Grid(d, 6.0, n)
+    for h, eps, tau_v in ((2e-3, 0.7, 1.0), (1e-4, 1.0, 1.3), (0.37, 2.0, 0.9)):
+        full = np.exp(-1j * eps * g.k2 * h / (4.0 * tau_v**2))
+        kin = lognls._kinetic(g, h, eps, tau_v)
+        assert kin.shape == g.shape
+        assert np.array_equal(kin.view(np.int64), full.view(np.int64))
+
+
 @pytest.mark.parametrize("d,n", [(1, 128), (2, 32)])
 def test_run_nls_matches_nls_step_loop(d, n):
     # the march on coefficients against a loop of nls_step calls sampled

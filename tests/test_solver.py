@@ -178,10 +178,10 @@ def _count_transforms(monkeypatch) -> list:
 def test_transform_calls_per_advance(monkeypatch, d, expected):
     # each substep batch is one stack: [R, M] forward once and back after
     # each linear half step (3), 3 per RK stage, the density forces' 3
-    # merged into stage 1's, plus the inverse of the rate after stages 1
-    # and 2.  A stack is one call in 1D; for d > 1 a forward stack is one
-    # call and an inverse one call per component, and the symmetric
-    # stresses go as their upper triangles only
+    # merged into stage 1's, plus the inverse of the coefficients that
+    # stages 2 and 3 start from.  A stack is one call in 1D; for d > 1 a
+    # forward stack is one call and an inverse one call per component,
+    # and the symmetric stresses go as their upper triangles only
     state, params = _baseline_setup(d)
     R, M = arrays_from_state(state)
     stepper = _Stepper(state.grid, params, float(R.mean()), float(R.min() / R.max()))
@@ -466,7 +466,10 @@ class _UnfusedStepper(_Stepper):
     written in place: density_forces makes its own three transform batches
     and returns the forces, each n_rhs builds its parts before it hands them
     to Spectral.batch, [R, M] is concatenated, the linear half step assigns
-    Rhat, and the drag builds all its factors at each call."""
+    Rhat, and the drag builds all its factors at each call.  Its SSP-RK3
+    stages are the increment form's, each sum out of place: k_i from n_rhs,
+    stages from Mh + k1 and Mh + (k1 + k2)/4 and the end
+    Mh + (k1 + k2)/6 + 2 k3/3."""
 
     class Frozen(NamedTuple):
         R: np.ndarray
@@ -548,7 +551,7 @@ class _UnfusedStepper(_Stepper):
             out += nu * (0.5 * (gM[ji] + gM[ij]) - 0.5 * (U[j] * gR[i] + U[i] * gR[j]))
         return out
 
-    def n_rhs(self, M, Mh, fz, tau_v, c_u):
+    def n_rhs(self, M, Mh, fz, tau_v, c_u, h):
         p, sp = self.p, self.sp
         U = M / fz.rho
         vacuum = p.nu > 0 and self.viscous_form == "vacuum"
@@ -570,7 +573,7 @@ class _UnfusedStepper(_Stepper):
             fh -= self.delta1_mask * ph["cross"]
         if p.delta2 > 0:
             fh -= self.delta2_lap2 * (Uh - c_u * Mh)
-        return fh / tau_v**2 + fz.Fh
+        return fh * (h / tau_v**2) + fz.Fh
 
     def advance(self, R, M, h, tau_pair):
         tau_v, taudot_v = tau_pair
@@ -581,12 +584,13 @@ class _UnfusedStepper(_Stepper):
         X = sp.inv(Xh)
         R, M, Mh = X[0], X[1:], Xh[1:]
         fz = self.density_forces(R, Xh[0], tau_v, taudot_v)
-        rh = h * self.n_rhs(M, Mh, fz, tau_v, c_u)
-        M1, M1h = M + sp.inv(rh), Mh + rh
-        rh = h * self.n_rhs(M1, M1h, fz, tau_v, c_u)
-        M2, M2h = 0.75 * M + 0.25 * (M1 + sp.inv(rh)), 0.75 * Mh + 0.25 * (M1h + rh)
-        rh = h * self.n_rhs(M2, M2h, fz, tau_v, c_u)
-        Xh[1:] = (1.0 / 3.0) * Mh + (2.0 / 3.0) * (M2h + rh)
+        fz = fz._replace(Fh=fz.Fh * h)
+        k1 = self.n_rhs(M, Mh, fz, tau_v, c_u, h)
+        M1h = Mh + k1
+        k2 = self.n_rhs(sp.inv(M1h), M1h, fz, tau_v, c_u, h)
+        M2h = Mh + 0.25 * (k1 + k2)
+        k3 = self.n_rhs(sp.inv(M2h), M2h, fz, tau_v, c_u, h)
+        Xh[1:] = Mh + (1.0 / 6.0) * (k1 + k2) + (2.0 / 3.0) * k3
         X = sp.inv(self.linear_flow(Xh, 0.5 * h, tau_v, c_u))
         R, M = X[0], X[1:]
         M = self.drag_flow(R, M, 0.5 * h, tau_v)
@@ -597,8 +601,8 @@ class _UnfusedStepper(_Stepper):
 @pytest.mark.parametrize("setup", list(SKIP_SETUPS))
 def test_advance_is_bitwise_the_unfused_advance(setup):
     # merging the density forces into the first RK stage, writing each
-    # batch in place and keeping the drag's R-only factors change no bit of
-    # the state
+    # batch in place, keeping the drag's R-only factors and summing the RK
+    # increments in place change no bit of the state
     state, params, h = SKIP_SETUPS[setup]()
     R0, M0 = arrays_from_state(state)
     args = (state.grid, params, float(R0.mean()), _contrast(R0))
@@ -611,6 +615,53 @@ def test_advance_is_bitwise_the_unfused_advance(setup):
     (R, M), (R_ref, M_ref) = out
     assert np.all(np.isfinite(R)) and np.all(np.isfinite(M))
     assert np.array_equal(R, R_ref) and np.array_equal(M, M_ref)
+
+
+class _ShuOsherStepper(_Stepper):
+    """The advance before the increment form, kept as its reference: the
+    SSP-RK3 stages in Shu-Osher form, M1 = M + k1, M2 = 3/4 M + 1/4 (M1 + k2)
+    and 1/3 M + 2/3 (M2 + k3), each combined on M and on Mh, with stages 1
+    and 2 inverting their increment."""
+
+    def advance(self, R, M, h, tau_pair):
+        tau_v, taudot_v = tau_pair
+        half, t2, sp = 0.5 * h, tau_v**2, self.sp
+        c_u = self.bilaplacian_coefficient(R)
+        prop = self.propagator(half, t2, c_u)
+        M = self.drag_flow(R, M, half, t2)
+        Xh = self.linear_flow(sp.fwd(np.concatenate((R[None], M))), prop)
+        X = sp.inv(Xh)
+        R, M, Mh = X[0], X[1:], Xh[1:]
+        fz = self.density_forces(R, Xh[0], tau_v, taudot_v)
+        rh = self.n_rhs(M, Mh, fz, t2, c_u, h)
+        M1, M1h = M + sp.inv(rh), Mh + rh
+        rh = self.n_rhs(M1, M1h, fz, t2, c_u, h)
+        M2, M2h = 0.75 * M + 0.25 * (M1 + sp.inv(rh)), 0.75 * Mh + 0.25 * (M1h + rh)
+        rh = self.n_rhs(M2, M2h, fz, t2, c_u, h)
+        Xh[1:] = (1.0 / 3.0) * Mh + (2.0 / 3.0) * (M2h + rh)
+        X = sp.inv(self.linear_flow(Xh, prop))
+        R, M = X[0], X[1:]
+        M = self.drag_flow(R, M, half, t2)
+        return R, self.vacuum_sponge(R, M, h, tau_v, taudot_v)
+
+
+@pytest.mark.parametrize("setup", list(SKIP_SETUPS))
+def test_increment_form_matches_the_shu_osher_stages(setup):
+    # the increment form is the same SSP-RK3 method: after 30 advances R
+    # and M agree with the Shu-Osher stages to 1e-12 of their max
+    state, params, h = SKIP_SETUPS[setup]()
+    R0, M0 = arrays_from_state(state)
+    args = (state.grid, params, float(R0.mean()), _contrast(R0))
+    out = []
+    for stepper in (_Stepper(*args), _ShuOsherStepper(*args)):
+        R, M = R0, M0
+        for k in range(30):
+            R, M = stepper.advance(R, M, h, (1.0 + 0.01 * k, 0.3))
+        out.append((R, M))
+    (R, M), (R_ref, M_ref) = out
+    assert np.all(np.isfinite(R)) and np.all(np.isfinite(M))
+    assert np.abs(R - R_ref).max() <= 1e-12 * np.abs(R_ref).max()
+    assert np.abs(M - M_ref).max() <= 1e-12 * np.abs(M_ref).max()
 
 
 def _drag_setup(floor, **params):
@@ -1166,6 +1217,27 @@ def test_vacuum_sponge_outruns_every_family_by_3x():
     assert np.any((fac > 1e-3) & (fac < 0.999))  # cells the factor acts on
     np.testing.assert_allclose(st.vacuum_sponge(R, M, h, tau_v, taudot_v), M * fac,
                                rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [4.5, 8.0, 12.0])
+def test_acoustic_rate_from_min_R_is_the_array_form(alpha):
+    # the cold pressure's sound speed, taken at max(min R, r_min), is its
+    # largest value over the cells to 2 ulp, on states whose least cells
+    # lie below r_min, below 0, or just above r_min
+    state, p = experiments.full_reg_setup(n=256)
+    R0, M = arrays_from_state(state)
+    p = dataclasses.replace(p, eta1=1e-3, alpha=alpha)
+    st = _Stepper(state.grid, p, float(R0.mean()), _contrast(R0))
+    tau_v, taudot_v = 1.3, 0.2
+    for floor in (0.5 * st.r_min, -1e-3, 1.5 * st.r_min):
+        R = np.maximum(R0, 2.0 * st.r_min)
+        R[4::31] = np.geomspace(2.0 * st.r_min, 2e2 * st.r_min, R[4::31].size)
+        R[::9] = floor
+        rates = {family: rate for family, rate, _ in st._rates(R, M, tau_v, taudot_v)}
+        cs2 = 1.0 + p.nu * abs(taudot_v) / tau_v + p.eta1 * p.alpha * float(
+            (st.rho_tilde(R) ** (-p.alpha - 1.0)).max())
+        ref = math.sqrt(cs2) * st.kmx / tau_v
+        assert abs(rates["acoustic"] - ref) <= 2 * math.ulp(ref)
 
 
 # the ParamSet fields that gate no term: exponents and numerical controls
