@@ -37,7 +37,8 @@ pairs that its term-list builder gives.  A functional, and each tier of
 `record`, evaluates on a _Plan built once per builder and arguments (a
 record's per parameter set, d and tier): the term keys, each column's
 groups, and each coefficient's arithmetic, recorded from the builders and
-replayed on each row's own (tau, taudot) in Python floats.  A term whose
+replayed on each row's own (tau, taudot) in Python floats.  A switched-off
+term (a constant 0 coefficient) is not in the plan; a term whose
 coefficient is 0 on a row is skipped on that row, and not evaluated where
 it is 0 on every row.  What the live terms transform is made in one
 StateOps.fetch (the fields forward as one Spectral.batch and their
@@ -731,17 +732,20 @@ class _Coef:
     """A coefficient as a function of one row's (tau, taudot): a term-list
     builder runs once on _TAU, the pair of the two leaves, and an operation
     on a _Coef records itself instead of computing, for _Plan to replay on
-    each row's own pair in the builder's order, in Python floats."""
+    each row's own pair in the builder's order, in Python floats.  A
+    constant 0 factor or numerator folds to the constant 0.0 (a _Coef has no
+    __eq__, so only a constant equals 0), so a switched-off term is a pair
+    _Plan leaves out, not one that every finite row skips."""
 
     __slots__ = ("op", "args")
 
     def __init__(self, op=None, *args):
         self.op, self.args = op, args
 
-    __mul__ = lambda a, b: _Coef(operator.mul, a, b)
-    __rmul__ = lambda a, b: _Coef(operator.mul, b, a)
+    __mul__ = lambda a, b: 0.0 if b == 0 else _Coef(operator.mul, a, b)
+    __rmul__ = lambda a, b: 0.0 if b == 0 else _Coef(operator.mul, b, a)
     __truediv__ = lambda a, b: _Coef(operator.truediv, a, b)
-    __rtruediv__ = lambda a, b: _Coef(operator.truediv, b, a)
+    __rtruediv__ = lambda a, b: 0.0 if b == 0 else _Coef(operator.truediv, b, a)
     __pow__ = lambda a, b: _Coef(operator.pow, a, b)
 
 
@@ -755,7 +759,8 @@ class _Plan:
     each column's groups as (slot, key index) pairs, and the program of a
     row's slots (its tau and taudot, the constants and the recorded
     operations, equal ones sharing a slot).  A pair whose coefficient is the
-    constant 0.0 is left out, as it vanishes on every row."""
+    constant 0.0 (a switched-off term: see _Coef) is left out, as it
+    vanishes on every row."""
 
     def __init__(self, columns: dict):
         self.init, self.steps, index = [None, None], [], {("tau", 0): 0, ("tau", 1): 1}
@@ -917,8 +922,8 @@ def _eta_potential(tau, p: ParamSet) -> list:
     """The terms of eta1/(alpha+1) quad(rho_tilde^(-alpha))
     + eta2/(2 tau^2) quad(|grad lap^s R|^2), the regularization potential
     shared by energy_reg and bd_entropy_reg."""
-    c1 = p.eta1 / (p.alpha + 1.0) if p.eta1 > 0 else 0.0
-    return [(c1, ("rtneg", p.alpha)), (p.eta2 / (2 * tau[0] ** 2), ("glR2", p.s))]
+    return [(p.eta1 / (p.alpha + 1.0), ("rtneg", p.alpha)),
+            (p.eta2 / (2 * tau[0] ** 2), ("glR2", p.s))]
 
 
 def _diffusion_dissipation(tau, p: ParamSet, c: float) -> list:
@@ -928,8 +933,7 @@ def _diffusion_dissipation(tau, p: ParamSet, c: float) -> list:
     c is delta1 in the energy balance, nu in the BD identity, and nu + delta1
     in the regularized BD dissipation: the term integrals are shared."""
     t2 = tau[0] ** 2
-    c1 = 4.0 * p.eta1 / (p.alpha * t2) if p.eta1 > 0 else 0.0
-    return _times(c, [(4.0 / t2, "gs2"), (c1, ("gneg2", p.alpha)),
+    return _times(c, [(4.0 / t2, "gs2"), (4.0 * p.eta1 / (p.alpha * t2), ("gneg2", p.alpha)),
                       (p.eta2 / t2**2, ("lapR2", p.s + 1))])
 
 
@@ -1022,9 +1026,7 @@ def energy_balance_residual(times, e_reg, d_reg, rhs) -> float:
 
 def _bd_identity(tau, p: ParamSet, d: int) -> dict:
     """The term lists of the columns F, DISS and RHS of bd_identity_terms;
-    empty without nu."""
-    if p.nu == 0.0:
-        return dict(bdid_f=[], bdid_diss=[], bdid_rhs=[])
+    every coefficient carries nu, so without nu a plan keeps none."""
     tau_v, taudot_v = tau
     nu, t4 = p.nu, tau_v**4
     # R U . grad log R = U . grad R = 2 Lambda . grad sqrt R (no division).

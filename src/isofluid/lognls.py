@@ -69,6 +69,11 @@ class NlsParams:
     variant: str = "rescaled"  # or "original"
 
     def __post_init__(self):
+        # a NaN passes every comparison below, so non-finite values go first
+        for name in ("eps", "dt", "mu"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.mu is not None and self.mu < 0:

@@ -13,6 +13,7 @@ physical field on the derived box [-ell*tau, ell*tau]^d, node for node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,8 @@ class WaveFunction:
 
     def __post_init__(self):
         self.psi = np.asarray(self.psi, dtype=complex)
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 def _coordinates(grid: Grid) -> np.ndarray:

@@ -27,14 +27,13 @@ evaluated with (tau, taudot) frozen at the step midpoint:
   and the variable-coefficient remainder of the delta2 term), advanced with
   three-stage SSP Runge-Kutta, whose stability region covers the imaginary
   axis up to sqrt(3) (dispersive terms) and the real axis to -2.51, under
-  the CFL bound of cfl_dt.  TERMS says, per coefficient, which explicit
-  family of that bound its force feeds, or why it feeds none.
+  the CFL bound of cfl_dt.  TERMS, the one table of that bound, gives per
+  coefficient the explicit families its force feeds, or why it feeds none.
   The pressure (isothermal and cold), the Korteweg stress and the eta2
   force depend on R only, so N freezes them (density_forces) while L alone
   moves R: their waves run as drift-kick-drift, the Stormer-Verlet
   splitting of an exact continuity flow around a frozen force, which is
-  stable while omega h < 2, not sqrt(3).  Each family of that bound is one
-  row of _FAMILIES: its gate, band, reach, power and rate.
+  stable while omega h < 2, not sqrt(3).
   N never touches R, so the zero mode of R is exactly constant and mass is
   conserved to round-off.
 
@@ -165,41 +164,35 @@ _RK3_REAL = 2.51  # real-axis stability reach of SSP-RK3
 # the stability reach of a wave between L's exact flow of R and N's frozen
 # density forces: the Stormer-Verlet bound omega h < 2 (see the module notes)
 _KICK = 2.0
-# The explicit families of the CFL bound (cfl_dt), one row each: the
-# ParamSet coefficient c that switches the family on (None: always on); its
-# band, the largest |k| / kmx its force reaches (2/3 for a force that enters
-# M through the dealiasing mask); its reach, the stability reach of the
-# integrator its waves run in (SSP-RK3's axes for the flux and the viscous
-# stress, _KICK for the density forces N holds frozen); the power of |k| its
-# rate grows as, from the eta2 exponent s; and its rate at kmx from c,
-# kmx**power and the step's reductions (see _rates).  The advective and
-# acoustic bands are full: the pressure is not masked, and the flux, although
-# it passes the mask, runs waves at U +- c, not at the advective rate's U (at
-# 2/3 kmx the advective dt came out above envelope/1.5 in
-# test_cfl_dt_within_stability_envelope).
-_FAMILIES = {
-    "advective": (None, 1.0, _RK3_IMAG, lambda s: 1,
-                  lambda c, kp, tau, t2, rmax, u2, cs2: math.sqrt(u2) * kp / t2),
-    "acoustic": (None, 1.0, _KICK, lambda s: 1,
-                 lambda c, kp, tau, t2, rmax, u2, cs2: math.sqrt(cs2) * kp / tau),
-    "viscous": ("nu", 2.0 / 3.0, _RK3_REAL, lambda s: 2,
-                lambda c, kp, tau, t2, rmax, u2, cs2: c * kp / t2),
-    "korteweg": ("eps", 2.0 / 3.0, _KICK, lambda s: 2,
-                 lambda c, kp, tau, t2, rmax, u2, cs2: 0.5 * c * kp / t2),
-    "eta2": ("eta2", 2.0 / 3.0, _KICK, lambda s: 2 * s + 2,
-             lambda c, kp, tau, t2, rmax, u2, cs2: math.sqrt(c * rmax) * kp / t2),
-}
-# Each ParamSet coefficient that gates a term, with what the CFL bound makes
-# of the term's force: (family, band) of the _FAMILIES row it switches on; a
-# string says why the term needs no family; None marks a term whose part in
-# N has no family yet.
+# Each term by the ParamSet coefficient that switches it on ("base": the
+# advective and acoustic families of every run), with what the CFL bound
+# (cfl_dt) makes of its force: {family: (band, reach, power, rate)} for the
+# families it switches on, a string saying why it needs none, or None for a
+# part of N with no family yet.  band is the largest |k| / kmx the force
+# reaches (2/3 through the dealiasing mask; the pressure is not masked, and
+# the flux runs waves at U +- c, so those bands are full: at 2/3 the
+# advective dt exceeded envelope/1.5 in test_cfl_dt_within_stability_envelope);
+# reach the stability reach of the integrator its waves run in (SSP-RK3's
+# axes, or _KICK for the density forces N holds frozen); power the power of
+# |k| its rate grows as, from s; rate its rate at kmx (see _rates).
 TERMS = {
-    **{gate: (family, band) for family, (gate, band, *_) in _FAMILIES.items() if gate},
+    "base": {
+        "advective": (1.0, _RK3_IMAG, lambda s: 1,
+                      lambda c, kp, tau, t2, rmax, u2, cs2: math.sqrt(u2) * kp / t2),
+        "acoustic": (1.0, _KICK, lambda s: 1,
+                     lambda c, kp, tau, t2, rmax, u2, cs2: math.sqrt(cs2) * kp / tau),
+    },
+    "nu": {"viscous": (2.0 / 3.0, _RK3_REAL, lambda s: 2,
+                       lambda c, kp, tau, t2, rmax, u2, cs2: c * kp / t2)},
+    "eps": {"korteweg": (2.0 / 3.0, _KICK, lambda s: 2,
+                         lambda c, kp, tau, t2, rmax, u2, cs2: 0.5 * c * kp / t2)},
     "r0": "the drag is an exact pointwise flow",
     "r1": "the drag is an exact pointwise flow",
     "delta1": None,  # L holds its linear part exactly; the cross term in N has no family
     "delta2": None,  # the variable-coefficient remainder in N has no family
     "eta1": "the cold pressure raises the acoustic sound speed",
+    "eta2": {"eta2": (2.0 / 3.0, _KICK, lambda s: 2 * s + 2,
+                      lambda c, kp, tau, t2, rmax, u2, cs2: math.sqrt(c * rmax) * kp / t2)},
 }
 # the most steps a CFL-policy run may take: above 10x the longest CFL run of
 # the test suite and the acceptance runs (criterion 3 to t = 1, 1,080 steps),
@@ -351,14 +344,15 @@ class _Stepper:
         self.lap2 = sp.lap_symbol(2)  # |k|^4
         self.delta2_lap2 = p.delta2 * self.lap2
         self.eta2_sym = sp.grad_lap_symbol(2 * p.s + 1) if p.eta2 > 0 else None
-        # the active rows of _FAMILIES: (family, rate, c, kmx**power, scale),
+        # the active families of TERMS: (family, rate, c, kmx**power, scale),
         # the scale band**power * sqrt(3) / reach putting cfl = 1 at the reach
         self.families = []
-        for family, (gate, band, reach, power, rate) in _FAMILIES.items():
-            c, power = getattr(p, gate) if gate else 1.0, power(p.s)
-            if c > 0:
-                self.families.append(
-                    (family, rate, c, self.kmx**power, band**power * (_RK3_IMAG / reach)))
+        for term, entry in TERMS.items():
+            c = 1.0 if term == "base" else getattr(p, term)
+            if isinstance(entry, dict) and c > 0:
+                self.families += [(family, rate, c, self.kmx ** power(p.s),
+                                   band ** power(p.s) * (_RK3_IMAG / reach))
+                                  for family, (band, reach, power, rate) in entry.items()]
         # the gates of the terms, and the Layouts of n_rhs's three batches:
         # its own parts, and on an N substep's first call the density
         # forces' parts after them in the same stacks (see the module notes)
@@ -681,8 +675,8 @@ class _Stepper:
 
     def cfl_dt(self, R, M, tau_v, taudot_v):
         """(dt, family): dt = cfl * sqrt(3) / the largest rate * scale of the
-        active rows of _FAMILIES (_rates), and the family that sets it.  A
-        row's scale band**power * sqrt(3) / reach takes its rate at kmx to
+        active families of TERMS (_rates), and the family that sets it.  A
+        family's scale band**power * sqrt(3) / reach takes its rate at kmx to
         its band and puts cfl = 1 at its integrator's reach."""
         rows = self._rates(R, M, tau_v, taudot_v)
         rate, family = max((rate * scale, name) for name, rate, scale in rows)
@@ -716,7 +710,7 @@ class _Stepper:
         return M * fac
 
     def _rates(self, R, M, tau_v, taudot_v):
-        """(family, rate at kmx, scale) of each active row of _FAMILIES
+        """(family, rate at kmx, scale) of each active family of TERMS
         (self.families), each rate evaluated on the step's reductions, taken
         once: tau^2, max R, the largest |U|^2 over live cells (deep-vacuum
         U = M/rho is noise over the floor) and the squared sound speed.  The

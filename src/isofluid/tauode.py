@@ -71,7 +71,7 @@ class TauSolution:
     def eval(self, t: float) -> tuple[float, float]:
         """Return (tau, taudot) at the time t in [0, t_max], as floats."""
         tq = float(t)
-        if tq < 0.0 or tq > self.t_max * (1 + 1e-12):
+        if not 0.0 <= tq <= self.t_max * (1 + 1e-12):  # NaN fails it too
             raise ValueError(f"t out of stored range [0, {self.t_max}]")
         t, tau, taudot = self._nodes
         tq = min(max(tq, 0.0), self.t_max)

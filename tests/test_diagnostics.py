@@ -546,6 +546,48 @@ def test_record_columns_are_their_functionals_bitwise(case):
         assert np.float64(getattr(rec, name)).view(np.int64) == np.float64(value).view(np.int64), name
 
 
+def _plans():
+    """The plans of the plain energy, dissipation and BD dissipation, and the
+    core and full record plans of check's drag ladder, the cross-check's
+    hydro rows and crit3_1d's run."""
+    from isofluid import experiments
+    from isofluid.lognls import crosscheck_hydro_params
+
+    yield "energy", diag._plan(diag._energy, 1e-3)
+    yield "dissipation", diag._plan(diag._dissipation, 1e-3, 0.1)
+    yield "bd_dissipation", diag._plan(diag._bd_dissipation, 1e-3, 0.1)
+    records = {
+        "drag": ParamSet(nu=0.1, eps=0.2, r1=0.05, dt_policy="fixed", dt=1e-2,
+                         viscous_form="bounded"),
+        "hydro": crosscheck_hydro_params(1.0, 1e-3, 5e-4),
+        "crit3_1d": experiments.full_reg_setup(n=64)[1],
+    }
+    for name, p in records.items():
+        for full in (False, True):
+            yield f"{name} {full}", diag._plan(diag._columns, p.bind(1), 1, full)
+
+
+def test_plans_carry_no_switched_off_term():
+    # a zero parameter times or over a tau factor folds to the constant 0.0
+    # (see diagnostics._Coef), which the plan leaves out: no key takes an
+    # unset argument (the s of eta2 = 0) and no key's every coefficient is 0
+    # at a real (tau, taudot)
+    for name, plan in _plans():
+        assert not [k for k in plan.keys if isinstance(k, tuple) and None in k], name
+        c = plan.coefficients((1.3, 0.4))
+        dead = [k for k, slots in zip(plan.keys, plan.key_slots) if all(c[s] == 0.0 for s in slots)]
+        assert not dead, name
+
+
+def test_energy_at_a_nan_tau_is_nan():
+    # with no switched-off term left in a plan, a NaN tau gives NaN, not a
+    # term evaluated on an unset argument
+    g = Grid(1, 8.0, 64)
+    state = state_from_R(g, np.exp(-g.r2))
+    assert math.isnan(diag.energy(state, (math.nan, 0.0), 1.0))
+    assert math.isnan(diag.record(state, ParamSet(nu=0.1, eps=1.0).bind(1), (math.nan, 0.0)).energy)
+
+
 # ---------------------------------------------------------------------------
 # stacks of states
 
@@ -810,11 +852,13 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_records_peak_at_or_below_an_advance():
+@pytest.mark.parametrize("n", [64, 128])
+def test_records_peak_at_or_below_an_advance(n):
     # a full record fetches in three phases, each dropping what no later
     # phase reads, and builds its fields in their stack rows: a full and a
-    # core record of a state each peak at or below one advance of it
-    g, R, M, stepper = _fixed_2d_state(64)
+    # core record of a state each peak at or below one advance of it, on
+    # fixed_2d's grid (n = 128: 5.78 and 5.27 MiB against 7.12) and at n = 64
+    g, R, M, stepper = _fixed_2d_state(n)
 
     def record(full):
         diag.record(diag.StateOps(g, R, M, stepper.r_min, 0.0), stepper.p, (1.0, 0.3), full=full)

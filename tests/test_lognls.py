@@ -380,3 +380,14 @@ def test_params_validation():
         lognls.NlsParams(eps=1.0, mu=-1.0)
     with pytest.raises(ValueError):
         lognls.NlsParams(eps=1.0, variant="sideways")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("eps", math.nan), ("eps", math.inf), ("dt", math.nan), ("dt", math.inf),
+    ("mu", math.nan), ("mu", math.inf),
+])
+def test_params_refuse_non_finite_values(field, value):
+    # a NaN passes every sign check, so each field is checked finite first
+    kw = {"eps": 1.0, "dt": 1e-3, "mu": 0.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        lognls.NlsParams(**kw)

@@ -140,6 +140,13 @@ def test_wavefunction_validation():
         WaveFunction(0.0, g, np.ones(g.shape, dtype=complex), -1.0)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_wavefunction_refuses_non_finite_epsilon(epsilon):
+    g = Grid(1, 4.0, 32)
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        WaveFunction(0.0, g, np.ones(g.shape, dtype=complex), epsilon)
+
+
 # the floor invariants of smooth_density, each up to 2 ulp
 _ULP2 = 2.0 * np.finfo(float).eps
 _FINITE = {"allow_nan": False, "allow_infinity": False}

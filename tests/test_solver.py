@@ -22,7 +22,6 @@ from isofluid.rescaling import FluidState, madelung
 from isofluid.solver import (
     TERMS,
     _contrast,
-    _FAMILIES,
     _Stepper,
     arrays_from_state,
     drag_schedule,
@@ -68,7 +67,7 @@ TERM_CASES = {
              "envelope": {"nu": 1e-12, "eta2": 1e-16, "s": 2}},
 }
 # the per-term cases: the base case, then every TERMS coefficient alone
-TERM_IDS = ["base", *TERMS]
+TERM_IDS = list(TERMS)
 
 
 def term_params(term, kind, **kw):
@@ -1136,14 +1135,15 @@ def test_state_convergence_per_term(term):
 
 
 # one explicit family binds each case: (params, U on the data, tau); the
-# advective and acoustic families are always on, the others those of TERMS
+# base's advective and acoustic families are always on, the others those of
+# the coefficients' TERMS entries
 ENVELOPE_CASES = {
     "advective": ({"nu": 1e-12}, 1.0, 0.5),
     "acoustic": ({"nu": 1e-12}, 0.0, 1.0),
-    **{TERMS[c][0]: (case["envelope"], 0.0, 1.0)
-       for c, case in TERM_CASES.items() if "envelope" in case},
+    **{family: (case["envelope"], 0.0, 1.0)
+       for c, case in TERM_CASES.items() if "envelope" in case for family in TERMS[c]},
 }
-FAMILIES = list(_FAMILIES)
+FAMILIES = [family for entry in TERMS.values() if isinstance(entry, dict) for family in entry]
 
 
 def _envelope_setup(family):
@@ -1246,43 +1246,42 @@ NO_FAMILY = pytest.mark.xfail(strict=True, reason="no CFL family for its N part:
 
 
 @pytest.mark.parametrize("coef", [
-    pytest.param(f.name, marks=NO_FAMILY) if f.name in TERMS and TERMS[f.name] is None else f.name
-    for f in dataclasses.fields(ParamSet) if f.name not in NOT_TERMS
+    pytest.param(name, marks=NO_FAMILY) if name in TERMS and TERMS[name] is None else name
+    for name in ["base", *(f.name for f in dataclasses.fields(ParamSet))] if name not in NOT_TERMS
 ])
 def test_every_term_is_declared(coef):
-    # every coefficient that gates a term has a TERMS entry: the CFL family
-    # its force feeds, whose envelope case that family binds, or the reason
-    # it needs none
-    assert set(TERMS) <= {f.name for f in dataclasses.fields(ParamSet)} - NOT_TERMS
+    # the base and every coefficient that gates a term have a TERMS entry:
+    # the CFL families its force feeds, each of which binds its envelope
+    # case, or the reason it needs none
+    assert set(TERMS) <= {"base", *(f.name for f in dataclasses.fields(ParamSet))} - NOT_TERMS
     assert coef in TERMS, f"{coef} has no TERMS entry"
     entry = TERMS[coef]
     assert entry is not None, f"{coef} has no CFL family"
     if isinstance(entry, str):
         assert entry.strip()
         return
-    family, band = entry
-    assert 0.0 < band <= 1.0
-    assert family in ENVELOPE_CASES, f"{family} has no envelope case"
-    st, R, M, tau = _envelope_setup(family)
-    assert st.cfl_dt(R, M, *tau)[1] == family
+    assert entry
+    for family, (band, reach, _, _) in entry.items():
+        assert 0.0 < band <= 1.0 and reach > 0.0
+        assert family in ENVELOPE_CASES, f"{family} has no envelope case"
+        st, R, M, tau = _envelope_setup(family)
+        assert st.cfl_dt(R, M, *tau)[1] == family
 
 
 FACE_TERM = pytest.mark.xfail(
-    strict=True, reason="the box-face term of |y|^2 that balance_rhs leaves out: ROADMAP I step 2"
+    strict=True, reason="the box-face term of |y|^2 that balance_rhs leaves out: ROADMAP E"
 )
+# the tau of the along-rhs energy law, taken at t = 0.3
+LAW_TAU = tau_cover(1.0, 0.0)
 
 
-@pytest.mark.parametrize("term", [
-    pytest.param(term, marks=FACE_TERM) if term == "delta1" else term for term in TERM_IDS
-])
-@pytest.mark.parametrize("d,tol", [(1, 1e-8), (2, 1e-5)], ids=["1d", "2d"])
-def test_energy_balance_along_rhs(d, tol, term):
-    # the semi-discrete energy identity, with no time step's error: along
-    # rhs, dE_reg/dt (a Richardson-extrapolated central difference, tau taken
-    # at t +- h) equals -dissipation_reg + balance_rhs, term by term
+def _along_rhs_gap(d, term):
+    """The relative gap of the semi-discrete energy identity along rhs on the
+    per-term case `term`: dE_reg/dt (a Richardson-extrapolated central
+    difference, tau taken at t +- h) against -dissipation_reg + balance_rhs."""
     g = Grid(1, 8.0, 128) if d == 1 else Grid(2, 8.0, 64)
     p = term_params(term, "rhs", **({"s": 3} if d == 2 else {})).bind(d)
-    state, tau, t = term_state(g), tau_cover(1.0, 0.0), 0.3
+    state, tau, t = term_state(g), LAW_TAU, 0.3
     dR, dM = rhs(state, p, tau.eval(t))
 
     def energy(h):
@@ -1295,7 +1294,132 @@ def test_energy_balance_along_rhs(d, tol, term):
     h = 1e-4
     rate = (4.0 * central(h / 2) - central(h)) / 3.0
     balance = -diag.dissipation_reg(state, p, tau.eval(t)) + diag.balance_rhs(state, p, tau.eval(t))
-    assert abs(rate - balance) <= tol * abs(balance)
+    return abs(rate - balance) / abs(balance)
+
+
+@pytest.mark.parametrize("term", [
+    pytest.param(term, marks=FACE_TERM) if term == "delta1" else term for term in TERM_IDS
+])
+@pytest.mark.parametrize("d,tol", [(1, 1e-8), (2, 1e-5)], ids=["1d", "2d"])
+def test_energy_balance_along_rhs(d, tol, term):
+    # the semi-discrete energy identity, with no time step's error, holds
+    # along rhs term by term
+    assert _along_rhs_gap(d, term) <= tol
+
+
+# The mutation oracle.  A mutant flips the sign of one term, on its force or
+# on its energy side, and the energy law along rhs must fail for it.  A force
+# mutant flips the stepper seam its TERMS entry writes through: a table
+# _Stepper.__init__ builds, or what a method or diag.korteweg_stress_entries
+# (written in place) returns.  Each mutant is mutate(monkeypatch).
+
+
+def _wrapped(owner, name, edit):
+    """The mutant that passes what owner.name returns through edit(result, *args)."""
+    def mutate(monkeypatch):
+        orig = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: edit(orig(*args), *args))
+    return mutate
+
+
+def _negated(table):
+    """The mutant that negates the stepper's table after __init__."""
+    return _wrapped(_Stepper, "__init__",
+                    lambda _, st, *args: setattr(st, table, -getattr(st, table)))
+
+
+def _viscous_negated(out, st, fz, M, U, *_):
+    # each stress entry is the flux -M_j U_i plus its viscous part: twice the
+    # flux less the entry flips the viscous part alone
+    for e, (i, j) in enumerate(st.sp.hess_keys):
+        out[e] = -2.0 * M[j] * U[i] - out[e]
+    return out
+
+
+_DRAG_NEGATED = _wrapped(_Stepper, "drag_rate", lambda rate, *_: -rate)
+FORCE_MUTANTS = {
+    "base": {  # the confinement 2 y R and the pressure grad R
+        "y2": _negated("y2"),
+        "grad_R_factor": _wrapped(_Stepper, "density_forces", lambda fz, *_: dataclasses.replace(
+            fz, grad_R_factor=-fz.grad_R_factor)),
+    },
+    "nu": {"stress": _wrapped(_Stepper, "stress", _viscous_negated)},
+    "eps": {"korteweg_stress_entries": _wrapped(
+        diag, "korteweg_stress_entries", lambda out, *_: np.negative(out, out=out))},
+    "r0": {"drag_rate": _DRAG_NEGATED},
+    "r1": {"drag_rate": _DRAG_NEGATED},
+    "delta1": {"delta1_mask": _negated("delta1_mask")},
+    "delta2": {"delta2_lap2": _negated("delta2_lap2")},
+    "eta1": {"eta1_ik": _negated("eta1_ik")},
+    "eta2": {"eta2_sym": _negated("eta2_sym")},
+}
+# the term-list builders of the energy law, with their arguments after the
+# ParamSet in 1D
+LAW = {"_energy_reg": (), "_dissipation_reg": (), "_balance_rhs": (1,)}
+
+
+def _groups(columns) -> tuple:
+    return columns if isinstance(columns, tuple) else (columns,)
+
+
+def _pairs(name, p, tau) -> dict:
+    """The (coefficient, key) pairs of the law builder `name`, by (group, place)."""
+    groups = _groups(getattr(diag, name)(tau, p, *LAW[name]))
+    return {(i, j): pair for i, group in enumerate(groups) for j, pair in enumerate(group)}
+
+
+def _flipped(name, places):
+    """The mutant of the law builder `name` that flips the sign of its pairs
+    at `places`, as -1.0 * c (a plan's coefficient has no unary minus)."""
+    def mutate(monkeypatch):
+        build = getattr(diag, name)
+
+        def mutant(tau, *args):
+            columns = build(tau, *args)
+            groups = tuple([(-1.0 * c if (i, j) in places else c, key)
+                            for j, (c, key) in enumerate(group)]
+                           for i, group in enumerate(_groups(columns)))
+            return groups if isinstance(columns, tuple) else groups[0]
+
+        monkeypatch.setattr(diag, name, mutant)
+    return mutate
+
+
+def _energy_mutants(term) -> dict:
+    """The energy-side mutants of `term`, by builder: each flips the pairs
+    whose coefficient changes when the coefficient is zeroed on a copy of
+    the case's bound ParamSet, at the law's real (tau, taudot); the base's
+    flip the potential's Rr2 and RlogR."""
+    p, tau = term_params(term, "rhs").bind(1), LAW_TAU.eval(0.3)
+    if term == "base":
+        pairs = _pairs("_energy_reg", p, tau)
+        return {key: _flipped("_energy_reg", {at for at, (_, k) in pairs.items() if k == key})
+                for key in ("Rr2", "RlogR")}
+    zeroed = copy.copy(p)
+    object.__setattr__(zeroed, term, 0.0)  # past the checks, which refuse eps = nu = 0
+    mutants = {}
+    for name in LAW:
+        on, off = _pairs(name, p, tau), _pairs(name, zeroed, tau)
+        places = {at for at, (c, _) in on.items() if c != off[at][0]}
+        if places:
+            mutants[name[1:]] = _flipped(name, places)
+    return mutants
+
+
+@pytest.mark.parametrize("term,mutate", [
+    pytest.param(term, mutate, id=f"{term}-{side}-{name}",
+                 marks=FACE_TERM if term == "delta1" else ())
+    for term in TERMS
+    for side, mutants in (("force", FORCE_MUTANTS.get(term)), ("energy", _energy_mutants(term)))
+    for name, mutate in (mutants or {"none": None}).items()
+])
+def test_every_term_mutant_breaks_the_energy_law(monkeypatch, term, mutate):
+    # every TERMS entry has a force-side and an energy-side mutant; the law
+    # holds on its 1D case to 1e-8 and fails by more for each mutant
+    assert mutate is not None, f"{term} has no mutant on this side"
+    assert _along_rhs_gap(1, term) <= 1e-8
+    mutate(monkeypatch)
+    assert _along_rhs_gap(1, term) > 1e-8
 
 
 def test_smooth_density_once_per_distinct_density(monkeypatch):

@@ -131,6 +131,12 @@ def test_eval_out_of_range_raises():
         sol.eval(2.0)
 
 
+def test_eval_refuses_nan():
+    # NaN fails the range check's one chained comparison, as it fails 0 <= t
+    with pytest.raises(ValueError, match="out of stored range"):
+        tau_solve(1.0, 1e-10, 1e-12).eval(math.nan)
+
+
 def test_bad_arguments():
     with pytest.raises(ValueError):
         tau_solve(-1.0)
