@@ -27,7 +27,7 @@ the L log L sweep, the residuals' norms) are Python floats, so a
 coefficient that vanishes on some rows skips its term on exactly those.
 solver.run evaluates its records in blocks of stack_rows states,
 lognls.run_nls its samples and check its random fields.  A lone state (a
-FluidState, WaveFunction or StateOps whose R has the grid's axes only)
+FluidState or StateOps whose R has the grid's axes only)
 crosses one boundary, lone_state, around every public functional: it goes
 in as its stack of one and comes back as Python floats or one record.
 
@@ -82,13 +82,13 @@ import inspect
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial, wraps
 
 import numpy as np
 
 from .params import ParamSet
-from .rescaling import VACUUM_FLOOR_REL, FluidState, WaveFunction, smooth_density
+from .rescaling import VACUUM_FLOOR_REL, FluidState, smooth_density
 from .spectral import Grid, vdot
 
 __all__ = [
@@ -608,14 +608,9 @@ def _owned(a):
 
 
 def _with_row(x, d: int):
-    """A lone state's x as a stack of one: an array with a unit row axis in
-    front of its d grid axes, each of a tuple, a WaveFunction's psi (its t
-    the list of one); anything else as it is."""
-    if isinstance(x, np.ndarray):
-        return x[(Ellipsis, None) + (slice(None),) * d]
-    if isinstance(x, tuple):
-        return tuple(_with_row(a, d) for a in x)
-    return replace(x, t=[x.t], psi=_with_row(x.psi, d)) if isinstance(x, WaveFunction) else x
+    """A lone state's array x as its stack of one, with a unit row axis in
+    front of its d grid axes; None as it is."""
+    return x if x is None else x[(Ellipsis, None) + (slice(None),) * d]
 
 
 def _the_row(out):
@@ -626,11 +621,11 @@ def _the_row(out):
 
 
 def lone_state(fn):
-    """The boundary of a lone state around fn(x, *args, **kw), a function of
-    a stack of states x: a StateOps (a FluidState goes in as its StateOps,
-    on the keyword r_floor if given) or a WaveFunction.  A lone x, each
-    array keyword argument and fn's argument tau (its one pair) go in as
-    their stacks of one, and fn's value comes back as the one state's."""
+    """The boundary of a lone state around fn(ops, *args, **kw), a function
+    of a stack of states ops: a StateOps, or a FluidState, which goes in as
+    its StateOps on the keyword r_floor if given.  A lone state is held as
+    its stack of one already; its argument tau (its one pair) goes in as
+    the list of that pair, and fn's value comes back as the one state's."""
     names = list(inspect.signature(fn).parameters)
     at = names.index("tau") - 1 if "tau" in names else None
 
@@ -638,14 +633,13 @@ def lone_state(fn):
     def boundary(x, *args, **kw):
         if isinstance(x, FluidState):
             x = StateOps.of(x, kw.get("r_floor"))
-        if not (x.lone if isinstance(x, StateOps) else x.psi.ndim == x.grid.d):
+        if not x.lone:
             return fn(x, *args, **kw)
         if "tau" in kw:
             kw["tau"] = [kw["tau"]]
         elif at is not None:
             args = (*args[:at], [args[at]], *args[at + 1:])
-        kw = {name: _with_row(v, x.grid.d) for name, v in kw.items()}
-        return _the_row(fn(_with_row(x, x.grid.d), *args, **kw))
+        return _the_row(fn(x, *args, **kw))
 
     return boundary
 

@@ -102,6 +102,17 @@ class ExperimentConfig:
         def params(d: int, **overrides) -> ParamSet:
             return ParamSet(**{**self.params, **overrides}).bind(d)
 
+        def construct(make, grid: Grid, *args):
+            # a generator's arithmetic may overflow or divide by zero on
+            # extreme keys; it runs quiet, and data it leaves not finite
+            # are refused
+            with np.errstate(all="ignore"):
+                x = make(grid, *args)
+            arrays = (x.psi,) if isinstance(x, WaveFunction) else (x.R, x.M)
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise BadConfig("the initial data are not finite")
+            return x
+
         try:
             _check_keys(self.grid, _GRID_TYPES, "grid.")
             _check_keys(self.params, _PARAM_TYPES, "params.")
@@ -121,10 +132,11 @@ class ExperimentConfig:
                 if spec.get("generator") in (None, "gaussian"):  # reads no other key
                     _check_keys(spec, {"generator": "str | None"}, "initial.")
                     spec = {"generator": "offset_gaussian", "offset": 0.35, "offset_width": 3.0}
-                inputs.psi0 = make_wavefunction(grid, spec, eps)
+                inputs.psi0 = construct(make_wavefunction, grid, spec, eps)
                 inputs.pairs = [(float(ds), float(dt)) for ds, dt in ladder]
                 for ds, dt in inputs.pairs:
                     lognls.crosscheck_hydro_params(eps, ds, dt)
+                    solver.check_fixed_steps(dt, self.t_end - inputs.psi0.t)
             elif kind == "sweep_drag_ell":
                 # the torus grows after the eta regularizations are gone (the
                 # paper's order of limits), and the ladder floors the data at
@@ -136,8 +148,9 @@ class ExperimentConfig:
                                         f"{self.params[key]!r}")
                 for v in ladder:
                     g = Grid(grid.d, float(v), grid.n)
-                    init = make_initial(
-                        g, {"generator": "prepared_gaussian", "theta": 1.0 / v**3, "iota": 1.0 / v},
+                    init = construct(
+                        make_initial, g,
+                        {"generator": "prepared_gaussian", "theta": 1.0 / v**3, "iota": 1.0 / v},
                         self.seed,
                     )
                     r0, r1, eps_l = solver.drag_schedule(g, init.R, self.params.get("eps", 0.0))
@@ -145,7 +158,7 @@ class ExperimentConfig:
             elif kind not in ("tau", "check"):
                 keys = SWEEP_KEYS.get(kind, ())
                 for v in ladder if keys else [None]:
-                    init = make_initial(grid, self.initial, self.seed)
+                    init = construct(make_initial, grid, self.initial, self.seed)
                     inputs.points.append((v, init, params(grid.d, **dict.fromkeys(keys, v))))
                 p = inputs.points[0][2]
                 if kind == "simulate" and p.dt_policy == "fixed" and self.t_end > init.t \
@@ -157,6 +170,9 @@ class ExperimentConfig:
                         raise BadConfig(f"snapshot_every * dt = {self.snapshot_every * p.dt:g}: "
                                         f"the snapshots at t = {init.t:g} and t <= {t1:g} "
                                         "share a file name (6 decimals of t)")
+            for _, init, p in inputs.points:
+                if p.dt_policy == "fixed":
+                    solver.check_fixed_steps(p.dt, self.t_end - init.t)
             inputs.out.mkdir(parents=True, exist_ok=True)
         except (TypeError, ValueError, AttributeError, ArithmeticError, OSError) as exc:
             raise BadConfig(str(exc)) from exc
@@ -174,7 +190,8 @@ _GRID_TYPES = {"d": "int", "ell": "float", "n": "int"}
 
 def _check_keys(raw: dict, types: dict, where: str = "") -> None:
     """Every key of the config object raw is one of types, and its value of
-    the JSON type of its annotation there; where prefixes nested keys."""
+    the JSON type of its annotation there, and finite if a float; where
+    prefixes nested keys."""
     for key, val in raw.items():
         if key not in types:
             raise BadConfig(f"unknown config key {where + key!r}")
@@ -182,6 +199,8 @@ def _check_keys(raw: dict, types: dict, where: str = "") -> None:
         allowed = tuple(_JSON_TYPES[part] for part in name.split(" | "))
         if isinstance(val, bool) != (name == "bool") or not isinstance(val, allowed):
             raise BadConfig(f"{where}{key} must be {name}, got {val!r}")
+        if isinstance(val, float) and not math.isfinite(val):
+            raise BadConfig(f"{where}{key} must be finite, got {val!r}")
 
 
 # the ladder of each kind whose config gives none
@@ -244,7 +263,7 @@ def make_initial(grid: Grid, spec: dict, seed: int = 0) -> FluidState:
         s = _gaussian_sqrtR(grid) * np.sqrt(fac)
     elif name == "two_bump":
         c = float(spec.get("separation", 2.0))
-        width = float(spec.get("width", 1.0))
+        width = _scale(spec, "width", 1.0)
         r2rest = grid.r2 - y0**2
         s = np.exp(-((y0 - c) ** 2 + r2rest) / (2 * width**2)) + np.exp(
             -((y0 + c) ** 2 + r2rest) / (2 * width**2)
@@ -260,7 +279,7 @@ def make_initial(grid: Grid, spec: dict, seed: int = 0) -> FluidState:
             iota,
         )
     elif name == "random_positive":
-        s = random_positive_field(grid, rng, spec.get("roughness", 4.0))
+        s = random_positive_field(grid, rng, _scale(spec, "roughness", 4.0))
         s = np.sqrt(s)
     else:
         raise BadConfig(f"unknown generator {name!r}")
@@ -269,6 +288,14 @@ def make_initial(grid: Grid, spec: dict, seed: int = 0) -> FluidState:
     if amp:
         lam[0] = amp * s * np.sin(math.pi * y0 / grid.ell)
     return solver.state_from_root(grid, s, lam)
+
+
+def _scale(spec: dict, key: str, default: float) -> float:
+    """The length scale spec[key] of a generator, which must be positive."""
+    v = float(spec.get(key, default))
+    if not v > 0:
+        raise BadConfig(f"initial.{key} must be positive, got {v!r}")
+    return v
 
 
 def random_positive_field(grid: Grid, rng, roughness: float = 4.0) -> np.ndarray:
@@ -298,7 +325,7 @@ def make_wavefunction(grid: Grid, spec: dict, eps: float) -> WaveFunction:
     types = {**_WAVE_TYPES, "mode": "int"} if name == "plane_wave_phase" else _WAVE_TYPES
     _check_keys(spec, types, "initial.")
     amp = float(spec.get("offset", 0.1))
-    w = float(spec.get("offset_width", 2.0))
+    w = _scale(spec, "offset_width", 2.0)
     # the "offset" floor is a wide Gaussian, not a constant: the modulus must
     # be negligible near the box faces, where the periodized confinement force
     # is discontinuous and would drain an O(1) boundary density unphysically

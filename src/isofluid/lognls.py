@@ -42,9 +42,9 @@ import numpy as np
 
 from . import diagnostics as diag
 from .params import ParamSet
-from .rescaling import WaveFunction, madelung, vacuum_floor
+from .rescaling import WaveFunction, madelung, vacuum_floor, wave_gradients
 from .spectral import Grid, vdot
-from .solver import run as hydro_run
+from .solver import check_fixed_steps, run as hydro_run
 from .tauode import TauSolution, tau_cover
 
 __all__ = [
@@ -125,34 +125,21 @@ def nls_step(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), mu: float | N
     return WaveFunction(psi.t + params.dt, g, g.spectral.cinv(zh), params.eps)
 
 
-@diag.lone_state
-def nls_energy(psi: WaveFunction, params: NlsParams, tau, grads=None):
-    """Energy of the chosen variant: (eps^2/2 tau^2) quad|grad psi|^2
-    + quad(|psi|^2 log|psi|^2) [+ quad(|y|^2 |psi|^2) if rescaled], of a
-    stack of wavefunctions with one (tau, taudot) pair per row: the array of
-    the rows' energies, each reduced on its own row (diagnostics.each_row;
-    a lone psi crosses diagnostics.lone_state).  grads passes (grad Re psi,
-    grad Im psi), each (d, B) + grid.shape."""
+def nls_energy(psi: WaveFunction, params: NlsParams, tau) -> float:
+    """Energy of the chosen variant at the pair tau = (tau, taudot):
+    (eps^2/2 tau^2) quad|grad psi|^2 + quad(|psi|^2 log|psi|^2)
+    [+ quad(|y|^2 |psi|^2) if rescaled]."""
     g = psi.grid
-    eps = params.eps
     rescaled = params.variant == "rescaled"
-    if grads is None:
-        sp = g.rows(len(psi.psi))
-        grads = sp.grad(psi.psi.real), sp.grad(psi.psi.imag)
-    grad2 = sum(a**2 + b**2 for a, b in zip(*grads))
+    tau_v = float(tau[0]) if rescaled else 1.0
+    grad2 = sum(a**2 + b**2 for a, b in zip(*wave_gradients(psi)))
     rho = psi.psi.real**2 + psi.psi.imag**2
     ent = np.where(rho > 0, rho * np.log(np.maximum(rho, diag.LOG_FLOOR)), 0.0)
-    parts = (grad2, ent, g.r2 * rho) if rescaled else (grad2, ent)
-
-    def total(pair, kin, *rest):
-        tau_v = float(pair[0]) if rescaled else 1.0
-        out = eps**2 / (2 * tau_v**2) * kin
-        for q in rest:
-            out += q
-        return out
-
-    quads = [diag.each_row(g, g.quad, a) for a in parts]
-    return np.array([total(pair, *q) for pair, *q in zip(tau, *quads)])
+    out = params.eps**2 / (2 * tau_v**2) * g.quad(grad2)
+    out += g.quad(ent)
+    if rescaled:
+        out += g.quad(g.r2 * rho)
+    return out
 
 
 @dataclass
@@ -162,7 +149,6 @@ class NlsTrajectory:
     mass: list = field(default_factory=list)
     energy: list = field(default_factory=list)  # Madelung-functional pseudo-energy
     dissipation: list = field(default_factory=list)
-    e_variant: list = field(default_factory=list)  # energy of the evolved variant
     max_step_mass_drift: float = 0.0
     psi_final: WaveFunction | None = None
     n_steps: int = 0
@@ -188,14 +174,16 @@ def run_nls(
 ) -> NlsTrajectory:
     """March psi to t_end with steps of params.dt, the last one cut to land
     on t_end as solver.run does (no step when t_end <= psi0.t), recording
-    the mass, the Madelung pseudo-energy/dissipation and the variant energy
+    the mass and the Madelung pseudo-energy and dissipation
     at the start, at every sample_every-th step (never for 0) and at the
     end.  The march carries the coefficients of psi: the per-step mass is
     Parseval's, and the sampled coefficients are evaluated in blocks of
     diagnostics.stack_rows states, each as one stack.  The rescaled variant
-    without tau_sol solves tau_cover(t_end, psi0.t)."""
+    without tau_sol solves tau_cover(t_end, psi0.t).  A dt that
+    solver.check_fixed_steps refuses raises ValueError before any step."""
     if not isinstance(sample_every, (int, np.integer)) or sample_every < 0:
         raise ValueError(f"sample_every must be a nonnegative integer, got {sample_every!r}")
+    check_fixed_steps(params.dt, t_end - psi0.t)
     start = time.perf_counter()
     if tau_sol is None and params.variant == "rescaled":
         tau_sol = tau_cover(t_end, psi0.t)
@@ -233,7 +221,6 @@ def run_nls(
         psi = WaveFunction(ts, g, X[0], eps)
         grads = (X[1:].real, X[1:].imag)
         taus = [tau_at(ti) for ti in ts]
-        traj.e_variant += nls_energy(psi, params, taus, grads=grads).tolist()
         traj.psi_final = WaveFunction(ts[-1], g, X[0, -1].copy(), eps)
         state = madelung(psi, grads=grads)
         # the block's transforms go before the stack's derived arrays come:

@@ -123,9 +123,12 @@ vacuum sponge acts below about 10 r_min.  diagnostics.record evaluates on the
 same r_min.  A FluidState holds (R, M) as the stepper does, so a run starts
 and ends with no conversion.
 
-Stops.  A run stops before a step whose dt is below DT_MIN ("underflow") or,
-under the CFL policy, whose projected step count k + (t_end - t)/dt exceeds
-MAX_STEPS ("budget"), and after one that leaves R < -NEG_TOL_REL max R0.
+Stops.  A run from a state that is not finite stops "nan" before its first
+step.  A run stops before a step whose dt is below DT_MIN ("underflow") or
+whose projected step count k + (t_end - t)/dt exceeds MAX_STEPS ("budget"),
+under either policy, and after one that leaves R < -NEG_TOL_REL max R0.
+check_fixed_steps refuses a fixed dt that would stop so before its first
+step.
 """
 
 from __future__ import annotations
@@ -156,6 +159,7 @@ __all__ = [
     "arrays_from_state",
     "state_from_root",
     "MAX_STEPS",
+    "check_fixed_steps",
     "TERMS",
 ]
 
@@ -194,10 +198,11 @@ TERMS = {
     "eta2": {"eta2": (2.0 / 3.0, _KICK, lambda s: 2 * s + 2,
                       lambda c, kp, tau, t2, rmax, u2, cs2: math.sqrt(c * rmax) * kp / t2)},
 }
-# the most steps a CFL-policy run may take: above 10x the longest CFL run of
-# the test suite and the acceptance runs (criterion 3 to t = 1, 1,080 steps),
-# and far below the 215,786 steps a 2D n = 16 eta2 = 0.999, s = 5 run would
-# ask for to reach t = 0.01, whose dt of 4.6e-8 never trips DT_MIN
+# the most steps a run may take, under either policy: above 10x the longest
+# CFL run of the test suite and the acceptance runs (criterion 3 to t = 1,
+# 1,080 steps), and far below the 215,786 steps a 2D n = 16 eta2 = 0.999,
+# s = 5 run would ask for to reach t = 0.01, whose dt of 4.6e-8 never trips
+# DT_MIN
 MAX_STEPS = 100_000
 # the least step a run takes: a CFL step below it has collapsed
 DT_MIN = 1e-12
@@ -856,6 +861,19 @@ def run(
     return trajs[0] if isinstance(params, ParamSet) else trajs
 
 
+def check_fixed_steps(dt: float, span: float) -> None:
+    """Raise ValueError where steps of a fixed dt over a time span > 0 would
+    stop a run before its first step: a dt below DT_MIN, or more than
+    MAX_STEPS steps."""
+    if span <= 0:
+        return
+    if dt < DT_MIN:
+        raise ValueError(f"dt = {dt!r} is below solver.DT_MIN = {DT_MIN:g}")
+    if span / dt > MAX_STEPS:
+        raise ValueError(f"dt = {dt:g} takes {span / dt:.4g} steps over t = {span:g}, "
+                         f"more than solver.MAX_STEPS = {MAX_STEPS}")
+
+
 def _march(initial, rows, t_end, tau_sol, snapshot_every, diag_every, start) -> list:
     """run's one loop: the rows' Trajectories from `initial` to t_end, a
     lone row on the single stepper and two or more (a fixed-dt ladder) as
@@ -881,6 +899,7 @@ def _march(initial, rows, t_end, tau_sol, snapshot_every, diag_every, start) -> 
             row.record(full=True)
             if snapshot_every:
                 row.snapshot()
+            row.finite(row.R, row.M)
         live = out
         while live := [row for row in live if row.step_size(st, t_end, end)]:
             if live != stepping:
@@ -939,9 +958,9 @@ class _Row:
         st.cfl_dt (st is the row's own stepper: a CFL row marches alone)
         capped at p.dt ("dt_cap"), cut to t_end.  A row that has stopped or
         reached end takes none, nor does one whose h is below DT_MIN
-        ("underflow") or, under the CFL policy, whose projected step count
-        k + (t_end - t)/h passes MAX_STEPS ("budget"), which stop it; a row
-        that takes none is finished."""
+        ("underflow") or whose projected step count k + (t_end - t)/h
+        passes MAX_STEPS ("budget"), which stop it; a row that takes none
+        is finished."""
         p, t = self.p, self.t
         if self.traj.stop is None and t < end:
             if p.dt_policy == "fixed":
@@ -952,20 +971,27 @@ class _Row:
                     h, family = p.dt, "dt_cap"
             h = min(h, t_end - t)
             self.h, self.family = h, family
-            if not (h < DT_MIN or (family is not None and self.k + (t_end - t) / h > MAX_STEPS)):
+            if not (h < DT_MIN or self.k + (t_end - t) / h > MAX_STEPS):
                 return True
             self.stop("underflow" if h < DT_MIN else "budget",
                       np.unravel_index(np.argmin(self.R), self.R.shape))
         self.finish()
         return False
 
+    def finite(self, R, M) -> bool:
+        """Whether R and M are finite; else stop the trajectory "nan" at
+        the first cell that is not."""
+        if np.isfinite(R).all() and np.isfinite(M).all():
+            return True
+        finite = np.isfinite(R) & np.all(np.isfinite(M), axis=0)
+        self.stop("nan", np.unravel_index(np.argmin(finite), R.shape))
+        return False
+
     def take(self, R, M, neg_tol: float) -> bool:
         """Accept the step of size h to (R, M), counting its binding CFL
         family, or stop the trajectory on a non-finite value ("nan") or a
         density below -neg_tol ("floor"); whether the step was accepted."""
-        if not (np.isfinite(R).all() and np.isfinite(M).all()):
-            finite = np.isfinite(R) & np.all(np.isfinite(M), axis=0)
-            self.stop("nan", np.unravel_index(np.argmin(finite), R.shape))
+        if not self.finite(R, M):
             return False
         if float(R.min()) < -neg_tol:
             self.stop("floor", np.unravel_index(np.argmin(R), R.shape))

@@ -170,8 +170,8 @@ class Grid:
     def __init__(self, d: int, ell: float, n: int):
         if d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {d}")
-        if ell <= 0:
-            raise ValueError(f"half-width must be positive, got {ell}")
+        if not 0 < ell < math.inf:
+            raise ValueError(f"half-width must be positive and finite, got {ell}")
         if n < 8 or n % 2 != 0 or (n & (n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {n}")
         self.d = int(d)

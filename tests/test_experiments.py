@@ -330,10 +330,8 @@ BAD_VALUES = ["x", "", None, True, [], [1.0], {}, {"a": 1}, math.nan, math.inf, 
               0, 0.0, -1, -2.5, 1e-300, 1e300, 2**40, 10**400]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@given(kind=st.sampled_from(sorted(BUILD_BASES)), key=st.sampled_from(BUILD_KEYS),
-       value=st.sampled_from(BAD_VALUES))
-def test_build_returns_or_raises_bad_config(kind, key, value):
+def _build_config(kind, key, value) -> dict:
+    """The BUILD_BASES config of kind on a 1D n = 16 grid, with value at key."""
     raw = {"kind": kind, "grid": {"d": 1, "ell": 6.0, "n": 16}, "t_end": 0.1,
            **json.loads(json.dumps(BUILD_BASES[kind]))}
     if key == ("grid", "n") and isinstance(value, (int, float)) and value > 32:
@@ -344,6 +342,15 @@ def test_build_returns_or_raises_bad_config(kind, key, value):
         raw.setdefault("ladder", [1e-3, 1e-4])[key[1]] = value
     else:
         raw.setdefault(key[0], {})[key[1]] = value
+    return raw
+
+
+@given(kind=st.sampled_from(sorted(BUILD_BASES)), key=st.sampled_from(BUILD_KEYS),
+       value=st.sampled_from(BAD_VALUES))
+def test_build_returns_or_raises_bad_config(kind, key, value):
+    # build raises BadConfig or returns finite initial data, and numpy warns
+    # of nothing (the suite makes a warning an error)
+    raw = _build_config(kind, key, value)
     with tempfile.TemporaryDirectory() as tmp:
         raw["out_dir"] = out = os.path.join(tmp, "out")
         try:
@@ -352,6 +359,35 @@ def test_build_returns_or_raises_bad_config(kind, key, value):
             assert not os.path.exists(out)
         else:
             assert inputs.out.is_dir()
+            arrays = [a for _, init, _ in inputs.points for a in (init.R, init.M)]
+            arrays += [inputs.psi0.psi] if inputs.psi0 is not None else []
+            assert all(np.isfinite(a).all() for a in arrays)
+
+
+# the (kind, initial key, value) of the space above whose initial data came
+# out not finite and were accepted, some with numpy's warnings
+NOT_FINITE_INITIAL = [
+    *[(kind, "velocity_amplitude", v) for kind in ("simulate", "sweep_delta", "sweep_eta")
+      for v in (math.nan, math.inf, -math.inf)],
+    *[("korteweg_crosscheck", "offset", v) for v in (math.nan, math.inf, -math.inf)],
+    ("simulate", "amplitude", math.nan),
+    ("sweep_eta", "separation", math.nan),
+    ("sweep_eta", "width", math.nan),
+    *[("longtime", "theta", v) for v in (math.nan, math.inf, 1e300)],
+    *[(kind, key, v) for kind, key in (("sweep_delta", "roughness"),
+                                        ("korteweg_crosscheck", "offset_width"))
+      for v in (math.nan, 0, 0.0, 1e-300)],
+]
+
+
+@pytest.mark.parametrize("kind,key,value", NOT_FINITE_INITIAL)
+def test_initial_data_that_are_not_finite_are_a_bad_config(kind, key, value):
+    raw = _build_config(kind, ("initial", key), value)
+    with tempfile.TemporaryDirectory() as tmp:
+        raw["out_dir"] = out = os.path.join(tmp, "out")
+        with pytest.raises(E.BadConfig):
+            E.ExperimentConfig.from_dict(raw).build()
+        assert not os.path.exists(out)
 
 
 def test_cli_sweep_delta(tmp_path):
@@ -632,6 +668,37 @@ def test_simulate_stops_a_cfl_run_over_the_step_budget(tmp_path):
     assert 10 * 1080 < solver.MAX_STEPS < 215_786
 
 
+_TINY = {"grid": {"d": 1, "ell": 6.0, "n": 16}, "params": {"nu": 0.1, "eps": 0.1}}
+_FIXED = {"nu": 0.1, "eps": 0.1, "dt_policy": "fixed", "dt": 1e-3}
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        (["simulate"], {**_TINY, "params": _FIXED, "t_end": 0.5}),
+        (["longtime"], {**_TINY, "params": _FIXED, "t_end": 0.5}),
+        (["sweep", "--axis", "delta"], {**_TINY, "params": _FIXED, "t_end": 0.5}),
+        (["korteweg"], {**_TINY, "ladder": [[1e-3, 2e-3], [1e-3, 1e-3]], "t_end": 0.5}),
+        (["simulate"], {**_TINY, "params": {**_FIXED, "dt": 1e-13}, "t_end": 1e-11}),
+        (["korteweg"], {**_TINY, "ladder": [[1e-3, 1e-13]], "t_end": 1e-11}),
+    ],
+    ids=["simulate", "longtime", "sweep", "korteweg", "simulate_below_dt_min",
+         "korteweg_below_dt_min"],
+)
+def test_fixed_steps_that_would_stop_a_run_are_a_bad_config(tmp_path, capsys, command, config):
+    # fixed steps had no budget, so a small dt ran for minutes (a korteweg
+    # row of dt 1e-300 never ended): 500 steps pass the budget of 300 here,
+    # and a dt below DT_MIN is refused before the hydro row's underflow
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with mock.patch.object(solver, "MAX_STEPS", 300):
+        assert cli_main([*command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("bad config: dt = ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # parameter values from zero to the extremes; a delta or eta of 1, an eta1
 # with alpha <= 4 or an eta2 with s <= d is a bad config
 FUZZ_VALUES = [0.0, 0.0, 1e-300, 1e-12, 1e-3, 0.1, 10.0, 1e3, 1e300]
@@ -643,13 +710,16 @@ FUZZ_INITIAL = [
     {"generator": "two_bump", "separation": 2.0},
     {"generator": "random_positive", "roughness": 8.0},
 ]
+# numbers an initial-data key may be drawn instead of its spec's own
+FUZZ_BAD_NUMBERS = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300]
 
 
 @st.composite
 def tiny_simulate_configs(draw):
     """A whole `simulate` run on a grid of n = 8..16 to t_end <= 0.01, with
     fixed steps of at least 1e-3 (no more than 10 steps) or CFL steps capped
-    at the same dt (no more than the test's step budget)."""
+    at the same dt (no more than the test's step budget), from one of
+    FUZZ_INITIAL whose numeric keys may each be one of FUZZ_BAD_NUMBERS."""
     params = {name: draw(st.sampled_from(FUZZ_VALUES)) for name in ("nu", "eps", "r0", "r1")}
     for name in ("delta1", "delta2", "eta1", "eta2"):
         params[name] = draw(st.sampled_from(FUZZ_SMALL))
@@ -661,12 +731,17 @@ def tiny_simulate_configs(draw):
         dt=draw(st.sampled_from([1e-3, 5e-3, 1e-2])),
         viscous_form=draw(st.sampled_from(["auto", "bounded", "vacuum"])),
     )
+    initial = dict(draw(st.sampled_from(FUZZ_INITIAL)))
+    for key, kind in E._INITIAL_TYPES[initial["generator"]].items():
+        value = draw(st.one_of(st.none(), st.sampled_from(FUZZ_BAD_NUMBERS)))
+        if kind == "float" and value is not None:
+            initial[key] = value
     return {
         "kind": "simulate",
         "grid": {"d": draw(st.sampled_from([1, 2])), "ell": draw(st.sampled_from([1.0, 6.0])),
                  "n": draw(st.sampled_from([8, 16]))},
         "params": params,
-        "initial": draw(st.sampled_from(FUZZ_INITIAL)),
+        "initial": initial,
         "t_end": draw(st.sampled_from([0.0, 1e-3, 0.01])),
         "diag_every": draw(st.sampled_from([0, 1, 3])),
         "snapshot_every": draw(st.sampled_from([0, 2])),
@@ -689,8 +764,8 @@ CFL_OVERFLOW = {
 def test_cli_fuzz_tiny_runs_exit_cleanly(config):
     # a whole run ends in 0 (ok), 2 (run failure) or 3 (bad config, and then
     # no output directory), never in a traceback, and numpy warns of nothing:
-    # a diverging run records the inf or nan it computed in silence.  A CFL
-    # run longer than 300 steps stops "budget"
+    # a diverging run records the inf or nan it computed in silence.  A run
+    # longer than 300 steps stops "budget"
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(solver, "MAX_STEPS", 300):
         cfg = os.path.join(tmp, "cfg.json")
         out = os.path.join(tmp, "out")

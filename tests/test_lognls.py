@@ -7,7 +7,7 @@ import pytest
 import scipy.fft
 
 from isofluid import diagnostics as diag
-from isofluid import lognls
+from isofluid import lognls, solver
 from isofluid.experiments import make_wavefunction
 from isofluid.params import ParamSet
 from isofluid.rescaling import WaveFunction, madelung, wave_gradients
@@ -126,7 +126,7 @@ def test_run_nls_matches_nls_step_loop(d, n):
     ts = tau_solve(0.1, 1e-12, 1e-14)
     traj = lognls.run_nls(psi0, p, 0.05, tau_sol=ts, sample_every=5)
     mu = 1e-12 * float(np.max(np.abs(psi0.psi) ** 2))
-    psi, ref = psi0, {"mass": [], "energy": [], "dissipation": [], "e_variant": []}
+    psi, ref = psi0, {"mass": [], "energy": [], "dissipation": []}
 
     def sample():
         tp = ts.eval(psi.t)
@@ -135,7 +135,6 @@ def test_run_nls_matches_nls_step_loop(d, n):
         ref["mass"].append(psi.grid.quad(psi.psi.real**2 + psi.psi.imag**2))
         ref["energy"].append(diag.energy(ops, tp, 1.0))
         ref["dissipation"].append(diag.dissipation(ops, tp, 1.0, nu=0.0))
-        ref["e_variant"].append(lognls.nls_energy(psi, p, tp, grads=grads))
 
     sample()
     for k in range(1, 26):
@@ -170,7 +169,7 @@ def test_run_nls_without_samples_records_the_start_and_the_end():
     bare = lognls.run_nls(psi0, p, 0.02, sample_every=0)
     sampled = lognls.run_nls(psi0, p, 0.02, sample_every=3)
     assert len(bare.times) == 2
-    for name in ("times", "mass", "energy", "dissipation", "e_variant"):
+    for name in ("times", "mass", "energy", "dissipation"):
         full = getattr(sampled, name)
         assert getattr(bare, name) == [full[0], full[-1]], name
     assert np.array_equal(bare.psi_final.psi, sampled.psi_final.psi)
@@ -240,7 +239,7 @@ def test_run_nls_samples_are_their_states_one_at_a_time(monkeypatch, d, n, sampl
     p = lognls.NlsParams(eps=1.0, dt=2e-3)
     ts = tau_solve(0.05, 1e-12, 1e-14)
     mu = 1e-12 * float(np.max(psi0.psi.real**2 + psi0.psi.imag**2))
-    names = ("times", "mass", "energy", "dissipation", "e_variant")
+    names = ("times", "mass", "energy", "dissipation")
     ref = {name: [] for name in names}
     zh, t = sp.cfwd(psi0.psi), psi0.t
 
@@ -252,8 +251,7 @@ def test_run_nls_samples_are_their_states_one_at_a_time(monkeypatch, d, n, sampl
         ops = diag.StateOps.of(madelung(psi, grads=grads))
         for name, value in zip(names, (t, g.weight * float(np.vdot(zh, zh).real) / sp.size,
                                        diag.energy(ops, tp, 1.0),
-                                       diag.dissipation(ops, tp, 1.0, nu=0.0),
-                                       lognls.nls_energy(psi, p, tp, grads=grads))):
+                                       diag.dissipation(ops, tp, 1.0, nu=0.0))):
             ref[name].append(value)
         return psi
 
@@ -273,6 +271,19 @@ def test_run_nls_samples_are_their_states_one_at_a_time(monkeypatch, d, n, sampl
             assert np.array_equal(np.array(got).view(np.int64),
                                   np.array(ref[name]).view(np.int64)), name
         assert traj.psi_final.t == t and np.array_equal(traj.psi_final.psi, psi.psi)
+
+
+def test_run_nls_refuses_a_dt_that_would_stop_a_run(monkeypatch):
+    # run_nls had no step budget and no DT_MIN: a dt of 1e-300 marched for
+    # minutes.  A dt below DT_MIN, or past the budget, raises before any step
+    monkeypatch.setattr(solver, "MAX_STEPS", 300)
+    psi0 = _offset_wave(1, 64)
+    with pytest.raises(ValueError, match="DT_MIN"):
+        lognls.run_nls(psi0, lognls.NlsParams(eps=1.0, dt=1e-13), 1e-11)
+    p = lognls.NlsParams(eps=1.0, dt=1e-3)
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        lognls.run_nls(psi0, p, 0.5, sample_every=0)
+    assert lognls.run_nls(psi0, p, 0.25, sample_every=0).n_steps == 250
 
 
 @pytest.mark.parametrize("bad", [-3, 1.5, "2", None])

@@ -15,7 +15,7 @@ import pytest
 import scipy.fft
 
 from isofluid import diagnostics as diag
-from isofluid import experiments
+from isofluid import experiments, solver
 from isofluid.lognls import crosscheck_hydro_params
 from isofluid.params import ParamSet
 from isofluid.rescaling import FluidState, madelung
@@ -1697,6 +1697,32 @@ def test_run_stops_a_diverging_run_without_warnings():
         assert stop["t"] == traj.state_final.t < 1.0
         assert len(stop["cell"]) == 1 and 0 <= stop["cell"][0] < 256
         assert np.all(np.isfinite(traj.state_final.R))
+
+
+@pytest.mark.parametrize("policy", ["cfl", "fixed"])
+def test_run_from_a_state_that_is_not_finite_stops_at_its_cell(policy):
+    # a NaN in a live cell made the CFL dt NaN, which passed the underflow
+    # and budget tests and ran off the tau table; a fixed run named the cell
+    # the NaN had spread to after one advance.  Either stops "nan" before
+    # its first step, at the cell, and numpy warns of nothing
+    state = gaussian_state(Grid(1, 8.0, 64))
+    state.M[0, 32] = math.nan
+    traj = run(state, ParamSet(nu=0.1, eps=0.1, dt_policy=policy), 0.01)
+    assert traj.status == "nan" and traj.n_steps == 0
+    assert traj.stop == {"reason": "nan", "step": 1, "t": 0.0, "cell": [32]}
+
+
+def test_fixed_steps_past_the_budget_stop_before_the_first(monkeypatch):
+    # the budget guarded CFL runs only: a fixed dt of 1e-11 to t = 1 asked
+    # for 1e11 steps.  A ladder row past it stops as its run alone does,
+    # and the row within it runs
+    monkeypatch.setattr(solver, "MAX_STEPS", 300)
+    state = gaussian_state(Grid(1, 8.0, 64))
+    p = ParamSet(nu=0.1, eps=0.1, dt_policy="fixed", dt=1e-3)
+    over, within = run(state, [p, dataclasses.replace(p, dt=2e-3)], 0.5, diag_every=0)
+    assert over.status == "budget" and over.n_steps == 0 and over.stop["step"] == 1
+    assert over.stop == run(state, p, 0.5, diag_every=0).stop
+    assert within.status == "ok" and within.n_steps == 250
 
 
 def test_readme_quick_start_reaches_its_t_end(capsys):

@@ -17,6 +17,9 @@ def test_grid_validation():
         Grid(4, 1.0, 16)
     with pytest.raises(ValueError):
         Grid(1, -1.0, 16)
+    for ell in (math.inf, math.nan):  # refused before its tables warn
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid(1, ell, 16)
     with pytest.raises(ValueError):
         Grid(1, 1.0, 12)  # not a power of two
     with pytest.raises(ValueError):
