@@ -88,7 +88,7 @@ from functools import lru_cache, partial, wraps
 import numpy as np
 
 from .params import ParamSet
-from .rescaling import VACUUM_FLOOR_REL, FluidState, smooth_density
+from .rescaling import FluidState, smooth_density, vacuum_floor
 from .spectral import Grid, vdot
 
 __all__ = [
@@ -349,9 +349,7 @@ class StateOps:
 
     @classmethod
     def of(cls, x, r_floor: float | None = None) -> "StateOps":
-        """x itself if a StateOps, else the StateOps of the FluidState x."""
-        if isinstance(x, StateOps):
-            return x
+        """The StateOps of the FluidState x."""
         return cls(x.grid, x.R, x.M, r_floor, x.t)
 
     def take(self, rows) -> "StateOps":
@@ -511,8 +509,7 @@ class StateOps:
         """The density floor: the float given, or the column of the rows'
         floors, rescaling.vacuum_floor of each row from one max over the
         grid axes (a max is exact, so each is its row's bitwise)."""
-        return self._get("r_floor", lambda: self.column(
-            VACUUM_FLOOR_REL * np.maximum(self.R.max(axis=self._grid_axes), 1e-300)))
+        return self._get("r_floor", lambda: self.column(vacuum_floor(self.R, self._grid_axes)))
 
     @property
     def min_density(self):
@@ -1098,7 +1095,7 @@ def csiszar_kullback_gap(ops: StateOps):
     which holds exactly for the discrete lattice measure."""
     m = ops.q("R")
     l1 = ops.quad(np.abs(ops.R - matched_gaussian(ops.grid, ops.column(m))))
-    return ops.each(lambda rel, l1, m: rel - l1**2 / (2.0 * m),
+    return ops.each(lambda rel, l1, m: rel - l1**2 / (2.0 * m) if m > 0 else math.nan,
                     relative_entropy.__wrapped__(ops), l1, m)
 
 

@@ -104,13 +104,19 @@ class ExperimentConfig:
 
         def construct(make, grid: Grid, *args):
             # a generator's arithmetic may overflow or divide by zero on
-            # extreme keys; it runs quiet, and data it leaves not finite
-            # are refused
+            # extreme keys; it runs quiet, and data it leaves not finite, or
+            # of a mass that is not positive and finite, are refused
             with np.errstate(all="ignore"):
                 x = make(grid, *args)
-            arrays = (x.psi,) if isinstance(x, WaveFunction) else (x.R, x.M)
+                wave = isinstance(x, WaveFunction)
+                mass = grid.quad(np.abs(x.psi) ** 2) if wave else grid.quad(x.R)
+            arrays = (x.psi,) if wave else (x.R, x.M)
             if not all(np.isfinite(a).all() for a in arrays):
                 raise BadConfig("the initial data are not finite")
+            if not 0 < mass < math.inf:
+                # the diagnostics measure a run against the Gaussian of its mass
+                raise BadConfig(f"the initial data have mass {mass!r}; it must be positive "
+                                "and finite")
             return x
 
         try:
@@ -156,12 +162,14 @@ class ExperimentConfig:
                     r0, r1, eps_l = solver.drag_schedule(g, init.R, self.params.get("eps", 0.0))
                     inputs.points.append((v, init, params(g.d, r0=r0, r1=r1, eps=eps_l)))
             elif kind not in ("tau", "check"):
+                # the ladder's runs share the one initial state; no run
+                # writes into its arrays
                 keys = SWEEP_KEYS.get(kind, ())
-                for v in ladder if keys else [None]:
-                    init = construct(make_initial, grid, self.initial, self.seed)
-                    inputs.points.append((v, init, params(grid.d, **dict.fromkeys(keys, v))))
+                init = construct(make_initial, grid, self.initial, self.seed)
+                inputs.points = [(v, init, params(grid.d, **dict.fromkeys(keys, v)))
+                                 for v in (ladder if keys else [None])]
                 p = inputs.points[0][2]
-                if kind == "simulate" and p.dt_policy == "fixed" and self.t_end > init.t \
+                if kind in RUN_KINDS and p.dt_policy == "fixed" and self.t_end > init.t \
                         and 0 < self.snapshot_every < 1e-6 / p.dt:
                     # the first snapshot after the start comes at most t1, past
                     # the rounding of a sum of steps
@@ -212,6 +220,9 @@ DEFAULT_LADDER = {
 }
 # the ParamSet fields a sweep_delta / sweep_eta ladder value sets
 SWEEP_KEYS = {"sweep_delta": ("delta1", "delta2"), "sweep_eta": ("eta2",)}
+# the kinds that run one state to t_end and write its diagnostics.csv and
+# snapshots (_run_single)
+RUN_KINDS = ("simulate", "longtime")
 
 
 @dataclass
@@ -363,12 +374,10 @@ def run_experiment(config: ExperimentConfig) -> int:
         "version": _pkg_version,
     }
     try:
-        if kind == "simulate":
+        if kind in RUN_KINDS:
             return _run_single(config, inputs, meta)
         if kind in ("sweep_delta", "sweep_eta", "sweep_drag_ell"):
             return _run_sweep(config, inputs, meta)
-        if kind == "longtime":
-            return _run_longtime(config, inputs, meta)
         if kind == "korteweg_crosscheck":
             return _run_crosscheck(config, inputs, meta)
         if kind == "tau":
@@ -385,23 +394,17 @@ def run_experiment(config: ExperimentConfig) -> int:
         return 2
 
 
-def _simulate(config: ExperimentConfig, inputs: RunInputs, **run_kw):
-    """Run the built initial state to t_end and write diagnostics.csv; the
-    write's seconds go to the run's timing as io_s."""
-    [(_, initial, params)] = inputs.points
-    traj = solver.run(initial, params, config.t_end, **run_kw)
-    t0 = time.perf_counter()
-    io_.write_diagnostics_csv(inputs.out, traj.records, initial.grid.d)
-    traj.timing["io_s"] = time.perf_counter() - t0
-    return initial.grid, params, traj
-
-
 def _run_single(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
+    """Run the built state to t_end and write diagnostics.csv, the
+    snapshots and metadata.json, whose timing gains the writes' seconds as
+    io_s; a longtime run adds its attraction targets."""
     out = inputs.out
-    _, params, traj = _simulate(
-        config, inputs, snapshot_every=config.snapshot_every, diag_every=config.diag_every
-    )
+    [(_, initial, params)] = inputs.points
+    grid = initial.grid
+    traj = solver.run(initial, params, config.t_end, snapshot_every=config.snapshot_every,
+                      diag_every=config.diag_every)
     t0 = time.perf_counter()
+    io_.write_diagnostics_csv(out, traj.records, grid.d)
     clash = _snapshot_clash([snap.t for snap in traj.snapshots])
     if clash:
         print(f"run failed: snapshot name collision: {clash}", file=sys.stderr)
@@ -411,7 +414,14 @@ def _run_single(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
         fields = {"R": np.maximum(snap.R, 0.0), **{f"Lambda{i}": c for i, c in enumerate(lam)}}
         for name, values in fields.items():
             io_.write_snapshot(io_.snapshot_path(out, name, snap.t), snap.grid, values, snap.t)
-    traj.timing["io_s"] += time.perf_counter() - t0
+    traj.timing["io_s"] = time.perf_counter() - t0
+    if config.kind == "longtime":
+        final = traj.records[-1]
+        meta = {**meta, "targets": {
+            "mass": final.mass,
+            "second_moment_target": grid.quad(diag.matched_gaussian(grid, final.mass) * grid.r2),
+            "second_moment_final": final.second_moment,
+        }}
     io_.write_metadata(
         out,
         {**meta, "status": traj.status, "n_steps": traj.n_steps,
@@ -488,23 +498,6 @@ def _write_sweep_csv(path: Path, rows, diffs):
         w.writerow(["pair", "l2_density_diff"])
         for d in diffs:
             w.writerow([d["pair"], d.get("l2_density_diff")])
-
-
-def _run_longtime(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:
-    grid, _, traj = _simulate(config, inputs, diag_every=config.diag_every)
-    mass = traj.records[-1].mass
-    gam = diag.matched_gaussian(grid, mass)
-    targets = {
-        "mass": mass,
-        "second_moment_target": grid.quad(gam * grid.r2),
-        "second_moment_final": traj.records[-1].second_moment,
-    }
-    io_.write_metadata(
-        inputs.out,
-        {**meta, "status": traj.status, "cfl_binding": traj.cfl_binding, "targets": targets,
-         "timing": traj.timing, **_stop(traj)},
-    )
-    return 0 if traj.status == "ok" else 2
 
 
 def _run_crosscheck(config: ExperimentConfig, inputs: RunInputs, meta: dict) -> int:

@@ -40,10 +40,11 @@ VACUUM_FLOOR_REL = 1e-12
 _FLOOR_MIN = 1e-150
 
 
-def vacuum_floor(R: np.ndarray) -> float:
+def vacuum_floor(R: np.ndarray, axis=None):
     """The density floor of a standalone diagnostic, and the log-NLS default
-    log floor of |psi|^2: VACUUM_FLOOR_REL * max R."""
-    return VACUUM_FLOOR_REL * max(R.max(), 1e-300)
+    log floor of |psi|^2: VACUUM_FLOOR_REL * max R, the max over axis (of a
+    stack, its grid axes: one floor per row)."""
+    return VACUUM_FLOOR_REL * np.maximum(R.max(axis=axis), 1e-300)
 
 
 def smooth_density(R, r_floor: float):

@@ -1106,9 +1106,10 @@ def prepare_initial_data(
 
         sqrtR = (sqrtR0 * chi_ell + theta) conv zeta_iota,   Lambda = Lambda0,
 
-    returned as the state R = sqrtR^2, M = sqrtR Lambda (state_from_root).
-    sqrtR is bounded below by theta exactly (the kernel is nonnegative with
-    unit discrete mass, and the constant theta convolves to itself), so the
+    returned as the state R = sqrtR^2, M = sqrtR Lambda (state_from_root);
+    Lambda0_sampler(*y) gives the d components of Lambda0.  sqrtR is
+    bounded below by theta exactly (the kernel is nonnegative with unit
+    discrete mass, and the constant theta convolves to itself), so the
     density never falls below theta^2.
     """
     if theta <= 0 or iota <= 0:
@@ -1120,10 +1121,8 @@ def prepare_initial_data(
     z = mollifier_kernel(grid, iota)
     sp = grid.spectral
     s = sp.inv(sp.fwd(a) * sp.fwd(z)) * grid.weight
-    lam = Lambda0_sampler(*grid.y)
-    if not isinstance(lam, (tuple, list)):
-        lam = (lam,)
-    lam = np.stack([np.asarray(c, dtype=float) + np.zeros(grid.shape) for c in lam])
+    lam = np.stack([np.asarray(c, dtype=float) + np.zeros(grid.shape)
+                    for c in Lambda0_sampler(*grid.y)])
     return state_from_root(grid, s, lam)
 
 

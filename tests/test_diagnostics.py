@@ -112,6 +112,12 @@ def test_relative_entropy_and_ck_gap():
     assert abs(diag.csiszar_kullback_gap(st_R)) < 1e-12
     shifted = diag.StateOps(g, np.exp(-((g.y[0] - 1.0) ** 2)))
     assert diag.csiszar_kullback_gap(shifted) > 1e-3
+    # a state of no mass has no matched Gaussian: its gap is NaN, not a
+    # ZeroDivisionError, and it leaves the other rows of its stack alone
+    stack = diag.StateOps(g, np.stack([np.zeros(g.shape), gam]))
+    assert diag.relative_entropy(diag.StateOps(g, np.zeros(g.shape))) == 0.0
+    gaps = diag.csiszar_kullback_gap(stack)
+    assert math.isnan(gaps[0]) and gaps[1] == diag.csiszar_kullback_gap(st_R)
 
 
 def test_ck_gap_sweep():

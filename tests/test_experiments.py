@@ -190,6 +190,7 @@ def test_drag_ell_sweep_of_the_readme_config_is_a_bad_config(tmp_path, capsys):
 
 
 NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests its own key
+_TINY = {"grid": {"d": 1, "ell": 6.0, "n": 16}, "params": {"nu": 0.1, "eps": 0.1}}
 
 
 @pytest.mark.parametrize(
@@ -266,6 +267,18 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
         (["simulate", "--bogus"], NU),
         (["sweep", "--axis", "delta", "--threads", "2"], NU),
         ([], NU),
+        (["simulate"], {"kind": "longtime", **NU}),
+        (["sweep", "--axis", "delta"], {"ladder": [1e-2, 1e-4, 1e-3], **NU}),
+        (["korteweg"], {"initial": {"generator": "sech"}}),
+        (["simulate"], {"params": {"nu": 0.1, "dt_policy": "adaptive"}}),
+        (["simulate"], {"params": {"nu": 0.1, "cfl": 0.0}}),
+        (["simulate"], {"params": {"nu": 0.1, "r_min": -1.0}}),
+        # initial data of mass 0: each generator's values underflow
+        (["simulate"], {**_TINY, "initial": {"generator": "two_bump", "separation": 1e300}}),
+        (["korteweg"], {"grid": _TINY["grid"],
+                        "initial": {"generator": "offset_gaussian", "offset": 1e300}}),
+        # finite data whose mass overflows to inf
+        (["simulate"], {**_TINY, "initial": {"generator": "prepared_gaussian", "theta": 1e154}}),
     ],
     ids=["unknown_param", "negative_nu", "non_integer_n", "sweep_unknown_param",
          "negative_theta", "non_numeric_amplitude", "initial_not_a_dict", "non_numeric_t_end",
@@ -286,7 +299,10 @@ NU = {"params": {"nu": 0.1}}  # passes the params boundary, so the case tests it
                                                    "tau")],
          "negative_diag_every", "negative_snapshot_every", "non_integer_threads",
          "negative_threads", "zero_threads", "non_integer_seed_flag",
-         "unknown_flag", "threads_flag", "no_command"],
+         "unknown_flag", "threads_flag", "no_command", "simulate_of_a_longtime_config",
+         "non_monotone_ladder", "korteweg_unknown_generator", "unknown_dt_policy", "zero_cfl",
+         "negative_r_min", "simulate_of_no_mass", "korteweg_of_no_mass",
+         "simulate_of_infinite_mass"],
 )
 def test_cli_bad_construction_exits_3(tmp_path, capsys, command, config):
     out = tmp_path / "out"
@@ -622,6 +638,54 @@ def test_simulate_snapshot_name_collision_exits_with_its_reason(tmp_path, capsys
         assert json.loads((out / "metadata.json").read_text())["n_steps"] == 3
 
 
+@pytest.mark.parametrize("command", ["simulate", "longtime"])
+def test_simulate_and_longtime_write_through_one_writer(tmp_path, capsys, command):
+    # longtime writes simulate's run: the same diagnostics.csv and snapshot
+    # files, and simulate's metadata keys plus its attraction targets; and
+    # its build refuses snapshots whose names would clash, as simulate's does
+    def run(cmd, config, out):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        return cli_main([cmd, "--config", str(cfg), "--out", str(out)])
+
+    config = {"grid": {"d": 1, "ell": 6.0, "n": 64},
+              "params": {"nu": 0.05, "eps": 0.1, "r1": 0.02, "dt_policy": "fixed", "dt": 5e-3,
+                         "viscous_form": "bounded", "r_min": 1e-6},
+              "initial": {"generator": "perturbed_gaussian", "amplitude": 0.2},
+              "t_end": 0.06, "snapshot_every": 5}
+    outs = {cmd: tmp_path / cmd for cmd in ("simulate", command)}
+    assert all(run(cmd, config, out) == 0 for cmd, out in outs.items())
+    out = outs[command]
+    rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+    times = [float(row.split(",")[0]) for k, row in enumerate(rows) if k % 5 == 0 or k == 12]
+    names = {io_.snapshot_path(out, name, t).name for t in times for name in ("R", "Lambda0")}
+    assert len(rows) == 13 and {p.name for p in out.glob("*.isof")} == names
+    for name in [*names, "diagnostics.csv"]:
+        assert (out / name).read_bytes() == (outs["simulate"] / name).read_bytes()
+    keys = {"config", "config_hash", "version", "status", "n_steps", "cfl_binding", "params",
+            "timing"}
+    meta = json.loads((out / "metadata.json").read_text())
+    assert set(meta) == keys | ({"targets"} if command == "longtime" else set())
+    assert meta["n_steps"] == 12
+    clash = {**_TINY, "params": {**_FIXED, "dt": 1e-7}, "t_end": 3e-7, "snapshot_every": 1}
+    assert run(command, clash, tmp_path / "clash") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("bad config: ") and "share a file name" in err
+    assert not (tmp_path / "clash").exists()
+
+
+@pytest.mark.parametrize("kind", ["sweep_delta", "sweep_eta"])
+def test_sweep_builds_its_initial_state_once(tmp_path, monkeypatch, kind):
+    # the ladder's runs share one initial state, which no run writes into
+    made = []
+    make = E.make_initial
+    monkeypatch.setattr(E, "make_initial", lambda *a: made.append(1) or make(*a))
+    raw = {"kind": kind, **_TINY, "out_dir": str(tmp_path / "out")}
+    inputs = E.ExperimentConfig.from_dict(raw).build()
+    assert len(made) == 1 and len(inputs.points) == len(E.DEFAULT_LADDER[kind]) == 3
+    assert all(init is inputs.points[0][1] for _, init, _ in inputs.points)
+
+
 def test_simulate_metadata_records_where_a_run_stopped(tmp_path):
     # a grossly unstable fixed step (dt = 0.3) stops early; a stable one does not
     cfg = {
@@ -668,7 +732,6 @@ def test_simulate_stops_a_cfl_run_over_the_step_budget(tmp_path):
     assert 10 * 1080 < solver.MAX_STEPS < 215_786
 
 
-_TINY = {"grid": {"d": 1, "ell": 6.0, "n": 16}, "params": {"nu": 0.1, "eps": 0.1}}
 _FIXED = {"nu": 0.1, "eps": 0.1, "dt_policy": "fixed", "dt": 1e-3}
 
 
