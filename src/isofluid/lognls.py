@@ -1,8 +1,13 @@
 """Split-step spectral solver for the logarithmic Schrodinger equation
 
     i eps d_t psi + (eps^2/2) lap psi = psi log |psi|^2          (original)
-    i eps d_t Psi + (eps^2/(2 tau^2)) lap Psi = Psi log|Psi|^2 + |y|^2 Psi
+    i eps d_t Psi + (eps^2/(2 tau^2)) lap Psi = Psi log|Psi|^2 + w Psi
                                                                  (rescaled)
+
+with w the grid's confinement weight (spectral.Grid.confinement: |y|^2 on
+|y| <= ell/2, smooth and periodic on the box), the potential the
+hydrodynamic solver's confinement force is the gradient of, so that the
+Madelung cross-check compares one system.
 
 by Strang splitting: an exact kinetic half-step in Fourier space, an exact
 potential full-step in physical space (|psi| is invariant along the potential
@@ -109,7 +114,7 @@ def _strang_hat(g: Grid, zh, h, eps, tau_v, mu, rescaled: bool):
     z = sp.cinv(kin * zh)
     pot = np.log(np.abs(z) ** 2 + mu)
     if rescaled:
-        pot = pot + g.r2
+        pot = pot + g.confinement.w
     z = z * np.exp(-1j * h * pot / eps)
     return kin * sp.cfwd(z)
 
@@ -128,7 +133,7 @@ def nls_step(psi: WaveFunction, params: NlsParams, tau=(1.0, 0.0), mu: float | N
 def nls_energy(psi: WaveFunction, params: NlsParams, tau) -> float:
     """Energy of the chosen variant at the pair tau = (tau, taudot):
     (eps^2/2 tau^2) quad|grad psi|^2 + quad(|psi|^2 log|psi|^2)
-    [+ quad(|y|^2 |psi|^2) if rescaled]."""
+    [+ quad(w |psi|^2) if rescaled, w the grid's confinement weight]."""
     g = psi.grid
     rescaled = params.variant == "rescaled"
     tau_v = float(tau[0]) if rescaled else 1.0
@@ -138,7 +143,7 @@ def nls_energy(psi: WaveFunction, params: NlsParams, tau) -> float:
     out = params.eps**2 / (2 * tau_v**2) * g.quad(grad2)
     out += g.quad(ent)
     if rescaled:
-        out += g.quad(g.r2 * rho)
+        out += g.quad(g.confinement.w * rho)
     return out
 
 

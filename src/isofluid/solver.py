@@ -21,10 +21,12 @@ evaluated with (tau, taudot) frozen at the step midpoint:
   with c_u = 2/min(rho_sm) (which dominates the variable-coefficient
   remainder, so that pair is unconditionally stable).  M does not feel R
   inside L, so its exponential is closed form (see linear_flow);
-* N: every remaining term (advection, confinement plus pressure evaluated
-  together so they cancel pointwise on the Gaussian equilibrium, cold
-  pressure, viscosity, the delta1 cross term, the Korteweg and eta2 terms,
-  and the variable-coefficient remainder of the delta2 term), advanced with
+* N: every remaining term (advection, the confinement force R grad w of the
+  grid's smooth periodic weight w (Grid.confinement: |y|^2 on |y| <= ell/2)
+  plus the pressure, evaluated together so they cancel on the equilibrium
+  R = exp(-w) up to its resolution, cold pressure, viscosity, the delta1
+  cross term, the Korteweg and eta2 terms, and the variable-coefficient
+  remainder of the delta2 term), advanced with
   three-stage SSP Runge-Kutta, whose stability region covers the imaginary
   axis up to sqrt(3) (dispersive terms) and the real axis to -2.51, under
   the CFL bound of cfl_dt.  TERMS, the one table of that bound, gives per
@@ -55,7 +57,7 @@ back, the upper triangle of the symmetric stress (flux plus viscous) and the
 delta1 cross product forward; the delta2 field is Uhat - c_u Mhat.  The
 density forces take Rhat from the first half step, transform only
 sqrt_reg(R) forward, their derivatives back and the force products (the
-confinement 2 y R among them) forward, and stay coefficients.  The RK
+confinement R grad w among them) forward, and stay coefficients.  The RK
 stages step in increment form on coefficients: each stage's rate comes
 back as its increment k_i = h rate, stages 2 and 3 start from
 Mhat + k1 and Mhat + (k1 + k2)/4, and each of those two inverts its own
@@ -143,7 +145,7 @@ import numpy as np
 from . import diagnostics as diag
 from .params import ParamSet
 from .rescaling import FluidState, smooth_density
-from .spectral import Grid
+from .spectral import Grid, plateau
 from .tauode import TauSolution, tau_cover
 
 __all__ = [
@@ -337,11 +339,9 @@ class _Stepper:
         )
         self.viscous_form = _viscous_form(self.p, r0_contrast)
         self.kmx = math.pi * (g.n / 2) / g.ell * math.sqrt(g.d)
-        # 2 y of the confinement force, and the constant symbol products of
-        # the density and N forces
-        self.y2 = 2.0 * np.stack([np.broadcast_to(yi, g.shape) for yi in g.y])
-        if self.rows is not None:
-            self.y2 = self.y2[:, None]
+        # grad w of the confinement force (the grid's shared weight), and the
+        # constant symbol products of the density and N forces
+        self.grad_w = g.confinement.grad if self.rows is None else g.confinement.grad[:, None]
         p, sp = self.p, self.sp
         self.eta1_ik = p.eta1 * sp.ik
         self.with_delta1 = p.delta1 > 0
@@ -593,7 +593,7 @@ class _Stepper:
         The substep's first call (fz.Fh is None) writes the density forces'
         parts into the same batches (first_layouts) and sets fz.grad_R and
         fz.Fh: s forward; grad R, the eta2 grad lap^(2s+1) R, grad s and
-        hess s back; the confinement 2 y R, the upper Korteweg stress
+        hess s back; the confinement R grad w, the upper Korteweg stress
         entries, the cold pressure and the eta2 products forward.  The
         spectral parts of each force component are then summed and scaled
         by h in place, once per substep; nothing goes back.  t2 = tau^2."""
@@ -631,7 +631,7 @@ class _Stepper:
         if self.with_delta1:
             self._cross(fz.grad_R, gradU, st[at3.cross])
         if first:
-            np.multiply(self.y2, R, out=st[at3.confinement])
+            np.multiply(self.grad_w, R, out=st[at3.confinement])
         if eps:
             # the stress is symmetric: transform its upper entries, from
             # which div_upper_dealiased_hat reads each row
@@ -1059,21 +1059,6 @@ class _Row:
 
 # ---------------------------------------------------------------------------
 # initial data
-
-
-def _smoothstep(x):
-    """C-infinity step: 0 for x <= 0, 1 for x >= 1."""
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        h0 = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
-        h1 = np.where(x < 1, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
-    return h0 / (h0 + h1)
-
-
-def plateau(grid: Grid) -> np.ndarray:
-    """Smooth cutoff chi(y/ell): 1 on |y| <= ell/2, 0 near |y| >= ell."""
-    r = np.sqrt(grid.r2) / grid.ell
-    return _smoothstep(2.0 - 2.0 * r)
 
 
 def mollifier_kernel(grid: Grid, iota: float) -> np.ndarray:

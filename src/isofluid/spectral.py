@@ -104,6 +104,19 @@ Conventions
   before; the transforms act on the grid axes only.  Each row's
   coefficients and samples are bitwise those of Grid.spectral, which every
   single run keeps using;
+* confinement: Grid.confinement is the grid's one confinement weight:
+  the potential w, its gradient (the force) and lap w.  The sampled |y|^2
+  is not periodic, and its gradient 2 y jumps by 4 ell across the box face.
+  The weight windows the force instead, F = 2 y chi(|y|) with chi = plateau
+  (1 on |y| <= ell/2, falling smoothly to 0 at the face), and takes w as
+  F's spectral potential, w_hat = -(i k . F_hat) / |k|^2 with w(0) = 0, so
+  the force is exactly the spectral gradient of w (ik under the Nyquist
+  rule below), the pairing the energy law needs, and the weight is smooth
+  and periodic.  On |y| <= ell/2, w is |y|^2, the force 2 y and lap w 2 d
+  up to the resolution of chi's fall (tests/test_spectral.py).  It is built
+  once per (d, ell, n) and shared, read-only, by every Grid of that key,
+  straight on pocketfft outside the transform backend, so that no run
+  counts or times its transforms;
 * Nyquist rule: a symbol s acts as the real part of its complex-transform
   evaluation does, i.e. as (s(m) + conj(s(-m)))/2 with modes taken mod n.
   So an odd symbol (a single factor i k_j) uses k_j = 0 at the Nyquist index
@@ -117,13 +130,14 @@ from __future__ import annotations
 
 import copy
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
 from scipy.fft._pocketfft import pypocketfft as _pypocketfft
 
-__all__ = ["Grid", "Layout", "Spectral", "vdot"]
+__all__ = ["Confinement", "Grid", "Layout", "Spectral", "plateau", "vdot"]
 
 # the most values one np.vdot call reduces (see the module notes): below
 # the length above which OpenBLAS splits a dot product over its threads
@@ -211,6 +225,11 @@ class Grid:
         return self.quad(gaussian)
 
     @cached_property
+    def confinement(self) -> "Confinement":
+        """The confinement weight of this grid (see the module notes)."""
+        return _confinement(self.d, self.ell, self.n)
+
+    @cached_property
     def spectral(self) -> "Spectral":
         """The transform backend of this grid, built on first use."""
         return Spectral(self)
@@ -237,6 +256,49 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(d={self.d}, ell={self.ell}, n={self.n})"
+
+
+def _smoothstep(x):
+    """C-infinity step: 0 for x <= 0, 1 for x >= 1."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        h0 = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
+        h1 = np.where(x < 1, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
+    return h0 / (h0 + h1)
+
+
+def plateau(grid: Grid) -> np.ndarray:
+    """Smooth cutoff chi(y/ell): 1 on |y| <= ell/2, 0 near |y| >= ell."""
+    r = np.sqrt(grid.r2) / grid.ell
+    return _smoothstep(2.0 - 2.0 * r)
+
+
+class Confinement(NamedTuple):
+    """A grid's confinement weight (module notes): the potential w, its
+    gradient (d,) + grid.shape and its Laplacian, read-only."""
+
+    w: np.ndarray
+    grad: np.ndarray
+    lap: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _confinement(d: int, ell: float, n: int) -> Confinement:
+    """The confinement weight of Grid(d, ell, n), from the windowed force
+    2 y plateau(|y|) (module notes) and the symbol tables of a backend of
+    its own; its transforms call pocketfft straight, with scipy's
+    normalization, on one thread."""
+    g = Grid(d, ell, n)
+    sp, axes = g.spectral, tuple(range(-d, 0))
+    force = 2.0 * plateau(g) * np.stack([np.broadcast_to(yi, g.shape) for yi in g.y])
+    k2 = sp.k2.copy()
+    k2.flat[0] = 1.0  # ik is 0 there: w's mean is set below, by w(0) = 0
+    wh = -sp.sum_axes(sp.ik * _R2C(force, axes, True, 0, None, 1)) / k2
+    w, grad, lap = (_C2R(a, axes, n, False, 2, None, 1) for a in (wh, sp.ik * wh, -sp.k2 * wh))
+    w -= w[(n // 2,) * d]
+    for a in (w, grad, lap):
+        a.flags.writeable = False
+    return Confinement(w, grad, lap)
 
 
 # ---------------------------------------------------------------------------

@@ -359,7 +359,8 @@ def _reference_record(state, p, tau, r_floor):
 
     kin = [quad(lam2), p.eps**2 * quad(gs2)]
     kin_eta = kin + ([p.eta2 * glR2(p.s)] if p.eta2 > 0 else [])
-    pot = [quad(R * g.r2), quad(R * np.where(R > 0, logR, 0.0))]
+    w = g.confinement
+    pot = [quad(R * w.w), quad(R * np.where(R > 0, logR, 0.0))]
     eta_pot = []
     if p.eta1 > 0:
         eta_pot.append(p.eta1 / (p.alpha + 1.0) * quad(rt ** (-p.alpha)))
@@ -392,7 +393,7 @@ def _reference_record(state, p, tau, r_floor):
         "bd_entropy": bd,
         "bd_dissipation": rate + [4.0 * p.nu / t2 * quad(gs2), p.nu / t4 * quad(R * AU2),
                                   p.nu * p.eps**2 / t4 * RH],
-        "balance_rhs": [2.0 * d * p.delta1 / t2 * quad(R),
+        "balance_rhs": [p.delta1 / t2 * quad(R * w.lap),
                         -p.nu * taudot_v / t3 * quad(R * sum(gU[i][i] for i in range(d)))],
         "energy_reg": [a / (2 * t2) for a in kin] + pot + eta_pot,
         "dissipation_reg": rate_eta + [p.nu / t4 * quad(R * DU2)] + diffusion(p.delta1)
@@ -420,7 +421,7 @@ def _reference_record(state, p, tau, r_floor):
             (p.delta1 * nu**2 + p.eps**2 * nu / 4.0) / t4 * RH,
         ] + diffusion(nu)
         terms["bdid_rhs"] = [
-            2.0 * d * nu / t2 * quad(R),
+            nu / t2 * quad(R * w.lap),
             nu / t4 * quad(R * gradUT),
             -p.r1 * nu / t4 * quad(U2 * sum(u * a for u, a in zip(U, gR))),
             -p.r0 * nu * p.delta1 / t4 * quad(lapR / rt),
@@ -570,7 +571,7 @@ def _plans():
     }
     for name, p in records.items():
         for full in (False, True):
-            yield f"{name} {full}", diag._plan(diag._columns, p.bind(1), 1, full)
+            yield f"{name} {full}", diag._plan(diag._columns, p.bind(1), full)
 
 
 def test_plans_carry_no_switched_off_term():

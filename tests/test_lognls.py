@@ -81,7 +81,7 @@ def _reference_nls_step(psi, params, tau=(1.0, 0.0), mu=None):
     z = sp.cinv(kin * sp.cfwd(z))
     pot = np.log(np.abs(z) ** 2 + mu)
     if params.variant == "rescaled":
-        pot = pot + g.r2
+        pot = pot + g.confinement.w
     z = z * np.exp(-1j * h * pot / eps)
     z = sp.cinv(kin * sp.cfwd(z))
     return WaveFunction(psi.t + h, g, z, eps)

@@ -101,7 +101,8 @@ def test_madelung_irrotationality_2d():
 
 def test_energy_transport_identity_at_unit_tau():
     # for mass-matched input, the self-similar pseudo-energy at tau = (1, 0)
-    # equals the original energy plus the moment term (mass_ratio = 1)
+    # equals the original energy plus the confinement term quad(R w), w the
+    # grid's confinement weight (mass_ratio = 1)
     g = Grid(1, 7.0, 128)
     rho = np.exp(-g.r2)  # carries the reference mass
     u = (0.3 * np.exp(-g.r2 / 2) * np.sin(math.pi * g.y[0] / g.ell))[None]
@@ -109,9 +110,9 @@ def test_energy_transport_identity_at_unit_tau():
     state = to_self_similar(g, rho, u, (1.0, 0.0))
     assert abs(state.mass_ratio - 1.0) < 1e-12
     E0 = original_energy(g, rho, u, eps)
-    moment = g.quad(state.R * g.r2)
+    confinement = g.quad(state.R * g.confinement.w)
     EE = diag.energy(state, (1.0, 0.0), eps)
-    assert abs(EE - (E0 + moment)) < 1e-10 * max(1.0, abs(EE))
+    assert abs(EE - (E0 + confinement)) < 1e-10 * max(1.0, abs(EE))
 
 
 def test_original_energy_finite():

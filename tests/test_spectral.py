@@ -439,3 +439,46 @@ def test_batch_stacks_its_parts_bitwise(d, n):
     assert np.array_equal(back["a"], sp.inv(hat["a"]))
     owner = [r if r.base is None else r.base for r in (back["grad"], back["a"])]
     assert (d == 1) == (owner[0] is owner[1])
+
+
+# ---------------------------------------------------------------------------
+# the confinement weight
+
+
+@pytest.mark.parametrize("d,n,bounds", [
+    # measured: w 8.8e-11, grad 4.4e-15, lap 1.75e-7
+    (1, 256, (2e-10, 1e-13, 4e-7)),
+    # measured: w 2.0e-7, grad 1.07e-6, lap 1.23e-4
+    (2, 128, (4e-7, 2e-6, 2.5e-4)),
+    # measured: w 2.9e-5, grad 1.03e-4, lap 5.4e-3
+    (3, 64, (6e-5, 2e-4, 1e-2)),
+])
+def test_confinement_weight_on_the_plateau(monkeypatch, d, n, bounds):
+    # on |y| <= ell/2 the weight is |y|^2, its force 2 y and lap w 2 d, to
+    # bounds at about twice what chi's fall leaves at each resolution; on
+    # the whole box the force and lap w are w's spectral gradient and
+    # Laplacian, w(0) = 0, and the arrays are built once per (d, ell, n),
+    # shared and read-only, with no transform through the public names
+    calls = []
+    for mod in (np.fft, scipy.fft):
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+            def counted(*args, _orig=getattr(mod, name), **kwargs):
+                calls.append(_orig)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    spectral._confinement.cache_clear()
+    g = Grid(d, 8.0, n)
+    c = g.confinement
+    assert not calls
+    assert Grid(d, 8.0, n).confinement.w is c.w
+    assert not any(a.flags.writeable for a in c)
+    on = np.sqrt(g.r2) <= g.ell / 2
+    y = np.stack([np.broadcast_to(yi, g.shape) for yi in g.y])
+    assert np.abs(c.w - g.r2)[on].max() <= bounds[0]
+    assert np.abs(c.grad - 2.0 * y)[:, on].max() <= bounds[1]
+    assert np.abs(c.lap - 2.0 * d)[on].max() <= bounds[2]
+    assert c.w[(n // 2,) * d] == 0.0
+    sp = g.spectral
+    assert np.abs(sp.grad(c.w) - c.grad).max() <= 1e-11
+    assert np.abs(sp.lap(c.w) - c.lap).max() <= 1e-10
